@@ -441,9 +441,12 @@ def check(
     res = infer(kenv, tenv, term, fs)
     if isinstance(res, InferFailure):
         return False, f"inference failed: {res.message}"
-    for v in ftv_assignment(tenv):
-        if not equiv(res.subst.get(v, v), v):
+    for v in ftv_assignment(tenv) | kenv.keys():
+        if v in res.subst:
             return False, "the claim's context would have to be specialized"
+    for v, k in kenv.items():
+        if not kind_equiv(res.kenv[v], apply_kind(res.subst, k)):
+            return False, f"the claim needs a stronger kind for '{v.name or v.uid}"
     resid, principal = closure(res.kenv, apply_assignment(res.subst, tenv), res.type)
     if not generic_instance(resid, principal, sigma):
         return False, "not an instance of the principal type"

@@ -64,6 +64,17 @@ def _read_source(file, expr, what="term"):
         _die_usage(str(e))
 
 
+def _parse(parser, *args, where=""):
+    """Run a parser; a syntax error or input nested too deeply for the
+    recursive-descent parser is a usage error."""
+    try:
+        return parser(*args)
+    except ParseError as e:
+        _die_usage(f"{where}{e}")
+    except RecursionError:
+        _die_usage(f"{where}input is nested too deeply to parse")
+
+
 def _load_env(env_path):
     venv = VarEnv()
     if env_path is None:
@@ -73,22 +84,12 @@ def _load_env(env_path):
             text = fh.read()
     except OSError as e:
         _die_usage(str(e))
-    try:
-        kenv, tenv, venv = parse_env_file(text, venv)
-    except ParseError as e:
-        _die_usage(f"{env_path}: {e}")
+    kenv, tenv, venv = _parse(parse_env_file, text, venv, where=f"{env_path}: ")
     if not wf_kind_assignment(kenv):
         _die_analysis("environment kind assignment is not well formed")
     if not wf_type_assignment(kenv, tenv):
         _die_analysis("environment types mention unkinded variables")
     return kenv, tenv, venv
-
-
-def _parse_term_arg(text):
-    try:
-        return parse_term(text)
-    except ParseError as e:
-        _die_usage(str(e))
 
 
 @click.group()
@@ -101,7 +102,7 @@ def main():
 @click.option("-e", "--expr", default=None, help="term given inline")
 def parse_cmd(file, expr):
     """Parse a term and echo it in canonical concrete syntax."""
-    term = _parse_term_arg(_read_source(file, expr))
+    term = _parse(parse_term, _read_source(file, expr))
     click.echo(pretty_term(term))
 
 
@@ -109,10 +110,7 @@ def parse_cmd(file, expr):
 @click.option("-t", "--type", "type_text", required=True, help="monotype to normalize")
 def normalize_cmd(type_text):
     """Reduce a type to canonical form."""
-    try:
-        t = parse_mono(type_text)
-    except ParseError as e:
-        _die_usage(str(e))
+    t = _parse(parse_mono, type_text)
     click.echo(pretty_type(normalize(t)))
 
 
@@ -124,7 +122,7 @@ def normalize_cmd(type_text):
 def infer_cmd(file, expr, env_path, as_json):
     """Infer the principal type of a term."""
     kenv, tenv, venv = _load_env(env_path)
-    term = _parse_term_arg(_read_source(file, expr))
+    term = _parse(parse_term, _read_source(file, expr))
     res = infer(kenv, tenv, term, FreshSupply(venv.next_free_uid()))
     if isinstance(res, InferFailure):
         where = f" at {res.span}" if res.span else ""
@@ -156,11 +154,8 @@ def infer_cmd(file, expr, env_path, as_json):
 def check_cmd(expr, type_text, env_path, as_json):
     """Check a claimed typing against the inferred principal type."""
     kenv, tenv, venv = _load_env(env_path)
-    term = _parse_term_arg(expr)
-    try:
-        sigma = parse_type(type_text, venv)
-    except ParseError as e:
-        _die_usage(str(e))
+    term = _parse(parse_term, expr)
+    sigma = _parse(parse_type, type_text, venv)
     for v in ftv(sigma):
         if v not in kenv:
             _die_analysis(f"claimed type mentions unkinded variable '{v.name or v.uid}")
@@ -182,10 +177,7 @@ def unify_cmd(file, expr, env_path):
     kenv, tenv, venv = _load_env(env_path)
     if tenv:
         _die_usage("unify takes a kind assignment; term variables are not used")
-    try:
-        eqs, venv = parse_equations(_read_source(file, expr, what="equation set"), venv)
-    except ParseError as e:
-        _die_usage(str(e))
+    eqs, venv = _parse(parse_equations, _read_source(file, expr, what="equation set"), venv)
     for a, b in eqs:
         for v in ftv(a) | ftv(b):
             if v not in kenv:
@@ -212,7 +204,7 @@ def eval_cmd(file, expr):
     """Evaluate a closed term."""
     from .interp import show_value
 
-    term = _parse_term_arg(_read_source(file, expr))
+    term = _parse(parse_term, _read_source(file, expr))
     try:
         value = eval_term(term)
     except EvalError as e:

@@ -1,9 +1,11 @@
 """Type inference for the extensible-record calculus.
 
 infer computes a principal kinded typing (residual kind assignment,
-substitution, canonical monotype) and assembles, alongside, a derivation
-tree for the declarative system; the checker validates that tree, giving
-an executable soundness oracle.
+substitution, canonical monotype).  On request (want_trace) it also
+returns a derivation tree for the declarative system, which the checker
+validates, giving an executable soundness oracle.  The walk records each
+node's judgment unsubstituted; the tree is built by applying the final
+substitution once, at the end, and only when asked for.
 
 Failures are returned as values, tagged with the syntax case that failed
 and the offending subterm.
@@ -70,7 +72,8 @@ def supply_for(*values) -> FreshSupply:
         nonlocal top
         if isinstance(x, dict):
             for k, v in x.items():
-                scan(k)
+                if isinstance(k, TyVar):  # a type assignment's keys are names
+                    scan(k)
                 scan(v)
         elif isinstance(x, PolyType):
             for v, k in x.quants:
@@ -134,36 +137,35 @@ def infer(
     """Principal typing of term under (kenv, tenv), or a failure value."""
     if fs is None:
         fs = supply_for(kenv, tenv)
-    out = _infer(kenv, tenv, term, fs)
+    extensions: list = []
+    out = _infer(kenv, tenv, term, fs, extensions)
     if isinstance(out, InferFailure):
         return out
-    k2, s, t, d = out
-    bad = _recheck_extensions(d)
-    if bad is not None:
-        return bad
-    return InferResult(k2, s, t, d if want_trace else None)
-
-
-def _recheck_extensions(d: Derivation) -> InferFailure | None:
-    """The extension rule's base-variable condition is the one side
-    condition later substitutions can break; re-check it on the finished
-    tree and turn a violation into an inference failure."""
-    for child in d.children:
-        bad = _recheck_extensions(child)
+    k, s, t, d = out
+    # The extension rule's base-variable condition is the one side
+    # condition later substitutions can break: re-check it under the final
+    # substitution, in the order the extensions were typed.
+    for subject, value, ext in extensions:
+        bad = _base_in_value(
+            normalize(apply_type(s, subject)), normalize(apply_type(s, value)), ext
+        )
         if bad is not None:
             return bad
-    if d.rule == "Ext":
-        subject = normalize(d.claim.subject)
-        value_t = d.children[1].judgment.sigma.body
-        if is_extensible(subject):
-            base = base_of(subject)
-            if isinstance(base, TyVar) and base in ftv(normalize(value_t)):
-                return InferFailure(
-                    "extend",
-                    "base_in_value",
-                    "extended record's type occurs in the added field's type",
-                    d.judgment.term,
-                )
+    # Every node's types avoid the domain of the substitution made before
+    # it, so applying the final substitution once yields the derivation.
+    return InferResult(k, s, t, subst_derivation(d, s, k) if want_trace else None)
+
+
+def _base_in_value(record: MonoType, value: MonoType, term: Term) -> InferFailure | None:
+    if is_extensible(record):
+        base = base_of(record)
+        if isinstance(base, TyVar) and base in ftv(value):
+            return InferFailure(
+                "extend",
+                "base_in_value",
+                "extended record's type occurs in the added field's type",
+                term,
+            )
     return None
 
 
@@ -171,8 +173,29 @@ def _fail_unify(case: str, term: Term, err: UnificationError) -> InferFailure:
     return InferFailure(case, err.reason, err.message, term)
 
 
-def _infer(kenv, tenv, term, fs):
-    """Returns (kenv', subst, canonical type, derivation) or InferFailure."""
+def _lefts(label, t) -> RecordKind:
+    return RecordKind(((label, t),), ())
+
+
+def _rights(label, t) -> RecordKind:
+    return RecordKind((), ((label, t),))
+
+
+# Term class -> (rule, failure tag, has a value premise, side of the record
+# kind the field goes on, result type from (a_rec, label, a_field)).
+_FIELD_RULES = {
+    Select: ("Sel", "select", False, _lefts, lambda rec, l, f: f),
+    Modify: ("Modif", "modify", True, _lefts, lambda rec, l, f: rec),
+    Remove: ("Contr", "remove", False, _lefts, Contr),
+    Extend: ("Ext", "extend", True, _rights, Ext),
+}
+
+
+def _infer(kenv, tenv, term, fs, extensions):
+    """Returns (kenv', subst, canonical type, unsubstituted derivation) or
+    InferFailure.  Each node's judgment keeps the type assignment it was
+    called with; `extensions` collects (record type, value type, term) for
+    every Extend typed."""
 
     if isinstance(term, Var):
         if term.name not in tenv:
@@ -180,34 +203,29 @@ def _infer(kenv, tenv, term, fs):
                 "var", "unbound_variable", f"unbound variable {term.name}", term
             )
         k1, t = instantiate(kenv, tenv[term.name], fs)
-        d = Derivation("Var", Judgment(k1, tenv, term, poly(t)))
-        return k1, {}, t, d
+        return k1, {}, t, Derivation("Var", Judgment(k1, tenv, term, poly(t)))
 
     if isinstance(term, Const):
         t = BaseType(term.base)
-        d = Derivation("Const", Judgment(kenv, tenv, term, poly(t)))
-        return kenv, {}, t, d
+        return kenv, {}, t, Derivation("Const", Judgment(kenv, tenv, term, poly(t)))
 
     if isinstance(term, Abs):
         alpha = fs.fresh()
         inner_kenv = {**kenv, alpha: UKind()}
         inner_tenv = {**tenv, term.param: poly(alpha)}
-        res = _infer(inner_kenv, inner_tenv, term.body, fs)
+        res = _infer(inner_kenv, inner_tenv, term.body, fs, extensions)
         if isinstance(res, InferFailure):
             return res
         k1, s1, t1, d1 = res
         t = Arrow(normalize(apply_type(s1, alpha)), t1)
-        d = Derivation(
-            "Abs", Judgment(k1, apply_assignment(s1, tenv), term, poly(t)), (d1,)
-        )
-        return k1, s1, t, d
+        return k1, s1, t, Derivation("Abs", Judgment(k1, tenv, term, poly(t)), (d1,))
 
     if isinstance(term, App):
-        res = _infer(kenv, tenv, term.fn, fs)
+        res = _infer(kenv, tenv, term.fn, fs, extensions)
         if isinstance(res, InferFailure):
             return res
         k1, s1, t1, d1 = res
-        res = _infer(k1, apply_assignment(s1, tenv), term.arg, fs)
+        res = _infer(k1, apply_assignment(s1, tenv), term.arg, fs, extensions)
         if isinstance(res, InferFailure):
             return res
         k2, s2, t2, d2 = res
@@ -222,193 +240,81 @@ def _infer(kenv, tenv, term, fs):
             return _fail_unify("app", term, e)
         s = compose(s3, compose(s2, s1))
         t = normalize(apply_type(s3, alpha))
-        d1 = subst_derivation(d1, compose(s3, s2), k3)
-        d2 = subst_derivation(d2, s3, k3)
-        d = Derivation(
-            "App", Judgment(k3, apply_assignment(s, tenv), term, poly(t)), (d1, d2)
-        )
-        return k3, s, t, d
+        return k3, s, t, Derivation("App", Judgment(k3, tenv, term, poly(t)), (d1, d2))
 
     if isinstance(term, Let):
-        res = _infer(kenv, tenv, term.bound, fs)
+        res = _infer(kenv, tenv, term.bound, fs, extensions)
         if isinstance(res, InferFailure):
             return res
         k1, s1, t1, d1 = res
         gamma1 = apply_assignment(s1, tenv)
         k1r, sigma = closure(k1, gamma1, t1)
         gen = Derivation("Gen", Judgment(k1r, gamma1, term.bound, sigma), (d1,))
-        res = _infer(k1r, {**gamma1, term.name: sigma}, term.body, fs)
+        res = _infer(k1r, {**gamma1, term.name: sigma}, term.body, fs, extensions)
         if isinstance(res, InferFailure):
             return res
         k2, s2, t2, d2 = res
-        s = compose(s2, s1)
-        gen = subst_derivation(gen, s2, k2)
-        d = Derivation(
-            "Let", Judgment(k2, apply_assignment(s, tenv), term, poly(t2)), (gen, d2)
-        )
-        return k2, s, t2, d
+        d = Derivation("Let", Judgment(k2, tenv, term, poly(t2)), (gen, d2))
+        return k2, compose(s2, s1), t2, d
 
     if isinstance(term, RecordLit):
         cur_kenv, cur_tenv = kenv, tenv
         s_all: Substitution = {}
-        parts = []
+        types, children = [], []
         for label, sub in term.fields:
-            res = _infer(cur_kenv, cur_tenv, sub, fs)
+            res = _infer(cur_kenv, cur_tenv, sub, fs, extensions)
             if isinstance(res, InferFailure):
                 return res
             cur_kenv, s_i, t_i, d_i = res
             cur_tenv = apply_assignment(s_i, cur_tenv)
             s_all = compose(s_i, s_all)
-            parts.append((label, s_i, t_i, d_i))
-        fields = []
-        children = []
-        suffix: Substitution = {}
-        for label, s_i, t_i, d_i in reversed(parts):
-            fields.append((label, normalize(apply_type(suffix, t_i))))
-            children.append(subst_derivation(d_i, suffix, cur_kenv))
-            suffix = compose(suffix, s_i)
-        fields.reverse()
-        children.reverse()
-        t = RecordType(tuple(fields))
-        d = Derivation(
-            "Rec",
-            Judgment(cur_kenv, apply_assignment(s_all, tenv), term, poly(t)),
-            tuple(children),
-        )
+            types.append((label, t_i))
+            children.append(d_i)
+        # each field type avoids the domain of the substitutions made up to
+        # it, so the whole substitution brings it up to date
+        t = RecordType(tuple((l, normalize(apply_type(s_all, t_i))) for l, t_i in types))
+        d = Derivation("Rec", Judgment(cur_kenv, tenv, term, poly(t)), tuple(children))
         return cur_kenv, s_all, t, d
 
-    if isinstance(term, Select):
-        res = _infer(kenv, tenv, term.target, fs)
+    field_rule = _FIELD_RULES.get(type(term))
+    if field_rule is not None:
+        rule, case, has_value, side, result = field_rule
+        res = _infer(kenv, tenv, term.target, fs, extensions)
         if isinstance(res, InferFailure):
             return res
-        k1, s1, t1, d1 = res
+        k, s, t_rec, d1 = res
+        children = (d1,)
+        if has_value:
+            res = _infer(k, apply_assignment(s, tenv), term.value, fs, extensions)
+            if isinstance(res, InferFailure):
+                return res
+            k, s2, t_value, d2 = res
+            if rule == "Ext":
+                bad = _base_in_value(t_rec, t_value, term)
+                if bad is not None:
+                    return bad
+            s = compose(s2, s)
+            t_rec = apply_type(s2, t_rec)
+            children = (d1, d2)
         a_field = fs.fresh()
         a_rec = fs.fresh()
-        kind = RecordKind(((term.label, a_field),), ())
-        try:
-            k2, s2 = unify(
-                {**k1, a_field: UKind(), a_rec: kind}, [(a_rec, t1)], fresh=fs.fresh
-            )
-        except UnificationError as e:
-            return _fail_unify("select", term, e)
-        s = compose(s2, s1)
-        t = normalize(apply_type(s2, a_field))
-        d1 = subst_derivation(d1, s2, k2)
-        claim = KindingClaim(
-            normalize(apply_type(s2, t1)), RecordKind(((term.label, t),), ())
-        )
-        d = Derivation(
-            "Sel", Judgment(k2, apply_assignment(s, tenv), term, poly(t)), (d1,), claim
-        )
-        return k2, s, t, d
-
-    if isinstance(term, Modify):
-        res = _infer(kenv, tenv, term.target, fs)
-        if isinstance(res, InferFailure):
-            return res
-        k1, s1, t1, d1 = res
-        res = _infer(k1, apply_assignment(s1, tenv), term.value, fs)
-        if isinstance(res, InferFailure):
-            return res
-        k2, s2, t2, d2 = res
-        a_field = fs.fresh()
-        a_rec = fs.fresh()
-        kind = RecordKind(((term.label, a_field),), ())
+        eqs = [(a_field, t_value), (a_rec, t_rec)] if has_value else [(a_rec, t_rec)]
         try:
             k3, s3 = unify(
-                {**k2, a_field: UKind(), a_rec: kind},
-                [(a_field, t2), (a_rec, apply_type(s2, t1))],
+                {**k, a_field: UKind(), a_rec: side(term.label, a_field)},
+                eqs,
                 fresh=fs.fresh,
             )
         except UnificationError as e:
-            return _fail_unify("modify", term, e)
-        s = compose(s3, compose(s2, s1))
-        t = normalize(apply_type(s3, a_rec))
-        d1 = subst_derivation(d1, compose(s3, s2), k3)
-        d2 = subst_derivation(d2, s3, k3)
-        claim = KindingClaim(
-            t, RecordKind(((term.label, normalize(apply_type(s3, a_field))),), ())
-        )
-        d = Derivation(
-            "Modif",
-            Judgment(k3, apply_assignment(s, tenv), term, poly(t)),
-            (d1, d2),
-            claim,
-        )
-        return k3, s, t, d
-
-    if isinstance(term, Remove):
-        res = _infer(kenv, tenv, term.target, fs)
-        if isinstance(res, InferFailure):
-            return res
-        k1, s1, t1, d1 = res
-        a_field = fs.fresh()
-        a_rec = fs.fresh()
-        kind = RecordKind(((term.label, a_field),), ())
-        try:
-            k2, s2 = unify(
-                {**k1, a_field: UKind(), a_rec: kind}, [(a_rec, t1)], fresh=fs.fresh
-            )
-        except UnificationError as e:
-            return _fail_unify("remove", term, e)
-        s = compose(s2, s1)
-        t = normalize(apply_type(s2, Contr(a_rec, term.label, a_field)))
-        d1 = subst_derivation(d1, s2, k2)
-        claim = KindingClaim(
-            normalize(apply_type(s2, a_rec)),
-            RecordKind(((term.label, normalize(apply_type(s2, a_field))),), ()),
-        )
-        d = Derivation(
-            "Contr",
-            Judgment(k2, apply_assignment(s, tenv), term, poly(t)),
-            (d1,),
-            claim,
-        )
-        return k2, s, t, d
-
-    if isinstance(term, Extend):
-        res = _infer(kenv, tenv, term.target, fs)
-        if isinstance(res, InferFailure):
-            return res
-        k1, s1, t1, d1 = res
-        res = _infer(k1, apply_assignment(s1, tenv), term.value, fs)
-        if isinstance(res, InferFailure):
-            return res
-        k2, s2, t2, d2 = res
-        if is_extensible(t1):
-            base = base_of(t1)
-            if isinstance(base, TyVar) and base in ftv(t2):
-                return InferFailure(
-                    "extend",
-                    "base_in_value",
-                    "extended record's type occurs in the added field's type",
-                    term,
-                )
-        a_field = fs.fresh()
-        a_rec = fs.fresh()
-        kind = RecordKind((), ((term.label, a_field),))
-        try:
-            k3, s3 = unify(
-                {**k2, a_field: UKind(), a_rec: kind},
-                [(a_field, t2), (a_rec, apply_type(s2, t1))],
-                fresh=fs.fresh,
-            )
-        except UnificationError as e:
-            return _fail_unify("extend", term, e)
-        s = compose(s3, compose(s2, s1))
-        t = normalize(apply_type(s3, Ext(a_rec, term.label, a_field)))
-        d1 = subst_derivation(d1, compose(s3, s2), k3)
-        d2 = subst_derivation(d2, s3, k3)
+            return _fail_unify(case, term, e)
+        t = normalize(apply_type(s3, result(a_rec, term.label, a_field)))
         claim = KindingClaim(
             normalize(apply_type(s3, a_rec)),
-            RecordKind((), ((term.label, normalize(apply_type(s3, a_field))),)),
+            side(term.label, normalize(apply_type(s3, a_field))),
         )
-        d = Derivation(
-            "Ext",
-            Judgment(k3, apply_assignment(s, tenv), term, poly(t)),
-            (d1, d2),
-            claim,
-        )
-        return k3, s, t, d
+        if rule == "Ext":
+            extensions.append((claim.subject, t_value, term))
+        d = Derivation(rule, Judgment(k3, tenv, term, poly(t)), children, claim)
+        return k3, compose(s3, s), t, d
 
     raise TypeError(f"infer: not a term: {term!r}")

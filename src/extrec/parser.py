@@ -671,11 +671,6 @@ def pretty_kind_assignment(kenv: KindAssignment, namer: Namer | None = None) -> 
     return "\n".join(f"'{namer.name(v)} :: {pretty_kind(k, namer)}" for v, k in kenv.items())
 
 
-def pretty_type_assignment(tenv: TypeAssignment, namer: Namer | None = None) -> str:
-    namer = namer if namer is not None else Namer()
-    return "\n".join(f"{x} : {pretty_poly(s, namer)}" for x, s in tenv.items())
-
-
 def pretty_subst(s: Substitution, namer: Namer | None = None) -> str:
     namer = namer if namer is not None else Namer()
     items = sorted(s.items(), key=lambda kv: kv[0].uid)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kinding import has_kind, wf_type
+from .kinding import has_kind
 from .normalize import equiv, normalize
 from .syntax import (
     Arrow,
@@ -108,9 +108,6 @@ class KindedSubstitution:
 
     kenv: KindAssignment
     subst: Substitution
-
-    def well_formed(self) -> bool:
-        return all(wf_type(self.kenv, t) for t in self.subst.values())
 
 
 def respects(ks: KindedSubstitution, kenv2: KindAssignment) -> bool:

@@ -89,7 +89,6 @@ class _State:
         self.eqs = deque(eqs)
         self.kenv = dict(kenv)
         self.subst: Substitution = {}
-        self.solved_kinds = {}
         self.fresh = fresh
         self.trace = trace
 
@@ -109,9 +108,6 @@ class _State:
         self.kenv = {w: apply_kind(one, k) for w, k in new_kenv.items()}
         self.subst = {w: apply_type(one, u) for w, u in self.subst.items()}
         self.subst[v] = t
-        self.solved_kinds = {
-            w: apply_kind(one, k) for w, k in self.solved_kinds.items()
-        }
 
     def eliminate_pair(self, v1, t1, v2, t2, new_kenv):
         """Simultaneous elimination used by the two-chain merge; neither
@@ -124,9 +120,6 @@ class _State:
         self.subst = {w: apply_type(both, u) for w, u in self.subst.items()}
         self.subst[v1] = t1
         self.subst[v2] = t2
-        self.solved_kinds = {
-            w: apply_kind(both, k) for w, k in self.solved_kinds.items()
-        }
 
 
 def unify(
@@ -159,10 +152,6 @@ def unify(
             raise RuntimeError("unify: transformation did not terminate")
         t1, t2 = st.eqs.popleft()
         _step(st, t1, t2)
-        # state invariants: solved variables leave the kind assignment, and
-        # each carries its solved kind
-        assert not (st.subst.keys() & st.kenv.keys())
-        assert st.solved_kinds.keys() == st.subst.keys()
     return st.kenv, st.subst
 
 
@@ -197,7 +186,6 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
             raise UnificationError(OCCURS, "variable occurs in its own solution")
         st.note("ii")
         new_kenv = {w: k for w, k in st.kenv.items() if w != a}
-        st.solved_kinds[a] = UKind()
         st.eliminate(a, b, new_kenv)
         return
     # iii) two record-kinded variables; the newer one is eliminated
@@ -312,7 +300,6 @@ def _rule_iii(st: _State, v1: TyVar, v2: TyVar):
     if v2 in ftv(merged):
         raise UnificationError(OCCURS, "variable occurs in its own merged kind")
     st.note("iii")
-    st.solved_kinds[v1] = k1
     new_kenv = {
         w: (merged if w == v2 else k) for w, k in st.kenv.items() if w != v1
     }
@@ -333,7 +320,6 @@ def _rule_iv(st: _State, v: TyVar, rec: RecordType):
     if v in ftv(rec):
         raise UnificationError(OCCURS, "variable occurs in the record type")
     st.note("iv")
-    st.solved_kinds[v] = k
     new_kenv = {w: kk for w, kk in st.kenv.items() if w != v}
     st.eliminate(v, rec, new_kenv)
     st.push(*((f1l[l], fields[l]) for l in f1l))
@@ -372,7 +358,6 @@ def _rule_vii(st: _State, v: TyVar, chain: MonoType, base: TyVar):
     if base in ftv(base_kind):
         raise UnificationError(OCCURS, "chain base occurs in its own kind")
     st.note("vii")
-    st.solved_kinds[v] = k1
     new_kenv = {
         w: (base_kind if w == base else k) for w, k in st.kenv.items() if w != v
     }
@@ -449,8 +434,6 @@ def _rule_ix(st: _State, v1: TyVar, ops1, v2: TyVar, ops2):
 
     fresh = st.fresh()
     st.note("ix")
-    st.solved_kinds[v1] = k1
-    st.solved_kinds[v2] = k2
     image1 = rebuild_chain(fresh, ops2)
     image2 = rebuild_chain(fresh, ops1)
     new_kenv = {w: k for w, k in st.kenv.items() if w not in (v1, v2)}

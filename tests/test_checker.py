@@ -9,7 +9,7 @@ from extrec.checker import (
     validate,
 )
 from extrec.infer import FreshSupply, infer
-from extrec.parser import parse_term, parse_type
+from extrec.parser import parse_env_file, parse_term, parse_type
 from extrec.subst import apply_poly, generic_instance
 from extrec.syntax import (
     Arrow,
@@ -127,6 +127,16 @@ def test_check_examples():
 def test_check_reports_inference_failure():
     ok, reason = check({}, {}, parse_term("{l=1}.m"), poly(INT))
     assert not ok and "inference failed" in reason
+
+
+def test_check_refuses_claim_needing_stronger_environment_kind():
+    kenv, tenv, venv = parse_env_file("'a1 :: << || l: 'a2>>\n'a2 :: U\nx : 'a1\ny : 'a2\n")
+    a2 = venv.names["a2"]
+    # selecting m from x adds m to 'a1's kind without substituting 'a1
+    ok, reason = check(kenv, tenv, parse_term("let z = x.m in y"), poly(a2))
+    assert not ok and "stronger kind" in reason
+    ok2, _ = check(kenv, tenv, parse_term("let z = extend(x, l, y) in y"), poly(a2))
+    assert ok2
 
 
 def test_oracle_agreement_sample():

@@ -61,6 +61,27 @@ def test_check_ok_and_fail():
     assert payload["ok"] is False and payload["reason"]
 
 
+def test_check_env_accepts_printed_principal_type(tmp_path):
+    env = tmp_path / "ex.env"
+    env.write_text(ENV_42)
+    for src in ("extend(x, l, y)", "y", "{a = x, b = remove(extend(x, l, y), l)}"):
+        printed = run("infer", "--env", str(env), "-e", src)
+        assert printed.exit_code == 0, src
+        r = run("check", "--env", str(env), "-e", src, "-t", printed.output.strip())
+        assert (r.exit_code, r.output.strip()) == (0, "OK"), (src, r.output)
+
+
+def test_check_env_refuses_claim_needing_stronger_kind(tmp_path):
+    # typing x.m adds m to the kind of x's type, which the environment fixes
+    env = tmp_path / "ex.env"
+    env.write_text(ENV_42)
+    src = "let z = x.m in y"
+    assert run("infer", "--env", str(env), "-e", src).output.strip() == "'b"
+    r = run("check", "--env", str(env), "-e", src, "-t", "'b")
+    assert r.exit_code == 1
+    assert r.output.startswith("FAIL:") and "stronger kind" in r.output
+
+
 def test_unify_command(tmp_path):
     env = tmp_path / "k.env"
     env.write_text("'a :: << || l: 'c>>\n'b :: <<l: 'c || >>\n'c :: U\n")
@@ -91,6 +112,15 @@ def test_exit_codes():
     assert run("infer", "-e", "\\x. (").exit_code == 2  # syntax error
     assert run("infer").exit_code == 2  # no input source
     assert run("infer", "-e", "x", "nope.rec").exit_code == 2  # two sources
+
+
+def test_deep_nesting_is_a_usage_error():
+    deep = "(" * 1000 + "x" + ")" * 1000
+    for args in (["parse", "-e", deep], ["infer", "-e", deep],
+                 ["check", "-e", deep, "-t", "Int"], ["eval", "-e", deep]):
+        r = run(*args)
+        assert r.exit_code == 2, args
+        assert "Traceback" not in r.output and "nested too deeply" in r.output, args
 
 
 def test_deterministic_output():

@@ -131,9 +131,10 @@ def test_extend_base_occurs_caught_after_later_aliasing():
     # the base/value aliasing only appears once sibling applications force
     # x and y together, after the extension itself was typed
     src = "\\f. \\x. \\y. {a = extend(x, l, y), b = f x y, c = f y x}"
-    res = infer({}, {}, parse_term(src), FreshSupply(1), want_trace=True)
-    assert isinstance(res, InferFailure)
-    assert res.reason == "base_in_value"
+    for want_trace in (True, False):
+        res = infer({}, {}, parse_term(src), FreshSupply(1), want_trace=want_trace)
+        assert isinstance(res, InferFailure)
+        assert res.reason == "base_in_value"
     control = "\\f. \\x. \\y. {a = extend(x, l, y), b = f x y}"
     assert not isinstance(infer({}, {}, parse_term(control), FreshSupply(1)), InferFailure)
 
@@ -188,6 +189,28 @@ def test_trace_context_matches_substituted_gamma():
     assert got.keys() == want.keys()
     for x in want:
         assert got[x] == want[x]
+
+
+def test_trace_free_inference_agrees_with_traced():
+    kenv, tenv, venv, _, _ = _setup_42()
+    rng = random.Random(103)
+    accepted = failed = 0
+    for i in range(300):
+        env = i % 2 == 0
+        term = gen_closed_term(rng, rng.randint(1, 6), scope=("x", "y") if env else ())
+        k, g, start = (kenv, tenv, venv.next_free_uid()) if env else ({}, {}, 1)
+        plain = infer(k, g, term, FreshSupply(start))
+        traced = infer(k, g, term, FreshSupply(start), want_trace=True)
+        if isinstance(traced, InferFailure):
+            failed += 1
+            assert isinstance(plain, InferFailure), term
+            assert (plain.rule, plain.reason) == (traced.rule, traced.reason), term
+            continue
+        accepted += 1
+        assert not isinstance(plain, InferFailure), term
+        assert plain.trace is None and traced.trace is not None
+        assert (plain.kenv, plain.subst, plain.type) == (traced.kenv, traced.subst, traced.type)
+    assert accepted > 40 and failed > 40
 
 
 def test_soundness_sample():

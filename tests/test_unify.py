@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -128,7 +129,24 @@ def test_substituted_record_base_chain_collapses():
     assert equiv(apply_type(s, b), RecordType((("l", INT), ("m", BOOL))))
 
 
-def test_unifier_is_sound_on_random_inputs():
+def test_unifier_is_sound_on_random_inputs(monkeypatch):
+    # State invariant, checked after every transformation step: a solved
+    # variable leaves the kind assignment and occurs nowhere in the state.
+    solver = sys.modules["extrec.unify"]
+    step = solver._step
+    steps = 0
+
+    def checked_step(st, *args, **kw):
+        nonlocal steps
+        step(st, *args, **kw)
+        steps += 1
+        solved = st.subst.keys()
+        assert not (solved & st.kenv.keys())
+        assert not any(ftv(k) & solved for k in st.kenv.values())
+        assert not any(ftv(t) & solved for t in st.subst.values())
+        assert not any((ftv(t1) | ftv(t2)) & solved for t1, t2 in st.eqs)
+
+    monkeypatch.setattr(solver, "_step", checked_step)
     rng = random.Random(73)
     successes = 0
     for i in range(400):
@@ -141,8 +159,7 @@ def test_unifier_is_sound_on_random_inputs():
         for t1, t2 in eqs:
             assert equiv(apply_type(s, t1), apply_type(s, t2)), (kenv, eqs, s)
         assert respects(KindedSubstitution(resid, s), kenv), (kenv, eqs, resid, s)
-        assert not (set(s) & set(resid))
-    assert successes > 100
+    assert successes > 100 and steps > 200
 
 
 def test_symmetry():
