@@ -65,14 +65,22 @@ def _read_source(file, expr, what="term"):
 
 
 def _parse(parser, *args, where=""):
-    """Run a parser; a syntax error or input nested too deeply for the
-    recursive-descent parser is a usage error."""
+    """Run a parser; a syntax error is a usage error."""
     try:
         return parser(*args)
     except ParseError as e:
         _die_usage(f"{where}{e}")
-    except RecursionError:
-        _die_usage(f"{where}input is nested too deeply to parse")
+
+
+class _Cli(click.Group):
+    """Input nested too deeply for any stage's recursion (parser, inference,
+    evaluation, printing) is a usage error, whichever command meets it."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except RecursionError:
+            _die_usage("input is nested too deeply")
 
 
 def _load_env(env_path):
@@ -92,7 +100,7 @@ def _load_env(env_path):
     return kenv, tenv, venv
 
 
-@click.group()
+@click.group(cls=_Cli)
 def main():
     """Extensible-record calculus: parse, infer, check, unify, normalize, eval."""
 

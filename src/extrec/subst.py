@@ -38,9 +38,9 @@ from .syntax import (
 
 
 def apply_type(s: Substitution, t: MonoType) -> MonoType:
-    if isinstance(t, TyVar):
+    if isinstance(t, TyVar):  # a lookup is cheaper than the test below
         return s.get(t, t)
-    if isinstance(t, BaseType):
+    if s.keys().isdisjoint(ftv(t)):
         return t
     if isinstance(t, Arrow):
         return Arrow(apply_type(s, t.dom), apply_type(s, t.cod))
@@ -54,7 +54,7 @@ def apply_type(s: Substitution, t: MonoType) -> MonoType:
 
 
 def apply_kind(s: Substitution, k: Kind) -> Kind:
-    if isinstance(k, UKind):
+    if s.keys().isdisjoint(ftv(k)):
         return k
     return RecordKind(
         tuple((l, apply_type(s, t)) for l, t in k.lefts),
@@ -63,6 +63,8 @@ def apply_kind(s: Substitution, k: Kind) -> Kind:
 
 
 def apply_poly(s: Substitution, p: PolyType) -> PolyType:
+    if s.keys().isdisjoint(ftv(p)):
+        return p
     if not p.quants:
         return poly(apply_type(s, p.body))
     bound = {v for v, _ in p.quants}
@@ -70,15 +72,7 @@ def apply_poly(s: Substitution, p: PolyType) -> PolyType:
     for t in s.values():
         clash |= ftv(t)
     if bound & clash:
-        # Alpha-rename binders away from the substitution.  A binder is not
-        # in scope in its own kind, so the renaming grows incrementally.
-        ren: dict[int, TyVar] = {}
-        quants = []
-        for v, k in p.quants:
-            fresh = internal_fresh(v.name)
-            quants.append((fresh, rename_vars(k, ren)))
-            ren[v.uid] = fresh
-        p = PolyType(tuple(quants), rename_vars(p.body, ren))
+        p = _freshen(p)  # alpha-rename binders away from the substitution
     return PolyType(
         tuple((v, apply_kind(s, k)) for v, k in p.quants),
         apply_type(s, p.body),
@@ -212,6 +206,8 @@ def generic_instance(kenv: KindAssignment, s1: PolyType, s2: PolyType) -> bool:
 
 
 def _freshen(p: PolyType) -> PolyType:
+    """Rename every binder to a fresh variable.  A binder is not in scope
+    in its own kind, so the renaming grows incrementally."""
     if not p.quants:
         return p
     ren: dict[int, TyVar] = {}

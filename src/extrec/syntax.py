@@ -4,6 +4,13 @@ Everything here is an immutable value.  Type variables compare by their
 integer uid; the printable name is cosmetic only.  Label maps (record
 fields, record-kind sides) are kept sorted by label so that structural
 equality is insensitive to the order labels were written in.
+
+Every type, kind and polytype value caches its free type variables in a
+`_fv` slot.  `ftv` is the only writer: it fills the slot on the first
+request and returns the same frozenset ever after.  Since the values are
+immutable, a cached set never goes stale.  Substitution relies on it to
+return a value untouched, as the same object, when its free variables
+miss the substitution's domain.
 """
 
 from __future__ import annotations
@@ -127,26 +134,35 @@ def _sorted_fields(fields):
 # Types
 
 
-@dataclass(frozen=True)
+def _free_vars_slot():
+    """The `_fv` field of a type value: its free variables, filled in by
+    `ftv` on first request and invisible to equality, hashing and repr."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, slots=True)
 class BaseType:
     name: str
+    _fv: "frozenset[TyVar] | None" = _free_vars_slot()
 
     def __post_init__(self):
         if self.name not in BASE_TYPES:
             raise ValueError(f"unknown base type {self.name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TyVar:
     """Type variable; identity is the uid, the name is display-only."""
 
     uid: int
     name: str = field(default="", compare=False)
+    _fv: "frozenset[TyVar] | None" = _free_vars_slot()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordType:
     fields: tuple[tuple[Label, "MonoType"], ...]
+    _fv: "frozenset[TyVar] | None" = _free_vars_slot()
 
     def __post_init__(self):
         object.__setattr__(self, "fields", _sorted_fields(self.fields))
@@ -155,32 +171,35 @@ class RecordType:
         return dict(self.fields)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow:
     dom: "MonoType"
     cod: "MonoType"
+    _fv: "frozenset[TyVar] | None" = _free_vars_slot()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ext:
     """Field extension on an extensible head: base + {label: field_type}."""
 
     base: "MonoType"
     label: Label
     field_type: "MonoType"
+    _fv: "frozenset[TyVar] | None" = _free_vars_slot()
 
     def __post_init__(self):
         if not is_extensible(self.base):
             raise ValueError("extension base must be an extensible type")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Contr:
     """Field contraction on an extensible head: base - {label: field_type}."""
 
     base: "MonoType"
     label: Label
     field_type: "MonoType"
+    _fv: "frozenset[TyVar] | None" = _free_vars_slot()
 
     def __post_init__(self):
         if not is_extensible(self.base):
@@ -212,17 +231,20 @@ def base_of(t: MonoType) -> MonoType:
 # Kinds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UKind:
     """The universal kind: no constraint beyond well-formedness."""
 
+    _fv: "frozenset[TyVar] | None" = _free_vars_slot()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class RecordKind:
     """Fields the type must have (lefts) and must lack (rights)."""
 
     lefts: tuple[tuple[Label, MonoType], ...]
     rights: tuple[tuple[Label, MonoType], ...]
+    _fv: "frozenset[TyVar] | None" = _free_vars_slot()
 
     def __post_init__(self):
         object.__setattr__(self, "lefts", _sorted_fields(self.lefts))
@@ -251,7 +273,7 @@ def record_kind(lefts=(), rights=()) -> RecordKind:
 # Polytypes
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PolyType:
     """Prenex kinded-quantified type.
 
@@ -261,6 +283,7 @@ class PolyType:
 
     quants: tuple[tuple[TyVar, Kind], ...]
     body: MonoType
+    _fv: "frozenset[TyVar] | None" = _free_vars_slot()
 
     @property
     def is_mono(self) -> bool:
@@ -299,44 +322,54 @@ Substitution = dict  # TyVar -> MonoType
 # ---------------------------------------------------------------------------
 # Free variables
 
-
-def ftv(x) -> set[TyVar]:
-    """Free type variables of a monotype, polytype, or kind."""
-    acc: set[TyVar] = set()
-    _ftv_into(x, acc)
-    return acc
+_NO_VARS: frozenset[TyVar] = frozenset()
 
 
-def _ftv_into(x, acc: set[TyVar]) -> None:
+def ftv(x) -> frozenset[TyVar]:
+    """Free type variables of a monotype, polytype, or kind.
+
+    Computed once per value, bottom-up, and cached on it.  A value shares
+    its set object with a child whose set covers the other children's."""
+    try:
+        fv = x._fv
+    except AttributeError:
+        raise TypeError(f"ftv: unsupported value {x!r}") from None
+    if fv is not None:
+        return fv
     if isinstance(x, TyVar):
-        acc.add(x)
-    elif isinstance(x, BaseType):
-        pass
+        fv = frozenset((x,))
     elif isinstance(x, Arrow):
-        _ftv_into(x.dom, acc)
-        _ftv_into(x.cod, acc)
-    elif isinstance(x, RecordType):
-        for _, t in x.fields:
-            _ftv_into(t, acc)
+        fv = _union(ftv(x.dom), ftv(x.cod))
     elif isinstance(x, (Ext, Contr)):
-        _ftv_into(x.base, acc)
-        _ftv_into(x.field_type, acc)
-    elif isinstance(x, UKind):
-        pass
+        fv = _union(ftv(x.base), ftv(x.field_type))
+    elif isinstance(x, RecordType):
+        fv = _NO_VARS
+        for _, t in x.fields:
+            fv = _union(fv, ftv(t))
     elif isinstance(x, RecordKind):
-        for _, t in x.lefts:
-            _ftv_into(t, acc)
-        for _, t in x.rights:
-            _ftv_into(t, acc)
+        fv = _NO_VARS
+        for _, t in x.lefts + x.rights:
+            fv = _union(fv, ftv(t))
     elif isinstance(x, PolyType):
-        inner: set[TyVar] = set()
-        _ftv_into(x.body, inner)
+        # A quantifier binds in later kinds and the body, not in its own kind.
+        fv = ftv(x.body)
         for v, k in reversed(x.quants):
-            inner.discard(v)
-            _ftv_into(k, inner)
-        acc |= inner
-    else:
-        raise TypeError(f"ftv: unsupported value {x!r}")
+            if v in fv:
+                fv = fv - {v}
+            fv = _union(fv, ftv(k))
+    else:  # BaseType, UKind
+        fv = _NO_VARS
+    object.__setattr__(x, "_fv", fv)
+    return fv
+
+
+def _union(a: frozenset[TyVar], b: frozenset[TyVar]) -> frozenset[TyVar]:
+    """a | b, as one of the operands itself when it already holds the other."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
 
 
 def ftv_assignment(gamma: TypeAssignment) -> set[TyVar]:

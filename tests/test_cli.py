@@ -116,8 +116,16 @@ def test_exit_codes():
 
 def test_deep_nesting_is_a_usage_error():
     deep = "(" * 1000 + "x" + ")" * 1000
+    # long inputs that parse but nest too deeply for a later stage
+    spine = "f" + " x" * 3000
+    self_apps = "let f = \\x. x in " + " ".join(["f"] * 3000)
+    eval_spine = "(\\x. x)" + " 1" * 3000
+    chain = "'r" + "".join(f" + {{k{i}: Int}}" for i in range(3000))
     for args in (["parse", "-e", deep], ["infer", "-e", deep],
-                 ["check", "-e", deep, "-t", "Int"], ["eval", "-e", deep]):
+                 ["check", "-e", deep, "-t", "Int"], ["eval", "-e", deep],
+                 ["infer", "-e", self_apps], ["eval", "-e", eval_spine],
+                 ["parse", "-e", spine], ["normalize", "-t", chain],
+                 ["check", "-e", spine, "-t", "Int"]):
         r = run(*args)
         assert r.exit_code == 2, args
         assert "Traceback" not in r.output and "nested too deeply" in r.output, args

@@ -347,3 +347,29 @@ def test_principality_desk_scale():
                 alternatives += 1
                 assert generic_instance(resid, principal, poly(tau)), (term, tau, principal)
     assert alternatives > 40
+
+
+def test_long_chains_infer_their_closed_forms():
+    # let r0 = {} in let r1 = extend(r0, f1, 1) in ... in r160
+    n = 160
+    src = f"r{n}"
+    for i in range(n, 0, -1):
+        src = f"let r{i} = extend(r{i - 1}, f{i}, {i}) in ({src})"
+    res = infer({}, {}, parse_term("let r0 = {} in " + src), FreshSupply(1))
+    assert not isinstance(res, InferFailure), res
+    want = poly(RecordType(tuple((f"f{i}", INT) for i in range(1, n + 1))))
+    assert closure(res.kenv, {}, res.type) == ({}, want)
+
+    # \r. extend(extend(r, g0, 0), ..., g159, 159)
+    src = "r"
+    for i in range(n):
+        src = f"extend({src}, g{i}, {i})"
+    res = infer({}, {}, parse_term("\\r. " + src), FreshSupply(1))
+    assert not isinstance(res, InferFailure), res
+    labels = sorted(f"g{i}" for i in range(n))
+    r = TyVar(1)
+    chain = r
+    for l in labels:
+        chain = Ext(chain, l, INT)
+    lacks = record_kind([], [(l, INT) for l in labels])
+    assert closure(res.kenv, {}, res.type) == ({}, PolyType(((r, lacks),), Arrow(r, chain)))

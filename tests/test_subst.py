@@ -15,6 +15,7 @@ from extrec.subst import (
 from extrec.syntax import (
     Arrow,
     BOOL,
+    BaseType,
     Contr,
     Ext,
     INT,
@@ -27,7 +28,14 @@ from extrec.syntax import (
     poly,
     record_kind,
 )
-from gen import gen_kind_assignment, gen_kindable_chain, gen_respecting_subst
+from gen import (
+    gen_arb_kind,
+    gen_arb_mono,
+    gen_arb_poly,
+    gen_kind_assignment,
+    gen_kindable_chain,
+    gen_respecting_subst,
+)
 
 a, b, g = TyVar(1, "a"), TyVar(2, "b"), TyVar(3, "g")
 a1, a2 = TyVar(4, "a1"), TyVar(5, "a2")
@@ -205,3 +213,99 @@ def _instantiate_some(rng, kenv, sigma):
         else:
             s[v] = RecordType(tuple(k.lefts))
     return PolyType(tuple(keep), apply_type(s, sigma.body))
+
+
+# ---------------------------------------------------------------------------
+# Sharing: substitution leaves alone what it cannot touch
+
+# gen_arb_poly's free variables are 100, 101 and its binders 200-202; 300 and
+# 301 occur nowhere, so a substitution over them alone misses every value.
+_POOL = tuple(TyVar(u, f"p{u}") for u in (100, 101, 200, 201, 202, 300, 301))
+
+
+def _ref_apply(s, x):
+    """Structural application with no short cut; every binder is renamed to
+    a fresh variable first, so nothing is ever captured."""
+    if isinstance(x, TyVar):
+        return s.get(x, x)
+    if isinstance(x, (BaseType, UKind)):
+        return x
+    if isinstance(x, Arrow):
+        return Arrow(_ref_apply(s, x.dom), _ref_apply(s, x.cod))
+    if isinstance(x, RecordType):
+        return RecordType(tuple((l, _ref_apply(s, t)) for l, t in x.fields))
+    if isinstance(x, (Ext, Contr)):
+        return type(x)(_ref_apply(s, x.base), x.label, _ref_apply(s, x.field_type))
+    if isinstance(x, RecordKind):
+        return RecordKind(
+            tuple((l, _ref_apply(s, t)) for l, t in x.lefts),
+            tuple((l, _ref_apply(s, t)) for l, t in x.rights),
+        )
+    assert isinstance(x, PolyType)
+    inner = dict(s)
+    quants = []
+    for i, (v, k) in enumerate(x.quants):
+        quants.append((TyVar(5000 + i), _ref_apply(inner, k)))
+        inner[v] = quants[-1][0]
+    return PolyType(tuple(quants), _ref_apply(inner, x.body))
+
+
+def _random_subst(rng, domain):
+    """Extensible images (chain heads may be substituted), some of them
+    mentioning the binders of gen_arb_poly's values."""
+    s = {}
+    for v in domain:
+        pick = rng.random()
+        if pick < 0.3:
+            s[v] = rng.choice(_POOL)
+        elif pick < 0.6:
+            s[v] = Ext(rng.choice(_POOL), "q", gen_arb_mono(rng, 1, _POOL))
+        else:
+            s[v] = RecordType((("q", gen_arb_mono(rng, 1, _POOL)),))
+    return s
+
+
+def _random_values(rng):
+    yield apply_type, gen_arb_mono(rng, 3, _POOL[:5])
+    yield apply_kind, gen_arb_kind(rng, _POOL[:5])
+    yield apply_poly, gen_arb_poly(rng)
+
+
+def test_apply_agrees_with_structural_reference():
+    rng = random.Random(59)
+    for _ in range(300):
+        s = _random_subst(rng, rng.sample(_POOL, rng.randint(0, 4)))
+        for apply, x in _random_values(rng):
+            assert apply(s, x) == _ref_apply(s, x), (s, x)
+
+
+def test_apply_returns_untouched_values_themselves():
+    rng = random.Random(61)
+    shared = touched = 0
+    for _ in range(300):
+        for apply, x in _random_values(rng):
+            misses = [v for v in _POOL if v not in ftv(x)]
+            s = _random_subst(rng, rng.sample(misses, rng.randint(0, len(misses))))
+            free = sorted(ftv(x), key=lambda v: v.uid)
+            hits = _random_subst(rng, rng.sample(free, min(len(free), 2)))
+            for s in (s, hits):
+                if s.keys().isdisjoint(ftv(x)):
+                    assert apply(s, x) is x, (s, x)
+                    shared += 1
+                else:
+                    touched += 1
+    assert shared > 300 and touched > 300
+
+
+def test_compose_keeps_images_the_outer_substitution_misses():
+    rng = random.Random(67)
+    kept = 0
+    for _ in range(300):
+        s1 = _random_subst(rng, rng.sample(_POOL, rng.randint(0, 4)))
+        s2 = _random_subst(rng, rng.sample(_POOL, rng.randint(0, 3)))
+        out = compose(s2, s1)
+        for v, t in s1.items():
+            if s2.keys().isdisjoint(ftv(t)):
+                assert out[v] is t
+                kept += 1
+    assert kept > 100

@@ -20,7 +20,7 @@ from extrec.syntax import (
     poly,
     rename_vars,
 )
-from gen import gen_arb_poly, gen_kind_assignment
+from gen import gen_arb_kind, gen_arb_mono, gen_arb_poly, gen_kind_assignment
 
 a, b, g = TyVar(1, "a"), TyVar(2, "b"), TyVar(3, "g")
 
@@ -114,3 +114,42 @@ def test_ftv_stable_under_renaming():
             rename_vars(p.body, mapping),
         )
         assert ftv(renamed) == ftv(p)
+
+
+def _ref_ftv(x):
+    """Free variables by a plain walk; quantifiers are read left to right,
+    each binding in the later kinds and the body."""
+    if isinstance(x, TyVar):
+        return {x}
+    if isinstance(x, Arrow):
+        return _ref_ftv(x.dom) | _ref_ftv(x.cod)
+    if isinstance(x, RecordType):
+        return set().union(*(_ref_ftv(t) for _, t in x.fields))
+    if isinstance(x, (Ext, Contr)):
+        return _ref_ftv(x.base) | _ref_ftv(x.field_type)
+    if isinstance(x, RecordKind):
+        return set().union(*(_ref_ftv(t) for _, t in x.lefts + x.rights))
+    if isinstance(x, PolyType):
+        free, bound = set(), set()
+        for v, k in x.quants:
+            free |= _ref_ftv(k) - bound
+            bound.add(v)
+        return free | (_ref_ftv(x.body) - bound)
+    return set()
+
+
+def test_ftv_agrees_with_reference_walk_and_is_cached():
+    rng = random.Random(13)
+    pool = tuple(TyVar(100 + i) for i in range(4))
+    for _ in range(300):
+        for x in (gen_arb_mono(rng, 3, pool), gen_arb_kind(rng, pool), gen_arb_poly(rng)):
+            first = ftv(x)
+            assert first == _ref_ftv(x)
+            assert ftv(x) is first
+
+
+def test_ftv_shares_a_chain_base_set():
+    chain = a
+    for i in range(50):
+        chain = Ext(chain, f"l{i}", INT)
+    assert ftv(chain) is ftv(a)
