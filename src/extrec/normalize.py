@@ -1,13 +1,21 @@
 """Reduction of extensible types to canonical form, and type equivalence.
 
 The rewrite system cancels matching extension/contraction pairs and folds
-field operations into record bases.  Normal forms are then canonicalized by
-sorting the surviving operations of every chain by label, which turns the
-"same base, same field information" notion of equality into plain structural
-equality.
+field operations into record bases.  `reduce_once` and `one_step_reducts`
+state it one step at a time; they are the reference semantics.
+
+`normalize` reaches the same normal form in one bottom-up pass: it
+normalizes a node's children, then folds a chain's operations into its
+record base innermost-first, or cancels its pairs over a variable base in
+one left-to-right sweep.  The surviving operations over a variable are
+sorted by label, which turns the "same base, same field information"
+notion of equality into plain structural equality.  There is no step
+limit: every chain is taken apart once.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from .syntax import (
     Arrow,
@@ -137,40 +145,113 @@ def one_step_reducts(t: MonoType) -> list[MonoType]:
     return out
 
 
-def _sort_chains(t: MonoType) -> MonoType:
+def _fold_into_record(base: RecordType, ops):
+    """Fold operations into a record base innermost-first, up to the first
+    one that sticks: (new base, operations left), or None if none folds."""
+    fields = base.field_map()
+    folded = 0
+    for sign, label, fty in ops:
+        if sign == CON:
+            if fields.get(label) != fty:
+                break
+            del fields[label]
+        elif label in fields:
+            break
+        else:
+            fields[label] = fty
+        folded += 1
+    if not folded:
+        return None
+    return RecordType(tuple(fields.items())), ops[folded:]
+
+
+def _cancel_pairs(ops):
+    """Drop the cancelling +/- pairs of a chain over a variable.
+
+    One left-to-right sweep: each operation cancels the earliest open one
+    with the same label and field type and the opposite sign.  These are
+    the pairs that repeated `_first_cancelling_pair` removes, also when a
+    label repeats.  Field types must be normal, so that equivalence is
+    equality.
+    """
+    open_ops: dict[tuple, deque[int]] = {}
+    dropped = set()
+    for j, (sign, label, fty) in enumerate(ops):
+        partners = open_ops.get((label, -sign, fty))
+        if partners:
+            dropped.add(partners.popleft())
+            dropped.add(j)
+        else:
+            open_ops.setdefault((label, sign, fty), deque()).append(j)
+    if not dropped:
+        return ops
+    return [op for k, op in enumerate(ops) if k not in dropped]
+
+
+def normalize(t: MonoType) -> MonoType:
+    """Unique normal form, with the operations of every chain over a variable
+    sorted by label.  Returns t itself when it is in that form already."""
     if isinstance(t, (BaseType, TyVar)):
         return t
     if isinstance(t, Arrow):
-        return Arrow(_sort_chains(t.dom), _sort_chains(t.cod))
+        dom, cod = normalize(t.dom), normalize(t.cod)
+        return t if dom is t.dom and cod is t.cod else Arrow(dom, cod)
     if isinstance(t, RecordType):
-        return RecordType(tuple((l, _sort_chains(ft)) for l, ft in t.fields))
+        fields = tuple((label, normalize(fty)) for label, fty in t.fields)
+        if all(new is old for (_, new), (_, old) in zip(fields, t.fields)):
+            return t
+        return RecordType(fields)
     base, ops = chain_ops(t)
-    ops = [(s, l, _sort_chains(ft)) for s, l, ft in ops]
-    if isinstance(base, TyVar):
+    new_base = normalize(base)
+    new_ops = [(sign, label, normalize(fty)) for sign, label, fty in ops]
+    changed = new_base is not base or any(
+        new[2] is not old[2] for new, old in zip(new_ops, ops)
+    )
+    if isinstance(new_base, RecordType):
+        folded = _fold_into_record(new_base, new_ops)
+        if folded is not None:
+            new_base, new_ops = folded
+            changed = True
+    elif isinstance(new_base, TyVar):
+        kept = _cancel_pairs(new_ops)
+        changed = changed or kept is not new_ops
         # Stable by label: distinct labels (the normal-form case) get a total
         # order; repeated labels in unkindable debris keep their chain order.
         # Operations stuck over a record base stay put: the folding rules
         # consume them innermost-first, so their order is meaningful.
-        ops.sort(key=lambda op: op[1])
-    return rebuild_chain(_sort_chains(base), ops)
-
-
-def normalize(t: MonoType) -> MonoType:
-    """Unique normal form, with every chain's operations sorted by label."""
-    steps = 0
-    limit = 10_000
-    while True:
-        r = reduce_once(t)
-        if r is None:
-            return _sort_chains(t)
-        t = r
-        steps += 1
-        if steps > limit:
-            raise RuntimeError("normalize: reduction did not terminate")
+        if any(a[1] > b[1] for a, b in zip(kept, kept[1:])):
+            kept.sort(key=lambda op: op[1])
+            changed = True
+        new_ops = kept
+    return rebuild_chain(new_base, new_ops) if changed else t
 
 
 def is_normal(t: MonoType) -> bool:
-    return reduce_once(t) is None
+    """Whether no reduction step applies anywhere in t: the same answer as
+    `reduce_once(t) is None`, in one pass."""
+    if isinstance(t, (BaseType, TyVar)):
+        return True
+    if isinstance(t, Arrow):
+        return is_normal(t.dom) and is_normal(t.cod)
+    if isinstance(t, RecordType):
+        return all(is_normal(fty) for _, fty in t.fields)
+    base, ops = chain_ops(t)
+    if not (is_normal(base) and all(is_normal(fty) for _, _, fty in ops)):
+        return False
+    if isinstance(base, RecordType):
+        sign, label, fty = ops[0]
+        fields = base.field_map()
+        if sign == CON:
+            return not (label in fields and equiv(fields[label], fty))
+        return label in fields
+    if isinstance(base, TyVar):
+        seen = set()
+        for sign, label, fty in ops:
+            fty = normalize(fty)
+            if (label, -sign, fty) in seen:
+                return False
+            seen.add((label, sign, fty))
+    return True
 
 
 def equiv(t1: MonoType, t2: MonoType) -> bool:

@@ -31,6 +31,8 @@ Pretty-printing round-trips: parse(pretty(v)) is structurally equal to v
 from __future__ import annotations
 
 import itertools
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .syntax import (
@@ -64,8 +66,6 @@ from .syntax import (
 
 TERM_KEYWORDS = {"let", "in", "modify", "extend", "remove", "true", "false"}
 TYPE_KEYWORDS = {"forall"} | set(BASE_TYPES)
-
-_PUNCT = ["->", "::", "<<", ">>", "||", "\\", ".", ",", "=", "{", "}", "(", ")", "+", "-", ":"]
 
 
 @dataclass(frozen=True)
@@ -121,79 +121,86 @@ class VarEnv:
         return self._max_used + 1
 
 
+# Layout and comments, then one alternative per token class, each a group
+# that spans the whole token.  Identifiers and integers follow
+# `str.isalpha`/`isdigit`, which `\w` and `\d` only bound: `_tokenize`
+# settles the non-ASCII characters on which they differ.  Every part is
+# optional, so a match that captures no token ends at the end of the text
+# or at an unexpected character.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    r"(?:('\w*)"  # 1: type variable
+    r"|(\d+)"  # 2: integer
+    r"|(\w+)"  # 3: identifier
+    r'|(")'  # 4: string
+    r"|(->|::|<<|>>|\|\||[\\.,={}()+\-:]))?"  # 5: punctuation
+)
+_TYVAR, _INT, _IDENT, _STRING, _PUNCT = 1, 2, 3, 4, 5
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+
 def _tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line_starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
 
     def span_at(start, end):
-        import bisect
-
-        ln = bisect.bisect_right(line_starts, start) - 1
+        ln = bisect_right(line_starts, start) - 1
         return SourceSpan(start, end, ln + 1, start - line_starts[ln] + 1)
 
-    i = 0
     n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "'":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise ParseError("lone apostrophe", span_at(i, i + 1))
-            toks.append(Token("tyvar", text[i + 1 : j], span_at(i, j)))
-            i = j
-            continue
-        if c.isdigit():
-            j = i
+    match = _TOKEN_RE.match
+    m = match(text, 0)
+    while (group := m.lastindex) is not None:
+        i, j = m.span(group)
+        if group == _PUNCT:
+            toks.append(Token("punct", text[i:j], span_at(i, j)))
+        elif group == _IDENT and (text[i].isalpha() or text[i] == "_"):
+            toks.append(Token("ident", text[i:j], span_at(i, j)))
+        elif group == _INT or (group == _IDENT and text[i].isdigit()):
+            # str.isdigit also takes digits that are not decimal, such as
+            # '²', which `\d` leaves to `\w`
+            if group == _IDENT:
+                j = i
             while j < n and text[j].isdigit():
                 j += 1
             toks.append(Token("int", text[i:j], span_at(i, j)))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ident", text[i:j], span_at(i, j)))
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\":
-                    if j + 1 >= n:
-                        raise ParseError("unterminated escape", span_at(i, j))
-                    esc = text[j + 1]
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc))
-                    if buf[-1] is None:
-                        raise ParseError(f"bad escape \\{esc}", span_at(j, j + 2))
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string", span_at(i, n))
-            toks.append(Token("string", "".join(buf), span_at(i, j + 1)))
-            i = j + 1
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("punct", p, span_at(i, i + len(p))))
-                i += len(p)
-                break
+        elif group == _TYVAR:
+            if j == i + 1:
+                raise ParseError("lone apostrophe", span_at(i, i + 1))
+            toks.append(Token("tyvar", text[i + 1 : j], span_at(i, j)))
+        elif group == _STRING:
+            j, value = _string_literal(text, i, span_at)
+            toks.append(Token("string", value, span_at(i, j)))
         else:
-            raise ParseError(f"unexpected character {c!r}", span_at(i, i + 1))
+            break  # a word that starts with neither a letter nor a digit
+        m = match(text, j)
+    i = m.end() if m.lastindex is None else m.start(m.lastindex)
+    if i < n:
+        raise ParseError(f"unexpected character {text[i]!r}", span_at(i, i + 1))
     toks.append(Token("eof", "", SourceSpan(n, n, len(line_starts), 1)))
     return toks
+
+
+def _string_literal(text: str, i: int, span_at) -> tuple[int, str]:
+    """The end and the value of the string literal whose quote is at i."""
+    n = len(text)
+    j = i + 1
+    buf = []
+    while j < n and text[j] != '"':
+        if text[j] == "\\":
+            if j + 1 >= n:
+                raise ParseError("unterminated escape", span_at(i, j))
+            esc = _ESCAPES.get(text[j + 1])
+            if esc is None:
+                raise ParseError(f"bad escape \\{text[j + 1]}", span_at(j, j + 2))
+            buf.append(esc)
+            j += 2
+        else:
+            buf.append(text[j])
+            j += 1
+    if j >= n:
+        raise ParseError("unterminated string", span_at(i, n))
+    return j + 1, "".join(buf)
 
 
 class _Parser:

@@ -48,6 +48,15 @@ def test_normalize_command():
     assert r.output.strip() == "'a"
 
 
+def test_normalize_command_long_cancelling_chain():
+    pairs = 1500
+    chain = "'r" + "".join(f" + {{k{i}: Int}}" for i in range(pairs))
+    chain += "".join(f" - {{k{i}: Int}}" for i in range(pairs))
+    r = run("normalize", "-t", chain)
+    assert r.exit_code == 0
+    assert r.output.strip() == "'r"
+
+
 def test_check_ok_and_fail():
     good = run("check", "-e", "\\x. x.l", "-t", "forall 'b :: <<l: Int || >>. 'b -> Int")
     assert good.exit_code == 0
@@ -71,12 +80,29 @@ def test_check_env_accepts_printed_principal_type(tmp_path):
         assert (r.exit_code, r.output.strip()) == (0, "OK"), (src, r.output)
 
 
+def test_infer_env_prints_strengthened_kinds_first(tmp_path):
+    # typing x.m adds m to the kind of x's type, with a new variable for the
+    # field; both entries come before the type, and the environment's
+    # variables keep their source names
+    env = tmp_path / "ex.env"
+    env.write_text(ENV_42)
+    r = run("infer", "--env", str(env), "-e", "x.m")
+    assert r.exit_code == 0
+    assert r.output.splitlines() == ["'a :: <<m: 'c || l: 'b>>", "'c :: U", "'c"]
+    # the printed entries, added to the environment, make the type checkable
+    merged = tmp_path / "merged.env"
+    merged.write_text(ENV_42 + "\n".join(r.output.splitlines()[:-1]) + "\n")
+    ok = run("check", "--env", str(merged), "-e", "x.m", "-t", "'c")
+    assert (ok.exit_code, ok.output.strip()) == (0, "OK")
+
+
 def test_check_env_refuses_claim_needing_stronger_kind(tmp_path):
     # typing x.m adds m to the kind of x's type, which the environment fixes
     env = tmp_path / "ex.env"
     env.write_text(ENV_42)
     src = "let z = x.m in y"
-    assert run("infer", "--env", str(env), "-e", src).output.strip() == "'b"
+    printed = run("infer", "--env", str(env), "-e", src).output.splitlines()
+    assert printed == ["'a :: <<m: 'c || l: 'b>>", "'c :: U", "'b"]
     r = run("check", "--env", str(env), "-e", src, "-t", "'b")
     assert r.exit_code == 1
     assert r.output.startswith("FAIL:") and "stronger kind" in r.output

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from extrec.kinding import field_info, has_kind
 from extrec.normalize import (
     equiv,
@@ -16,6 +18,7 @@ from extrec.syntax import (
     Contr,
     Ext,
     INT,
+    MonoType,
     RecordKind,
     RecordType,
     TyVar,
@@ -185,3 +188,122 @@ def test_normal_form_has_no_reducts():
         t = normalize(gen_kindable_chain(rng, kenv, 5))
         assert is_normal(t)
         assert one_step_reducts(t) == []
+
+
+# ---------------------------------------------------------------------------
+# The one-pass normalize against the reference reduction loop
+
+
+def _reference_normal_form(t):
+    """The `reduce_once` fixpoint, then every chain over a variable sorted
+    by label (stable, so repeated labels keep their chain order)."""
+    while (nxt := reduce_once(t)) is not None:
+        t = nxt
+    return _sort_variable_chains(t)
+
+
+def _sort_variable_chains(t):
+    if isinstance(t, Arrow):
+        return Arrow(_sort_variable_chains(t.dom), _sort_variable_chains(t.cod))
+    if isinstance(t, RecordType):
+        return RecordType(tuple((l, _sort_variable_chains(ft)) for l, ft in t.fields))
+    if isinstance(t, (Ext, Contr)):
+        ops = []
+        while isinstance(t, (Ext, Contr)):
+            ops.append((type(t), t.label, _sort_variable_chains(t.field_type)))
+            t = t.base
+        ops.reverse()
+        base = _sort_variable_chains(t)
+        if isinstance(base, TyVar):
+            ops.sort(key=lambda op: op[1])
+        for cls, label, ft in ops:
+            base = cls(base, label, ft)
+        return base
+    return t
+
+
+_DEBRIS_VARS = (a, a1, a2)
+
+
+def _gen_debris(rng: random.Random, depth: int) -> MonoType:
+    """A random type, kindable or not: chains repeat labels with differing
+    field types, fold into record bases only part-way, nest in field types,
+    and sit beside arrows and base types.  (A chain cannot sit on an arrow
+    or a base type: `Ext`/`Contr` refuse such a base.)"""
+    pick = rng.random()
+    if depth <= 0 or pick < 0.15:
+        return rng.choice((INT, BOOL) + _DEBRIS_VARS)
+    if pick < 0.25:
+        return Arrow(_gen_debris(rng, depth - 1), _gen_debris(rng, depth - 1))
+    if pick < 0.35:
+        labels = rng.sample(("l", "m", "n"), rng.randint(0, 2))
+        return RecordType(tuple((l, _gen_debris(rng, depth - 1)) for l in labels))
+    if rng.random() < 0.6:
+        t = rng.choice(_DEBRIS_VARS)
+    else:
+        labels = rng.sample(("l", "m"), rng.randint(0, 2))
+        t = RecordType(tuple((l, _gen_field(rng, depth)) for l in labels))
+    # Few labels and field types, so that pairs cancel, and cancel across
+    # other operations on the same label with a different field type.
+    for _ in range(rng.randint(1, 8)):
+        label = rng.choice(("l", "m", "n"))
+        fty = _gen_field(rng, depth)
+        t = Ext(t, label, fty) if rng.random() < 0.5 else Contr(t, label, fty)
+    return t
+
+
+def _gen_field(rng, depth):
+    roll = rng.random()
+    if roll < 0.45:
+        return rng.choice((INT, BOOL))
+    if roll < 0.6:
+        # equivalent to `a` only up to reduction
+        return Contr(Ext(a, "l", INT), "l", INT)
+    if roll < 0.7:
+        return a
+    return _gen_debris(rng, depth - 1)
+
+
+def _debris_samples(seed, n=1500):
+    rng = random.Random(seed)
+    return [_gen_debris(rng, rng.randint(1, 4)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", [101, 202])
+def test_normalize_equals_reference_loop_on_debris(seed):
+    partial_folds = repeated_labels = 0
+    for t in _debris_samples(seed):
+        got = normalize(t)
+        assert got == _reference_normal_form(t), t
+        assert is_normal(t) == (reduce_once(t) is None), t
+        assert is_normal(got)
+        if isinstance(got, (Ext, Contr)):
+            labels = []
+            walk = got
+            while isinstance(walk, (Ext, Contr)):
+                labels.append(walk.label)
+                walk = walk.base
+            partial_folds += isinstance(walk, RecordType)
+            repeated_labels += len(labels) != len(set(labels))
+    # the samples do reach the debris cases
+    assert partial_folds > 50 and repeated_labels > 50
+
+
+def test_normalize_of_normal_form_is_itself():
+    for t in _debris_samples(303, 500):
+        n = normalize(t)
+        assert normalize(n) is n
+    rng = random.Random(29)
+    for _ in range(200):
+        kenv = gen_kind_assignment(rng, 3)
+        n = normalize(gen_kindable_chain(rng, kenv, 8))
+        assert normalize(n) is n
+
+
+def test_long_cancelling_chain_normalizes_to_its_base():
+    r = TyVar(77, "r")
+    t = r
+    for i in range(10_001):
+        label = f"k{i % 7}"
+        t = Contr(Ext(t, label, INT), label, INT)
+    assert normalize(t) == r

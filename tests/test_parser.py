@@ -6,6 +6,7 @@ from extrec.parser import (
     Namer,
     ParseError,
     VarEnv,
+    _tokenize,
     parse_env_file,
     parse_equations,
     parse_kind,
@@ -195,3 +196,69 @@ def test_round_trip_kinds_and_polytypes_random():
         assert canon(parse_kind(pretty_kind(k))) == canon(k)
         p = gen_arb_poly(rng)
         assert canon(parse_type(pretty_poly(p))) == canon(p)
+
+
+def _tokens(text):
+    return [
+        (t.kind, t.text, t.span.start, t.span.end, t.span.line, t.span.col)
+        for t in _tokenize(text)
+    ]
+
+
+def test_tokens_and_spans_are_pinned():
+    src = 'let s = "a\\"b\\n" in # note\n  {l = s, m = 42}.l\n\'a1 -> <<x: Int || >> :: +-'
+    assert _tokens(src) == [
+        ("ident", "let", 0, 3, 1, 1),
+        ("ident", "s", 4, 5, 1, 5),
+        ("punct", "=", 6, 7, 1, 7),
+        ("string", 'a"b\n', 8, 16, 1, 9),
+        ("ident", "in", 17, 19, 1, 18),
+        ("punct", "{", 29, 30, 2, 3),
+        ("ident", "l", 30, 31, 2, 4),
+        ("punct", "=", 32, 33, 2, 6),
+        ("ident", "s", 34, 35, 2, 8),
+        ("punct", ",", 35, 36, 2, 9),
+        ("ident", "m", 37, 38, 2, 11),
+        ("punct", "=", 39, 40, 2, 13),
+        ("int", "42", 41, 43, 2, 15),
+        ("punct", "}", 43, 44, 2, 17),
+        ("punct", ".", 44, 45, 2, 18),
+        ("ident", "l", 45, 46, 2, 19),
+        ("tyvar", "a1", 47, 50, 3, 1),
+        ("punct", "->", 51, 53, 3, 5),
+        ("punct", "<<", 54, 56, 3, 8),
+        ("ident", "x", 56, 57, 3, 10),
+        ("punct", ":", 57, 58, 3, 11),
+        ("ident", "Int", 59, 62, 3, 13),
+        ("punct", "||", 63, 65, 3, 17),
+        ("punct", ">>", 66, 68, 3, 20),
+        ("punct", "::", 69, 71, 3, 23),
+        ("punct", "+", 72, 73, 3, 26),
+        ("punct", "-", 73, 74, 3, 27),
+        ("eof", "", 74, 74, 3, 1),
+    ]
+    # identifiers and integers follow str.isalpha / str.isdigit
+    assert _tokens("é² ²3") == [
+        ("ident", "é²", 0, 2, 1, 1),
+        ("int", "²3", 3, 5, 1, 4),
+        ("eof", "", 5, 5, 1, 1),
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, message, span",
+    [
+        ("x\n  ' y", "lone apostrophe", (4, 5, 2, 3)),
+        ("a ; b", "unexpected character ';'", (2, 3, 1, 3)),
+        ("1 < 2", "unexpected character '<'", (2, 3, 1, 3)),
+        ("é ½", "unexpected character '½'", (2, 3, 1, 3)),
+        ('"ab\\', "unterminated escape", (0, 3, 1, 1)),
+        ('"a\\q"', "bad escape \\q", (2, 4, 1, 3)),
+        ('x = "abc', "unterminated string", (4, 8, 1, 5)),
+    ],
+)
+def test_lexical_errors_are_pinned(text, message, span):
+    with pytest.raises(ParseError) as err:
+        _tokenize(text)
+    s = err.value.span
+    assert (err.value.message, (s.start, s.end, s.line, s.col)) == (message, span)
