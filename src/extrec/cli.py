@@ -151,20 +151,15 @@ def infer_cmd(file, expr, env_path, as_json):
         }
         click.echo(json.dumps(payload, indent=2))
     else:
-        # Typing may strengthen or add kinds beyond the environment's; print
-        # those entries first, in env-file syntax, so that the type's free
-        # variables are all accounted for.  The environment's variables are
-        # named first so that they keep their source names.
-        changed = [
-            (v, k)
-            for v, k in resid.items()
-            if v not in kenv or not checker_mod.kind_equiv(k, kenv[v])
-        ]
-        if changed:
-            for v in kenv:
-                namer.name(v)
-        for v, k in changed:
-            click.echo(f"'{namer.name(v)} :: {pretty_kind(k, namer)}")
+        # The environment's variables are named first, so that they keep
+        # their source names.  Typing may strengthen or add kinds beyond the
+        # environment's; those entries are printed first, in env-file syntax,
+        # so that the type's free variables are all accounted for.
+        for v in kenv:
+            namer.name(v)
+        for v, k in resid.items():
+            if v not in kenv or not checker_mod.kind_equiv(k, kenv[v]):
+                click.echo(f"'{namer.name(v)} :: {pretty_kind(k, namer)}")
         click.echo(pretty_poly(principal, namer))
 
 

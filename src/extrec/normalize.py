@@ -2,7 +2,7 @@
 
 The rewrite system cancels matching extension/contraction pairs and folds
 field operations into record bases.  `reduce_once` and `one_step_reducts`
-state it one step at a time; they are the reference semantics.
+state it one step at a time; `is_normal` asks `reduce_once` directly.
 
 `normalize` reaches the same normal form in one bottom-up pass: it
 normalizes a node's children, then folds a chain's operations into its
@@ -227,31 +227,7 @@ def normalize(t: MonoType) -> MonoType:
 
 
 def is_normal(t: MonoType) -> bool:
-    """Whether no reduction step applies anywhere in t: the same answer as
-    `reduce_once(t) is None`, in one pass."""
-    if isinstance(t, (BaseType, TyVar)):
-        return True
-    if isinstance(t, Arrow):
-        return is_normal(t.dom) and is_normal(t.cod)
-    if isinstance(t, RecordType):
-        return all(is_normal(fty) for _, fty in t.fields)
-    base, ops = chain_ops(t)
-    if not (is_normal(base) and all(is_normal(fty) for _, _, fty in ops)):
-        return False
-    if isinstance(base, RecordType):
-        sign, label, fty = ops[0]
-        fields = base.field_map()
-        if sign == CON:
-            return not (label in fields and equiv(fields[label], fty))
-        return label in fields
-    if isinstance(base, TyVar):
-        seen = set()
-        for sign, label, fty in ops:
-            fty = normalize(fty)
-            if (label, -sign, fty) in seen:
-                return False
-            seen.add((label, sign, fty))
-    return True
+    return reduce_once(t) is None
 
 
 def equiv(t1: MonoType, t2: MonoType) -> bool:

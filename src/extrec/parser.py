@@ -121,21 +121,19 @@ class VarEnv:
         return self._max_used + 1
 
 
-# Layout and comments, then one alternative per token class, each a group
-# that spans the whole token.  Identifiers and integers follow
-# `str.isalpha`/`isdigit`, which `\w` and `\d` only bound: `_tokenize`
-# settles the non-ASCII characters on which they differ.  Every part is
-# optional, so a match that captures no token ends at the end of the text
-# or at an unexpected character.
+# Layout and comments, then one token.  `\w` is `str.isalnum` or "_", the
+# characters that continue an identifier, an integer or a type variable;
+# `_tokenize` tells a word by its first character.  Every part is optional,
+# so a match that captures no token ends at the end of the text or at an
+# unexpected character.
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\n]+|#[^\n]*)*"
     r"(?:('\w*)"  # 1: type variable
-    r"|(\d+)"  # 2: integer
-    r"|(\w+)"  # 3: identifier
-    r'|(")'  # 4: string
-    r"|(->|::|<<|>>|\|\||[\\.,={}()+\-:]))?"  # 5: punctuation
+    r"|(\w+)"  # 2: identifier or integer
+    r'|(")'  # 3: string
+    r"|(->|::|<<|>>|\|\||[\\.,={}()+\-:]))?"  # 4: punctuation
 )
-_TYVAR, _INT, _IDENT, _STRING, _PUNCT = 1, 2, 3, 4, 5
+_TYVAR, _WORD, _STRING, _PUNCT = 1, 2, 3, 4
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
@@ -154,25 +152,24 @@ def _tokenize(text: str) -> list[Token]:
         i, j = m.span(group)
         if group == _PUNCT:
             toks.append(Token("punct", text[i:j], span_at(i, j)))
-        elif group == _IDENT and (text[i].isalpha() or text[i] == "_"):
-            toks.append(Token("ident", text[i:j], span_at(i, j)))
-        elif group == _INT or (group == _IDENT and text[i].isdigit()):
-            # str.isdigit also takes digits that are not decimal, such as
-            # '²', which `\d` leaves to `\w`
-            if group == _IDENT:
-                j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], span_at(i, j)))
+        elif group == _WORD:
+            c = text[i]
+            if c.isalpha() or c == "_":
+                toks.append(Token("ident", text[i:j], span_at(i, j)))
+            elif c.isdigit():
+                j = i + 1
+                while j < n and text[j].isdigit():
+                    j += 1
+                toks.append(Token("int", text[i:j], span_at(i, j)))
+            else:
+                break  # a numeric character that is not a digit, such as '½'
         elif group == _TYVAR:
             if j == i + 1:
                 raise ParseError("lone apostrophe", span_at(i, i + 1))
             toks.append(Token("tyvar", text[i + 1 : j], span_at(i, j)))
-        elif group == _STRING:
+        else:
             j, value = _string_literal(text, i, span_at)
             toks.append(Token("string", value, span_at(i, j)))
-        else:
-            break  # a word that starts with neither a letter nor a digit
         m = match(text, j)
     i = m.end() if m.lastindex is None else m.start(m.lastindex)
     if i < n:
@@ -302,6 +299,9 @@ class _Parser:
     def atom(self) -> Term:
         tok = self.peek()
         if tok.kind == "int":
+            if not tok.text.isdecimal():
+                # str.isdigit, which the tokenizer follows, also takes '²'
+                raise ParseError(f"not a decimal integer {tok.text!r}", tok.span)
             self.advance()
             return Const(int(tok.text), "Int", span=tok.span)
         if tok.kind == "string":

@@ -73,7 +73,7 @@ def test_check_ok_and_fail():
 def test_check_env_accepts_printed_principal_type(tmp_path):
     env = tmp_path / "ex.env"
     env.write_text(ENV_42)
-    for src in ("extend(x, l, y)", "y", "{a = x, b = remove(extend(x, l, y), l)}"):
+    for src in ("extend(x, l, y)", "y", "{a = x, b = remove(extend(x, l, y), l)}", "\\z. x"):
         printed = run("infer", "--env", str(env), "-e", src)
         assert printed.exit_code == 0, src
         r = run("check", "--env", str(env), "-e", src, "-t", printed.output.strip())
@@ -138,6 +138,10 @@ def test_exit_codes():
     assert run("infer", "-e", "\\x. (").exit_code == 2  # syntax error
     assert run("infer").exit_code == 2  # no input source
     assert run("infer", "-e", "x", "nope.rec").exit_code == 2  # two sources
+    # a digit that is not decimal lexes as an integer but does not parse as one
+    r = run("parse", "-e", "²")
+    assert r.exit_code == 2
+    assert "Traceback" not in r.output and "not a decimal integer '²'" in r.output
 
 
 def test_deep_nesting_is_a_usage_error():
