@@ -8,7 +8,6 @@ the same judgments, so each serves as an oracle for the other.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .kinding import has_kind, wf_kind_assignment, wf_type_assignment
@@ -38,12 +37,12 @@ from .syntax import (
     Term,
     TypeAssignment,
     TyVar,
-    UKind,
     Var,
     base_of,
     ftv,
     ftv_assignment,
     is_extensible,
+    map_type,
     poly,
 )
 
@@ -89,15 +88,7 @@ class ValidationIssue:
 
 
 def kind_equiv(k1: Kind, k2: Kind) -> bool:
-    if isinstance(k1, UKind) or isinstance(k2, UKind):
-        return isinstance(k1, UKind) and isinstance(k2, UKind)
-    if [l for l, _ in k1.lefts] != [l for l, _ in k2.lefts]:
-        return False
-    if [l for l, _ in k1.rights] != [l for l, _ in k2.rights]:
-        return False
-    return all(
-        equiv(t1, t2) for (_, t1), (_, t2) in zip(k1.lefts + k1.rights, k2.lefts + k2.rights)
-    )
+    return map_type(normalize, k1) == map_type(normalize, k2)
 
 
 def kenv_equiv(k1: KindAssignment, k2: KindAssignment) -> bool:
@@ -105,35 +96,12 @@ def kenv_equiv(k1: KindAssignment, k2: KindAssignment) -> bool:
 
 
 def norm_poly(p: PolyType) -> PolyType:
-    quants = tuple((v, _norm_kind(k)) for v, k in p.quants)
+    quants = tuple((v, map_type(normalize, k)) for v, k in p.quants)
     return PolyType(quants, normalize(p.body))
-
-
-def _norm_kind(k: Kind) -> Kind:
-    if isinstance(k, UKind):
-        return k
-    return RecordKind(
-        tuple((l, normalize(t)) for l, t in k.lefts),
-        tuple((l, normalize(t)) for l, t in k.rights),
-    )
 
 
 def poly_equiv(p1: PolyType, p2: PolyType) -> bool:
     return norm_poly(p1) == norm_poly(p2)
-
-
-def poly_equiv_reordered(p1: PolyType, p2: PolyType) -> bool:
-    """Polytype equality tolerating quantifier reordering (p2's order is
-    taken as reference; any dependency-valid permutation of p1 may match)."""
-    if poly_equiv(p1, p2):
-        return True
-    n = len(p1.quants)
-    if n != len(p2.quants) or n > 7:
-        return False
-    for perm in itertools.permutations(p1.quants):
-        if poly_equiv(PolyType(perm, p1.body), p2):
-            return True
-    return False
 
 
 def tenv_equiv(g1: TypeAssignment, g2: TypeAssignment) -> bool:
@@ -308,7 +276,7 @@ def _check_node(d: Derivation) -> str | None:
             return f"closure undefined: {e}"
         if not kenv_equiv(kenv, resid):
             return "conclusion kind assignment is not the closure residue"
-        if not poly_equiv_reordered(j.sigma, sigma):
+        if not poly_equiv(j.sigma, sigma):
             return "conclusion is not the closure of the premise"
         return None
 

@@ -66,31 +66,19 @@ class FreshSupply:
 def supply_for(*values) -> FreshSupply:
     """A supply starting above every uid reachable from the given values
     (assignments, polytypes, monotypes)."""
-    top = 0
-
-    def scan(x):
-        nonlocal top
+    seen: set[TyVar] = set()
+    for x in values:
         if isinstance(x, dict):
-            for k, v in x.items():
-                if isinstance(k, TyVar):  # a type assignment's keys are names
-                    scan(k)
-                scan(v)
-        elif isinstance(x, PolyType):
-            for v, k in x.quants:
-                scan(v)
-                scan(k)
-            scan(x.body)
-        elif isinstance(x, TyVar):
-            top = max(top, x.uid)
-        elif x is None or isinstance(x, (UKind, BaseType)):
-            pass
+            # a kind assignment's keys are variables, a type assignment's names
+            seen.update(v for v in x if isinstance(v, TyVar))
+            members = x.values()
         else:
-            for v in ftv(x):
-                top = max(top, v.uid)
-
-    for val in values:
-        scan(val)
-    return FreshSupply(top + 1)
+            members = (x,)
+        for y in members:
+            seen |= ftv(y)
+            if isinstance(y, PolyType):
+                seen.update(v for v, _ in y.quants)
+    return FreshSupply(max((v.uid for v in seen), default=0) + 1)
 
 
 @dataclass(frozen=True)

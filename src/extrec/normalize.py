@@ -26,6 +26,7 @@ from .syntax import (
     RecordType,
     Substitution,
     TyVar,
+    map_type,
 )
 
 EXT = 1
@@ -193,14 +194,8 @@ def normalize(t: MonoType) -> MonoType:
     sorted by label.  Returns t itself when it is in that form already."""
     if isinstance(t, (BaseType, TyVar)):
         return t
-    if isinstance(t, Arrow):
-        dom, cod = normalize(t.dom), normalize(t.cod)
-        return t if dom is t.dom and cod is t.cod else Arrow(dom, cod)
-    if isinstance(t, RecordType):
-        fields = tuple((label, normalize(fty)) for label, fty in t.fields)
-        if all(new is old for (_, new), (_, old) in zip(fields, t.fields)):
-            return t
-        return RecordType(fields)
+    if not isinstance(t, (Ext, Contr)):
+        return map_type(normalize, t)
     base, ops = chain_ops(t)
     new_base = normalize(base)
     new_ops = [(sign, label, normalize(fty)) for sign, label, fty in ops]

@@ -22,7 +22,8 @@ Grammar (types and kinds):
     kind    := "U" | "<<" [fieldlist] "||" [fieldlist] ">>"
 
 Environment files hold one declaration per line: `'a :: KIND` for kinds,
-`x : POLYTYPE` for term variables; `#` starts a comment.
+`x : POLYTYPE` for term variables; `#` starts a comment.  A name is
+declared at most once.
 
 Pretty-printing round-trips: parse(pretty(v)) is structurally equal to v
 (alpha-invariant for polytypes).
@@ -137,13 +138,16 @@ _TYVAR, _WORD, _STRING, _PUNCT = 1, 2, 3, 4
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-def _tokenize(text: str) -> list[Token]:
+def _tokenize(text: str, offset: int = 0, line: int = 1, col: int = 1) -> list[Token]:
+    """The tokens of text, which starts at `offset`, `line` and `col` of
+    its source; spans are positions in that source."""
     toks: list[Token] = []
-    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
+    # the first line starts col - 1 characters before text does
+    line_starts = [1 - col] + [m.end() for m in re.finditer("\n", text)]
 
     def span_at(start, end):
         ln = bisect_right(line_starts, start) - 1
-        return SourceSpan(start, end, ln + 1, start - line_starts[ln] + 1)
+        return SourceSpan(start + offset, end + offset, ln + line, start - line_starts[ln] + 1)
 
     n = len(text)
     match = _TOKEN_RE.match
@@ -174,7 +178,7 @@ def _tokenize(text: str) -> list[Token]:
     i = m.end() if m.lastindex is None else m.start(m.lastindex)
     if i < n:
         raise ParseError(f"unexpected character {text[i]!r}", span_at(i, i + 1))
-    toks.append(Token("eof", "", SourceSpan(n, n, len(line_starts), 1)))
+    toks.append(Token("eof", "", span_at(n, n)))
     return toks
 
 
@@ -201,8 +205,8 @@ def _string_literal(text: str, i: int, span_at) -> tuple[int, str]:
 
 
 class _Parser:
-    def __init__(self, text: str, env: VarEnv):
-        self.toks = _tokenize(text)
+    def __init__(self, text: str, env: VarEnv, at: tuple[int, int, int] = (0, 1, 1)):
+        self.toks = _tokenize(text, *at)
         self.i = 0
         self.env = env
 
@@ -511,30 +515,45 @@ def parse_kind(text: str, env: VarEnv | None = None) -> Kind:
     return k
 
 
+def _line_parsers(text: str, env: VarEnv):
+    """A parser for each line of text that holds more than layout and a
+    comment; its spans are positions in text."""
+    offset = 0
+    for number, line in enumerate(text.splitlines(keepends=True), 1):
+        code = line.split("#", 1)[0]
+        stripped = code.strip()
+        if stripped:
+            lead = len(code) - len(code.lstrip())
+            yield _Parser(stripped, env, (offset + lead, number, lead + 1))
+        offset += len(line)
+
+
 def parse_env_file(
     text: str, env: VarEnv | None = None
 ) -> tuple[KindAssignment, TypeAssignment, VarEnv]:
-    """One declaration per line: `'a :: KIND` or `x : POLYTYPE`."""
+    """One declaration per line: `'a :: KIND` or `x : POLYTYPE`, each name
+    declared at most once."""
     env = env if env is not None else VarEnv()
     kenv: KindAssignment = {}
     tenv: TypeAssignment = {}
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        p = _Parser(stripped, env)
+    for p in _line_parsers(text, env):
         tok = p.peek()
         if tok.kind == "tyvar":
             p.advance()
             p.eat_punct("::")
             kind = p.kind()
             p.expect_eof()
-            kenv[env.lookup(tok.text)] = kind
+            v = env.lookup(tok.text)
+            if v in kenv:
+                raise ParseError(f"second declaration of '{tok.text}", tok.span)
+            kenv[v] = kind
         else:
             name = p.eat_ident()
             p.eat_punct(":")
             sigma = p.polytype()
             p.expect_eof()
+            if name.text in tenv:
+                raise ParseError(f"second declaration of {name.text}", name.span)
             tenv[name.text] = sigma
     return kenv, tenv, env
 
@@ -543,11 +562,7 @@ def parse_equations(text: str, env: VarEnv | None = None):
     """Lines of `TYPE = TYPE`, sharing one variable namespace."""
     env = env if env is not None else VarEnv()
     eqs = []
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        p = _Parser(stripped, env)
+    for p in _line_parsers(text, env):
         lhs = p.mono()
         p.eat_punct("=")
         rhs = p.mono()

@@ -8,6 +8,7 @@ the points where the inference algorithm demands it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .kinding import has_kind
 from .normalize import equiv, normalize
@@ -32,34 +33,22 @@ from .syntax import (
     ftv,
     internal_fresh,
     is_extensible,
+    map_type,
     poly,
     rename_vars,
 )
 
 
-def apply_type(s: Substitution, t: MonoType) -> MonoType:
+def apply_type(s: Substitution, t: MonoType | Kind) -> MonoType | Kind:
+    """Apply s to a monotype or a kind."""
     if isinstance(t, TyVar):  # a lookup is cheaper than the test below
         return s.get(t, t)
     if s.keys().isdisjoint(ftv(t)):
         return t
-    if isinstance(t, Arrow):
-        return Arrow(apply_type(s, t.dom), apply_type(s, t.cod))
-    if isinstance(t, RecordType):
-        return RecordType(tuple((l, apply_type(s, ft)) for l, ft in t.fields))
-    if isinstance(t, Ext):
-        return Ext(apply_type(s, t.base), t.label, apply_type(s, t.field_type))
-    if isinstance(t, Contr):
-        return Contr(apply_type(s, t.base), t.label, apply_type(s, t.field_type))
-    raise TypeError(f"apply_type: not a monotype: {t!r}")
+    return map_type(partial(apply_type, s), t)
 
 
-def apply_kind(s: Substitution, k: Kind) -> Kind:
-    if s.keys().isdisjoint(ftv(k)):
-        return k
-    return RecordKind(
-        tuple((l, apply_type(s, t)) for l, t in k.lefts),
-        tuple((l, apply_type(s, t)) for l, t in k.rights),
-    )
+apply_kind = apply_type  # kinds take the same walk
 
 
 def apply_poly(s: Substitution, p: PolyType) -> PolyType:
@@ -81,10 +70,6 @@ def apply_poly(s: Substitution, p: PolyType) -> PolyType:
 
 def apply_assignment(s: Substitution, gamma: TypeAssignment) -> TypeAssignment:
     return {x: apply_poly(s, sigma) for x, sigma in gamma.items()}
-
-
-def apply_kenv(s: Substitution, kenv: KindAssignment) -> KindAssignment:
-    return {v: apply_kind(s, k) for v, k in kenv.items()}
 
 
 def compose(s2: Substitution, s1: Substitution) -> Substitution:

@@ -407,33 +407,50 @@ def eftv_assignment(kenv: KindAssignment, gamma: TypeAssignment) -> set[TyVar]:
 
 
 # ---------------------------------------------------------------------------
-# Variable renaming (plain var-to-var map; used for canonical forms)
+# One structural level
+
+
+def map_type(f, x):
+    """x rebuilt with f applied to each child type, one level down.
+
+    x is a monotype or a kind; labels are kept, so fields stay sorted.
+    Returns x itself when every child comes back as the same object, so a
+    walk that changes nothing allocates nothing."""
+    if isinstance(x, Arrow):
+        dom, cod = f(x.dom), f(x.cod)
+        return x if dom is x.dom and cod is x.cod else Arrow(dom, cod)
+    if isinstance(x, (Ext, Contr)):
+        base, fty = f(x.base), f(x.field_type)
+        if base is x.base and fty is x.field_type:
+            return x
+        return type(x)(base, x.label, fty)
+    if isinstance(x, RecordType):
+        fields = _map_fields(f, x.fields)
+        return x if fields is x.fields else RecordType(fields)
+    if isinstance(x, RecordKind):
+        lefts, rights = _map_fields(f, x.lefts), _map_fields(f, x.rights)
+        if lefts is x.lefts and rights is x.rights:
+            return x
+        return RecordKind(lefts, rights)
+    if isinstance(x, (TyVar, BaseType, UKind)):
+        return x
+    raise TypeError(f"map_type: not a monotype or kind: {x!r}")
+
+
+def _map_fields(f, fields):
+    out = tuple([(label, f(t)) for label, t in fields])
+    if all(new is old for (_, new), (_, old) in zip(out, fields)):
+        return fields
+    return out
 
 
 def rename_vars(x, mapping: dict[int, TyVar]):
-    """Replace type variables per uid->TyVar map in a type or kind."""
+    """Replace type variables per uid->TyVar map in a type, kind or polytype."""
     if isinstance(x, TyVar):
         return mapping.get(x.uid, x)
-    if isinstance(x, BaseType):
-        return x
-    if isinstance(x, Arrow):
-        return Arrow(rename_vars(x.dom, mapping), rename_vars(x.cod, mapping))
-    if isinstance(x, RecordType):
-        return RecordType(tuple((l, rename_vars(t, mapping)) for l, t in x.fields))
-    if isinstance(x, Ext):
-        return Ext(rename_vars(x.base, mapping), x.label, rename_vars(x.field_type, mapping))
-    if isinstance(x, Contr):
-        return Contr(rename_vars(x.base, mapping), x.label, rename_vars(x.field_type, mapping))
-    if isinstance(x, UKind):
-        return x
-    if isinstance(x, RecordKind):
-        return RecordKind(
-            tuple((l, rename_vars(t, mapping)) for l, t in x.lefts),
-            tuple((l, rename_vars(t, mapping)) for l, t in x.rights),
-        )
     if isinstance(x, PolyType):
         return PolyType(
             tuple((mapping.get(v.uid, v), rename_vars(k, mapping)) for v, k in x.quants),
             rename_vars(x.body, mapping),
         )
-    raise TypeError(f"rename_vars: unsupported value {x!r}")
+    return map_type(lambda c: rename_vars(c, mapping), x)

@@ -35,6 +35,7 @@ from .syntax import (
     Substitution,
     TyVar,
     UKind,
+    base_of,
     ftv,
     internal_fresh,
     is_extensible,
@@ -99,27 +100,15 @@ class _State:
     def push(self, *pairs):
         self.eqs.extend(pairs)
 
-    def eliminate(self, v: TyVar, t: MonoType, new_kenv: KindAssignment):
-        """Record v := t, applying it across the whole state."""
-        one = {v: t}
+    def eliminate(self, images: Substitution, new_kenv: KindAssignment):
+        """Record each v := images[v] at once, applying them across the
+        whole state; no image may mention an eliminated variable."""
         self.eqs = deque(
-            (apply_type(one, a), apply_type(one, b)) for a, b in self.eqs
+            (apply_type(images, a), apply_type(images, b)) for a, b in self.eqs
         )
-        self.kenv = {w: apply_kind(one, k) for w, k in new_kenv.items()}
-        self.subst = {w: apply_type(one, u) for w, u in self.subst.items()}
-        self.subst[v] = t
-
-    def eliminate_pair(self, v1, t1, v2, t2, new_kenv):
-        """Simultaneous elimination used by the two-chain merge; neither
-        image may mention v1 or v2."""
-        both = {v1: t1, v2: t2}
-        self.eqs = deque(
-            (apply_type(both, a), apply_type(both, b)) for a, b in self.eqs
-        )
-        self.kenv = {w: apply_kind(both, k) for w, k in new_kenv.items()}
-        self.subst = {w: apply_type(both, u) for w, u in self.subst.items()}
-        self.subst[v1] = t1
-        self.subst[v2] = t2
+        self.kenv = {w: apply_kind(images, k) for w, k in new_kenv.items()}
+        self.subst = {w: apply_type(images, u) for w, u in self.subst.items()}
+        self.subst.update(images)
 
 
 def unify(
@@ -186,7 +175,7 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
             raise UnificationError(OCCURS, "variable occurs in its own solution")
         st.note("ii")
         new_kenv = {w: k for w, k in st.kenv.items() if w != a}
-        st.eliminate(a, b, new_kenv)
+        st.eliminate({a: b}, new_kenv)
         return
     # iii) two record-kinded variables; the newer one is eliminated
     if (
@@ -303,7 +292,7 @@ def _rule_iii(st: _State, v1: TyVar, v2: TyVar):
     new_kenv = {
         w: (merged if w == v2 else k) for w, k in st.kenv.items() if w != v1
     }
-    st.eliminate(v1, v2, new_kenv)
+    st.eliminate({v1: v2}, new_kenv)
     st.push(*eqs)
 
 
@@ -321,7 +310,7 @@ def _rule_iv(st: _State, v: TyVar, rec: RecordType):
         raise UnificationError(OCCURS, "variable occurs in the record type")
     st.note("iv")
     new_kenv = {w: kk for w, kk in st.kenv.items() if w != v}
-    st.eliminate(v, rec, new_kenv)
+    st.eliminate({v: rec}, new_kenv)
     st.push(*((f1l[l], fields[l]) for l in f1l))
 
 
@@ -361,15 +350,15 @@ def _rule_vii(st: _State, v: TyVar, chain: MonoType, base: TyVar):
     new_kenv = {
         w: (base_kind if w == base else k) for w, k in st.kenv.items() if w != v
     }
-    st.eliminate(v, chain, new_kenv)
+    st.eliminate({v: chain}, new_kenv)
     st.push(*eqs)
 
 
 def _rule_ix(st: _State, v1: TyVar, ops1, v2: TyVar, ops2):
-    e1 = {l: f for s, l, f in ops1 if s == EXT}
-    c1 = {l: f for s, l, f in ops1 if s == CON}
-    e2 = {l: f for s, l, f in ops2 if s == EXT}
-    c2 = {l: f for s, l, f in ops2 if s == CON}
+    chain1 = rebuild_chain(v1, ops1)
+    chain2 = rebuild_chain(v2, ops2)
+    e1, c1 = efields(chain1), cfields(chain1)
+    e2, c2 = efields(chain2), cfields(chain2)
     labels1 = e1.keys() | c1.keys()
     labels2 = e2.keys() | c2.keys()
     if labels1 & labels2:
@@ -383,8 +372,7 @@ def _rule_ix(st: _State, v1: TyVar, ops1, v2: TyVar, ops2):
     k2: RecordKind = st.kenv[v2]
     f1l, f1r = k1.left_map(), k1.right_map()
     f2l, f2r = k2.left_map(), k2.right_map()
-    chain2 = rebuild_chain(v2, ops2)  # occurs checks look at whole chains
-    chain1 = rebuild_chain(v1, ops1)
+    # occurs checks look at whole chains
     if v1 in ftv(chain2) or v2 in ftv(chain1):
         raise UnificationError(OCCURS, "chain base occurs on the other side")
     ops_vars = set()
@@ -438,14 +426,12 @@ def _rule_ix(st: _State, v1: TyVar, ops1, v2: TyVar, ops2):
     image2 = rebuild_chain(fresh, ops1)
     new_kenv = {w: k for w, k in st.kenv.items() if w not in (v1, v2)}
     new_kenv[fresh] = RecordKind(tuple(lefts.items()), tuple(rights.items()))
-    st.eliminate_pair(v1, image1, v2, image2, new_kenv)
+    st.eliminate({v1: image1, v2: image2}, new_kenv)
     st.push(*eqs)
 
 
 def _rule_chain_record(st: _State, chain: MonoType, rec: RecordType):
-    base, ops = chain_ops(chain)
-    e = {l: f for s, l, f in ops if s == EXT}
-    c = {l: f for s, l, f in ops if s == CON}
+    e, c = efields(chain), cfields(chain)
     fields = rec.field_map()
     if not e.keys() <= fields.keys():
         raise UnificationError(KIND, "extended field missing from the record")
@@ -454,7 +440,7 @@ def _rule_chain_record(st: _State, chain: MonoType, rec: RecordType):
     st.note("x")
     eqs = [(e[l], fields[l]) for l in e]
     reduced = fmap_plus(c, fmap_minus(fields, e))
-    st.push(*eqs, (base, RecordType(tuple(reduced.items()))))
+    st.push(*eqs, (base_of(chain), RecordType(tuple(reduced.items()))))
 
 
 def _fail(st: _State, t1: MonoType, t2: MonoType):

@@ -32,6 +32,7 @@ from extrec.syntax import (
     UKind,
     Var,
     ftv,
+    map_type,
     rename_vars,
 )
 
@@ -48,27 +49,14 @@ def canon(x):
         if isinstance(y, TyVar):
             if y.uid not in order:
                 order.append(y.uid)
-        elif isinstance(y, (BaseType, UKind)):
-            pass
-        elif isinstance(y, Arrow):
-            walk(y.dom)
-            walk(y.cod)
-        elif isinstance(y, RecordType):
-            for _, t in y.fields:
-                walk(t)
-        elif isinstance(y, (Ext, Contr)):
-            walk(y.base)
-            walk(y.field_type)
-        elif isinstance(y, RecordKind):
-            for _, t in y.lefts + y.rights:
-                walk(t)
         elif isinstance(y, PolyType):
             for v, k in y.quants:
                 walk(k)
                 walk(v)
             walk(y.body)
         else:
-            raise TypeError(repr(y))
+            map_type(walk, y)  # visits the children in order
+        return y
 
     walk(x)
     mapping = {uid: TyVar(i + 1) for i, uid in enumerate(order)}

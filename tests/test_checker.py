@@ -5,10 +5,12 @@ from extrec.checker import (
     Judgment,
     KindingClaim,
     check,
+    kind_equiv,
     subst_derivation,
     validate,
 )
 from extrec.infer import FreshSupply, infer
+from extrec.normalize import equiv
 from extrec.parser import parse_env_file, parse_term, parse_type
 from extrec.subst import apply_poly, generic_instance
 from extrec.syntax import (
@@ -20,6 +22,7 @@ from extrec.syntax import (
     Extend,
     INT,
     PolyType,
+    RecordKind,
     RecordType,
     Select,
     TyVar,
@@ -28,7 +31,7 @@ from extrec.syntax import (
     poly,
     record_kind,
 )
-from gen import gen_closed_term, gen_respecting_subst
+from gen import gen_arb_kind, gen_closed_term, gen_respecting_subst
 
 a1, a2 = TyVar(1, "a1"), TyVar(2, "a2")
 KENV = {a1: record_kind([], [("l", a2)]), a2: UKind()}
@@ -190,3 +193,54 @@ def test_strengthening_var_assumption():
                           tuple(swap(c) for c in d.children), d.claim)
 
     assert validate(swap(res.trace)) is None
+
+
+def test_gen_with_independent_quantifiers_validates():
+    # closure orders independent quantifiers by their position in the kind
+    # assignment, and the Gen premise keeps inference's order, so the
+    # conclusion is the premise's closure as it stands, with no reordering
+    for src in ("let f = \\x. \\y. {a = x, b = y} in f", "let g = \\r. \\s. {p = s.m, q = r.l} in g"):
+        res = infer({}, {}, parse_term(src), FreshSupply(1), want_trace=True)
+        gen = res.trace.children[0]
+        assert gen.rule == "Gen" and len(gen.judgment.sigma.quants) >= 2, src
+        assert validate(res.trace) is None, src
+
+
+def _ref_kind_equiv(k1, k2):
+    """Label by label: the same labels on each side, field types equivalent."""
+    if isinstance(k1, UKind) or isinstance(k2, UKind):
+        return isinstance(k1, UKind) and isinstance(k2, UKind)
+    return all(
+        [l for l, _ in f1] == [l for l, _ in f2]
+        and all(equiv(t1, t2) for (_, t1), (_, t2) in zip(f1, f2))
+        for f1, f2 in ((k1.lefts, k2.lefts), (k1.rights, k2.rights))
+    )
+
+
+def _disguise(rng, t):
+    """t, or a type equivalent to it that is not in normal form (the
+    generated records never carry z)."""
+    if rng.random() < 0.5 and isinstance(t, (TyVar, RecordType)):
+        return Contr(Ext(t, "z", INT), "z", INT)
+    return t
+
+
+def test_kind_equiv_agrees_with_labelwise_reference():
+    rng = random.Random(113)
+    pool = tuple(TyVar(100 + i) for i in range(3))
+    agree = differ = 0
+    for _ in range(1000):
+        k1 = gen_arb_kind(rng, pool)
+        if rng.random() < 0.5 and isinstance(k1, RecordKind):
+            k2 = RecordKind(
+                tuple((l, _disguise(rng, t)) for l, t in k1.lefts),
+                tuple((l, _disguise(rng, t)) for l, t in k1.rights),
+            )
+        else:
+            k2 = gen_arb_kind(rng, pool)
+        expected = _ref_kind_equiv(k1, k2)
+        assert kind_equiv(k1, k2) == expected, (k1, k2)
+        assert kind_equiv(k2, k1) == expected, (k1, k2)
+        agree += expected
+        differ += not expected
+    assert agree > 300 and differ > 300

@@ -89,11 +89,17 @@ def test_infer_env_prints_strengthened_kinds_first(tmp_path):
     r = run("infer", "--env", str(env), "-e", "x.m")
     assert r.exit_code == 0
     assert r.output.splitlines() == ["'a :: <<m: 'c || l: 'b>>", "'c :: U", "'c"]
-    # the printed entries, added to the environment, make the type checkable
+    # the printed entries, in place of the environment's line for 'a, make
+    # the type checkable; added below it, they declare 'a a second time
+    entries = "\n".join(r.output.splitlines()[:-1]) + "\n"
     merged = tmp_path / "merged.env"
-    merged.write_text(ENV_42 + "\n".join(r.output.splitlines()[:-1]) + "\n")
+    merged.write_text(ENV_42.replace("'a :: << || l: 'b>>\n", entries))
     ok = run("check", "--env", str(merged), "-e", "x.m", "-t", "'c")
     assert (ok.exit_code, ok.output.strip()) == (0, "OK")
+    merged.write_text(ENV_42 + entries)
+    twice = run("check", "--env", str(merged), "-e", "x.m", "-t", "'c")
+    assert twice.exit_code == 2
+    assert twice.output.strip() == f"{merged}: 5:1: second declaration of 'a"
 
 
 def test_check_env_refuses_claim_needing_stronger_kind(tmp_path):

@@ -149,6 +149,24 @@ def test_parse_equations():
     assert eqs[0][0] == env.names["a"]
 
 
+@pytest.mark.parametrize(
+    "parse, text, message, span",
+    [
+        (parse_env_file, "'a :: U\n\nx : 'a\ny : Int ->", "unexpected 'end of input'", (26, 26, 4, 11)),
+        (parse_equations, "'a = Int\n# note\n  'b = -> Int\n", "unexpected '->'", (23, 25, 3, 8)),
+        (parse_env_file, "x : Int\n\t y : ; \n", "unexpected character ';'", (14, 15, 2, 7)),
+        # a name is declared once; a second declaration is refused, not taken
+        (parse_env_file, "x : Int\n  x : Bool  # again\n", "second declaration of x", (10, 11, 2, 3)),
+        (parse_env_file, "'a :: U\r\n'b :: U\r\n'a :: <<l: Int || >>\r\n", "second declaration of 'a", (18, 20, 3, 1)),
+    ],
+)
+def test_line_file_errors_point_into_the_file(parse, text, message, span):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    s = err.value.span
+    assert (err.value.message, (s.start, s.end, s.line, s.col)) == (message, span)
+
+
 def test_pretty_dispatches_on_shape():
     from extrec.parser import pretty
     from extrec.syntax import INT, TyVar, UKind
@@ -235,13 +253,13 @@ def test_tokens_and_spans_are_pinned():
         ("punct", "::", 69, 71, 3, 23),
         ("punct", "+", 72, 73, 3, 26),
         ("punct", "-", 73, 74, 3, 27),
-        ("eof", "", 74, 74, 3, 1),
+        ("eof", "", 74, 74, 3, 28),
     ]
     # identifiers and integers follow str.isalpha / str.isdigit
     assert _tokens("é² ²3") == [
         ("ident", "é²", 0, 2, 1, 1),
         ("int", "²3", 3, 5, 1, 4),
-        ("eof", "", 5, 5, 1, 1),
+        ("eof", "", 5, 5, 1, 6),
     ]
 
 

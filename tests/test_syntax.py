@@ -17,6 +17,7 @@ from extrec.syntax import (
     base_of,
     eftv,
     ftv,
+    map_type,
     poly,
     rename_vars,
 )
@@ -153,3 +154,28 @@ def test_ftv_shares_a_chain_base_set():
     for i in range(50):
         chain = Ext(chain, f"l{i}", INT)
     assert ftv(chain) is ftv(a)
+
+
+def test_map_type_hands_back_what_it_does_not_change():
+    rng = random.Random(17)
+    pool = tuple(TyVar(100 + i) for i in range(4))
+    for _ in range(300):
+        for x in (gen_arb_mono(rng, 3, pool), gen_arb_kind(rng, pool)):
+            assert map_type(lambda c: c, x) is x
+
+
+def test_map_type_rebuilds_one_level():
+    swap = {a: b, b: a}
+
+    def flip(c):
+        return swap.get(c, c)
+
+    assert map_type(flip, Arrow(a, Arrow(a, b))) == Arrow(b, Arrow(a, b))
+    assert map_type(flip, Contr(Ext(a, "l", b), "m", a)) == Contr(Ext(a, "l", b), "m", b)
+    assert map_type(flip, Ext(a, "l", b)) == Ext(b, "l", a)
+    assert map_type(flip, RecordType((("m", a), ("l", b)))) == RecordType((("l", a), ("m", b)))
+    assert map_type(flip, RecordKind((("l", a),), (("m", g),))) == RecordKind((("l", b),), (("m", g),))
+    for leaf in (a, INT, UKind()):
+        assert map_type(flip, leaf) is leaf
+    with pytest.raises(TypeError):
+        map_type(flip, poly(a))
