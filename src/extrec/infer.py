@@ -1,11 +1,17 @@
 """Type inference for the extensible-record calculus.
 
 infer computes a principal kinded typing (residual kind assignment,
-substitution, canonical monotype).  On request (want_trace) it also
-returns a derivation tree for the declarative system, which the checker
-validates, giving an executable soundness oracle.  The walk records each
-node's judgment unsubstituted; the tree is built by applying the final
-substitution once, at the end, and only when asked for.
+substitution, canonical monotype).  One run keeps one kind assignment and
+one triangular substitution, which unification updates in place; the type
+assignment is resolved through the substitution only where a variable is
+looked up and where a let generalizes.  The result's assignment and
+substitution are read back, resolved, once at the end.
+
+On request (want_trace) infer also returns a derivation tree for the
+declarative system, which the checker validates, giving an executable
+soundness oracle.  The walk records each node's judgment unsubstituted;
+the tree is built by applying the final substitution once, at the end,
+and only when asked for.
 
 Failures are returned as values, tagged with the syntax case that failed
 and the offending subterm.
@@ -13,11 +19,11 @@ and the offending subterm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .checker import Derivation, Judgment, KindingClaim, subst_derivation
 from .normalize import normalize
-from .subst import apply_assignment, apply_kind, apply_type, closure, compose
+from .subst import apply_kind, apply_type, closure, resolve, resolve_poly
 from .syntax import (
     Abs,
     App,
@@ -48,7 +54,7 @@ from .syntax import (
     is_extensible,
     poly,
 )
-from .unify import UnificationError, unify
+from .unify import UnificationError, unify_in_place
 
 
 class FreshSupply:
@@ -106,13 +112,47 @@ def instantiate(
 ) -> tuple[KindAssignment, MonoType]:
     """Replace quantified variables with fresh ones, threading the renaming
     through the kinds, and extend the kind assignment accordingly."""
-    ren: Substitution = {}
     out = dict(kenv)
+    return out, _instantiate(out, sigma, fs)
+
+
+def _instantiate(kenv: KindAssignment, sigma: PolyType, fs: FreshSupply) -> MonoType:
+    """`instantiate`, adding the fresh variables' kinds to kenv in place."""
+    ren: Substitution = {}
     for v, k in sigma.quants:
         fresh = fs.fresh(v.name)
-        out[fresh] = apply_kind(ren, k)
+        kenv[fresh] = apply_kind(ren, k)
         ren[v] = fresh
-    return out, normalize(apply_type(ren, sigma.body))
+    return normalize(apply_type(ren, sigma.body))
+
+
+class _Run:
+    """The state one inference run updates in place: the kind assignment,
+    the triangular substitution, the fresh-variable supply, and the
+    (record type, value type, term) of every Extend typed."""
+
+    def __init__(self, kenv: KindAssignment, fs: FreshSupply):
+        self.kenv = dict(kenv)
+        self.subst: Substitution = {}
+        self.fs = fs
+        self.extensions: list = []
+
+    def unify(self, equations):
+        unify_in_place(self.kenv, self.subst, equations, self.fs.fresh)
+
+    def current(self, t: MonoType) -> MonoType:
+        """t resolved through the substitution so far, normalized."""
+        return normalize(resolve(self.subst, t))
+
+    def generalize(self, tenv: TypeAssignment, t: MonoType):
+        """Close t over tenv: (tenv resolved, the polytype, the quantified
+        variables' kinds).  The quantified variables leave the kind
+        assignment, which is left resolved."""
+        gamma = {x: resolve_poly(self.subst, sigma) for x, sigma in tenv.items()}
+        kenv = {v: resolve(self.subst, k) for v, k in self.kenv.items()}
+        self.kenv, sigma = closure(kenv, gamma, t)
+        quantified = {v: k for v, k in kenv.items() if v not in self.kenv}
+        return gamma, sigma, quantified
 
 
 def infer(
@@ -125,20 +165,20 @@ def infer(
     """Principal typing of term under (kenv, tenv), or a failure value."""
     if fs is None:
         fs = supply_for(kenv, tenv)
-    extensions: list = []
-    out = _infer(kenv, tenv, term, fs, extensions)
+    run = _Run(kenv, fs)
+    out = _infer(run, tenv, term)
     if isinstance(out, InferFailure):
         return out
-    k, s, t, d = out
+    t, d = out
     # The extension rule's base-variable condition is the one side
     # condition later substitutions can break: re-check it under the final
     # substitution, in the order the extensions were typed.
-    for subject, value, ext in extensions:
-        bad = _base_in_value(
-            normalize(apply_type(s, subject)), normalize(apply_type(s, value)), ext
-        )
+    for subject, value, ext in run.extensions:
+        bad = _base_in_value(run.current(subject), run.current(value), ext)
         if bad is not None:
             return bad
+    s = {v: resolve(run.subst, v) for v in list(run.subst)}
+    k = {v: resolve(run.subst, kind) for v, kind in run.kenv.items()}
     # Every node's types avoid the domain of the substitution made before
     # it, so applying the final substitution once yields the derivation.
     return InferResult(k, s, t, subst_derivation(d, s, k) if want_trace else None)
@@ -178,131 +218,118 @@ _FIELD_RULES = {
     Extend: ("Ext", "extend", True, _rights, Ext),
 }
 
+# The walk records judgments with this kind assignment in place of its
+# own: `subst_derivation` gives every node the final one.  Only a Gen
+# node's premise carries a real one, the variables it quantifies.
+_FINAL_KENV: KindAssignment = {}
 
-def _infer(kenv, tenv, term, fs, extensions):
-    """Returns (kenv', subst, canonical type, unsubstituted derivation) or
-    InferFailure.  Each node's judgment keeps the type assignment it was
-    called with; `extensions` collects (record type, value type, term) for
-    every Extend typed."""
+
+def _infer(run: _Run, tenv: TypeAssignment, term: Term):
+    """Returns (type, unsubstituted derivation) or InferFailure.  The type is
+    resolved through the substitution as it stands on return, and
+    normalized; tenv is not resolved, and each node's judgment keeps it as
+    it was passed."""
 
     if isinstance(term, Var):
         if term.name not in tenv:
             return InferFailure(
                 "var", "unbound_variable", f"unbound variable {term.name}", term
             )
-        k1, t = instantiate(kenv, tenv[term.name], fs)
-        return k1, {}, t, Derivation("Var", Judgment(k1, tenv, term, poly(t)))
+        sigma = resolve_poly(run.subst, tenv[term.name])
+        t = _instantiate(run.kenv, sigma, run.fs)
+        return t, Derivation("Var", Judgment(_FINAL_KENV, tenv, term, poly(t)))
 
     if isinstance(term, Const):
         t = BaseType(term.base)
-        return kenv, {}, t, Derivation("Const", Judgment(kenv, tenv, term, poly(t)))
+        return t, Derivation("Const", Judgment(_FINAL_KENV, tenv, term, poly(t)))
 
     if isinstance(term, Abs):
-        alpha = fs.fresh()
-        inner_kenv = {**kenv, alpha: UKind()}
-        inner_tenv = {**tenv, term.param: poly(alpha)}
-        res = _infer(inner_kenv, inner_tenv, term.body, fs, extensions)
+        alpha = run.fs.fresh()
+        run.kenv[alpha] = UKind()
+        res = _infer(run, {**tenv, term.param: poly(alpha)}, term.body)
         if isinstance(res, InferFailure):
             return res
-        k1, s1, t1, d1 = res
-        t = Arrow(normalize(apply_type(s1, alpha)), t1)
-        return k1, s1, t, Derivation("Abs", Judgment(k1, tenv, term, poly(t)), (d1,))
+        t1, d1 = res
+        t = Arrow(run.current(alpha), t1)
+        return t, Derivation("Abs", Judgment(_FINAL_KENV, tenv, term, poly(t)), (d1,))
 
     if isinstance(term, App):
-        res = _infer(kenv, tenv, term.fn, fs, extensions)
+        res = _infer(run, tenv, term.fn)
         if isinstance(res, InferFailure):
             return res
-        k1, s1, t1, d1 = res
-        res = _infer(k1, apply_assignment(s1, tenv), term.arg, fs, extensions)
+        t1, d1 = res
+        res = _infer(run, tenv, term.arg)
         if isinstance(res, InferFailure):
             return res
-        k2, s2, t2, d2 = res
-        alpha = fs.fresh()
+        t2, d2 = res
+        alpha = run.fs.fresh()
+        run.kenv[alpha] = UKind()
         try:
-            k3, s3 = unify(
-                {**k2, alpha: UKind()},
-                [(apply_type(s2, t1), Arrow(t2, alpha))],
-                fresh=fs.fresh,
-            )
+            run.unify([(t1, Arrow(t2, alpha))])
         except UnificationError as e:
             return _fail_unify("app", term, e)
-        s = compose(s3, compose(s2, s1))
-        t = normalize(apply_type(s3, alpha))
-        return k3, s, t, Derivation("App", Judgment(k3, tenv, term, poly(t)), (d1, d2))
+        t = run.current(alpha)
+        return t, Derivation("App", Judgment(_FINAL_KENV, tenv, term, poly(t)), (d1, d2))
 
     if isinstance(term, Let):
-        res = _infer(kenv, tenv, term.bound, fs, extensions)
+        res = _infer(run, tenv, term.bound)
         if isinstance(res, InferFailure):
             return res
-        k1, s1, t1, d1 = res
-        gamma1 = apply_assignment(s1, tenv)
-        k1r, sigma = closure(k1, gamma1, t1)
-        gen = Derivation("Gen", Judgment(k1r, gamma1, term.bound, sigma), (d1,))
-        res = _infer(k1r, {**gamma1, term.name: sigma}, term.body, fs, extensions)
+        t1, d1 = res
+        gamma1, sigma, quantified = run.generalize(tenv, t1)
+        premise = replace(d1, judgment=replace(d1.judgment, kenv=quantified))
+        gen = Derivation("Gen", Judgment(_FINAL_KENV, gamma1, term.bound, sigma), (premise,))
+        res = _infer(run, {**gamma1, term.name: sigma}, term.body)
         if isinstance(res, InferFailure):
             return res
-        k2, s2, t2, d2 = res
-        d = Derivation("Let", Judgment(k2, tenv, term, poly(t2)), (gen, d2))
-        return k2, compose(s2, s1), t2, d
+        t2, d2 = res
+        return t2, Derivation("Let", Judgment(_FINAL_KENV, tenv, term, poly(t2)), (gen, d2))
 
     if isinstance(term, RecordLit):
-        cur_kenv, cur_tenv = kenv, tenv
-        s_all: Substitution = {}
         types, children = [], []
         for label, sub in term.fields:
-            res = _infer(cur_kenv, cur_tenv, sub, fs, extensions)
+            res = _infer(run, tenv, sub)
             if isinstance(res, InferFailure):
                 return res
-            cur_kenv, s_i, t_i, d_i = res
-            cur_tenv = apply_assignment(s_i, cur_tenv)
-            s_all = compose(s_i, s_all)
+            t_i, d_i = res
             types.append((label, t_i))
             children.append(d_i)
-        # each field type avoids the domain of the substitutions made up to
-        # it, so the whole substitution brings it up to date
-        t = RecordType(tuple((l, normalize(apply_type(s_all, t_i))) for l, t_i in types))
-        d = Derivation("Rec", Judgment(cur_kenv, tenv, term, poly(t)), tuple(children))
-        return cur_kenv, s_all, t, d
+        t = RecordType(tuple((l, run.current(t_i)) for l, t_i in types))
+        d = Derivation("Rec", Judgment(_FINAL_KENV, tenv, term, poly(t)), tuple(children))
+        return t, d
 
     field_rule = _FIELD_RULES.get(type(term))
     if field_rule is not None:
         rule, case, has_value, side, result = field_rule
-        res = _infer(kenv, tenv, term.target, fs, extensions)
+        res = _infer(run, tenv, term.target)
         if isinstance(res, InferFailure):
             return res
-        k, s, t_rec, d1 = res
+        t_rec, d1 = res
         children = (d1,)
         if has_value:
-            res = _infer(k, apply_assignment(s, tenv), term.value, fs, extensions)
+            res = _infer(run, tenv, term.value)
             if isinstance(res, InferFailure):
                 return res
-            k, s2, t_value, d2 = res
+            t_value, d2 = res
             if rule == "Ext":
                 bad = _base_in_value(t_rec, t_value, term)
                 if bad is not None:
                     return bad
-            s = compose(s2, s)
-            t_rec = apply_type(s2, t_rec)
             children = (d1, d2)
-        a_field = fs.fresh()
-        a_rec = fs.fresh()
+        a_field = run.fs.fresh()
+        a_rec = run.fs.fresh()
+        run.kenv[a_field] = UKind()
+        run.kenv[a_rec] = side(term.label, a_field)
         eqs = [(a_field, t_value), (a_rec, t_rec)] if has_value else [(a_rec, t_rec)]
         try:
-            k3, s3 = unify(
-                {**k, a_field: UKind(), a_rec: side(term.label, a_field)},
-                eqs,
-                fresh=fs.fresh,
-            )
+            run.unify(eqs)
         except UnificationError as e:
             return _fail_unify(case, term, e)
-        t = normalize(apply_type(s3, result(a_rec, term.label, a_field)))
-        claim = KindingClaim(
-            normalize(apply_type(s3, a_rec)),
-            side(term.label, normalize(apply_type(s3, a_field))),
-        )
+        t = run.current(result(a_rec, term.label, a_field))
+        claim = KindingClaim(run.current(a_rec), side(term.label, run.current(a_field)))
         if rule == "Ext":
-            extensions.append((claim.subject, t_value, term))
-        d = Derivation(rule, Judgment(k3, tenv, term, poly(t)), children, claim)
-        return k3, compose(s3, s), t, d
+            run.extensions.append((claim.subject, t_value, term))
+        d = Derivation(rule, Judgment(_FINAL_KENV, tenv, term, poly(t)), children, claim)
+        return t, d
 
     raise TypeError(f"infer: not a term: {term!r}")

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .normalize import equiv
+from .normalize import EXT, chain_ops, equiv
 from .syntax import (
-    Contr,
-    Ext,
     Kind,
     KindAssignment,
     Label,
@@ -65,38 +63,35 @@ class FieldInfo:
 
 
 def field_info(kenv: KindAssignment, t: MonoType) -> FieldInfo | None:
-    """Synthesize field facts, or None when no record kind is derivable."""
-    if isinstance(t, TyVar):
-        k = kenv.get(t)
+    """Synthesize field facts, or None when no record kind is derivable.
+
+    The facts of a chain's base are folded through its operations
+    innermost-first, in one pair of maps."""
+    base, ops = chain_ops(t)
+    if isinstance(base, TyVar):
+        k = kenv.get(base)
         if not isinstance(k, RecordKind):
             return None
-        return FieldInfo(k.left_map(), k.right_map(), False)
-    if isinstance(t, RecordType):
-        return FieldInfo(t.field_map(), {}, True)
-    if isinstance(t, (Ext, Contr)):
-        info = field_info(kenv, t.base)
-        if info is None:
-            return None
-        present = dict(info.present)
-        absent = dict(info.absent)
-        label, fty = t.label, t.field_type
-        if isinstance(t, Ext):
+        present, absent, record_base = k.left_map(), k.right_map(), False
+    elif isinstance(base, RecordType):
+        present, absent, record_base = base.field_map(), {}, True
+    else:
+        return None
+    for sign, label, fty in ops:
+        if sign == EXT:
             if label in present:
                 return None
             if label in absent:
-                if not equiv(absent[label], fty):
+                if not equiv(absent.pop(label), fty):
                     return None
-                del absent[label]
-            elif not info.record_base:
+            elif not record_base:
                 return None
             present[label] = fty
         else:
-            if label not in present or not equiv(present[label], fty):
+            if label not in present or not equiv(present.pop(label), fty):
                 return None
-            del present[label]
             absent[label] = fty
-        return FieldInfo(present, absent, info.record_base)
-    return None
+    return FieldInfo(present, absent, record_base)
 
 
 def has_kind(kenv: KindAssignment, t: MonoType, k: Kind) -> bool:

@@ -2,7 +2,8 @@
 
 The rewrite system cancels matching extension/contraction pairs and folds
 field operations into record bases.  `reduce_once` and `one_step_reducts`
-state it one step at a time; `is_normal` asks `reduce_once` directly.
+state it one step at a time, as the reference the faster functions are
+tested against.
 
 `normalize` reaches the same normal form in one bottom-up pass: it
 normalizes a node's children, then folds a chain's operations into its
@@ -18,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 
 from .syntax import (
+    IS_NORMAL,
     Arrow,
     BaseType,
     Contr,
@@ -191,11 +193,29 @@ def _cancel_pairs(ops):
 
 def normalize(t: MonoType) -> MonoType:
     """Unique normal form, with the operations of every chain over a variable
-    sorted by label.  Returns t itself when it is in that form already."""
+    sorted by label.  Returns t itself when it is in that form already.
+
+    The answer is cached on t and marked on the normal form, so that asking
+    again about either costs one slot read."""
     if isinstance(t, (BaseType, TyVar)):
         return t
-    if not isinstance(t, (Ext, Contr)):
-        return map_type(normalize, t)
+    nf = t._nf
+    if nf is not None:
+        return t if nf is IS_NORMAL else nf
+    if isinstance(t, (Ext, Contr)):
+        nf = _normalize_chain(t)
+    else:
+        nf = map_type(normalize, t)
+    if nf is t:
+        object.__setattr__(t, "_nf", IS_NORMAL)
+    else:
+        object.__setattr__(t, "_nf", nf)
+        if not isinstance(nf, (BaseType, TyVar)):
+            object.__setattr__(nf, "_nf", IS_NORMAL)
+    return nf
+
+
+def _normalize_chain(t: MonoType) -> MonoType:
     base, ops = chain_ops(t)
     new_base = normalize(base)
     new_ops = [(sign, label, normalize(fty)) for sign, label, fty in ops]
@@ -222,12 +242,29 @@ def normalize(t: MonoType) -> MonoType:
 
 
 def is_normal(t: MonoType) -> bool:
-    return reduce_once(t) is None
+    """No reduction applies anywhere in t (`reduce_once(t) is None`).
+
+    A chain is checked in one sweep: its base and field types are normal,
+    its innermost operation does not fold into a record base, and no pair
+    of its operations over a variable cancels."""
+    if normalize(t) is t:
+        return True
+    if isinstance(t, Arrow):
+        return is_normal(t.dom) and is_normal(t.cod)
+    if isinstance(t, RecordType):
+        return all(is_normal(fty) for _, fty in t.fields)
+    base, ops = chain_ops(t)
+    if not is_normal(base) or not all(is_normal(fty) for _, _, fty in ops):
+        return False
+    if isinstance(base, RecordType):
+        return _record_rule(base, ops) is None
+    normal_ops = [(sign, label, normalize(fty)) for sign, label, fty in ops]
+    return _cancel_pairs(normal_ops) is normal_ops
 
 
 def equiv(t1: MonoType, t2: MonoType) -> bool:
     """Type equality modulo reduction and label permutation."""
-    return t1 == t2 or normalize(t1) == normalize(t2)
+    return t1 is t2 or t1 == t2 or normalize(t1) == normalize(t2)
 
 
 def subst_equal(s1: Substitution, s2: Substitution) -> bool:

@@ -1,5 +1,6 @@
-"""Kinded substitutions: application, composition, the respects relation,
-type closure (generalization), and the generic-instance check.
+"""Kinded substitutions: application, composition, resolution through a
+triangular substitution, the respects relation, type closure
+(generalization), and the generic-instance check.
 
 Application is purely structural and never normalizes; callers normalize at
 the points where the inference algorithm demands it.
@@ -70,6 +71,47 @@ def apply_poly(s: Substitution, p: PolyType) -> PolyType:
 
 def apply_assignment(s: Substitution, gamma: TypeAssignment) -> TypeAssignment:
     return {x: apply_poly(s, sigma) for x, sigma in gamma.items()}
+
+
+def resolve(s: Substitution, t: MonoType | Kind) -> MonoType | Kind:
+    """Apply the triangular substitution s to a monotype or a kind: replace
+    each bound variable by its image, resolved in turn, until none is left.
+
+    A triangular substitution maps each variable to the image it was bound
+    to, which may mention variables bound after it.  Resolution compresses
+    paths: every binding it follows is overwritten with its resolved image.
+    Variable-to-variable links are followed in a loop, not by recursion."""
+    if isinstance(t, TyVar):
+        image = s.get(t)
+        if image is None:
+            return t
+        path = [t]
+        while isinstance(image, TyVar) and image in s:
+            path.append(image)
+            image = s[image]
+        if not isinstance(image, TyVar):
+            image = resolve(s, image)
+        for v in path:
+            s[v] = image
+        return image
+    if s.keys().isdisjoint(ftv(t)):
+        return t
+    return map_type(partial(resolve, s), t)
+
+
+def resolve_poly(s: Substitution, p: PolyType) -> PolyType:
+    """Apply the triangular substitution s to a polytype's free variables,
+    renaming its binders first when they would be caught."""
+    free = ftv(p)
+    if s.keys().isdisjoint(free):
+        return p
+    if p.quants:
+        images = {w for v in free if v in s for w in ftv(resolve(s, v))}
+        if any(v in s or v in images for v, _ in p.quants):
+            p = _freshen(p)  # alpha-rename binders away from the substitution
+    return PolyType(
+        tuple((v, resolve(s, k)) for v, k in p.quants), resolve(s, p.body)
+    )
 
 
 def compose(s2: Substitution, s1: Substitution) -> Substitution:

@@ -11,6 +11,12 @@ request and returns the same frozenset ever after.  Since the values are
 immutable, a cached set never goes stale.  Substitution relies on it to
 return a value untouched, as the same object, when its free variables
 miss the substitution's domain.
+
+Every compound monotype (record, arrow, extension, contraction) likewise
+caches its normal form in a `_nf` slot, and `normalize` is its only
+writer.  A value that is its own normal form is marked with the
+`IS_NORMAL` sentinel rather than a reference to itself, so that no value
+sits in a reference cycle and reference counting can free it.
 """
 
 from __future__ import annotations
@@ -134,16 +140,19 @@ def _sorted_fields(fields):
 # Types
 
 
-def _free_vars_slot():
-    """The `_fv` field of a type value: its free variables, filled in by
-    `ftv` on first request and invisible to equality, hashing and repr."""
+def _cache_slot():
+    """A cache field of a type value (`_fv`, `_nf`): filled in on first
+    request by its one writer, invisible to equality, hashing and repr."""
     return field(default=None, init=False, repr=False, compare=False)
+
+
+IS_NORMAL = object()
 
 
 @dataclass(frozen=True, slots=True)
 class BaseType:
     name: str
-    _fv: "frozenset[TyVar] | None" = _free_vars_slot()
+    _fv: "frozenset[TyVar] | None" = _cache_slot()
 
     def __post_init__(self):
         if self.name not in BASE_TYPES:
@@ -156,13 +165,14 @@ class TyVar:
 
     uid: int
     name: str = field(default="", compare=False)
-    _fv: "frozenset[TyVar] | None" = _free_vars_slot()
+    _fv: "frozenset[TyVar] | None" = _cache_slot()
 
 
 @dataclass(frozen=True, slots=True)
 class RecordType:
     fields: tuple[tuple[Label, "MonoType"], ...]
-    _fv: "frozenset[TyVar] | None" = _free_vars_slot()
+    _fv: "frozenset[TyVar] | None" = _cache_slot()
+    _nf: "MonoType | object | None" = _cache_slot()
 
     def __post_init__(self):
         object.__setattr__(self, "fields", _sorted_fields(self.fields))
@@ -175,7 +185,8 @@ class RecordType:
 class Arrow:
     dom: "MonoType"
     cod: "MonoType"
-    _fv: "frozenset[TyVar] | None" = _free_vars_slot()
+    _fv: "frozenset[TyVar] | None" = _cache_slot()
+    _nf: "MonoType | object | None" = _cache_slot()
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,7 +196,8 @@ class Ext:
     base: "MonoType"
     label: Label
     field_type: "MonoType"
-    _fv: "frozenset[TyVar] | None" = _free_vars_slot()
+    _fv: "frozenset[TyVar] | None" = _cache_slot()
+    _nf: "MonoType | object | None" = _cache_slot()
 
     def __post_init__(self):
         if not is_extensible(self.base):
@@ -199,7 +211,8 @@ class Contr:
     base: "MonoType"
     label: Label
     field_type: "MonoType"
-    _fv: "frozenset[TyVar] | None" = _free_vars_slot()
+    _fv: "frozenset[TyVar] | None" = _cache_slot()
+    _nf: "MonoType | object | None" = _cache_slot()
 
     def __post_init__(self):
         if not is_extensible(self.base):
@@ -235,7 +248,7 @@ def base_of(t: MonoType) -> MonoType:
 class UKind:
     """The universal kind: no constraint beyond well-formedness."""
 
-    _fv: "frozenset[TyVar] | None" = _free_vars_slot()
+    _fv: "frozenset[TyVar] | None" = _cache_slot()
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,7 +257,7 @@ class RecordKind:
 
     lefts: tuple[tuple[Label, MonoType], ...]
     rights: tuple[tuple[Label, MonoType], ...]
-    _fv: "frozenset[TyVar] | None" = _free_vars_slot()
+    _fv: "frozenset[TyVar] | None" = _cache_slot()
 
     def __post_init__(self):
         object.__setattr__(self, "lefts", _sorted_fields(self.lefts))
@@ -283,7 +296,7 @@ class PolyType:
 
     quants: tuple[tuple[TyVar, Kind], ...]
     body: MonoType
-    _fv: "frozenset[TyVar] | None" = _free_vars_slot()
+    _fv: "frozenset[TyVar] | None" = _cache_slot()
 
     @property
     def is_mono(self) -> bool:

@@ -1,12 +1,19 @@
 """Kinded unification by transformation.
 
-The solver rewrites a state (equations, kind assignment, substitution,
-solved kinds) until the equations are exhausted.  Rules are tried per
-equation (FIFO) in a fixed order: trivial equality, record and arrow
-decomposition, variable elimination (universal kind), merging of two
-record-kinded variables, variable against record, variable against an
-extension/contraction chain, cancellation of matching operations across
-two chains, and finally the two-chain merge onto a fresh common base.
+The solver transforms a state (pending equations, kind assignment,
+substitution) until the equations are exhausted.  It binds variables in
+place: the substitution is triangular, an elimination records one
+`v := image` and deletes or replaces one kind entry, and each equation and
+kind is resolved through the substitution when a rule reads it.  `unify`
+reads the result back resolved; inference keeps one state for a whole run
+and calls `unify_in_place`.
+
+Rules are tried per equation (FIFO) in a fixed order: trivial equality,
+record and arrow decomposition, variable elimination (universal kind),
+merging of two record-kinded variables, variable against record, variable
+against an extension/contraction chain, cancellation of matching
+operations across two chains, and finally the two-chain merge onto a
+fresh common base.
 
 Extensible types are not normalized eagerly; a normalization retry plus a
 chain-against-record decomposition cover the shapes plain substitution can
@@ -22,7 +29,7 @@ from collections import deque
 
 from .kinding import field_info, wf_kind_assignment
 from .normalize import chain_ops, equiv, is_normal, normalize, rebuild_chain, CON, EXT
-from .subst import apply_kind, apply_type
+from .subst import apply_kind, resolve
 from .syntax import (
     Arrow,
     BaseType,
@@ -86,10 +93,10 @@ def _is_chain(t: MonoType) -> bool:
 
 
 class _State:
-    def __init__(self, kenv, eqs, fresh, trace):
+    def __init__(self, kenv, subst, eqs, fresh, trace):
         self.eqs = deque(eqs)
-        self.kenv = dict(kenv)
-        self.subst: Substitution = {}
+        self.kenv: KindAssignment = kenv
+        self.subst: Substitution = subst
         self.fresh = fresh
         self.trace = trace
 
@@ -100,15 +107,15 @@ class _State:
     def push(self, *pairs):
         self.eqs.extend(pairs)
 
-    def eliminate(self, images: Substitution, new_kenv: KindAssignment):
-        """Record each v := images[v] at once, applying them across the
-        whole state; no image may mention an eliminated variable."""
-        self.eqs = deque(
-            (apply_type(images, a), apply_type(images, b)) for a, b in self.eqs
-        )
-        self.kenv = {w: apply_kind(images, k) for w, k in new_kenv.items()}
-        self.subst = {w: apply_type(images, u) for w, u in self.subst.items()}
-        self.subst.update(images)
+    def kind(self, v: TyVar):
+        """v's kind, resolved, and stored back resolved."""
+        self.kenv[v] = k = resolve(self.subst, self.kenv[v])
+        return k
+
+    def bind(self, v: TyVar, image: MonoType):
+        """Record v := image; v leaves the kind assignment."""
+        self.subst[v] = image
+        del self.kenv[v]
 
 
 def unify(
@@ -131,17 +138,38 @@ def unify(
         for v in ftv(a) | ftv(b):
             if v not in kenv:
                 raise ValueError(f"unify: equation variable '{v.name or v.uid}' unkinded")
+    kenv = dict(kenv)
+    subst: Substitution = {}
+    unify_in_place(kenv, subst, eqs, fresh if fresh is not None else internal_fresh, trace)
+    return (
+        {v: resolve(subst, k) for v, k in kenv.items()},
+        {v: resolve(subst, v) for v in list(subst)},
+    )
 
-    st = _State(kenv, eqs, fresh if fresh is not None else internal_fresh, trace)
+
+def unify_in_place(
+    kenv: KindAssignment,
+    subst: Substitution,
+    equations,
+    fresh,
+    trace: list | None = None,
+):
+    """Solve the equations into a kind assignment and a triangular
+    substitution, both updated in place.
+
+    Every variable of the equations, once resolved through subst, must
+    have a kind in kenv; the kinds themselves may still mention bound
+    variables.  There is no entry check and no copy; on UnificationError
+    the state is left part-way."""
+    st = _State(kenv, subst, equations, fresh, trace)
     steps = 0
-    limit = 200 * (len(eqs) + 5)
+    limit = 200 * (len(st.eqs) + 5)
     while st.eqs:
         steps += 1
         if steps > limit:
             raise RuntimeError("unify: transformation did not terminate")
         t1, t2 = st.eqs.popleft()
-        _step(st, t1, t2)
-    return st.kenv, st.subst
+        _step(st, resolve(subst, t1), resolve(subst, t2))
 
 
 def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
@@ -174,8 +202,7 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
         if a in ftv(b):
             raise UnificationError(OCCURS, "variable occurs in its own solution")
         st.note("ii")
-        new_kenv = {w: k for w, k in st.kenv.items() if w != a}
-        st.eliminate({a: b}, new_kenv)
+        st.bind(a, b)
         return
     # iii) two record-kinded variables; the newer one is eliminated
     if (
@@ -272,8 +299,8 @@ def _matching_ops(ops1, ops2):
 
 
 def _rule_iii(st: _State, v1: TyVar, v2: TyVar):
-    k1: RecordKind = st.kenv[v1]
-    k2: RecordKind = st.kenv[v2]
+    k1: RecordKind = st.kind(v1)
+    k2: RecordKind = st.kind(v2)
     f1l, f1r = k1.left_map(), k1.right_map()
     f2l, f2r = k2.left_map(), k2.right_map()
     if f1l.keys() & f2r.keys() or f1r.keys() & f2l.keys():
@@ -289,15 +316,13 @@ def _rule_iii(st: _State, v1: TyVar, v2: TyVar):
     if v2 in ftv(merged):
         raise UnificationError(OCCURS, "variable occurs in its own merged kind")
     st.note("iii")
-    new_kenv = {
-        w: (merged if w == v2 else k) for w, k in st.kenv.items() if w != v1
-    }
-    st.eliminate({v1: v2}, new_kenv)
+    st.bind(v1, v2)
+    st.kenv[v2] = merged
     st.push(*eqs)
 
 
 def _rule_iv(st: _State, v: TyVar, rec: RecordType):
-    k: RecordKind = st.kenv[v]
+    k: RecordKind = st.kind(v)
     f1l, f1r = k.left_map(), k.right_map()
     fields = rec.field_map()
     if not f1l.keys() <= fields.keys():
@@ -309,14 +334,13 @@ def _rule_iv(st: _State, v: TyVar, rec: RecordType):
     if v in ftv(rec):
         raise UnificationError(OCCURS, "variable occurs in the record type")
     st.note("iv")
-    new_kenv = {w: kk for w, kk in st.kenv.items() if w != v}
-    st.eliminate({v: rec}, new_kenv)
+    st.bind(v, rec)
     st.push(*((f1l[l], fields[l]) for l in f1l))
 
 
 def _rule_vii(st: _State, v: TyVar, chain: MonoType, base: TyVar):
-    k1: RecordKind = st.kenv[v]
-    k2: RecordKind = st.kenv[base]
+    k1: RecordKind = st.kind(v)
+    k2: RecordKind = st.kind(base)
     f1l, f1r = k1.left_map(), k1.right_map()
     f2l, f2r = k2.left_map(), k2.right_map()
     if v in ftv(chain):
@@ -325,7 +349,7 @@ def _rule_vii(st: _State, v: TyVar, chain: MonoType, base: TyVar):
     # labels in the base's lefts, extended labels exactly the base's rights)
     # this is the contracted/guaranteed bookkeeping of the transformation;
     # synthesizing it from the chain also covers shapes substitution built.
-    info = field_info(st.kenv, chain)
+    info = field_info({base: k2}, chain)
     if info is None:
         raise UnificationError(KIND, "chain's operations contradict its base's kind")
     present, absent = info.present, info.absent
@@ -347,10 +371,8 @@ def _rule_vii(st: _State, v: TyVar, chain: MonoType, base: TyVar):
     if base in ftv(base_kind):
         raise UnificationError(OCCURS, "chain base occurs in its own kind")
     st.note("vii")
-    new_kenv = {
-        w: (base_kind if w == base else k) for w, k in st.kenv.items() if w != v
-    }
-    st.eliminate({v: chain}, new_kenv)
+    st.bind(v, chain)
+    st.kenv[base] = base_kind
     st.push(*eqs)
 
 
@@ -368,8 +390,8 @@ def _rule_ix(st: _State, v1: TyVar, ops1, v2: TyVar, ops2):
         raise UnificationError(
             KIND, "chains share a label with opposite operations"
         )
-    k1: RecordKind = st.kenv[v1]
-    k2: RecordKind = st.kenv[v2]
+    k1: RecordKind = st.kind(v1)
+    k2: RecordKind = st.kind(v2)
     f1l, f1r = k1.left_map(), k1.right_map()
     f2l, f2r = k2.left_map(), k2.right_map()
     # occurs checks look at whole chains
@@ -422,11 +444,9 @@ def _rule_ix(st: _State, v1: TyVar, ops1, v2: TyVar, ops2):
 
     fresh = st.fresh()
     st.note("ix")
-    image1 = rebuild_chain(fresh, ops2)
-    image2 = rebuild_chain(fresh, ops1)
-    new_kenv = {w: k for w, k in st.kenv.items() if w not in (v1, v2)}
-    new_kenv[fresh] = RecordKind(tuple(lefts.items()), tuple(rights.items()))
-    st.eliminate({v1: image1, v2: image2}, new_kenv)
+    st.bind(v1, rebuild_chain(fresh, ops2))
+    st.bind(v2, rebuild_chain(fresh, ops1))
+    st.kenv[fresh] = RecordKind(tuple(lefts.items()), tuple(rights.items()))
     st.push(*eqs)
 
 

@@ -147,6 +147,52 @@ def gen_arb_term(rng: random.Random, depth: int, scope: tuple[str, ...] = ()) ->
 
 
 # ---------------------------------------------------------------------------
+# Reducible and unkindable types, for normalization and field synthesis
+
+DEBRIS_VARS = (TyVar(1, "a"), TyVar(2, "a1"), TyVar(3, "a2"))
+
+
+def gen_debris(rng: random.Random, depth: int) -> MonoType:
+    """A random type, kindable or not: chains repeat labels with differing
+    field types, fold into record bases only part-way, nest in field types,
+    and sit beside arrows and base types.  (A chain cannot sit on an arrow
+    or a base type: `Ext`/`Contr` refuse such a base.)"""
+    pick = rng.random()
+    if depth <= 0 or pick < 0.15:
+        return rng.choice((INT, BOOL) + DEBRIS_VARS)
+    if pick < 0.25:
+        return Arrow(gen_debris(rng, depth - 1), gen_debris(rng, depth - 1))
+    if pick < 0.35:
+        labels = rng.sample(("l", "m", "n"), rng.randint(0, 2))
+        return RecordType(tuple((l, gen_debris(rng, depth - 1)) for l in labels))
+    if rng.random() < 0.6:
+        t = rng.choice(DEBRIS_VARS)
+    else:
+        labels = rng.sample(("l", "m"), rng.randint(0, 2))
+        t = RecordType(tuple((l, _debris_field(rng, depth)) for l in labels))
+    # Few labels and field types, so that pairs cancel, and cancel across
+    # other operations on the same label with a different field type.
+    for _ in range(rng.randint(1, 8)):
+        label = rng.choice(("l", "m", "n"))
+        fty = _debris_field(rng, depth)
+        t = Ext(t, label, fty) if rng.random() < 0.5 else Contr(t, label, fty)
+    return t
+
+
+def _debris_field(rng, depth):
+    a = DEBRIS_VARS[0]
+    roll = rng.random()
+    if roll < 0.45:
+        return rng.choice((INT, BOOL))
+    if roll < 0.6:
+        # equivalent to `a` only up to reduction
+        return Contr(Ext(a, "l", INT), "l", INT)
+    if roll < 0.7:
+        return a
+    return gen_debris(rng, depth - 1)
+
+
+# ---------------------------------------------------------------------------
 # Kinded generation
 
 

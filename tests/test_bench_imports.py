@@ -1,5 +1,6 @@
-"""The benchmark under perfbench/ imports names from extrec; each must keep
-resolving, so that a change cannot delete one while the tests stay green."""
+"""The benchmark under perfbench/ imports names from extrec, and its tracer
+looks more up by string; each must keep resolving, so that a change cannot
+delete one while the tests stay green."""
 
 import ast
 import importlib
@@ -18,6 +19,26 @@ def test_benchmark_imports_resolve():
     missing = [
         f"{where}: from {module} import {name}"
         for where, module, name in found
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing
+
+
+def test_traced_layer_functions_resolve():
+    # LAYER_FUNCTIONS rows are (span name, defining module, function, ...);
+    # the tracer wraps each function with getattr on the module
+    tree = ast.parse((BENCH / "tracing.py").read_text(encoding="utf-8"))
+    rows = next(
+        node.value.elts
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LAYER_FUNCTIONS" for t in node.targets)
+    )
+    pairs = [(row.elts[1].value, row.elts[2].value) for row in rows]
+    assert len(pairs) > 20 and ("extrec.subst", "compose") in pairs
+    missing = [
+        f"{module}.{name}"
+        for module, name in pairs
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing

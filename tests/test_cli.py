@@ -181,3 +181,16 @@ def test_term_file_input(tmp_path):
     assert r.exit_code == 0
     assert r.output.strip() == "{fst: Int, snd: Int}"
     assert run("eval", str(f)).output.strip() == "{fst = 3, snd = 3}"
+
+
+def test_unify_follows_long_variable_links(tmp_path):
+    # each equation links a variable to the one below it, newest first, so
+    # the last binding's image is reached through 3000 variable links
+    n = 3000
+    env = tmp_path / "links.env"
+    env.write_text("".join(f"'a{i} :: U\n" for i in range(n + 1)))
+    eqs = tmp_path / "links.eqs"
+    eqs.write_text("".join(f"'a{i + 1} = 'a{i}\n" for i in range(n - 1, -1, -1)))
+    r = run("unify", "--env", str(env), str(eqs))
+    assert r.exit_code == 0, r.output[-200:]
+    assert r.output.splitlines()[-1] == f"'a{n} := 'a0"

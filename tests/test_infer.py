@@ -1,9 +1,10 @@
 import itertools
 import random
+import sys
 
 from extrec.checker import validate
 from extrec.infer import FreshSupply, InferFailure, infer, instantiate, supply_for
-from extrec.kinding import has_kind
+from extrec.kinding import has_kind, wf_kind_assignment
 from extrec.normalize import equiv, normalize, subst_equal
 from extrec.parser import parse_env_file, parse_term
 from extrec.subst import (
@@ -11,6 +12,7 @@ from extrec.subst import (
     apply_assignment,
     closure,
     generic_instance,
+    resolve,
     respects,
 )
 from extrec.syntax import (
@@ -33,6 +35,7 @@ from extrec.syntax import (
     TyVar,
     UKind,
     Var,
+    ftv,
     poly,
     record_kind,
 )
@@ -139,6 +142,18 @@ def test_extend_base_occurs_caught_after_later_aliasing():
     assert not isinstance(infer({}, {}, parse_term(control), FreshSupply(1)), InferFailure)
 
 
+def test_environment_binders_are_not_caught():
+    # x's binder is the environment's own variable a; typing m binds b := a,
+    # so x's type must rename its binder before b is replaced in it
+    a, b = TyVar(1, "a"), TyVar(2, "b")
+    kenv = {a: UKind(), b: UKind()}
+    tenv = {"x": PolyType(((a, UKind()),), Arrow(a, b)), "y": poly(b), "w": poly(a)}
+    res = infer(kenv, tenv, parse_term("{m = modify({l = y}, l, w), n = x}"), FreshSupply(10))
+    assert res.subst[b] == a
+    n = res.type.field_map()["n"]
+    assert n.cod == a and n.dom not in (a, b)
+
+
 def test_instantiate_examples():
     a, b = TyVar(1, "a"), TyVar(2, "b")
     fs = FreshSupply(10)
@@ -211,6 +226,36 @@ def test_trace_free_inference_agrees_with_traced():
         assert plain.trace is None and traced.trace is not None
         assert (plain.kenv, plain.subst, plain.type) == (traced.kenv, traced.subst, traced.type)
     assert accepted > 40 and failed > 40
+
+
+def test_inference_hands_unification_well_formed_state(monkeypatch):
+    # Inference calls the in-place entry, which skips the public entry's
+    # checks: every kind assignment it hands over is well formed once
+    # resolved, and kinds every variable of the resolved equations.
+    infer_mod = sys.modules["extrec.infer"]
+    inner = infer_mod.unify_in_place
+    calls = 0
+
+    def checked(kenv, subst, equations, fresh, trace=None):
+        nonlocal calls
+        calls += 1
+        view = dict(subst)
+        resolved = {v: resolve(view, k) for v, k in kenv.items()}
+        assert not (resolved.keys() & view.keys())
+        assert wf_kind_assignment(resolved)
+        for t1, t2 in equations:
+            assert ftv(resolve(view, t1)) | ftv(resolve(view, t2)) <= resolved.keys()
+        return inner(kenv, subst, equations, fresh, trace)
+
+    monkeypatch.setattr(infer_mod, "unify_in_place", checked)
+    kenv, tenv, venv, _, _ = _setup_42()
+    rng = random.Random(107)
+    for i in range(400):
+        env = i % 2 == 0
+        term = gen_closed_term(rng, rng.randint(1, 6), scope=("x", "y") if env else ())
+        k, g, start = (kenv, tenv, venv.next_free_uid()) if env else ({}, {}, 1)
+        infer(k, g, term, FreshSupply(start))
+    assert calls > 600
 
 
 def test_soundness_sample():
@@ -373,3 +418,31 @@ def test_long_chains_infer_their_closed_forms():
         chain = Ext(chain, l, INT)
     lacks = record_kind([], [(l, INT) for l in labels])
     assert closure(res.kenv, {}, res.type) == ({}, PolyType(((r, lacks),), Arrow(r, chain)))
+
+    # let id = \x. x in id (id (... (id {})))
+    src = "{}"
+    for _ in range(n):
+        src = f"id ({src})"
+    res = infer({}, {}, parse_term("let id = \\x. x in " + src), FreshSupply(1))
+    assert not isinstance(res, InferFailure), res
+    assert closure(res.kenv, {}, res.type) == ({}, poly(RecordType(())))
+
+    # let e = \r. \v. extend(r, z, v) in {f0 = e {} 0, ..., f159 = e {} 159}
+    src = ", ".join(f"f{i} = e {{}} {i}" for i in range(n))
+    res = infer({}, {}, parse_term("let e = \\r. \\v. extend(r, z, v) in {" + src + "}"),
+                FreshSupply(1))
+    assert not isinstance(res, InferFailure), res
+    want = RecordType(tuple((f"f{i}", RecordType((("z", INT),))) for i in range(n)))
+    assert closure(res.kenv, {}, res.type) == ({}, poly(want))
+
+    # \r. {f0 = r.f0, ..., f159 = r.f159}: one field variable per label, in
+    # label order, then the record variable that has them all
+    src = ", ".join(f"f{i} = r.f{i}" for i in range(n))
+    res = infer({}, {}, parse_term("\\r. {" + src + "}"), FreshSupply(1))
+    assert not isinstance(res, InferFailure), res
+    labels = sorted(f"f{i}" for i in range(n))
+    fields = tuple(zip(labels, (TyVar(-1 - i) for i in range(n))))
+    r = TyVar(-1 - n)
+    quants = tuple((v, UKind()) for _, v in fields) + ((r, record_kind(fields)),)
+    want = PolyType(quants, Arrow(r, RecordType(fields)))
+    assert closure(res.kenv, {}, res.type) == ({}, want)

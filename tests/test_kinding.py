@@ -1,7 +1,9 @@
 import itertools
 import random
+from collections import Counter
 
-from extrec.kinding import field_info, has_kind, wf_kind_assignment, wf_type
+from extrec.kinding import FieldInfo, field_info, has_kind, wf_kind_assignment, wf_type
+from extrec.normalize import equiv, normalize
 from extrec.syntax import (
     Arrow,
     BOOL,
@@ -16,7 +18,7 @@ from extrec.syntax import (
     ftv,
     record_kind,
 )
-from gen import gen_kind_assignment, gen_kindable_chain
+from gen import DEBRIS_VARS, gen_debris, gen_kind_assignment, gen_kindable_chain
 
 a, b = TyVar(1, "a"), TyVar(2, "b")
 t1, t2, t3 = INT, BOOL, STRING
@@ -122,3 +124,71 @@ def test_derivable_kind_implies_well_formed():
         if has_kind(kenv, t, k):
             assert wf_type(kenv, t)
             assert all(v in kenv for v in ftv(k))
+
+
+def _reference_field_info(kenv, t):
+    """The recursive fold that `field_info` replaced: the facts of the
+    chain below each operation, copied and updated for that operation."""
+    if isinstance(t, TyVar):
+        k = kenv.get(t)
+        if not isinstance(k, RecordKind):
+            return None
+        return FieldInfo(k.left_map(), k.right_map(), False)
+    if isinstance(t, RecordType):
+        return FieldInfo(t.field_map(), {}, True)
+    if isinstance(t, (Ext, Contr)):
+        info = _reference_field_info(kenv, t.base)
+        if info is None:
+            return None
+        present = dict(info.present)
+        absent = dict(info.absent)
+        label, fty = t.label, t.field_type
+        if isinstance(t, Ext):
+            if label in present:
+                return None
+            if label in absent:
+                if not equiv(absent[label], fty):
+                    return None
+                del absent[label]
+            elif not info.record_base:
+                return None
+            present[label] = fty
+        else:
+            if label not in present or not equiv(present[label], fty):
+                return None
+            del present[label]
+            absent[label] = fty
+        return FieldInfo(present, absent, info.record_base)
+    return None
+
+
+def _debris_kind(rng):
+    if rng.random() < 0.2:
+        return UKind()
+    labels = rng.sample(("l", "m", "n"), rng.randint(0, 3))
+    cut = rng.randint(0, len(labels))
+    field = lambda: rng.choice((INT, BOOL, DEBRIS_VARS[0]))
+    return RecordKind(
+        tuple((l, field()) for l in labels[:cut]), tuple((l, field()) for l in labels[cut:])
+    )
+
+
+def test_field_info_agrees_with_the_recursive_fold():
+    # Debris (repeated labels, record bases, nested chains, mostly
+    # unkindable) under random kinds for its variables, and chains that are
+    # kindable by construction.
+    rng = random.Random(505)
+    seen = Counter()
+    for i in range(3000):
+        if i % 2:
+            kenv = {v: _debris_kind(rng) for v in DEBRIS_VARS}
+            t = gen_debris(rng, rng.randint(1, 4))
+        else:
+            kenv = gen_kind_assignment(rng, 3)
+            t = gen_kindable_chain(rng, kenv, 6)
+        for u in (t, normalize(t)):
+            got = field_info(kenv, u)
+            assert got == _reference_field_info(kenv, u), (kenv, u)
+            seen[got is None, got is not None and got.record_base] += 1
+    assert seen[True, False] > 1000
+    assert seen[False, False] > 500 and seen[False, True] > 500

@@ -1,31 +1,35 @@
 import random
+from collections import Counter
 
 import pytest
 
 from extrec.kinding import field_info, has_kind
 from extrec.normalize import (
+    chain_ops,
     equiv,
     is_normal,
     normalize,
     one_step_reducts,
+    rebuild_chain,
     reduce_once,
     subst_equal,
 )
 from extrec.subst import apply_type
 from extrec.syntax import (
+    IS_NORMAL,
     Arrow,
+    BaseType,
     BOOL,
     Contr,
     Ext,
     INT,
-    MonoType,
     RecordKind,
     RecordType,
     TyVar,
     UKind,
     ftv,
 )
-from gen import gen_kind_assignment, gen_kindable_chain, gen_respecting_subst
+from gen import gen_debris, gen_kind_assignment, gen_kindable_chain, gen_respecting_subst
 
 a = TyVar(1, "a")
 a1, a2 = TyVar(2, "a1"), TyVar(3, "a2")
@@ -190,6 +194,33 @@ def test_normal_form_has_no_reducts():
         assert one_step_reducts(t) == []
 
 
+def _reversed_chain(t):
+    """t with its top chain's operations in the opposite order."""
+    if not isinstance(t, (Ext, Contr)):
+        return t
+    base, ops = chain_ops(t)
+    return rebuild_chain(base, ops[::-1])
+
+
+def test_is_normal_agrees_with_reduce_once():
+    # Debris, its normal form, and that form with its top chain reversed.
+    # A reversed normal chain over a variable is still irreducible but no
+    # longer sorted, so the sweep decides it, not the `normalize(t) is t`
+    # shortcut; over a record base the reversal may let an operation fold.
+    rng = random.Random(404)
+    seen = Counter()
+    for _ in range(3000):
+        t = gen_debris(rng, rng.randint(1, 4))
+        n = normalize(t)
+        for u in (t, n, _reversed_chain(n)):
+            want = reduce_once(u) is None
+            assert is_normal(u) == want, u
+            seen[want, normalize(u) is u] += 1
+    assert seen[False, False] > 1000
+    assert seen[True, True] > 1000
+    assert seen[True, False] > 300
+
+
 # ---------------------------------------------------------------------------
 # The one-pass normalize against the reference reduction loop
 
@@ -222,51 +253,9 @@ def _sort_variable_chains(t):
     return t
 
 
-_DEBRIS_VARS = (a, a1, a2)
-
-
-def _gen_debris(rng: random.Random, depth: int) -> MonoType:
-    """A random type, kindable or not: chains repeat labels with differing
-    field types, fold into record bases only part-way, nest in field types,
-    and sit beside arrows and base types.  (A chain cannot sit on an arrow
-    or a base type: `Ext`/`Contr` refuse such a base.)"""
-    pick = rng.random()
-    if depth <= 0 or pick < 0.15:
-        return rng.choice((INT, BOOL) + _DEBRIS_VARS)
-    if pick < 0.25:
-        return Arrow(_gen_debris(rng, depth - 1), _gen_debris(rng, depth - 1))
-    if pick < 0.35:
-        labels = rng.sample(("l", "m", "n"), rng.randint(0, 2))
-        return RecordType(tuple((l, _gen_debris(rng, depth - 1)) for l in labels))
-    if rng.random() < 0.6:
-        t = rng.choice(_DEBRIS_VARS)
-    else:
-        labels = rng.sample(("l", "m"), rng.randint(0, 2))
-        t = RecordType(tuple((l, _gen_field(rng, depth)) for l in labels))
-    # Few labels and field types, so that pairs cancel, and cancel across
-    # other operations on the same label with a different field type.
-    for _ in range(rng.randint(1, 8)):
-        label = rng.choice(("l", "m", "n"))
-        fty = _gen_field(rng, depth)
-        t = Ext(t, label, fty) if rng.random() < 0.5 else Contr(t, label, fty)
-    return t
-
-
-def _gen_field(rng, depth):
-    roll = rng.random()
-    if roll < 0.45:
-        return rng.choice((INT, BOOL))
-    if roll < 0.6:
-        # equivalent to `a` only up to reduction
-        return Contr(Ext(a, "l", INT), "l", INT)
-    if roll < 0.7:
-        return a
-    return _gen_debris(rng, depth - 1)
-
-
 def _debris_samples(seed, n=1500):
     rng = random.Random(seed)
-    return [_gen_debris(rng, rng.randint(1, 4)) for _ in range(n)]
+    return [gen_debris(rng, rng.randint(1, 4)) for _ in range(n)]
 
 
 @pytest.mark.parametrize("seed", [101, 202])
@@ -292,6 +281,10 @@ def test_normalize_of_normal_form_is_itself():
     for t in _debris_samples(303, 500):
         n = normalize(t)
         assert normalize(n) is n
+        # the cache: a normal form is marked, never made to refer to itself
+        if not isinstance(n, (BaseType, TyVar)):
+            assert n._nf is IS_NORMAL
+            assert t is n or t._nf is n
     rng = random.Random(29)
     for _ in range(200):
         kenv = gen_kind_assignment(rng, 3)

@@ -5,7 +5,7 @@ import pytest
 
 from extrec.kinding import has_kind
 from extrec.normalize import equiv, normalize, subst_equal
-from extrec.subst import KindedSubstitution, apply_kind, apply_type, respects
+from extrec.subst import KindedSubstitution, apply_kind, apply_type, resolve, respects
 from extrec.syntax import (
     Arrow,
     BOOL,
@@ -129,9 +129,54 @@ def test_substituted_record_base_chain_collapses():
     assert equiv(apply_type(s, b), RecordType((("l", INT), ("m", BOOL))))
 
 
+def test_equations_from_a_merge_see_the_merge():
+    # merging v1 into v2 equates their l fields, g and v1 (v2's field); that
+    # equation is solved with v1 already replaced, so no solved variable is
+    # left in the result (v2's kind becomes cyclic)
+    g, v2, v1 = TyVar(1, "g"), TyVar(2, "v2"), TyVar(3, "v1")
+    kenv = {g: UKind(), v2: record_kind([("l", v1)]), v1: record_kind([("l", g)])}
+    trace = []
+    resid, s = unify(kenv, [(v1, v2)], trace=trace)
+    assert trace == ["iii", "ii"]
+    assert s == {v1: v2, g: v2}
+    assert resid == {v2: record_kind([("l", v2)])}
+
+
+def _has_cycle(s):
+    """Does some variable bound in s reach itself through the images?"""
+    done, open_ = set(), set()
+    for root in s:
+        if root in done:
+            continue
+        open_.add(root)
+        stack = [(root, iter(ftv(s[root])))]
+        while stack:
+            v, below = stack[-1]
+            w = next((w for w in below if w in s and w not in done), None)
+            if w is None:
+                open_.discard(v)
+                done.add(v)
+                stack.pop()
+            elif w in open_:
+                return True
+            else:
+                open_.add(w)
+                stack.append((w, iter(ftv(s[w]))))
+    return False
+
+
+def test_has_cycle():
+    assert not _has_cycle({a: Arrow(b, b), b: g})
+    assert _has_cycle({a: Arrow(b, INT), b: Ext(g, "l", a), g: INT})
+    assert _has_cycle({a: b, b: a})
+
+
 def test_unifier_is_sound_on_random_inputs(monkeypatch):
-    # State invariant, checked after every transformation step: a solved
-    # variable leaves the kind assignment and occurs nowhere in the state.
+    # State invariant, checked after every transformation step: no variable
+    # is both bound and kinded, the bindings have no cycle, and no bound
+    # variable is left in a kind, an image or a pending equation once
+    # resolved.  Resolution runs on a copy, so that the check leaves the
+    # solver's path compression to the solver.
     solver = sys.modules["extrec.unify"]
     step = solver._step
     steps = 0
@@ -140,11 +185,14 @@ def test_unifier_is_sound_on_random_inputs(monkeypatch):
         nonlocal steps
         step(st, *args, **kw)
         steps += 1
-        solved = st.subst.keys()
-        assert not (solved & st.kenv.keys())
-        assert not any(ftv(k) & solved for k in st.kenv.values())
-        assert not any(ftv(t) & solved for t in st.subst.values())
-        assert not any((ftv(t1) | ftv(t2)) & solved for t1, t2 in st.eqs)
+        bound = st.subst.keys()
+        assert not (bound & st.kenv.keys())
+        assert not _has_cycle(st.subst)
+        view = dict(st.subst)
+        assert not any(ftv(resolve(view, k)) & bound for k in st.kenv.values())
+        assert not any(ftv(resolve(view, v)) & bound for v in st.subst)
+        for t1, t2 in st.eqs:
+            assert not (ftv(resolve(view, t1)) | ftv(resolve(view, t2))) & bound
 
     monkeypatch.setattr(solver, "_step", checked_step)
     rng = random.Random(73)
@@ -156,6 +204,10 @@ def test_unifier_is_sound_on_random_inputs(monkeypatch):
         except UnificationError:
             continue
         successes += 1
+        # the result is read back resolved: kinds and images mention no
+        # bound variable, so the substitution is idempotent
+        assert not any(ftv(k) & s.keys() for k in resid.values())
+        assert not any(ftv(t) & s.keys() for t in s.values())
         for t1, t2 in eqs:
             assert equiv(apply_type(s, t1), apply_type(s, t2)), (kenv, eqs, s)
         assert respects(KindedSubstitution(resid, s), kenv), (kenv, eqs, resid, s)
