@@ -2,8 +2,9 @@
 type normalization, kinded unification, type inference, a derivation
 validator, and a small evaluator."""
 
-from .checker import Derivation, Judgment, KindingClaim, check, validate
+from .derivation import Derivation, Judgment, KindingClaim
 from .infer import FreshSupply, InferFailure, InferResult, infer, instantiate
+from .checker import check, validate
 from .interp import EvalError, eval_term
 from .kinding import has_kind, wf_kind_assignment, wf_type
 from .normalize import equiv, normalize, reduce_once, subst_equal

@@ -3,16 +3,21 @@ claim checker that reduces "does M have type sigma" to an instance test
 against the inferred principal type.
 
 The validator and the inference algorithm are independent code paths over
-the same judgments, so each serves as an oracle for the other.
+the same judgments, so each serves as an oracle for the other: `validate`
+and its node rules call nothing in `infer` or `unify`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+# Judgment, KindingClaim and subst_derivation are bound here for callers that
+# name them as checker's: the acceptance suite and the benchmark's tracer.
+from .derivation import Derivation, Judgment, KindingClaim, subst_derivation
+from .infer import InferFailure, infer, supply_for
 from .kinding import has_kind, wf_kind_assignment, wf_type_assignment
-from .normalize import equiv, normalize
-from .subst import apply_assignment, apply_kind, apply_poly, apply_type, closure, generic_instance
+from .normalize import equiv, kind_equiv, normalize, poly_equiv
+from .subst import apply_assignment, apply_kind, closure, generic_instance
 from .syntax import (
     Abs,
     App,
@@ -22,7 +27,6 @@ from .syntax import (
     Contr,
     Ext,
     Extend,
-    Kind,
     KindAssignment,
     Let,
     Modify,
@@ -33,7 +37,6 @@ from .syntax import (
     RecordType,
     Remove,
     Select,
-    Substitution,
     Term,
     TypeAssignment,
     TyVar,
@@ -42,39 +45,8 @@ from .syntax import (
     ftv,
     ftv_assignment,
     is_extensible,
-    map_type,
     poly,
 )
-
-RULES = ("Var", "Const", "Abs", "App", "Let", "Rec", "Sel", "Modif", "Gen", "Contr", "Ext")
-
-
-@dataclass(frozen=True)
-class Judgment:
-    kenv: KindAssignment
-    tenv: TypeAssignment
-    term: Term
-    sigma: PolyType
-
-
-@dataclass(frozen=True)
-class KindingClaim:
-    """A K |- subject :: kind side condition carried by a node."""
-
-    subject: MonoType
-    kind: RecordKind
-
-
-@dataclass(frozen=True)
-class Derivation:
-    rule: str
-    judgment: Judgment
-    children: tuple["Derivation", ...] = ()
-    claim: KindingClaim | None = None
-
-    def __post_init__(self):
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule {self.rule!r}")
 
 
 @dataclass(frozen=True)
@@ -87,21 +59,8 @@ class ValidationIssue:
         return f"at {where}: {self.reason}"
 
 
-def kind_equiv(k1: Kind, k2: Kind) -> bool:
-    return map_type(normalize, k1) == map_type(normalize, k2)
-
-
 def kenv_equiv(k1: KindAssignment, k2: KindAssignment) -> bool:
     return k1.keys() == k2.keys() and all(kind_equiv(k1[v], k2[v]) for v in k1)
-
-
-def norm_poly(p: PolyType) -> PolyType:
-    quants = tuple((v, map_type(normalize, k)) for v, k in p.quants)
-    return PolyType(quants, normalize(p.body))
-
-
-def poly_equiv(p1: PolyType, p2: PolyType) -> bool:
-    return norm_poly(p1) == norm_poly(p2)
 
 
 def tenv_equiv(g1: TypeAssignment, g2: TypeAssignment) -> bool:
@@ -364,34 +323,6 @@ def _check_field_rule(d: Derivation) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Substitution over whole derivations
-
-
-def subst_derivation(d: Derivation, s: Substitution, k_target: KindAssignment) -> Derivation:
-    """Map a kind-respecting substitution over every judgment of a tree.
-
-    The substitution's domain must avoid variables generalized anywhere in
-    the tree (inference's fresh-variable discipline guarantees this)."""
-    j = d.judgment
-    new_j = Judgment(k_target, apply_assignment(s, j.tenv), j.term, apply_poly(s, j.sigma))
-    if d.rule == "Gen":
-        (child,) = d.children
-        quantified = {
-            v: k for v, k in child.judgment.kenv.items() if v not in j.kenv
-        }
-        child_target = dict(k_target)
-        for v, k in quantified.items():
-            child_target[v] = apply_kind(s, k)
-        children = (subst_derivation(child, s, child_target),)
-    else:
-        children = tuple(subst_derivation(c, s, k_target) for c in d.children)
-    claim = None
-    if d.claim is not None:
-        claim = KindingClaim(apply_type(s, d.claim.subject), apply_kind(s, d.claim.kind))
-    return Derivation(d.rule, new_j, children, claim)
-
-
-# ---------------------------------------------------------------------------
 # Claim checking against the principal type
 
 
@@ -403,8 +334,6 @@ def check(
     Decided by inferring the principal type and testing sigma as a generic
     instance of its closure.  Returns (ok, reason-when-not-ok).
     """
-    from .infer import InferFailure, infer, supply_for
-
     fs = supply_for(kenv, tenv, sigma)
     res = infer(kenv, tenv, term, fs)
     if isinstance(res, InferFailure):

@@ -13,11 +13,11 @@ import sys
 
 import click
 
-from . import checker as checker_mod
+from .checker import check
 from .infer import FreshSupply, InferFailure, infer
-from .interp import EvalError, eval_term
+from .interp import EvalError, eval_term, show_value
 from .kinding import wf_kind_assignment, wf_type_assignment
-from .normalize import normalize
+from .normalize import kind_equiv, normalize
 from .parser import (
     Namer,
     ParseError,
@@ -158,7 +158,7 @@ def infer_cmd(file, expr, env_path, as_json):
         for v in kenv:
             namer.name(v)
         for v, k in resid.items():
-            if v not in kenv or not checker_mod.kind_equiv(k, kenv[v]):
+            if v not in kenv or not kind_equiv(k, kenv[v]):
                 click.echo(f"'{namer.name(v)} :: {pretty_kind(k, namer)}")
         click.echo(pretty_poly(principal, namer))
 
@@ -176,7 +176,7 @@ def check_cmd(expr, type_text, env_path, as_json):
     for v in ftv(sigma):
         if v not in kenv:
             _die_analysis(f"claimed type mentions unkinded variable '{v.name or v.uid}")
-    ok, reason = checker_mod.check(kenv, tenv, term, sigma)
+    ok, reason = check(kenv, tenv, term, sigma)
     if as_json:
         click.echo(json.dumps({"ok": ok, "reason": reason}))
     else:
@@ -219,8 +219,6 @@ def unify_cmd(file, expr, env_path):
 @click.option("-e", "--expr", default=None, help="term given inline")
 def eval_cmd(file, expr):
     """Evaluate a closed term."""
-    from .interp import show_value
-
     term = _parse(parse_term, _read_source(file, expr))
     try:
         value = eval_term(term)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .checker import Derivation, Judgment, KindingClaim, subst_derivation
+from .derivation import Derivation, Judgment, KindingClaim, subst_derivation
 from .normalize import normalize
 from .subst import apply_kind, apply_type, closure, resolve, resolve_poly
 from .syntax import (

@@ -1,4 +1,5 @@
-"""Reduction of extensible types to canonical form, and type equivalence.
+"""Reduction of extensible types to canonical form, and the equivalences it
+decides on types, kinds and polytypes.
 
 The rewrite system cancels matching extension/contraction pairs and folds
 field operations into record bases.  `reduce_once` and `one_step_reducts`
@@ -24,7 +25,9 @@ from .syntax import (
     BaseType,
     Contr,
     Ext,
+    Kind,
     MonoType,
+    PolyType,
     RecordType,
     Substitution,
     TyVar,
@@ -265,6 +268,19 @@ def is_normal(t: MonoType) -> bool:
 def equiv(t1: MonoType, t2: MonoType) -> bool:
     """Type equality modulo reduction and label permutation."""
     return t1 is t2 or t1 == t2 or normalize(t1) == normalize(t2)
+
+
+def kind_equiv(k1: Kind, k2: Kind) -> bool:
+    return map_type(normalize, k1) == map_type(normalize, k2)
+
+
+def norm_poly(p: PolyType) -> PolyType:
+    quants = tuple((v, map_type(normalize, k)) for v, k in p.quants)
+    return PolyType(quants, normalize(p.body))
+
+
+def poly_equiv(p1: PolyType, p2: PolyType) -> bool:
+    return norm_poly(p1) == norm_poly(p2)
 
 
 def subst_equal(s1: Substitution, s2: Substitution) -> bool:

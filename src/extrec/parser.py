@@ -66,7 +66,6 @@ from .syntax import (
 )
 
 TERM_KEYWORDS = {"let", "in", "modify", "extend", "remove", "true", "false"}
-TYPE_KEYWORDS = {"forall"} | set(BASE_TYPES)
 
 
 @dataclass(frozen=True)

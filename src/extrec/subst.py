@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .kinding import has_kind
-from .normalize import equiv, normalize
+from .kinding import field_info, has_kind
+from .normalize import chain_ops, equiv, normalize, rebuild_chain
 from .syntax import (
     Arrow,
     BaseType,
@@ -265,8 +265,6 @@ class _Matcher:
         """Match a bound variable's kind against the field facts of its
         image; presence requirements the image cannot meet fail here (the
         final respects check would reject them anyway)."""
-        from .kinding import field_info
-
         if not is_extensible(image):
             return False
         info = field_info(self.kenv, apply_type(self.binds, image))
@@ -343,8 +341,6 @@ class _Matcher:
         raise TypeError(f"match: not a monotype: {p!r}")
 
     def match_chain(self, p, s) -> bool:
-        from .normalize import chain_ops, rebuild_chain
-
         base_p, ops_p = chain_ops(p)
         if not (isinstance(base_p, TyVar) and base_p in self.pvars):
             # Rigid head: the subject must have the very same chain shape.

@@ -162,12 +162,7 @@ def unify_in_place(
     variables.  There is no entry check and no copy; on UnificationError
     the state is left part-way."""
     st = _State(kenv, subst, equations, fresh, trace)
-    steps = 0
-    limit = 200 * (len(st.eqs) + 5)
     while st.eqs:
-        steps += 1
-        if steps > limit:
-            raise RuntimeError("unify: transformation did not terminate")
         t1, t2 = st.eqs.popleft()
         _step(st, resolve(subst, t1), resolve(subst, t2))
 

@@ -1,16 +1,9 @@
 import random
 
-from extrec.checker import (
-    Derivation,
-    Judgment,
-    KindingClaim,
-    check,
-    kind_equiv,
-    subst_derivation,
-    validate,
-)
+from extrec.checker import check, validate
+from extrec.derivation import Derivation, Judgment, KindingClaim, subst_derivation
 from extrec.infer import FreshSupply, infer
-from extrec.normalize import equiv
+from extrec.normalize import equiv, kind_equiv
 from extrec.parser import parse_env_file, parse_term, parse_type
 from extrec.subst import apply_poly, generic_instance
 from extrec.syntax import (

@@ -194,3 +194,24 @@ def test_unify_follows_long_variable_links(tmp_path):
     r = run("unify", "--env", str(env), str(eqs))
     assert r.exit_code == 0, r.output[-200:]
     assert r.output.splitlines()[-1] == f"'a{n} := 'a0"
+
+
+def test_wide_records_unify_without_a_step_limit(tmp_path):
+    # one equation between two 1300-field records takes more solver steps
+    # than a bound proportional to the number of equations allows
+    n = 1300
+    r1 = "{" + ", ".join(f"l{i} = 1" for i in range(n)) + "}"
+    r2 = "{" + ", ".join(f"l{i} = v" for i in range(n)) + "}"
+    term = f"\\g. \\v. (\\u. g {r1}) (g {r2})"
+    fields = sorted(f"l{i}" for i in range(n))
+    record = "{" + ", ".join(f"{l}: Int" for l in fields) + "}"
+    expected = f"forall 'a :: U. ({record} -> 'a) -> Int -> 'a"
+    r = run("infer", "-e", term)
+    assert r.exit_code == 0 and r.output.strip() == expected, r.output[-200:]
+    r = run("check", "-e", term, "-t", expected)
+    assert r.exit_code == 0 and r.output.strip() == "OK", r.output[-200:]
+    env = tmp_path / "k.env"
+    env.write_text("'a :: U\n")
+    eq = record + " = {" + ", ".join(f"l{i}: 'a" for i in range(n)) + "}"
+    r = run("unify", "--env", str(env), "-e", eq)
+    assert r.exit_code == 0 and r.output.splitlines()[-1] == "'a := Int", r.output[-200:]

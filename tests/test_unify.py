@@ -1,3 +1,4 @@
+import importlib
 import random
 import sys
 
@@ -20,6 +21,8 @@ from extrec.syntax import (
 )
 from extrec.unify import UnificationError, cfields, efields, fmap_minus, fmap_plus, unify
 from gen import gen_kinded_equations
+
+unify_mod = importlib.import_module("extrec.unify")  # the package binds the name to the function
 
 a, b, g = TyVar(1, "a"), TyVar(2, "b"), TyVar(3, "g")
 
@@ -238,12 +241,24 @@ def test_symmetry():
     assert equal_results > 30
 
 
-def test_termination_bulk():
+def test_termination_bulk(monkeypatch):
+    # the solver's loop makes one top-level _step call per iteration; one
+    # unify call may make at most 200 * (len(eqs) + 5) of them
+    budget = [0]
+    step = unify_mod._step
+
+    def counting_step(st, t1, t2, retried=False):
+        if not retried:
+            budget[0] -= 1
+            assert budget[0] >= 0, "unify: transformation did not terminate"
+        return step(st, t1, t2, retried)
+
+    monkeypatch.setattr(unify_mod, "_step", counting_step)
     rng = random.Random(83)
     for _ in range(10_000):
         kenv, eqs = gen_kinded_equations(rng)
+        budget[0] = 200 * (len(eqs) + 5)
         try:
             unify(kenv, eqs)
         except UnificationError:
             pass
-        # a RuntimeError from the step limit would fail the test
