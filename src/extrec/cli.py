@@ -55,13 +55,18 @@ def _die_analysis(message: str):
 def _read_source(file, expr, what="term"):
     if (file is None) == (expr is None):
         _die_usage(f"provide exactly one {what}: a FILE argument or -e/--expr")
-    if expr is not None:
-        return expr
+    return expr if expr is not None else _read_file(file)
+
+
+def _read_file(path):
+    """A file's text; a file that cannot be read as UTF-8 is a usage error."""
     try:
-        with open(file, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         _die_usage(str(e))
+    except UnicodeDecodeError as e:
+        _die_usage(f"{path}: not valid UTF-8: {e.reason} at byte {e.start}")
 
 
 def _parse(parser, *args, where=""):
@@ -87,11 +92,7 @@ def _load_env(env_path):
     venv = VarEnv()
     if env_path is None:
         return {}, {}, venv
-    try:
-        with open(env_path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        _die_usage(str(e))
+    text = _read_file(env_path)
     kenv, tenv, venv = _parse(parse_env_file, text, venv, where=f"{env_path}: ")
     if not wf_kind_assignment(kenv):
         _die_analysis("environment kind assignment is not well formed")

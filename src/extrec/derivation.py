@@ -1,5 +1,9 @@
 """Derivation trees of the declarative type system: the data that inference
-produces on request and that the checker validates."""
+produces on request and that the checker validates.
+
+Inference records each node as its subterm is typed, with the judgment
+unsubstituted and an empty kind assignment (a Gen node's premise holds the
+kinds it quantifies); `subst_derivation` then completes the whole tree."""
 
 from __future__ import annotations
 
@@ -48,7 +52,9 @@ class Derivation:
 
 
 def subst_derivation(d: Derivation, s: Substitution, k_target: KindAssignment) -> Derivation:
-    """Map a kind-respecting substitution over every judgment of a tree.
+    """Map a kind-respecting substitution over every judgment of a tree,
+    giving each node the kind assignment k_target, extended under a Gen node
+    by the kinds its premise quantifies.
 
     The substitution's domain must avoid variables generalized anywhere in
     the tree (inference's fresh-variable discipline guarantees this)."""

@@ -7,14 +7,15 @@ assignment is resolved through the substitution only where a variable is
 looked up and where a let generalizes.  The result's assignment and
 substitution are read back, resolved, once at the end.
 
-On request (want_trace) infer also returns a derivation tree for the
-declarative system, which the checker validates, giving an executable
-soundness oracle.  The walk records each node's judgment unsubstituted;
-the tree is built by applying the final substitution once, at the end,
-and only when asked for.
+The walk returns only each subterm's type.  On request (want_trace) the run
+also keeps a stack of finished derivation nodes for the declarative system,
+each judgment unsubstituted; infer applies the final substitution to the
+tree once, at the end, and the checker validates it, giving an executable
+soundness oracle.  Without the request no node is built.
 
-Failures are returned as values, tagged with the syntax case that failed
-and the offending subterm.
+A failure is raised at the first offending subterm in walk order; infer
+returns it as a value, tagged with the syntax case that failed and that
+subterm.
 """
 
 from __future__ import annotations
@@ -107,17 +108,17 @@ class InferResult:
     trace: Derivation | None = None
 
 
-def instantiate(
-    kenv: KindAssignment, sigma: PolyType, fs: FreshSupply
-) -> tuple[KindAssignment, MonoType]:
+class _Failed(Exception):
+    """Carries the InferFailure of its arguments out of the walk to `infer`."""
+
+    def __init__(self, rule: str, reason: str, message: str, term: Term):
+        super().__init__(message)
+        self.failure = InferFailure(rule, reason, message, term)
+
+
+def instantiate(kenv: KindAssignment, sigma: PolyType, fs: FreshSupply) -> MonoType:
     """Replace quantified variables with fresh ones, threading the renaming
-    through the kinds, and extend the kind assignment accordingly."""
-    out = dict(kenv)
-    return out, _instantiate(out, sigma, fs)
-
-
-def _instantiate(kenv: KindAssignment, sigma: PolyType, fs: FreshSupply) -> MonoType:
-    """`instantiate`, adding the fresh variables' kinds to kenv in place."""
+    through the kinds, and add the fresh variables' kinds to kenv in place."""
     ren: Substitution = {}
     for v, k in sigma.quants:
         fresh = fs.fresh(v.name)
@@ -128,31 +129,53 @@ def _instantiate(kenv: KindAssignment, sigma: PolyType, fs: FreshSupply) -> Mono
 
 class _Run:
     """The state one inference run updates in place: the kind assignment,
-    the triangular substitution, the fresh-variable supply, and the
-    (record type, value type, term) of every Extend typed."""
+    the triangular substitution, the fresh-variable supply, the (record
+    type, value type, term) of every Extend typed, and, only when a
+    derivation is wanted, the post-order stack of finished nodes."""
 
-    def __init__(self, kenv: KindAssignment, fs: FreshSupply):
+    def __init__(self, kenv: KindAssignment, fs: FreshSupply, want_trace: bool):
         self.kenv = dict(kenv)
         self.subst: Substitution = {}
         self.fs = fs
         self.extensions: list = []
+        self.nodes: list[Derivation] | None = [] if want_trace else None
 
-    def unify(self, equations):
-        unify_in_place(self.kenv, self.subst, equations, self.fs.fresh)
+    def unify(self, equations, case: str, term: Term):
+        """Unify in place; a clash fails the syntax case `case` at term."""
+        try:
+            unify_in_place(self.kenv, self.subst, equations, self.fs.fresh)
+        except UnificationError as e:
+            raise _Failed(case, e.reason, e.message, term) from None
 
     def current(self, t: MonoType) -> MonoType:
         """t resolved through the substitution so far, normalized."""
         return normalize(resolve(self.subst, t))
 
-    def generalize(self, tenv: TypeAssignment, t: MonoType):
-        """Close t over tenv: (tenv resolved, the polytype, the quantified
-        variables' kinds).  The quantified variables leave the kind
-        assignment, which is left resolved."""
+    def record(self, rule, tenv, term, t, premises=0, claim=None):
+        """Push term's derivation node, whose premises are the top `premises`
+        nodes, if a derivation is wanted.  Its judgment's kind assignment is
+        left empty: `subst_derivation` gives every node the final one."""
+        if self.nodes is None:
+            return
+        cut = len(self.nodes) - premises
+        children = tuple(self.nodes[cut:])
+        del self.nodes[cut:]
+        self.nodes.append(Derivation(rule, Judgment({}, tenv, term, poly(t)), children, claim))
+
+    def generalize(self, tenv: TypeAssignment, t: MonoType, bound: Term):
+        """Close t, the type of the let-bound term `bound`, over tenv: (tenv
+        resolved, the polytype).  The quantified variables leave the kind
+        assignment, which is left resolved; the top derivation node becomes
+        the premise of a Gen node and carries their kinds."""
         gamma = {x: resolve_poly(self.subst, sigma) for x, sigma in tenv.items()}
         kenv = {v: resolve(self.subst, k) for v, k in self.kenv.items()}
         self.kenv, sigma = closure(kenv, gamma, t)
-        quantified = {v: k for v, k in kenv.items() if v not in self.kenv}
-        return gamma, sigma, quantified
+        if self.nodes is not None:
+            d = self.nodes.pop()
+            quantified = {v: k for v, k in kenv.items() if v not in self.kenv}
+            premise = replace(d, judgment=replace(d.judgment, kenv=quantified))
+            self.nodes.append(Derivation("Gen", Judgment({}, gamma, bound, sigma), (premise,)))
+        return gamma, sigma
 
 
 def infer(
@@ -165,40 +188,34 @@ def infer(
     """Principal typing of term under (kenv, tenv), or a failure value."""
     if fs is None:
         fs = supply_for(kenv, tenv)
-    run = _Run(kenv, fs)
-    out = _infer(run, tenv, term)
-    if isinstance(out, InferFailure):
-        return out
-    t, d = out
-    # The extension rule's base-variable condition is the one side
-    # condition later substitutions can break: re-check it under the final
-    # substitution, in the order the extensions were typed.
-    for subject, value, ext in run.extensions:
-        bad = _base_in_value(run.current(subject), run.current(value), ext)
-        if bad is not None:
-            return bad
+    run = _Run(kenv, fs, want_trace)
+    try:
+        t = _infer(run, tenv, term)
+        # The extension rule's base-variable condition is the one side
+        # condition later substitutions can break: re-check it under the
+        # final substitution, in the order the extensions were typed.
+        for subject, value, ext in run.extensions:
+            _check_base(run.current(subject), run.current(value), ext)
+    except _Failed as e:
+        return e.failure
     s = {v: resolve(run.subst, v) for v in list(run.subst)}
     k = {v: resolve(run.subst, kind) for v, kind in run.kenv.items()}
     # Every node's types avoid the domain of the substitution made before
     # it, so applying the final substitution once yields the derivation.
-    return InferResult(k, s, t, subst_derivation(d, s, k) if want_trace else None)
+    trace = None if run.nodes is None else subst_derivation(run.nodes.pop(), s, k)
+    return InferResult(k, s, t, trace)
 
 
-def _base_in_value(record: MonoType, value: MonoType, term: Term) -> InferFailure | None:
+def _check_base(record: MonoType, value: MonoType, term: Term):
     if is_extensible(record):
         base = base_of(record)
         if isinstance(base, TyVar) and base in ftv(value):
-            return InferFailure(
+            raise _Failed(
                 "extend",
                 "base_in_value",
                 "extended record's type occurs in the added field's type",
                 term,
             )
-    return None
-
-
-def _fail_unify(case: str, term: Term, err: UnificationError) -> InferFailure:
-    return InferFailure(case, err.reason, err.message, term)
 
 
 def _lefts(label, t) -> RecordKind:
@@ -218,118 +235,74 @@ _FIELD_RULES = {
     Extend: ("Ext", "extend", True, _rights, Ext),
 }
 
-# The walk records judgments with this kind assignment in place of its
-# own: `subst_derivation` gives every node the final one.  Only a Gen
-# node's premise carries a real one, the variables it quantifies.
-_FINAL_KENV: KindAssignment = {}
 
-
-def _infer(run: _Run, tenv: TypeAssignment, term: Term):
-    """Returns (type, unsubstituted derivation) or InferFailure.  The type is
-    resolved through the substitution as it stands on return, and
-    normalized; tenv is not resolved, and each node's judgment keeps it as
-    it was passed."""
+def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
+    """The type of term, resolved through the substitution as it stands on
+    return, and normalized; raises _Failed.  tenv is not resolved, and each
+    recorded judgment keeps it as it was passed."""
 
     if isinstance(term, Var):
         if term.name not in tenv:
-            return InferFailure(
-                "var", "unbound_variable", f"unbound variable {term.name}", term
-            )
-        sigma = resolve_poly(run.subst, tenv[term.name])
-        t = _instantiate(run.kenv, sigma, run.fs)
-        return t, Derivation("Var", Judgment(_FINAL_KENV, tenv, term, poly(t)))
+            raise _Failed("var", "unbound_variable", f"unbound variable {term.name}", term)
+        t = instantiate(run.kenv, resolve_poly(run.subst, tenv[term.name]), run.fs)
+        run.record("Var", tenv, term, t)
+        return t
 
     if isinstance(term, Const):
         t = BaseType(term.base)
-        return t, Derivation("Const", Judgment(_FINAL_KENV, tenv, term, poly(t)))
+        run.record("Const", tenv, term, t)
+        return t
 
     if isinstance(term, Abs):
         alpha = run.fs.fresh()
         run.kenv[alpha] = UKind()
-        res = _infer(run, {**tenv, term.param: poly(alpha)}, term.body)
-        if isinstance(res, InferFailure):
-            return res
-        t1, d1 = res
+        t1 = _infer(run, {**tenv, term.param: poly(alpha)}, term.body)
         t = Arrow(run.current(alpha), t1)
-        return t, Derivation("Abs", Judgment(_FINAL_KENV, tenv, term, poly(t)), (d1,))
+        run.record("Abs", tenv, term, t, 1)
+        return t
 
     if isinstance(term, App):
-        res = _infer(run, tenv, term.fn)
-        if isinstance(res, InferFailure):
-            return res
-        t1, d1 = res
-        res = _infer(run, tenv, term.arg)
-        if isinstance(res, InferFailure):
-            return res
-        t2, d2 = res
+        t1 = _infer(run, tenv, term.fn)
+        t2 = _infer(run, tenv, term.arg)
         alpha = run.fs.fresh()
         run.kenv[alpha] = UKind()
-        try:
-            run.unify([(t1, Arrow(t2, alpha))])
-        except UnificationError as e:
-            return _fail_unify("app", term, e)
+        run.unify([(t1, Arrow(t2, alpha))], "app", term)
         t = run.current(alpha)
-        return t, Derivation("App", Judgment(_FINAL_KENV, tenv, term, poly(t)), (d1, d2))
+        run.record("App", tenv, term, t, 2)
+        return t
 
     if isinstance(term, Let):
-        res = _infer(run, tenv, term.bound)
-        if isinstance(res, InferFailure):
-            return res
-        t1, d1 = res
-        gamma1, sigma, quantified = run.generalize(tenv, t1)
-        premise = replace(d1, judgment=replace(d1.judgment, kenv=quantified))
-        gen = Derivation("Gen", Judgment(_FINAL_KENV, gamma1, term.bound, sigma), (premise,))
-        res = _infer(run, {**gamma1, term.name: sigma}, term.body)
-        if isinstance(res, InferFailure):
-            return res
-        t2, d2 = res
-        return t2, Derivation("Let", Judgment(_FINAL_KENV, tenv, term, poly(t2)), (gen, d2))
+        t1 = _infer(run, tenv, term.bound)
+        gamma1, sigma = run.generalize(tenv, t1, term.bound)
+        t2 = _infer(run, {**gamma1, term.name: sigma}, term.body)
+        run.record("Let", tenv, term, t2, 2)
+        return t2
 
     if isinstance(term, RecordLit):
-        types, children = [], []
-        for label, sub in term.fields:
-            res = _infer(run, tenv, sub)
-            if isinstance(res, InferFailure):
-                return res
-            t_i, d_i = res
-            types.append((label, t_i))
-            children.append(d_i)
+        types = [(label, _infer(run, tenv, sub)) for label, sub in term.fields]
         t = RecordType(tuple((l, run.current(t_i)) for l, t_i in types))
-        d = Derivation("Rec", Judgment(_FINAL_KENV, tenv, term, poly(t)), tuple(children))
-        return t, d
+        run.record("Rec", tenv, term, t, len(types))
+        return t
 
     field_rule = _FIELD_RULES.get(type(term))
     if field_rule is not None:
         rule, case, has_value, side, result = field_rule
-        res = _infer(run, tenv, term.target)
-        if isinstance(res, InferFailure):
-            return res
-        t_rec, d1 = res
-        children = (d1,)
+        t_rec = _infer(run, tenv, term.target)
         if has_value:
-            res = _infer(run, tenv, term.value)
-            if isinstance(res, InferFailure):
-                return res
-            t_value, d2 = res
+            t_value = _infer(run, tenv, term.value)
             if rule == "Ext":
-                bad = _base_in_value(t_rec, t_value, term)
-                if bad is not None:
-                    return bad
-            children = (d1, d2)
+                _check_base(t_rec, t_value, term)
         a_field = run.fs.fresh()
         a_rec = run.fs.fresh()
         run.kenv[a_field] = UKind()
         run.kenv[a_rec] = side(term.label, a_field)
         eqs = [(a_field, t_value), (a_rec, t_rec)] if has_value else [(a_rec, t_rec)]
-        try:
-            run.unify(eqs)
-        except UnificationError as e:
-            return _fail_unify(case, term, e)
+        run.unify(eqs, case, term)
         t = run.current(result(a_rec, term.label, a_field))
         claim = KindingClaim(run.current(a_rec), side(term.label, run.current(a_field)))
         if rule == "Ext":
             run.extensions.append((claim.subject, t_value, term))
-        d = Derivation(rule, Judgment(_FINAL_KENV, tenv, term, poly(t)), children, claim)
-        return t, d
+        run.record(rule, tenv, term, t, 1 + has_value, claim)
+        return t
 
     raise TypeError(f"infer: not a term: {term!r}")

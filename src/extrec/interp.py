@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .parser import quote_string
 from .syntax import (
     Abs,
     App,
@@ -132,8 +133,7 @@ def show_value(v: Value) -> str:
     if isinstance(v, BoolV):
         return "true" if v.value else "false"
     if isinstance(v, StringV):
-        out = v.value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return quote_string(v.value)
     if isinstance(v, RecordV):
         inner = ", ".join(f"{l} = {show_value(f)}" for l, f in v.fields)
         return "{" + inner + "}"

@@ -601,7 +601,8 @@ class Namer:
         return self._names[v.uid]
 
 
-def _quote(s: str) -> str:
+def quote_string(s: str) -> str:
+    """A string literal, in concrete syntax, whose value is s."""
     out = s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
     return f'"{out}"'
 
@@ -621,7 +622,7 @@ def _pp_term(t: Term, level: int) -> str:
             return str(t.value)
         if t.base == "Bool":
             return "true" if t.value else "false"
-        return _quote(t.value)
+        return quote_string(t.value)
     if isinstance(t, Abs):
         s = f"\\{t.param}. {_pp_term(t.body, _TERM)}"
         return f"({s})" if level > _TERM else s

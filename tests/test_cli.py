@@ -139,7 +139,7 @@ def test_parse_command_echoes_canonically():
     assert r.exit_code == 0 and r.output.strip() == "f x"
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path):
     assert run("infer", "-e", "\\x. x x").exit_code == 1  # type error
     assert run("infer", "-e", "\\x. (").exit_code == 2  # syntax error
     assert run("infer").exit_code == 2  # no input source
@@ -148,6 +148,16 @@ def test_exit_codes():
     r = run("parse", "-e", "²")
     assert r.exit_code == 2
     assert "Traceback" not in r.output and "not a decimal integer '²'" in r.output
+    # a FILE or --env file that is not UTF-8 is a usage error, not a traceback
+    bad = tmp_path / "bad.rec"
+    bad.write_bytes(b"\xff")
+    for args in (["infer", str(bad)], ["unify", str(bad)], ["eval", str(bad)],
+                 ["parse", str(bad)], ["infer", "--env", str(bad), "-e", "1"],
+                 ["check", "--env", str(bad), "-e", "1", "-t", "Int"]):
+        r = run(*args)
+        assert r.exit_code == 2, args
+        assert r.output == f"{bad}: not valid UTF-8: invalid start byte at byte 0\n", args
+    assert run("infer", str(tmp_path / "absent.rec")).exit_code == 2
 
 
 def test_deep_nesting_is_a_usage_error():

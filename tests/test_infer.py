@@ -157,17 +157,20 @@ def test_environment_binders_are_not_caught():
 def test_instantiate_examples():
     a, b = TyVar(1, "a"), TyVar(2, "b")
     fs = FreshSupply(10)
-    k1, t1 = instantiate({}, PolyType(((a, UKind()),), Arrow(a, a)), fs)
+    k1 = {}
+    t1 = instantiate(k1, PolyType(((a, UKind()),), Arrow(a, a)), fs)
     fresh = t1.dom
     assert fresh.uid >= 10 and t1 == Arrow(fresh, fresh)
     assert k1 == {fresh: UKind()}
 
+    # the fresh variables' kinds are added to the given assignment in place
     sigma = PolyType(((a, UKind()), (b, record_kind([("l", a)]))), Arrow(b, a))
-    k2, t2 = instantiate({}, sigma, fs)
+    t2 = instantiate(k1, sigma, fs)
     fa, fb = t2.cod, t2.dom
-    assert k2 == {fa: UKind(), fb: record_kind([("l", fa)])}
+    assert k1 == {fresh: UKind(), fa: UKind(), fb: record_kind([("l", fa)])}
 
-    assert instantiate({}, poly(INT), fs) == ({}, INT)
+    k3 = {}
+    assert instantiate(k3, poly(INT), fs) == INT and k3 == {}
 
 
 def test_result_type_is_canonical():
@@ -226,6 +229,38 @@ def test_trace_free_inference_agrees_with_traced():
         assert plain.trace is None and traced.trace is not None
         assert (plain.kenv, plain.subst, plain.type) == (traced.kenv, traced.subst, traced.type)
     assert accepted > 40 and failed > 40
+
+
+def test_trace_free_inference_builds_no_derivation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("derivation built without want_trace")
+
+    infer_mod = sys.modules["extrec.infer"]
+    monkeypatch.setattr(infer_mod, "Derivation", refuse)
+    monkeypatch.setattr(infer_mod, "Judgment", refuse)
+    kenv, tenv, venv, _, _ = _setup_42()
+    rng = random.Random(109)
+    accepted = 0
+    for i in range(300):
+        env = i % 2 == 0
+        term = gen_closed_term(rng, rng.randint(1, 6), scope=("x", "y") if env else ())
+        k, g, start = (kenv, tenv, venv.next_free_uid()) if env else ({}, {}, 1)
+        accepted += not isinstance(infer(k, g, term, FreshSupply(start)), InferFailure)
+    assert accepted > 40
+
+
+def test_first_failure_in_walk_order_is_reported():
+    # Each program has two faults.  Record fields are typed in label order,
+    # so `zz` fails before `true 3`; a let's bound term before its body.
+    cases = {
+        "{b = true 3, a = zz}": ("1:18", "var", "unbound_variable"),
+        "let g = \\r. extend(r, l, r) in (1 2)": ("1:13", "extend", "base_in_value"),
+    }
+    for src, want in cases.items():
+        for want_trace in (False, True):
+            res = infer({}, {}, parse_term(src), FreshSupply(1), want_trace=want_trace)
+            assert isinstance(res, InferFailure), src
+            assert (str(res.span), res.rule, res.reason) == want, src
 
 
 def test_inference_hands_unification_well_formed_state(monkeypatch):

@@ -14,6 +14,7 @@ from extrec.interp import (
     show_value,
 )
 from extrec.parser import parse_term
+from extrec.syntax import Const
 from gen import gen_closed_term, shape_matches
 
 
@@ -58,6 +59,15 @@ def test_runtime_errors():
 def test_show_value():
     assert show_value(run("{l = 1, m = true}")) == "{l = 1, m = true}"
     assert show_value(run('"a\\"b"')) == '"a\\"b"'
+
+
+def test_printed_strings_parse_back():
+    # the evaluator prints a string value as the parser's literal for it
+    for text in ("", "s", 'a"b', "a\\b", "a\nb", "tab\there", "\\n", "end\\"):
+        printed = show_value(StringV(text))
+        assert "\n" not in printed and "\t" not in printed, printed
+        assert parse_term(printed) == Const(text, "String"), printed
+        assert show_value(run(printed)) == printed
 
 
 def test_well_typed_terms_do_not_go_wrong_sample():
