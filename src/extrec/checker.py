@@ -2,6 +2,16 @@
 claim checker that reduces "does M have type sigma" to an instance test
 against the inferred principal type.
 
+Every rule but Gen has one form: its term is of one class, and each premise
+types a given subterm of it in the node's context, which Abs and Let extend
+by one binder.  The premise table `_PREMISES` states that form per rule, and
+`_check_premises` checks every such node against it, with the monotype
+conditions (only Let's bound premise may be polymorphic).  Sel, Modif, Contr
+and Ext share a second form, stated in the field-rule table `_FIELD_RULES`:
+a side condition K |- record :: kind that states the rule's one field on one
+side of the kind, and a conclusion built from (record, label, field type).
+What is left per rule is its own typing condition; Gen has its own check.
+
 The validator and the inference algorithm are independent code paths over
 the same judgments, so each serves as an oracle for the other: `validate`
 and its node rules call nothing in `infer` or `unify`.
@@ -44,7 +54,6 @@ from .syntax import (
     base_of,
     ftv,
     ftv_assignment,
-    is_extensible,
     poly,
 )
 
@@ -70,6 +79,30 @@ def tenv_equiv(g1: TypeAssignment, g2: TypeAssignment) -> bool:
 # ---------------------------------------------------------------------------
 # Validation
 
+# Each rule but Gen: the class of its term, and for a term of that class
+# the (subterm, binder or None) that each premise types, in order.
+_PREMISES = {
+    "Var": (Var, lambda m: ()),
+    "Const": (Const, lambda m: ()),
+    "Abs": (Abs, lambda m: ((m.body, m.param),)),
+    "App": (App, lambda m: ((m.fn, None), (m.arg, None))),
+    "Let": (Let, lambda m: ((m.bound, None), (m.body, m.name))),
+    "Rec": (RecordLit, lambda m: tuple((sub, None) for _, sub in m.fields)),
+    "Sel": (Select, lambda m: ((m.target, None),)),
+    "Modif": (Modify, lambda m: ((m.target, None), (m.value, None))),
+    "Contr": (Remove, lambda m: ((m.target, None),)),
+    "Ext": (Extend, lambda m: ((m.target, None), (m.value, None))),
+}
+
+# Each field rule: the kind side that states its field (0: lefts, present;
+# 1: rights, absent), and its conclusion from (record, label, field type).
+_FIELD_RULES = {
+    "Sel": (0, lambda rec, l, f: f),
+    "Modif": (0, lambda rec, l, f: rec),
+    "Contr": (0, Contr),
+    "Ext": (1, Ext),
+}
+
 
 def validate(d: Derivation) -> ValidationIssue | None:
     """Check every node of a derivation tree; None means the tree is valid."""
@@ -87,238 +120,131 @@ def _validate(d: Derivation, path) -> ValidationIssue | None:
     return None
 
 
-def _mono(d: Derivation) -> MonoType | None:
-    return d.judgment.sigma.body if d.judgment.sigma.is_mono else None
-
-
-def _same_context(d: Derivation, child: Derivation) -> str | None:
-    if not kenv_equiv(d.judgment.kenv, child.judgment.kenv):
-        return "child kind assignment differs"
-    if not tenv_equiv(d.judgment.tenv, child.judgment.tenv):
-        return "child type assignment differs"
-    return None
-
-
 def _check_node(d: Derivation) -> str | None:
-    j = d.judgment
-    kenv, tenv, term = j.kenv, j.tenv, j.term
-    rule = d.rule
-    arity = {"Var": 0, "Const": 0, "Abs": 1, "App": 2, "Let": 2, "Sel": 1,
-             "Modif": 2, "Gen": 1, "Contr": 1, "Ext": 2}
-    if rule != "Rec" and len(d.children) != arity[rule]:
-        return f"{rule} expects {arity[rule]} premises"
-
+    if d.rule == "Gen":
+        return _check_gen(d)
+    bad = _check_premises(d)
+    if bad is not None:
+        return bad
+    j, rule = d.judgment, d.rule
+    kenv, tenv, term, t = j.kenv, j.tenv, j.term, j.sigma.body
+    ts = [c.judgment.sigma.body for c in d.children]
     if rule == "Var":
-        if not isinstance(term, Var):
-            return "term is not a variable"
-        t = _mono(d)
-        if t is None:
-            return "conclusion must be a monotype"
         if not wf_kind_assignment(kenv) or not wf_type_assignment(kenv, tenv):
             return "assignments not well formed"
         if term.name not in tenv:
             return f"unbound variable {term.name}"
         if not generic_instance(kenv, tenv[term.name], poly(t)):
             return "conclusion is not a generic instance of the assumption"
-        return None
-
-    if rule == "Const":
-        if not isinstance(term, Const):
-            return "term is not a constant"
-        t = _mono(d)
-        if t is None or not equiv(t, BaseType(term.base)):
+    elif rule == "Const":
+        if not equiv(t, BaseType(term.base)):
             return "constant typed at the wrong base type"
         if not wf_type_assignment(kenv, tenv):
             return "type assignment not well formed"
-        return None
-
-    if rule == "Abs":
-        if not isinstance(term, Abs):
-            return "term is not an abstraction"
-        (body,) = d.children
-        if body.judgment.term != term.body:
-            return "premise types the wrong term"
-        if not kenv_equiv(kenv, body.judgment.kenv):
-            return "child kind assignment differs"
-        child_tenv = body.judgment.tenv
-        if term.param not in child_tenv or not child_tenv[term.param].is_mono:
-            return "binder missing or polymorphic in the premise"
-        outer = {x: s for x, s in child_tenv.items() if x != term.param}
-        expect = {x: s for x, s in tenv.items() if x != term.param}
-        if not tenv_equiv(outer, expect):
-            return "premise context differs outside the binder"
-        t = _mono(d)
-        body_t = _mono(body)
-        if t is None or body_t is None:
-            return "abstraction premises must be monotypes"
-        if not equiv(t, Arrow(child_tenv[term.param].body, body_t)):
+    elif rule == "Abs":
+        binder = d.children[0].judgment.tenv[term.param]
+        if not binder.is_mono:
+            return "binder is polymorphic in the premise"
+        if not equiv(t, Arrow(binder.body, ts[0])):
             return "conclusion is not the matching arrow type"
-        return None
-
-    if rule == "App":
-        if not isinstance(term, App):
-            return "term is not an application"
-        fn, arg = d.children
-        if fn.judgment.term != term.fn or arg.judgment.term != term.arg:
-            return "premises type the wrong terms"
-        for child in d.children:
-            bad = _same_context(d, child)
-            if bad:
-                return bad
-        t, tf, ta = _mono(d), _mono(fn), _mono(arg)
-        if t is None or tf is None or ta is None:
-            return "application premises must be monotypes"
-        if not equiv(tf, Arrow(ta, t)):
+    elif rule == "App":
+        if not equiv(ts[0], Arrow(ts[1], t)):
             return "operator type does not match operand and result"
-        return None
-
-    if rule == "Let":
-        if not isinstance(term, Let):
-            return "term is not a let"
+    elif rule == "Let":
         bound, body = d.children
-        if bound.judgment.term != term.bound or body.judgment.term != term.body:
-            return "premises type the wrong terms"
-        bad = _same_context(d, bound)
-        if bad:
-            return bad
-        if not kenv_equiv(kenv, body.judgment.kenv):
-            return "body kind assignment differs"
-        binder = body.judgment.tenv.get(term.name)
-        if binder is None or not poly_equiv(binder, bound.judgment.sigma):
+        if not poly_equiv(body.judgment.tenv[term.name], bound.judgment.sigma):
             return "let binder is not typed at the bound term's type"
-        outer = {x: s for x, s in body.judgment.tenv.items() if x != term.name}
-        expect = {x: s for x, s in tenv.items() if x != term.name}
-        if not tenv_equiv(outer, expect):
-            return "body context differs outside the binder"
-        t, tb = _mono(d), _mono(body)
-        if t is None or tb is None or not equiv(t, tb):
+        if not equiv(t, ts[1]):
             return "conclusion differs from the body's type"
-        return None
-
-    if rule == "Rec":
-        if not isinstance(term, RecordLit):
-            return "term is not a record literal"
-        if len(d.children) != len(term.fields):
-            return "one premise per field required"
-        t = _mono(d)
-        if t is None or not isinstance(nt := normalize(t), RecordType):
-            return "conclusion is not a record type"
-        got = nt.field_map()
-        if set(got) != {l for l, _ in term.fields}:
-            return "conclusion fields differ from the literal's labels"
-        for child, (label, sub) in zip(d.children, term.fields):
-            if child.judgment.term != sub:
-                return f"premise for {label} types the wrong term"
-            bad = _same_context(d, child)
-            if bad:
-                return bad
-            ct = _mono(child)
-            if ct is None or not equiv(ct, got[label]):
+    elif rule == "Rec":
+        nt = normalize(t)
+        labels = [l for l, _ in term.fields]
+        if not isinstance(nt, RecordType) or [l for l, _ in nt.fields] != labels:
+            return "conclusion is not a record type with the literal's labels"
+        for (label, ft), ct in zip(nt.fields, ts):
+            if not equiv(ct, ft):
                 return f"field {label} typed inconsistently"
-        return None
-
-    if rule in ("Sel", "Modif", "Contr", "Ext"):
-        return _check_field_rule(d)
-
-    if rule == "Gen":
-        (child,) = d.children
-        if child.judgment.term != term:
-            return "premise types a different term"
-        if not tenv_equiv(tenv, child.judgment.tenv):
-            return "premise context differs"
-        t = _mono(child)
-        if t is None:
-            return "generalization premise must be a monotype"
-        try:
-            resid, sigma = closure(child.judgment.kenv, child.judgment.tenv, t)
-        except ValueError as e:
-            return f"closure undefined: {e}"
-        if not kenv_equiv(kenv, resid):
-            return "conclusion kind assignment is not the closure residue"
-        if not poly_equiv(j.sigma, sigma):
-            return "conclusion is not the closure of the premise"
-        return None
-
-    return f"unknown rule {rule!r}"
-
-
-def _check_field_rule(d: Derivation) -> str | None:
-    j = d.judgment
-    kenv, term, rule = j.kenv, j.term, d.rule
-    claim = d.claim
-    if claim is None:
-        return f"{rule} requires a kinding side condition"
-    shapes = {"Sel": Select, "Modif": Modify, "Contr": Remove, "Ext": Extend}
-    if not isinstance(term, shapes[rule]):
-        return f"term does not match rule {rule}"
-    for child in d.children:
-        bad = _same_context(d, child)
-        if bad:
-            return bad
-    target = d.children[0]
-    if target.judgment.term != term.target:
-        return "first premise types the wrong term"
-    t_target = _mono(target)
-    t = _mono(d)
-    if t_target is None or t is None:
-        return "premises must be monotypes"
-    if not equiv(claim.subject, t_target):
-        return "side condition constrains a different type"
-    if not isinstance(claim.kind, RecordKind):
-        return "side condition kind must be a record kind"
-
-    label = term.label
-    if rule in ("Sel", "Modif", "Contr"):
-        expected_shape = len(claim.kind.lefts) == 1 and not claim.kind.rights
-        if not expected_shape or claim.kind.lefts[0][0] != label:
-            return "side condition must require exactly the selected field"
-        field_t = claim.kind.lefts[0][1]
     else:
-        expected_shape = len(claim.kind.rights) == 1 and not claim.kind.lefts
-        if not expected_shape or claim.kind.rights[0][0] != label:
-            return "side condition must forbid exactly the added field"
-        field_t = claim.kind.rights[0][1]
+        return _check_field_rule(d, ts)
+    return None
 
-    if not has_kind(kenv, claim.subject, claim.kind):
+
+def _check_premises(d: Derivation) -> str | None:
+    """The node's row of _PREMISES: term class, premise count, the subterm
+    each premise types, equivalent kind assignments, equivalent type
+    assignments outside a premise's binder (which is present), and
+    monotypes everywhere but in Let's bound premise."""
+    j = d.judgment
+    shape, premises_of = _PREMISES[d.rule]
+    if not isinstance(j.term, shape):
+        return f"term does not match rule {d.rule}"
+    premises = premises_of(j.term)
+    if len(d.children) != len(premises):
+        return f"{d.rule} expects {len(premises)} premises"
+    if not j.sigma.is_mono:
+        return "conclusion must be a monotype"
+    for i, (child, (sub, binder)) in enumerate(zip(d.children, premises)):
+        cj = child.judgment
+        if cj.term != sub:
+            return f"premise {i} types the wrong term"
+        if not kenv_equiv(j.kenv, cj.kenv):
+            return f"premise {i} kind assignment differs"
+        if binder is not None and binder not in cj.tenv:
+            return f"premise {i} lacks the binder {binder}"
+        if not tenv_equiv(_outside(j.tenv, binder), _outside(cj.tenv, binder)):
+            return f"premise {i} type assignment differs"
+        if not cj.sigma.is_mono and (d.rule, i) != ("Let", 0):
+            return f"premise {i} must be a monotype"
+    return None
+
+
+def _outside(tenv: TypeAssignment, binder: str | None) -> TypeAssignment:
+    return tenv if binder is None else {x: s for x, s in tenv.items() if x != binder}
+
+
+def _check_field_rule(d: Derivation, ts: list[MonoType]) -> str | None:
+    j, claim = d.judgment, d.claim
+    if claim is None or not isinstance(claim.kind, RecordKind):
+        return f"{d.rule} requires a record kind side condition"
+    side, conclusion = _FIELD_RULES[d.rule]
+    sides = (claim.kind.lefts, claim.kind.rights)
+    if sides[1 - side] or [l for l, _ in sides[side]] != [j.term.label]:
+        return f"side condition must state exactly the field {d.rule} acts on"
+    ((label, field_t),) = sides[side]
+    if not equiv(claim.subject, ts[0]):
+        return "side condition constrains a different type"
+    if not has_kind(j.kenv, claim.subject, claim.kind):
         return "kinding side condition does not hold"
+    if len(ts) == 2 and not equiv(ts[1], field_t):
+        return "value's type differs from the field's"
+    if d.rule == "Ext":
+        base = base_of(normalize(claim.subject))
+        if isinstance(base, TyVar) and base in ftv(normalize(ts[1])):
+            return "extended record's base occurs in the added value's type"
+    if not equiv(j.sigma.body, conclusion(claim.subject, label, field_t)):
+        return f"conclusion is not the {d.rule} rule's type"
+    return None
 
-    if rule == "Sel":
-        if not equiv(t, field_t):
-            return "selection result differs from the field's type"
-        return None
 
-    if rule == "Modif":
-        value = d.children[1]
-        if value.judgment.term != term.value:
-            return "second premise types the wrong term"
-        tv = _mono(value)
-        if tv is None or not equiv(tv, field_t):
-            return "replacement value's type differs from the field's"
-        if not equiv(t, t_target):
-            return "modify must preserve the record's type"
-        return None
-
-    if rule == "Contr":
-        if not is_extensible(claim.subject):
-            return "contraction of a non-extensible type"
-        if not equiv(t, Contr(claim.subject, label, field_t)):
-            return "conclusion is not the contracted type"
-        return None
-
-    # Ext
-    value = d.children[1]
-    if value.judgment.term != term.value:
-        return "second premise types the wrong term"
-    tv = _mono(value)
-    if tv is None or not equiv(tv, field_t):
-        return "added value's type differs from the field's"
-    if not is_extensible(claim.subject):
-        return "extension of a non-extensible type"
-    base = base_of(normalize(claim.subject))
-    if isinstance(base, TyVar) and base in ftv(normalize(tv)):
-        return "extended record's base occurs in the added value's type"
-    if not equiv(t, Ext(claim.subject, label, field_t)):
-        return "conclusion is not the extended type"
+def _check_gen(d: Derivation) -> str | None:
+    j = d.judgment
+    if len(d.children) != 1:
+        return "Gen expects 1 premise"
+    cj = d.children[0].judgment
+    if cj.term != j.term:
+        return "premise types a different term"
+    if not tenv_equiv(j.tenv, cj.tenv):
+        return "premise context differs"
+    if not cj.sigma.is_mono:
+        return "generalization premise must be a monotype"
+    try:
+        resid, sigma = closure(cj.kenv, cj.tenv, cj.sigma.body)
+    except ValueError as e:
+        return f"closure undefined: {e}"
+    if not kenv_equiv(j.kenv, resid):
+        return "conclusion kind assignment is not the closure residue"
+    if not poly_equiv(j.sigma, sigma):
+        return "conclusion is not the closure of the premise"
     return None
 
 

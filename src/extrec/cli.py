@@ -61,7 +61,7 @@ def _read_source(file, expr, what="term"):
 def _read_file(path):
     """A file's text; a file that cannot be read as UTF-8 is a usage error."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except OSError as e:
         _die_usage(str(e))

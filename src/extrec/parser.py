@@ -322,16 +322,7 @@ class _Parser:
             return Var(tok.text, span=tok.span)
         if self.at_punct("{"):
             start = self.advance().span
-            fields = []
-            if not self.at_punct("}"):
-                while True:
-                    label = self.eat_label()
-                    self.eat_punct("=")
-                    fields.append((label, self.term()))
-                    if not self.at_punct(","):
-                        break
-                    self.advance()
-            self.eat_punct("}")
+            fields = self._fields("=", self.term, "}")
             try:
                 return RecordLit(tuple(fields), span=start)
             except ValueError as e:
@@ -423,16 +414,7 @@ class _Parser:
             raise ParseError(f"unknown type name {tok.text!r}", tok.span)
         if self.at_punct("{"):
             start = self.advance().span
-            fields = []
-            if not self.at_punct("}"):
-                while True:
-                    label = self.eat_label()
-                    self.eat_punct(":")
-                    fields.append((label, self.mono()))
-                    if not self.at_punct(","):
-                        break
-                    self.advance()
-            self.eat_punct("}")
+            fields = self._fields(":", self.mono, "}")
             try:
                 return RecordType(tuple(fields))
             except ValueError as e:
@@ -453,10 +435,8 @@ class _Parser:
             return UKind()
         if self.at_punct("<<"):
             start = self.advance().span
-            lefts = self._kind_fields()
-            self.eat_punct("||")
-            rights = self._kind_fields()
-            self.eat_punct(">>")
+            lefts = self._fields(":", self.mono, "||")
+            rights = self._fields(":", self.mono, ">>")
             try:
                 return RecordKind(tuple(lefts), tuple(rights))
             except ValueError as e:
@@ -465,16 +445,19 @@ class _Parser:
             f"unexpected {tok.text or 'end of input'!r}", tok.span, expected=("U", "<<")
         )
 
-    def _kind_fields(self):
+    def _fields(self, sep: str, value, close: str) -> list:
+        """[label sep value {"," label sep value}] close, for record
+        literals, record types and each side of a kind."""
         fields = []
-        if self.peek().kind == "ident" and self.peek().text != "U":
+        if not self.at_punct(close):
             while True:
                 label = self.eat_label()
-                self.eat_punct(":")
-                fields.append((label, self.mono()))
+                self.eat_punct(sep)
+                fields.append((label, value()))
                 if not self.at_punct(","):
                     break
                 self.advance()
+        self.eat_punct(close)
         return fields
 
 

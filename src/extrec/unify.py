@@ -251,7 +251,9 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
                 )
                 return
     # Substitution can build chains over record bases and other reducible
-    # shapes the rules above do not match; retry once on normal forms.
+    # shapes the rules above do not match; retry once on normal forms.  Past
+    # this point t1 and t2 are normal: the retry ran, or left them as they
+    # were.
     if not retried:
         n1, n2 = normalize(t1), normalize(t2)
         if (n1, n2) != (t1, t2):
@@ -260,26 +262,23 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
     # ix) two chains over distinct record-kinded variables, merged onto a
     # fresh common base
     if _is_chain(t1) and _is_chain(t2):
-        n1, n2 = normalize(t1), normalize(t2)
-        if _is_chain(n1) and _is_chain(n2):
-            base1, ops1 = chain_ops(n1)
-            base2, ops2 = chain_ops(n2)
-            if (
-                isinstance(base1, TyVar)
-                and isinstance(base2, TyVar)
-                and base1 != base2
-                and isinstance(st.kenv.get(base1), RecordKind)
-                and isinstance(st.kenv.get(base2), RecordKind)
-            ):
-                _rule_ix(st, base1, ops1, base2, ops2)
-                return
-    # Derived: chain over a variable base against a plain record
+        base1, ops1 = chain_ops(t1)
+        base2, ops2 = chain_ops(t2)
+        if (
+            isinstance(base1, TyVar)
+            and isinstance(base2, TyVar)
+            and base1 != base2
+            and isinstance(st.kenv.get(base1), RecordKind)
+            and isinstance(st.kenv.get(base2), RecordKind)
+        ):
+            _rule_ix(st, base1, ops1, base2, ops2)
+            return
+    # x) derived: chain over a variable base against a plain record
     for a, b in ((t1, t2), (t2, t1)):
-        na, nb = normalize(a), normalize(b)
-        if _is_chain(na) and isinstance(nb, RecordType):
-            base, _ = chain_ops(na)
+        if _is_chain(a) and isinstance(b, RecordType):
+            base, _ = chain_ops(a)
             if isinstance(base, TyVar):
-                _rule_chain_record(st, na, nb)
+                _rule_chain_record(st, a, b)
                 return
     _fail(st, t1, t2)
 
@@ -354,14 +353,14 @@ def _rule_vii(st: _State, v: TyVar, chain: MonoType, base: TyVar):
         raise UnificationError(KIND, "forbidden field is guaranteed present")
     eqs = [(f1l[l], present[l]) for l in f1l.keys() & present.keys()]
     eqs += [(f1r[l], absent[l]) for l in f1r.keys() & absent.keys()]
+    # Along the chain labels only move between the base kind's two sides,
+    # so the settled labels are exactly the base's own and the sides stay
+    # disjoint.
     settled = present.keys() | absent.keys()
-    try:
-        base_kind = RecordKind(
-            tuple(fmap_plus(f2l, {l: t for l, t in f1l.items() if l not in settled}).items()),
-            tuple(fmap_plus(f2r, {l: t for l, t in f1r.items() if l not in settled}).items()),
-        )
-    except ValueError as e:
-        raise UnificationError(KIND, str(e)) from None
+    base_kind = RecordKind(
+        tuple(fmap_plus(f2l, {l: t for l, t in f1l.items() if l not in settled}).items()),
+        tuple(fmap_plus(f2r, {l: t for l, t in f1r.items() if l not in settled}).items()),
+    )
     base_kind = apply_kind({v: chain}, base_kind)
     if base in ftv(base_kind):
         raise UnificationError(OCCURS, "chain base occurs in its own kind")

@@ -1,12 +1,15 @@
+import dataclasses
 import random
 
 from extrec.checker import check, validate
-from extrec.derivation import Derivation, Judgment, KindingClaim, subst_derivation
+from extrec.derivation import RULES, Derivation, Judgment, KindingClaim, subst_derivation
 from extrec.infer import FreshSupply, infer
-from extrec.normalize import equiv, kind_equiv
+from extrec.normalize import equiv, kind_equiv, poly_equiv
 from extrec.parser import parse_env_file, parse_term, parse_type
 from extrec.subst import apply_poly, generic_instance
 from extrec.syntax import (
+    Abs,
+    App,
     Arrow,
     BOOL,
     Const,
@@ -14,9 +17,14 @@ from extrec.syntax import (
     Ext,
     Extend,
     INT,
+    Let,
+    Modify,
     PolyType,
     RecordKind,
+    RecordLit,
     RecordType,
+    Remove,
+    STRING,
     Select,
     TyVar,
     UKind,
@@ -104,6 +112,127 @@ def test_var_leaf_requires_instance():
     assert validate(d) is not None
     d2 = Derivation("Var", Judgment(KENV, TENV, Var("ghost"), poly(a1)))
     assert validate(d2) is not None
+
+
+TERM_CLASS = {"Var": Var, "Const": Const, "Abs": Abs, "App": App, "Let": Let, "Rec": RecordLit,
+              "Sel": Select, "Modif": Modify, "Contr": Remove, "Ext": Extend}
+
+
+def _nodes(d, path=()):
+    yield path, d
+    for i, child in enumerate(d.children):
+        yield from _nodes(child, path + (i,))
+
+
+def _replace_at(d, path, node):
+    if not path:
+        return node
+    children = list(d.children)
+    children[path[0]] = _replace_at(children[path[0]], path[1:], node)
+    return Derivation(d.rule, d.judgment, tuple(children), d.claim)
+
+
+def _structural_mutants(d):
+    """Mutations of node d that no valid tree can contain."""
+    j = d.judgment
+
+    def node(rule=d.rule, judgment=j, children=d.children, claim=d.claim):
+        return Derivation(rule, judgment, tuple(children), claim)
+
+    def with_premise(i, **changes):
+        c = d.children[i]
+        judgment = dataclasses.replace(c.judgment, **changes)
+        changed = Derivation(c.rule, judgment, c.children, c.claim)
+        return node(children=d.children[:i] + (changed,) + d.children[i + 1:])
+
+    for i, c in enumerate(d.children):
+        yield "premise term", with_premise(i, term=Var("zz"))
+        yield "premise dropped", node(children=d.children[:i] + d.children[i + 1:])
+        yield "premise duplicated", node(children=d.children[:i + 1] + d.children[i:])
+        yield "premise context", with_premise(i, tenv={**c.judgment.tenv, "zz": poly(INT)})
+    for rule, cls in TERM_CLASS.items():
+        if not isinstance(j.term, cls):
+            yield f"renamed to {rule}", node(rule=rule)
+    wrong = BOOL if poly_equiv(j.sigma, poly(INT)) else INT
+    yield "conclusion", node(judgment=dataclasses.replace(j, sigma=poly(wrong)))
+    if d.claim is not None:
+        k = d.claim.kind
+        swapped = KindingClaim(d.claim.subject, RecordKind(k.rights, k.lefts))
+        yield "claim sides swapped", node(claim=swapped)
+
+
+def test_validator_rejects_structural_mutations():
+    rng = random.Random(131)
+    trees, seen = [], set()
+    for _ in range(100):
+        term = gen_closed_term(rng, rng.randint(2, 4))
+        res = infer({}, {}, term, FreshSupply(1), want_trace=True)
+        if not hasattr(res, "reason"):
+            trees.append(res.trace)
+            seen |= {n.rule for _, n in _nodes(res.trace)}
+    assert seen == set(RULES)
+    mutants = 0
+    for tree in trees:
+        assert validate(tree) is None
+        for path, n in _nodes(tree):
+            for what, bad in _structural_mutants(n):
+                assert validate(_replace_at(tree, path, bad)) is not None, (what, n.rule, path)
+                mutants += 1
+    assert mutants > 1000
+
+
+def _node(rule, kenv, tenv, term, sigma, children=(), claim=None):
+    sigma = sigma if isinstance(sigma, PolyType) else poly(sigma)
+    return Derivation(rule, Judgment(kenv, tenv, term, sigma), tuple(children), claim)
+
+
+def _single_condition_failures():
+    """Trees whose children are valid and whose root breaks one condition
+    of its rule, each named by the condition."""
+    b, r = TyVar(500, "b"), TyVar(501, "r")
+    ident, one, f_one = Abs("x", Var("x")), Const(1, "Int"), App(Var("f"), Const(1, "Int"))
+    id_poly = PolyType(((b, UKind()),), Arrow(b, b))
+    lm = RecordType((("l", INT), ("m", BOOL)))
+    fg = {"f": poly(Arrow(INT, INT)), "g": poly(Arrow(INT, INT))}
+    yield "premise term", _node("App", {}, fg, f_one, INT, (
+        _node("Var", {}, fg, Var("g"), Arrow(INT, INT)), _node("Const", {}, fg, one, INT)))
+    yield "premise kind assignment", _node("App", {}, fg, f_one, INT, (
+        _node("Var", {}, fg, Var("f"), Arrow(INT, INT)),
+        _node("Const", {b: UKind()}, fg, one, INT)))
+    yield "binder present", _node("Abs", {}, {}, Abs("x", one), Arrow(INT, INT), (
+        _node("Const", {}, {}, one, INT),))
+    yield "monotype conclusion", _node("Var", {b: UKind()}, {"i": id_poly}, Var("i"), id_poly)
+    abs_b = _node("Abs", {b: UKind()}, {}, ident, Arrow(b, b), (
+        _node("Var", {b: UKind()}, {"x": poly(b)}, Var("x"), b),))
+    yield "monotype premise", _node("Rec", {}, {}, RecordLit((("l", ident),)),
+                                    RecordType((("l", Arrow(b, b)),)),
+                                    (_node("Gen", {}, {}, ident, id_poly, (abs_b,)),))
+    x_poly = _node("Var", {}, {"x": PolyType(((b, UKind()),), b)}, Var("x"), INT)
+    yield "monotype binder", _node("Abs", {}, {}, ident, Arrow(b, INT), (x_poly,))
+    yield "record labels", _node("Rec", {}, {}, RecordLit((("l", one),)), lm, (
+        _node("Const", {}, {}, one, INT),))
+    rv = {"r": poly(lm), "v": poly(STRING)}
+    r_lm = _node("Var", {}, rv, Var("r"), lm)
+    yield "side condition shape", _node("Sel", {}, rv, Select(Var("r"), "l"), INT, (r_lm,),
+                                        KindingClaim(lm, record_kind([("l", INT)], [("n", BOOL)])))
+    yield "side condition subject", _node("Sel", {}, rv, Select(Var("r"), "l"), INT, (r_lm,),
+                                          KindingClaim(RecordType((("l", INT),)),
+                                                       record_kind([("l", INT)])))
+    yield "value type", _node("Modif", {}, rv, Modify(Var("r"), "l", Var("v")), lm,
+                              (r_lm, _node("Var", {}, rv, Var("v"), STRING)),
+                              KindingClaim(lm, record_kind([("l", INT)])))
+    kr, tr = {r: record_kind([], [("l", r)])}, {"r": poly(r)}
+    r_r = _node("Var", kr, tr, Var("r"), r)
+    yield "base not in value", _node("Ext", kr, tr, Extend(Var("r"), "l", Var("r")), Ext(r, "l", r),
+                                     (r_r, r_r), KindingClaim(r, record_kind([], [("l", r)])))
+
+
+def test_validator_checks_each_condition_on_its_own():
+    # each condition must be checked for itself: no other check of the
+    # tree rejects these
+    for what, tree in _single_condition_failures():
+        issue = validate(tree)
+        assert issue is not None and issue.path == (), what
 
 
 def test_check_examples():

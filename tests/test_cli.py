@@ -73,7 +73,9 @@ def test_check_ok_and_fail():
 def test_check_env_accepts_printed_principal_type(tmp_path):
     env = tmp_path / "ex.env"
     env.write_text(ENV_42)
-    for src in ("extend(x, l, y)", "y", "{a = x, b = remove(extend(x, l, y), l)}", "\\z. x"):
+    # a field labelled U is read back inside a kind
+    for src in ("extend(x, l, y)", "y", "{a = x, b = remove(extend(x, l, y), l)}", "\\z. x",
+                "\\r. r.U"):
         printed = run("infer", "--env", str(env), "-e", src)
         assert printed.exit_code == 0, src
         r = run("check", "--env", str(env), "-e", src, "-t", printed.output.strip())
@@ -191,6 +193,18 @@ def test_term_file_input(tmp_path):
     assert r.exit_code == 0
     assert r.output.strip() == "{fst: Int, snd: Int}"
     assert run("eval", str(f)).output.strip() == "{fst = 3, snd = 3}"
+    # a file's carriage returns are read as they stand, as with -e
+    cr = tmp_path / "cr.rec"
+    cr.write_bytes(b'"a\rb"')
+    r = run("eval", str(cr))
+    assert r.exit_code == 0 and r.stdout_bytes == run("eval", "-e", '"a\rb"').stdout_bytes
+    assert r.stdout_bytes == b'"a\rb"\n'
+    # and a CRLF env file's errors keep their line:col
+    env = tmp_path / "crlf.env"
+    env.write_bytes(b"'a :: U\r\nx : 'a\r\ny : Int ->\r\n")
+    r = run("infer", "--env", str(env), "-e", "1")
+    assert r.exit_code == 2
+    assert r.output == f"{env}: 3:11: unexpected 'end of input' (expected type)\n"
 
 
 def test_unify_follows_long_variable_links(tmp_path):

@@ -21,6 +21,7 @@ from extrec.parser import (
 from extrec.syntax import (
     Abs,
     App,
+    BOOL,
     Const,
     Extend,
     INT,
@@ -63,6 +64,7 @@ def test_parse_type_examples():
     p2 = parse_type("forall 'a :: <<l: Int || >>. 'a -> Int")
     assert len(p2.quants) == 1
     assert p2.quants[0][1] == record_kind([("l", INT)])
+    assert parse_kind("<<U: Int || V: Bool>>") == record_kind([("U", INT)], [("V", BOOL)])
     with pytest.raises(ParseError):
         parse_type("Int + {l: Int}")
     with pytest.raises(ParseError):
