@@ -129,9 +129,10 @@ def _check_node(d: Derivation) -> str | None:
     j, rule = d.judgment, d.rule
     kenv, tenv, term, t = j.kenv, j.tenv, j.term, j.sigma.body
     ts = [c.judgment.sigma.body for c in d.children]
-    if rule == "Var":
+    if rule in ("Var", "Const"):
         if not wf_kind_assignment(kenv) or not wf_type_assignment(kenv, tenv):
             return "assignments not well formed"
+    if rule == "Var":
         if term.name not in tenv:
             return f"unbound variable {term.name}"
         if not generic_instance(kenv, tenv[term.name], poly(t)):
@@ -139,8 +140,6 @@ def _check_node(d: Derivation) -> str | None:
     elif rule == "Const":
         if not equiv(t, BaseType(term.base)):
             return "constant typed at the wrong base type"
-        if not wf_type_assignment(kenv, tenv):
-            return "type assignment not well formed"
     elif rule == "Abs":
         binder = d.children[0].judgment.tenv[term.param]
         if not binder.is_mono:

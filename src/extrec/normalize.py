@@ -13,6 +13,11 @@ one left-to-right sweep.  The surviving operations over a variable are
 sorted by label, which turns the "same base, same field information"
 notion of equality into plain structural equality.  There is no step
 limit: every chain is taken apart once.
+
+A chain that is one operation on top of a normal chain over a variable,
+as each extension or removal that inference types is, is normalized by
+insertion instead: the operation cancels its partner or goes to its
+sorted position, and only the nodes above that position are rebuilt.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .syntax import (
     RecordType,
     Substitution,
     TyVar,
+    base_of,
     map_type,
 )
 
@@ -219,6 +225,9 @@ def normalize(t: MonoType) -> MonoType:
 
 
 def _normalize_chain(t: MonoType) -> MonoType:
+    nf = _insert_op(t)
+    if nf is not None:
+        return nf
     base, ops = chain_ops(t)
     new_base = normalize(base)
     new_ops = [(sign, label, normalize(fty)) for sign, label, fty in ops]
@@ -242,6 +251,47 @@ def _normalize_chain(t: MonoType) -> MonoType:
             changed = True
         new_ops = kept
     return rebuild_chain(new_base, new_ops) if changed else t
+
+
+def _insert_op(t: MonoType) -> MonoType | None:
+    """Normal form of t when t is one operation on top of a variable or of
+    a chain over a variable that is known to be normal; None otherwise.
+
+    The chain's operations are sorted by label and none cancel, so the
+    sweep would let t's operation cancel the innermost same-label partner
+    of opposite sign and equal field type, or else sort it above the last
+    operation whose label is <= its own.  Only the nodes above that point
+    are rebuilt; the ones below are reused with their caches.  A chain
+    whose normal form is not known yet goes to the sweep: normalizing it
+    here first would recurse once per operation."""
+    node = t.base
+    if not isinstance(node, TyVar) and not (
+        isinstance(node, (Ext, Contr)) and node._nf is IS_NORMAL
+    ):
+        return None
+    label, fty = t.label, normalize(t.field_type)
+    opposite = Contr if isinstance(t, Ext) else Ext
+    above = []  # outermost first
+    while isinstance(node, (Ext, Contr)) and node.label > label:
+        above.append(node)
+        node = node.base
+    point, partner, same = node, None, []
+    while isinstance(node, (Ext, Contr)) and node.label == label:
+        if type(node) is opposite and node.field_type == fty:
+            partner, kept = node, len(same)
+        same.append(node)
+        node = node.base
+    if not isinstance(base_of(node), TyVar):
+        return None
+    if partner is not None:
+        out, above = partner.base, above + same[:kept]
+    elif point is t.base and fty is t.field_type:
+        return t
+    else:
+        out = type(t)(point, label, fty)
+    for node in reversed(above):
+        out = type(node)(out, node.label, node.field_type)
+    return out
 
 
 def is_normal(t: MonoType) -> bool:

@@ -229,7 +229,7 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
             and _is_chain(b)
             and is_normal(b)
         ):
-            base, _ = chain_ops(b)
+            base = base_of(b)
             if isinstance(base, TyVar) and isinstance(st.kenv.get(base), RecordKind):
                 _rule_vii(st, a, b, base)
                 return
@@ -276,8 +276,7 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
     # x) derived: chain over a variable base against a plain record
     for a, b in ((t1, t2), (t2, t1)):
         if _is_chain(a) and isinstance(b, RecordType):
-            base, _ = chain_ops(a)
-            if isinstance(base, TyVar):
+            if isinstance(base_of(a), TyVar):
                 _rule_chain_record(st, a, b)
                 return
     _fail(st, t1, t2)
@@ -462,7 +461,7 @@ def _fail(st: _State, t1: MonoType, t2: MonoType):
         if isinstance(a, TyVar) and a in ftv(b):
             raise UnificationError(OCCURS, "variable occurs in the other side")
         if _is_chain(a):
-            base, _ = chain_ops(a)
+            base = base_of(a)
             if isinstance(base, TyVar) and base in ftv(b):
                 raise UnificationError(OCCURS, "chain base occurs in the other side")
     rigid = (BaseType, Arrow)

@@ -67,6 +67,17 @@ def test_const_leaf():
     assert validate(d) is None
 
 
+def test_leaves_require_a_well_formed_kind_assignment():
+    # 'c is outside the assignment's domain
+    c = TyVar(3, "c")
+    kenv = {a1: record_kind([("l", c)])}
+    const = Derivation("Const", Judgment(kenv, {}, Const(1, "Int"), poly(INT)))
+    var = Derivation("Var", Judgment(kenv, {"x": poly(a1)}, Var("x"), poly(a1)))
+    for leaf in (const, var):
+        issue = validate(leaf)
+        assert issue is not None and issue.path == (), leaf.rule
+
+
 def test_mutated_rule_name_rejected():
     d = worked_derivation()
     ext = d.children[0]

@@ -6,7 +6,7 @@ from extrec.checker import validate
 from extrec.infer import FreshSupply, InferFailure, infer, instantiate, supply_for
 from extrec.kinding import has_kind, wf_kind_assignment
 from extrec.normalize import equiv, normalize, subst_equal
-from extrec.parser import parse_env_file, parse_term
+from extrec.parser import parse_env_file, parse_term, parse_type
 from extrec.subst import (
     KindedSubstitution,
     apply_assignment,
@@ -481,3 +481,39 @@ def test_long_chains_infer_their_closed_forms():
     quants = tuple((v, UKind()) for _, v in fields) + ((r, record_kind(fields)),)
     want = PolyType(quants, Arrow(r, RecordType(fields)))
     assert closure(res.kenv, {}, res.type) == ({}, want)
+
+
+def test_cancellation_below_the_top_of_a_chain():
+    # removing a drops the extension under b's: the chain cancels inside
+    res = infer({}, {}, parse_term("\\r. remove(remove(extend(extend(r, a, 1), b, true), a), b)"),
+                FreshSupply(1))
+    assert not isinstance(res, InferFailure), res
+    want = parse_type("forall 'a :: << || a: Int, b: Bool>>. 'a -> 'a")
+    assert closure(res.kenv, {}, res.type) == ({}, want)
+
+
+def test_interleaved_extend_remove_chain_infers_and_validates():
+    # 120 extensions and 80 removals of labels present at the time, drawn
+    # at random so that most removals cancel below the top of the chain;
+    # built directly, since the parser recurses once per nesting level
+    rng = random.Random(61)
+    term, present, added, removals = Var("r"), [], {}, 0
+    while len(added) + removals < 200:
+        if removals < 80 and present and (len(added) == 120 or rng.random() < 0.4):
+            term = Remove(term, present.pop(rng.randrange(len(present))))
+            removals += 1
+        else:
+            label = f"g{len(added)}"
+            value = Const(len(added), "Int") if len(added) % 2 else Const(True, "Bool")
+            term = Extend(term, label, value)
+            added[label] = BaseType(value.base)
+            present.append(label)
+    res = infer({}, {}, Abs("r", term), FreshSupply(1), want_trace=True)
+    assert not isinstance(res, InferFailure), res
+    assert validate(res.trace) is None
+    r = TyVar(1)
+    chain = r
+    for label in sorted(present):
+        chain = Ext(chain, label, added[label])
+    lacks = record_kind([], sorted(added.items()))
+    assert closure(res.kenv, {}, res.type) == ({}, PolyType(((r, lacks),), Arrow(r, chain)))

@@ -5,6 +5,7 @@ import pytest
 
 from extrec.kinding import field_info, has_kind
 from extrec.normalize import (
+    EXT,
     chain_ops,
     equiv,
     is_normal,
@@ -299,3 +300,78 @@ def test_long_cancelling_chain_normalizes_to_its_base():
         label = f"k{i % 7}"
         t = Contr(Ext(t, label, INT), label, INT)
     assert normalize(t) == r
+
+
+# ---------------------------------------------------------------------------
+# One operation added to a normal chain: the insertion case
+
+
+def _uncached(t):
+    """A structurally equal copy of t that shares no node with it."""
+    if isinstance(t, Arrow):
+        return Arrow(_uncached(t.dom), _uncached(t.cod))
+    if isinstance(t, RecordType):
+        return RecordType(tuple((l, _uncached(ft)) for l, ft in t.fields))
+    if isinstance(t, (Ext, Contr)):
+        return type(t)(_uncached(t.base), t.label, _uncached(t.field_type))
+    return t
+
+
+# around and between the generators' labels l, m and n
+_INSERTED_LABELS = ("k", "l", "lm", "m", "mn", "n", "o")
+
+
+def _one_more_op(rng, n):
+    """n, a normal type, under one random operation: a random label and
+    field type, or the opposite of one of n's own operations."""
+    ops = chain_ops(n)[1] if isinstance(n, (Ext, Contr)) else []
+    if ops and rng.random() < 0.5:
+        sign, label, fty = rng.choice(ops)
+        cls = Contr if sign == EXT else Ext
+        if fty == a and rng.random() < 0.5:
+            fty = Contr(Ext(a, "l", INT), "l", INT)  # equivalent up to reduction
+    else:
+        cls, label = rng.choice((Ext, Contr)), rng.choice(_INSERTED_LABELS)
+        fty = rng.choice((INT, BOOL, a, gen_debris(rng, 1)))
+    return cls(n, label, fty)
+
+
+def test_one_operation_on_a_normal_chain_equals_reference():
+    rng = random.Random(4242)
+    seen = Counter()
+    for i in range(6000):
+        if i % 2:
+            t = gen_debris(rng, rng.randint(1, 4))
+        else:
+            t = gen_kindable_chain(rng, gen_kind_assignment(rng, 3), 8)
+        n = normalize(t)  # warms n's cache: the insertion case applies
+        if not isinstance(n, (TyVar, RecordType, Ext, Contr)):
+            continue
+        u = _one_more_op(rng, n)
+        got = normalize(u)
+        assert got == _reference_normal_form(_uncached(u)), u
+        base, ops = chain_ops(n)
+        if isinstance(base, TyVar) and ops:
+            after = sum(l > u.label for _, l, _ in ops)
+            seen["first" if after == len(ops) else "last" if after == 0 else "middle"] += 1
+            seen["cancelled"] += len(chain_ops(got)[1]) < len(ops)
+    assert seen["cancelled"] >= 500
+    assert min(seen["first"], seen["middle"], seen["last"]) >= 200, seen
+
+
+def test_operation_sorting_last_reuses_the_whole_chain():
+    r = TyVar(88, "r")
+    chain = r
+    for i in range(1000):
+        chain = Ext(chain, f"k{i:04d}", INT) if i % 2 else Contr(chain, f"k{i:04d}", BOOL)
+    assert normalize(chain) is chain
+    top = normalize(Ext(chain, "z", INT))
+    assert top.base is chain
+    # in the middle: the nodes under the new operation are reused as well
+    below = normalize(Ext(chain, "k0500a", INT))
+    while below.label != "k0500a":
+        below = below.base
+    original = chain
+    while original.label != "k0500":
+        original = original.base
+    assert below.base is original
