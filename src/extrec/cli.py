@@ -137,7 +137,11 @@ def infer_cmd(file, expr, env_path, as_json):
         where = f" at {res.span}" if res.span else ""
         _die_analysis(f"type error{where}: {res.message} [{res.rule}/{res.reason}]")
     resid, principal = closure(res.kenv, apply_assignment(res.subst, tenv), res.type)
+    # The environment's variables are named first, so that they keep their
+    # source names and no fresh variable takes one.
     namer = Namer()
+    for v in kenv:
+        namer.name(v)
     if as_json:
         payload = {
             "kind_assignment": {
@@ -152,12 +156,9 @@ def infer_cmd(file, expr, env_path, as_json):
         }
         click.echo(json.dumps(payload, indent=2))
     else:
-        # The environment's variables are named first, so that they keep
-        # their source names.  Typing may strengthen or add kinds beyond the
-        # environment's; those entries are printed first, in env-file syntax,
-        # so that the type's free variables are all accounted for.
-        for v in kenv:
-            namer.name(v)
+        # Typing may strengthen or add kinds beyond the environment's; those
+        # entries are printed first, in env-file syntax, so that the type's
+        # free variables are all accounted for.
         for v, k in resid.items():
             if v not in kenv or not kind_equiv(k, kenv[v]):
                 click.echo(f"'{namer.name(v)} :: {pretty_kind(k, namer)}")

@@ -4,8 +4,9 @@ infer computes a principal kinded typing (residual kind assignment,
 substitution, canonical monotype).  One run keeps one kind assignment and
 one triangular substitution, which unification updates in place; the type
 assignment is resolved through the substitution only where a variable is
-looked up and where a let generalizes.  The result's assignment and
-substitution are read back, resolved, once at the end.
+looked up.  A let generalizes by levels, from what its bound term created,
+without reading the type assignment (see `_Run`).  The result's assignment
+and substitution are read back, resolved, once at the end.
 
 The walk returns only each subterm's type.  On request (want_trace) the run
 also keeps a stack of finished derivation nodes for the declarative system,
@@ -21,10 +22,11 @@ subterm.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 from .derivation import Derivation, Judgment, KindingClaim, subst_derivation
 from .normalize import normalize
-from .subst import apply_kind, apply_type, closure, resolve, resolve_poly
+from .subst import apply_kind, apply_type, quantifier_prefix, resolve, resolve_poly
 from .syntax import (
     Abs,
     App,
@@ -51,6 +53,8 @@ from .syntax import (
     UKind,
     Var,
     base_of,
+    eftv,
+    eftv_assignment,
     ftv,
     is_extensible,
     poly,
@@ -117,8 +121,9 @@ class _Failed(Exception):
 
 
 def instantiate(kenv: KindAssignment, sigma: PolyType, fs: FreshSupply) -> MonoType:
-    """Replace quantified variables with fresh ones, threading the renaming
-    through the kinds, and add the fresh variables' kinds to kenv in place."""
+    """Replace quantified variables with fresh ones, from fs.fresh(name),
+    threading the renaming through the kinds, and add the fresh variables'
+    kinds to kenv in place."""
     ren: Substitution = {}
     for v, k in sigma.quants:
         fresh = fs.fresh(v.name)
@@ -131,7 +136,24 @@ class _Run:
     """The state one inference run updates in place: the kind assignment,
     the triangular substitution, the fresh-variable supply, the (record
     type, value type, term) of every Extend typed, and, only when a
-    derivation is wanted, the post-order stack of finished nodes."""
+    derivation is wanted, the post-order stack of finished nodes.
+
+    It also ranks variables by let depth (Remy's ranks, the levels of
+    OCaml's checker), so that a let generalizes without reading the type
+    assignment.  `level` is the number of let-bound terms the walk is in;
+    `levels` maps each variable the run created to the depth it was created
+    at, lowered by unification (`lower`) to the depth of any variable it
+    comes to hang off, through a binding or a kind.  The caller's variables
+    are at depth 0.  So on leaving a let's bound term, a variable deeper
+    than the let is one the bound term created and the let's type
+    assignment cannot reach.  `pools[d]` lists the variables put at depth
+    d, some since bound or moved.
+
+    The converse holds except where unification forgets part of a kind:
+    binding a record-kinded variable to a record drops the field types the
+    kind forbade, and reducing an equation's sides drops variables.  What
+    was reachable only through them keeps its level; `stale` holds these
+    variables, and those lowered from them, for `generalize` to check."""
 
     def __init__(self, kenv: KindAssignment, fs: FreshSupply, want_trace: bool):
         self.kenv = dict(kenv)
@@ -139,11 +161,69 @@ class _Run:
         self.fs = fs
         self.extensions: list = []
         self.nodes: list[Derivation] | None = [] if want_trace else None
+        self.level = 0
+        self.levels: dict[TyVar, int] = {}
+        self.pools: list[list[TyVar]] = [[]]
+        self.stale: set[TyVar] = set()
+
+    def fresh(self, name: str = "") -> TyVar:
+        """A fresh variable at the current depth; its kind is the caller's
+        to add."""
+        v = self.fs.fresh(name)
+        if self.level:
+            self.levels[v] = self.level
+            self.pools[-1].append(v)
+        return v
+
+    def lower(self, v: TyVar, *types):
+        """Bring every variable reachable from `types` up to v's depth at
+        most: `types` are being bound to v or written into v's kind.  When v
+        is at the current depth nothing reachable can be deeper."""
+        level = self.levels.get(v, 0)
+        if level >= self.level:
+            return
+        levels, subst, kenv = self.levels, self.subst, self.kenv
+        taint = v in self.stale
+        work = [w for t in types for w in ftv(t)]
+        while work:
+            w = work.pop()
+            if levels.get(w, 0) <= level:
+                continue
+            levels[w] = level
+            if taint:
+                self.stale.add(w)
+            image = subst.get(w)
+            if image is None:
+                self.pools[level].append(w)
+                work.extend(ftv(kenv[w]))
+            else:
+                work.extend(ftv(image))
+
+    def lose(self, v, *types):
+        """Unification dropped `types` from v's kind, or from some kind (v
+        None): mark stale what is reachable from them at a depth below the
+        current one.  What hangs off a variable at the current depth was
+        never reachable from an enclosing let's type assignment."""
+        if v is not None and self.levels.get(v, 0) >= self.level:
+            return
+        seen: set[TyVar] = set()
+        work = [w for t in types for w in ftv(t)]
+        while work:
+            w = work.pop()
+            if w in seen:
+                continue
+            seen.add(w)
+            if self.levels.get(w, 0) < self.level:
+                self.stale.add(w)
+            image = self.subst.get(w)
+            work.extend(ftv(self.kenv[w] if image is None else image))
 
     def unify(self, equations, case: str, term: Term):
-        """Unify in place; a clash fails the syntax case `case` at term."""
+        """Unify in place; a clash fails the syntax case `case` at term.
+        Outside every let no level can change: all are 0."""
+        levels = self if self.level else None
         try:
-            unify_in_place(self.kenv, self.subst, equations, self.fs.fresh)
+            unify_in_place(self.kenv, self.subst, equations, self.fresh, levels=levels)
         except UnificationError as e:
             raise _Failed(case, e.reason, e.message, term) from None
 
@@ -162,20 +242,63 @@ class _Run:
         del self.nodes[cut:]
         self.nodes.append(Derivation(rule, Judgment({}, tenv, term, poly(t)), children, claim))
 
-    def generalize(self, tenv: TypeAssignment, t: MonoType, bound: Term):
-        """Close t, the type of the let-bound term `bound`, over tenv: (tenv
-        resolved, the polytype).  The quantified variables leave the kind
-        assignment, which is left resolved; the top derivation node becomes
-        the premise of a Gen node and carries their kinds."""
-        gamma = {x: resolve_poly(self.subst, sigma) for x, sigma in tenv.items()}
-        kenv = {v: resolve(self.subst, k) for v, k in self.kenv.items()}
-        self.kenv, sigma = closure(kenv, gamma, t)
+    def enter_let(self):
+        """Go one let deeper, to type a let-bound term."""
+        self.level += 1
+        self.pools.append([])
+
+    def generalize(self, tenv: TypeAssignment, t: MonoType, bound: Term) -> PolyType:
+        """Close t, the type of the let-bound term `bound`, over tenv, on
+        leaving the bound term: what `subst.closure` gives over the resolved
+        kind and type assignments, read off the variables the bound term
+        created.  Those that are essentially free in t are quantified,
+        except where a residual kind mentions one; they leave the kind
+        assignment, and the rest come up to the let's depth.
+
+        A shallow variable's kind mentions only shallow ones, so the walk
+        from t stops at them.  Only if it meets a stale one is tenv read,
+        and the whole kind assignment: closure's own rule decides.  The top
+        derivation node, if any, becomes the premise of a Gen node that
+        carries the quantified kinds."""
+        self.level -= 1
+        level, levels, subst, kenv = self.level, self.levels, self.subst, self.kenv
+        deep = [v for v in self.pools.pop() if levels[v] > level and v in kenv]
+        kinds = {}  # resolved
+        for v in deep:
+            kinds[v] = kenv[v] = resolve(subst, kenv[v])
+        quantify: set[TyVar] = set()
+        exact = False
+        work = list(ftv(t))
+        while work:
+            v = work.pop()
+            if v in kinds:
+                if v not in quantify:
+                    quantify.add(v)
+                    work.extend(ftv(kinds[v]))
+            elif v in self.stale:
+                exact = True
+        if exact or self.nodes is not None:
+            gamma = {x: resolve_poly(subst, sigma) for x, sigma in tenv.items()}
+        if exact:
+            kinds = {v: resolve(subst, k) for v, k in kenv.items()}
+            deep = list(kinds)
+            quantify = eftv(kinds, t) - eftv_assignment(kinds, gamma)
+        # Ties go by position in the kind assignment: the run adds its
+        # variables in uid order, after the caller's, whose uids are lower.
+        ordered = quantifier_prefix(quantify, deep, kinds, attrgetter("uid"))
+        for v in deep:
+            if v in quantify:
+                del kenv[v]
+            elif levels.get(v, 0) > level:
+                levels[v] = level
+                self.pools[level].append(v)
+        sigma = PolyType(tuple((v, kinds[v]) for v in ordered), t) if ordered else poly(t)
         if self.nodes is not None:
             d = self.nodes.pop()
-            quantified = {v: k for v, k in kenv.items() if v not in self.kenv}
+            quantified = {v: kinds[v] for v in sorted(quantify, key=attrgetter("uid"))}
             premise = replace(d, judgment=replace(d.judgment, kenv=quantified))
             self.nodes.append(Derivation("Gen", Judgment({}, gamma, bound, sigma), (premise,)))
-        return gamma, sigma
+        return sigma
 
 
 def infer(
@@ -244,7 +367,7 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
     if isinstance(term, Var):
         if term.name not in tenv:
             raise _Failed("var", "unbound_variable", f"unbound variable {term.name}", term)
-        t = instantiate(run.kenv, resolve_poly(run.subst, tenv[term.name]), run.fs)
+        t = instantiate(run.kenv, resolve_poly(run.subst, tenv[term.name]), run)
         run.record("Var", tenv, term, t)
         return t
 
@@ -254,7 +377,7 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
         return t
 
     if isinstance(term, Abs):
-        alpha = run.fs.fresh()
+        alpha = run.fresh()
         run.kenv[alpha] = UKind()
         t1 = _infer(run, {**tenv, term.param: poly(alpha)}, term.body)
         t = Arrow(run.current(alpha), t1)
@@ -264,7 +387,7 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
     if isinstance(term, App):
         t1 = _infer(run, tenv, term.fn)
         t2 = _infer(run, tenv, term.arg)
-        alpha = run.fs.fresh()
+        alpha = run.fresh()
         run.kenv[alpha] = UKind()
         run.unify([(t1, Arrow(t2, alpha))], "app", term)
         t = run.current(alpha)
@@ -272,9 +395,10 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
         return t
 
     if isinstance(term, Let):
+        run.enter_let()
         t1 = _infer(run, tenv, term.bound)
-        gamma1, sigma = run.generalize(tenv, t1, term.bound)
-        t2 = _infer(run, {**gamma1, term.name: sigma}, term.body)
+        sigma = run.generalize(tenv, t1, term.bound)
+        t2 = _infer(run, {**tenv, term.name: sigma}, term.body)
         run.record("Let", tenv, term, t2, 2)
         return t2
 
@@ -292,8 +416,8 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
             t_value = _infer(run, tenv, term.value)
             if rule == "Ext":
                 _check_base(t_rec, t_value, term)
-        a_field = run.fs.fresh()
-        a_rec = run.fs.fresh()
+        a_field = run.fresh()
+        a_rec = run.fresh()
         run.kenv[a_field] = UKind()
         run.kenv[a_rec] = side(term.label, a_field)
         eqs = [(a_field, t_value), (a_rec, t_rec)] if has_value else [(a_rec, t_rec)]

@@ -159,22 +159,25 @@ def one_step_reducts(t: MonoType) -> list[MonoType]:
 
 def _fold_into_record(base: RecordType, ops):
     """Fold operations into a record base innermost-first, up to the first
-    one that sticks: (new base, operations left), or None if none folds."""
-    fields = base.field_map()
+    one that sticks: (new base, operations left), or None if none folds.
+    The new base shares the old one's (label, type) pairs, so extending a
+    record of n fields allocates one pair, not n."""
+    fields = {pair[0]: pair for pair in base.fields}
     folded = 0
     for sign, label, fty in ops:
         if sign == CON:
-            if fields.get(label) != fty:
+            pair = fields.get(label)
+            if pair is None or pair[1] != fty:
                 break
             del fields[label]
         elif label in fields:
             break
         else:
-            fields[label] = fty
+            fields[label] = (label, fty)
         folded += 1
     if not folded:
         return None
-    return RecordType(tuple(fields.items())), ops[folded:]
+    return RecordType(tuple(fields.values())), ops[folded:]
 
 
 def _cancel_pairs(ops):

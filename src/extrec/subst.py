@@ -157,37 +157,44 @@ def closure(
     """
     quantify = eftv(kenv, t) - eftv_assignment(kenv, gamma)
     position = {v: i for i, v in enumerate(kenv)}
+    ordered = quantifier_prefix(quantify, kenv, kenv, lambda v: (position[v], v.uid))
+    residual = {v: k for v, k in kenv.items() if v not in quantify}
+    if not ordered:
+        return residual, poly(t)
+    return residual, PolyType(tuple((v, kenv[v]) for v in ordered), t)
+
+
+def quantifier_prefix(quantify: set, others, kinds, rank) -> list:
+    """The quantifiers of `closure` among the candidates `quantify`, which is
+    updated in place to them.  A candidate stays free when the kind of a
+    variable in `others` that stays free mentions it, or when it sits in a
+    kind-dependency cycle; the rest come out in dependency order, ties
+    broken by `rank`.  `kinds` gives the kind of every variable involved."""
     while True:
         pinned: set[TyVar] = set()
-        for w, k in kenv.items():
+        for w in others:
             if w not in quantify:
-                pinned |= ftv(k) & quantify
+                pinned |= ftv(kinds[w]) & quantify
         if pinned:
             quantify -= pinned
             continue
-        pending = sorted(quantify, key=lambda v: (position[v], v.uid))
+        pending = sorted(quantify, key=rank)
         ordered: list[TyVar] = []
         placed: set[TyVar] = set()
-        stuck = False
         while pending:
             ready = [
                 v
                 for v in pending
-                if all(w not in quantify or w in placed for w in ftv(kenv[v]))
+                if all(w not in quantify or w in placed for w in ftv(kinds[v]))
             ]
             if not ready:
                 quantify -= set(pending)  # cyclic tail: pin it
-                stuck = True
                 break
             ordered.extend(ready)
             placed.update(ready)
             pending = [v for v in pending if v not in placed]
-        if stuck:
-            continue
-        residual = {v: k for v, k in kenv.items() if v not in quantify}
-        if not quantify:
-            return residual, poly(t)
-        return residual, PolyType(tuple((v, kenv[v]) for v in ordered), t)
+        else:
+            return ordered
 
 
 # ---------------------------------------------------------------------------

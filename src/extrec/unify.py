@@ -93,12 +93,13 @@ def _is_chain(t: MonoType) -> bool:
 
 
 class _State:
-    def __init__(self, kenv, subst, eqs, fresh, trace):
+    def __init__(self, kenv, subst, eqs, fresh, trace, levels):
         self.eqs = deque(eqs)
         self.kenv: KindAssignment = kenv
         self.subst: Substitution = subst
         self.fresh = fresh
         self.trace = trace
+        self.levels = levels
 
     def note(self, rule: str):
         if self.trace is not None:
@@ -114,6 +115,8 @@ class _State:
 
     def bind(self, v: TyVar, image: MonoType):
         """Record v := image; v leaves the kind assignment."""
+        if self.levels is not None:
+            self.levels.lower(v, image)
         self.subst[v] = image
         del self.kenv[v]
 
@@ -153,6 +156,7 @@ def unify_in_place(
     equations,
     fresh,
     trace: list | None = None,
+    levels=None,
 ):
     """Solve the equations into a kind assignment and a triangular
     substitution, both updated in place.
@@ -160,8 +164,15 @@ def unify_in_place(
     Every variable of the equations, once resolved through subst, must
     have a kind in kenv; the kinds themselves may still mention bound
     variables.  There is no entry check and no copy; on UnificationError
-    the state is left part-way."""
-    st = _State(kenv, subst, equations, fresh, trace)
+    the state is left part-way.
+
+    `levels`, if given, follows which types hang off which variables:
+    `levels.lower(v, *types)` is called before v is bound to the types and
+    after they enter v's kind from an eliminated variable's, and
+    `levels.lose(v, *types)` when v's kind, or some kind (v None), drops
+    them: the fields a variable bound to a record forbade, and what
+    reduction removes from an equation's sides."""
+    st = _State(kenv, subst, equations, fresh, trace, levels)
     while st.eqs:
         t1, t2 = st.eqs.popleft()
         _step(st, resolve(subst, t1), resolve(subst, t2))
@@ -171,6 +182,8 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
     # i) equal modulo reduction
     if equiv(t1, t2):
         st.note("i")
+        if st.levels is not None and ftv(t1) is not ftv(t2):
+            st.levels.lose(None, *(ftv(t1) ^ ftv(t2)))
         return
     # v) record decomposition
     if isinstance(t1, RecordType) and isinstance(t2, RecordType):
@@ -257,6 +270,8 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
     if not retried:
         n1, n2 = normalize(t1), normalize(t2)
         if (n1, n2) != (t1, t2):
+            if st.levels is not None:
+                st.levels.lose(None, *(ftv(t1) - ftv(n1)), *(ftv(t2) - ftv(n2)))
             _step(st, n1, n2, retried=True)
             return
     # ix) two chains over distinct record-kinded variables, merged onto a
@@ -311,6 +326,8 @@ def _rule_iii(st: _State, v1: TyVar, v2: TyVar):
     st.note("iii")
     st.bind(v1, v2)
     st.kenv[v2] = merged
+    if st.levels is not None:
+        st.levels.lower(v2, k1)
     st.push(*eqs)
 
 
@@ -327,6 +344,8 @@ def _rule_iv(st: _State, v: TyVar, rec: RecordType):
     if v in ftv(rec):
         raise UnificationError(OCCURS, "variable occurs in the record type")
     st.note("iv")
+    if st.levels is not None:
+        st.levels.lose(v, *f1r.values())
     st.bind(v, rec)
     st.push(*((f1l[l], fields[l]) for l in f1l))
 
@@ -356,9 +375,10 @@ def _rule_vii(st: _State, v: TyVar, chain: MonoType, base: TyVar):
     # so the settled labels are exactly the base's own and the sides stay
     # disjoint.
     settled = present.keys() | absent.keys()
+    moved_l = {l: t for l, t in f1l.items() if l not in settled}
+    moved_r = {l: t for l, t in f1r.items() if l not in settled}
     base_kind = RecordKind(
-        tuple(fmap_plus(f2l, {l: t for l, t in f1l.items() if l not in settled}).items()),
-        tuple(fmap_plus(f2r, {l: t for l, t in f1r.items() if l not in settled}).items()),
+        tuple(fmap_plus(f2l, moved_l).items()), tuple(fmap_plus(f2r, moved_r).items())
     )
     base_kind = apply_kind({v: chain}, base_kind)
     if base in ftv(base_kind):
@@ -366,6 +386,8 @@ def _rule_vii(st: _State, v: TyVar, chain: MonoType, base: TyVar):
     st.note("vii")
     st.bind(v, chain)
     st.kenv[base] = base_kind
+    if st.levels is not None:
+        st.levels.lower(base, *moved_l.values(), *moved_r.values())
     st.push(*eqs)
 
 
@@ -437,9 +459,10 @@ def _rule_ix(st: _State, v1: TyVar, ops1, v2: TyVar, ops2):
 
     fresh = st.fresh()
     st.note("ix")
+    # The fresh base is kinded before the bindings lower it, with its kind.
+    st.kenv[fresh] = RecordKind(tuple(lefts.items()), tuple(rights.items()))
     st.bind(v1, rebuild_chain(fresh, ops2))
     st.bind(v2, rebuild_chain(fresh, ops1))
-    st.kenv[fresh] = RecordKind(tuple(lefts.items()), tuple(rights.items()))
     st.push(*eqs)
 
 

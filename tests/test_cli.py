@@ -239,3 +239,60 @@ def test_wide_records_unify_without_a_step_limit(tmp_path):
     eq = record + " = {" + ", ".join(f"l{i}: 'a" for i in range(n)) + "}"
     r = run("unify", "--env", str(env), "-e", eq)
     assert r.exit_code == 0 and r.output.splitlines()[-1] == "'a := Int", r.output[-200:]
+
+
+# Printed types that depend on which variables a let generalizes.
+LET_TYPES = {
+    # y's type reaches the type assignment only through x's kind
+    "\\x. let y = x.l in let w = y in w": "forall 'a :: U. forall 'b :: <<l: 'a || >>. 'b -> 'a",
+    "\\x. let y = x.l in x.m": "forall 'a :: U. forall 'b :: U. forall 'c :: <<l: 'a, m: 'b || >>. 'c -> 'b",
+    "\\r. let g = \\s. extend(s, m, r.l) in g": (
+        "forall 'a :: U. forall 'b :: <<l: 'a || >>. forall 'c :: << || m: 'a>>. 'b -> 'c -> 'c + {m: 'a}"
+    ),
+    "let f = \\x. let g = \\y. x in g in f": "forall 'a :: U. forall 'b :: U. 'a -> 'b -> 'a",
+    "let f = \\x. x in {a = f 1, b = f true}": "{a: Int, b: Bool}",
+}
+
+
+def test_let_generalization_outputs(tmp_path):
+    for src, want in LET_TYPES.items():
+        r = run("infer", "-e", src)
+        assert r.exit_code == 0, src
+        assert r.output.strip() == want, src
+    env = tmp_path / "ex.env"
+    env.write_text(ENV_42)
+    r = run("infer", "--env", str(env), "-e", "let z = x.m in z")
+    assert r.exit_code == 0
+    assert r.output.splitlines() == ["'a :: <<m: 'c || l: 'b>>", "'c :: U", "'c"]
+
+
+def test_let_generalizes_what_binding_a_record_made_unreachable(tmp_path):
+    # Inside z's bound term x's type is bound to {}, which drops its kind's
+    # `l: <v's type>`.  v's type was ranked with x's, but no entry of the
+    # type assignment reaches it any more, so z is polymorphic in it.
+    bound = "\\v. {a = extend(x, l, v), b = (\\f. {c = f x, d = f {}}) (\\r. r)}"
+    uses = "{p = z 1, q = z true}"
+    fields = "a: {l: %s}, b: {c: {}, d: {}}"
+    want = "{p: {%s}, q: {%s}}" % (fields % "Int", fields % "Bool")
+    r = run("infer", "-e", f"\\x. let z = {bound} in {uses}")
+    assert r.exit_code == 0
+    assert r.output.strip() == "{} -> " + want
+    # The same with x's type, and the type that x's kind alone mentions,
+    # from the environment.
+    env = tmp_path / "ex.env"
+    env.write_text("'a :: << || l: 'b>>\n'b :: U\nx : 'a\n")
+    r = run("infer", "--env", str(env), "-e", f"let z = {bound} in {uses}")
+    assert r.exit_code == 0
+    assert r.output.strip() == want
+
+
+def test_infer_json_names_the_environment_first(tmp_path):
+    # As on the plain path: the environment's variables keep their names,
+    # and the fresh field variable takes the next free one.
+    env = tmp_path / "ex.env"
+    env.write_text(ENV_42)
+    r = run("infer", "--env", str(env), "-e", "x.m", "--json")
+    assert r.exit_code == 0
+    payload = json.loads(r.output)
+    assert payload["kind_assignment"] == {"'a": "<<m: 'c || l: 'b>>", "'b": "U", "'c": "U"}
+    assert payload["type"] == "'c"

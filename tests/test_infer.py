@@ -13,6 +13,7 @@ from extrec.subst import (
     closure,
     generic_instance,
     resolve,
+    resolve_poly,
     respects,
 )
 from extrec.syntax import (
@@ -26,6 +27,7 @@ from extrec.syntax import (
     Ext,
     Extend,
     INT,
+    Let,
     Modify,
     PolyType,
     RecordLit,
@@ -249,6 +251,55 @@ def test_trace_free_inference_builds_no_derivation(monkeypatch):
     assert accepted > 40
 
 
+def _nodes(term, cls) -> int:
+    """The number of `cls` nodes in term."""
+    own = isinstance(term, cls)
+    if isinstance(term, RecordLit):
+        return own + sum(_nodes(t, cls) for _, t in term.fields)
+    children = [getattr(term, f, None) for f in ("body", "fn", "arg", "bound", "target", "value")]
+    return own + sum(_nodes(c, cls) for c in children if c is not None)
+
+
+def test_untraced_let_reads_no_more_than_its_bound_term_made(monkeypatch):
+    # Generalization by levels neither closes over the whole type
+    # assignment nor resolves it: untraced, the assignment is resolved one
+    # entry per variable occurrence, where it is looked up.  (A let reads
+    # it where unification made variables unreachable from it, as in
+    # LEVEL_PROGRAMS below; no program of this sample does.)
+    def refuse(*args, **kwargs):
+        raise AssertionError("type assignment scanned")
+
+    infer_mod = sys.modules["extrec.infer"]
+    for module in (infer_mod, sys.modules["extrec.subst"]):
+        for name in ("closure", "eftv_assignment"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    inner = infer_mod.resolve_poly
+    resolved = 0
+
+    def counted(s, p):
+        nonlocal resolved
+        resolved += 1
+        return inner(s, p)
+
+    monkeypatch.setattr(infer_mod, "resolve_poly", counted)
+    kenv, tenv, venv, _, _ = _setup_42()
+    rng = random.Random(127)
+    terms = lets = 0
+    while terms < 300:
+        env = terms % 2 == 0
+        term = gen_closed_term(rng, rng.randint(2, 6), scope=("x", "y") if env else ())
+        if not _nodes(term, Let):
+            continue
+        terms += 1
+        lets += _nodes(term, Let)
+        k, g, start = (kenv, tenv, venv.next_free_uid()) if env else ({}, {}, 1)
+        resolved = 0
+        infer(k, g, term, FreshSupply(start))
+        assert resolved <= _nodes(term, Var), term
+    assert lets > 1000
+
+
 def test_first_failure_in_walk_order_is_reported():
     # Each program has two faults.  Record fields are typed in label order,
     # so `zz` fails before `true 3`; a let's bound term before its body.
@@ -271,7 +322,7 @@ def test_inference_hands_unification_well_formed_state(monkeypatch):
     inner = infer_mod.unify_in_place
     calls = 0
 
-    def checked(kenv, subst, equations, fresh, trace=None):
+    def checked(kenv, subst, equations, fresh, trace=None, levels=None):
         nonlocal calls
         calls += 1
         view = dict(subst)
@@ -280,7 +331,7 @@ def test_inference_hands_unification_well_formed_state(monkeypatch):
         assert wf_kind_assignment(resolved)
         for t1, t2 in equations:
             assert ftv(resolve(view, t1)) | ftv(resolve(view, t2)) <= resolved.keys()
-        return inner(kenv, subst, equations, fresh, trace)
+        return inner(kenv, subst, equations, fresh, trace, levels)
 
     monkeypatch.setattr(infer_mod, "unify_in_place", checked)
     kenv, tenv, venv, _, _ = _setup_42()
@@ -291,6 +342,70 @@ def test_inference_hands_unification_well_formed_state(monkeypatch):
         k, g, start = (kenv, tenv, venv.next_free_uid()) if env else ({}, {}, 1)
         infer(k, g, term, FreshSupply(start))
     assert calls > 600
+
+
+# Lets whose generalization depends on one part each of the level
+# bookkeeping in `infer._Run` and the `unify_in_place` hooks.
+LEVEL_PROGRAMS = (
+    # f's parameter type stays free, pinned by the kind of the unreachable
+    # z's type; it comes up to depth 0, so h's let sees f reach it
+    "let f = \\y. (\\g. y) (\\z. modify(z, l, y)) in let h = f (\\u. u) in {a = h 1, b = h true}",
+    # n's field type moves into x's kind (rule vii)
+    "\\x. let y = remove(x, m).n in {a = y 1, b = y true}",
+    # the two chains are rebased on a fresh variable (rule ix)
+    "\\x. let y = \\w. (\\f. {a = f remove(x, m), b = f extend(w, n, 1)}) (\\r. r) in y",
+    # binding x's type to {} drops v's type from x's kind (rule iv) ...
+    "\\x. let z = \\v. {a = extend(x, l, v), b = (\\f. {c = f x, d = f {}}) (\\r. r)}"
+    " in {p = z 1, q = z true}",
+    # ... and, bound in turn, the variables of its image
+    "\\x. let z = \\v. {a = extend(x, l, v), b = (\\f. {c = f x, d = f {}}) (\\r. r),"
+    " c = v (\\u. u)} in {p = z (\\g. 1), q = z (\\g. true)}",
+    # x's kind comes to hold {m: v} - {m: v}; binding x's type to a record
+    # drops v by reduction in rule i ...
+    "\\x. let z = \\v. \\r. {a = (\\f. {c = f x.l, d = f remove(r, m)}) (\\w. w),"
+    " b = (\\g. {e = g r, h = g {m = v}}) (\\w. w), c = (\\k. {i = k x, j = k {l = {}}}) (\\w. w)}"
+    " in {p = z 1 {m = 1}, q = z true {m = true}}",
+    # ... and in the normalization retry
+    "\\x. let z = \\v. \\s. \\r. {a = (\\f. {c = f x.l, d = f remove(r, m)}) (\\w. w),"
+    " b = (\\g. {e = g r, h = g {k = s, m = v}}) (\\w. w),"
+    " c = (\\k. {i = k x, j = k {l = {k = 1}}}) (\\w. w)}"
+    " in {p = z 1 1 {k = 1, m = 1}, q = z true 1 {k = 1, m = true}}",
+)
+
+
+def test_levels_generalize_as_closure_does(monkeypatch):
+    # At every let, generalizing by levels gives what `closure` gives over
+    # the resolved kind assignment and type assignment: the same
+    # quantifiers, in the same order and with the same kinds, and the same
+    # residual kind assignment, in the same order.
+    run_class = sys.modules["extrec.infer"]._Run
+    inner = run_class.generalize
+    lets = 0
+
+    def checked(run, tenv, t, bound):
+        nonlocal lets
+        lets += 1
+        gamma = {x: resolve_poly(run.subst, sigma) for x, sigma in tenv.items()}
+        kenv = {v: resolve(run.subst, k) for v, k in run.kenv.items()}
+        want_residual, want = closure(kenv, gamma, t)
+        got = inner(run, tenv, t, bound)
+        assert (got.quants, got.body) == (want.quants, want.body), bound
+        residual = [(v, resolve(run.subst, k)) for v, k in run.kenv.items()]
+        assert residual == list(want_residual.items()), bound
+        return got
+
+    monkeypatch.setattr(run_class, "generalize", checked)
+    for src in LEVEL_PROGRAMS:
+        for want_trace in (False, True):
+            infer({}, {}, parse_term(src), FreshSupply(1), want_trace=want_trace)
+    kenv, tenv, venv, _, _ = _setup_42()
+    rng = random.Random(113)
+    for i in range(2000):
+        env = i % 2 == 0
+        term = gen_closed_term(rng, rng.randint(3, 6), scope=("x", "y") if env else ())
+        k, g, start = (kenv, tenv, venv.next_free_uid()) if env else ({}, {}, 1)
+        infer(k, g, term, FreshSupply(start), want_trace=i % 4 < 2)
+    assert lets >= 1000
 
 
 def test_soundness_sample():
