@@ -101,6 +101,15 @@ def _load_env(env_path):
     return kenv, tenv, venv
 
 
+def _env_namer(kenv) -> Namer:
+    """A namer that has named the environment's variables first, so that
+    they keep their source names and no fresh variable takes one."""
+    namer = Namer()
+    for v in kenv:
+        namer.name(v)
+    return namer
+
+
 @click.group(cls=_Cli)
 def main():
     """Extensible-record calculus: parse, infer, check, unify, normalize, eval."""
@@ -137,11 +146,7 @@ def infer_cmd(file, expr, env_path, as_json):
         where = f" at {res.span}" if res.span else ""
         _die_analysis(f"type error{where}: {res.message} [{res.rule}/{res.reason}]")
     resid, principal = closure(res.kenv, apply_assignment(res.subst, tenv), res.type)
-    # The environment's variables are named first, so that they keep their
-    # source names and no fresh variable takes one.
-    namer = Namer()
-    for v in kenv:
-        namer.name(v)
+    namer = _env_namer(kenv)
     if as_json:
         payload = {
             "kind_assignment": {
@@ -206,7 +211,7 @@ def unify_cmd(file, expr, env_path):
     except UnificationError as e:
         click.echo(f"FAIL: {e}")
         sys.exit(ANALYSIS_ERROR)
-    namer = Namer()
+    namer = _env_namer(kenv)
     kind_text = pretty_kind_assignment(resid, namer)
     subst_text = pretty_subst(subst, namer)
     if kind_text:

@@ -423,10 +423,11 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
         eqs = [(a_field, t_value), (a_rec, t_rec)] if has_value else [(a_rec, t_rec)]
         run.unify(eqs, case, term)
         t = run.current(result(a_rec, term.label, a_field))
-        claim = KindingClaim(run.current(a_rec), side(term.label, run.current(a_field)))
         if rule == "Ext":
-            run.extensions.append((claim.subject, t_value, term))
-        run.record(rule, tenv, term, t, 1 + has_value, claim)
+            run.extensions.append((run.current(a_rec), t_value, term))
+        if run.nodes is not None:
+            claim = KindingClaim(run.current(a_rec), side(term.label, run.current(a_field)))
+            run.record(rule, tenv, term, t, 1 + has_value, claim)
         return t
 
     raise TypeError(f"infer: not a term: {term!r}")

@@ -15,6 +15,13 @@ against an extension/contraction chain, cancellation of matching
 operations across two chains, and finally the two-chain merge onto a
 fresh common base.
 
+The four rules that eliminate a record-kinded variable (iii, iv, vii and
+ix) share one step, `_meet`, as in Ohori's kinded unification: the
+variable is bound once the field facts of its image meet its kind.  Rule
+ix kinds a fresh base with the labels both chains contract on the left
+and those they extend on the right, then meets each chain's base with the
+fresh base under the other chain's operations.
+
 Extensible types are not normalized eagerly; a normalization retry plus a
 chain-against-record decomposition cover the shapes plain substitution can
 produce that the primary rules do not match.
@@ -221,7 +228,8 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
     ):
         if t1.uid < t2.uid:
             t1, t2 = t2, t1
-        _rule_iii(st, t1, t2)
+        st.note("iii")
+        _meet(st, t1, t2, t2)
         return
     # iv) record-kinded variable against a record type
     for a, b in ((t1, t2), (t2, t1)):
@@ -230,7 +238,8 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
             and isinstance(st.kenv.get(a), RecordKind)
             and isinstance(b, RecordType)
         ):
-            _rule_iv(st, a, b)
+            st.note("iv")
+            _meet(st, a, b, None)
             return
     # vii) record-kinded variable against a normal chain with a kinded
     # variable base.  A reducible chain falls through to the normalization
@@ -244,7 +253,8 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
         ):
             base = base_of(b)
             if isinstance(base, TyVar) and isinstance(st.kenv.get(base), RecordKind):
-                _rule_vii(st, a, b, base)
+                st.note("vii")
+                _meet(st, a, b, base)
                 return
     # viii) matching operation on two chains over variables
     if _is_chain(t1) and _is_chain(t2):
@@ -286,6 +296,7 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
             and isinstance(st.kenv.get(base1), RecordKind)
             and isinstance(st.kenv.get(base2), RecordKind)
         ):
+            st.note("ix")
             _rule_ix(st, base1, ops1, base2, ops2)
             return
     # x) derived: chain over a variable base against a plain record
@@ -306,164 +317,92 @@ def _matching_ops(ops1, ops2):
     return None
 
 
-def _rule_iii(st: _State, v1: TyVar, v2: TyVar):
-    k1: RecordKind = st.kind(v1)
-    k2: RecordKind = st.kind(v2)
-    f1l, f1r = k1.left_map(), k1.right_map()
-    f2l, f2r = k2.left_map(), k2.right_map()
-    if f1l.keys() & f2r.keys() or f1r.keys() & f2l.keys():
-        raise UnificationError(
-            KIND, "one variable requires a field the other forbids"
-        )
-    eqs = [(f1l[l], f2l[l]) for l in f1l.keys() & f2l.keys()]
-    eqs += [(f1r[l], f2r[l]) for l in f1r.keys() & f2r.keys()]
-    merged = RecordKind(
-        tuple(fmap_plus(f1l, f2l).items()), tuple(fmap_plus(f1r, f2r).items())
-    )
-    merged = apply_kind({v1: v2}, merged)
-    if v2 in ftv(merged):
-        raise UnificationError(OCCURS, "variable occurs in its own merged kind")
-    st.note("iii")
-    st.bind(v1, v2)
-    st.kenv[v2] = merged
-    if st.levels is not None:
-        st.levels.lower(v2, k1)
-    st.push(*eqs)
+def _meet(st: _State, v: TyVar, image: MonoType, base: TyVar | None):
+    """Eliminate the record-kinded variable v into image, once image's field
+    facts meet v's kind: rules iii, iv and vii, and both halves of ix.  The
+    facts come from base's kind, when image is base or a chain over it, or
+    from image itself, a record, when base is None.
 
-
-def _rule_iv(st: _State, v: TyVar, rec: RecordType):
+    Each field of v's kind that the facts state is equated with the facts'
+    type.  When image is base, v's fields go into base's kind over base's
+    own entries (the two are equated anyway).  A chain over base only
+    moves labels of base's kind, so base keeps its own entries and gains
+    v's fields on the labels it does not state.  A record states every
+    label, and the types of the fields v forbade are dropped."""
     k: RecordKind = st.kind(v)
-    f1l, f1r = k.left_map(), k.right_map()
-    fields = rec.field_map()
-    if not f1l.keys() <= fields.keys():
-        missing = sorted(f1l.keys() - fields.keys())
-        raise UnificationError(KIND, f"record lacks required field(s) {missing}")
-    if f1r.keys() & fields.keys():
-        clash = sorted(f1r.keys() & fields.keys())
-        raise UnificationError(KIND, f"record carries forbidden field(s) {clash}")
-    if v in ftv(rec):
-        raise UnificationError(OCCURS, "variable occurs in the record type")
-    st.note("iv")
-    if st.levels is not None:
-        st.levels.lose(v, *f1r.values())
-    st.bind(v, rec)
-    st.push(*((f1l[l], fields[l]) for l in f1l))
-
-
-def _rule_vii(st: _State, v: TyVar, chain: MonoType, base: TyVar):
-    k1: RecordKind = st.kind(v)
-    k2: RecordKind = st.kind(base)
-    f1l, f1r = k1.left_map(), k1.right_map()
-    f2l, f2r = k2.left_map(), k2.right_map()
-    if v in ftv(chain):
-        raise UnificationError(OCCURS, "variable occurs in the chain")
-    # Net field facts of the chain.  On inference-shaped chains (contracted
-    # labels in the base's lefts, extended labels exactly the base's rights)
-    # this is the contracted/guaranteed bookkeeping of the transformation;
-    # synthesizing it from the chain also covers shapes substitution built.
-    info = field_info({base: k2}, chain)
+    occurs = v in ftv(image)
+    if occurs and base is not None:
+        # checked before the facts, which would otherwise mention v
+        raise UnificationError(OCCURS, "variable occurs in its own solution")
+    kb = None if base is None else st.kind(base)  # resolved in st.kenv, for field_info
+    info = field_info(st.kenv, image)
+    eqs = []
+    if info is None and base is not None:
+        # A merge may have written another type over base's entry for a
+        # label one of image's operations moves, with the equation between
+        # the two still queued: equate them, and read the facts with the
+        # operation's type.
+        kl, kr = kb.left_map(), kb.right_map()
+        for sign, l, f in chain_ops(image)[1]:
+            side = kl if sign == CON else kr
+            if l in side and not equiv(side[l], f):
+                eqs.append((side[l], f))
+                side[l] = f
+        info = field_info({base: RecordKind(tuple(kl.items()), tuple(kr.items()))}, image)
     if info is None:
         raise UnificationError(KIND, "chain's operations contradict its base's kind")
     present, absent = info.present, info.absent
-    if f1l.keys() & absent.keys():
-        raise UnificationError(KIND, "required field is guaranteed absent")
-    if f1r.keys() & present.keys():
-        raise UnificationError(KIND, "forbidden field is guaranteed present")
-    eqs = [(f1l[l], present[l]) for l in f1l.keys() & present.keys()]
-    eqs += [(f1r[l], absent[l]) for l in f1r.keys() & absent.keys()]
-    # Along the chain labels only move between the base kind's two sides,
-    # so the settled labels are exactly the base's own and the sides stay
-    # disjoint.
-    settled = present.keys() | absent.keys()
-    moved_l = {l: t for l, t in f1l.items() if l not in settled}
-    moved_r = {l: t for l, t in f1r.items() if l not in settled}
-    base_kind = RecordKind(
-        tuple(fmap_plus(f2l, moved_l).items()), tuple(fmap_plus(f2r, moved_r).items())
-    )
-    base_kind = apply_kind({v: chain}, base_kind)
-    if base in ftv(base_kind):
-        raise UnificationError(OCCURS, "chain base occurs in its own kind")
-    st.note("vii")
-    st.bind(v, chain)
-    st.kenv[base] = base_kind
-    if st.levels is not None:
-        st.levels.lower(base, *moved_l.values(), *moved_r.values())
+    lefts, rights = k.left_map(), k.right_map()
+    missing = [l for l in lefts if l in absent or info.record_base and l not in present]
+    if missing:
+        raise UnificationError(KIND, f"required field(s) {missing} absent")
+    clash = [l for l in rights if l in present]
+    if clash:
+        raise UnificationError(KIND, f"forbidden field(s) {clash} present")
+    if occurs:
+        raise UnificationError(OCCURS, "variable occurs in its own solution")
+    eqs += [(t, present[l]) for l, t in lefts.items() if l in present]
+    eqs += [(t, absent[l]) for l, t in rights.items() if l in absent]
+    if base is None:
+        if st.levels is not None:
+            st.levels.lose(v, *rights.values())
+        st.bind(v, image)
+    else:
+        if image != base:
+            lefts = {l: t for l, t in lefts.items() if l not in present}
+            rights = {l: t for l, t in rights.items() if l not in absent}
+        kind = RecordKind(
+            tuple({**kb.left_map(), **lefts}.items()), tuple({**kb.right_map(), **rights}.items())
+        )
+        kind = apply_kind({v: image}, kind)
+        if base in ftv(kind):
+            raise UnificationError(OCCURS, "variable occurs in its own kind")
+        st.bind(v, image)
+        st.kenv[base] = kind
+        if st.levels is not None:
+            st.levels.lower(base, *lefts.values(), *rights.values())
     st.push(*eqs)
 
 
 def _rule_ix(st: _State, v1: TyVar, ops1, v2: TyVar, ops2):
-    chain1 = rebuild_chain(v1, ops1)
-    chain2 = rebuild_chain(v2, ops2)
-    e1, c1 = efields(chain1), cfields(chain1)
-    e2, c2 = efields(chain2), cfields(chain2)
-    labels1 = e1.keys() | c1.keys()
-    labels2 = e2.keys() | c2.keys()
-    if labels1 & labels2:
-        # A shared same-sign pair was already taken by the cancellation
-        # rule, so the shared operation here is present on one side and
-        # absent on the other: unsatisfiable.
-        raise UnificationError(
-            KIND, "chains share a label with opposite operations"
-        )
-    k1: RecordKind = st.kind(v1)
-    k2: RecordKind = st.kind(v2)
-    f1l, f1r = k1.left_map(), k1.right_map()
-    f2l, f2r = k2.left_map(), k2.right_map()
-    # occurs checks look at whole chains
-    if v1 in ftv(chain2) or v2 in ftv(chain1):
-        raise UnificationError(OCCURS, "chain base occurs on the other side")
-    ops_vars = set()
-    for _, _, f in ops1 + ops2:
-        ops_vars |= ftv(f)
-    if v1 in ops_vars or v2 in ops_vars:
-        raise UnificationError(OCCURS, "chain base occurs in an operation type")
-
-    # The variables' kinds must be compatible with the operations landing
-    # on their images: a field a kind requires cannot be contracted away,
-    # and a field a kind forbids cannot be extended in.
-    for fl, fr, e_opp, c_opp, e_own, c_own in (
-        (f1l, f1r, e2, c2, e1, c1),
-        (f2l, f2r, e1, c1, e2, c2),
-    ):
-        if fl.keys() & c_opp.keys() or fl.keys() & e_own.keys():
-            raise UnificationError(KIND, "required field is extended or contracted away")
-        if fr.keys() & e_opp.keys() or fr.keys() & c_own.keys():
-            raise UnificationError(KIND, "forbidden field is supplied")
-
-    eqs = [(f1l[l], e2[l]) for l in f1l.keys() & e2.keys()]
-    eqs += [(f1r[l], c2[l]) for l in f1r.keys() & c2.keys()]
-    eqs += [(f2l[l], e1[l]) for l in f2l.keys() & e1.keys()]
-    eqs += [(f2r[l], c1[l]) for l in f2r.keys() & c1.keys()]
-
-    # Demands on the fresh common base.
-    left_sources = [c1, c2, fmap_minus(f1l, fmap_plus(e2, c2)), fmap_minus(f2l, fmap_plus(e1, c1))]
-    right_sources = [e1, e2, fmap_minus(f1r, fmap_plus(e2, c2)), fmap_minus(f2r, fmap_plus(e1, c1))]
-    lefts: dict = {}
-    rights: dict = {}
-    for src in left_sources:
-        for l, t in src.items():
-            if l in lefts:
-                eqs.append((lefts[l], t))
-            else:
-                lefts[l] = t
-    for src in right_sources:
-        for l, t in src.items():
-            if l in rights:
-                eqs.append((rights[l], t))
-            else:
-                rights[l] = t
+    """Both chains' bases become chains over one fresh base, whose kind has
+    the contracted labels on the left and the extended ones on the right:
+    v1 := fresh·ops2 and v2 := fresh·ops1."""
+    lefts = {l: f for sign, l, f in ops1 + ops2 if sign == CON}
+    rights = {l: f for sign, l, f in ops1 + ops2 if sign == EXT}
     if lefts.keys() & rights.keys():
-        raise UnificationError(
-            KIND, "a field is required present on one side and absent on the other"
-        )
-
+        # A shared same-sign pair was already taken by the cancellation
+        # rule, so a shared label is contracted on one side and extended on
+        # the other: unsatisfiable.
+        raise UnificationError(KIND, "chains share a label with opposite operations")
+    if any({v1, v2} & ftv(f) for _, _, f in ops1 + ops2):
+        # each meet would check one base against the other chain's
+        # operations only, and only after the other base's kind checks
+        raise UnificationError(OCCURS, "chain base occurs in an operation type")
     fresh = st.fresh()
-    st.note("ix")
-    # The fresh base is kinded before the bindings lower it, with its kind.
     st.kenv[fresh] = RecordKind(tuple(lefts.items()), tuple(rights.items()))
-    st.bind(v1, rebuild_chain(fresh, ops2))
-    st.bind(v2, rebuild_chain(fresh, ops1))
-    st.push(*eqs)
+    _meet(st, v1, rebuild_chain(fresh, ops2), fresh)
+    _meet(st, v2, rebuild_chain(fresh, ops1), fresh)
 
 
 def _rule_chain_record(st: _State, chain: MonoType, rec: RecordType):

@@ -406,26 +406,80 @@ def gen_kinded_equations(rng: random.Random, uid_base=50):
     return kenv, eqs
 
 
+def gen_two_chain_equation(rng: random.Random, uid_base=50):
+    """An equation between two chains, of 1-2 operations each, over two
+    distinct record-kinded variables: the input of the two-chain merge.
+    Labels l, m, n carry one type each per set.  In some sets a third
+    variable, whose kind gives a universally kinded variable as the type of
+    some of the first variable's required fields, is first equated with the
+    first variable; the merge then writes that type over the one the first
+    chain's operations carry, and the two are equated only later.  (On a
+    forbidden field, `has_kind` leaves the type free on a record while the
+    solver equates it, so the brute-force check would not hold there.)
+    Returns (kenv, eqs, label types)."""
+    labels = ("l", "m", "n")
+    label_types = {l: rng.choice((INT, BOOL)) for l in labels}
+    kenv = {}
+    for i in range(2):
+        pool = list(labels)
+        rng.shuffle(pool)
+        # every kind states a label, so that a chain has a first move
+        n_left = rng.randint(0, 2)
+        n_right = rng.randint(0 if n_left else 1, 3 - n_left)
+        lefts = tuple(sorted((l, label_types[l]) for l in pool[:n_left]))
+        rights = tuple(sorted((l, label_types[l]) for l in pool[n_left : n_left + n_right]))
+        kenv[TyVar(uid_base + i, f"u{i}")] = RecordKind(lefts, rights)
+    sides = []
+    for v in kenv:
+        t = v
+        for _ in range(rng.randint(1, 2)):
+            info = field_info(kenv, t)
+            moves = [(Ext, l, ft) for l, ft in info.absent.items()]
+            moves += [(Contr, l, ft) for l, ft in info.present.items()]
+            op, label, fty = rng.choice(moves)
+            t = op(t, label, fty)
+        sides.append(t)
+    eqs = [tuple(sides)]
+    if rng.random() < 0.3:
+        u0, u2, g = TyVar(uid_base, "u0"), TyVar(uid_base + 2, "u2"), TyVar(uid_base + 3, "g")
+        k0 = kenv[u0]
+        lefts = tuple((l, g if rng.random() < 0.5 else t) for l, t in k0.lefts)
+        kenv[g] = UKind()
+        kenv[u2] = RecordKind(lefts, k0.rights)
+        eqs.insert(0, (u2, u0))
+    return kenv, eqs, label_types
+
+
 def enumerate_ground_unifiers(kenv, eqs, universe):
     """Brute-force: every assignment of universe types to kenv's variables
-    that respects kenv and satisfies the equations."""
+    that respects kenv and satisfies the equations.  Each kind and each
+    equation is checked as soon as the variables it mentions have values."""
     variables = list(kenv)
+    position = {v: i for i, v in enumerate(variables)}
+    due = [[] for _ in variables]
+    pre = []
+
+    def schedule(vs, check):
+        i = max((position[v] for v in vs), default=-1)
+        (due[i] if i >= 0 else pre).append(check)
+
+    for v in variables:
+        schedule(ftv(kenv[v]) | {v}, lambda g, v=v: has_kind({}, g[v], apply_kind(g, kenv[v])))
+    for a, b in eqs:
+        schedule(ftv(a) | ftv(b), lambda g, a=a, b=b: equiv(apply_type(g, a), apply_type(g, b)))
+    if not all(check({}) for check in pre):
+        return []
     out = []
 
     def rec(i, g):
         if i == len(variables):
-            for v in variables:
-                if not has_kind({}, g[v], apply_kind(g, kenv[v])):
-                    return
-            for a, b in eqs:
-                if not equiv(apply_type(g, a), apply_type(g, b)):
-                    return
             out.append(dict(g))
             return
         v = variables[i]
         for t in universe:
             g[v] = t
-            rec(i + 1, g)
+            if all(check(g) for check in due[i]):
+                rec(i + 1, g)
         del g[v]
 
     rec(0, {})

@@ -129,6 +129,21 @@ def test_unify_command(tmp_path):
     assert bad.output.startswith("FAIL:")
 
 
+def test_unify_names_the_environment_first(tmp_path):
+    # the two-chain merge's fresh base takes the next free letter; the
+    # environment's variables keep their source names
+    env = tmp_path / "k.env"
+    env.write_text("'a :: <<l: Int, m: Bool || >>\n'b :: << || l: Int>>\n")
+    r = run("unify", "--env", str(env), "-e", "'a - {m: Bool} = 'b + {l: Int}")
+    assert r.exit_code == 0
+    assert r.output.splitlines() == [
+        "'c :: <<m: Bool || l: Int>>",
+        "---",
+        "'a := 'c + {l: Int}",
+        "'b := 'c - {m: Bool}",
+    ]
+
+
 def test_eval_command():
     r = run("eval", "-e", "extend({}, l, true).l")
     assert r.exit_code == 0 and r.output.strip() == "true"

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from extrec.infer import FreshSupply
 from extrec.kinding import has_kind
 from extrec.normalize import equiv, normalize, subst_equal
 from extrec.subst import KindedSubstitution, apply_kind, apply_type, resolve, respects
@@ -20,7 +21,13 @@ from extrec.syntax import (
     record_kind,
 )
 from extrec.unify import UnificationError, cfields, efields, fmap_minus, fmap_plus, unify
-from gen import gen_kinded_equations
+from gen import (
+    enumerate_ground_unifiers,
+    factors_through,
+    gen_kinded_equations,
+    gen_two_chain_equation,
+    mgu_universe,
+)
 
 unify_mod = importlib.import_module("extrec.unify")  # the package binds the name to the function
 
@@ -75,6 +82,12 @@ def test_variable_against_chain_rule_vii():
     assert subst_equal(s, {a: Ext(b, "l1", INT)})
 
 
+def _reason(kenv, eqs):
+    with pytest.raises(UnificationError) as e:
+        unify(kenv, eqs)
+    return e.value.reason
+
+
 def test_failure_reasons():
     with pytest.raises(UnificationError) as e:
         unify({a: record_kind([("l", INT)])}, [(a, RecordType((("m", BOOL),)))])
@@ -88,6 +101,49 @@ def test_failure_reasons():
     with pytest.raises(UnificationError) as e4:
         unify({a: UKind()}, [(Arrow(a, a), RecordType(()))])
     assert e4.value.reason == "constructor_clash"
+    # iii: two record-kinded variables
+    assert _reason(
+        {a: record_kind([("l", INT)]), b: record_kind([], [("l", INT)])}, [(a, b)]
+    ) == "kind_clash"
+    # b is eliminated into a, whose kind then mentions a
+    assert _reason(
+        {a: record_kind([("l", b)]), b: record_kind([("m", INT)])}, [(a, b)]
+    ) == "occurs_check"
+    # iv: a record-kinded variable against a record
+    assert _reason(
+        {a: record_kind([], [("l", INT)])}, [(a, RecordType((("l", INT),)))]
+    ) == "kind_clash"
+    assert _reason(
+        {a: record_kind([("l", INT)])}, [(a, RecordType((("l", INT), ("m", a))))]
+    ) == "occurs_check"
+    # against a record, a missing field is reported before the occurrence
+    assert _reason({a: record_kind([("l", INT)])}, [(a, RecordType((("m", a),)))]) == "kind_clash"
+    # vii: a record-kinded variable against a chain
+    assert _reason(
+        {a: record_kind([("l", INT)]), b: record_kind([("l", INT)])},
+        [(a, Contr(b, "l", INT))],
+    ) == "kind_clash"
+    assert _reason({a: record_kind([], [("m", INT)])}, [(a, Ext(a, "m", INT))]) == "occurs_check"
+    # ix: two chains over distinct variables; a requires l, which b's chain
+    # contracts, and then one chain's base occurs in the other's operation
+    assert _reason(
+        {a: record_kind([("l", INT), ("m", INT)]), b: record_kind([("l", INT)])},
+        [(Contr(a, "m", INT), Contr(b, "l", INT))],
+    ) == "kind_clash"
+    assert _reason(
+        {a: record_kind([("m", INT)]), b: record_kind([("n", a)])},
+        [(Contr(a, "m", INT), Contr(b, "n", a))],
+    ) == "occurs_check"
+    # vii and ix: a base inside an operation type is an occurrence before
+    # any kind check, though the kinds clash as well
+    assert _reason(
+        {a: record_kind([("l", INT), ("m", INT)]), b: record_kind([("l", a)])},
+        [(Contr(a, "m", INT), Contr(b, "l", a))],
+    ) == "occurs_check"
+    assert _reason(
+        {a: record_kind([("l", INT)]), b: record_kind([], [("l", INT), ("n", a)])},
+        [(a, Ext(b, "n", a))],
+    ) == "occurs_check"
 
 
 def test_opposite_operations_on_shared_label_fail():
@@ -110,6 +166,72 @@ def test_two_chain_merge_with_kind_interplay():
     for t1, t2 in [(Contr(a, "m", BOOL), Ext(b, "l", INT))]:
         assert equiv(apply_type(s, t1), apply_type(s, t2))
     assert respects(KindedSubstitution(resid, s), kenv)
+
+
+def test_two_chain_merge_keeps_the_operations_types():
+    # The fresh base's kind takes each moved label's type from the
+    # operation.  Meeting a with f - {m: Int} must not write a's own type
+    # for l over it, or meeting b with f's other chain sees the operation
+    # contradict f's kind.  The forbidden side behaves the same.
+    f = TyVar(9, "f")
+    cases = [
+        (record_kind([("l", g)]), Contr(a, "l", INT), Contr(f, "l", INT),
+         record_kind([("l", INT), ("m", INT)])),
+        (record_kind([], [("l", g)]), Ext(a, "l", INT), Ext(f, "l", INT),
+         record_kind([("m", INT)], [("l", INT)])),
+    ]
+    for kind_a, lhs, b_image, f_kind in cases:
+        kenv = {g: UKind(), a: kind_a, b: record_kind([("m", INT)])}
+        trace = []
+        resid, s = unify(kenv, [(lhs, Contr(b, "m", INT))], fresh=lambda: f, trace=trace)
+        assert trace[0] == "ix"
+        assert s == {a: Contr(f, "m", INT), b: b_image, g: INT}
+        assert resid == {f: f_kind}
+
+
+def test_a_chain_queued_before_a_merge_meets_the_merged_kind():
+    # w is merged into a first, so a's kind gives l the type g while the
+    # equation g = Int is still queued; the chain a - {l: Int}, built
+    # against a's old kind, must still meet b
+    w = TyVar(4, "w")
+    kenv = {
+        g: UKind(),
+        a: record_kind([("l", INT)]),
+        w: record_kind([("l", g)]),
+        b: record_kind([], [("l", INT)]),
+    }
+    trace = []
+    resid, s = unify(kenv, [(w, a), (b, Contr(a, "l", INT))], trace=trace)
+    assert trace[:2] == ["iii", "vii"]
+    assert s == {w: a, b: Contr(a, "l", INT), g: INT}
+    assert resid == {a: record_kind([("l", INT)])}
+
+
+def test_two_chain_merges_are_most_general():
+    # Brute force, as acceptance criterion 7: a failure has no ground
+    # unifier over a finite universe, and every ground unifier factors
+    # through the result, which is itself a unifier that respects the kinds.
+    rng = random.Random(20261018)
+    unified = failed = merged = 0
+    for _ in range(400):
+        kenv, eqs, label_types = gen_two_chain_equation(rng)
+        universe = mgu_universe(label_types)
+        grounds = enumerate_ground_unifiers(kenv, eqs, universe)
+        trace = []
+        try:
+            resid, s = unify(dict(kenv), list(eqs), fresh=FreshSupply(900).fresh, trace=trace)
+        except UnificationError:
+            assert grounds == [], (kenv, eqs, grounds[:1])
+            failed += 1
+            continue
+        unified += 1
+        merged += "ix" in trace
+        for t1, t2 in eqs:
+            assert equiv(apply_type(s, t1), apply_type(s, t2)), (kenv, eqs, s)
+        assert respects(KindedSubstitution(resid, s), kenv), (kenv, eqs, resid, s)
+        for g in grounds:
+            assert factors_through(g, kenv, resid, s, universe), (kenv, eqs, g)
+    assert unified >= 100 and failed >= 100 and merged >= 20
 
 
 def test_chain_against_record_decomposes():
@@ -143,6 +265,37 @@ def test_equations_from_a_merge_see_the_merge():
     assert trace == ["iii", "ii"]
     assert s == {v1: v2, g: v2}
     assert resid == {v2: record_kind([("l", v2)])}
+
+
+def test_a_merge_keeps_the_eliminated_variables_forbidden_field():
+    # the right-hand side of the case above: v2's kind is written over by
+    # v1's entry for l, so it does not come to mention v2 itself
+    g, v2, v1 = TyVar(1, "g"), TyVar(2, "v2"), TyVar(3, "v1")
+    kenv = {g: UKind(), v2: record_kind([], [("l", v1)]), v1: record_kind([], [("l", g)])}
+    trace = []
+    resid, s = unify(kenv, [(v1, v2)], trace=trace)
+    assert trace == ["iii", "ii"]
+    assert s == {v1: v2, g: v2}
+    assert resid == {v2: record_kind([], [("l", v2)])}
+
+
+def test_forbidden_fields_are_equated_with_the_facts():
+    # a field a kind forbids carries the type it would be extended with;
+    # each rule equates it with the type the image's facts give the label
+    c = TyVar(3, "c")
+    cases = [
+        ("iii", {c: UKind(), a: record_kind([], [("l", c)]), b: record_kind([], [("l", INT)])},
+         (a, b)),
+        ("vii", {c: UKind(), a: record_kind([], [("l", c)]),
+                 b: record_kind([("m", INT)], [("l", INT)])},
+         (a, Contr(b, "m", INT))),
+        ("ix", {c: UKind(), a: record_kind([("m", INT)], [("l", c)]), b: record_kind([("l", INT)])},
+         (Contr(a, "m", INT), Contr(b, "l", INT))),
+    ]
+    for rule, kenv, eq in cases:
+        trace = []
+        resid, s = unify(kenv, [eq], fresh=FreshSupply(900).fresh, trace=trace)
+        assert rule in trace and s[c] == INT, (rule, trace, s)
 
 
 def _has_cycle(s):
