@@ -58,6 +58,7 @@ from .syntax import (
     ftv,
     is_extensible,
     poly,
+    trusted_record_kind,
 )
 from .unify import UnificationError, unify_in_place
 
@@ -342,11 +343,11 @@ def _check_base(record: MonoType, value: MonoType, term: Term):
 
 
 def _lefts(label, t) -> RecordKind:
-    return RecordKind(((label, t),), ())
+    return trusted_record_kind(((label, t),), ())
 
 
 def _rights(label, t) -> RecordKind:
-    return RecordKind((), ((label, t),))
+    return trusted_record_kind((), ((label, t),))
 
 
 # Term class -> (rule, failure tag, has a value premise, side of the record

@@ -6,10 +6,15 @@ present (with their types) and which are provably absent.  A requested
 record kind then holds iff it is a sub-specification of that synthesis.
 Chains over a record base additionally satisfy absence of any label the
 chain never mentions, at any well-formed type.
+
+`field_info` is the reference synthesis.  `cached_facts` reads the same
+facts for a variable, or a normal chain over one, from the base's kind and
+the label maps the chain's top node carries, without walking the chain.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .normalize import EXT, chain_ops, equiv
@@ -57,8 +62,8 @@ def wf_type_assignment(kenv: KindAssignment, gamma: TypeAssignment) -> bool:
 class FieldInfo:
     """Maximal field facts derivable for an extensible type."""
 
-    present: dict[Label, MonoType]
-    absent: dict[Label, MonoType]
+    present: Mapping[Label, MonoType]  # a dict, from field_info
+    absent: Mapping[Label, MonoType]
     record_base: bool  # unmentioned labels are absent at any type
 
 
@@ -92,6 +97,53 @@ def field_info(kenv: KindAssignment, t: MonoType) -> FieldInfo | None:
                 return None
             absent[label] = fty
     return FieldInfo(present, absent, record_base)
+
+
+class _Side(Mapping):
+    """One side of a chain's field facts, read through: the labels the
+    chain's operations put on this side, over the base kind's side less the
+    labels they move to the other."""
+
+    __slots__ = ("own", "moved", "kind_side")
+
+    def __init__(self, own: dict, moved: dict, kind_side: dict):
+        self.own, self.moved, self.kind_side = own, moved, kind_side
+
+    def __getitem__(self, label):
+        t = self.own.get(label)
+        if t is not None:
+            return t
+        if label in self.moved:
+            raise KeyError(label)
+        return self.kind_side[label]
+
+    def __iter__(self):
+        yield from self.own
+        yield from (l for l in self.kind_side if l not in self.moved and l not in self.own)
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+
+def cached_facts(k: RecordKind, t: MonoType) -> FieldInfo | None:
+    """`field_info({base: k}, t)` for t a variable base or a normal chain
+    over base, read without walking the chain, or None when that cannot be
+    done: t carries no label maps, or its operations' field types differ
+    from the kind's by equality (then only `field_info`'s equivalence can
+    tell).  A chain's maps are its own and are handed on when the chain is
+    extended, so the facts are for reading at once, not for keeping."""
+    kl, kr = k.left_map(), k.right_map()
+    if isinstance(t, TyVar):
+        return FieldInfo(kl, kr, False)
+    maps = t._facts
+    if maps is None:
+        return None
+    ext, con = maps
+    # An extension needs its label forbidden at its type, a contraction its
+    # label required at its type; the kind's sides are disjoint.
+    if not (ext.items() <= kr.items() and con.items() <= kl.items()):
+        return None
+    return FieldInfo(_Side(ext, con, kl), _Side(con, ext, kr), False)
 
 
 def has_kind(kenv: KindAssignment, t: MonoType, k: Kind) -> bool:

@@ -18,6 +18,11 @@ A chain that is one operation on top of a normal chain over a variable,
 as each extension or removal that inference types is, is normalized by
 insertion instead: the operation cancels its partner or goes to its
 sorted position, and only the nodes above that position are rebuilt.
+
+The top of a normal chain over a variable carries the label maps of its
+operations (`_facts`, see `syntax`): the sweep builds them, and insertion
+hands the maps of the chain below up to the new top, updated for the one
+operation.
 """
 
 from __future__ import annotations
@@ -36,8 +41,9 @@ from .syntax import (
     RecordType,
     Substitution,
     TyVar,
-    base_of,
+    ftv,
     map_type,
+    union_all,
 )
 
 EXT = 1
@@ -253,7 +259,13 @@ def _normalize_chain(t: MonoType) -> MonoType:
             kept.sort(key=lambda op: op[1])
             changed = True
         new_ops = kept
-    return rebuild_chain(new_base, new_ops) if changed else t
+    nf = rebuild_chain(new_base, new_ops) if changed else t
+    if isinstance(new_base, TyVar) and new_ops:
+        ext = {label: fty for sign, label, fty in new_ops if sign == EXT}
+        con = {label: fty for sign, label, fty in new_ops if sign == CON}
+        if len(ext) + len(con) == len(new_ops):
+            object.__setattr__(nf, "_facts", (ext, con))
+    return nf
 
 
 def _insert_op(t: MonoType) -> MonoType | None:
@@ -266,10 +278,16 @@ def _insert_op(t: MonoType) -> MonoType | None:
     operation whose label is <= its own.  Only the nodes above that point
     are rebuilt; the ones below are reused with their caches.  A chain
     whose normal form is not known yet goes to the sweep: normalizing it
-    here first would recurse once per operation."""
-    node = t.base
+    here first would recurse once per operation.
+
+    The chain's label maps, if it has them, go up to the result; so do its
+    free variables, when it knows them, with the operation's added, unless
+    the operation cancelled."""
+    below = node = t.base
     if not isinstance(node, TyVar) and not (
-        isinstance(node, (Ext, Contr)) and node._nf is IS_NORMAL
+        isinstance(node, (Ext, Contr))
+        and node._nf is IS_NORMAL
+        and isinstance(node._bottom, TyVar)
     ):
         return None
     label, fty = t.label, normalize(t.field_type)
@@ -284,17 +302,48 @@ def _insert_op(t: MonoType) -> MonoType | None:
             partner, kept = node, len(same)
         same.append(node)
         node = node.base
-    if not isinstance(base_of(node), TyVar):
-        return None
     if partner is not None:
         out, above = partner.base, above + same[:kept]
-    elif point is t.base and fty is t.field_type:
-        return t
+    elif point is below and fty is t.field_type:
+        out = t
     else:
         out = type(t)(point, label, fty)
     for node in reversed(above):
         out = type(node)(out, node.label, node.field_type)
+    if partner is None and out._fv is None:
+        # below's variables and the operation's; the rebuilt nodes between
+        # compute theirs when asked
+        known = ftv(below) if isinstance(below, TyVar) else below._fv
+        if known is not None:
+            object.__setattr__(out, "_fv", union_all([known, ftv(fty)]))
+    _hand_up(below, out, type(t) is Ext, label, fty, partner is not None)
     return out
+
+
+def _hand_up(below, out, extends: bool, label, fty, cancelled: bool):
+    """Give out, the normal form of one operation on top of the normal
+    chain (or variable) below, the label maps of below updated for that
+    operation; below keeps none.  Nothing moves when below has no maps, or
+    when the operation repeats a label it does not cancel: out is then
+    unkindable debris."""
+    if isinstance(below, TyVar):
+        maps = ({}, {})
+    else:
+        maps = below._facts
+        if maps is None:
+            return
+    ext, con = maps
+    own, other = (ext, con) if extends else (con, ext)
+    if cancelled:
+        del other[label]
+    elif label in own or label in other:
+        return
+    else:
+        own[label] = fty
+    if not isinstance(below, TyVar):
+        object.__setattr__(below, "_facts", None)
+    if not isinstance(out, TyVar):
+        object.__setattr__(out, "_facts", maps)
 
 
 def is_normal(t: MonoType) -> bool:

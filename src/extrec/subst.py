@@ -44,16 +44,25 @@ def apply_type(s: Substitution, t: MonoType | Kind) -> MonoType | Kind:
     """Apply s to a monotype or a kind."""
     if isinstance(t, TyVar):  # a lookup is cheaper than the test below
         return s.get(t, t)
-    if s.keys().isdisjoint(ftv(t)):
+    if misses(s, ftv(t)):
         return t
     return map_type(partial(apply_type, s), t)
+
+
+def misses(s: Substitution, fv: frozenset) -> bool:
+    """No variable of fv is in the domain of s.  A large fv is tested by set
+    difference, which looks its members up in s with the hashes the set has
+    stored; `isdisjoint` would call `TyVar.__hash__` for each."""
+    if len(fv) < 16:
+        return s.keys().isdisjoint(fv)
+    return len(fv.difference(s)) == len(fv)
 
 
 apply_kind = apply_type  # kinds take the same walk
 
 
 def apply_poly(s: Substitution, p: PolyType) -> PolyType:
-    if s.keys().isdisjoint(ftv(p)):
+    if misses(s, ftv(p)):
         return p
     if not p.quants:
         return poly(apply_type(s, p.body))
@@ -94,7 +103,7 @@ def resolve(s: Substitution, t: MonoType | Kind) -> MonoType | Kind:
         for v in path:
             s[v] = image
         return image
-    if s.keys().isdisjoint(ftv(t)):
+    if misses(s, ftv(t)):
         return t
     return map_type(partial(resolve, s), t)
 
@@ -103,7 +112,7 @@ def resolve_poly(s: Substitution, p: PolyType) -> PolyType:
     """Apply the triangular substitution s to a polytype's free variables,
     renaming its binders first when they would be caught."""
     free = ftv(p)
-    if s.keys().isdisjoint(free):
+    if misses(s, free):
         return p
     if p.quants:
         images = {w for v in free if v in s for w in ftv(resolve(s, v))}

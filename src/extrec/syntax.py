@@ -6,9 +6,11 @@ fields, record-kind sides) are kept sorted by label so that structural
 equality is insensitive to the order labels were written in.
 
 Every type, kind and polytype value caches its free type variables in a
-`_fv` slot.  `ftv` is the only writer: it fills the slot on the first
-request and returns the same frozenset ever after.  Since the values are
-immutable, a cached set never goes stale.  Substitution relies on it to
+`_fv` slot.  `ftv` fills the slot on the first request and returns the
+same frozenset ever after.  Two builders fill it first, from sets they
+already hold: `trusted_record_kind`, and `normalize` on the top node of
+a chain it extends by one operation.  Since the values are immutable, a
+cached set never goes stale.  Substitution relies on it to
 return a value untouched, as the same object, when its free variables
 miss the substitution's domain.
 
@@ -17,6 +19,25 @@ caches its normal form in a `_nf` slot, and `normalize` is its only
 writer.  A value that is its own normal form is marked with the
 `IS_NORMAL` sentinel rather than a reference to itself, so that no value
 sits in a reference cycle and reference counting can free it.
+
+Extension and contraction nodes carry two more slots:
+
+- `_bottom`, the chain's base (a type variable or a record), written
+  once by the node's constructor from its `.base`, so `base_of` is one
+  slot read;
+- `_facts`, written only by `normalize`: on the top node of a normal
+  chain over a variable whose labels are distinct, the pair of label
+  maps (extended label -> field type, contracted label -> field type) of
+  the whole chain.  When `normalize` inserts one operation on top of
+  such a chain, it hands the maps up: it updates them for that operation,
+  stores them on the new top and clears the old top's slot, so a chain
+  of n operations holds one pair of maps, not n.  An old top, and a node
+  below a top, has no maps; its readers fall back to walking the chain.
+
+A record kind built by `trusted_record_kind` skips the constructor's
+sorting and checks, and may come with its `_fv` set by its builder.  Its
+builders vouch for its sides: `map_type`, which keeps labels; a one-field
+kind; and unification's merge of two kinds.
 """
 
 from __future__ import annotations
@@ -167,6 +188,9 @@ class TyVar:
     name: str = field(default="", compare=False)
     _fv: "frozenset[TyVar] | None" = _cache_slot()
 
+    def __hash__(self):
+        return self.uid
+
 
 @dataclass(frozen=True, slots=True)
 class RecordType:
@@ -198,10 +222,11 @@ class Ext:
     field_type: "MonoType"
     _fv: "frozenset[TyVar] | None" = _cache_slot()
     _nf: "MonoType | object | None" = _cache_slot()
+    _bottom: "TyVar | RecordType" = field(init=False, repr=False, compare=False)
+    _facts: "tuple[dict, dict] | None" = _cache_slot()
 
     def __post_init__(self):
-        if not is_extensible(self.base):
-            raise ValueError("extension base must be an extensible type")
+        object.__setattr__(self, "_bottom", _bottom_of(self.base, "extension"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,13 +238,24 @@ class Contr:
     field_type: "MonoType"
     _fv: "frozenset[TyVar] | None" = _cache_slot()
     _nf: "MonoType | object | None" = _cache_slot()
+    _bottom: "TyVar | RecordType" = field(init=False, repr=False, compare=False)
+    _facts: "tuple[dict, dict] | None" = _cache_slot()
 
     def __post_init__(self):
-        if not is_extensible(self.base):
-            raise ValueError("contraction base must be an extensible type")
+        object.__setattr__(self, "_bottom", _bottom_of(self.base, "contraction"))
 
 
 MonoType = BaseType | TyVar | RecordType | Arrow | Ext | Contr
+
+
+def _bottom_of(base, what: str):
+    """The bottom of a chain node over `base`, for its `_bottom` slot."""
+    if isinstance(base, (Ext, Contr)):
+        return base._bottom
+    if isinstance(base, (TyVar, RecordType)):
+        return base
+    raise ValueError(f"{what} base must be an extensible type")
+
 
 INT = BaseType("Int")
 BOOL = BaseType("Bool")
@@ -233,11 +269,11 @@ def is_extensible(t: MonoType) -> bool:
 
 def base_of(t: MonoType) -> MonoType:
     """Bottom of an Ext/Contr chain: the type variable or record type."""
-    if not is_extensible(t):
-        raise ValueError(f"base_of: not an extensible type: {t!r}")
-    while isinstance(t, (Ext, Contr)):
-        t = t.base
-    return t
+    if isinstance(t, (Ext, Contr)):
+        return t._bottom
+    if isinstance(t, (TyVar, RecordType)):
+        return t
+    raise ValueError(f"base_of: not an extensible type: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +316,17 @@ U = UKind()
 
 def record_kind(lefts=(), rights=()) -> RecordKind:
     return RecordKind(tuple(dict(lefts).items()), tuple(dict(rights).items()))
+
+
+def trusted_record_kind(lefts, rights, fv=None) -> RecordKind:
+    """A record kind from sides that are already sorted by label, without
+    repeated labels, and disjoint, built without checking them; `fv`, if
+    given, is its free variables and fills the `_fv` cache."""
+    k = object.__new__(RecordKind)
+    object.__setattr__(k, "lefts", lefts)
+    object.__setattr__(k, "rights", rights)
+    object.__setattr__(k, "_fv", fv)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +403,9 @@ def ftv(x) -> frozenset[TyVar]:
     elif isinstance(x, (Ext, Contr)):
         fv = _union(ftv(x.base), ftv(x.field_type))
     elif isinstance(x, RecordType):
-        fv = _NO_VARS
-        for _, t in x.fields:
-            fv = _union(fv, ftv(t))
+        fv = union_all([ftv(t) for _, t in x.fields])
     elif isinstance(x, RecordKind):
-        fv = _NO_VARS
-        for _, t in x.lefts + x.rights:
-            fv = _union(fv, ftv(t))
+        fv = union_all([ftv(t) for _, t in x.lefts] + [ftv(t) for _, t in x.rights])
     elif isinstance(x, PolyType):
         # A quantifier binds in later kinds and the body, not in its own kind.
         fv = ftv(x.body)
@@ -383,6 +426,16 @@ def _union(a: frozenset[TyVar], b: frozenset[TyVar]) -> frozenset[TyVar]:
     if a <= b:
         return b
     return a | b
+
+
+def union_all(sets: list) -> frozenset[TyVar]:
+    """The union of the sets, in one call, as the largest of them itself
+    when it holds the others."""
+    if not sets:
+        return _NO_VARS
+    largest = max(sets, key=len)
+    fv = largest.union(*sets)
+    return largest if len(fv) == len(largest) else fv
 
 
 def ftv_assignment(gamma: TypeAssignment) -> set[TyVar]:
@@ -426,7 +479,8 @@ def eftv_assignment(kenv: KindAssignment, gamma: TypeAssignment) -> set[TyVar]:
 def map_type(f, x):
     """x rebuilt with f applied to each child type, one level down.
 
-    x is a monotype or a kind; labels are kept, so fields stay sorted.
+    x is a monotype or a kind; labels are kept, so fields stay sorted and
+    a kind's sides disjoint.
     Returns x itself when every child comes back as the same object, so a
     walk that changes nothing allocates nothing."""
     if isinstance(x, Arrow):
@@ -444,7 +498,7 @@ def map_type(f, x):
         lefts, rights = _map_fields(f, x.lefts), _map_fields(f, x.rights)
         if lefts is x.lefts and rights is x.rights:
             return x
-        return RecordKind(lefts, rights)
+        return trusted_record_kind(lefts, rights)
     if isinstance(x, (TyVar, BaseType, UKind)):
         return x
     raise TypeError(f"map_type: not a monotype or kind: {x!r}")

@@ -20,7 +20,10 @@ ix) share one step, `_meet`, as in Ohori's kinded unification: the
 variable is bound once the field facts of its image meet its kind.  Rule
 ix kinds a fresh base with the labels both chains contract on the left
 and those they extend on the right, then meets each chain's base with the
-fresh base under the other chain's operations.
+fresh base under the other chain's operations.  Against a chain the facts
+come from the label maps on the chain's top node and the base's kind
+(`kinding.cached_facts`); `field_info` walks the chain only when the maps
+are missing or disagree with the kind.
 
 Extensible types are not normalized eagerly; a normalization retry plus a
 chain-against-record decomposition cover the shapes plain substitution can
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .kinding import field_info, wf_kind_assignment
+from .kinding import cached_facts, field_info, wf_kind_assignment
 from .normalize import chain_ops, equiv, is_normal, normalize, rebuild_chain, CON, EXT
 from .subst import apply_kind, resolve
 from .syntax import (
@@ -53,6 +56,8 @@ from .syntax import (
     ftv,
     internal_fresh,
     is_extensible,
+    trusted_record_kind,
+    union_all,
 )
 
 OCCURS = "occurs_check"
@@ -335,7 +340,9 @@ def _meet(st: _State, v: TyVar, image: MonoType, base: TyVar | None):
         # checked before the facts, which would otherwise mention v
         raise UnificationError(OCCURS, "variable occurs in its own solution")
     kb = None if base is None else st.kind(base)  # resolved in st.kenv, for field_info
-    info = field_info(st.kenv, image)
+    info = None if base is None else cached_facts(kb, image)
+    if info is None:
+        info = field_info(st.kenv, image)
     eqs = []
     if info is None and base is not None:
         # A merge may have written another type over base's entry for a
@@ -369,12 +376,13 @@ def _meet(st: _State, v: TyVar, image: MonoType, base: TyVar | None):
         st.bind(v, image)
     else:
         if image != base:
+            # the chain's facts state every label of base's kind
             lefts = {l: t for l, t in lefts.items() if l not in present}
             rights = {l: t for l, t in rights.items() if l not in absent}
-        kind = RecordKind(
-            tuple({**kb.left_map(), **lefts}.items()), tuple({**kb.right_map(), **rights}.items())
-        )
-        kind = apply_kind({v: image}, kind)
+            adds = True
+        else:  # the facts are base's kind
+            adds = present.keys().isdisjoint(lefts) and absent.keys().isdisjoint(rights)
+        kind = apply_kind({v: image}, _merged_kind(kb, lefts, rights, adds))
         if base in ftv(kind):
             raise UnificationError(OCCURS, "variable occurs in its own kind")
         st.bind(v, image)
@@ -382,6 +390,26 @@ def _meet(st: _State, v: TyVar, image: MonoType, base: TyVar | None):
         if st.levels is not None:
             st.levels.lower(base, *lefts.values(), *rights.values())
     st.push(*eqs)
+
+
+def _merged_kind(kb: RecordKind, lefts: dict, rights: dict, adds: bool) -> RecordKind:
+    """kb with the fields lefts and rights written over its own, which adds
+    labels only if `adds`.  The checks of `_meet` keep the two sides
+    disjoint, and the merge keeps them sorted, so the kind is built without
+    the constructor's checks.  When the merge only adds labels, its free
+    variables are kb's plus the new fields'."""
+    if adds:
+        fv = union_all([ftv(kb), *map(ftv, lefts.values()), *map(ftv, rights.values())])
+        return trusted_record_kind(_add_fields(kb.lefts, lefts), _add_fields(kb.rights, rights), fv)
+    return trusted_record_kind(
+        tuple(sorted({**kb.left_map(), **lefts}.items())),
+        tuple(sorted({**kb.right_map(), **rights}.items())),
+    )
+
+
+def _add_fields(side: tuple, new: dict) -> tuple:
+    """A sorted side with new labels added, sharing its (label, type) pairs."""
+    return tuple(sorted(side + tuple(new.items()))) if new else side
 
 
 def _rule_ix(st: _State, v1: TyVar, ops1, v2: TyVar, ops2):

@@ -1,9 +1,24 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import extrec
 from extrec.cli import main
-from extrec.parser import parse_kind, parse_mono, parse_type
+from extrec.parser import (
+    Namer,
+    parse_kind,
+    parse_mono,
+    parse_type,
+    pretty_kind_assignment,
+    pretty_term,
+    pretty_type,
+)
+from gen import gen_closed_term, gen_two_chain_equation
 
 ENV_42 = "'a :: << || l: 'b>>\n'b :: U\nx : 'a\ny : 'b\n"
 
@@ -311,3 +326,73 @@ def test_infer_json_names_the_environment_first(tmp_path):
     payload = json.loads(r.output)
     assert payload["kind_assignment"] == {"'a": "<<m: 'c || l: 'b>>", "'b": "U", "'c": "U"}
     assert payload["type"] == "'c"
+
+
+# Runs each request of a JSON list of argument lists through the CLI's entry
+# point and prints a JSON list of [exit status, output].
+_DRIVER = """
+import json, sys
+from click.testing import CliRunner
+from extrec.cli import main
+results = [CliRunner().invoke(main, a) for a in json.load(sys.stdin)]
+print(json.dumps([[r.exit_code, r.output] for r in results]))
+"""
+
+KINDS_ENV = "'a :: << || l: 'c>>\n'b :: <<l: 'c || >>\n'c :: U\n"
+
+
+def _hash_seed_requests(work: Path):
+    """The README's infer and unify examples, and seeded programs and
+    two-chain equation sets, each as CLI arguments."""
+    (work / "ex.env").write_text(ENV_42, encoding="utf-8")
+    (work / "kinds.env").write_text(KINDS_ENV, encoding="utf-8")
+    requests = [
+        ["infer", "--json", "-e", "\\x. x.l"],
+        ["infer", "--json", "-e", "let f = \\x. x in {a = f 1, b = f true}"],
+        ["infer", "--env", "ex.env", "-e", "x.m"],
+        ["infer", "--json", "--env", "ex.env", "-e", "extend(x, l, y).l"],
+        ["infer", "-e", "\\r. {a = r.a, b = r.b}"],
+        ["infer", "--json", "-e", "\\r. remove(extend(r, m, 1), l)"],
+        ["unify", "--env", "kinds.env", "-e", "'a + {l: 'c} - {l: 'c} = 'b - {l: 'c}"],
+    ]
+    rng = random.Random(2718)
+    for i in range(30):
+        term = pretty_term(gen_closed_term(rng, 1 + i % 5, scope=("x", "y") if i % 2 else ()))
+        requests.append(["infer", "--json", *(["--env", "ex.env"] if i % 2 else []), "-e", term])
+    for i in range(10):
+        kenv, eqs, _ = gen_two_chain_equation(rng)
+        namer = Namer()
+        (work / f"eq{i}.env").write_text(pretty_kind_assignment(kenv, namer), encoding="utf-8")
+        text = "\n".join(f"{pretty_type(a, namer)} = {pretty_type(b, namer)}" for a, b in eqs)
+        requests.append(["unify", "--env", f"eq{i}.env", "-e", text])
+    return requests
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # Set iteration follows the hash seed for labels; printed results must
+    # not.  Two README examples run as `python -m extrec.cli`, and every
+    # request runs through the CLI's entry point in one process per seed.
+    requests = _hash_seed_requests(tmp_path)
+    src = str(Path(extrec.__file__).resolve().parent.parent)
+    procs = {}
+    for seed in ("0", "1"):
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        run = dict(cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True)
+        cli = [sys.executable, "-m", "extrec.cli"]
+        procs[seed] = [
+            subprocess.Popen(cli + requests[5], **run),
+            subprocess.Popen(cli + requests[6], **run),
+            subprocess.Popen([sys.executable, "-c", _DRIVER], stdin=subprocess.PIPE, **run),
+        ]
+        procs[seed][2].stdin.write(json.dumps(requests))
+        procs[seed][2].stdin.close()
+    outputs = {seed: [p.stdout.read() for p in ps] for seed, ps in procs.items()}
+    for ps in procs.values():
+        for p in ps:
+            p.wait()
+    assert outputs["0"] == outputs["1"]
+    results = json.loads(outputs["0"][2])
+    assert [status for status, _ in results[:7]] == [0] * 7
+    assert outputs["0"][:2] == [results[5][1], results[6][1]]
+    assert sum(status == 0 for status, _ in results) >= 20

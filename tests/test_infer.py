@@ -300,6 +300,30 @@ def test_untraced_let_reads_no_more_than_its_bound_term_made(monkeypatch):
     assert lets > 1000
 
 
+def test_record_operations_do_not_walk_the_chain(monkeypatch):
+    # Rule vii reads a chain's field facts from the label maps on its top
+    # node and from its base's kind, and a merged kind is built from the
+    # two it merges: typing one more operation walks neither the chain nor
+    # the kind's fields in Python.  The terms are built directly, since
+    # the parser refuses this depth.
+    def refuse(*args, **kwargs):
+        raise AssertionError("chain walked")
+
+    unify_mod = sys.modules["extrec.unify"]
+    for name in ("field_info", "chain_ops"):
+        monkeypatch.setattr(unify_mod, name, refuse)
+    n = 300
+    chain = Var("r")
+    for i in range(n):
+        chain = Extend(chain, f"g{i}", Const(i, "Int"))
+    selects = RecordLit(tuple((f"f{i}", Select(Var("r"), f"f{i}")) for i in range(n)))
+    for body in (chain, selects):
+        res = infer({}, {}, Abs("r", body))
+        assert not isinstance(res, InferFailure), res
+        (k,) = [k for k in res.kenv.values() if not isinstance(k, UKind)]
+        assert len(k.lefts) + len(k.rights) == n
+
+
 def test_first_failure_in_walk_order_is_reported():
     # Each program has two faults.  Record fields are typed in label order,
     # so `zz` fails before `true 3`; a let's bound term before its body.

@@ -2,7 +2,14 @@ import itertools
 import random
 from collections import Counter
 
-from extrec.kinding import FieldInfo, field_info, has_kind, wf_kind_assignment, wf_type
+from extrec.kinding import (
+    FieldInfo,
+    cached_facts,
+    field_info,
+    has_kind,
+    wf_kind_assignment,
+    wf_type,
+)
 from extrec.normalize import equiv, normalize
 from extrec.syntax import (
     Arrow,
@@ -15,10 +22,11 @@ from extrec.syntax import (
     STRING,
     TyVar,
     UKind,
+    base_of,
     ftv,
     record_kind,
 )
-from gen import DEBRIS_VARS, gen_debris, gen_kind_assignment, gen_kindable_chain
+from gen import DEBRIS_VARS, GROUND, LABELS, gen_debris, gen_kind_assignment, gen_kindable_chain
 
 a, b = TyVar(1, "a"), TyVar(2, "b")
 t1, t2, t3 = INT, BOOL, STRING
@@ -192,3 +200,75 @@ def test_field_info_agrees_with_the_recursive_fold():
             seen[got is None, got is not None and got.record_base] += 1
     assert seen[True, False] > 1000
     assert seen[False, False] > 500 and seen[False, True] > 500
+
+
+def _read_facts(kenv, base, t):
+    """The facts unification's rule vii reads for t, a normal chain over
+    base: from t's label maps when they apply, else from `field_info`."""
+    got = cached_facts(kenv[base], t)
+    return ("cache", got) if got is not None else ("fallback", field_info(kenv, t))
+
+
+def _next_op(rng, kenv, t):
+    """One more operation on t: mostly one that keeps it kindable, else one
+    that repeats a label, cancels or contradicts the kind."""
+    info = field_info(kenv, t)
+    if info is not None and rng.random() < 0.8:
+        moves = [(Ext, l, f) for l, f in info.absent.items()]
+        moves += [(Contr, l, f) for l, f in info.present.items()]
+        if moves:
+            return rng.choice(moves)
+    return rng.choice((Ext, Contr)), rng.choice(LABELS), rng.choice(GROUND)
+
+
+def test_cached_chain_facts_agree_with_field_info():
+    # Chains over a variable grown one operation at a time through
+    # `normalize`, as inference grows them: each new top takes the label
+    # maps of the chain below it.  Some kinds state a field's type in a
+    # reducible form, {z: Int} as {} + {z: Int}, which equality cannot
+    # match with the chain's normal field type: field_info decides those.
+    rng = random.Random(1318)
+    seen = Counter()
+    for _ in range(800):
+        kenv = gen_kind_assignment(rng, 3)
+        bases = [v for v, k in kenv.items() if isinstance(k, RecordKind)]
+        if not bases:
+            continue
+        base = rng.choice(bases)
+        if rng.random() < 0.3:
+            z = RecordType((("z", INT),))
+            spelled = Ext(RecordType(()), "z", INT)
+            k = kenv[base]
+            lefts = tuple((l, spelled) for l, _ in k.lefts)
+            kenv[base] = RecordKind(lefts, tuple((l, z) for l, _ in k.rights))
+        top = base
+        for _ in range(rng.randint(1, 8)):
+            cls, label, fty = _next_op(rng, kenv, top)
+            maps = getattr(top, "_facts", None)
+            old, top = top, normalize(cls(top, label, fty))
+            how, got = _read_facts(kenv, base, top)
+            assert got == _reference_field_info(kenv, top), (kenv, top)
+            seen[how] += 1
+            seen[how, got is None] += 1
+            if maps is not None:
+                # the old top's maps went up, unless the operation made
+                # debris; either way its facts stay its own
+                how, got = _read_facts(kenv, base, old)
+                assert got == _reference_field_info(kenv, old), (kenv, old)
+                seen["old top", how] += 1
+            if isinstance(top, TyVar):
+                break
+    assert seen["cache"] >= 500 and seen["fallback"] >= 200, seen
+    assert seen["fallback", False] >= 50 and seen["old top", "fallback"] >= 300, seen
+
+
+def test_base_of_reads_the_bottom_of_the_chain():
+    rng = random.Random(77)
+    for _ in range(2000):
+        t = gen_debris(rng, rng.randint(1, 4))
+        if not isinstance(t, (TyVar, RecordType, Ext, Contr)):
+            continue
+        walked = t
+        while isinstance(walked, (Ext, Contr)):
+            walked = walked.base
+        assert base_of(t) is walked

@@ -4,16 +4,19 @@ import sys
 
 import pytest
 
-from extrec.infer import FreshSupply
+from extrec.infer import FreshSupply, InferResult, infer
 from extrec.kinding import has_kind
-from extrec.normalize import equiv, normalize, subst_equal
+from extrec.normalize import CON, EXT, chain_ops, equiv, normalize, subst_equal
+from extrec.parser import parse_env_file
 from extrec.subst import KindedSubstitution, apply_kind, apply_type, resolve, respects
 from extrec.syntax import (
     Arrow,
     BOOL,
+    BaseType,
     Contr,
     Ext,
     INT,
+    RecordKind,
     RecordType,
     TyVar,
     UKind,
@@ -24,6 +27,7 @@ from extrec.unify import UnificationError, cfields, efields, fmap_minus, fmap_pl
 from gen import (
     enumerate_ground_unifiers,
     factors_through,
+    gen_closed_term,
     gen_kinded_equations,
     gen_two_chain_equation,
     mgu_universe,
@@ -415,3 +419,97 @@ def test_termination_bulk(monkeypatch):
             unify(kenv, eqs)
         except UnificationError:
             pass
+
+
+def _scratch_ftv(x) -> set:
+    """Free variables by a walk that reads no cache."""
+    if isinstance(x, TyVar):
+        return {x}
+    if isinstance(x, (BaseType, UKind)):
+        return set()
+    if isinstance(x, Arrow):
+        return _scratch_ftv(x.dom) | _scratch_ftv(x.cod)
+    if isinstance(x, (Ext, Contr)):
+        return _scratch_ftv(x.base) | _scratch_ftv(x.field_type)
+    pairs = x.fields if isinstance(x, RecordType) else x.lefts + x.rights
+    return set().union(*(_scratch_ftv(t) for _, t in pairs))
+
+
+def _cache_faults(x, out: list):
+    """Append to out every node of the type or kind x whose caches or
+    unchecked construction break an invariant."""
+    if x._fv is not None and x._fv != _scratch_ftv(x):
+        out.append(("stale _fv", x))
+    if isinstance(x, RecordKind):
+        if x != RecordKind(x.lefts, x.rights):  # sorts, and raises on a repeat
+            out.append(("unsorted kind", x))
+        children = [t for _, t in x.lefts + x.rights]
+    elif isinstance(x, (Ext, Contr)):
+        bottom, ops = chain_ops(x)
+        if x._bottom is not bottom:
+            out.append(("wrong bottom", x))
+        if x._facts is not None:
+            maps = (
+                {l: f for sign, l, f in ops if sign == EXT},
+                {l: f for sign, l, f in ops if sign == CON},
+            )
+            if x._facts != maps or len(ops) != len(maps[0]) + len(maps[1]):
+                out.append(("wrong label maps", x))
+        children = [x.base, x.field_type]
+    elif isinstance(x, Arrow):
+        children = [x.dom, x.cod]
+    elif isinstance(x, RecordType):
+        children = [t for _, t in x.fields]
+    else:
+        children = []
+    for child in children:
+        _cache_faults(child, out)
+
+
+ENV_42 = "'a1 :: << || l: 'a2>>\n'a2 :: U\nx : 'a1\ny : 'a2\n"
+
+
+def test_trusted_kinds_and_chain_caches_keep_their_invariants(monkeypatch):
+    # Unification merges kinds without the constructor's checks and with
+    # their free variables filled in, and normalization seeds chain tops'
+    # free variables and label maps.  A wrong one would pass silently: a
+    # stale free-variable set skips substitution and occurs checks.  Every
+    # kind the merge builds is checked, and every final result.
+    built = []
+
+    def trusted(*args):
+        built.append(make(*args))
+        return built[-1]
+
+    make = unify_mod.trusted_record_kind
+    monkeypatch.setattr(unify_mod, "trusted_record_kind", trusted)
+    kenv42, tenv42, venv42 = parse_env_file(ENV_42)
+    rng = random.Random(20261018)
+    faults, checked = [], 0
+
+    def check(values):
+        nonlocal checked
+        for x in [*values, *built]:
+            _cache_faults(x, faults)
+        checked += len(built)
+        built.clear()
+
+    for i in range(2000):
+        env = i % 2 == 1
+        term = gen_closed_term(rng, rng.randint(1, 6), scope=("x", "y") if env else ())
+        k, g, start = (kenv42, tenv42, venv42.next_free_uid()) if env else ({}, {}, 1)
+        res = infer(k, g, term, FreshSupply(start))
+        ok = isinstance(res, InferResult)
+        check([*res.kenv.values(), *res.subst.values(), res.type] if ok else [])
+    for i in range(1500):
+        if i % 3:
+            kenv, eqs = gen_kinded_equations(rng)
+        else:
+            kenv, eqs, _ = gen_two_chain_equation(rng)
+        try:
+            k, s = unify(kenv, eqs, fresh=FreshSupply(900).fresh)
+        except UnificationError:
+            k = s = {}
+        check([*k.values(), *s.values()])
+    assert not faults, faults[:3]
+    assert checked > 400
