@@ -14,7 +14,6 @@ the label maps the chain's top node carries, without walking the chain.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .normalize import EXT, chain_ops, equiv
@@ -62,8 +61,8 @@ def wf_type_assignment(kenv: KindAssignment, gamma: TypeAssignment) -> bool:
 class FieldInfo:
     """Maximal field facts derivable for an extensible type."""
 
-    present: Mapping[Label, MonoType]  # a dict, from field_info
-    absent: Mapping[Label, MonoType]
+    present: dict[Label, MonoType]
+    absent: dict[Label, MonoType]
     record_base: bool  # unmentioned labels are absent at any type
 
 
@@ -99,39 +98,13 @@ def field_info(kenv: KindAssignment, t: MonoType) -> FieldInfo | None:
     return FieldInfo(present, absent, record_base)
 
 
-class _Side(Mapping):
-    """One side of a chain's field facts, read through: the labels the
-    chain's operations put on this side, over the base kind's side less the
-    labels they move to the other."""
-
-    __slots__ = ("own", "moved", "kind_side")
-
-    def __init__(self, own: dict, moved: dict, kind_side: dict):
-        self.own, self.moved, self.kind_side = own, moved, kind_side
-
-    def __getitem__(self, label):
-        t = self.own.get(label)
-        if t is not None:
-            return t
-        if label in self.moved:
-            raise KeyError(label)
-        return self.kind_side[label]
-
-    def __iter__(self):
-        yield from self.own
-        yield from (l for l in self.kind_side if l not in self.moved and l not in self.own)
-
-    def __len__(self):
-        return sum(1 for _ in self)
-
-
 def cached_facts(k: RecordKind, t: MonoType) -> FieldInfo | None:
     """`field_info({base: k}, t)` for t a variable base or a normal chain
     over base, read without walking the chain, or None when that cannot be
     done: t carries no label maps, or its operations' field types differ
     from the kind's by equality (then only `field_info`'s equivalence can
-    tell).  A chain's maps are its own and are handed on when the chain is
-    extended, so the facts are for reading at once, not for keeping."""
+    tell).  The facts are new dicts: the kind's sides with the labels the
+    chain moves taken from one side to the other."""
     kl, kr = k.left_map(), k.right_map()
     if isinstance(t, TyVar):
         return FieldInfo(kl, kr, False)
@@ -143,7 +116,11 @@ def cached_facts(k: RecordKind, t: MonoType) -> FieldInfo | None:
     # label required at its type; the kind's sides are disjoint.
     if not (ext.items() <= kr.items() and con.items() <= kl.items()):
         return None
-    return FieldInfo(_Side(ext, con, kl), _Side(con, ext, kr), False)
+    present = {l: f for l, f in kl.items() if l not in con}
+    absent = {l: f for l, f in kr.items() if l not in ext}
+    present.update(ext)
+    absent.update(con)
+    return FieldInfo(present, absent, False)
 
 
 def has_kind(kenv: KindAssignment, t: MonoType, k: Kind) -> bool:

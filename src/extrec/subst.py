@@ -50,11 +50,9 @@ def apply_type(s: Substitution, t: MonoType | Kind) -> MonoType | Kind:
 
 
 def misses(s: Substitution, fv: frozenset) -> bool:
-    """No variable of fv is in the domain of s.  A large fv is tested by set
-    difference, which looks its members up in s with the hashes the set has
-    stored; `isdisjoint` would call `TyVar.__hash__` for each."""
-    if len(fv) < 16:
-        return s.keys().isdisjoint(fv)
+    """No variable of fv is in the domain of s.  Set difference looks fv's
+    members up in s with the hashes the set has stored, where
+    `s.keys().isdisjoint(fv)` would call `TyVar.__hash__` for each."""
     return len(fv.difference(s)) == len(fv)
 
 

@@ -23,7 +23,8 @@ and those they extend on the right, then meets each chain's base with the
 fresh base under the other chain's operations.  Against a chain the facts
 come from the label maps on the chain's top node and the base's kind
 (`kinding.cached_facts`); `field_info` walks the chain only when the maps
-are missing or disagree with the kind.
+are missing or disagree with the kind.  The facts and the merged kind are
+still built from the base's whole kind, by work linear in its size.
 
 Extensible types are not normalized eagerly; a normalization retry plus a
 chain-against-record decomposition cover the shapes plain substitution can
