@@ -7,9 +7,9 @@ record kind then holds iff it is a sub-specification of that synthesis.
 Chains over a record base additionally satisfy absence of any label the
 chain never mentions, at any well-formed type.
 
-`field_info` is the reference synthesis.  `cached_facts` reads the same
-facts for a variable, or a normal chain over one, from the base's kind and
-the label maps the chain's top node carries, without walking the chain.
+`field_info` is the reference synthesis, for `has_kind`, the matcher in
+`subst` and the tests.  Unification reads the same facts its own way, from
+a base's kind and the chain's label maps (`unify.chain_maps`).
 """
 
 from __future__ import annotations
@@ -96,31 +96,6 @@ def field_info(kenv: KindAssignment, t: MonoType) -> FieldInfo | None:
                 return None
             absent[label] = fty
     return FieldInfo(present, absent, record_base)
-
-
-def cached_facts(k: RecordKind, t: MonoType) -> FieldInfo | None:
-    """`field_info({base: k}, t)` for t a variable base or a normal chain
-    over base, read without walking the chain, or None when that cannot be
-    done: t carries no label maps, or its operations' field types differ
-    from the kind's by equality (then only `field_info`'s equivalence can
-    tell).  The facts are new dicts: the kind's sides with the labels the
-    chain moves taken from one side to the other."""
-    kl, kr = k.left_map(), k.right_map()
-    if isinstance(t, TyVar):
-        return FieldInfo(kl, kr, False)
-    maps = t._facts
-    if maps is None:
-        return None
-    ext, con = maps
-    # An extension needs its label forbidden at its type, a contraction its
-    # label required at its type; the kind's sides are disjoint.
-    if not (ext.items() <= kr.items() and con.items() <= kl.items()):
-        return None
-    present = {l: f for l, f in kl.items() if l not in con}
-    absent = {l: f for l, f in kr.items() if l not in ext}
-    present.update(ext)
-    absent.update(con)
-    return FieldInfo(present, absent, False)
 
 
 def has_kind(kenv: KindAssignment, t: MonoType, k: Kind) -> bool:

@@ -20,9 +20,11 @@ insertion instead: the operation cancels its partner or goes to its
 sorted position, and only the nodes above that position are rebuilt.
 
 The top of a normal chain over a variable carries the label maps of its
-operations (`_facts`, see `syntax`): the sweep builds them, and insertion
-hands the maps of the chain below up to the new top, updated for the one
-operation.
+operations (`_facts`, see `syntax`): the sweep builds them with
+`label_maps`, and insertion hands the maps of the chain below up to the
+new top, updated for the one operation.  Unification reads a chain's field
+facts from these maps alone, and builds them with `label_maps` for a chain
+that has none.
 """
 
 from __future__ import annotations
@@ -261,11 +263,23 @@ def _normalize_chain(t: MonoType) -> MonoType:
         new_ops = kept
     nf = rebuild_chain(new_base, new_ops) if changed else t
     if isinstance(new_base, TyVar) and new_ops:
-        ext = {label: fty for sign, label, fty in new_ops if sign == EXT}
-        con = {label: fty for sign, label, fty in new_ops if sign == CON}
-        if len(ext) + len(con) == len(new_ops):
-            object.__setattr__(nf, "_facts", (ext, con))
+        maps = label_maps(new_ops)
+        if maps is not None and maps[0].keys().isdisjoint(maps[1]):
+            object.__setattr__(nf, "_facts", maps)
     return nf
+
+
+def label_maps(ops) -> tuple[dict, dict] | None:
+    """A chain's operations as two label maps, (extended label -> field type,
+    contracted label -> field type), each in chain order; None when a label
+    repeats with one sign.  A label may appear in both maps."""
+    ext, con = {}, {}
+    for sign, label, fty in ops:
+        side = ext if sign == EXT else con
+        if label in side:
+            return None
+        side[label] = fty
+    return ext, con
 
 
 def _insert_op(t: MonoType) -> MonoType | None:
@@ -347,24 +361,9 @@ def _hand_up(below, out, extends: bool, label, fty, cancelled: bool):
 
 
 def is_normal(t: MonoType) -> bool:
-    """No reduction applies anywhere in t (`reduce_once(t) is None`).
-
-    A chain is checked in one sweep: its base and field types are normal,
-    its innermost operation does not fold into a record base, and no pair
-    of its operations over a variable cancels."""
-    if normalize(t) is t:
-        return True
-    if isinstance(t, Arrow):
-        return is_normal(t.dom) and is_normal(t.cod)
-    if isinstance(t, RecordType):
-        return all(is_normal(fty) for _, fty in t.fields)
-    base, ops = chain_ops(t)
-    if not is_normal(base) or not all(is_normal(fty) for _, _, fty in ops):
-        return False
-    if isinstance(base, RecordType):
-        return _record_rule(base, ops) is None
-    normal_ops = [(sign, label, normalize(fty)) for sign, label, fty in ops]
-    return _cancel_pairs(normal_ops) is normal_ops
+    """No reduction applies anywhere in t.  A value that is its own sorted
+    normal form answers from its cache; any other asks the reference."""
+    return normalize(t) is t or reduce_once(t) is None
 
 
 def equiv(t1: MonoType, t2: MonoType) -> bool:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     Abs,
@@ -68,16 +68,11 @@ from .syntax import (
 TERM_KEYWORDS = {"let", "in", "modify", "extend", "remove", "true", "false"}
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    start: int
+class SourceSpan(NamedTuple):
+    start: int  # <= end
     end: int
     line: int
     col: int
-
-    def __post_init__(self):
-        if self.start > self.end:
-            raise ValueError("span start past end")
 
     def __str__(self):
         return f"{self.line}:{self.col}"
@@ -92,8 +87,7 @@ class ParseError(Exception):
         super().__init__(f"{span}: {message}{detail}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident / int / string / tyvar / punct / eof
     text: str
     span: SourceSpan

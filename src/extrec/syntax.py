@@ -32,7 +32,8 @@ Extension and contraction nodes carry two more slots:
   such a chain, it hands the maps up: it updates them for that operation,
   stores them on the new top and clears the old top's slot, so a chain
   of n operations holds one pair of maps, not n.  An old top, and a node
-  below a top, has no maps; its readers fall back to walking the chain.
+  below a top, has no maps.  Their one reader is `unify.chain_maps`,
+  which builds the maps by one walk of a chain that has none.
 
 A record kind built by `trusted_record_kind` skips the constructor's
 sorting and checks, and may come with its `_fv` set by its builder.  Its

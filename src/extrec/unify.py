@@ -20,11 +20,15 @@ ix) share one step, `_meet`, as in Ohori's kinded unification: the
 variable is bound once the field facts of its image meet its kind.  Rule
 ix kinds a fresh base with the labels both chains contract on the left
 and those they extend on the right, then meets each chain's base with the
-fresh base under the other chain's operations.  Against a chain the facts
-come from the label maps on the chain's top node and the base's kind
-(`kinding.cached_facts`); `field_info` walks the chain only when the maps
-are missing or disagree with the kind.  The facts and the merged kind are
-still built from the base's whole kind, by work linear in its size.
+fresh base under the other chain's operations.
+
+A chain's field facts are read one way, from its operations' label maps
+(`chain_maps`: the maps on the top node of a sorted normal chain, else
+one walk) and its base's kind: the kind with the labels the chain moves
+taken across, at the operations' own types.  Rule x reads the same maps.
+A chain that repeats a label with one sign has no facts.  The facts and
+the merged kind are still built from the base's whole kind, by work
+linear in its size.
 
 Extensible types are not normalized eagerly; a normalization retry plus a
 chain-against-record decomposition cover the shapes plain substitution can
@@ -38,8 +42,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .kinding import cached_facts, field_info, wf_kind_assignment
-from .normalize import chain_ops, equiv, is_normal, normalize, rebuild_chain, CON, EXT
+from .kinding import wf_kind_assignment
+from .normalize import chain_ops, equiv, is_normal, label_maps, normalize, rebuild_chain, CON, EXT
 from .subst import apply_kind, resolve
 from .syntax import (
     Arrow,
@@ -89,16 +93,12 @@ def cfields(t: MonoType) -> dict:
     return {l: f for sign, l, f in ops if sign == CON}
 
 
-def fmap_plus(f1: dict, f2: dict) -> dict:
-    """Union of two label maps, preferring f1 on overlap."""
-    out = dict(f2)
-    out.update(f1)
-    return out
-
-
-def fmap_minus(f1: dict, f2: dict) -> dict:
-    """f1 restricted to labels not in f2."""
-    return {l: t for l, t in f1.items() if l not in f2}
+def chain_maps(t: MonoType) -> tuple[dict, dict] | None:
+    """The label maps of a chain's operations (`normalize.label_maps`): the
+    pair its top node carries when it is its own sorted normal form, else
+    one walk of the chain.  None when a label repeats with one sign."""
+    maps = t._facts
+    return label_maps(chain_ops(t)[1]) if maps is None else maps
 
 
 def _is_chain(t: MonoType) -> bool:
@@ -340,28 +340,16 @@ def _meet(st: _State, v: TyVar, image: MonoType, base: TyVar | None):
     if occurs and base is not None:
         # checked before the facts, which would otherwise mention v
         raise UnificationError(OCCURS, "variable occurs in its own solution")
-    kb = None if base is None else st.kind(base)  # resolved in st.kenv, for field_info
-    info = None if base is None else cached_facts(kb, image)
-    if info is None:
-        info = field_info(st.kenv, image)
     eqs = []
-    if info is None and base is not None:
-        # A merge may have written another type over base's entry for a
-        # label one of image's operations moves, with the equation between
-        # the two still queued: equate them, and read the facts with the
-        # operation's type.
-        kl, kr = kb.left_map(), kb.right_map()
-        for sign, l, f in chain_ops(image)[1]:
-            side = kl if sign == CON else kr
-            if l in side and not equiv(side[l], f):
-                eqs.append((side[l], f))
-                side[l] = f
-        info = field_info({base: RecordKind(tuple(kl.items()), tuple(kr.items()))}, image)
-    if info is None:
-        raise UnificationError(KIND, "chain's operations contradict its base's kind")
-    present, absent = info.present, info.absent
+    if base is None:
+        present, absent = image.field_map(), {}
+    else:
+        kb = st.kind(base)
+        present, absent = kb.left_map(), kb.right_map()
+        if image != base:
+            present, absent = _moved(present, absent, image, eqs)
     lefts, rights = k.left_map(), k.right_map()
-    missing = [l for l in lefts if l in absent or info.record_base and l not in present]
+    missing = [l for l in lefts if l in absent or base is None and l not in present]
     if missing:
         raise UnificationError(KIND, f"required field(s) {missing} absent")
     clash = [l for l in rights if l in present]
@@ -391,6 +379,33 @@ def _meet(st: _State, v: TyVar, image: MonoType, base: TyVar | None):
         if st.levels is not None:
             st.levels.lower(base, *lefts.values(), *rights.values())
     st.push(*eqs)
+
+
+def _moved(kl: dict, kr: dict, chain: MonoType, eqs: list) -> tuple[dict, dict]:
+    """The field facts of a chain over a base whose kind has the sides kl
+    and kr: the kind with the labels the chain moves taken across, at the
+    operations' own types.  An extension needs its label forbidden by the
+    kind and a contraction its label required.  A kind entry that is not
+    equivalent to its operation's type goes to eqs, in chain order: a merge
+    may have written another type over it, with the equation between the
+    two still queued."""
+    maps = chain_maps(chain)
+    if maps is None:
+        raise UnificationError(KIND, "chain's operations contradict its base's kind")
+    ext, con = maps
+    if not (ext.items() <= kr.items() and con.items() <= kl.items()):
+        # the maps do not keep the order of operations across the two signs
+        for sign, l, f in chain_ops(chain)[1]:
+            side = kr if sign == EXT else kl
+            if l not in side:
+                raise UnificationError(KIND, "chain's operations contradict its base's kind")
+            if not equiv(side[l], f):
+                eqs.append((side[l], f))
+    present = {l: f for l, f in kl.items() if l not in con}
+    absent = {l: f for l, f in kr.items() if l not in ext}
+    present.update(ext)
+    absent.update(con)
+    return present, absent
 
 
 def _merged_kind(kb: RecordKind, lefts: dict, rights: dict, adds: bool) -> RecordKind:
@@ -435,16 +450,23 @@ def _rule_ix(st: _State, v1: TyVar, ops1, v2: TyVar, ops2):
 
 
 def _rule_chain_record(st: _State, chain: MonoType, rec: RecordType):
-    e, c = efields(chain), cfields(chain)
+    """chain, normal over a variable base, against a record: the base is the
+    record without the extended fields and with the contracted ones."""
+    maps = chain_maps(chain)
+    if maps is None:
+        raise UnificationError(KIND, "chain repeats an operation on a label")
+    ext, con = maps
     fields = rec.field_map()
-    if not e.keys() <= fields.keys():
+    if not ext.keys() <= fields.keys():
         raise UnificationError(KIND, "extended field missing from the record")
-    if c.keys() & fields.keys():
+    if con.keys() & fields.keys():
         raise UnificationError(KIND, "contracted field still present in the record")
     st.note("x")
-    eqs = [(e[l], fields[l]) for l in e]
-    reduced = fmap_plus(c, fmap_minus(fields, e))
-    st.push(*eqs, (base_of(chain), RecordType(tuple(reduced.items()))))
+    reduced = {l: f for l, f in fields.items() if l not in ext}
+    reduced.update(con)
+    # in chain order: a normal chain's labels are sorted
+    st.push(*((ext[l], fields[l]) for l in sorted(ext)))
+    st.push((base_of(chain), RecordType(tuple(reduced.items()))))
 
 
 def _fail(st: _State, t1: MonoType, t2: MonoType):

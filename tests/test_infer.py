@@ -309,9 +309,8 @@ def test_record_operations_do_not_walk_the_chain(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("chain walked")
 
-    unify_mod = sys.modules["extrec.unify"]
-    for name in ("field_info", "chain_ops"):
-        monkeypatch.setattr(unify_mod, name, refuse)
+    monkeypatch.setattr(sys.modules["extrec.kinding"], "field_info", refuse)
+    monkeypatch.setattr(sys.modules["extrec.unify"], "chain_ops", refuse)
     n = 300
     chain = Var("r")
     for i in range(n):

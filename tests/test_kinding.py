@@ -1,16 +1,16 @@
+import importlib
 import itertools
 import random
 from collections import Counter
 
 from extrec.kinding import (
     FieldInfo,
-    cached_facts,
     field_info,
     has_kind,
     wf_kind_assignment,
     wf_type,
 )
-from extrec.normalize import equiv, normalize
+from extrec.normalize import EXT, chain_ops, equiv, is_normal, normalize
 from extrec.syntax import (
     Arrow,
     BOOL,
@@ -26,7 +26,10 @@ from extrec.syntax import (
     ftv,
     record_kind,
 )
+from extrec.unify import UnificationError
 from gen import DEBRIS_VARS, GROUND, LABELS, gen_debris, gen_kind_assignment, gen_kindable_chain
+
+unify_mod = importlib.import_module("extrec.unify")  # the package binds the name to the function
 
 a, b = TyVar(1, "a"), TyVar(2, "b")
 t1, t2, t3 = INT, BOOL, STRING
@@ -203,10 +206,53 @@ def test_field_info_agrees_with_the_recursive_fold():
 
 
 def _read_facts(kenv, base, t):
-    """The facts unification's rule vii reads for t, a normal chain over
-    base: from t's label maps when they apply, else from `field_info`."""
-    got = cached_facts(kenv[base], t)
-    return ("cache", got) if got is not None else ("fallback", field_info(kenv, t))
+    """The facts unification reads for t, a chain over base, from base's
+    kind and t's label maps: (present, absent, equations), or None when it
+    refuses t."""
+    k, eqs = kenv[base], []
+    try:
+        present, absent = unify_mod._moved(k.left_map(), k.right_map(), t, eqs)
+    except UnificationError as e:
+        assert e.reason == "kind_clash", e
+        return None
+    return present, absent, eqs
+
+
+def _check_facts(kenv, base, t):
+    """Where `field_info` gives facts, the reader gives the same and no
+    equation.  Where it refuses, the reader refuses too, or equates the
+    kind's entries with the operations' types, in chain order, and gives
+    the facts of the kind with the operations' types written over them."""
+    got, want = _read_facts(kenv, base, t), field_info(kenv, t)
+    if want is not None:
+        assert got == (want.present, want.absent, []), (kenv, t)
+        return "agree"
+    if got is None:
+        return "refused"
+    present, absent, eqs = got
+    kl, kr = kenv[base].left_map(), kenv[base].right_map()
+    want_eqs = []
+    for sign, label, fty in chain_ops(t)[1]:
+        side = kr if sign == EXT else kl
+        if not equiv(side[label], fty):
+            want_eqs.append((side[label], fty))
+        side[label] = fty
+    assert eqs and eqs == want_eqs, (kenv, t, eqs)
+    repaired = field_info({**kenv, base: RecordKind(tuple(kl.items()), tuple(kr.items()))}, t)
+    assert (repaired.present, repaired.absent) == (present, absent), (kenv, t)
+    return "equations"
+
+
+def _repeats(t):
+    """'one sign' when a label of t's chain repeats with one sign, 'both
+    signs' when it repeats only with both, else None."""
+    ops = chain_ops(t)[1]
+    signed = Counter((sign, label) for sign, label, _ in ops)
+    if max(signed.values(), default=0) > 1:
+        return "one sign"
+    if len({label for _, label, _ in ops}) < len(ops):
+        return "both signs"
+    return None
 
 
 def _next_op(rng, kenv, t):
@@ -221,15 +267,16 @@ def _next_op(rng, kenv, t):
     return rng.choice((Ext, Contr)), rng.choice(LABELS), rng.choice(GROUND)
 
 
-def test_cached_chain_facts_agree_with_field_info():
+def test_chain_facts_agree_with_field_info():
     # Chains over a variable grown one operation at a time through
     # `normalize`, as inference grows them: each new top takes the label
-    # maps of the chain below it.  Some kinds state a field's type in a
-    # reducible form, {z: Int} as {} + {z: Int}, which equality cannot
-    # match with the chain's normal field type: field_info decides those.
+    # maps of the chain below it, and the old top keeps none.  Beside each,
+    # the same operations unsorted, as typed by hand, while no pair cancels.
+    # Some kinds state a field's type in a reducible form, {z: Int} as
+    # {} + {z: Int}, which the reader must match by equivalence.
     rng = random.Random(1318)
     seen = Counter()
-    for _ in range(800):
+    for _ in range(1200):
         kenv = gen_kind_assignment(rng, 3)
         bases = [v for v, k in kenv.items() if isinstance(k, RecordKind)]
         if not bases:
@@ -241,25 +288,56 @@ def test_cached_chain_facts_agree_with_field_info():
             k = kenv[base]
             lefts = tuple((l, spelled) for l, _ in k.lefts)
             kenv[base] = RecordKind(lefts, tuple((l, z) for l, _ in k.rights))
-        top = base
+        top = raw = base
         for _ in range(rng.randint(1, 8)):
             cls, label, fty = _next_op(rng, kenv, top)
             maps = getattr(top, "_facts", None)
-            old, top = top, normalize(cls(top, label, fty))
-            how, got = _read_facts(kenv, base, top)
-            assert got == _reference_field_info(kenv, top), (kenv, top)
-            seen[how] += 1
-            seen[how, got is None] += 1
+            old, top, raw = top, normalize(cls(top, label, fty)), cls(raw, label, fty)
+            if isinstance(top, TyVar):
+                break
+            how = _check_facts(kenv, base, top)
+            seen["top", how] += 1
+            seen[_repeats(top), how] += 1
             if maps is not None:
                 # the old top's maps went up, unless the operation made
                 # debris; either way its facts stay its own
-                how, got = _read_facts(kenv, base, old)
-                assert got == _reference_field_info(kenv, old), (kenv, old)
-                seen["old top", how] += 1
-            if isinstance(top, TyVar):
-                break
-    assert seen["cache"] >= 500 and seen["fallback"] >= 200, seen
-    assert seen["fallback", False] >= 50 and seen["old top", "fallback"] >= 300, seen
+                seen["old top", _check_facts(kenv, base, old)] += 1
+            if raw != top and is_normal(raw):
+                seen["unsorted", _check_facts(kenv, base, raw)] += 1
+    assert seen["top", "agree"] >= 800 and seen["top", "equations"] >= 50, seen
+    assert seen["old top", "agree"] >= 400 and seen["old top", "equations"] >= 40, seen
+    assert seen["unsorted", "agree"] >= 50 and seen["unsorted", "equations"] >= 8, seen
+    assert seen["one sign", "refused"] >= 700 and seen["both signs", "refused"] >= 250, seen
+    assert seen["one sign", "agree"] == seen["both signs", "agree"] == 0, seen
+
+
+def test_a_label_repeated_with_one_sign_has_no_kind():
+    # Unification refuses a normal chain over a variable that extends, or
+    # contracts, a label twice without reading the base's kind: no kind of
+    # the base gives such a chain field facts.
+    c = TyVar(3, "c")
+    types = (INT, BOOL, c)
+    ops = [(cls, l, f) for cls in (Ext, Contr) for l in ("l", "m") for f in types]
+    per_label = [None] + [(side, f) for side in (0, 1) for f in types]
+    kinds = []
+    for kl, km in itertools.product(per_label, repeat=2):
+        sides = ([], [])
+        for label, entry in (("l", kl), ("m", km)):
+            if entry is not None:
+                sides[entry[0]].append((label, entry[1]))
+        kinds.append(RecordKind(tuple(sides[0]), tuple(sides[1])))
+    chains = 0
+    for n in (2, 3):
+        for seq in itertools.product(ops, repeat=n):
+            t = a
+            for cls, label, fty in seq:
+                t = cls(t, label, fty)
+            if _repeats(t) != "one sign" or not is_normal(t):
+                continue
+            chains += 1
+            for k in kinds:
+                assert field_info({a: k, c: UKind()}, t) is None, (k, t)
+    assert chains > 500 and len(kinds) == 49
 
 
 def test_base_of_reads_the_bottom_of_the_chain():

@@ -265,6 +265,51 @@ def test_tokens_and_spans_are_pinned():
     ]
 
 
+def _check_span(text, span, offset=0, line=1, col=1):
+    """span lies inside text, which starts at offset, line and col of its
+    source, and its line and column are those of its start."""
+    start = span.start - offset
+    assert 0 <= start <= span.end - offset <= len(text), (text, span)
+    lines_before = text.count("\n", 0, start)
+    line_start = text.rfind("\n", 0, start) + 1 if lines_before else 1 - col
+    assert (span.line, span.col) == (line + lines_before, start - line_start + 1), (text, span)
+
+
+def test_spans_of_fuzzed_input_lie_inside_the_text():
+    # Printed terms, types and kinds with characters spliced in, and runs
+    # of random characters: the spans of every token, and of every lexical
+    # error, lie inside the text and name their start's line and column.
+    rng = random.Random(83)
+    tyvars = (TyVar(100, "v0"), TyVar(101, "v1"))
+    alphabet = "ab_1² \t\n#'\"\\.,={}()+-:<>|;é½"
+    errors = tokens = 0
+    for i in range(900):
+        if i % 3 == 0:
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
+        else:
+            shown = rng.choice(
+                (
+                    pretty_term(gen_arb_term(rng, rng.randint(0, 3))),
+                    pretty_type(gen_arb_mono(rng, rng.randint(0, 2), tyvars)),
+                    pretty_kind(gen_arb_kind(rng, tyvars)),
+                )
+            )
+            cut = rng.randint(0, len(shown))
+            text = shown[:cut] + rng.choice(alphabet) + shown[cut:]
+        where = rng.choice(((0, 1, 1), (12, 3, 5)))
+        try:
+            toks = _tokenize(text, *where)
+        except ParseError as err:
+            _check_span(text, err.span, *where)
+            errors += 1
+            continue
+        for t in toks:
+            _check_span(text, t.span, *where)
+        assert toks[-1].span.start - where[0] == len(text)
+        tokens += len(toks)
+    assert errors >= 300 and tokens >= 4500, (errors, tokens)
+
+
 @pytest.mark.parametrize(
     "text, message, span",
     [

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 
 from extrec.infer import FreshSupply, InferResult, infer
 from extrec.kinding import has_kind
-from extrec.normalize import CON, EXT, chain_ops, equiv, normalize, subst_equal
+from extrec.normalize import CON, EXT, chain_ops, equiv, is_normal, normalize, subst_equal
 from extrec.parser import parse_env_file
 from extrec.subst import KindedSubstitution, apply_kind, apply_type, resolve, respects
 from extrec.syntax import (
@@ -23,7 +24,7 @@ from extrec.syntax import (
     ftv,
     record_kind,
 )
-from extrec.unify import UnificationError, cfields, efields, fmap_minus, fmap_plus, unify
+from extrec.unify import UnificationError, cfields, efields, unify
 from gen import (
     enumerate_ground_unifiers,
     factors_through,
@@ -45,12 +46,6 @@ def test_field_maps():
     assert efields(a) == {}
     with pytest.raises(ValueError):
         efields(Arrow(INT, INT))
-
-
-def test_fmap_plus_minus():
-    assert fmap_plus({"l": INT}, {"l": BOOL, "m": INT}) == {"l": INT, "m": INT}
-    assert fmap_minus({"l": INT, "m": INT}, {"m": BOOL}) == {"l": INT}
-    assert fmap_plus({}, {}) == {}
 
 
 def test_reflexive_arrow():
@@ -248,6 +243,53 @@ def test_chain_against_record_decomposes():
         [(Contr(a, "l", INT), RecordType((("m", BOOL),)))],
     )
     assert subst_equal(s2, {a: RecordType((("l", INT), ("m", BOOL)))})
+
+
+def test_a_chain_that_repeats_a_label_meets_a_record_only_by_a_unifier():
+    # {} + {l: Int} + {l: Bool} is normal, not {l: Bool}: a chain that
+    # extends, or contracts, a label twice has no field facts to read.  One
+    # that does both keeps the record's missing or present field as reason.
+    chain = Ext(Ext(a, "l", INT), "l", BOOL)
+    with pytest.raises(UnificationError) as e:
+        unify({a: UKind()}, [(chain, RecordType((("l", BOOL),)))])
+    assert e.value.reason == "kind_clash"
+    assert _reason({a: UKind()}, [(Contr(Contr(a, "l", INT), "l", INT), RecordType(()))]) == "kind_clash"
+    both = Contr(Ext(a, "l", INT), "l", BOOL)
+    for rec, message in (
+        (RecordType(()), "extended field missing from the record"),
+        (RecordType((("l", BOOL),)), "contracted field still present in the record"),
+    ):
+        with pytest.raises(UnificationError) as e:
+            unify({a: UKind()}, [(both, rec)])
+        assert e.value.message == message
+    # Every normal chain of two or three operations on l and m, most of
+    # which repeat a label, against every record over l and m, under three
+    # kinds of a: each success is a unifier.
+    ops = [(cls, l, f) for cls in (Ext, Contr) for l in ("l", "m") for f in (INT, BOOL)]
+    records = [
+        RecordType(tuple((l, f) for l, f in zip(("l", "m"), fields) if f is not None))
+        for fields in itertools.product((None, INT, BOOL), repeat=2)
+    ]
+    kinds = (UKind(), record_kind([], [("l", INT)]), record_kind([("m", BOOL)]))
+    solved = refused = 0
+    for n in (2, 3):
+        for seq in itertools.product(ops, repeat=n):
+            chain = a
+            for cls, l, f in seq:
+                chain = cls(chain, l, f)
+            if not is_normal(chain):
+                continue
+            for k, rec in itertools.product(kinds, records):
+                kenv = {a: k}
+                try:
+                    resid, s = unify(kenv, [(chain, rec)])
+                except UnificationError:
+                    refused += 1
+                    continue
+                solved += 1
+                assert equiv(apply_type(s, chain), apply_type(s, rec)), (k, chain, rec, s)
+                assert respects(KindedSubstitution(resid, s), kenv), (k, chain, rec, s)
+    assert solved >= 40 and refused >= 8000, (solved, refused)
 
 
 def test_substituted_record_base_chain_collapses():
