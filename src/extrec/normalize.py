@@ -6,30 +6,29 @@ field operations into record bases.  `reduce_once` and `one_step_reducts`
 state it one step at a time, as the reference the faster functions are
 tested against.
 
-`normalize` reaches the same normal form in one bottom-up pass: it
-normalizes a node's children, then folds a chain's operations into its
-record base innermost-first, or cancels its pairs over a variable base in
-one left-to-right sweep.  The surviving operations over a variable are
-sorted by label, which turns the "same base, same field information"
-notion of equality into plain structural equality.  There is no step
-limit: every chain is taken apart once.
-
-A chain that is one operation on top of a normal chain over a variable,
-as each extension or removal that inference types is, is normalized by
-insertion instead: the operation cancels its partner or goes to its
-sorted position, and only the nodes above that position are rebuilt.
+`normalize` reaches the same normal form in one bottom-up pass.  It
+normalizes a node's children and builds a chain's normal form on that of
+its longest prefix whose normal form is known (a node with a cached `_nf`,
+else the bottom), reading only the operations above it.  Over a record
+they fold into it innermost-first.  Over a variable they merge into the
+prefix's sorted operations: each cancels its innermost open partner, and
+the survivors are sorted by label, which turns the "same base, same field
+information" notion of equality into plain structural equality.  The
+nodes under the new labels' range are reused, the ones over it rebuilt.
+A fresh chain is the case where the prefix is the bottom.  There is no
+step limit: every chain is taken apart once.
 
 The top of a normal chain over a variable carries the label maps of its
-operations (`_facts`, see `syntax`): the sweep builds them with
-`label_maps`, and insertion hands the maps of the chain below up to the
-new top, updated for the one operation.  Unification reads a chain's field
-facts from these maps alone, and builds them with `label_maps` for a chain
-that has none.
+operations (`_facts`, see `syntax`): the merge hands the prefix's maps up
+to the new top, updated for the operations.  `chain_maps` reads them, and
+builds them with `label_maps` by one walk of a chain that has none; it is
+how unification reads a chain's field facts.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 
 from .syntax import (
     IS_NORMAL,
@@ -43,13 +42,14 @@ from .syntax import (
     RecordType,
     Substitution,
     TyVar,
+    base_of,
     ftv,
     map_type,
-    union_all,
 )
 
 EXT = 1
 CON = -1
+_LABEL = itemgetter(1)
 
 
 def chain_ops(t: MonoType) -> tuple[MonoType, list[tuple[int, str, MonoType]]]:
@@ -165,11 +165,14 @@ def one_step_reducts(t: MonoType) -> list[MonoType]:
     return out
 
 
-def _fold_into_record(base: RecordType, ops):
+def _fold_into_record(base, ops):
     """Fold operations into a record base innermost-first, up to the first
-    one that sticks: (new base, operations left), or None if none folds.
-    The new base shares the old one's (label, type) pairs, so extending a
-    record of n fields allocates one pair, not n."""
+    one that sticks: (new base, operations left), or None if none folds,
+    as over a chain stuck on a record.  The new base shares the old one's
+    (label, type) pairs, so extending a record of n fields allocates one
+    pair, not n."""
+    if not isinstance(base, RecordType):
+        return None
     fields = {pair[0]: pair for pair in base.fields}
     folded = 0
     for sign, label, fty in ops:
@@ -188,15 +191,12 @@ def _fold_into_record(base: RecordType, ops):
     return RecordType(tuple(fields.values())), ops[folded:]
 
 
-def _cancel_pairs(ops):
-    """Drop the cancelling +/- pairs of a chain over a variable.
-
-    One left-to-right sweep: each operation cancels the earliest open one
-    with the same label and field type and the opposite sign.  These are
-    the pairs that repeated `_first_cancelling_pair` removes, also when a
-    label repeats.  Field types must be normal, so that equivalence is
-    equality.
-    """
+def _cancel_pairs(ops) -> set[int]:
+    """Positions of the cancelling +/- pairs of a chain over a variable, in
+    one left-to-right sweep: each operation cancels the earliest open one
+    with its label and field type and the opposite sign.  These are the
+    pairs repeated `_first_cancelling_pair` removes, also when a label
+    repeats.  Field types must be normal, so that equivalence is equality."""
     open_ops: dict[tuple, deque[int]] = {}
     dropped = set()
     for j, (sign, label, fty) in enumerate(ops):
@@ -206,9 +206,7 @@ def _cancel_pairs(ops):
             dropped.add(j)
         else:
             open_ops.setdefault((label, sign, fty), deque()).append(j)
-    if not dropped:
-        return ops
-    return [op for k, op in enumerate(ops) if k not in dropped]
+    return dropped
 
 
 def normalize(t: MonoType) -> MonoType:
@@ -236,37 +234,86 @@ def normalize(t: MonoType) -> MonoType:
 
 
 def _normalize_chain(t: MonoType) -> MonoType:
-    nf = _insert_op(t)
-    if nf is not None:
-        return nf
-    base, ops = chain_ops(t)
-    new_base = normalize(base)
-    new_ops = [(sign, label, normalize(fty)) for sign, label, fty in ops]
-    changed = new_base is not base or any(
-        new[2] is not old[2] for new, old in zip(new_ops, ops)
-    )
-    if isinstance(new_base, RecordType):
-        folded = _fold_into_record(new_base, new_ops)
+    """Normal form of the chain t, by the module docstring's merge.  The
+    prefix's operations are sorted and open, so only those in the new
+    labels' range can cancel or move; the pairs can be cancelled after a
+    stable sort, since partners share a label and it keeps their order."""
+    ops, same, prefix = [], True, t  # same: t's field types are normal
+    while True:
+        fty = normalize(prefix.field_type)
+        same = same and fty is prefix.field_type
+        ops.append((EXT if type(prefix) is Ext else CON, prefix.label, fty))
+        prefix = prefix.base
+        if not isinstance(prefix, (Ext, Contr)) or prefix._nf is not None:
+            break
+    ops.reverse()
+    below = normalize(prefix)
+    same = same and below is prefix  # t is below + ops
+    if isinstance(base_of(below), RecordType):
+        folded = _fold_into_record(below, ops)
         if folded is not None:
-            new_base, new_ops = folded
-            changed = True
-    elif isinstance(new_base, TyVar):
-        kept = _cancel_pairs(new_ops)
-        changed = changed or kept is not new_ops
-        # Stable by label: distinct labels (the normal-form case) get a total
-        # order; repeated labels in unkindable debris keep their chain order.
-        # Operations stuck over a record base stay put: the folding rules
-        # consume them innermost-first, so their order is meaningful.
-        if any(a[1] > b[1] for a, b in zip(kept, kept[1:])):
-            kept.sort(key=lambda op: op[1])
-            changed = True
-        new_ops = kept
-    nf = rebuild_chain(new_base, new_ops) if changed else t
-    if isinstance(new_base, TyVar) and new_ops:
-        maps = label_maps(new_ops)
-        if maps is not None and maps[0].keys().isdisjoint(maps[1]):
-            object.__setattr__(nf, "_facts", maps)
-    return nf
+            return rebuild_chain(*folded)
+        # stuck: the rules fold innermost-first, so the order left matters
+        return t if same else rebuild_chain(below, ops)
+    news = sorted(ops, key=_LABEL) if len(ops) > 1 else ops
+    lo, hi = news[0][1], news[-1][1]
+    above, node = [], below  # outermost first
+    while isinstance(node, (Ext, Contr)) and node.label > hi:
+        above.append(node)
+        node = node.base
+    zone = []  # below's operations in the new labels' range
+    while isinstance(node, (Ext, Contr)) and node.label >= lo:
+        zone.append(node)
+        node = node.base
+    old, kept = zone, news
+    if zone:
+        zone.reverse()
+        old = [(EXT if type(n) is Ext else CON, n.label, n.field_type) for n in zone]
+        kept = sorted(old + news, key=_LABEL)  # below's first at equal labels
+    dropped = _cancel_pairs(kept) if len(kept) > 1 else ()
+    if dropped:
+        kept = [op for j, op in enumerate(kept) if j not in dropped]
+    reused = 0  # operations of the zone kept in place, from its bottom
+    while reused < len(old) and reused < len(kept) and kept[reused] is old[reused]:
+        reused += 1
+    new = kept[reused:] if reused else kept
+    if reused == len(old) and not new:
+        out = below
+    elif reused == len(old) and not above and same and new == ops:
+        out = t
+    else:
+        out = rebuild_chain(zone[reused - 1] if reused else node, new)
+        for n in reversed(above):
+            out = type(n)(out, n.label, n.field_type)
+    if not dropped and out._fv is None:
+        known = ftv(below) if isinstance(below, TyVar) else below._fv
+        if known is not None:
+            for _, _, fty in ops:
+                if not ftv(fty) <= known:
+                    known = known | ftv(fty)
+            object.__setattr__(out, "_fv", known)
+    _hand_up(below, out, old, kept)
+    return out
+
+
+def _hand_up(below, out, old, kept):
+    """Hand below's label maps up to out, the merge into below, with old's
+    entries (below's operations in the merged range) replaced by kept's
+    (the survivors there).  Below's other labels lie outside that range,
+    so only a label repeated in kept clashes: out is then unkindable
+    debris, and nothing moves, as when below has no maps."""
+    maps = ({}, {}) if isinstance(below, TyVar) else below._facts
+    if maps is None or len(kept) > 1 and any(a[1] == b[1] for a, b in zip(kept, kept[1:])):
+        return
+    ext, con = maps
+    for sign, label, _ in old:
+        del (ext if sign == EXT else con)[label]
+    for sign, label, fty in kept:
+        (ext if sign == EXT else con)[label] = fty
+    if not isinstance(below, TyVar):
+        object.__setattr__(below, "_facts", None)
+    if not isinstance(out, TyVar):
+        object.__setattr__(out, "_facts", maps)
 
 
 def label_maps(ops) -> tuple[dict, dict] | None:
@@ -282,82 +329,12 @@ def label_maps(ops) -> tuple[dict, dict] | None:
     return ext, con
 
 
-def _insert_op(t: MonoType) -> MonoType | None:
-    """Normal form of t when t is one operation on top of a variable or of
-    a chain over a variable that is known to be normal; None otherwise.
-
-    The chain's operations are sorted by label and none cancel, so the
-    sweep would let t's operation cancel the innermost same-label partner
-    of opposite sign and equal field type, or else sort it above the last
-    operation whose label is <= its own.  Only the nodes above that point
-    are rebuilt; the ones below are reused with their caches.  A chain
-    whose normal form is not known yet goes to the sweep: normalizing it
-    here first would recurse once per operation.
-
-    The chain's label maps, if it has them, go up to the result; so do its
-    free variables, when it knows them, with the operation's added, unless
-    the operation cancelled."""
-    below = node = t.base
-    if not isinstance(node, TyVar) and not (
-        isinstance(node, (Ext, Contr))
-        and node._nf is IS_NORMAL
-        and isinstance(node._bottom, TyVar)
-    ):
-        return None
-    label, fty = t.label, normalize(t.field_type)
-    opposite = Contr if isinstance(t, Ext) else Ext
-    above = []  # outermost first
-    while isinstance(node, (Ext, Contr)) and node.label > label:
-        above.append(node)
-        node = node.base
-    point, partner, same = node, None, []
-    while isinstance(node, (Ext, Contr)) and node.label == label:
-        if type(node) is opposite and node.field_type == fty:
-            partner, kept = node, len(same)
-        same.append(node)
-        node = node.base
-    if partner is not None:
-        out, above = partner.base, above + same[:kept]
-    elif point is below and fty is t.field_type:
-        out = t
-    else:
-        out = type(t)(point, label, fty)
-    for node in reversed(above):
-        out = type(node)(out, node.label, node.field_type)
-    if partner is None and out._fv is None:
-        # below's variables and the operation's; the rebuilt nodes between
-        # compute theirs when asked
-        known = ftv(below) if isinstance(below, TyVar) else below._fv
-        if known is not None:
-            object.__setattr__(out, "_fv", union_all([known, ftv(fty)]))
-    _hand_up(below, out, type(t) is Ext, label, fty, partner is not None)
-    return out
-
-
-def _hand_up(below, out, extends: bool, label, fty, cancelled: bool):
-    """Give out, the normal form of one operation on top of the normal
-    chain (or variable) below, the label maps of below updated for that
-    operation; below keeps none.  Nothing moves when below has no maps, or
-    when the operation repeats a label it does not cancel: out is then
-    unkindable debris."""
-    if isinstance(below, TyVar):
-        maps = ({}, {})
-    else:
-        maps = below._facts
-        if maps is None:
-            return
-    ext, con = maps
-    own, other = (ext, con) if extends else (con, ext)
-    if cancelled:
-        del other[label]
-    elif label in own or label in other:
-        return
-    else:
-        own[label] = fty
-    if not isinstance(below, TyVar):
-        object.__setattr__(below, "_facts", None)
-    if not isinstance(out, TyVar):
-        object.__setattr__(out, "_facts", maps)
+def chain_maps(t: MonoType) -> tuple[dict, dict] | None:
+    """The label maps of a chain's operations (`label_maps`): the pair its
+    top node carries when it is its own sorted normal form, else one walk
+    of the chain.  None when a label repeats with one sign."""
+    maps = t._facts
+    return label_maps(chain_ops(t)[1]) if maps is None else maps
 
 
 def is_normal(t: MonoType) -> bool:

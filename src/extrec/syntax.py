@@ -9,10 +9,10 @@ Every type, kind and polytype value caches its free type variables in a
 `_fv` slot.  `ftv` fills the slot on the first request and returns the
 same frozenset ever after.  Two builders fill it first, from sets they
 already hold: `trusted_record_kind`, and `normalize` on the top node of
-a chain it extends by one operation.  Since the values are immutable, a
-cached set never goes stale.  Substitution relies on it to
-return a value untouched, as the same object, when its free variables
-miss the substitution's domain.
+a chain whose operations it merges into a known normal form.  Since the
+values are immutable, a cached set never goes stale.  Substitution
+relies on it to return a value untouched, as the same object, when its
+free variables miss the substitution's domain.
 
 Every compound monotype (record, arrow, extension, contraction) likewise
 caches its normal form in a `_nf` slot, and `normalize` is its only
@@ -25,15 +25,11 @@ Extension and contraction nodes carry two more slots:
 - `_bottom`, the chain's base (a type variable or a record), written
   once by the node's constructor from its `.base`, so `base_of` is one
   slot read;
-- `_facts`, written only by `normalize`: on the top node of a normal
-  chain over a variable whose labels are distinct, the pair of label
-  maps (extended label -> field type, contracted label -> field type) of
-  the whole chain.  When `normalize` inserts one operation on top of
-  such a chain, it hands the maps up: it updates them for that operation,
-  stores them on the new top and clears the old top's slot, so a chain
-  of n operations holds one pair of maps, not n.  An old top, and a node
-  below a top, has no maps.  Their one reader is `unify.chain_maps`,
-  which builds the maps by one walk of a chain that has none.
+- `_facts`, written and read only by `normalize`: on the top node of a
+  normal chain over a variable whose labels are distinct, the pair of
+  label maps (extended label -> field type, contracted label -> field
+  type) of the whole chain.  A chain of n operations holds one pair of
+  maps, not n: an old top, and a node below a top, has none.
 
 A record kind built by `trusted_record_kind` skips the constructor's
 sorting and checks, and may come with its `_fv` set by its builder.  Its

@@ -23,12 +23,12 @@ and those they extend on the right, then meets each chain's base with the
 fresh base under the other chain's operations.
 
 A chain's field facts are read one way, from its operations' label maps
-(`chain_maps`: the maps on the top node of a sorted normal chain, else
-one walk) and its base's kind: the kind with the labels the chain moves
-taken across, at the operations' own types.  Rule x reads the same maps.
-A chain that repeats a label with one sign has no facts.  The facts and
-the merged kind are still built from the base's whole kind, by work
-linear in its size.
+(`normalize.chain_maps`: the maps on the top node of a sorted normal
+chain, else one walk) and its base's kind: the kind with the labels the
+chain moves taken across, at the operations' own types.  Rule x reads
+the same maps.  A chain that repeats a label with one sign has no facts.
+The facts and the merged kind are still built from the base's whole
+kind, by work linear in its size.
 
 Extensible types are not normalized eagerly; a normalization retry plus a
 chain-against-record decomposition cover the shapes plain substitution can
@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import deque
 
 from .kinding import wf_kind_assignment
-from .normalize import chain_ops, equiv, is_normal, label_maps, normalize, rebuild_chain, CON, EXT
+from .normalize import CON, EXT, chain_maps, chain_ops, equiv, is_normal, normalize, rebuild_chain
 from .subst import apply_kind, resolve
 from .syntax import (
     Arrow,
@@ -91,14 +91,6 @@ def cfields(t: MonoType) -> dict:
         raise ValueError(f"cfields: not an extensible type: {t!r}")
     _, ops = chain_ops(t)
     return {l: f for sign, l, f in ops if sign == CON}
-
-
-def chain_maps(t: MonoType) -> tuple[dict, dict] | None:
-    """The label maps of a chain's operations (`normalize.label_maps`): the
-    pair its top node carries when it is its own sorted normal form, else
-    one walk of the chain.  None when a label repeats with one sign."""
-    maps = t._facts
-    return label_maps(chain_ops(t)[1]) if maps is None else maps
 
 
 def _is_chain(t: MonoType) -> bool:
@@ -282,10 +274,11 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
     # Substitution can build chains over record bases and other reducible
     # shapes the rules above do not match; retry once on normal forms.  Past
     # this point t1 and t2 are normal: the retry ran, or left them as they
-    # were.
+    # were.  `normalize` returns a normal type itself, so identity tells
+    # which; `==` would recurse down both chains.
     if not retried:
         n1, n2 = normalize(t1), normalize(t2)
-        if (n1, n2) != (t1, t2):
+        if n1 is not t1 or n2 is not t2:
             if st.levels is not None:
                 st.levels.lose(None, *(ftv(t1) - ftv(n1)), *(ftv(t2) - ftv(n2)))
             _step(st, n1, n2, retried=True)

@@ -301,16 +301,18 @@ def test_untraced_let_reads_no_more_than_its_bound_term_made(monkeypatch):
 
 
 def test_record_operations_do_not_walk_the_chain(monkeypatch):
-    # Rule vii reads a chain's field facts from the label maps on its top
-    # node and from its base's kind, and a merged kind is built from the
-    # two it merges: typing one more operation walks neither the chain nor
-    # the kind's fields in Python.  The terms are built directly, since
+    # Normalization merges one more operation into the chain's known normal
+    # form, rule vii reads a chain's field facts from the label maps on its
+    # top node and from its base's kind, and a merged kind is built from
+    # the two it merges: typing one more operation walks neither the chain
+    # nor the kind's fields in Python.  The terms are built directly, since
     # the parser refuses this depth.
     def refuse(*args, **kwargs):
         raise AssertionError("chain walked")
 
     monkeypatch.setattr(sys.modules["extrec.kinding"], "field_info", refuse)
     monkeypatch.setattr(sys.modules["extrec.unify"], "chain_ops", refuse)
+    monkeypatch.setattr(sys.modules["extrec.normalize"], "chain_ops", refuse)
     n = 300
     chain = Var("r")
     for i in range(n):

@@ -245,6 +245,19 @@ def test_chain_against_record_decomposes():
     assert subst_equal(s2, {a: RecordType((("l", INT), ("m", BOOL)))})
 
 
+def test_a_long_unsorted_chain_meets_its_record():
+    # The normalization retry tells a changed side by identity: comparing
+    # the normal forms with the sides by `==` recursed down both chains and
+    # raised RecursionError at 500 operations.
+    n = 500
+    fields = tuple((f"l{i}", INT) for i in range(n))
+    chain = a
+    for label, fty in fields:
+        chain = Ext(chain, label, fty)
+    resid, s = unify({a: record_kind([], list(fields))}, [(chain, RecordType(fields))])
+    assert resid == {} and s == {a: RecordType(())}
+
+
 def test_a_chain_that_repeats_a_label_meets_a_record_only_by_a_unifier():
     # {} + {l: Int} + {l: Bool} is normal, not {l: Bool}: a chain that
     # extends, or contracts, a label twice has no field facts to read.  One
