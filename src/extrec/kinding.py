@@ -9,7 +9,8 @@ chain never mentions, at any well-formed type.
 
 `field_info` is the reference synthesis, for `has_kind`, the matcher in
 `subst` and the tests.  Unification reads the same facts its own way, from
-a base's kind and the chain's label maps (`normalize.chain_maps`).
+a base's kind and the label maps of the chain's operations
+(`normalize.label_maps`).
 """
 
 from __future__ import annotations

@@ -8,29 +8,30 @@ tested against.
 
 `normalize` reaches the same normal form in one bottom-up pass.  It
 normalizes a node's children and builds a chain's normal form on that of
-its longest prefix whose normal form is known (a node with a cached `_nf`,
-else the bottom), reading only the operations above it.  Over a record
-they fold into it innermost-first.  Over a variable they merge into the
-prefix's sorted operations: each cancels its innermost open partner, and
-the survivors are sorted by label, which turns the "same base, same field
-information" notion of equality into plain structural equality.  The
-nodes under the new labels' range are reused, the ones over it rebuilt.
-A fresh chain is the case where the prefix is the bottom.  There is no
-step limit: every chain is taken apart once.
+its longest prefix known to be normal: the first `_np` operations (see
+`syntax`), else the bottom alone.  Only the operations after the prefix
+are read.  Over a record they fold into it innermost-first.  Over a
+variable they merge into the prefix's sorted operations: each cancels its
+innermost open partner, and the survivors are sorted by label, which
+turns the "same base, same field information" notion of equality into
+plain structural equality.  Only the prefix's operations in the new
+labels' range, found by bisection, take part; the rest of the tuple is
+sliced around them.  A fresh chain is the case where the prefix is the
+bottom.  There is no step limit: every chain is taken apart once.
 
-The top of a normal chain over a variable carries the label maps of its
-operations (`_facts`, see `syntax`): the merge hands the prefix's maps up
-to the new top, updated for the operations.  `chain_maps` reads them, and
-builds them with `label_maps` by one walk of a chain that has none; it is
-how unification reads a chain's field facts.
+`label_maps` reads a chain's operations as two label maps; it is how
+unification reads a chain's field facts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from operator import itemgetter
 
 from .syntax import (
+    CON,
+    EXT,
     IS_NORMAL,
     Arrow,
     BaseType,
@@ -42,32 +43,17 @@ from .syntax import (
     RecordType,
     Substitution,
     TyVar,
-    base_of,
-    ftv,
+    chain,
     map_type,
 )
 
-EXT = 1
-CON = -1
 _LABEL = itemgetter(1)
 
 
-def chain_ops(t: MonoType) -> tuple[MonoType, list[tuple[int, str, MonoType]]]:
-    """Split an Ext/Contr chain into (base, ops), ops listed innermost first."""
-    ops: list[tuple[int, str, MonoType]] = []
-    while isinstance(t, (Ext, Contr)):
-        sign = EXT if isinstance(t, Ext) else CON
-        ops.append((sign, t.label, t.field_type))
-        t = t.base
-    ops.reverse()
-    return t, ops
-
-
-def rebuild_chain(base: MonoType, ops) -> MonoType:
-    t = base
-    for sign, label, fty in ops:
-        t = Ext(t, label, fty) if sign == EXT else Contr(t, label, fty)
-    return t
+def chain_ops(t: MonoType) -> tuple[MonoType, tuple[tuple[int, str, MonoType], ...]]:
+    """(bottom, operations innermost first) of an extensible type: a chain's
+    own, or t and none."""
+    return (t.bottom, t.ops) if isinstance(t, (Ext, Contr)) else (t, ())
 
 
 def _record_rule(base: RecordType, ops):
@@ -77,11 +63,11 @@ def _record_rule(base: RecordType, ops):
     if sign == CON:
         if label in fields and equiv(fields[label], fty):
             del fields[label]
-            return rebuild_chain(RecordType(tuple(fields.items())), ops[1:])
+            return chain(RecordType(tuple(fields.items())), ops[1:])
         return None
     if label not in fields:
         fields[label] = fty
-        return rebuild_chain(RecordType(tuple(fields.items())), ops[1:])
+        return chain(RecordType(tuple(fields.items())), ops[1:])
     return None
 
 
@@ -113,7 +99,7 @@ def _chain_reducts(t: MonoType) -> list[MonoType]:
         if pair is not None:
             i, j = pair
             rest = [op for k, op in enumerate(ops) if k not in (i, j)]
-            out.append(rebuild_chain(base, rest))
+            out.append(chain(base, rest))
     return out
 
 
@@ -129,11 +115,11 @@ def _subterm_slots(t: MonoType):
                 t.fields[:idx] + ((t.fields[idx][0], s),) + t.fields[idx + 1 :]
             )
     elif isinstance(t, (Ext, Contr)):
-        base, ops = chain_ops(t)
-        yield base, lambda s: rebuild_chain(s, ops)
+        base, ops = t.bottom, t.ops
+        yield base, lambda s: chain(s, ops)
         for idx, (sign, l, ft) in enumerate(ops):
-            yield ft, lambda s, idx=idx: rebuild_chain(
-                base, ops[:idx] + [(ops[idx][0], ops[idx][1], s)] + ops[idx + 1 :]
+            yield ft, lambda s, idx=idx: chain(
+                base, ops[:idx] + ((sign, l, s),) + ops[idx + 1 :]
             )
 
 
@@ -238,82 +224,32 @@ def _normalize_chain(t: MonoType) -> MonoType:
     prefix's operations are sorted and open, so only those in the new
     labels' range can cancel or move; the pairs can be cancelled after a
     stable sort, since partners share a label and it keeps their order."""
-    ops, same, prefix = [], True, t  # same: t's field types are normal
-    while True:
-        fty = normalize(prefix.field_type)
-        same = same and fty is prefix.field_type
-        ops.append((EXT if type(prefix) is Ext else CON, prefix.label, fty))
-        prefix = prefix.base
-        if not isinstance(prefix, (Ext, Contr)) or prefix._nf is not None:
-            break
-    ops.reverse()
-    below = normalize(prefix)
-    same = same and below is prefix  # t is below + ops
-    if isinstance(base_of(below), RecordType):
-        folded = _fold_into_record(below, ops)
+    np, ops = t._np, t.ops
+    prefix, new, same = ops[:np], [], True  # same: t's field types are normal
+    for op in ops[np:]:
+        fty = normalize(op[2])
+        if fty is not op[2]:
+            op, same = (op[0], op[1], fty), False
+        new.append(op)
+    bottom = normalize(t.bottom) if not np else t.bottom
+    same = same and bottom is t.bottom  # t is bottom + prefix + new
+    if isinstance(bottom, RecordType):
+        folded = None if prefix else _fold_into_record(bottom, new)
         if folded is not None:
-            return rebuild_chain(*folded)
+            return chain(*folded)
         # stuck: the rules fold innermost-first, so the order left matters
-        return t if same else rebuild_chain(below, ops)
-    news = sorted(ops, key=_LABEL) if len(ops) > 1 else ops
-    lo, hi = news[0][1], news[-1][1]
-    above, node = [], below  # outermost first
-    while isinstance(node, (Ext, Contr)) and node.label > hi:
-        above.append(node)
-        node = node.base
-    zone = []  # below's operations in the new labels' range
-    while isinstance(node, (Ext, Contr)) and node.label >= lo:
-        zone.append(node)
-        node = node.base
-    old, kept = zone, news
-    if zone:
-        zone.reverse()
-        old = [(EXT if type(n) is Ext else CON, n.label, n.field_type) for n in zone]
-        kept = sorted(old + news, key=_LABEL)  # below's first at equal labels
-    dropped = _cancel_pairs(kept) if len(kept) > 1 else ()
+        return t if same else chain(bottom, prefix + tuple(new))
+    news = sorted(new, key=_LABEL) if len(new) > 1 else new
+    lo = bisect_left(prefix, news[0][1], key=_LABEL)
+    hi = bisect_right(prefix, news[-1][1], lo, key=_LABEL)
+    kept = sorted(prefix[lo:hi] + tuple(news), key=_LABEL)  # prefix's first at equal labels
+    dropped = _cancel_pairs(kept)
     if dropped:
         kept = [op for j, op in enumerate(kept) if j not in dropped]
-    reused = 0  # operations of the zone kept in place, from its bottom
-    while reused < len(old) and reused < len(kept) and kept[reused] is old[reused]:
-        reused += 1
-    new = kept[reused:] if reused else kept
-    if reused == len(old) and not new:
-        out = below
-    elif reused == len(old) and not above and same and new == ops:
-        out = t
-    else:
-        out = rebuild_chain(zone[reused - 1] if reused else node, new)
-        for n in reversed(above):
-            out = type(n)(out, n.label, n.field_type)
-    if not dropped and out._fv is None:
-        known = ftv(below) if isinstance(below, TyVar) else below._fv
-        if known is not None:
-            for _, _, fty in ops:
-                if not ftv(fty) <= known:
-                    known = known | ftv(fty)
-            object.__setattr__(out, "_fv", known)
-    _hand_up(below, out, old, kept)
-    return out
-
-
-def _hand_up(below, out, old, kept):
-    """Hand below's label maps up to out, the merge into below, with old's
-    entries (below's operations in the merged range) replaced by kept's
-    (the survivors there).  Below's other labels lie outside that range,
-    so only a label repeated in kept clashes: out is then unkindable
-    debris, and nothing moves, as when below has no maps."""
-    maps = ({}, {}) if isinstance(below, TyVar) else below._facts
-    if maps is None or len(kept) > 1 and any(a[1] == b[1] for a, b in zip(kept, kept[1:])):
-        return
-    ext, con = maps
-    for sign, label, _ in old:
-        del (ext if sign == EXT else con)[label]
-    for sign, label, fty in kept:
-        (ext if sign == EXT else con)[label] = fty
-    if not isinstance(below, TyVar):
-        object.__setattr__(below, "_facts", None)
-    if not isinstance(out, TyVar):
-        object.__setattr__(out, "_facts", maps)
+    out = prefix[:lo] + tuple(kept) + prefix[hi:]
+    if same and out == ops:
+        return t
+    return chain(bottom, out, t._fv if same and not dropped else None)
 
 
 def label_maps(ops) -> tuple[dict, dict] | None:
@@ -327,14 +263,6 @@ def label_maps(ops) -> tuple[dict, dict] | None:
             return None
         side[label] = fty
     return ext, con
-
-
-def chain_maps(t: MonoType) -> tuple[dict, dict] | None:
-    """The label maps of a chain's operations (`label_maps`): the pair its
-    top node carries when it is its own sorted normal form, else one walk
-    of the chain.  None when a label repeats with one sign."""
-    maps = t._facts
-    return label_maps(chain_ops(t)[1]) if maps is None else maps
 
 
 def is_normal(t: MonoType) -> bool:

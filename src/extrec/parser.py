@@ -44,6 +44,7 @@ from .syntax import (
     BaseType,
     Const,
     Contr,
+    EXT,
     Ext,
     Extend,
     Kind,
@@ -642,9 +643,11 @@ def _pp_mono(t: MonoType, level: int, namer: Namer) -> str:
         s = f"{_pp_mono(t.dom, _EXTHEAD, namer)} -> {_pp_mono(t.cod, _MONO, namer)}"
         return f"({s})" if level > _MONO else s
     if isinstance(t, (Ext, Contr)):
-        op = "+" if isinstance(t, Ext) else "-"
-        head = _pp_mono(t.base, _EXTHEAD, namer)
-        return f"{head} {op} {{{t.label}: {_pp_mono(t.field_type, _MONO, namer)}}}"
+        parts = [_pp_mono(t.bottom, _EXTHEAD, namer)]
+        for sign, label, fty in t.ops:
+            op = "+" if sign == EXT else "-"
+            parts.append(f"{op} {{{label}: {_pp_mono(fty, _MONO, namer)}}}")
+        return " ".join(parts)
     raise TypeError(f"pretty_type: not a monotype: {t!r}")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .kinding import field_info, has_kind
-from .normalize import chain_ops, equiv, normalize, rebuild_chain
+from .normalize import chain_ops, equiv, normalize
 from .syntax import (
     Arrow,
     BaseType,
@@ -29,6 +29,7 @@ from .syntax import (
     TypeAssignment,
     TyVar,
     UKind,
+    chain,
     eftv,
     eftv_assignment,
     ftv,
@@ -371,10 +372,7 @@ class _Matcher:
             return True
 
         # Flexible head: absorb whatever the pattern's operations do not cover.
-        if isinstance(s, (Ext, Contr)):
-            base_s, ops_s = chain_ops(s)
-        else:
-            base_s, ops_s = s, []
+        base_s, ops_s = chain_ops(s)
         remaining = {l: (sg, f) for sg, l, f in ops_s}
         leftover_p = []
         for sg, l, f in ops_p:
@@ -386,28 +384,35 @@ class _Matcher:
                 leftover_p.append((sg, l, f))
         rest = [(sg, l, f) for l, (sg, f) in sorted(remaining.items())]
         if not leftover_p:
-            head = rebuild_chain(base_s, rest)
-            if base_p in self.binds:
-                return equiv(self.binds[base_p], head)
-            self.binds[base_p] = head
-            return True
-        # Unmatched pattern operations can only be inverted against a record.
-        if not isinstance(base_s, RecordType) or rest:
-            return False
-        fields = base_s.field_map()
-        for sg, l, f in leftover_p:
-            if sg == 1:  # pattern extends: the record must carry the field
-                if l not in fields or not self.match(f, fields[l]):
-                    return False
-                del fields[l]
-            else:  # pattern contracts: the record must lack it
-                if l in fields:
-                    return False
+            head = chain(base_s, rest)
+        elif isinstance(base_s, TyVar):
+            # Undo the unmatched pattern operations on the subject, outermost
+            # first: + {l: t} becomes - {l: t}.  The caller's final equiv
+            # and respects checks judge the result.
+            undone = []
+            for sg, l, f in reversed(leftover_p):
                 r = self.resolve(f)
                 if r is None:
                     return False
-                fields[l] = r
-        head = RecordType(tuple(fields.items()))
+                undone.append((-sg, l, r))
+            head = chain(base_s, rest + undone)
+        elif not isinstance(base_s, RecordType) or rest:
+            return False
+        else:  # against a record, they are inverted on its fields
+            fields = base_s.field_map()
+            for sg, l, f in leftover_p:
+                if sg == 1:  # pattern extends: the record must carry the field
+                    if l not in fields or not self.match(f, fields[l]):
+                        return False
+                    del fields[l]
+                else:  # pattern contracts: the record must lack it
+                    if l in fields:
+                        return False
+                    r = self.resolve(f)
+                    if r is None:
+                        return False
+                    fields[l] = r
+            head = RecordType(tuple(fields.items()))
         if base_p in self.binds:
             return equiv(self.binds[base_p], head)
         self.binds[base_p] = head

@@ -7,12 +7,11 @@ equality is insensitive to the order labels were written in.
 
 Every type, kind and polytype value caches its free type variables in a
 `_fv` slot.  `ftv` fills the slot on the first request and returns the
-same frozenset ever after.  Two builders fill it first, from sets they
-already hold: `trusted_record_kind`, and `normalize` on the top node of
-a chain whose operations it merges into a known normal form.  Since the
-values are immutable, a cached set never goes stale.  Substitution
-relies on it to return a value untouched, as the same object, when its
-free variables miss the substitution's domain.
+same frozenset ever after.  Some builders fill it first, from sets they
+already hold: `trusted_record_kind`, and `chain`, which every chain node
+comes from.  Since the values are immutable, a cached set never goes
+stale.  Substitution relies on it to return a value untouched, as the
+same object, when its free variables miss the substitution's domain.
 
 Every compound monotype (record, arrow, extension, contraction) likewise
 caches its normal form in a `_nf` slot, and `normalize` is its only
@@ -20,16 +19,14 @@ writer.  A value that is its own normal form is marked with the
 `IS_NORMAL` sentinel rather than a reference to itself, so that no value
 sits in a reference cycle and reference counting can free it.
 
-Extension and contraction nodes carry two more slots:
-
-- `_bottom`, the chain's base (a type variable or a record), written
-  once by the node's constructor from its `.base`, so `base_of` is one
-  slot read;
-- `_facts`, written and read only by `normalize`: on the top node of a
-  normal chain over a variable whose labels are distinct, the pair of
-  label maps (extended label -> field type, contracted label -> field
-  type) of the whole chain.  A chain of n operations holds one pair of
-  maps, not n: an old top, and a node below a top, has none.
+A chain of extensions and contractions is one node: its bottom (a type
+variable or a record) and the tuple of its operations, innermost first.
+Ext and Contr are the node's two classes, chosen by the top operation;
+`.base`, `.label` and `.field_type` are derived from the tuple, and
+equality, hashing and `repr` read it without recursing per operation.
+The node's `_np` slot counts its leading operations known to form a
+normal chain with the bottom: `chain` sets it from a base that is its
+own normal form, and `normalize` merges only the operations after it.
 
 A record kind built by `trusted_record_kind` skips the constructor's
 sorting and checks, and may come with its `_fv` set by its builder.  Its
@@ -40,7 +37,7 @@ kind; and unification's merge of two kinds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 Label = str
 
@@ -210,48 +207,97 @@ class Arrow:
     _nf: "MonoType | object | None" = _cache_slot()
 
 
-@dataclass(frozen=True, slots=True)
-class Ext:
+EXT = 1
+CON = -1
+
+
+class _Chain:
+    """A chain of field operations on a bottom, a type variable or a record:
+    `bottom`, and `ops`, its (sign, label, field_type) triples innermost
+    first, with sign EXT or CON.  Its class, Ext or Contr, is its top
+    operation's.  `chain` builds every node; `Ext(base, l, t)` and
+    `Contr(base, l, t)` put one operation on a base."""
+
+    __slots__ = ("bottom", "ops", "_fv", "_nf", "_np")
+
+    def __new__(cls, base: "MonoType", label: Label, field_type: "MonoType"):
+        return chain(base, ((EXT if cls is Ext else CON, label, field_type),))
+
+    @property
+    def base(self) -> "MonoType":
+        """The chain without its top operation, built anew."""
+        return chain(self.bottom, self.ops[:-1])
+
+    @property
+    def label(self) -> Label:
+        return self.ops[-1][1]
+
+    @property
+    def field_type(self) -> "MonoType":
+        return self.ops[-1][2]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bottom == other.bottom and self.ops == other.ops
+
+    def __hash__(self):
+        return hash((self.bottom, self.ops))
+
+    def __repr__(self):
+        """The nested constructor calls: Ext(base=..., label=..., field_type=...)."""
+        names = ["Ext(base=" if sign == EXT else "Contr(base=" for sign, _, _ in reversed(self.ops)]
+        tails = [f", label={label!r}, field_type={fty!r})" for _, label, fty in self.ops]
+        return "".join(names) + repr(self.bottom) + "".join(tails)
+
+    def __setattr__(self, name, *_):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Ext(_Chain):
     """Field extension on an extensible head: base + {label: field_type}."""
 
-    base: "MonoType"
-    label: Label
-    field_type: "MonoType"
-    _fv: "frozenset[TyVar] | None" = _cache_slot()
-    _nf: "MonoType | object | None" = _cache_slot()
-    _bottom: "TyVar | RecordType" = field(init=False, repr=False, compare=False)
-    _facts: "tuple[dict, dict] | None" = _cache_slot()
-
-    def __post_init__(self):
-        object.__setattr__(self, "_bottom", _bottom_of(self.base, "extension"))
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Contr:
+class Contr(_Chain):
     """Field contraction on an extensible head: base - {label: field_type}."""
 
-    base: "MonoType"
-    label: Label
-    field_type: "MonoType"
-    _fv: "frozenset[TyVar] | None" = _cache_slot()
-    _nf: "MonoType | object | None" = _cache_slot()
-    _bottom: "TyVar | RecordType" = field(init=False, repr=False, compare=False)
-    _facts: "tuple[dict, dict] | None" = _cache_slot()
-
-    def __post_init__(self):
-        object.__setattr__(self, "_bottom", _bottom_of(self.base, "contraction"))
+    __slots__ = ()
 
 
 MonoType = BaseType | TyVar | RecordType | Arrow | Ext | Contr
 
 
-def _bottom_of(base, what: str):
-    """The bottom of a chain node over `base`, for its `_bottom` slot."""
-    if isinstance(base, (Ext, Contr)):
-        return base._bottom
-    if isinstance(base, (TyVar, RecordType)):
+def chain(base: MonoType, ops, fv: "frozenset[TyVar] | None" = None) -> MonoType:
+    """base under the operations ops, (sign, label, field_type) triples
+    innermost first; base itself when there are none.  A chain base is
+    flattened: its operations go first.  `fv`, if given, is the result's
+    free variables; else they are base's with the new field types'."""
+    if not ops:
         return base
-    raise ValueError(f"{what} base must be an extensible type")
+    ops = tuple(ops)
+    if isinstance(base, _Chain):
+        bottom, np = base.bottom, len(base.ops) if base._nf is IS_NORMAL else base._np
+        all_ops = base.ops + ops
+    elif isinstance(base, (TyVar, RecordType)):
+        bottom, np, all_ops = base, 0, ops
+    else:
+        what = "extension" if ops[-1][0] == EXT else "contraction"
+        raise ValueError(f"{what} base must be an extensible type")
+    if fv is None:
+        fv = ftv(base)
+        for _, _, fty in ops:
+            fv = _union(fv, ftv(fty))
+    t = object.__new__(Ext if ops[-1][0] == EXT else Contr)
+    object.__setattr__(t, "bottom", bottom)
+    object.__setattr__(t, "ops", all_ops)
+    object.__setattr__(t, "_fv", fv)
+    object.__setattr__(t, "_nf", None)
+    object.__setattr__(t, "_np", np)
+    return t
 
 
 INT = BaseType("Int")
@@ -266,8 +312,8 @@ def is_extensible(t: MonoType) -> bool:
 
 def base_of(t: MonoType) -> MonoType:
     """Bottom of an Ext/Contr chain: the type variable or record type."""
-    if isinstance(t, (Ext, Contr)):
-        return t._bottom
+    if isinstance(t, _Chain):
+        return t.bottom
     if isinstance(t, (TyVar, RecordType)):
         return t
     raise ValueError(f"base_of: not an extensible type: {t!r}")
@@ -397,8 +443,6 @@ def ftv(x) -> frozenset[TyVar]:
         fv = frozenset((x,))
     elif isinstance(x, Arrow):
         fv = _union(ftv(x.dom), ftv(x.cod))
-    elif isinstance(x, (Ext, Contr)):
-        fv = _union(ftv(x.base), ftv(x.field_type))
     elif isinstance(x, RecordType):
         fv = union_all([ftv(t) for _, t in x.fields])
     elif isinstance(x, RecordKind):
@@ -483,11 +527,9 @@ def map_type(f, x):
     if isinstance(x, Arrow):
         dom, cod = f(x.dom), f(x.cod)
         return x if dom is x.dom and cod is x.cod else Arrow(dom, cod)
-    if isinstance(x, (Ext, Contr)):
-        base, fty = f(x.base), f(x.field_type)
-        if base is x.base and fty is x.field_type:
-            return x
-        return type(x)(base, x.label, fty)
+    if isinstance(x, _Chain):
+        bottom, ops = f(x.bottom), _map_ops(f, x.ops)
+        return x if bottom is x.bottom and ops is x.ops else chain(bottom, ops)
     if isinstance(x, RecordType):
         fields = _map_fields(f, x.fields)
         return x if fields is x.fields else RecordType(fields)
@@ -506,6 +548,13 @@ def _map_fields(f, fields):
     if all(new is old for (_, new), (_, old) in zip(out, fields)):
         return fields
     return out
+
+
+def _map_ops(f, ops):
+    out = [op if (t := f(op[2])) is op[2] else (op[0], op[1], t) for op in ops]
+    if all(new is old for new, old in zip(out, ops)):
+        return ops
+    return tuple(out)
 
 
 def rename_vars(x, mapping: dict[int, TyVar]):

@@ -22,13 +22,12 @@ ix kinds a fresh base with the labels both chains contract on the left
 and those they extend on the right, then meets each chain's base with the
 fresh base under the other chain's operations.
 
-A chain's field facts are read one way, from its operations' label maps
-(`normalize.chain_maps`: the maps on the top node of a sorted normal
-chain, else one walk) and its base's kind: the kind with the labels the
-chain moves taken across, at the operations' own types.  Rule x reads
-the same maps.  A chain that repeats a label with one sign has no facts.
-The facts and the merged kind are still built from the base's whole
-kind, by work linear in its size.
+A chain's field facts are read one way, from the label maps of its
+operation tuple (`normalize.label_maps`) and its base's kind: the kind
+with the labels the chain moves taken across, at the operations' own
+types.  Rule x reads the same maps.  A chain that repeats a label with
+one sign has no facts.  The facts and the merged kind are still built
+from the base's whole kind, by work linear in its size.
 
 Extensible types are not normalized eagerly; a normalization retry plus a
 chain-against-record decomposition cover the shapes plain substitution can
@@ -43,7 +42,7 @@ from __future__ import annotations
 from collections import deque
 
 from .kinding import wf_kind_assignment
-from .normalize import CON, EXT, chain_maps, chain_ops, equiv, is_normal, normalize, rebuild_chain
+from .normalize import CON, EXT, chain_ops, equiv, is_normal, label_maps, normalize
 from .subst import apply_kind, resolve
 from .syntax import (
     Arrow,
@@ -58,6 +57,7 @@ from .syntax import (
     TyVar,
     UKind,
     base_of,
+    chain,
     ftv,
     internal_fresh,
     is_extensible,
@@ -266,8 +266,8 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
                 st.push(
                     (ops1[i][2], ops2[j][2]),
                     (
-                        rebuild_chain(base1, ops1[:i] + ops1[i + 1 :]),
-                        rebuild_chain(base2, ops2[:j] + ops2[j + 1 :]),
+                        chain(base1, ops1[:i] + ops1[i + 1 :]),
+                        chain(base2, ops2[:j] + ops2[j + 1 :]),
                     ),
                 )
                 return
@@ -374,7 +374,7 @@ def _meet(st: _State, v: TyVar, image: MonoType, base: TyVar | None):
     st.push(*eqs)
 
 
-def _moved(kl: dict, kr: dict, chain: MonoType, eqs: list) -> tuple[dict, dict]:
+def _moved(kl: dict, kr: dict, t: MonoType, eqs: list) -> tuple[dict, dict]:
     """The field facts of a chain over a base whose kind has the sides kl
     and kr: the kind with the labels the chain moves taken across, at the
     operations' own types.  An extension needs its label forbidden by the
@@ -382,13 +382,13 @@ def _moved(kl: dict, kr: dict, chain: MonoType, eqs: list) -> tuple[dict, dict]:
     equivalent to its operation's type goes to eqs, in chain order: a merge
     may have written another type over it, with the equation between the
     two still queued."""
-    maps = chain_maps(chain)
+    maps = label_maps(t.ops)
     if maps is None:
         raise UnificationError(KIND, "chain's operations contradict its base's kind")
     ext, con = maps
     if not (ext.items() <= kr.items() and con.items() <= kl.items()):
         # the maps do not keep the order of operations across the two signs
-        for sign, l, f in chain_ops(chain)[1]:
+        for sign, l, f in t.ops:
             side = kr if sign == EXT else kl
             if l not in side:
                 raise UnificationError(KIND, "chain's operations contradict its base's kind")
@@ -438,14 +438,14 @@ def _rule_ix(st: _State, v1: TyVar, ops1, v2: TyVar, ops2):
         raise UnificationError(OCCURS, "chain base occurs in an operation type")
     fresh = st.fresh()
     st.kenv[fresh] = RecordKind(tuple(lefts.items()), tuple(rights.items()))
-    _meet(st, v1, rebuild_chain(fresh, ops2), fresh)
-    _meet(st, v2, rebuild_chain(fresh, ops1), fresh)
+    _meet(st, v1, chain(fresh, ops2), fresh)
+    _meet(st, v2, chain(fresh, ops1), fresh)
 
 
-def _rule_chain_record(st: _State, chain: MonoType, rec: RecordType):
-    """chain, normal over a variable base, against a record: the base is the
-    record without the extended fields and with the contracted ones."""
-    maps = chain_maps(chain)
+def _rule_chain_record(st: _State, t: MonoType, rec: RecordType):
+    """t, a chain normal over a variable base, against a record: the base is
+    the record without the extended fields and with the contracted ones."""
+    maps = label_maps(t.ops)
     if maps is None:
         raise UnificationError(KIND, "chain repeats an operation on a label")
     ext, con = maps
@@ -459,7 +459,7 @@ def _rule_chain_record(st: _State, chain: MonoType, rec: RecordType):
     reduced.update(con)
     # in chain order: a normal chain's labels are sorted
     st.push(*((ext[l], fields[l]) for l in sorted(ext)))
-    st.push((base_of(chain), RecordType(tuple(reduced.items()))))
+    st.push((t.bottom, RecordType(tuple(reduced.items()))))
 
 
 def _fail(st: _State, t1: MonoType, t2: MonoType):

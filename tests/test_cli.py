@@ -85,6 +85,21 @@ def test_check_ok_and_fail():
     assert payload["ok"] is False and payload["reason"]
 
 
+def test_check_accepts_instances_that_undo_an_operation():
+    # the principal type's base variable becomes a chain over the claim's
+    # variable that undoes the operation: 'a := 'q - {l: Int}
+    ext = run("check", "-e", "\\x. extend(x, l, 1)",
+              "-t", "forall 'q :: <<l: Int || >>. 'q - {l: Int} -> 'q")
+    assert (ext.exit_code, ext.output) == (0, "OK\n")
+    rem = run("check", "-e", "\\x. remove(x, l)",
+              "-t", "forall 'q :: << || l: Int>>. 'q + {l: Int} -> 'q")
+    assert (rem.exit_code, rem.output) == (0, "OK\n")
+    # the same shape whose kind forbids l at another type stays refused
+    bad = run("check", "-e", "\\x. remove(x, l)",
+              "-t", "forall 'q :: << || l: Bool>>. 'q + {l: Int} -> 'q")
+    assert bad.exit_code == 1 and bad.output.startswith("FAIL:")
+
+
 def test_check_env_accepts_printed_principal_type(tmp_path):
     env = tmp_path / "ex.env"
     env.write_text(ENV_42)
@@ -198,15 +213,18 @@ def test_deep_nesting_is_a_usage_error():
     spine = "f" + " x" * 3000
     self_apps = "let f = \\x. x in " + " ".join(["f"] * 3000)
     eval_spine = "(\\x. x)" + " 1" * 3000
-    chain = "'r" + "".join(f" + {{k{i}: Int}}" for i in range(3000))
     for args in (["parse", "-e", deep], ["infer", "-e", deep],
                  ["check", "-e", deep, "-t", "Int"], ["eval", "-e", deep],
                  ["infer", "-e", self_apps], ["eval", "-e", eval_spine],
-                 ["parse", "-e", spine], ["normalize", "-t", chain],
-                 ["check", "-e", spine, "-t", "Int"]):
+                 ["parse", "-e", spine], ["check", "-e", spine, "-t", "Int"]):
         r = run(*args)
         assert r.exit_code == 2, args
         assert "Traceback" not in r.output and "nested too deeply" in r.output, args
+    # a chain is one node, so its length costs no stack
+    labels = [f"k{i}" for i in range(3000)]
+    r = run("normalize", "-t", "'r" + "".join(f" + {{{l}: Int}}" for l in labels))
+    assert r.exit_code == 0
+    assert r.output == "'r" + "".join(f" + {{{l}: Int}}" for l in sorted(labels)) + "\n"
 
 
 def test_deterministic_output():

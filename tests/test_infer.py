@@ -302,17 +302,26 @@ def test_untraced_let_reads_no_more_than_its_bound_term_made(monkeypatch):
 
 def test_record_operations_do_not_walk_the_chain(monkeypatch):
     # Normalization merges one more operation into the chain's known normal
-    # form, rule vii reads a chain's field facts from the label maps on its
-    # top node and from its base's kind, and a merged kind is built from
-    # the two it merges: typing one more operation walks neither the chain
-    # nor the kind's fields in Python.  The terms are built directly, since
-    # the parser refuses this depth.
+    # form: only the new operation and the prefix's operations in its label
+    # range reach the merge, and no label g<i> is in the chain when it is
+    # added.  Rule vii reads a chain's field facts from
+    # `label_maps(chain.ops)` and its base's kind, and a merged kind is built
+    # from the two it merges: typing one more operation neither folds the
+    # chain's facts with `field_info` nor walks the kind's fields in Python.
+    # The terms are built directly, since the parser refuses this depth.
     def refuse(*args, **kwargs):
         raise AssertionError("chain walked")
 
+    normalize_mod = sys.modules["extrec.normalize"]
+    merged = []
+
+    def cancel_pairs(ops):
+        merged.append(len(ops))
+        return cancel(ops)
+
+    cancel = normalize_mod._cancel_pairs
     monkeypatch.setattr(sys.modules["extrec.kinding"], "field_info", refuse)
-    monkeypatch.setattr(sys.modules["extrec.unify"], "chain_ops", refuse)
-    monkeypatch.setattr(sys.modules["extrec.normalize"], "chain_ops", refuse)
+    monkeypatch.setattr(normalize_mod, "_cancel_pairs", cancel_pairs)
     n = 300
     chain = Var("r")
     for i in range(n):
@@ -323,6 +332,7 @@ def test_record_operations_do_not_walk_the_chain(monkeypatch):
         assert not isinstance(res, InferFailure), res
         (k,) = [k for k in res.kenv.values() if not isinstance(k, UKind)]
         assert len(k.lefts) + len(k.rights) == n
+    assert len(merged) >= n and set(merged) == {1}, sorted(set(merged))
 
 
 def test_first_failure_in_walk_order_is_reported():

@@ -9,13 +9,12 @@ from extrec.normalize import (
     chain_ops,
     equiv,
     is_normal,
-    label_maps,
     normalize,
     one_step_reducts,
-    rebuild_chain,
     reduce_once,
     subst_equal,
 )
+from extrec.parser import pretty_type
 from extrec.subst import apply_type
 from extrec.syntax import (
     IS_NORMAL,
@@ -29,6 +28,7 @@ from extrec.syntax import (
     RecordType,
     TyVar,
     UKind,
+    chain,
     ftv,
     is_extensible,
 )
@@ -202,7 +202,7 @@ def _reversed_chain(t):
     if not isinstance(t, (Ext, Contr)):
         return t
     base, ops = chain_ops(t)
-    return rebuild_chain(base, ops[::-1])
+    return chain(base, ops[::-1])
 
 
 def test_is_normal_agrees_with_reduce_once():
@@ -295,6 +295,20 @@ def test_normalize_of_normal_form_is_itself():
         assert normalize(n) is n
 
 
+@pytest.mark.parametrize("n", [500, 10_000])
+def test_long_equal_chains_are_equiv(n):
+    # one node per chain: neither equality nor the printer recurses per
+    # operation
+    up, down = a, a
+    for i in range(n):
+        up = Ext(up, f"l{i}", INT)
+        down = Ext(down, f"l{n - 1 - i}", INT)
+    assert equiv(up, down) and equiv(down, up)
+    text = pretty_type(normalize(up))
+    assert text.startswith("'a + {l0: Int} + {l1: Int} + {l10: Int}")
+    assert text.count("+") == n
+
+
 def test_long_cancelling_chain_normalizes_to_its_base():
     r = TyVar(77, "r")
     t = r
@@ -347,7 +361,7 @@ def _scratch_ftv(t) -> frozenset:
     if isinstance(t, RecordType):
         return frozenset().union(*(_scratch_ftv(ft) for _, ft in t.fields))
     if isinstance(t, (Ext, Contr)):
-        return _scratch_ftv(t.base) | _scratch_ftv(t.field_type)
+        return _scratch_ftv(t.bottom).union(*(_scratch_ftv(ft) for _, _, ft in t.ops))
     return frozenset()
 
 
@@ -368,25 +382,23 @@ def test_one_operation_on_a_normal_chain_equals_reference():
         if not isinstance(n, (TyVar, RecordType, Ext, Contr)):
             continue
         prefix = t if i % 3 == 0 else n
-        maps = isinstance(n, TyVar) or getattr(n, "_facts", None) is not None
         k = rng.randint(1, 3)
         u = prefix
         for _ in range(k):
             u = _one_more_op(rng, u)
+        if isinstance(u, (Ext, Contr)) and u._np:
+            # the operations the merge takes as normal are, with the bottom
+            known = chain(u.bottom, u.ops[: u._np])
+            assert _reference_normal_form(_uncached(known)) == known, u
+            seen["known prefix"] += 1
         want = _reference_normal_form(_uncached(u))
         got = normalize(u)
         assert got == want, u
         assert (got is u) == (u == want), u
         seen[k, "normal" if prefix is n else "cached"] += 1
         if isinstance(got, (Ext, Contr)):
-            base, ops = chain_ops(got)
-            if got._facts is not None:
-                assert got._facts == label_maps(ops), u
-            elif maps and isinstance(base, TyVar) and len({l for _, l, _ in ops}) == len(ops):
-                raise AssertionError(f"label maps lost: {u}")
-            if got._fv is not None:
-                assert got._fv == _scratch_ftv(got), u
-                seen["seeded"] += 1
+            assert got._fv == _scratch_ftv(got), u
+            seen["seeded"] += 1
         base, ops = chain_ops(n) if isinstance(n, (Ext, Contr)) else (n, [])
         if k == 1 and prefix is n and isinstance(base, TyVar) and ops:
             after = sum(l > u.label for _, l, _ in ops)
@@ -395,22 +407,25 @@ def test_one_operation_on_a_normal_chain_equals_reference():
     assert seen["cancelled"] >= 300
     assert min(seen["first"], seen["middle"], seen["last"]) >= 80, seen
     assert min(seen[k, kind] for k in (1, 2, 3) for kind in ("cached", "normal")) >= 850, seen
-    assert seen["seeded"] >= 300, seen
+    assert seen["seeded"] >= 300 and seen["known prefix"] >= 3000, seen
 
 
 def test_operation_sorting_last_reuses_the_whole_chain():
     r = TyVar(88, "r")
-    chain = r
+    long = r
     for i in range(1000):
-        chain = Ext(chain, f"k{i:04d}", INT) if i % 2 else Contr(chain, f"k{i:04d}", BOOL)
-    assert normalize(chain) is chain
-    top = normalize(Ext(chain, "z", INT))
-    assert top.base is chain
-    # in the middle: the nodes under the new operation are reused as well
-    below = normalize(Ext(chain, "k0500a", INT))
-    while below.label != "k0500a":
-        below = below.base
-    original = chain
-    while original.label != "k0500":
-        original = original.base
-    assert below.base is original
+        long = Ext(long, f"k{i:04d}", INT) if i % 2 else Contr(long, f"k{i:04d}", BOOL)
+    assert normalize(long) is long
+    # a node on a normal base knows its base's operations are normal
+    last = Ext(long, "z", INT)
+    assert last._np == 1000
+    # last: the merged tuple shares the prefix's triples
+    top = normalize(last)
+    assert len(top.ops) == 1001 and top.ops[-1] == (EXT, "z", INT)
+    assert all(top.ops[i] is long.ops[i] for i in range(1000))
+    # in the middle: the prefix's slice below it, the new operation, then
+    # the prefix's slice above it
+    mid = normalize(Ext(long, "k0500a", INT))
+    assert len(mid.ops) == 1001 and mid.ops[501] == (EXT, "k0500a", INT)
+    assert all(mid.ops[i] is long.ops[i] for i in range(501))
+    assert all(mid.ops[i + 1] is long.ops[i] for i in range(501, 1000))

@@ -171,8 +171,16 @@ def test_map_type_rebuilds_one_level():
         return swap.get(c, c)
 
     assert map_type(flip, Arrow(a, Arrow(a, b))) == Arrow(b, Arrow(a, b))
-    assert map_type(flip, Contr(Ext(a, "l", b), "m", a)) == Contr(Ext(a, "l", b), "m", b)
+    # a chain's children are its bottom and every field type
+    assert map_type(flip, Contr(Ext(a, "l", b), "m", a)) == Contr(Ext(b, "l", a), "m", b)
     assert map_type(flip, Ext(a, "l", b)) == Ext(b, "l", a)
+    seen = []
+    t = Contr(Ext(Ext(a, "l", INT), "m", b), "n", g)
+    assert map_type(lambda c: seen.append(c) or c, t) is t
+    assert seen == [a, INT, b, g]
+    # a bottom mapped to a chain is flattened into one node
+    flat = map_type(lambda c: Ext(b, "k", INT) if c == a else c, t)
+    assert flat.bottom == b and [l for _, l, _ in flat.ops] == ["k", "l", "m", "n"]
     assert map_type(flip, RecordType((("m", a), ("l", b)))) == RecordType((("l", a), ("m", b)))
     assert map_type(flip, RecordKind((("l", a),), (("m", g),))) == RecordKind((("l", b),), (("m", g),))
     for leaf in (a, INT, UKind()):

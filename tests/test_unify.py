@@ -2,13 +2,14 @@ import importlib
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from extrec.infer import FreshSupply, InferResult, infer
 from extrec.kinding import has_kind
-from extrec.normalize import CON, EXT, chain_ops, equiv, is_normal, normalize, subst_equal
-from extrec.parser import parse_env_file
+from extrec.normalize import equiv, is_normal, normalize, subst_equal
+from extrec.parser import parse_env_file, parse_term
 from extrec.subst import KindedSubstitution, apply_kind, apply_type, resolve, respects
 from extrec.syntax import (
     Arrow,
@@ -21,6 +22,7 @@ from extrec.syntax import (
     RecordType,
     TyVar,
     UKind,
+    chain,
     ftv,
     record_kind,
 )
@@ -35,6 +37,7 @@ from gen import (
 )
 
 unify_mod = importlib.import_module("extrec.unify")  # the package binds the name to the function
+syntax_mod = importlib.import_module("extrec.syntax")
 
 a, b, g = TyVar(1, "a"), TyVar(2, "b"), TyVar(3, "g")
 
@@ -256,6 +259,19 @@ def test_a_long_unsorted_chain_meets_its_record():
         chain = Ext(chain, label, fty)
     resid, s = unify({a: record_kind([], list(fields))}, [(chain, RecordType(fields))])
     assert resid == {} and s == {a: RecordType(())}
+
+
+@pytest.mark.parametrize("n", [500, 10_000])
+def test_long_equal_chains_unify(n):
+    # two equal chains built in opposite orders: one node each, so neither
+    # equality nor normalization recurses per operation
+    up, down = a, a
+    for i in range(n):
+        up = Ext(up, f"l{i}", INT)
+        down = Ext(down, f"l{n - 1 - i}", INT)
+    trace = []
+    assert unify({a: record_kind()}, [(up, down)], trace=trace) == ({a: record_kind()}, {})
+    assert trace == ["i"]
 
 
 def test_a_chain_that_repeats_a_label_meets_a_record_only_by_a_unifier():
@@ -485,14 +501,15 @@ def _scratch_ftv(x) -> set:
     if isinstance(x, Arrow):
         return _scratch_ftv(x.dom) | _scratch_ftv(x.cod)
     if isinstance(x, (Ext, Contr)):
-        return _scratch_ftv(x.base) | _scratch_ftv(x.field_type)
+        return _scratch_ftv(x.bottom).union(*(_scratch_ftv(t) for _, _, t in x.ops))
     pairs = x.fields if isinstance(x, RecordType) else x.lefts + x.rights
     return set().union(*(_scratch_ftv(t) for _, t in pairs))
 
 
-def _cache_faults(x, out: list):
+def _cache_faults(x, out: list, seen: Counter):
     """Append to out every node of the type or kind x whose caches or
-    unchecked construction break an invariant."""
+    unchecked construction break an invariant; count in seen the chain
+    nodes with a known normal prefix."""
     if x._fv is not None and x._fv != _scratch_ftv(x):
         out.append(("stale _fv", x))
     if isinstance(x, RecordKind):
@@ -500,17 +517,14 @@ def _cache_faults(x, out: list):
             out.append(("unsorted kind", x))
         children = [t for _, t in x.lefts + x.rights]
     elif isinstance(x, (Ext, Contr)):
-        bottom, ops = chain_ops(x)
-        if x._bottom is not bottom:
-            out.append(("wrong bottom", x))
-        if x._facts is not None:
-            maps = (
-                {l: f for sign, l, f in ops if sign == EXT},
-                {l: f for sign, l, f in ops if sign == CON},
-            )
-            if x._facts != maps or len(ops) != len(maps[0]) + len(maps[1]):
-                out.append(("wrong label maps", x))
-        children = [x.base, x.field_type]
+        if x._np:
+            # the operations the merge takes as normal are, with the bottom:
+            # a fresh node of them, with nothing cached, normalizes to itself
+            known = chain(x.bottom, x.ops[: x._np])
+            seen["known prefix"] += 1
+            if normalize(known) is not known:
+                out.append(("wrong normal prefix", x))
+        children = [x.bottom, *(t for _, _, t in x.ops)]
     elif isinstance(x, Arrow):
         children = [x.dom, x.cod]
     elif isinstance(x, RecordType):
@@ -518,7 +532,7 @@ def _cache_faults(x, out: list):
     else:
         children = []
     for child in children:
-        _cache_faults(child, out)
+        _cache_faults(child, out, seen)
 
 
 ENV_42 = "'a1 :: << || l: 'a2>>\n'a2 :: U\nx : 'a1\ny : 'a2\n"
@@ -526,26 +540,31 @@ ENV_42 = "'a1 :: << || l: 'a2>>\n'a2 :: U\nx : 'a1\ny : 'a2\n"
 
 def test_trusted_kinds_and_chain_caches_keep_their_invariants(monkeypatch):
     # Unification merges kinds without the constructor's checks and with
-    # their free variables filled in, and normalization seeds chain tops'
-    # free variables and label maps.  A wrong one would pass silently: a
-    # stale free-variable set skips substitution and occurs checks.  Every
-    # kind the merge builds is checked, and every final result.
+    # their free variables filled in; chain nodes carry their free variables
+    # and the count of their operations known to be normal.  A wrong one
+    # would pass silently: a stale free-variable set skips substitution and
+    # occurs checks, and a wrong count makes normalization skip operations.
+    # Every kind the merge builds is checked, every chain that `Ext`,
+    # `Contr` and `map_type` build, and every final result.
     built = []
 
-    def trusted(*args):
-        built.append(make(*args))
-        return built[-1]
+    def recorded(make):
+        def build(*args):
+            built.append(make(*args))
+            return built[-1]
 
-    make = unify_mod.trusted_record_kind
-    monkeypatch.setattr(unify_mod, "trusted_record_kind", trusted)
+        return build
+
+    monkeypatch.setattr(unify_mod, "trusted_record_kind", recorded(unify_mod.trusted_record_kind))
+    monkeypatch.setattr(syntax_mod, "chain", recorded(syntax_mod.chain))
     kenv42, tenv42, venv42 = parse_env_file(ENV_42)
     rng = random.Random(20261018)
-    faults, checked = [], 0
+    faults, checked, seen = [], 0, Counter()
 
     def check(values):
         nonlocal checked
         for x in [*values, *built]:
-            _cache_faults(x, faults)
+            _cache_faults(x, faults, seen)
         checked += len(built)
         built.clear()
 
@@ -554,6 +573,15 @@ def test_trusted_kinds_and_chain_caches_keep_their_invariants(monkeypatch):
         term = gen_closed_term(rng, rng.randint(1, 6), scope=("x", "y") if env else ())
         k, g, start = (kenv42, tenv42, venv42.next_free_uid()) if env else ({}, {}, 1)
         res = infer(k, g, term, FreshSupply(start))
+        ok = isinstance(res, InferResult)
+        check([*res.kenv.values(), *res.subst.values(), res.type] if ok else [])
+    for _ in range(300):
+        # operations on one record, so that chains grow on normal chains
+        body = "r"
+        for _ in range(rng.randint(2, 6)):
+            label = rng.choice("lmnz")
+            body = f"extend({body}, {label}, 1)" if rng.random() < 0.6 else f"remove({body}, {label})"
+        res = infer({}, {}, parse_term("\\r. " + body))
         ok = isinstance(res, InferResult)
         check([*res.kenv.values(), *res.subst.values(), res.type] if ok else [])
     for i in range(1500):
@@ -567,4 +595,4 @@ def test_trusted_kinds_and_chain_caches_keep_their_invariants(monkeypatch):
             k = s = {}
         check([*k.values(), *s.values()])
     assert not faults, faults[:3]
-    assert checked > 400
+    assert checked > 400 and seen["known prefix"] > 300, seen
