@@ -25,6 +25,13 @@ Environment files hold one declaration per line: `'a :: KIND` for kinds,
 `x : POLYTYPE` for term variables; `#` starts a comment.  A name is
 declared at most once.
 
+Every entry point reads its text one way.  `_tokenize` makes one pass to
+a flat token table, parallel lists of kind, text, start and end (a
+punctuation token's kind is its text), and the descent reads it through
+local variables.  Line and column are worked out only for a span that a
+term keeps or a `ParseError` reports, from line starts found on the
+first span past the text's first line.
+
 Pretty-printing round-trips: parse(pretty(v)) is structurally equal to v
 (alpha-invariant for polytypes).
 """
@@ -67,6 +74,7 @@ from .syntax import (
 )
 
 TERM_KEYWORDS = {"let", "in", "modify", "extend", "remove", "true", "false"}
+_new_span = tuple.__new__  # a SourceSpan without the Python frame of its __new__
 
 
 class SourceSpan(NamedTuple):
@@ -86,12 +94,6 @@ class ParseError(Exception):
         self.expected = expected
         detail = f" (expected {', '.join(expected)})" if expected else ""
         super().__init__(f"{span}: {message}{detail}")
-
-
-class Token(NamedTuple):
-    kind: str  # ident / int / string / tyvar / punct / eof
-    text: str
-    span: SourceSpan
 
 
 class VarEnv:
@@ -116,64 +118,84 @@ class VarEnv:
         return self._max_used + 1
 
 
-# Layout and comments, then one token.  `\w` is `str.isalnum` or "_", the
-# characters that continue an identifier, an integer or a type variable;
-# `_tokenize` tells a word by its first character.  Every part is optional,
-# so a match that captures no token ends at the end of the text or at an
-# unexpected character.
+# Layout and comments, then one token.  `\w` is `str.isalnum` or "_".  A
+# word led by an ASCII letter or "_", or of ASCII digits only, has a group
+# of its own; `_tokenize` splits any other word as `str.isdigit` and
+# `str.isalpha` tell.  A string literal is matched whole, or as a lone
+# quote when it is not well formed.  Every part is optional, so a match
+# that captures no token ends at the end of the text or at an unexpected
+# character.
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]+|#[^\n]*)*"
-    r"(?:('\w*)"  # 1: type variable
-    r"|(\w+)"  # 2: identifier or integer
-    r'|(")'  # 3: string
-    r"|(->|::|<<|>>|\|\||[\\.,={}()+\-:]))?"  # 4: punctuation
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+    r"(?:(->|::|<<|>>|\|\||[\\.,={}()+\-:])"  # 1: punctuation
+    r"|([A-Za-z_]\w*)"  # 2: identifier
+    r"|([0-9]+)(?!\w)"  # 3: integer
+    r"|('\w*)"  # 4: type variable
+    r'|("[^"\\]*(?:\\.[^"\\]*)*"|")'  # 5: string
+    r"|(\w+))?"  # 6: any other word
 )
-_TYVAR, _WORD, _STRING, _PUNCT = 1, 2, 3, 4
+_PUNCT, _IDENT, _INT, _TYVAR, _STRING = 1, 2, 3, 4, 5
+_KINDS = {_IDENT: "ident", _INT: "int"}
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-def _tokenize(text: str, offset: int = 0, line: int = 1, col: int = 1) -> list[Token]:
-    """The tokens of text, which starts at `offset`, `line` and `col` of
-    its source; spans are positions in that source."""
-    toks: list[Token] = []
-    # the first line starts col - 1 characters before text does
-    line_starts = [1 - col] + [m.end() for m in re.finditer("\n", text)]
-
-    def span_at(start, end):
-        ln = bisect_right(line_starts, start) - 1
-        return SourceSpan(start + offset, end + offset, ln + line, start - line_starts[ln] + 1)
-
+def _tokenize(text: str, span_at) -> tuple[list[str], list[str], list[int], list[int]]:
+    """The token table of text: kinds (ident / int / string / tyvar / eof,
+    or the punctuation itself), texts, starts and ends, as positions in
+    text.  `span_at(start, end)` makes the span a lexical error reports."""
+    kinds, texts, starts, ends = [], [], [], []
+    kind, word, start, end = kinds.append, texts.append, starts.append, ends.append
     n = len(text)
-    match = _TOKEN_RE.match
-    m = match(text, 0)
-    while (group := m.lastindex) is not None:
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group is None:
+            i = m.end()
+            if i < n:
+                raise ParseError(f"unexpected character {text[i]!r}", span_at(i, i + 1))
+            break
         i, j = m.span(group)
+        s = text[i:j]
         if group == _PUNCT:
-            toks.append(Token("punct", text[i:j], span_at(i, j)))
-        elif group == _WORD:
-            c = text[i]
-            if c.isalpha() or c == "_":
-                toks.append(Token("ident", text[i:j], span_at(i, j)))
-            elif c.isdigit():
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                toks.append(Token("int", text[i:j], span_at(i, j)))
-            else:
-                break  # a numeric character that is not a digit, such as '½'
+            kind(s)
+        elif group == _IDENT or group == _INT:
+            kind(_KINDS[group])
         elif group == _TYVAR:
             if j == i + 1:
-                raise ParseError("lone apostrophe", span_at(i, i + 1))
-            toks.append(Token("tyvar", text[i + 1 : j], span_at(i, j)))
+                raise ParseError("lone apostrophe", span_at(i, j))
+            kind("tyvar")
+            s = s[1:]
+        elif group == _STRING:
+            if j == i + 1 or "\\" in s:
+                j, s = _string_literal(text, i, span_at)
+            else:
+                s = s[1:-1]
+            kind("string")
         else:
-            j, value = _string_literal(text, i, span_at)
-            toks.append(Token("string", value, span_at(i, j)))
-        m = match(text, j)
-    i = m.end() if m.lastindex is None else m.start(m.lastindex)
-    if i < n:
-        raise ParseError(f"unexpected character {text[i]!r}", span_at(i, i + 1))
-    toks.append(Token("eof", "", span_at(n, n)))
-    return toks
+            # Any other word: an integer up to its last digit (such as '²3'),
+            # then an identifier up to the word's end; a character that
+            # starts neither, such as '½', is unexpected.
+            k = i
+            while k < j and text[k].isdigit():
+                k += 1
+            if k > i:
+                kind("int")
+                word(text[i:k])
+                start(i)
+                end(k)
+                if k == j:
+                    continue
+                i, s = k, text[k:j]
+            if not (s[0].isalpha() or s[0] == "_"):
+                raise ParseError(f"unexpected character {s[0]!r}", span_at(i, i + 1))
+            kind("ident")
+        word(s)
+        start(i)
+        end(j)
+    kind("eof")
+    word("")
+    start(n)
+    end(n)
+    return kinds, texts, starts, ends
 
 
 def _string_literal(text: str, i: int, span_at) -> tuple[int, str]:
@@ -199,297 +221,276 @@ def _string_literal(text: str, i: int, span_at) -> tuple[int, str]:
 
 
 class _Parser:
-    def __init__(self, text: str, env: VarEnv, at: tuple[int, int, int] = (0, 1, 1)):
-        self.toks = _tokenize(text, *at)
+    """Recursive descent over the token table of one text, which starts
+    at `offset`, `line` and `col` of its source; spans are positions in
+    that source.  `i` is the next token."""
+
+    def __init__(self, text: str, env: VarEnv | None, at: tuple[int, int, int] = (0, 1, 1)):
+        self.text = text
+        self.offset, self.line, self.col = at
+        nl = text.find("\n")
+        self.eol = len(text) if nl < 0 else nl  # where the first line ends
+        self.line_starts: list[int] | None = None
+        self.kinds, self.texts, self.starts, self.ends = _tokenize(text, self.span_at)
         self.i = 0
         self.env = env
 
+    # -- positions ---------------------------------------------------------
+    def span_at(self, start: int, end: int) -> SourceSpan:
+        if start <= self.eol:
+            line, col = self.line, start + self.col
+        else:
+            if self.line_starts is None:
+                # the first line starts col - 1 characters before text does
+                self.line_starts = [1 - self.col] + [m.end() for m in re.finditer("\n", self.text)]
+            ln = bisect_right(self.line_starts, start) - 1
+            line, col = ln + self.line, start - self.line_starts[ln] + 1
+        return _new_span(SourceSpan, (start + self.offset, end + self.offset, line, col))
+
+    def span(self, i: int) -> SourceSpan:
+        return self.span_at(self.starts[i], self.ends[i])
+
+    def unexpected(self, i: int, expected: tuple[str, ...]) -> ParseError:
+        return ParseError(f"unexpected {self.texts[i] or 'end of input'!r}", self.span(i), expected)
+
     # -- token plumbing ----------------------------------------------------
-    def peek(self) -> Token:
-        return self.toks[self.i]
+    def punct(self, p: str):
+        i = self.i
+        if self.kinds[i] != p:
+            raise self.unexpected(i, (p,))
+        self.i = i + 1
 
-    def advance(self) -> Token:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
+    def ident(self) -> str:
+        i = self.i
+        if self.kinds[i] != "ident":
+            raise self.unexpected(i, ("identifier",))
+        self.i = i + 1
+        return self.texts[i]
 
-    def at_punct(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == text
-
-    def at_ident(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text == text
-
-    def eat_punct(self, text: str) -> Token:
-        if not self.at_punct(text):
-            raise ParseError(
-                f"unexpected {self.peek().text or 'end of input'!r}",
-                self.peek().span,
-                expected=(text,),
-            )
-        return self.advance()
-
-    def eat_ident(self) -> Token:
-        t = self.peek()
-        if t.kind != "ident":
-            raise ParseError(
-                f"unexpected {t.text or 'end of input'!r}", t.span, expected=("identifier",)
-            )
-        return self.advance()
-
-    def eat_label(self) -> str:
-        t = self.eat_ident()
-        if t.text in TERM_KEYWORDS:
-            raise ParseError(f"keyword {t.text!r} cannot be a label", t.span)
-        return t.text
+    def label(self) -> str:
+        s = self.ident()
+        if s in TERM_KEYWORDS:
+            raise ParseError(f"keyword {s!r} cannot be a label", self.span(self.i - 1))
+        return s
 
     def expect_eof(self):
-        if self.peek().kind != "eof":
-            raise ParseError(
-                f"trailing input {self.peek().text!r}", self.peek().span, expected=("end of input",)
-            )
+        i = self.i
+        if self.kinds[i] != "eof":
+            raise ParseError(f"trailing input {self.texts[i]!r}", self.span(i), ("end of input",))
 
     # -- terms -------------------------------------------------------------
     def term(self) -> Term:
-        t = self.peek()
-        if self.at_punct("\\"):
-            start = self.advance().span
-            param = self.eat_ident()
-            self.eat_punct(".")
-            body = self.term()
-            return Abs(param.text, body, span=start)
-        if self.at_ident("let"):
-            start = self.advance().span
-            name = self.eat_ident()
-            self.eat_punct("=")
+        kinds, texts = self.kinds, self.texts
+        i = self.i
+        k = kinds[i]
+        if k == "\\" or k == "ident" and texts[i] == "let":
+            span = self.span(i)
+            self.i = i + 1
+            name = self.ident()
+            if k == "\\":
+                self.punct(".")
+                return Abs(name, self.term(), span=span)
+            self.punct("=")
             bound = self.term()
-            if not self.at_ident("in"):
-                raise ParseError("expected 'in'", self.peek().span, expected=("in",))
-            self.advance()
-            body = self.term()
-            return Let(name.text, bound, body, span=start)
-        return self.appterm()
-
-    def appterm(self) -> Term:
-        t = self.postfix()
-        while self._starts_atom():
-            arg = self.postfix()
-            t = App(t, arg, span=_span_of(t))
-        return t
-
-    def _starts_atom(self) -> bool:
-        tok = self.peek()
-        if tok.kind in ("int", "string"):
-            return True
-        if tok.kind == "ident":
-            return tok.text not in ("in",)
-        return tok.kind == "punct" and tok.text in ("{", "(")
-
-    def postfix(self) -> Term:
-        t = self.atom()
-        while self.at_punct("."):
-            self.advance()
-            label = self.eat_label()
-            t = Select(t, label, span=_span_of(t))
-        return t
-
-    def atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "int":
-            if not tok.text.isdecimal():
-                # str.isdigit, which the tokenizer follows, also takes '²'
-                raise ParseError(f"not a decimal integer {tok.text!r}", tok.span)
-            self.advance()
-            return Const(int(tok.text), "Int", span=tok.span)
-        if tok.kind == "string":
-            self.advance()
-            return Const(tok.text, "String", span=tok.span)
-        if tok.kind == "ident":
-            if tok.text in ("true", "false"):
-                self.advance()
-                return Const(tok.text == "true", "Bool", span=tok.span)
-            if tok.text in ("modify", "extend", "remove"):
-                return self._record_op()
-            if tok.text in TERM_KEYWORDS - {"modify", "extend", "remove"}:
-                raise ParseError(f"unexpected keyword {tok.text!r}", tok.span)
-            self.advance()
-            return Var(tok.text, span=tok.span)
-        if self.at_punct("{"):
-            start = self.advance().span
-            fields = self._fields("=", self.term, "}")
-            try:
-                return RecordLit(tuple(fields), span=start)
-            except ValueError as e:
-                raise ParseError(str(e), start) from None
-        if self.at_punct("("):
-            self.advance()
-            t = self.term()
-            self.eat_punct(")")
-            return t
-        raise ParseError(
-            f"unexpected {tok.text or 'end of input'!r}", tok.span, expected=("term",)
-        )
+            i = self.i
+            if kinds[i] != "ident" or texts[i] != "in":
+                raise ParseError("expected 'in'", self.span(i), ("in",))
+            self.i = i + 1
+            return Let(name, bound, self.term(), span=span)
+        fn = None
+        while True:  # postfix terms, applied left to right
+            s = texts[i]
+            if k == "ident":
+                if s not in TERM_KEYWORDS:
+                    self.i = i + 1
+                    t = Var(s, span=self.span(i))
+                elif s in ("modify", "extend", "remove"):
+                    t = self._record_op()
+                elif s in ("true", "false"):
+                    self.i = i + 1
+                    t = Const(s == "true", "Bool", span=self.span(i))
+                else:
+                    raise ParseError(f"unexpected keyword {s!r}", self.span(i))
+            elif k == "(":
+                self.i = i + 1
+                t = self.term()
+                self.punct(")")
+            elif k == "{":
+                span = self.span(i)
+                self.i = i + 1
+                try:
+                    t = RecordLit(self._fields("=", self.term, "}"), span=span)
+                except ValueError as e:
+                    raise ParseError(str(e), span) from None
+            elif k == "int":
+                if not s.isdecimal():
+                    # str.isdigit, which the tokenizer follows, also takes '²'
+                    raise ParseError(f"not a decimal integer {s!r}", self.span(i))
+                self.i = i + 1
+                t = Const(int(s), "Int", span=self.span(i))
+            elif k == "string":
+                self.i = i + 1
+                t = Const(s, "String", span=self.span(i))
+            else:
+                raise self.unexpected(i, ("term",))
+            while kinds[self.i] == ".":
+                self.i += 1
+                t = Select(t, self.label(), span=t.span)
+            fn = t if fn is None else App(fn, t, span=fn.span)
+            i = self.i
+            k = kinds[i]
+            if not (k == "ident" and texts[i] != "in" or k in ("(", "{", "int", "string")):
+                return fn
 
     def _record_op(self) -> Term:
-        op = self.advance()
-        self.eat_punct("(")
+        i = self.i
+        op, span = self.texts[i], self.span(i)
+        self.i = i + 1
+        self.punct("(")
         target = self.term()
-        self.eat_punct(",")
-        label = self.eat_label()
-        if op.text == "remove":
-            self.eat_punct(")")
-            return Remove(target, label, span=op.span)
-        self.eat_punct(",")
+        self.punct(",")
+        label = self.label()
+        if op == "remove":
+            self.punct(")")
+            return Remove(target, label, span=span)
+        self.punct(",")
         value = self.term()
-        self.eat_punct(")")
-        cls = Modify if op.text == "modify" else Extend
-        return cls(target, label, value, span=op.span)
+        self.punct(")")
+        return (Modify if op == "modify" else Extend)(target, label, value, span=span)
 
     # -- types -------------------------------------------------------------
     def polytype(self) -> PolyType:
+        kinds, texts, env = self.kinds, self.texts, self.env
         quants = []
         shadowed: list[tuple[str, TyVar | None]] = []
-        while self.at_ident("forall"):
-            self.advance()
-            tok = self.peek()
-            if tok.kind != "tyvar":
-                raise ParseError("expected type variable", tok.span, expected=("'a",))
-            self.advance()
-            self.eat_punct("::")
+        while kinds[self.i] == "ident" and texts[self.i] == "forall":
+            i = self.i + 1
+            if kinds[i] != "tyvar":
+                raise ParseError("expected type variable", self.span(i), ("'a",))
+            self.i = i + 1
+            self.punct("::")
             kind = self.kind()  # binder not in scope in its own kind
-            self.eat_punct(".")
-            shadowed.append((tok.text, self.env.names.get(tok.text)))
-            binder = self.env.fresh(tok.text)
-            self.env.names[tok.text] = binder
+            self.punct(".")
+            name = texts[i]
+            shadowed.append((name, env.names.get(name)))
+            binder = env.fresh(name)
+            env.names[name] = binder
             quants.append((binder, kind))
         body = self.mono()
         for name, prev in reversed(shadowed):
             if prev is None:
-                self.env.names.pop(name, None)
+                env.names.pop(name, None)
             else:
-                self.env.names[name] = prev
+                env.names[name] = prev
         return PolyType(tuple(quants), body)
 
     def mono(self) -> MonoType:
         left = self.extty()
-        if self.at_punct("->"):
-            self.advance()
+        if self.kinds[self.i] == "->":
+            self.i += 1
             return Arrow(left, self.mono())
         return left
 
     def extty(self) -> MonoType:
         t = self.atomty()
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.advance()
-            self.eat_punct("{")
-            label = self.eat_label()
-            self.eat_punct(":")
+        kinds = self.kinds
+        while (op := kinds[self.i]) in ("+", "-"):
+            at = self.i
+            self.i += 1
+            self.punct("{")
+            label = self.label()
+            self.punct(":")
             fty = self.mono()
-            self.eat_punct("}")
-            cls = Ext if op.text == "+" else Contr
+            self.punct("}")
             try:
-                t = cls(t, label, fty)
+                t = (Ext if op == "+" else Contr)(t, label, fty)
             except ValueError:
-                raise ParseError(
-                    f"{op.text!r} needs an extensible head (a variable, record, or chain)",
-                    op.span,
-                ) from None
+                what = f"{op!r} needs an extensible head (a variable, record, or chain)"
+                raise ParseError(what, self.span(at)) from None
         return t
 
     def atomty(self) -> MonoType:
-        tok = self.peek()
-        if tok.kind == "tyvar":
-            self.advance()
-            return self.env.lookup(tok.text)
-        if tok.kind == "ident":
-            if tok.text in BASE_TYPES:
-                self.advance()
-                return BaseType(tok.text)
-            raise ParseError(f"unknown type name {tok.text!r}", tok.span)
-        if self.at_punct("{"):
-            start = self.advance().span
-            fields = self._fields(":", self.mono, "}")
+        i = self.i
+        k = self.kinds[i]
+        if k == "tyvar":
+            self.i = i + 1
+            return self.env.lookup(self.texts[i])
+        if k == "ident":
+            s = self.texts[i]
+            if s not in BASE_TYPES:
+                raise ParseError(f"unknown type name {s!r}", self.span(i))
+            self.i = i + 1
+            return BaseType(s)
+        if k == "{":
+            self.i = i + 1
             try:
-                return RecordType(tuple(fields))
+                return RecordType(self._fields(":", self.mono, "}"))
             except ValueError as e:
-                raise ParseError(str(e), start) from None
-        if self.at_punct("("):
-            self.advance()
+                raise ParseError(str(e), self.span(i)) from None
+        if k == "(":
+            self.i = i + 1
             t = self.mono()
-            self.eat_punct(")")
+            self.punct(")")
             return t
-        raise ParseError(
-            f"unexpected {tok.text or 'end of input'!r}", tok.span, expected=("type",)
-        )
+        raise self.unexpected(i, ("type",))
 
     def kind(self) -> Kind:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "U":
-            self.advance()
+        i = self.i
+        k = self.kinds[i]
+        if k == "ident" and self.texts[i] == "U":
+            self.i = i + 1
             return UKind()
-        if self.at_punct("<<"):
-            start = self.advance().span
+        if k == "<<":
+            self.i = i + 1
             lefts = self._fields(":", self.mono, "||")
             rights = self._fields(":", self.mono, ">>")
             try:
-                return RecordKind(tuple(lefts), tuple(rights))
+                return RecordKind(lefts, rights)
             except ValueError as e:
-                raise ParseError(str(e), start) from None
-        raise ParseError(
-            f"unexpected {tok.text or 'end of input'!r}", tok.span, expected=("U", "<<")
-        )
+                raise ParseError(str(e), self.span(i)) from None
+        raise self.unexpected(i, ("U", "<<"))
 
-    def _fields(self, sep: str, value, close: str) -> list:
+    def _fields(self, sep: str, value, close: str) -> tuple:
         """[label sep value {"," label sep value}] close, for record
         literals, record types and each side of a kind."""
-        fields = []
-        if not self.at_punct(close):
+        kinds, fields = self.kinds, []
+        if kinds[self.i] != close:
             while True:
-                label = self.eat_label()
-                self.eat_punct(sep)
+                label = self.label()
+                self.punct(sep)
                 fields.append((label, value()))
-                if not self.at_punct(","):
+                if kinds[self.i] != ",":
                     break
-                self.advance()
-        self.eat_punct(close)
-        return fields
-
-
-def _span_of(t: Term):
-    return getattr(t, "span", None)
+                self.i += 1
+        self.punct(close)
+        return tuple(fields)
 
 
 # ---------------------------------------------------------------------------
 # Entry points
 
 
-def parse_term(text: str) -> Term:
-    p = _Parser(text, VarEnv())
-    t = p.term()
+def _parse_whole(rule, text: str, env: VarEnv | None):
+    p = _Parser(text, env if env is not None else VarEnv())
+    value = rule(p)
     p.expect_eof()
-    return t
+    return value
+
+
+def parse_term(text: str) -> Term:
+    return _parse_whole(_Parser.term, text, None)
 
 
 def parse_type(text: str, env: VarEnv | None = None) -> PolyType:
-    p = _Parser(text, env if env is not None else VarEnv())
-    t = p.polytype()
-    p.expect_eof()
-    return t
+    return _parse_whole(_Parser.polytype, text, env)
 
 
 def parse_mono(text: str, env: VarEnv | None = None) -> MonoType:
-    p = _Parser(text, env if env is not None else VarEnv())
-    t = p.mono()
-    p.expect_eof()
-    return t
+    return _parse_whole(_Parser.mono, text, env)
 
 
 def parse_kind(text: str, env: VarEnv | None = None) -> Kind:
-    p = _Parser(text, env if env is not None else VarEnv())
-    k = p.kind()
-    p.expect_eof()
-    return k
+    return _parse_whole(_Parser.kind, text, env)
 
 
 def _line_parsers(text: str, env: VarEnv):
@@ -514,24 +515,23 @@ def parse_env_file(
     kenv: KindAssignment = {}
     tenv: TypeAssignment = {}
     for p in _line_parsers(text, env):
-        tok = p.peek()
-        if tok.kind == "tyvar":
-            p.advance()
-            p.eat_punct("::")
+        if p.kinds[0] == "tyvar":
+            p.i = 1
+            p.punct("::")
             kind = p.kind()
             p.expect_eof()
-            v = env.lookup(tok.text)
+            v = env.lookup(p.texts[0])
             if v in kenv:
-                raise ParseError(f"second declaration of '{tok.text}", tok.span)
+                raise ParseError(f"second declaration of '{p.texts[0]}", p.span(0))
             kenv[v] = kind
         else:
-            name = p.eat_ident()
-            p.eat_punct(":")
+            name = p.ident()
+            p.punct(":")
             sigma = p.polytype()
             p.expect_eof()
-            if name.text in tenv:
-                raise ParseError(f"second declaration of {name.text}", name.span)
-            tenv[name.text] = sigma
+            if name in tenv:
+                raise ParseError(f"second declaration of {name}", p.span(0))
+            tenv[name] = sigma
     return kenv, tenv, env
 
 
@@ -541,7 +541,7 @@ def parse_equations(text: str, env: VarEnv | None = None):
     eqs = []
     for p in _line_parsers(text, env):
         lhs = p.mono()
-        p.eat_punct("=")
+        p.punct("=")
         rhs = p.mono()
         p.expect_eof()
         eqs.append((lhs, rhs))

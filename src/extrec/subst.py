@@ -355,6 +355,15 @@ class _Matcher:
             return self.match_chain(p, s)
         raise TypeError(f"match: not a monotype: {p!r}")
 
+    def _try_match(self, p: MonoType, s: MonoType) -> bool:
+        """match, leaving the bindings as they were when it fails."""
+        saved = dict(self.binds)
+        if self.match(p, s):
+            return True
+        self.binds.clear()
+        self.binds.update(saved)
+        return False
+
     def match_chain(self, p, s) -> bool:
         base_p, ops_p = chain_ops(p)
         if not (isinstance(base_p, TyVar) and base_p in self.pvars):
@@ -387,14 +396,21 @@ class _Matcher:
             head = chain(base_s, rest)
         elif isinstance(base_s, TyVar):
             # Undo the unmatched pattern operations on the subject, outermost
-            # first: + {l: t} becomes - {l: t}.  The caller's final equiv
+            # first: + {l: t} becomes - {l: t}.  Where the head already
+            # stands for such a chain, matching against it fixes the field
+            # types before any takes its default.  The caller's final equiv
             # and respects checks judge the result.
+            undo = [(-sg, l, f) for sg, l, f in reversed(leftover_p)]
+            if base_p in self.binds and self._try_match(
+                chain(base_s, rest + undo), self.binds[base_p]
+            ):
+                return True
             undone = []
-            for sg, l, f in reversed(leftover_p):
+            for sg, l, f in undo:
                 r = self.resolve(f)
                 if r is None:
                     return False
-                undone.append((-sg, l, r))
+                undone.append((sg, l, r))
             head = chain(base_s, rest + undone)
         elif not isinstance(base_s, RecordType) or rest:
             return False

@@ -94,6 +94,11 @@ def test_check_accepts_instances_that_undo_an_operation():
     rem = run("check", "-e", "\\x. remove(x, l)",
               "-t", "forall 'q :: << || l: Int>>. 'q + {l: Int} -> 'q")
     assert (rem.exit_code, rem.output) == (0, "OK\n")
+    # the undone field's type comes from the claim, not from a default
+    # for the principal type's unbound 'a
+    rem_bool = run("check", "-e", "\\x. remove(x, l)",
+                   "-t", "forall 'q :: << || l: Bool>>. 'q + {l: Bool} -> 'q")
+    assert (rem_bool.exit_code, rem_bool.output) == (0, "OK\n")
     # the same shape whose kind forbids l at another type stays refused
     bad = run("check", "-e", "\\x. remove(x, l)",
               "-t", "forall 'q :: << || l: Bool>>. 'q + {l: Int} -> 'q")

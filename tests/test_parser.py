@@ -5,8 +5,9 @@ import pytest
 from extrec.parser import (
     Namer,
     ParseError,
+    SourceSpan,
     VarEnv,
-    _tokenize,
+    _Parser,
     parse_env_file,
     parse_equations,
     parse_kind,
@@ -169,6 +170,48 @@ def test_line_file_errors_point_into_the_file(parse, text, message, span):
     assert (err.value.message, (s.start, s.end, s.line, s.col)) == (message, span)
 
 
+@pytest.mark.parametrize(
+    "parse, text, message, span, expected",
+    [
+        (parse_term, "let x = 1 x", "expected 'in'", (11, 11, 1, 12), ("in",)),
+        (parse_term, "\\r.\n  r.in", "keyword 'in' cannot be a label", (8, 10, 2, 5), ()),
+        (parse_term, "f ²", "not a decimal integer '²'", (2, 3, 1, 3), ()),
+        (parse_term, "f let", "unexpected keyword 'let'", (2, 5, 1, 3), ()),
+        (parse_term, "x\n y )", "trailing input ')'", (5, 6, 2, 4), ("end of input",)),
+        (parse_term, "f (x, y)", "unexpected ','", (4, 5, 1, 5), (")",)),
+        (parse_term, "(\n)", "unexpected ')'", (2, 3, 2, 1), ("term",)),
+        (parse_mono, "Int ->", "unexpected 'end of input'", (6, 6, 1, 7), ("type",)),
+        (parse_kind, "V", "unexpected 'V'", (0, 1, 1, 1), ("U", "<<")),
+        (parse_term, "\\1. x", "unexpected '1'", (1, 2, 1, 2), ("identifier",)),
+        (parse_type, "forall 'a :: U 'a", "unexpected 'a'", (15, 17, 1, 16), (".",)),
+        (parse_type, "forall a :: U. a", "expected type variable", (7, 8, 1, 8), ("'a",)),
+        (parse_mono, "{l: Float}", "unknown type name 'Float'", (4, 9, 1, 5), ()),
+        (
+            parse_mono,
+            "'a -> (Int -> Int) + {l: Int}",
+            "'+' needs an extensible head (a variable, record, or chain)",
+            (19, 20, 1, 20),
+            (),
+        ),
+        (parse_term, "f\n {l = 1, l = 2}", "duplicate label 'l'", (3, 4, 2, 2), ()),
+        (parse_mono, "{l: Int, l: Bool}", "duplicate label 'l'", (0, 1, 1, 1), ()),
+        (parse_kind, "<<l: Int, l: Int || >>", "duplicate label 'l'", (0, 2, 1, 1), ()),
+        (parse_kind, "<< || l: Int, l: Int>>", "duplicate label 'l'", (0, 2, 1, 1), ()),
+        (parse_kind, "<<l: Int || l: Int>>", "label on both kind sides: ['l']", (0, 2, 1, 1), ()),
+    ],
+)
+def test_syntax_errors_are_pinned(parse, text, message, span, expected):
+    # one input for each place the parser refuses a well-tokenized text
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    s = err.value.span
+    assert (err.value.message, (s.start, s.end, s.line, s.col), err.value.expected) == (
+        message,
+        span,
+        expected,
+    )
+
+
 def test_pretty_dispatches_on_shape():
     from extrec.parser import pretty
     from extrec.syntax import INT, TyVar, UKind
@@ -218,10 +261,14 @@ def test_round_trip_kinds_and_polytypes_random():
         assert canon(parse_type(pretty_poly(p))) == canon(p)
 
 
-def _tokens(text):
+def _tokens(text, where=(0, 1, 1)):
+    """(kind, text, start, end, line, col) of each token of text, which
+    starts at offset, line and col `where` of its source."""
+    p = _Parser(text, None, where)
+    named = ("ident", "int", "string", "tyvar", "eof")
     return [
-        (t.kind, t.text, t.span.start, t.span.end, t.span.line, t.span.col)
-        for t in _tokenize(text)
+        (k if k in named else "punct", s, *p.span(i))
+        for i, (k, s) in enumerate(zip(p.kinds, p.texts))
     ]
 
 
@@ -263,6 +310,15 @@ def test_tokens_and_spans_are_pinned():
         ("int", "²3", 3, 5, 1, 4),
         ("eof", "", 5, 5, 1, 6),
     ]
+    # a word led by digits is an integer, then a word of its own
+    assert _tokens("12ab 3٣ 1_") == [
+        ("int", "12", 0, 2, 1, 1),
+        ("ident", "ab", 2, 4, 1, 3),
+        ("int", "3٣", 5, 7, 1, 6),
+        ("int", "1", 8, 9, 1, 9),
+        ("ident", "_", 9, 10, 1, 10),
+        ("eof", "", 10, 10, 1, 11),
+    ]
 
 
 def _check_span(text, span, offset=0, line=1, col=1):
@@ -273,6 +329,24 @@ def _check_span(text, span, offset=0, line=1, col=1):
     lines_before = text.count("\n", 0, start)
     line_start = text.rfind("\n", 0, start) + 1 if lines_before else 1 - col
     assert (span.line, span.col) == (line + lines_before, start - line_start + 1), (text, span)
+
+
+def _line_col(text, start):
+    """Line and column of position start, with lines as env files split
+    them (`str.splitlines`)."""
+    lines = (text[:start] + "x").splitlines()
+    return len(lines), len(lines[-1])
+
+
+def _term_nodes(t):
+    yield t
+    if isinstance(t, RecordLit):
+        kids = [v for _, v in t.fields]
+    else:
+        kids = [getattr(t, f, None) for f in ("fn", "arg", "bound", "body", "target", "value")]
+    for kid in kids:
+        if hasattr(kid, "span"):  # a Const's value is not a term
+            yield from _term_nodes(kid)
 
 
 def test_spans_of_fuzzed_input_lie_inside_the_text():
@@ -298,16 +372,78 @@ def test_spans_of_fuzzed_input_lie_inside_the_text():
             text = shown[:cut] + rng.choice(alphabet) + shown[cut:]
         where = rng.choice(((0, 1, 1), (12, 3, 5)))
         try:
-            toks = _tokenize(text, *where)
+            toks = _tokens(text, where)
         except ParseError as err:
             _check_span(text, err.span, *where)
             errors += 1
             continue
         for t in toks:
-            _check_span(text, t.span, *where)
-        assert toks[-1].span.start - where[0] == len(text)
+            _check_span(text, SourceSpan(*t[2:]), *where)
+        assert toks[-1][2] - where[0] == len(text)
         tokens += len(toks)
     assert errors >= 300 and tokens >= 4500, (errors, tokens)
+
+
+def test_spans_of_parsed_terms_lie_inside_the_text():
+    # Printed terms over several lines, with layout and comments spliced in
+    # at token boundaries: each node's span lies inside the text, names its
+    # start's line and column, and covers the token the node starts with.
+    rng = random.Random(89)
+    layouts = ("\n", "\n  ", " # note\n", "\r\n\t", "\n\n#\n ")
+    lines = nodes = 0
+    for _ in range(300):
+        t = gen_arb_term(rng, rng.randint(1, 4))
+        shown = pretty_term(t)
+        boundaries = _Parser(shown, None).starts[1:]
+        cuts = sorted(rng.sample(boundaries, min(3, len(boundaries))), reverse=True)
+        text = shown
+        for cut in cuts:
+            text = text[:cut] + rng.choice(layouts) + text[cut:]
+        parsed = parse_term(text)
+        assert parsed == t
+        for node in _term_nodes(parsed):
+            _check_span(text, node.span)
+            head = text[node.span.start : node.span.end]
+            if isinstance(node, (Var, Const)):
+                assert head == pretty_term(node), (text, node)
+            elif isinstance(node, (App, Select)):  # the span of the first subterm
+                assert node.span == (node.fn if isinstance(node, App) else node.target).span
+            else:
+                first = {Abs: "\\", Let: "let", RecordLit: "{"}.get(type(node))
+                assert head == (first or type(node).__name__.lower()), (text, node)
+            nodes += 1
+        lines += text.count("\n")
+    assert nodes >= 1500 and lines >= 900, (nodes, lines)
+
+
+def test_env_file_errors_lie_inside_the_text():
+    # Env files of indented lines and comments, with a character spliced in:
+    # the span of each error lies inside the file and names its start's
+    # line and column, lines counted as the file is split into lines.
+    rng = random.Random(97)
+    tyvars = (TyVar(100, "v0"), TyVar(101, "v1"))
+    alphabet = "a1 \t\n\r'\":;#{}()<>|+-=.,½"
+    errors = 0
+    for _ in range(400):
+        decls = []
+        for n in range(rng.randint(1, 5)):
+            lead = rng.choice(("", "  ", "\t "))
+            if rng.random() < 0.5:
+                decl = f"'k{n} :: {pretty_kind(gen_arb_kind(rng, tyvars))}"
+            else:
+                decl = f"x{n} : {pretty_type(gen_arb_mono(rng, 2, tyvars))}"
+            decls.append(lead + decl + rng.choice(("", "  # note")))
+        text = rng.choice(("\n", "\r\n", "\n\n")).join(decls)
+        cut = rng.randint(0, len(text))
+        text = text[:cut] + rng.choice(alphabet) + text[cut:]
+        try:
+            parse_env_file(text)
+        except ParseError as err:
+            s = err.span
+            assert 0 <= s.start <= s.end <= len(text), (text, s)
+            assert (s.line, s.col) == _line_col(text, s.start), (text, s)
+            errors += 1
+    assert errors >= 150, errors
 
 
 @pytest.mark.parametrize(
@@ -324,6 +460,6 @@ def test_spans_of_fuzzed_input_lie_inside_the_text():
 )
 def test_lexical_errors_are_pinned(text, message, span):
     with pytest.raises(ParseError) as err:
-        _tokenize(text)
+        _Parser(text, None)
     s = err.value.span
     assert (err.value.message, (s.start, s.end, s.line, s.col)) == (message, span)
