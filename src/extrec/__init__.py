@@ -7,11 +7,11 @@ from .infer import FreshSupply, InferFailure, InferResult, infer, instantiate
 from .checker import check, validate
 from .interp import EvalError, eval_term
 from .kinding import has_kind, wf_kind_assignment, wf_type
-from .normalize import equiv, normalize, reduce_once, subst_equal
+from .normalize import equiv, normalize, reduce_once
 from .parser import ParseError, parse_env_file, parse_term, parse_type, pretty
 from .subst import KindedSubstitution, closure, compose, generic_instance, respects
 from .syntax import base_of, eftv, ftv
-from .unify import UnificationError, cfields, efields, unify
+from .unify import UnificationError, unify
 
 __all__ = [
     "Derivation",
@@ -25,12 +25,10 @@ __all__ = [
     "ParseError",
     "UnificationError",
     "base_of",
-    "cfields",
     "check",
     "closure",
     "compose",
     "eftv",
-    "efields",
     "equiv",
     "eval_term",
     "ftv",
@@ -45,7 +43,6 @@ __all__ = [
     "pretty",
     "reduce_once",
     "respects",
-    "subst_equal",
     "unify",
     "validate",
     "wf_kind_assignment",

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Judgment, KindingClaim and subst_derivation are bound here for callers that
-# name them as checker's: the acceptance suite and the benchmark's tracer.
-from .derivation import Derivation, Judgment, KindingClaim, subst_derivation
+# subst_derivation is bound here for the benchmark's tracer, which names it
+# as checker's.
+from .derivation import Derivation, subst_derivation
 from .infer import InferFailure, infer, supply_for
 from .kinding import has_kind, wf_kind_assignment, wf_type_assignment
-from .normalize import equiv, kind_equiv, normalize, poly_equiv
-from .subst import apply_assignment, apply_kind, closure, generic_instance
+from .normalize import equiv, normalize
+from .subst import apply_assignment, apply_type, closure, generic_instance
 from .syntax import (
     Abs,
     App,
@@ -68,12 +68,10 @@ class ValidationIssue:
         return f"at {where}: {self.reason}"
 
 
-def kenv_equiv(k1: KindAssignment, k2: KindAssignment) -> bool:
-    return k1.keys() == k2.keys() and all(kind_equiv(k1[v], k2[v]) for v in k1)
-
-
-def tenv_equiv(g1: TypeAssignment, g2: TypeAssignment) -> bool:
-    return g1.keys() == g2.keys() and all(poly_equiv(g1[x], g2[x]) for x in g1)
+def assignments_equiv(a1: dict, a2: dict) -> bool:
+    """Two kind assignments, or two type assignments, with one domain and
+    equivalent entries."""
+    return a1.keys() == a2.keys() and all(equiv(a1[x], a2[x]) for x in a1)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +149,7 @@ def _check_node(d: Derivation) -> str | None:
             return "operator type does not match operand and result"
     elif rule == "Let":
         bound, body = d.children
-        if not poly_equiv(body.judgment.tenv[term.name], bound.judgment.sigma):
+        if not equiv(body.judgment.tenv[term.name], bound.judgment.sigma):
             return "let binder is not typed at the bound term's type"
         if not equiv(t, ts[1]):
             return "conclusion differs from the body's type"
@@ -186,11 +184,11 @@ def _check_premises(d: Derivation) -> str | None:
         cj = child.judgment
         if cj.term != sub:
             return f"premise {i} types the wrong term"
-        if not kenv_equiv(j.kenv, cj.kenv):
+        if not assignments_equiv(j.kenv, cj.kenv):
             return f"premise {i} kind assignment differs"
         if binder is not None and binder not in cj.tenv:
             return f"premise {i} lacks the binder {binder}"
-        if not tenv_equiv(_outside(j.tenv, binder), _outside(cj.tenv, binder)):
+        if not assignments_equiv(_outside(j.tenv, binder), _outside(cj.tenv, binder)):
             return f"premise {i} type assignment differs"
         if not cj.sigma.is_mono and (d.rule, i) != ("Let", 0):
             return f"premise {i} must be a monotype"
@@ -232,7 +230,7 @@ def _check_gen(d: Derivation) -> str | None:
     cj = d.children[0].judgment
     if cj.term != j.term:
         return "premise types a different term"
-    if not tenv_equiv(j.tenv, cj.tenv):
+    if not assignments_equiv(j.tenv, cj.tenv):
         return "premise context differs"
     if not cj.sigma.is_mono:
         return "generalization premise must be a monotype"
@@ -240,9 +238,9 @@ def _check_gen(d: Derivation) -> str | None:
         resid, sigma = closure(cj.kenv, cj.tenv, cj.sigma.body)
     except ValueError as e:
         return f"closure undefined: {e}"
-    if not kenv_equiv(j.kenv, resid):
+    if not assignments_equiv(j.kenv, resid):
         return "conclusion kind assignment is not the closure residue"
-    if not poly_equiv(j.sigma, sigma):
+    if not equiv(j.sigma, sigma):
         return "conclusion is not the closure of the premise"
     return None
 
@@ -267,7 +265,7 @@ def check(
         if v in res.subst:
             return False, "the claim's context would have to be specialized"
     for v, k in kenv.items():
-        if not kind_equiv(res.kenv[v], apply_kind(res.subst, k)):
+        if not equiv(res.kenv[v], apply_type(res.subst, k)):
             return False, f"the claim needs a stronger kind for '{v.name or v.uid}"
     resid, principal = closure(res.kenv, apply_assignment(res.subst, tenv), res.type)
     if not generic_instance(resid, principal, sigma):

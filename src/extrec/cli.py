@@ -17,7 +17,7 @@ from .checker import check
 from .infer import FreshSupply, InferFailure, infer
 from .interp import EvalError, eval_term, show_value
 from .kinding import wf_kind_assignment, wf_type_assignment
-from .normalize import kind_equiv, normalize
+from .normalize import equiv, normalize
 from .parser import (
     Namer,
     ParseError,
@@ -165,7 +165,7 @@ def infer_cmd(file, expr, env_path, as_json):
         # entries are printed first, in env-file syntax, so that the type's
         # free variables are all accounted for.
         for v, k in resid.items():
-            if v not in kenv or not kind_equiv(k, kenv[v]):
+            if v not in kenv or not equiv(k, kenv[v]):
                 click.echo(f"'{namer.name(v)} :: {pretty_kind(k, namer)}")
         click.echo(pretty_poly(principal, namer))
 

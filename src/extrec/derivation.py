@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .subst import apply_assignment, apply_kind, apply_poly, apply_type
+from .subst import apply_assignment, apply_type
 from .syntax import (
     KindAssignment,
     MonoType,
@@ -59,7 +59,7 @@ def subst_derivation(d: Derivation, s: Substitution, k_target: KindAssignment) -
     The substitution's domain must avoid variables generalized anywhere in
     the tree (inference's fresh-variable discipline guarantees this)."""
     j = d.judgment
-    new_j = Judgment(k_target, apply_assignment(s, j.tenv), j.term, apply_poly(s, j.sigma))
+    new_j = Judgment(k_target, apply_assignment(s, j.tenv), j.term, apply_type(s, j.sigma))
     if d.rule == "Gen":
         (child,) = d.children
         quantified = {
@@ -67,11 +67,11 @@ def subst_derivation(d: Derivation, s: Substitution, k_target: KindAssignment) -
         }
         child_target = dict(k_target)
         for v, k in quantified.items():
-            child_target[v] = apply_kind(s, k)
+            child_target[v] = apply_type(s, k)
         children = (subst_derivation(child, s, child_target),)
     else:
         children = tuple(subst_derivation(c, s, k_target) for c in d.children)
     claim = None
     if d.claim is not None:
-        claim = KindingClaim(apply_type(s, d.claim.subject), apply_kind(s, d.claim.kind))
+        claim = KindingClaim(apply_type(s, d.claim.subject), apply_type(s, d.claim.kind))
     return Derivation(d.rule, new_j, children, claim)

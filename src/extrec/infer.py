@@ -26,7 +26,7 @@ from operator import attrgetter
 
 from .derivation import Derivation, Judgment, KindingClaim, subst_derivation
 from .normalize import normalize
-from .subst import apply_kind, apply_type, quantifier_prefix, resolve, resolve_poly
+from .subst import apply_type, quantifier_prefix, resolve
 from .syntax import (
     Abs,
     App,
@@ -128,7 +128,7 @@ def instantiate(kenv: KindAssignment, sigma: PolyType, fs: FreshSupply) -> MonoT
     ren: Substitution = {}
     for v, k in sigma.quants:
         fresh = fs.fresh(v.name)
-        kenv[fresh] = apply_kind(ren, k)
+        kenv[fresh] = apply_type(ren, k)
         ren[v] = fresh
     return normalize(apply_type(ren, sigma.body))
 
@@ -279,7 +279,7 @@ class _Run:
             elif v in self.stale:
                 exact = True
         if exact or self.nodes is not None:
-            gamma = {x: resolve_poly(subst, sigma) for x, sigma in tenv.items()}
+            gamma = {x: resolve(subst, sigma) for x, sigma in tenv.items()}
         if exact:
             kinds = {v: resolve(subst, k) for v, k in kenv.items()}
             deep = list(kinds)
@@ -368,7 +368,7 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
     if isinstance(term, Var):
         if term.name not in tenv:
             raise _Failed("var", "unbound_variable", f"unbound variable {term.name}", term)
-        t = instantiate(run.kenv, resolve_poly(run.subst, tenv[term.name]), run)
+        t = instantiate(run.kenv, resolve(run.subst, tenv[term.name]), run)
         run.record("Var", tenv, term, t)
         return t
 

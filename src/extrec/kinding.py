@@ -46,12 +46,9 @@ def wf_offender(kenv: KindAssignment) -> TyVar | None:
     return None
 
 
-def wf_type(kenv: KindAssignment, t: MonoType | PolyType) -> bool:
+def wf_type(kenv: KindAssignment, t: MonoType | Kind | PolyType) -> bool:
+    """Every free variable of the monotype, kind or polytype t has a kind."""
     return all(v in kenv for v in ftv(t))
-
-
-def wf_kind(kenv: KindAssignment, k: Kind) -> bool:
-    return all(v in kenv for v in ftv(k))
 
 
 def wf_type_assignment(kenv: KindAssignment, gamma: TypeAssignment) -> bool:
@@ -101,7 +98,7 @@ def field_info(kenv: KindAssignment, t: MonoType) -> FieldInfo | None:
 
 def has_kind(kenv: KindAssignment, t: MonoType, k: Kind) -> bool:
     """The kinding judgment: t has kind k under kenv."""
-    if not wf_type(kenv, t) or not wf_kind(kenv, k):
+    if not wf_type(kenv, t) or not wf_type(kenv, k):
         return False
     if isinstance(k, UKind):
         return True

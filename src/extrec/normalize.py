@@ -1,5 +1,5 @@
-"""Reduction of extensible types to canonical form, and the equivalences it
-decides on types, kinds and polytypes.
+"""Reduction of extensible types to canonical form, and the equivalence it
+decides on types, kinds and polytypes alike.
 
 The rewrite system cancels matching extension/contraction pairs and folds
 field operations into record bases.  `reduce_once` and `one_step_reducts`
@@ -19,6 +19,10 @@ labels' range, found by bisection, take part; the rest of the tuple is
 sliced around them.  A fresh chain is the case where the prefix is the
 bottom.  There is no step limit: every chain is taken apart once.
 
+A kind or a polytype is normalized by mapping `normalize` over it
+(`syntax.map_type`), without a cache, so `equiv` compares two kinds or
+two polytypes as it compares two monotypes.
+
 `label_maps` reads a chain's operations as two label maps; it is how
 unification reads a chain's field facts.
 """
@@ -37,11 +41,8 @@ from .syntax import (
     BaseType,
     Contr,
     Ext,
-    Kind,
     MonoType,
-    PolyType,
     RecordType,
-    Substitution,
     TyVar,
     chain,
     map_type,
@@ -195,15 +196,21 @@ def _cancel_pairs(ops) -> set[int]:
     return dropped
 
 
-def normalize(t: MonoType) -> MonoType:
-    """Unique normal form, with the operations of every chain over a variable
-    sorted by label.  Returns t itself when it is in that form already.
+def normalize(t):
+    """Unique normal form of a monotype, with the operations of every chain
+    over a variable sorted by label; of a kind or a polytype, the same
+    value with every type in it normalized.  Returns t itself when it is in
+    that form already.
 
-    The answer is cached on t and marked on the normal form, so that asking
-    again about either costs one slot read."""
+    A compound monotype's answer is cached on it and marked on the normal
+    form, so that asking again about either costs one slot read.  Kinds and
+    polytypes have no cache slot and are mapped afresh."""
     if isinstance(t, (BaseType, TyVar)):
         return t
-    nf = t._nf
+    try:
+        nf = t._nf
+    except AttributeError:  # a kind or a polytype
+        return map_type(normalize, t)
     if nf is not None:
         return t if nf is IS_NORMAL else nf
     if isinstance(t, (Ext, Contr)):
@@ -271,27 +278,7 @@ def is_normal(t: MonoType) -> bool:
     return normalize(t) is t or reduce_once(t) is None
 
 
-def equiv(t1: MonoType, t2: MonoType) -> bool:
-    """Type equality modulo reduction and label permutation."""
+def equiv(t1, t2) -> bool:
+    """Equality modulo reduction and label permutation, of two monotypes,
+    two kinds or two polytypes (whose equality is alpha-invariant)."""
     return t1 is t2 or t1 == t2 or normalize(t1) == normalize(t2)
-
-
-def kind_equiv(k1: Kind, k2: Kind) -> bool:
-    return map_type(normalize, k1) == map_type(normalize, k2)
-
-
-def norm_poly(p: PolyType) -> PolyType:
-    quants = tuple((v, map_type(normalize, k)) for v, k in p.quants)
-    return PolyType(quants, normalize(p.body))
-
-
-def poly_equiv(p1: PolyType, p2: PolyType) -> bool:
-    return norm_poly(p1) == norm_poly(p2)
-
-
-def subst_equal(s1: Substitution, s2: Substitution) -> bool:
-    """Substitution equality: images agree up to equiv on every variable."""
-    for v in s1.keys() | s2.keys():
-        if not equiv(s1.get(v, v), s2.get(v, v)):
-            return False
-    return True

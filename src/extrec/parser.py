@@ -251,7 +251,11 @@ class _Parser:
         return self.span_at(self.starts[i], self.ends[i])
 
     def unexpected(self, i: int, expected: tuple[str, ...]) -> ParseError:
-        return ParseError(f"unexpected {self.texts[i] or 'end of input'!r}", self.span(i), expected)
+        """A string token is named by its source text, quotes included."""
+        what = self.texts[i]
+        if self.kinds[i] == "string":
+            what = self.text[self.starts[i] : self.ends[i]]
+        return ParseError(f"unexpected {what or 'end of input'!r}", self.span(i), expected)
 
     # -- token plumbing ----------------------------------------------------
     def punct(self, p: str):

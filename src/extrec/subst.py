@@ -2,8 +2,11 @@
 triangular substitution, the respects relation, type closure
 (generalization), and the generic-instance check.
 
-Application is purely structural and never normalizes; callers normalize at
-the points where the inference algorithm demands it.
+Application and resolution each take a monotype, a kind or a polytype,
+and walk it through `syntax.map_type`; each renames a polytype's binders
+(`syntax.rebind`) where the substitution would catch them, by its own
+rule.  Application is purely structural and never normalizes; callers
+normalize at the points where the inference algorithm demands it.
 """
 
 from __future__ import annotations
@@ -12,14 +15,13 @@ from dataclasses import dataclass
 from functools import partial
 
 from .kinding import field_info, has_kind
-from .normalize import chain_ops, equiv, normalize
+from .normalize import EXT, chain_ops, equiv, normalize
 from .syntax import (
     Arrow,
     BaseType,
     Contr,
     Ext,
     INT,
-    Kind,
     KindAssignment,
     MonoType,
     PolyType,
@@ -37,16 +39,23 @@ from .syntax import (
     is_extensible,
     map_type,
     poly,
-    rename_vars,
+    rebind,
 )
 
 
-def apply_type(s: Substitution, t: MonoType | Kind) -> MonoType | Kind:
-    """Apply s to a monotype or a kind."""
+def apply_type(s: Substitution, t):
+    """Apply s to a monotype, a kind or a polytype.  A polytype's binders
+    are renamed first when s maps one or an image of s mentions one."""
     if isinstance(t, TyVar):  # a lookup is cheaper than the test below
         return s.get(t, t)
     if misses(s, ftv(t)):
         return t
+    if t.__class__ is PolyType and t.quants:
+        clash = set(s)
+        for image in s.values():
+            clash |= ftv(image)
+        if any(v in clash for v, _ in t.quants):
+            t = _freshen(t)
     return map_type(partial(apply_type, s), t)
 
 
@@ -57,33 +66,15 @@ def misses(s: Substitution, fv: frozenset) -> bool:
     return len(fv.difference(s)) == len(fv)
 
 
-apply_kind = apply_type  # kinds take the same walk
-
-
-def apply_poly(s: Substitution, p: PolyType) -> PolyType:
-    if misses(s, ftv(p)):
-        return p
-    if not p.quants:
-        return poly(apply_type(s, p.body))
-    bound = {v for v, _ in p.quants}
-    clash = set(s)
-    for t in s.values():
-        clash |= ftv(t)
-    if bound & clash:
-        p = _freshen(p)  # alpha-rename binders away from the substitution
-    return PolyType(
-        tuple((v, apply_kind(s, k)) for v, k in p.quants),
-        apply_type(s, p.body),
-    )
-
-
 def apply_assignment(s: Substitution, gamma: TypeAssignment) -> TypeAssignment:
-    return {x: apply_poly(s, sigma) for x, sigma in gamma.items()}
+    return {x: apply_type(s, sigma) for x, sigma in gamma.items()}
 
 
-def resolve(s: Substitution, t: MonoType | Kind) -> MonoType | Kind:
-    """Apply the triangular substitution s to a monotype or a kind: replace
-    each bound variable by its image, resolved in turn, until none is left.
+def resolve(s: Substitution, t):
+    """Apply the triangular substitution s to a monotype, a kind or a
+    polytype: replace each bound variable by its image, resolved in turn,
+    until none is left.  A polytype's binders are renamed first when s maps
+    one or the resolved image of one of its free variables mentions one.
 
     A triangular substitution maps each variable to the image it was bound
     to, which may mention variables bound after it.  Resolution compresses
@@ -102,24 +93,14 @@ def resolve(s: Substitution, t: MonoType | Kind) -> MonoType | Kind:
         for v in path:
             s[v] = image
         return image
-    if misses(s, ftv(t)):
-        return t
-    return map_type(partial(resolve, s), t)
-
-
-def resolve_poly(s: Substitution, p: PolyType) -> PolyType:
-    """Apply the triangular substitution s to a polytype's free variables,
-    renaming its binders first when they would be caught."""
-    free = ftv(p)
+    free = ftv(t)
     if misses(s, free):
-        return p
-    if p.quants:
+        return t
+    if t.__class__ is PolyType and t.quants:
         images = {w for v in free if v in s for w in ftv(resolve(s, v))}
-        if any(v in s or v in images for v, _ in p.quants):
-            p = _freshen(p)  # alpha-rename binders away from the substitution
-    return PolyType(
-        tuple((v, resolve(s, k)) for v, k in p.quants), resolve(s, p.body)
-    )
+        if any(v in s or v in images for v, _ in t.quants):
+            t = _freshen(t)
+    return map_type(partial(resolve, s), t)
 
 
 def compose(s2: Substitution, s1: Substitution) -> Substitution:
@@ -142,7 +123,7 @@ class KindedSubstitution:
 def respects(ks: KindedSubstitution, kenv2: KindAssignment) -> bool:
     """Every substituted variable's image carries the substituted kind."""
     return all(
-        has_kind(ks.kenv, ks.subst.get(v, v), apply_kind(ks.subst, k))
+        has_kind(ks.kenv, ks.subst.get(v, v), apply_type(ks.subst, k))
         for v, k in kenv2.items()
     )
 
@@ -229,16 +210,8 @@ def generic_instance(kenv: KindAssignment, s1: PolyType, s2: PolyType) -> bool:
     m = _Matcher(pattern_vars, qkinds, binds, k_target)
     if not m.match(normalize(s1.body), normalize(s2.body)):
         return False
-    # The kind of a matched variable pins variables the body never mentions.
-    changed = True
-    while changed:
-        changed = False
-        for v, k in s1.quants:
-            if v in binds and isinstance(k, RecordKind):
-                before = len(binds)
-                if not m.refine_with_kind(binds[v], k):
-                    return False
-                changed = changed or len(binds) != before
+    if not (m.refine() and m.bind_heads() and m.refine()):
+        return False
     for v, _ in s1.quants:
         if not m.bind_default(v):
             return False
@@ -248,25 +221,20 @@ def generic_instance(kenv: KindAssignment, s1: PolyType, s2: PolyType) -> bool:
 
 
 def _freshen(p: PolyType) -> PolyType:
-    """Rename every binder to a fresh variable.  A binder is not in scope
-    in its own kind, so the renaming grows incrementally."""
-    if not p.quants:
-        return p
-    ren: dict[int, TyVar] = {}
-    quants = []
-    for v, k in p.quants:
-        fresh = internal_fresh(v.name)
-        quants.append((fresh, rename_vars(k, ren)))
-        ren[v.uid] = fresh
-    return PolyType(tuple(quants), rename_vars(p.body, ren))
+    """p with every binder renamed to a fresh variable."""
+    return rebind(p, [internal_fresh(v.name) for v, _ in p.quants])
 
 
 class _Matcher:
     """First-order matching of a quantified pattern against a subject type.
 
-    Pattern variables a subject position never determines are filled with a
-    kind-derived default; the caller re-verifies the full instantiation, so
-    defaults can only make the check more conservative, never unsound.
+    A pattern chain over a pattern variable binds that variable to a head
+    whose field types may still hold pattern variables; `heads` keeps each
+    such (variable, head) until the whole body and the kinds have been
+    matched (`bind_heads`).  Pattern variables that no subject position
+    determines are filled with a kind-derived default; the caller
+    re-verifies the full instantiation, so defaults can only make the check
+    more conservative, never unsound.
     """
 
     def __init__(self, pvars, qkinds, binds, kenv):
@@ -274,7 +242,38 @@ class _Matcher:
         self.qkinds = qkinds
         self.binds = binds
         self.kenv = kenv
+        self.heads: list[tuple[TyVar, MonoType]] = []
         self._defaulting: set[TyVar] = set()
+
+    def refine(self) -> bool:
+        """The kind of a matched variable pins variables the body never
+        mentions: refine with the kind of every bound record-kinded pattern
+        variable until no binding is added."""
+        changed = True
+        while changed:
+            changed = False
+            for v, k in self.qkinds.items():
+                if v in self.binds and isinstance(k, RecordKind):
+                    before = len(self.binds)
+                    if not self.refine_with_kind(self.binds[v], k):
+                        return False
+                    changed = changed or len(self.binds) != before
+        return True
+
+    def bind_heads(self) -> bool:
+        """Match each postponed head against its variable's binding, those
+        whose variable is bound first; a variable still unbound is bound to
+        its head, with the stragglers defaulted."""
+        for v, head in sorted(self.heads, key=lambda vh: vh[0] not in self.binds):
+            if v in self.binds:
+                if not self.match(normalize(head), normalize(self.binds[v])):
+                    return False
+            else:
+                image = self.resolve(head)
+                if image is None:
+                    return False
+                self.binds[v] = image
+        return True
 
     def refine_with_kind(self, image: MonoType, k: "RecordKind") -> bool:
         """Match a bound variable's kind against the field facts of its
@@ -355,15 +354,6 @@ class _Matcher:
             return self.match_chain(p, s)
         raise TypeError(f"match: not a monotype: {p!r}")
 
-    def _try_match(self, p: MonoType, s: MonoType) -> bool:
-        """match, leaving the bindings as they were when it fails."""
-        saved = dict(self.binds)
-        if self.match(p, s):
-            return True
-        self.binds.clear()
-        self.binds.update(saved)
-        return False
-
     def match_chain(self, p, s) -> bool:
         base_p, ops_p = chain_ops(p)
         if not (isinstance(base_p, TyVar) and base_p in self.pvars):
@@ -396,40 +386,22 @@ class _Matcher:
             head = chain(base_s, rest)
         elif isinstance(base_s, TyVar):
             # Undo the unmatched pattern operations on the subject, outermost
-            # first: + {l: t} becomes - {l: t}.  Where the head already
-            # stands for such a chain, matching against it fixes the field
-            # types before any takes its default.  The caller's final equiv
-            # and respects checks judge the result.
-            undo = [(-sg, l, f) for sg, l, f in reversed(leftover_p)]
-            if base_p in self.binds and self._try_match(
-                chain(base_s, rest + undo), self.binds[base_p]
-            ):
-                return True
-            undone = []
-            for sg, l, f in undo:
-                r = self.resolve(f)
-                if r is None:
-                    return False
-                undone.append((sg, l, r))
-            head = chain(base_s, rest + undone)
+            # first: + {l: t} becomes - {l: t}.  The caller's final equiv and
+            # respects checks judge the result.
+            head = chain(base_s, rest + [(-sg, l, f) for sg, l, f in reversed(leftover_p)])
         elif not isinstance(base_s, RecordType) or rest:
             return False
         else:  # against a record, they are inverted on its fields
             fields = base_s.field_map()
             for sg, l, f in leftover_p:
-                if sg == 1:  # pattern extends: the record must carry the field
+                if sg == EXT:  # pattern extends: the record must carry the field
                     if l not in fields or not self.match(f, fields[l]):
                         return False
                     del fields[l]
-                else:  # pattern contracts: the record must lack it
-                    if l in fields:
-                        return False
-                    r = self.resolve(f)
-                    if r is None:
-                        return False
-                    fields[l] = r
+                elif l in fields:  # pattern contracts: the record must lack it
+                    return False
+                else:
+                    fields[l] = f
             head = RecordType(tuple(fields.items()))
-        if base_p in self.binds:
-            return equiv(self.binds[base_p], head)
-        self.binds[base_p] = head
+        self.heads.append((base_p, head))
         return True

@@ -32,6 +32,15 @@ A record kind built by `trusted_record_kind` skips the constructor's
 sorting and checks, and may come with its `_fv` set by its builder.  Its
 builders vouch for its sides: `map_type`, which keeps labels; a one-field
 kind; and unification's merge of two kinds.
+
+`map_type` is the one structural map over every type-level value: a
+monotype, a kind or a polytype.  Substitution, resolution, renaming and
+normalization are each one function over all three through it.  It keeps
+a polytype's binders; `rebind` renames them, for alpha-equality and for
+substitution's capture avoidance.  The walkers that are not maps stay
+their own: `ftv`, a cached fold; the printers in `parser`; the matcher
+in `subst`, which walks two types at once; and `normalize`'s reference
+reducer, which stays independent of `normalize`.
 """
 
 from __future__ import annotations
@@ -393,13 +402,8 @@ class PolyType:
         return not self.quants
 
     def _canonical(self):
-        # A quantifier binds in later kinds and the body, not in its own kind.
-        mapping: dict[int, TyVar] = {}
-        kinds = []
-        for i, (v, k) in enumerate(self.quants):
-            kinds.append(rename_vars(k, mapping))
-            mapping[v.uid] = TyVar(-(i + 1))
-        return (tuple(kinds), rename_vars(self.body, mapping))
+        c = rebind(self, [TyVar(-i) for i in range(1, len(self.quants) + 1)])
+        return (tuple(k for _, k in c.quants), c.body)
 
     def __eq__(self, other):
         if not isinstance(other, PolyType):
@@ -518,10 +522,12 @@ def eftv_assignment(kenv: KindAssignment, gamma: TypeAssignment) -> set[TyVar]:
 
 
 def map_type(f, x):
-    """x rebuilt with f applied to each child type, one level down.
+    """x rebuilt with f applied to each child, one level down.
 
-    x is a monotype or a kind; labels are kept, so fields stay sorted and
-    a kind's sides disjoint.
+    x is a monotype, a kind or a polytype.  Labels are kept, so fields
+    stay sorted and a kind's sides disjoint.  A polytype's children are
+    its quantifiers' kinds, in order, and its body; its binders are kept,
+    so avoiding capture is the caller's job.
     Returns x itself when every child comes back as the same object, so a
     walk that changes nothing allocates nothing."""
     if isinstance(x, Arrow):
@@ -538,13 +544,18 @@ def map_type(f, x):
         if lefts is x.lefts and rights is x.rights:
             return x
         return trusted_record_kind(lefts, rights)
+    if isinstance(x, PolyType):
+        quants, body = x.quants and _map_fields(f, x.quants), f(x.body)
+        return x if quants is x.quants and body is x.body else PolyType(quants, body)
     if isinstance(x, (TyVar, BaseType, UKind)):
         return x
-    raise TypeError(f"map_type: not a monotype or kind: {x!r}")
+    raise TypeError(f"map_type: not a monotype, kind or polytype: {x!r}")
 
 
 def _map_fields(f, fields):
-    out = tuple([(label, f(t)) for label, t in fields])
+    """(key, child) pairs with f applied to each child: record fields, kind
+    sides, and a polytype's (binder, kind) quantifiers."""
+    out = tuple([(key, f(t)) for key, t in fields])
     if all(new is old for (_, new), (_, old) in zip(out, fields)):
         return fields
     return out
@@ -558,12 +569,24 @@ def _map_ops(f, ops):
 
 
 def rename_vars(x, mapping: dict[int, TyVar]):
-    """Replace type variables per uid->TyVar map in a type, kind or polytype."""
+    """Replace type variables per uid->TyVar map in a type, kind or polytype,
+    binders included."""
     if isinstance(x, TyVar):
         return mapping.get(x.uid, x)
     if isinstance(x, PolyType):
-        return PolyType(
-            tuple((mapping.get(v.uid, v), rename_vars(k, mapping)) for v, k in x.quants),
-            rename_vars(x.body, mapping),
-        )
+        x = PolyType(tuple((mapping.get(v.uid, v), k) for v, k in x.quants), x.body)
     return map_type(lambda c: rename_vars(c, mapping), x)
+
+
+def rebind(p: PolyType, binders) -> PolyType:
+    """p with its binders replaced by `binders`, in order, and each bound
+    occurrence renamed to match.  A quantifier binds in later kinds and the
+    body, not in its own kind, so the renaming grows one binder at a time."""
+    if not p.quants:
+        return p
+    mapping: dict[int, TyVar] = {}
+    quants = []
+    for (v, k), w in zip(p.quants, binders):
+        quants.append((w, rename_vars(k, mapping)))
+        mapping[v.uid] = w
+    return PolyType(tuple(quants), rename_vars(p.body, mapping))

@@ -43,7 +43,7 @@ from collections import deque
 
 from .kinding import wf_kind_assignment
 from .normalize import CON, EXT, chain_ops, equiv, is_normal, label_maps, normalize
-from .subst import apply_kind, resolve
+from .subst import apply_type, resolve
 from .syntax import (
     Arrow,
     BaseType,
@@ -60,7 +60,6 @@ from .syntax import (
     chain,
     ftv,
     internal_fresh,
-    is_extensible,
     trusted_record_kind,
     union_all,
 )
@@ -75,22 +74,6 @@ class UnificationError(Exception):
         self.reason = reason
         self.message = message
         super().__init__(f"{reason}: {message}")
-
-
-def efields(t: MonoType) -> dict:
-    """Labels extended along t's chain, mapped to their field types."""
-    if not is_extensible(t):
-        raise ValueError(f"efields: not an extensible type: {t!r}")
-    _, ops = chain_ops(t)
-    return {l: f for sign, l, f in ops if sign == EXT}
-
-
-def cfields(t: MonoType) -> dict:
-    """Labels contracted along t's chain, mapped to their field types."""
-    if not is_extensible(t):
-        raise ValueError(f"cfields: not an extensible type: {t!r}")
-    _, ops = chain_ops(t)
-    return {l: f for sign, l, f in ops if sign == CON}
 
 
 def _is_chain(t: MonoType) -> bool:
@@ -364,7 +347,7 @@ def _meet(st: _State, v: TyVar, image: MonoType, base: TyVar | None):
             adds = True
         else:  # the facts are base's kind
             adds = present.keys().isdisjoint(lefts) and absent.keys().isdisjoint(rights)
-        kind = apply_kind({v: image}, _merged_kind(kb, lefts, rights, adds))
+        kind = apply_type({v: image}, _merged_kind(kb, lefts, rights, adds))
         if base in ftv(kind):
             raise UnificationError(OCCURS, "variable occurs in its own kind")
         st.bind(v, image)

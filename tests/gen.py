@@ -6,7 +6,7 @@ import random
 
 from extrec.kinding import field_info, has_kind
 from extrec.normalize import equiv, normalize
-from extrec.subst import apply_kind, apply_type
+from extrec.subst import apply_type
 from extrec.syntax import (
     Abs,
     App,
@@ -61,6 +61,11 @@ def canon(x):
     walk(x)
     mapping = {uid: TyVar(i + 1) for i, uid in enumerate(order)}
     return rename_vars(x, mapping)
+
+
+def subst_equal(s1, s2) -> bool:
+    """Substitution equality: images agree up to equiv on every variable."""
+    return all(equiv(s1.get(v, v), s2.get(v, v)) for v in s1.keys() | s2.keys())
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +278,7 @@ def gen_respecting_subst(rng: random.Random, kenv, labels=LABELS):
     # over itself (assignments are acyclic by construction).
     for _ in range(len(kenv)):
         s = {v: apply_type(s, t) for v, t in s.items()}
-    kenv1 = {v: apply_kind(s, kenv[v]) for v in kept}
+    kenv1 = {v: apply_type(s, kenv[v]) for v in kept}
     return kenv1, s
 
 
@@ -464,7 +469,7 @@ def enumerate_ground_unifiers(kenv, eqs, universe):
         (due[i] if i >= 0 else pre).append(check)
 
     for v in variables:
-        schedule(ftv(kenv[v]) | {v}, lambda g, v=v: has_kind({}, g[v], apply_kind(g, kenv[v])))
+        schedule(ftv(kenv[v]) | {v}, lambda g, v=v: has_kind({}, g[v], apply_type(g, kenv[v])))
     for a, b in eqs:
         schedule(ftv(a) | ftv(b), lambda g, a=a, b=b: equiv(apply_type(g, a), apply_type(g, b)))
     if not all(check({}) for check in pre):
@@ -494,7 +499,7 @@ def factors_through(ground, kenv_in, kenv_out, subst, universe):
 
     def valid(s3):
         for v in residual_vars:
-            if not has_kind({}, s3[v], apply_kind(s3, kenv_out[v])):
+            if not has_kind({}, s3[v], apply_type(s3, kenv_out[v])):
                 return False
         for v in kenv_in:
             image = apply_type(s3, subst.get(v, v))

@@ -6,16 +6,12 @@ criteria run on seeded generators at the stated scale."""
 import random
 import time
 
-from extrec.checker import (
-    Derivation,
-    Judgment,
-    KindingClaim,
-    validate,
-)
+from extrec.checker import validate
+from extrec.derivation import Derivation, Judgment, KindingClaim
 from extrec.infer import FreshSupply, InferFailure, infer
 from extrec.interp import eval_term
 from extrec.kinding import field_info, has_kind
-from extrec.normalize import equiv, normalize, one_step_reducts, reduce_once, subst_equal
+from extrec.normalize import equiv, normalize, one_step_reducts, reduce_once
 from extrec.parser import (
     parse_env_file,
     parse_kind,
@@ -59,6 +55,7 @@ from gen import (
     gen_respecting_subst,
     mgu_universe,
     shape_matches,
+    subst_equal,
 )
 
 

@@ -4,9 +4,9 @@ import random
 from extrec.checker import check, validate
 from extrec.derivation import RULES, Derivation, Judgment, KindingClaim, subst_derivation
 from extrec.infer import FreshSupply, infer
-from extrec.normalize import equiv, kind_equiv, poly_equiv
+from extrec.normalize import equiv
 from extrec.parser import parse_env_file, parse_term, parse_type
-from extrec.subst import apply_poly, generic_instance
+from extrec.subst import apply_type, generic_instance
 from extrec.syntax import (
     Abs,
     App,
@@ -164,7 +164,7 @@ def _structural_mutants(d):
     for rule, cls in TERM_CLASS.items():
         if not isinstance(j.term, cls):
             yield f"renamed to {rule}", node(rule=rule)
-    wrong = BOOL if poly_equiv(j.sigma, poly(INT)) else INT
+    wrong = BOOL if equiv(j.sigma, poly(INT)) else INT
     yield "conclusion", node(judgment=dataclasses.replace(j, sigma=poly(wrong)))
     if d.claim is not None:
         k = d.claim.kind
@@ -244,6 +244,64 @@ def test_validator_checks_each_condition_on_its_own():
     for what, tree in _single_condition_failures():
         issue = validate(tree)
         assert issue is not None and issue.path == (), what
+
+
+def _first(d, rule):
+    return next((path, n) for path, n in _nodes(d) if n.rule == rule)
+
+
+def _judged(d, **changes):
+    return Derivation(d.rule, dataclasses.replace(d.judgment, **changes), d.children, d.claim)
+
+
+def _with_child(d, i, child):
+    return Derivation(d.rule, d.judgment, d.children[:i] + (child,) + d.children[i + 1:], d.claim)
+
+
+_C = TyVar(900, "c")
+
+# (program, rule of the first node of that rule, mutation of that node, the
+# issue `validate` then prints)
+_REWIRED_REASONS = [
+    ("let f = \\x. x in 1", "Let",
+     lambda n: _with_child(n, 1, _judged(n.children[1], tenv={"f": poly(INT)})),
+     "at root: let binder is not typed at the bound term's type"),
+    ("let f = \\x. x in f", "Gen",
+     lambda n: _judged(n, kenv={**n.judgment.kenv, _C: UKind()}),
+     "at 0: conclusion kind assignment is not the closure residue"),
+    ("let f = \\x. x in f", "Gen",
+     lambda n: Derivation("Gen", n.judgment, (n,)),
+     "at 0: generalization premise must be a monotype"),
+    # the premise's type is a record only after reduction, and mentions a
+    # variable its kind assignment lacks
+    ("let y = {l = 1} in y", "Gen",
+     lambda n: _with_child(n, 0, _judged(n.children[0], sigma=poly(
+         Contr(Ext(RecordType((("l", INT),)), "m", _C), "m", _C)))),
+     "at 0: closure undefined: eftv: not well formed, unbound [900]"),
+    ("let y = {l = 1, m = true} in y", "Rec",
+     lambda n: _judged(n, sigma=poly(RecordType((("l", INT), ("m", INT))))),
+     "at 0/0: field m typed inconsistently"),
+    ("(\\r. r) {l = 1}.l", "Sel", lambda n: dataclasses.replace(n, claim=None),
+     "at 1: Sel requires a record kind side condition"),
+    ("modify({l = 1}, l, 2)", "Modif", lambda n: dataclasses.replace(n, claim=None),
+     "at root: Modif requires a record kind side condition"),
+    ("remove({l = 1}, l)", "Contr", lambda n: dataclasses.replace(n, claim=None),
+     "at root: Contr requires a record kind side condition"),
+    ("extend({}, l, 1)", "Ext", lambda n: dataclasses.replace(n, claim=None),
+     "at root: Ext requires a record kind side condition"),
+]
+
+
+def test_validator_names_each_mutated_condition():
+    # one node of an inferred derivation is broken; validate names the
+    # condition and the node's path
+    for src, rule, mutate, want in _REWIRED_REASONS:
+        res = infer({}, {}, parse_term(src), FreshSupply(1), want_trace=True)
+        assert validate(res.trace) is None, src
+        path, n = _first(res.trace, rule)
+        issue = validate(_replace_at(res.trace, path, mutate(n)))
+        assert issue is not None and issue.path == path, (src, issue)
+        assert str(issue) == want, src
 
 
 def test_check_examples():
@@ -372,8 +430,8 @@ def test_kind_equiv_agrees_with_labelwise_reference():
         else:
             k2 = gen_arb_kind(rng, pool)
         expected = _ref_kind_equiv(k1, k2)
-        assert kind_equiv(k1, k2) == expected, (k1, k2)
-        assert kind_equiv(k2, k1) == expected, (k1, k2)
+        assert equiv(k1, k2) == expected, (k1, k2)
+        assert equiv(k2, k1) == expected, (k1, k2)
         agree += expected
         differ += not expected
     assert agree > 300 and differ > 300

@@ -105,6 +105,38 @@ def test_check_accepts_instances_that_undo_an_operation():
     assert bad.exit_code == 1 and bad.output.startswith("FAIL:")
 
 
+def test_check_binds_an_undone_field_where_the_claim_fixes_it():
+    # the field type that matching undoes or inverts is bound where the
+    # claim fixes it, also when that position comes later; before any was
+    # taken from a default (Int), these were refused in this argument order
+    claims = [
+        ("\\f. \\x. f (remove(x, l))",
+         "forall 'b :: U. forall 'q :: << || l: Bool>>. ('q -> 'b) -> 'q + {l: Bool} -> 'b"),
+        ("\\f. \\x. \\y. f (extend(x, l, y))",
+         "forall 'c :: U. forall 'q :: <<l: Bool || >>. ('q -> 'c) -> 'q - {l: Bool} -> Bool -> 'c"),
+        ("\\x. \\f. f (remove(x, l))",
+         "forall 'b :: U. {l: Bool, m: Int} -> ({m: Int} -> 'b) -> 'b"),
+        ("\\f. \\x. f (remove(x, l))",
+         "forall 'b :: U. ({m: Int} -> 'b) -> {l: Bool, m: Int} -> 'b"),
+        ("\\x. \\f. f (remove(x, l))",
+         "forall 'b :: U. forall 'q :: << || l: Bool>>. 'q + {l: Bool} -> ('q -> 'b) -> 'b"),
+    ]
+    for src, claim in claims:
+        r = run("check", "-e", src, "-t", claim)
+        assert (r.exit_code, r.output) == (0, "OK\n"), (src, claim)
+    # the kind forbids l at Bool, the claim adds it at Int
+    bad = run("check", "-e", "\\f. \\x. f (remove(x, l))",
+              "-t", "forall 'b :: U. forall 'q :: << || l: Bool>>. ('q -> 'b) -> 'q + {l: Int} -> 'b")
+    assert bad.exit_code == 1 and bad.output.startswith("FAIL:")
+
+
+def test_check_refuses_a_claim_that_specializes_the_context(tmp_path):
+    env = tmp_path / "ctx.env"
+    env.write_text("'a :: U\ny : 'a\n")
+    r = run("check", "--env", str(env), "-e", "y 1", "-t", "forall 'b :: U. 'b")
+    assert (r.exit_code, r.output) == (1, "FAIL: the claim's context would have to be specialized\n")
+
+
 def test_check_env_accepts_printed_principal_type(tmp_path):
     env = tmp_path / "ex.env"
     env.write_text(ENV_42)

@@ -5,7 +5,7 @@ import sys
 from extrec.checker import validate
 from extrec.infer import FreshSupply, InferFailure, infer, instantiate, supply_for
 from extrec.kinding import has_kind, wf_kind_assignment
-from extrec.normalize import equiv, normalize, subst_equal
+from extrec.normalize import equiv, normalize
 from extrec.parser import parse_env_file, parse_term, parse_type
 from extrec.subst import (
     KindedSubstitution,
@@ -13,7 +13,6 @@ from extrec.subst import (
     closure,
     generic_instance,
     resolve,
-    resolve_poly,
     respects,
 )
 from extrec.syntax import (
@@ -41,7 +40,7 @@ from extrec.syntax import (
     poly,
     record_kind,
 )
-from gen import gen_closed_term
+from gen import gen_closed_term, subst_equal
 
 ENV_42 = """
 'a1 :: << || l: 'a2>>
@@ -274,15 +273,15 @@ def test_untraced_let_reads_no_more_than_its_bound_term_made(monkeypatch):
         for name in ("closure", "eftv_assignment"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    inner = infer_mod.resolve_poly
+    inner = infer_mod.resolve
     resolved = 0
 
-    def counted(s, p):
+    def counted(s, x):
         nonlocal resolved
-        resolved += 1
-        return inner(s, p)
+        resolved += isinstance(x, PolyType)
+        return inner(s, x)
 
-    monkeypatch.setattr(infer_mod, "resolve_poly", counted)
+    monkeypatch.setattr(infer_mod, "resolve", counted)
     kenv, tenv, venv, _, _ = _setup_42()
     rng = random.Random(127)
     terms = lets = 0
@@ -420,7 +419,7 @@ def test_levels_generalize_as_closure_does(monkeypatch):
     def checked(run, tenv, t, bound):
         nonlocal lets
         lets += 1
-        gamma = {x: resolve_poly(run.subst, sigma) for x, sigma in tenv.items()}
+        gamma = {x: resolve(run.subst, sigma) for x, sigma in tenv.items()}
         kenv = {v: resolve(run.subst, k) for v, k in run.kenv.items()}
         want_residual, want = closure(kenv, gamma, t)
         got = inner(run, tenv, t, bound)

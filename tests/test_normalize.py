@@ -12,7 +12,6 @@ from extrec.normalize import (
     normalize,
     one_step_reducts,
     reduce_once,
-    subst_equal,
 )
 from extrec.parser import pretty_type
 from extrec.subst import apply_type
@@ -32,7 +31,7 @@ from extrec.syntax import (
     ftv,
     is_extensible,
 )
-from gen import gen_debris, gen_kind_assignment, gen_kindable_chain, gen_respecting_subst
+from gen import gen_debris, gen_kind_assignment, gen_kindable_chain, gen_respecting_subst, subst_equal
 
 a = TyVar(1, "a")
 a1, a2 = TyVar(2, "a1"), TyVar(3, "a2")

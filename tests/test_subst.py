@@ -1,11 +1,11 @@
 import random
 
+from extrec.infer import FreshSupply, infer
 from extrec.kinding import has_kind
 from extrec.normalize import equiv, normalize
+from extrec.parser import parse_term
 from extrec.subst import (
     KindedSubstitution,
-    apply_kind,
-    apply_poly,
     apply_type,
     closure,
     compose,
@@ -16,7 +16,9 @@ from extrec.syntax import (
     Arrow,
     BOOL,
     BaseType,
+    CON,
     Contr,
+    EXT,
     Ext,
     INT,
     PolyType,
@@ -24,6 +26,7 @@ from extrec.syntax import (
     RecordType,
     TyVar,
     UKind,
+    chain,
     ftv,
     poly,
     record_kind,
@@ -32,6 +35,7 @@ from gen import (
     gen_arb_kind,
     gen_arb_mono,
     gen_arb_poly,
+    gen_closed_term,
     gen_kind_assignment,
     gen_kindable_chain,
     gen_respecting_subst,
@@ -49,12 +53,12 @@ def test_apply_examples():
     assert normalize(out) == RecordType(())
     # substitution reaches under the binder into the kind
     p = PolyType(((g, record_kind([("l", a)])),), g)
-    assert apply_poly({a: b}, p) == PolyType(((g, record_kind([("l", b)])),), g)
+    assert apply_type({a: b}, p) == PolyType(((g, record_kind([("l", b)])),), g)
 
 
 def test_apply_poly_avoids_capture():
     p = PolyType(((a, UKind()),), Arrow(a, b))
-    out = apply_poly({b: a}, p)  # the free b goes to a; bound a must step aside
+    out = apply_type({b: a}, p)  # the free b goes to a; bound a must step aside
     v, _ = out.quants[0]
     assert v != a
     assert out.body == Arrow(v, a)
@@ -111,7 +115,7 @@ def test_kinding_stable_under_respecting_substitution():
         if not has_kind(kenv, t, kind):
             continue
         k1, s = gen_respecting_subst(rng, kenv)
-        assert has_kind(k1, apply_type(s, t), apply_kind(s, kind))
+        assert has_kind(k1, apply_type(s, t), apply_type(s, kind))
         checked += 1
     assert checked > 50
 
@@ -201,11 +205,64 @@ def test_instance_transitive():
         assert generic_instance(k0, sigma1, sigma3)
 
 
+_UNDOING = ["\\f. \\x. f (remove(x, l))", "\\x. \\f. f (remove(x, l))",
+            "\\f. \\x. \\y. f (extend(x, l, y))", "\\f. \\x. f (remove(remove(x, l), m))",
+            "\\f. \\x. {a = f (remove(x, l)), b = x.m}", "\\f. \\x. f (extend(remove(x, l), m, x.l))"]
+
+
+def _undoing_instance(rng, sigma):
+    """A kind-respecting instance of sigma and the fresh variables' kinds.
+    A record-kinded quantifier becomes a fresh variable, a record, or a
+    chain over a fresh variable whose operations move some of its kind's
+    labels across, which undoes sigma's operations on them."""
+    s, kinds = {}, {}
+    for v, k in sigma.quants:
+        k, roll = apply_type(s, k), rng.random()
+        if isinstance(k, UKind) and roll < 0.5:
+            s[v] = rng.choice((INT, BOOL))
+        elif isinstance(k, UKind) or roll < 0.25:
+            s[v] = TyVar(600 + len(kinds))
+            kinds[s[v]] = k
+        elif roll < 0.45:
+            s[v] = RecordType(k.lefts + (() if roll < 0.35 else (("z", INT),)))
+        else:
+            left, right, ops = k.left_map(), k.right_map(), []
+            for l in [l for l in (*left, *right) if rng.random() < 0.7]:
+                if l in left:
+                    right[l] = left.pop(l)
+                    ops.append((EXT, l, right[l]))
+                else:
+                    left[l] = right.pop(l)
+                    ops.append((CON, l, left[l]))
+            q = TyVar(600 + len(kinds))
+            kinds[q] = record_kind(left.items(), right.items())
+            s[v] = chain(q, ops)
+    return kinds, apply_type(s, sigma.body)
+
+
+def test_generic_instance_accepts_instances_that_undo_operations():
+    rng = random.Random(71)
+    programs = [parse_term(src) for src in _UNDOING] * 10
+    while len(programs) < 300:
+        programs.append(gen_closed_term(rng, rng.randint(1, 4)))
+    undone = 0
+    for term in programs * 2:
+        res = infer({}, {}, term, FreshSupply(1))
+        if not hasattr(res, "type"):
+            continue
+        resid, sigma = closure(res.kenv, {}, res.type)
+        kinds, body = _undoing_instance(rng, sigma)
+        _, claim = closure({**resid, **kinds}, {}, body)
+        assert generic_instance(resid, sigma, claim), (term, claim)
+        undone += normalize(body) != body
+    assert undone > 50
+
+
 def _instantiate_some(rng, kenv, sigma):
     """Ground a random subset of quantifiers, keeping the rest."""
     keep, s = [], {}
     for v, k in sigma.quants:
-        k = apply_kind(s, k)
+        k = apply_type(s, k)
         if rng.random() < 0.5:
             keep.append((v, k))
         elif isinstance(k, UKind):
@@ -267,8 +324,8 @@ def _random_subst(rng, domain):
 
 def _random_values(rng):
     yield apply_type, gen_arb_mono(rng, 3, _POOL[:5])
-    yield apply_kind, gen_arb_kind(rng, _POOL[:5])
-    yield apply_poly, gen_arb_poly(rng)
+    yield apply_type, gen_arb_kind(rng, _POOL[:5])
+    yield apply_type, gen_arb_poly(rng)
 
 
 def test_apply_agrees_with_structural_reference():

@@ -13,6 +13,7 @@ from extrec.syntax import (
     RecordKind,
     RecordType,
     TyVar,
+    Var,
     UKind,
     base_of,
     eftv,
@@ -185,5 +186,15 @@ def test_map_type_rebuilds_one_level():
     assert map_type(flip, RecordKind((("l", a),), (("m", g),))) == RecordKind((("l", b),), (("m", g),))
     for leaf in (a, INT, UKind()):
         assert map_type(flip, leaf) is leaf
+    # a polytype's children are its quantifiers' kinds and its body; the
+    # binders stay, even where f would map them
+    p = PolyType(((a, UKind()), (g, RecordKind((("l", a),), ()))), b)
+    seen = []
+    assert map_type(lambda c: seen.append(c) or c, p) is p
+    assert seen == [UKind(), RecordKind((("l", a),), ()), b]
+    q = map_type(flip, p)
+    assert q.quants == p.quants and q.body == a
+    fixed = poly(g)
+    assert map_type(flip, fixed) is fixed and map_type(flip, poly(a)) == poly(b)
     with pytest.raises(TypeError):
-        map_type(flip, poly(a))
+        map_type(flip, Var("x"))

@@ -8,9 +8,9 @@ import pytest
 
 from extrec.infer import FreshSupply, InferResult, infer
 from extrec.kinding import has_kind
-from extrec.normalize import equiv, is_normal, normalize, subst_equal
+from extrec.normalize import equiv, is_normal, normalize
 from extrec.parser import parse_env_file, parse_term
-from extrec.subst import KindedSubstitution, apply_kind, apply_type, resolve, respects
+from extrec.subst import KindedSubstitution, apply_type, resolve, respects
 from extrec.syntax import (
     Arrow,
     BOOL,
@@ -26,7 +26,7 @@ from extrec.syntax import (
     ftv,
     record_kind,
 )
-from extrec.unify import UnificationError, cfields, efields, unify
+from extrec.unify import UnificationError, unify
 from gen import (
     enumerate_ground_unifiers,
     factors_through,
@@ -34,21 +34,13 @@ from gen import (
     gen_kinded_equations,
     gen_two_chain_equation,
     mgu_universe,
+    subst_equal,
 )
 
 unify_mod = importlib.import_module("extrec.unify")  # the package binds the name to the function
 syntax_mod = importlib.import_module("extrec.syntax")
 
 a, b, g = TyVar(1, "a"), TyVar(2, "b"), TyVar(3, "g")
-
-
-def test_field_maps():
-    chain = Ext(Contr(Ext(a, "l1", INT), "l2", BOOL), "l3", INT)
-    assert efields(chain) == {"l1": INT, "l3": INT}
-    assert cfields(chain) == {"l2": BOOL}
-    assert efields(a) == {}
-    with pytest.raises(ValueError):
-        efields(Arrow(INT, INT))
 
 
 def test_reflexive_arrow():
