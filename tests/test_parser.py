@@ -181,8 +181,6 @@ def test_line_file_errors_point_into_the_file(parse, text, message, span):
         (parse_term, "f (x, y)", "unexpected ','", (4, 5, 1, 5), (")",)),
         (parse_term, "(\n)", "unexpected ')'", (2, 3, 2, 1), ("term",)),
         (parse_mono, "Int ->", "unexpected 'end of input'", (6, 6, 1, 7), ("type",)),
-        (parse_mono, '""', "unexpected '\"\"'", (0, 2, 1, 1), ("type",)),
-        (parse_mono, '"Int"', "unexpected '\"Int\"'", (0, 5, 1, 1), ("type",)),
         (parse_kind, "V", "unexpected 'V'", (0, 1, 1, 1), ("U", "<<")),
         (parse_term, "\\1. x", "unexpected '1'", (1, 2, 1, 2), ("identifier",)),
         (parse_type, "forall 'a :: U 'a", "unexpected 'a'", (15, 17, 1, 16), (".",)),
@@ -200,6 +198,8 @@ def test_line_file_errors_point_into_the_file(parse, text, message, span):
         (parse_kind, "<<l: Int, l: Int || >>", "duplicate label 'l'", (0, 2, 1, 1), ()),
         (parse_kind, "<< || l: Int, l: Int>>", "duplicate label 'l'", (0, 2, 1, 1), ()),
         (parse_kind, "<<l: Int || l: Int>>", "label on both kind sides: ['l']", (0, 2, 1, 1), ()),
+        (parse_mono, '""', "unexpected '\"\"'", (0, 2, 1, 1), ("type",)),
+        (parse_mono, '"Int"', "unexpected '\"Int\"'", (0, 5, 1, 1), ("type",)),
     ],
 )
 def test_syntax_errors_are_pinned(parse, text, message, span, expected):
