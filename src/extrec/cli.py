@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit status: 0 on success, 1 on an analysis failure (type error,
-unification failure, runtime error), 2 on usage or syntax errors.
+unification failure, runtime error, an environment or equation that is
+not well kinded), 2 on usage or syntax errors.
 Fresh type variables are renamed to a stable 'a, 'b, ... sequence on
 output, so results are deterministic.
 """
@@ -16,7 +17,7 @@ import click
 from .checker import check
 from .infer import FreshSupply, InferFailure, infer
 from .interp import EvalError, eval_term, show_value
-from .kinding import wf_kind_assignment, wf_type_assignment
+from .kinding import unkinded_chain, wf_kind_assignment, wf_type_assignment
 from .normalize import equiv, normalize
 from .parser import (
     Namer,
@@ -98,7 +99,16 @@ def _load_env(env_path):
         _die_analysis("environment kind assignment is not well formed")
     if not wf_type_assignment(kenv, tenv):
         _die_analysis("environment types mention unkinded variables")
+    for x in (*kenv.values(), *tenv.values()):
+        _refuse_unkinded(kenv, x, "environment")
     return kenv, tenv, venv
+
+
+def _refuse_unkinded(kenv, t, where):
+    """A chain with no kind is not a type: an analysis failure."""
+    hit = unkinded_chain(kenv, t)
+    if hit is not None:
+        _die_analysis(f"{where} holds a chain with no kind: {pretty_type(hit, _env_namer(kenv))}")
 
 
 def _env_namer(kenv) -> Namer:
@@ -206,6 +216,8 @@ def unify_cmd(file, expr, env_path):
         for v in ftv(a) | ftv(b):
             if v not in kenv:
                 _die_analysis(f"equation variable '{v.name or v.uid} has no kind")
+        _refuse_unkinded(kenv, a, "equation")
+        _refuse_unkinded(kenv, b, "equation")
     try:
         resid, subst = unify(kenv, eqs, fresh=FreshSupply(venv.next_free_uid()).fresh)
     except UnificationError as e:

@@ -153,8 +153,10 @@ class _Run:
     The converse holds except where unification forgets part of a kind:
     binding a record-kinded variable to a record drops the field types the
     kind forbade, and reducing an equation's sides drops variables.  What
-    was reachable only through them keeps its level; `stale` holds these
-    variables, and those lowered from them, for `generalize` to check."""
+    was reachable only through them keeps the depth it was lowered to,
+    which may be shallower than closure would have it.  `forgot` holds the
+    depths of the let-bound terms open at that moment and deeper than the
+    variable that forgot them; `generalize` takes closure's rule there."""
 
     def __init__(self, kenv: KindAssignment, fs: FreshSupply, want_trace: bool):
         self.kenv = dict(kenv)
@@ -165,7 +167,7 @@ class _Run:
         self.level = 0
         self.levels: dict[TyVar, int] = {}
         self.pools: list[list[TyVar]] = [[]]
-        self.stale: set[TyVar] = set()
+        self.forgot: set[int] = set()
 
     def fresh(self, name: str = "") -> TyVar:
         """A fresh variable at the current depth; its kind is the caller's
@@ -184,15 +186,12 @@ class _Run:
         if level >= self.level:
             return
         levels, subst, kenv = self.levels, self.subst, self.kenv
-        taint = v in self.stale
         work = [w for t in types for w in ftv(t)]
         while work:
             w = work.pop()
             if levels.get(w, 0) <= level:
                 continue
             levels[w] = level
-            if taint:
-                self.stale.add(w)
             image = subst.get(w)
             if image is None:
                 self.pools[level].append(w)
@@ -202,22 +201,13 @@ class _Run:
 
     def lose(self, v, *types):
         """Unification dropped `types` from v's kind, or from some kind (v
-        None): mark stale what is reachable from them at a depth below the
-        current one.  What hangs off a variable at the current depth was
-        never reachable from an enclosing let's type assignment."""
-        if v is not None and self.levels.get(v, 0) >= self.level:
-            return
-        seen: set[TyVar] = set()
-        work = [w for t in types for w in ftv(t)]
-        while work:
-            w = work.pop()
-            if w in seen:
-                continue
-            seen.add(w)
-            if self.levels.get(w, 0) < self.level:
-                self.stale.add(w)
-            image = self.subst.get(w)
-            work.extend(ftv(self.kenv[w] if image is None else image))
+        None).  A variable they hold may have been lowered through v, so the
+        lets open deeper than v must take closure's rule.  What hangs off
+        a variable at the current depth was never reachable from an
+        enclosing let's type assignment."""
+        if any(ftv(t) for t in types):
+            start = 1 if v is None else self.levels.get(v, 0) + 1
+            self.forgot.update(range(start, self.level + 1))
 
     def unify(self, equations, case: str, term: Term):
         """Unify in place; a clash fails the syntax case `case` at term.
@@ -257,10 +247,13 @@ class _Run:
         assignment, and the rest come up to the let's depth.
 
         A shallow variable's kind mentions only shallow ones, so the walk
-        from t stops at them.  Only if it meets a stale one is tenv read,
-        and the whole kind assignment: closure's own rule decides.  The top
-        derivation node, if any, becomes the premise of a Gen node that
-        carries the quantified kinds."""
+        from t stops at them.  Only if unification forgot part of a kind
+        while this bound term was open (`lose`) is tenv read, and the whole
+        kind assignment: closure's own rule decides.  The top derivation
+        node, if any, becomes the premise of a Gen node that carries the
+        quantified kinds."""
+        exact = self.level in self.forgot
+        self.forgot.discard(self.level)
         self.level -= 1
         level, levels, subst, kenv = self.level, self.levels, self.subst, self.kenv
         deep = [v for v in self.pools.pop() if levels[v] > level and v in kenv]
@@ -268,16 +261,12 @@ class _Run:
         for v in deep:
             kinds[v] = kenv[v] = resolve(subst, kenv[v])
         quantify: set[TyVar] = set()
-        exact = False
         work = list(ftv(t))
         while work:
             v = work.pop()
-            if v in kinds:
-                if v not in quantify:
-                    quantify.add(v)
-                    work.extend(ftv(kinds[v]))
-            elif v in self.stale:
-                exact = True
+            if v in kinds and v not in quantify:
+                quantify.add(v)
+                work.extend(ftv(kinds[v]))
         if exact or self.nodes is not None:
             gamma = {x: resolve(subst, sigma) for x, sigma in tenv.items()}
         if exact:

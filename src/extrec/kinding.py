@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 from .normalize import EXT, chain_ops, equiv
 from .syntax import (
+    Contr,
+    Ext,
     Kind,
     KindAssignment,
     Label,
@@ -31,6 +33,7 @@ from .syntax import (
     UKind,
     ftv,
     is_extensible,
+    map_type,
 )
 
 
@@ -94,6 +97,19 @@ def field_info(kenv: KindAssignment, t: MonoType) -> FieldInfo | None:
                 return None
             absent[label] = fty
     return FieldInfo(present, absent, record_base)
+
+
+def unkinded_chain(kenv: KindAssignment, t: MonoType | Kind | PolyType) -> MonoType | None:
+    """The first chain in the monotype, kind or polytype t that has no
+    kind (`field_info` gives None) under kenv and t's own quantifiers, or
+    None when every chain has one."""
+    if isinstance(t, PolyType) and t.quants:
+        kenv = {**kenv, **dict(t.quants)}
+    if isinstance(t, (Ext, Contr)) and field_info(kenv, t) is None:
+        return t
+    hits = []
+    map_type(lambda child: hits.append(unkinded_chain(kenv, child)) or child, t)
+    return next((hit for hit in hits if hit is not None), None)
 
 
 def has_kind(kenv: KindAssignment, t: MonoType, k: Kind) -> bool:

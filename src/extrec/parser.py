@@ -499,15 +499,16 @@ def parse_kind(text: str, env: VarEnv | None = None) -> Kind:
 
 def _line_parsers(text: str, env: VarEnv):
     """A parser for each line of text that holds more than layout and a
-    comment; its spans are positions in text."""
+    comment; its spans are positions in text.  A line ends at "\\n" only,
+    as in a term, and only the tokenizer's layout is stripped from it."""
     offset = 0
-    for number, line in enumerate(text.splitlines(keepends=True), 1):
+    for number, line in enumerate(text.split("\n"), 1):
         code = line.split("#", 1)[0]
-        stripped = code.strip()
+        stripped = code.strip(" \t\r")
         if stripped:
-            lead = len(code) - len(code.lstrip())
+            lead = len(code) - len(code.lstrip(" \t\r"))
             yield _Parser(stripped, env, (offset + lead, number, lead + 1))
-        offset += len(line)
+        offset += len(line) + 1
 
 
 def parse_env_file(

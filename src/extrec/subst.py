@@ -18,7 +18,6 @@ from .kinding import field_info, has_kind
 from .normalize import EXT, chain_ops, equiv, normalize
 from .syntax import (
     Arrow,
-    BaseType,
     Contr,
     Ext,
     INT,
@@ -193,31 +192,28 @@ def quantifier_prefix(quantify: set, others, kinds, rank) -> list:
 def generic_instance(kenv: KindAssignment, s1: PolyType, s2: PolyType) -> bool:
     """Is s2 obtainable from s1 by a kind-respecting instantiation?
 
-    The witness substitution is found by first-order matching of canonical
-    forms, decomposing extension/contraction chains by label.  Matching is
-    conservative: exotic instances it cannot reconstruct yield False.
-    """
+    `_Matcher` proposes a witness substitution; s2 is an instance iff the
+    witness maps s1's body to one equivalent to s2's and respects s1's
+    kinds.  Those two checks alone decide, so a witness the matcher cannot
+    reconstruct yields False, never a wrong True.  A witness that builds a
+    chain over a non-extensible type (`syntax.chain` raises ValueError) is
+    not a type: False as well."""
     s1 = _freshen(s1)
     s2 = _freshen(s2)
-    k_target = dict(kenv)
-    k_target.update(s2.quants)
-    k_source = dict(kenv)
-    k_source.update(s1.quants)
-
-    pattern_vars = {v for v, _ in s1.quants}
-    qkinds = dict(s1.quants)
-    binds: Substitution = {}
-    m = _Matcher(pattern_vars, qkinds, binds, k_target)
-    if not m.match(normalize(s1.body), normalize(s2.body)):
+    k_target = {**kenv, **dict(s2.quants)}
+    m = _Matcher(dict(s1.quants), k_target)
+    try:
+        m.match(normalize(s1.body), normalize(s2.body))
+        m.refine()
+        m.bind_heads()
+        m.refine()
+        for v, _ in s1.quants:
+            m.bind_default(v)
+        return equiv(apply_type(m.binds, s1.body), s2.body) and respects(
+            KindedSubstitution(k_target, m.binds), {**kenv, **m.qkinds}
+        )
+    except ValueError:
         return False
-    if not (m.refine() and m.bind_heads() and m.refine()):
-        return False
-    for v, _ in s1.quants:
-        if not m.bind_default(v):
-            return False
-    if not equiv(apply_type(binds, s1.body), s2.body):
-        return False
-    return respects(KindedSubstitution(k_target, binds), k_source)
 
 
 def _freshen(p: PolyType) -> PolyType:
@@ -226,149 +222,97 @@ def _freshen(p: PolyType) -> PolyType:
 
 
 class _Matcher:
-    """First-order matching of a quantified pattern against a subject type.
+    """Proposes a witness for `generic_instance` by first-order matching of
+    a quantified pattern against a subject type.  No method returns a
+    verdict: where the two disagree the matcher binds nothing.
 
-    A pattern chain over a pattern variable binds that variable to a head
-    whose field types may still hold pattern variables; `heads` keeps each
-    such (variable, head) until the whole body and the kinds have been
-    matched (`bind_heads`).  Pattern variables that no subject position
-    determines are filled with a kind-derived default; the caller
-    re-verifies the full instantiation, so defaults can only make the check
-    more conservative, never unsound.
-    """
+    A pattern variable keeps the first binding it gets, and a record-kinded
+    one takes only an extensible image.  A pattern chain over a pattern
+    variable binds that variable to a head whose field types may still hold
+    pattern variables; `heads` keeps each such (variable, head) until the
+    whole body and the kinds have been matched (`bind_heads`).  Variables
+    that no subject position determines get a kind-derived default.  As
+    `_freshen` renames binders one at a time, a quantifier's kind mentions
+    only earlier quantifiers, so defaulting meets no cycle."""
 
-    def __init__(self, pvars, qkinds, binds, kenv):
-        self.pvars = pvars
+    def __init__(self, qkinds, kenv):
         self.qkinds = qkinds
-        self.binds = binds
+        self.binds: Substitution = {}
         self.kenv = kenv
         self.heads: list[tuple[TyVar, MonoType]] = []
-        self._defaulting: set[TyVar] = set()
 
-    def refine(self) -> bool:
+    def refine(self):
         """The kind of a matched variable pins variables the body never
         mentions: refine with the kind of every bound record-kinded pattern
         variable until no binding is added."""
-        changed = True
-        while changed:
-            changed = False
+        before = -1
+        while len(self.binds) != before:
+            before = len(self.binds)
             for v, k in self.qkinds.items():
                 if v in self.binds and isinstance(k, RecordKind):
-                    before = len(self.binds)
-                    if not self.refine_with_kind(self.binds[v], k):
-                        return False
-                    changed = changed or len(self.binds) != before
-        return True
+                    self.refine_with_kind(self.binds[v], k)
 
-    def bind_heads(self) -> bool:
+    def bind_heads(self):
         """Match each postponed head against its variable's binding, those
         whose variable is bound first; a variable still unbound is bound to
         its head, with the stragglers defaulted."""
         for v, head in sorted(self.heads, key=lambda vh: vh[0] not in self.binds):
             if v in self.binds:
-                if not self.match(normalize(head), normalize(self.binds[v])):
-                    return False
-            else:
-                image = self.resolve(head)
-                if image is None:
-                    return False
-                self.binds[v] = image
-        return True
+                self.match(normalize(head), normalize(self.binds[v]))
+            else:  # a head is extensible
+                self.binds[v] = self.resolve(head)
 
-    def refine_with_kind(self, image: MonoType, k: "RecordKind") -> bool:
-        """Match a bound variable's kind against the field facts of its
-        image; presence requirements the image cannot meet fail here (the
-        final respects check would reject them anyway)."""
-        if not is_extensible(image):
-            return False
+    def refine_with_kind(self, image: MonoType, k: RecordKind):
+        """Match a bound variable's kind against the field facts its image states."""
         info = field_info(self.kenv, apply_type(self.binds, image))
         if info is None:
-            return True  # nothing to learn; left to the final check
-        for l, pt in k.lefts:
-            if l not in info.present:
-                return False
-            if not self.match(pt, normalize(info.present[l])):
-                return False
-        for l, pt in k.rights:
-            if l in info.absent:
-                if not self.match(pt, normalize(info.absent[l])):
-                    return False
-            elif not (info.record_base and l not in info.present):
-                return False
-        return True
+            return
+        for side, facts in ((k.lefts, info.present), (k.rights, info.absent)):
+            for l, pt in side:
+                if l in facts:
+                    self.match(pt, normalize(facts[l]))
 
-    def bind_default(self, v: TyVar) -> bool:
-        if v in self.binds:
-            return True
-        if v in self._defaulting:
-            return False  # cyclic kind; give up
-        k = self.qkinds.get(v)
-        if k is None:
-            return False
-        if isinstance(k, UKind):
-            self.binds[v] = INT
-            return True
-        self._defaulting.add(v)
-        try:
-            fields = []
-            for l, t in k.lefts:
-                r = self.resolve(t)
-                if r is None:
-                    return False
-                fields.append((l, r))
-            self.binds[v] = RecordType(tuple(fields))
-            return True
-        finally:
-            self._defaulting.discard(v)
+    def bind_default(self, v: TyVar):
+        if v not in self.binds:
+            k = self.qkinds[v]
+            if isinstance(k, UKind):
+                self.binds[v] = INT
+            else:
+                self.binds[v] = RecordType(tuple((l, self.resolve(t)) for l, t in k.lefts))
 
-    def resolve(self, t: MonoType) -> MonoType | None:
+    def resolve(self, t: MonoType) -> MonoType:
         """Fully instantiate t under the bindings, defaulting stragglers."""
-        for w in ftv(t):
-            if w in self.pvars and not self.bind_default(w):
-                return None
+        for w in ftv(t) & self.qkinds.keys():
+            self.bind_default(w)
         return apply_type(self.binds, t)
 
-    def match(self, p: MonoType, s: MonoType) -> bool:
-        if isinstance(p, TyVar) and p in self.pvars:
-            if p in self.binds:
-                return equiv(self.binds[p], s)
-            self.binds[p] = s
-            return True
-        if isinstance(p, (TyVar, BaseType)):
-            return p == s
-        if isinstance(p, Arrow):
-            return (
-                isinstance(s, Arrow)
-                and self.match(p.dom, s.dom)
-                and self.match(p.cod, s.cod)
-            )
-        if isinstance(p, RecordType):
-            if not isinstance(s, RecordType):
-                return False
-            if [l for l, _ in p.fields] != [l for l, _ in s.fields]:
-                return False
-            return all(
-                self.match(pf, sf) for (_, pf), (_, sf) in zip(p.fields, s.fields)
-            )
-        if isinstance(p, (Ext, Contr)):
-            return self.match_chain(p, s)
-        raise TypeError(f"match: not a monotype: {p!r}")
+    def match(self, p: MonoType, s: MonoType):
+        if isinstance(p, TyVar) and p in self.qkinds:
+            if p not in self.binds and (is_extensible(s) or isinstance(self.qkinds[p], UKind)):
+                self.binds[p] = s
+        elif isinstance(p, Arrow):
+            if isinstance(s, Arrow):
+                self.match(p.dom, s.dom)
+                self.match(p.cod, s.cod)
+        elif isinstance(p, RecordType):
+            if isinstance(s, RecordType) and [l for l, _ in p.fields] == [l for l, _ in s.fields]:
+                for (_, pf), (_, sf) in zip(p.fields, s.fields):
+                    self.match(pf, sf)
+        elif isinstance(p, (Ext, Contr)):
+            self.match_chain(p, s)
 
-    def match_chain(self, p, s) -> bool:
+    def match_chain(self, p, s):
         base_p, ops_p = chain_ops(p)
-        if not (isinstance(base_p, TyVar) and base_p in self.pvars):
+        if not (isinstance(base_p, TyVar) and base_p in self.qkinds):
             # Rigid head: the subject must have the very same chain shape.
-            if not isinstance(s, (Ext, Contr)):
-                return False
-            base_s, ops_s = chain_ops(s)
-            if len(ops_p) != len(ops_s):
-                return False
-            if not self.match(base_p, base_s):
-                return False
-            for (sg_p, l_p, f_p), (sg_s, l_s, f_s) in zip(ops_p, ops_s):
-                if sg_p != sg_s or l_p != l_s or not self.match(f_p, f_s):
-                    return False
-            return True
+            if isinstance(s, (Ext, Contr)):
+                base_s, ops_s = chain_ops(s)
+                if len(ops_p) == len(ops_s):
+                    self.match(base_p, base_s)
+                    for (sg_p, l_p, f_p), (sg_s, l_s, f_s) in zip(ops_p, ops_s):
+                        if (sg_p, l_p) == (sg_s, l_s):
+                            self.match(f_p, f_s)
+            return
 
         # Flexible head: absorb whatever the pattern's operations do not cover.
         base_s, ops_s = chain_ops(s)
@@ -377,8 +321,8 @@ class _Matcher:
         for sg, l, f in ops_p:
             if l in remaining:
                 sg_s, f_s = remaining.pop(l)
-                if sg != sg_s or not self.match(f, f_s):
-                    return False
+                if sg == sg_s:
+                    self.match(f, f_s)
             else:
                 leftover_p.append((sg, l, f))
         rest = [(sg, l, f) for l, (sg, f) in sorted(remaining.items())]
@@ -386,22 +330,18 @@ class _Matcher:
             head = chain(base_s, rest)
         elif isinstance(base_s, TyVar):
             # Undo the unmatched pattern operations on the subject, outermost
-            # first: + {l: t} becomes - {l: t}.  The caller's final equiv and
-            # respects checks judge the result.
+            # first: + {l: t} becomes - {l: t}.
             head = chain(base_s, rest + [(-sg, l, f) for sg, l, f in reversed(leftover_p)])
         elif not isinstance(base_s, RecordType) or rest:
-            return False
+            return
         else:  # against a record, they are inverted on its fields
             fields = base_s.field_map()
             for sg, l, f in leftover_p:
-                if sg == EXT:  # pattern extends: the record must carry the field
-                    if l not in fields or not self.match(f, fields[l]):
-                        return False
-                    del fields[l]
-                elif l in fields:  # pattern contracts: the record must lack it
-                    return False
+                if (sg == EXT) != (l in fields):
+                    return  # extends a field the record lacks, or removes one it has
+                if sg == EXT:
+                    self.match(f, fields.pop(l))
                 else:
                     fields[l] = f
             head = RecordType(tuple(fields.items()))
         self.heads.append((base_p, head))
-        return True

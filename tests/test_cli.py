@@ -211,6 +211,19 @@ def test_unify_names_the_environment_first(tmp_path):
     ]
 
 
+def test_chains_with_no_kind_are_refused(tmp_path):
+    # A chain that no kind supports is not a type.  An equation or an env
+    # file that holds one exits 1 with a message, where unify would print a
+    # non-unifier and check would meet a non-type.
+    env = tmp_path / "r.env"
+    env.write_text("'r :: U\n")
+    r = run("unify", "--env", str(env), "-e", "'r + {l: Int} - {l: Int} = {l: Int}")
+    assert (r.exit_code, r.output) == (1, "equation holds a chain with no kind: 'r + {l: Int} - {l: Int}\n")
+    env.write_text("x : forall 'a :: U. forall 'b :: << || l: 'a + {m: Int}>>. 'b -> Int\n")
+    r = run("check", "--env", str(env), "-e", "x", "-t", "{} -> Int")
+    assert (r.exit_code, r.output) == (1, "environment holds a chain with no kind: 'a + {m: Int}\n")
+
+
 def test_eval_command():
     r = run("eval", "-e", "extend({}, l, true).l")
     assert r.exit_code == 0 and r.output.strip() == "true"

@@ -404,6 +404,10 @@ LEVEL_PROGRAMS = (
     " b = (\\g. {e = g r, h = g {k = s, m = v}}) (\\w. w),"
     " c = (\\k. {i = k x, j = k {l = {k = 1}}}) (\\w. w)}"
     " in {p = z 1 1 {k = 1, m = 1}, q = z true 1 {k = 1, m = true}}",
+    # the drop of rule iv inside a nested let: both open lets, w's and z's,
+    # must take closure's rule, not only the innermost
+    "\\x. let z = \\v. let w = {a = extend(x, l, v), b = (\\f. {c = f x, d = f {}}) (\\r. r)}"
+    " in w in {p = z 1, q = z true}",
 )
 
 

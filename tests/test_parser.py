@@ -161,6 +161,9 @@ def test_parse_equations():
         # a name is declared once; a second declaration is refused, not taken
         (parse_env_file, "x : Int\n  x : Bool  # again\n", "second declaration of x", (10, 11, 2, 3)),
         (parse_env_file, "'a :: U\r\n'b :: U\r\n'a :: <<l: Int || >>\r\n", "second declaration of 'a", (18, 20, 3, 1)),
+        # a line ends at "\n" only: a lone CR is layout, a form feed is refused
+        (parse_env_file, "x : Int\r y : ;", "unexpected character ';'", (13, 14, 1, 14)),
+        (parse_env_file, "x : Int\x0c", "unexpected character '\\x0c'", (7, 8, 1, 8)),
     ],
 )
 def test_line_file_errors_point_into_the_file(parse, text, message, span):
@@ -335,9 +338,9 @@ def _check_span(text, span, offset=0, line=1, col=1):
 
 def _line_col(text, start):
     """Line and column of position start, with lines as env files split
-    them (`str.splitlines`)."""
-    lines = (text[:start] + "x").splitlines()
-    return len(lines), len(lines[-1])
+    them: each ends at "\\n" only."""
+    before = text[:start]
+    return before.count("\n") + 1, start - before.rfind("\n")
 
 
 def _term_nodes(t):

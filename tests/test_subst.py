@@ -3,7 +3,7 @@ import random
 from extrec.infer import FreshSupply, infer
 from extrec.kinding import has_kind
 from extrec.normalize import equiv, normalize
-from extrec.parser import parse_term
+from extrec.parser import parse_env_file, parse_term, parse_type
 from extrec.subst import (
     KindedSubstitution,
     apply_type,
@@ -366,3 +366,72 @@ def test_compose_keeps_images_the_outer_substitution_misses():
                 assert out[v] is t
                 kept += 1
     assert kept > 100
+
+
+GI_ENV = "'r :: << || l: Int, m: Int>>\n's :: <<l: Int || >>\n't :: << || l: Bool>>\n"
+_SELECT = "forall 'a :: U. forall 'b :: <<l: 'a || >>. 'b -> 'a"
+_LACKS = "forall 'a :: U. forall 'b :: << || l: 'a>>. 'b -> 'a"
+_EXTEND = "forall 'a :: << || l: Int>>. 'a + {l: Int}"
+
+# (pattern, a claim that is not an instance, an accepted neighbour) under
+# GI_ENV.  Each rejection is a way the matcher and the subject disagree;
+# the matcher binds nothing there, and the final checks refuse the claim.
+INSTANCE_TABLE = (
+    # a variable matched twice, a rigid leaf, an arrow, a record
+    ("forall 'a :: U. 'a -> 'a", "Int -> Bool", "Int -> Int"),
+    ("forall 'a :: U. 'a -> Int", "Int -> Bool", "Bool -> Int"),
+    ("forall 'a :: U. 'a -> 'a", "Int", "Bool -> Bool"),
+    ("forall 'a :: U. {l: 'a}", "Int", "{l: Int}"),
+    ("forall 'a :: U. {l: 'a}", "{m: Int}", "{l: Bool}"),
+    ("forall 'a :: U. {l: 'a, m: 'a}", "{l: Int, m: Bool}", "{l: Int, m: Int}"),
+    # a chain over a free variable: the subject's chain must have its shape
+    ("forall 'a :: U. 'r + {l: 'a}", "Int", "'r + {l: Bool}"),
+    ("forall 'a :: U. 'r + {l: 'a}", "'r + {l: Int} + {m: Int}", "'r + {l: Int}"),
+    ("forall 'a :: U. 's - {l: 'a}", "'r - {l: Int}", "'s - {l: Int}"),
+    ("forall 'a :: U. 'r + {l: 'a}", "'r + {m: Int}", "'r + {l: Int}"),
+    ("forall 'a :: U. 'r + {l: 'a} + {m: 'a}", "'r + {l: Int} + {m: Bool}", "'r + {l: Int} + {m: Int}"),
+    # a chain over a pattern variable: signs, field types, and a record
+    # subject that lacks or has the field
+    (_EXTEND, "'s - {l: Int}", "'r + {l: Int}"),
+    (_EXTEND, "'t + {l: Bool}", "'r + {l: Int}"),
+    (_EXTEND, "Int", "{l: Int, m: Int}"),
+    (_EXTEND, "{m: Int}", "{l: Int, m: Int}"),
+    (_EXTEND, "{l: Bool, m: Int}", "{l: Int, m: Int}"),
+    ("forall 'a :: << || m: Int>>. 'a + {m: Int}", "{l: Int} + {l: Int}", "{l: Int, m: Int}"),
+    ("forall 'a :: <<l: Int || >>. 'a - {l: Int}", "{l: Int}", "{m: Int}"),
+    # a postponed head against the variable's binding
+    (
+        "forall 'a :: << || l: Int>>. 'a + {l: Int} -> 'a",
+        "{l: Int, m: Int} -> {m: Bool}",
+        "{l: Int, m: Int} -> {m: Int}",
+    ),
+    # a bound variable's kind against its image
+    (_SELECT, "Int -> Int", "{l: Int} -> Int"),
+    (_SELECT, "{m: Int} -> Int", "{l: Int} -> Int"),
+    (_SELECT, "{l: Int} -> Bool", "{l: Int} -> Int"),
+    (_LACKS, "'r -> Bool", "'r -> Int"),
+    (_LACKS, "{l: Int} -> Int", "{m: Int} -> Int"),
+    ("forall 'a :: <<l: Int || >>. 'a -> Int", "{} -> Int", "{l: Int} -> Int"),
+)
+
+
+def test_generic_instance_rejects_what_the_final_checks_refuse():
+    kenv, _, venv = parse_env_file(GI_ENV)
+    for pattern, rejected, accepted in INSTANCE_TABLE:
+        sigma = parse_type(pattern, venv)
+        assert not generic_instance(kenv, sigma, parse_type(rejected, venv)), (pattern, rejected)
+        assert generic_instance(kenv, sigma, parse_type(accepted, venv)), (pattern, accepted)
+
+
+def test_generic_instance_answers_ill_formed_candidates():
+    # A witness may build a chain over a non-extensible type, which is not
+    # a type: the answer is False, not a ValueError.
+    rng = random.Random(11)
+    closed = 0
+    for _ in range(5000):
+        p1, p2 = gen_arb_poly(rng), gen_arb_poly(rng)
+        if ftv(p1) or ftv(p2):
+            continue
+        closed += 1
+        assert isinstance(generic_instance({}, p1, p2), bool), (p1, p2)
+    assert closed > 1000
