@@ -8,6 +8,15 @@ looked up.  A let generalizes by levels, from what its bound term created,
 without reading the type assignment (see `_Run`).  The result's assignment
 and substitution are read back, resolved, once at the end.
 
+An application of a function typed as an arrow, and a field operation on
+a record, are typed directly, with no fresh variables: the arrow's domain
+is unified with the argument's type and its codomain is the answer; the
+record's field is found by bisection, and one absent where it is required
+or present where it is forbidden is the kind clash unification reports.
+Only a subject of another shape, a variable or a chain, goes through fresh
+variables and the unifier, so the substitution holds only the bindings the
+run needed.
+
 The walk returns only each subterm's type.  On request (want_trace) the run
 also keeps a stack of finished derivation nodes for the declarative system,
 each judgment unsubstituted; infer applies the final substitution to the
@@ -21,8 +30,9 @@ subterm.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .derivation import Derivation, Judgment, KindingClaim, subst_derivation
 from .normalize import normalize
@@ -58,9 +68,10 @@ from .syntax import (
     ftv,
     is_extensible,
     poly,
+    trusted_record,
     trusted_record_kind,
 )
-from .unify import UnificationError, unify_in_place
+from .unify import KIND, UnificationError, unify_in_place
 
 
 class FreshSupply:
@@ -331,6 +342,20 @@ def _check_base(record: MonoType, value: MonoType, term: Term):
             )
 
 
+def _record_field(record: RecordType, term: Term, case: str, absent: bool):
+    """The type of term's field in a record, by bisection in its sorted
+    fields, or None when the field must be `absent` and is.  A field present
+    or absent against that need fails term's case with the kind clash
+    `unify._meet` reports for the record."""
+    fields, label = record.fields, term.label
+    i = bisect_left(fields, label, key=itemgetter(0))
+    field = fields[i][1] if i < len(fields) and fields[i][0] == label else None
+    if (field is None) != absent:
+        clash = "forbidden field(s) {} present" if absent else "required field(s) {} absent"
+        raise _Failed(case, KIND, clash.format([label]), term)
+    return field
+
+
 def _lefts(label, t) -> RecordKind:
     return trusted_record_kind(((label, t),), ())
 
@@ -377,10 +402,14 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
     if isinstance(term, App):
         t1 = _infer(run, tenv, term.fn)
         t2 = _infer(run, tenv, term.arg)
-        alpha = run.fresh()
-        run.kenv[alpha] = UKind()
-        run.unify([(t1, Arrow(t2, alpha))], "app", term)
-        t = run.current(alpha)
+        if isinstance(t1, Arrow):
+            run.unify([(t1.dom, t2)], "app", term)
+            t = run.current(t1.cod)
+        else:
+            alpha = run.fresh()
+            run.kenv[alpha] = UKind()
+            run.unify([(t1, Arrow(t2, alpha))], "app", term)
+            t = run.current(alpha)
         run.record("App", tenv, term, t, 2)
         return t
 
@@ -394,7 +423,7 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
 
     if isinstance(term, RecordLit):
         types = [(label, _infer(run, tenv, sub)) for label, sub in term.fields]
-        t = RecordType(tuple((l, run.current(t_i)) for l, t_i in types))
+        t = trusted_record(tuple((l, run.current(t_i)) for l, t_i in types))
         run.record("Rec", tenv, term, t, len(types))
         return t
 
@@ -406,15 +435,21 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
             t_value = _infer(run, tenv, term.value)
             if rule == "Ext":
                 _check_base(t_rec, t_value, term)
-        a_field = run.fresh()
-        a_rec = run.fresh()
-        run.kenv[a_field] = UKind()
-        run.kenv[a_rec] = side(term.label, a_field)
-        eqs = [(a_field, t_value), (a_rec, t_rec)] if has_value else [(a_rec, t_rec)]
-        run.unify(eqs, case, term)
+        if isinstance(t_rec, RecordType):
+            field = _record_field(t_rec, term, case, rule == "Ext")
+            if rule == "Modif":
+                run.unify([(t_value, field)], case, term)
+            a_rec, a_field = t_rec, t_value if has_value else field
+        else:
+            a_field = run.fresh()
+            a_rec = run.fresh()
+            run.kenv[a_field] = UKind()
+            run.kenv[a_rec] = side(term.label, a_field)
+            eqs = [(a_field, t_value), (a_rec, t_rec)] if has_value else [(a_rec, t_rec)]
+            run.unify(eqs, case, term)
+            if rule == "Ext":  # a record subject has no base variable to re-check
+                run.extensions.append((a_rec, t_value, term))
         t = run.current(result(a_rec, term.label, a_field))
-        if rule == "Ext":
-            run.extensions.append((run.current(a_rec), t_value, term))
         if run.nodes is not None:
             claim = KindingClaim(run.current(a_rec), side(term.label, run.current(a_field)))
             run.record(rule, tenv, term, t, 1 + has_value, claim)

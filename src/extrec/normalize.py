@@ -45,10 +45,13 @@ from .syntax import (
     RecordType,
     TyVar,
     chain,
+    ftv,
     map_type,
+    trusted_record,
 )
 
 _LABEL = itemgetter(1)
+_FIELD_LABEL = itemgetter(0)
 
 
 def chain_ops(t: MonoType) -> tuple[MonoType, tuple[tuple[int, str, MonoType], ...]]:
@@ -155,27 +158,34 @@ def one_step_reducts(t: MonoType) -> list[MonoType]:
 def _fold_into_record(base, ops):
     """Fold operations into a record base innermost-first, up to the first
     one that sticks: (new base, operations left), or None if none folds,
-    as over a chain stuck on a record.  The new base shares the old one's
-    (label, type) pairs, so extending a record of n fields allocates one
-    pair, not n."""
+    as over a chain stuck on a record.  Each label is found by bisection
+    in the sorted fields and inserted or deleted there, so nothing is
+    sorted or checked again, and the new base shares the old one's
+    (label, type) pairs: extending a record of n fields allocates one pair
+    and a list and a tuple of n + 1 references.  The free variables of a
+    record that was only extended are the base's and the new fields'."""
     if not isinstance(base, RecordType):
         return None
-    fields = {pair[0]: pair for pair in base.fields}
+    fields, fv = list(base.fields), ftv(base)
     folded = 0
     for sign, label, fty in ops:
+        i = bisect_left(fields, label, key=_FIELD_LABEL)
+        here = i < len(fields) and fields[i][0] == label
         if sign == CON:
-            pair = fields.get(label)
-            if pair is None or pair[1] != fty:
+            if not here or fields[i][1] != fty:
                 break
-            del fields[label]
-        elif label in fields:
+            del fields[i]
+            fv = None
+        elif here:
             break
         else:
-            fields[label] = (label, fty)
+            fields.insert(i, (label, fty))
+            if fv is not None and not ftv(fty) <= fv:
+                fv = fv | ftv(fty)
         folded += 1
     if not folded:
         return None
-    return RecordType(tuple(fields.values())), ops[folded:]
+    return trusted_record(tuple(fields), fv), ops[folded:]
 
 
 def _cancel_pairs(ops) -> set[int]:

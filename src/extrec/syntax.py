@@ -8,10 +8,11 @@ equality is insensitive to the order labels were written in.
 Every type, kind and polytype value caches its free type variables in a
 `_fv` slot.  `ftv` fills the slot on the first request and returns the
 same frozenset ever after.  Some builders fill it first, from sets they
-already hold: `trusted_record_kind`, and `chain`, which every chain node
-comes from.  Since the values are immutable, a cached set never goes
-stale.  Substitution relies on it to return a value untouched, as the
-same object, when its free variables miss the substitution's domain.
+already hold: `trusted_record_kind`, `trusted_record`, and `chain`, which
+every chain node comes from.  Since the values are immutable, a cached
+set never goes stale.  Substitution relies on it to return a value
+untouched, as the same object, when its free variables miss the
+substitution's domain.
 
 Every compound monotype (record, arrow, extension, contraction) likewise
 caches its normal form in a `_nf` slot, and `normalize` is its only
@@ -28,10 +29,13 @@ The node's `_np` slot counts its leading operations known to form a
 normal chain with the bottom: `chain` sets it from a base that is its
 own normal form, and `normalize` merges only the operations after it.
 
-A record kind built by `trusted_record_kind` skips the constructor's
-sorting and checks, and may come with its `_fv` set by its builder.  Its
-builders vouch for its sides: `map_type`, which keeps labels; a one-field
-kind; and unification's merge of two kinds.
+A record kind built by `trusted_record_kind`, and a record type built by
+`trusted_record`, skip the constructor's sorting and checks, and may come
+with their `_fv` set by their builder.  The builders vouch for the sides
+or fields: `map_type`, which keeps labels; a one-field kind;
+unification's merge of two kinds; inference's type of a record literal,
+whose fields the term keeps sorted; and normalization's fold of field
+operations into a record, which inserts and deletes by bisection.
 
 `map_type` is the one structural map over every type-level value: a
 monotype, a kind or a polytype.  Substitution, resolution, renaming and
@@ -328,6 +332,17 @@ def base_of(t: MonoType) -> MonoType:
     raise ValueError(f"base_of: not an extensible type: {t!r}")
 
 
+def trusted_record(fields, fv=None) -> RecordType:
+    """A record type from fields that are already sorted by label, without
+    repeated labels, built without checking them; `fv`, if given, is its
+    free variables and fills the `_fv` cache."""
+    t = object.__new__(RecordType)
+    object.__setattr__(t, "fields", fields)
+    object.__setattr__(t, "_fv", fv)
+    object.__setattr__(t, "_nf", None)
+    return t
+
+
 # ---------------------------------------------------------------------------
 # Kinds
 
@@ -538,7 +553,7 @@ def map_type(f, x):
         return x if bottom is x.bottom and ops is x.ops else chain(bottom, ops)
     if isinstance(x, RecordType):
         fields = _map_fields(f, x.fields)
-        return x if fields is x.fields else RecordType(fields)
+        return x if fields is x.fields else trusted_record(fields)
     if isinstance(x, RecordKind):
         lefts, rights = _map_fields(f, x.lefts), _map_fields(f, x.rights)
         if lefts is x.lefts and rights is x.rights:

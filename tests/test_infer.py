@@ -1,12 +1,20 @@
 import itertools
 import random
 import sys
+from dataclasses import replace
 
 from extrec.checker import validate
 from extrec.infer import FreshSupply, InferFailure, infer, instantiate, supply_for
 from extrec.kinding import has_kind, wf_kind_assignment
 from extrec.normalize import equiv, normalize
-from extrec.parser import parse_env_file, parse_term, parse_type
+from extrec.parser import (
+    Namer,
+    parse_env_file,
+    parse_term,
+    parse_type,
+    pretty_kind_assignment,
+    pretty_poly,
+)
 from extrec.subst import (
     KindedSubstitution,
     apply_assignment,
@@ -37,6 +45,7 @@ from extrec.syntax import (
     UKind,
     Var,
     ftv,
+    map_type,
     poly,
     record_kind,
 )
@@ -370,12 +379,94 @@ def test_inference_hands_unification_well_formed_state(monkeypatch):
     monkeypatch.setattr(infer_mod, "unify_in_place", checked)
     kenv, tenv, venv, _, _ = _setup_42()
     rng = random.Random(107)
-    for i in range(400):
+    for i in range(700):
         env = i % 2 == 0
         term = gen_closed_term(rng, rng.randint(1, 6), scope=("x", "y") if env else ())
         k, g, start = (kenv, tenv, venv.next_free_uid()) if env else ({}, {}, 1)
         infer(k, g, term, FreshSupply(start))
     assert calls > 600
+
+
+def test_known_arrows_and_records_are_typed_directly(monkeypatch):
+    # A field operation on a record reads the record's fields, and an
+    # application of an arrow unifies only its domain with the argument:
+    # neither makes a fresh variable, and a let-chain of record extensions
+    # has nothing left to unify.
+    infer_mod = sys.modules["extrec.infer"]
+    inner = infer_mod.unify_in_place
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(infer_mod, "unify_in_place", counted)
+    let_chain = (
+        "let r0 = {} in let r1 = extend(r0, f1, 1) in let r2 = extend(r1, f2, true) in remove(r2, f1)"
+    )
+    cases = (
+        (let_chain, RecordType((("f2", BOOL),)), 0, 0),
+        ("{a = 1}.a", INT, 0, 0),
+        # one variable for x; the application unifies it with Int
+        ("(\\x. x) 1", INT, 1, 1),
+        # one variable for x, one for each use of id
+        ("let id = \\x. x in id (id {})", RecordType(()), 3, 2),
+    )
+    for src, want, made, unified in cases:
+        fs, calls = FreshSupply(1), 0
+        res = infer({}, {}, parse_term(src), fs)
+        assert not isinstance(res, InferFailure), res
+        assert (res.type, fs.next_uid - 1, calls) == (want, made, unified), src
+
+
+def _printed_principal(res) -> str:
+    """The principal type of an inference result, printed with its
+    quantifiers in order of first occurrence (the body's, then their
+    kinds'), so that the order in which subterms were typed does not show;
+    "rejected" for a failure."""
+    if isinstance(res, InferFailure):
+        return "rejected"
+    resid, principal = closure(res.kenv, {}, res.type)
+    kinds, seen = dict(principal.quants), []
+
+    def visit(x):
+        if isinstance(x, TyVar):
+            if x not in seen:
+                seen.append(x)
+        else:
+            map_type(lambda child: visit(child) or child, x)
+
+    visit(principal.body)
+    for v in seen:  # grows while it is read: a kind names more variables
+        if v in kinds:
+            visit(kinds[v])
+    ordered = PolyType(tuple((v, kinds[v]) for v in seen if v in kinds), principal.body)
+    namer = Namer()
+    return f"{pretty_poly(ordered, namer)} | {pretty_kind_assignment(resid, namer)}"
+
+
+def test_known_shapes_type_as_the_unifier_does():
+    # `op(R, l[, V])` against `(\z. op(z, l[, V])) R`, and `F A` against
+    # `(\g. g A) F`: behind the abstraction the subject is a variable, so
+    # the field operation or application goes through fresh variables and
+    # the unifier.  Both forms get the same verdict and the same principal
+    # type.  The generator never binds z or g.
+    rng = random.Random(131)
+    pairs = {"field": [0, 0], "app": [0, 0]}  # [accepted, rejected]
+    while min(map(sum, pairs.values())) < 300:
+        term = gen_closed_term(rng, rng.randint(1, 5))
+        if isinstance(term, App):
+            kind, general = "app", App(Abs("g", App(Var("g"), term.arg)), term.fn)
+        elif isinstance(term, (Select, Modify, Remove, Extend)):
+            kind, general = "field", App(Abs("z", replace(term, target=Var("z"))), term.target)
+        else:
+            continue
+        direct = infer({}, {}, term, FreshSupply(1))
+        printed = _printed_principal(direct)
+        assert printed == _printed_principal(infer({}, {}, general, FreshSupply(1))), term
+        pairs[kind][printed == "rejected"] += 1
+    assert min(min(counts) for counts in pairs.values()) > 50, pairs
 
 
 # Lets whose generalization depends on one part each of the level
