@@ -13,9 +13,11 @@ a record, are typed directly, with no fresh variables: the arrow's domain
 is unified with the argument's type and its codomain is the answer; the
 record's field is found by bisection, and one absent where it is required
 or present where it is forbidden is the kind clash unification reports.
-Only a subject of another shape, a variable or a chain, goes through fresh
-variables and the unifier, so the substitution holds only the bindings the
-run needed.
+So is one on a chain over a record-kinded variable at a label the chain's
+operations leave alone: the variable's kind states the field or gains it.
+A variable subject, or a chain that operates on the label, goes through
+fresh variables and the unifier, whose substitution the acceptance suite's
+criterion 1 pins.  So the substitution holds only the bindings needed.
 
 The walk returns only each subterm's type.  On request (want_trace) the run
 also keeps a stack of finished derivation nodes for the declarative system,
@@ -70,8 +72,9 @@ from .syntax import (
     poly,
     trusted_record,
     trusted_record_kind,
+    union_all,
 )
-from .unify import KIND, UnificationError, unify_in_place
+from .unify import ABSENT, KIND, OCCURS, OWN_KIND, PRESENT, UnificationError, unify_in_place
 
 
 class FreshSupply:
@@ -309,7 +312,9 @@ def infer(
     fs: FreshSupply | None = None,
     want_trace: bool = False,
 ) -> InferResult | InferFailure:
-    """Principal typing of term under (kenv, tenv), or a failure value."""
+    """Principal typing of term under (kenv, tenv), or a failure value.
+    Every chain in tenv must have a kind (`kinding.unkinded_chain`), as those
+    inference builds do: a field operation on one reads its base's kind."""
     if fs is None:
         fs = supply_for(kenv, tenv)
     run = _Run(kenv, fs, want_trace)
@@ -342,17 +347,55 @@ def _check_base(record: MonoType, value: MonoType, term: Term):
             )
 
 
-def _record_field(record: RecordType, term: Term, case: str, absent: bool):
-    """The type of term's field in a record, by bisection in its sorted
-    fields, or None when the field must be `absent` and is.  A field present
-    or absent against that need fails term's case with the kind clash
-    `unify._meet` reports for the record."""
-    fields, label = record.fields, term.label
-    i = bisect_left(fields, label, key=itemgetter(0))
-    field = fields[i][1] if i < len(fields) and fields[i][0] == label else None
-    if (field is None) != absent:
-        clash = "forbidden field(s) {} present" if absent else "required field(s) {} absent"
-        raise _Failed(case, KIND, clash.format([label]), term)
+def _find(pairs, label, at=0):
+    """Where label goes in pairs sorted by the label at index `at` (a
+    record's fields or a kind's side at 0, a chain's operations at 1), and
+    the type of its entry there, or None."""
+    i = bisect_left(pairs, label, key=itemgetter(at))
+    return i, pairs[i][-1] if i < len(pairs) and pairs[i][at] == label else None
+
+
+def _open_base(run: _Run, t: MonoType, label) -> TyVar | None:
+    """The bottom of t when t is a chain over a record-kinded variable whose
+    operations, sorted by label in a normal chain, leave label alone."""
+    if isinstance(t, (Ext, Contr)) and isinstance(t.bottom, TyVar):
+        if isinstance(run.kenv.get(t.bottom), RecordKind) and _find(t.ops, label, 1)[1] is None:
+            return t.bottom
+
+
+def _known_field(run: _Run, t, base, term: Term, case: str, extend: bool, value):
+    """term's field in the record t, or in the kind of base, t's bottom, found
+    by bisection and checked as `unify._meet` checks it at that one label;
+    None when it is absent and must be, or has just been written into base's
+    kind as `value` (with no value a fresh variable is written and returned).
+    The new kind's free variables are the kind's cached set plus the field's."""
+    label = term.label
+    if base is None:
+        field = _find(t.fields, label)[1]
+        clash = (field is None) != extend
+    else:
+        kind = run.kenv[base] = resolve(run.subst, run.kenv[base])
+        own, other = (kind.rights, kind.lefts) if extend else (kind.lefts, kind.rights)
+        clash = _find(other, label)[1] is not None
+    if clash:
+        raise _Failed(case, KIND, (PRESENT if extend else ABSENT).format([label]), term)
+    if base is None:
+        return field
+    i, field = _find(own, label)
+    if field is None:
+        new = value
+        if new is None:
+            new = run.fresh()
+            run.kenv[new] = UKind()
+        own = own[:i] + ((label, new),) + own[i:]
+        sides = (kind.lefts, own) if extend else (own, kind.rights)
+        kind = trusted_record_kind(*sides, union_all([ftv(kind), ftv(new)]))
+    if base in ftv(kind):
+        raise _Failed(case, OCCURS, OWN_KIND, term)
+    if field is None:
+        run.kenv[base] = kind
+        run.lower(base, new)
+        return new if value is None else None
     return field
 
 
@@ -431,13 +474,14 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
     if field_rule is not None:
         rule, case, has_value, side, result = field_rule
         t_rec = _infer(run, tenv, term.target)
-        if has_value:
-            t_value = _infer(run, tenv, term.value)
-            if rule == "Ext":
-                _check_base(t_rec, t_value, term)
-        if isinstance(t_rec, RecordType):
-            field = _record_field(t_rec, term, case, rule == "Ext")
-            if rule == "Modif":
+        t_value = _infer(run, tenv, term.value) if has_value else None
+        if rule == "Ext":
+            _check_base(t_rec, t_value, term)
+        record = isinstance(t_rec, RecordType)
+        base = None if record else _open_base(run, t_rec, term.label)
+        if record or base is not None:
+            field = _known_field(run, t_rec, base, term, case, rule == "Ext", t_value)
+            if has_value and field is not None:
                 run.unify([(t_value, field)], case, term)
             a_rec, a_field = t_rec, t_value if has_value else field
         else:
@@ -447,8 +491,8 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
             run.kenv[a_rec] = side(term.label, a_field)
             eqs = [(a_field, t_value), (a_rec, t_rec)] if has_value else [(a_rec, t_rec)]
             run.unify(eqs, case, term)
-            if rule == "Ext":  # a record subject has no base variable to re-check
-                run.extensions.append((a_rec, t_value, term))
+        if rule == "Ext" and not record:  # a record has no base to re-check
+            run.extensions.append((a_rec, t_value, term))
         t = run.current(result(a_rec, term.label, a_field))
         if run.nodes is not None:
             claim = KindingClaim(run.current(a_rec), side(term.label, run.current(a_field)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .kinding import field_info, has_kind
+from .kinding import field_info, has_kind, unkinded_chain
 from .normalize import EXT, chain_ops, equiv, normalize
 from .syntax import (
     Arrow,
@@ -197,7 +197,10 @@ def generic_instance(kenv: KindAssignment, s1: PolyType, s2: PolyType) -> bool:
     kinds.  Those two checks alone decide, so a witness the matcher cannot
     reconstruct yields False, never a wrong True.  A witness that builds a
     chain over a non-extensible type (`syntax.chain` raises ValueError) is
-    not a type: False as well."""
+    not a type: False as well, and so is an s2 that holds a chain with no
+    kind (`kinding.unkinded_chain`), whatever reduction would make of it."""
+    if unkinded_chain(kenv, s2) is not None:
+        return False
     s1 = _freshen(s1)
     s2 = _freshen(s2)
     k_target = {**kenv, **dict(s2.quants)}

@@ -67,6 +67,9 @@ from .syntax import (
 OCCURS = "occurs_check"
 KIND = "kind_clash"
 CONSTRUCTOR = "constructor_clash"
+# `_meet`'s field failures, which `infer._known_field` raises too
+ABSENT, PRESENT = "required field(s) {} absent", "forbidden field(s) {} present"
+OWN_KIND = "variable occurs in its own kind"
 
 
 class UnificationError(Exception):
@@ -327,10 +330,10 @@ def _meet(st: _State, v: TyVar, image: MonoType, base: TyVar | None):
     lefts, rights = k.left_map(), k.right_map()
     missing = [l for l in lefts if l in absent or base is None and l not in present]
     if missing:
-        raise UnificationError(KIND, f"required field(s) {missing} absent")
+        raise UnificationError(KIND, ABSENT.format(missing))
     clash = [l for l in rights if l in present]
     if clash:
-        raise UnificationError(KIND, f"forbidden field(s) {clash} present")
+        raise UnificationError(KIND, PRESENT.format(clash))
     if occurs:
         raise UnificationError(OCCURS, "variable occurs in its own solution")
     eqs += [(t, present[l]) for l, t in lefts.items() if l in present]
@@ -349,7 +352,7 @@ def _meet(st: _State, v: TyVar, image: MonoType, base: TyVar | None):
             adds = present.keys().isdisjoint(lefts) and absent.keys().isdisjoint(rights)
         kind = apply_type({v: image}, _merged_kind(kb, lefts, rights, adds))
         if base in ftv(kind):
-            raise UnificationError(OCCURS, "variable occurs in its own kind")
+            raise UnificationError(OCCURS, OWN_KIND)
         st.bind(v, image)
         st.kenv[base] = kind
         if st.levels is not None:

@@ -130,6 +130,13 @@ def test_check_binds_an_undone_field_where_the_claim_fixes_it():
     assert bad.exit_code == 1 and bad.output.startswith("FAIL:")
 
 
+def test_check_refuses_a_claim_that_is_not_a_type():
+    # 'a :: U neither forbids nor requires l, so the chain has no kind, though
+    # reduction alone would cancel it to 'a -> 'a
+    r = run("check", "-e", "\\x. x", "-t", "forall 'a :: U. 'a + {l: Int} - {l: Int} -> 'a")
+    assert (r.exit_code, r.output) == (1, "FAIL: not an instance of the principal type\n")
+
+
 def test_check_refuses_a_claim_that_specializes_the_context(tmp_path):
     env = tmp_path / "ctx.env"
     env.write_text("'a :: U\ny : 'a\n")

@@ -391,7 +391,10 @@ def test_known_arrows_and_records_are_typed_directly(monkeypatch):
     # A field operation on a record reads the record's fields, and an
     # application of an arrow unifies only its domain with the argument:
     # neither makes a fresh variable, and a let-chain of record extensions
-    # has nothing left to unify.
+    # has nothing left to unify.  A field operation on a chain over a
+    # record-kinded variable, at a label the chain leaves alone, reads and
+    # writes the variable's kind: only the first extension below, of a
+    # variable, makes variables (two) and a unify call.
     infer_mod = sys.modules["extrec.infer"]
     inner = infer_mod.unify_in_place
     calls = 0
@@ -402,6 +405,7 @@ def test_known_arrows_and_records_are_typed_directly(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(infer_mod, "unify_in_place", counted)
+    v3 = TyVar(3)  # the base of r's chain: r's variable is bound to it
     let_chain = (
         "let r0 = {} in let r1 = extend(r0, f1, 1) in let r2 = extend(r1, f2, true) in remove(r2, f1)"
     )
@@ -412,23 +416,32 @@ def test_known_arrows_and_records_are_typed_directly(monkeypatch):
         ("(\\x. x) 1", INT, 1, 1),
         # one variable for x, one for each use of id
         ("let id = \\x. x in id (id {})", RecordType(()), 3, 2),
+        (
+            "\\r. extend(extend(extend(r, c, 1), a, true), b, {})",
+            Arrow(v3, Ext(Ext(Ext(v3, "a", BOOL), "b", RecordType(())), "c", INT)),
+            3,
+            1,
+        ),
     )
     for src, want, made, unified in cases:
         fs, calls = FreshSupply(1), 0
         res = infer({}, {}, parse_term(src), fs)
         assert not isinstance(res, InferFailure), res
         assert (res.type, fs.next_uid - 1, calls) == (want, made, unified), src
+    # the value puts the chain's base into its own kind
+    res = infer({}, {}, parse_term("\\r. let s = extend(r, a, 1) in modify(s, b, s)"))
+    assert (res.rule, res.reason, res.message, str(res.span)) == (
+        "modify",
+        "occurs_check",
+        "variable occurs in its own kind",
+        "1:32",
+    )
 
 
-def _printed_principal(res) -> str:
-    """The principal type of an inference result, printed with its
-    quantifiers in order of first occurrence (the body's, then their
-    kinds'), so that the order in which subterms were typed does not show;
-    "rejected" for a failure."""
-    if isinstance(res, InferFailure):
-        return "rejected"
-    resid, principal = closure(res.kenv, {}, res.type)
-    kinds, seen = dict(principal.quants), []
+def _first_occurrence(roots, kinds) -> list:
+    """The variables of `kinds` that the types `roots` reach, in order of
+    first occurrence: the roots' own, then those their kinds name."""
+    seen = []
 
     def visit(x):
         if isinstance(x, TyVar):
@@ -437,16 +450,58 @@ def _printed_principal(res) -> str:
         else:
             map_type(lambda child: visit(child) or child, x)
 
-    visit(principal.body)
+    for root in roots:
+        visit(root)
     for v in seen:  # grows while it is read: a kind names more variables
         if v in kinds:
             visit(kinds[v])
-    ordered = PolyType(tuple((v, kinds[v]) for v in seen if v in kinds), principal.body)
+    return [v for v in seen if v in kinds]
+
+
+def _printed_principal(res, tenv=None, kenv=()) -> str:
+    """The principal type of an inference result under tenv, printed with
+    its quantifiers in order of first occurrence in it, then the whole
+    residual kind assignment: first the kinds that the type, tenv's types
+    and the variables of kenv, the run's starting kinds, reach, in order of
+    first occurrence, then the others in the order the run left them.  So
+    the order in which subterms were typed does not show; "rejected" for a
+    failure."""
+    if isinstance(res, InferFailure):
+        return "rejected"
+    gamma = apply_assignment(res.subst, tenv or {})
+    resid, principal = closure(res.kenv, gamma, res.type)
+    kinds = dict(principal.quants)
+    quants = tuple((v, kinds[v]) for v in _first_occurrence([principal.body], kinds))
+    reached = _first_occurrence([principal.body, *gamma.values(), *kenv], resid)
+    rest = [v for v in resid if v not in reached]
     namer = Namer()
-    return f"{pretty_poly(ordered, namer)} | {pretty_kind_assignment(resid, namer)}"
+    printed = pretty_poly(PolyType(quants, principal.body), namer)
+    return f"{printed} | {pretty_kind_assignment({v: resid[v] for v in reached + rest}, namer)}"
 
 
-def test_known_shapes_type_as_the_unifier_does():
+CHAIN_LABELS = ("a", "b", "c", "l", "m")
+
+
+def _field_op(rng, target, label, values, classes=(Select, Modify, Remove, Extend)):
+    """A random field operation on target at label, with a value from values."""
+    cls = rng.choice(classes)
+    return cls(target, label) if cls in (Select, Remove) else cls(target, label, rng.choice(values))
+
+
+def _chain_stack(rng, subject, values):
+    """1-4 field operations stacked on the variable `subject`, over
+    CHAIN_LABELS, and the labels of those that modify.  A selection, which
+    leaves a variable rather than a chain, is drawn less often."""
+    t, modified = Var(subject), []
+    for _ in range(rng.randint(1, 4)):
+        label = rng.choice(CHAIN_LABELS)
+        t = _field_op(rng, t, label, values, (Select, Modify, Modify, Remove, Extend, Extend))
+        if isinstance(t, Modify):
+            modified.append(label)
+    return t, modified
+
+
+def test_known_shapes_type_as_the_unifier_does(monkeypatch):
     # `op(R, l[, V])` against `(\z. op(z, l[, V])) R`, and `F A` against
     # `(\g. g A) F`: behind the abstraction the subject is a variable, so
     # the field operation or application goes through fresh variables and
@@ -467,6 +522,57 @@ def test_known_shapes_type_as_the_unifier_does():
         assert printed == _printed_principal(infer({}, {}, general, FreshSupply(1))), term
         pairs[kind][printed == "rejected"] += 1
     assert min(min(counts) for counts in pairs.values()) > 50, pairs
+
+    # The same for a field operation on a chain over a record-kinded
+    # variable, at a label the chain does not mention, where the kind's
+    # entry decides; a failure has the unifier's message too.  The chain is
+    # a stack over `\r.`'s parameter or over ENV_42's x, sometimes bound by
+    # a let, and the values may mention the stack's subject.
+    infer_mod = sys.modules["extrec.infer"]
+    inner, typed = infer_mod._known_field, []
+
+    def noted(run, t, base, term, *rest):
+        if base is not None:
+            typed.append(term)
+        return inner(run, t, base, term, *rest)
+
+    monkeypatch.setattr(infer_mod, "_known_field", noted)
+    kenv_42, tenv_42, venv_42, _, _ = _setup_42()
+    closed = (Const(1, "Int"), Const(True, "Bool"), RecordLit(()))
+    seen = [0, 0]  # [accepted, rejected] of those whose operation was typed directly
+    while min(seen) < 100:
+        with_env = rng.random() < 0.5
+        subject = "x" if with_env else "r"
+        values = closed + ((Var("x"), Var("y")) if with_env else (Var("r"),))
+        stack, modified = _chain_stack(rng, subject, values)
+        # a modified label is not in the stack's type, but in its kind
+        label = rng.choice(modified if modified and rng.random() < 0.5 else CHAIN_LABELS)
+        op = _field_op(rng, Var("s"), label, values)
+        if isinstance(op, Extend) and op.value == Var(subject):
+            # typed before the operation, the subject fails the extension's
+            # base check; typed after it, the unifier's occurs check
+            op = replace(op, value=rng.choice(closed))
+        general = App(Abs("z", replace(op, target=Var("z"))), Var("s"))
+        if rng.random() < 0.3:
+            forms = [Let("s", stack, op), Let("s", stack, general)]
+        else:
+            op = replace(op, target=stack)
+            forms = [op, replace(general, arg=stack)]
+        if not with_env:
+            forms = [Abs("r", t) for t in forms]
+        kenv, tenv, start = (kenv_42, tenv_42, venv_42.next_free_uid()) if with_env else ({}, {}, 1)
+        typed.clear()
+        got = [_verdict(infer(kenv, tenv, t, FreshSupply(start)), kenv, tenv) for t in forms]
+        if any(t is op for t in typed):
+            assert got[0] == got[1], forms[0]
+            seen[got[0][0] == "rejected"] += 1
+
+
+def _verdict(res, kenv, tenv) -> tuple[str, str]:
+    """(printed principal type or "rejected", failure message or "")."""
+    if isinstance(res, InferFailure):
+        return "rejected", f"{res.message} [{res.reason}]"
+    return _printed_principal(res, tenv, kenv), ""
 
 
 # Lets whose generalization depends on one part each of the level

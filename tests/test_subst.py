@@ -385,7 +385,7 @@ INSTANCE_TABLE = (
     ("forall 'a :: U. {l: 'a}", "{m: Int}", "{l: Bool}"),
     ("forall 'a :: U. {l: 'a, m: 'a}", "{l: Int, m: Bool}", "{l: Int, m: Int}"),
     # a chain over a free variable: the subject's chain must have its shape
-    ("forall 'a :: U. 'r + {l: 'a}", "Int", "'r + {l: Bool}"),
+    ("forall 'a :: U. 'r + {l: 'a}", "Int", "'r + {l: Int}"),
     ("forall 'a :: U. 'r + {l: 'a}", "'r + {l: Int} + {m: Int}", "'r + {l: Int}"),
     ("forall 'a :: U. 's - {l: 'a}", "'r - {l: Int}", "'s - {l: Int}"),
     ("forall 'a :: U. 'r + {l: 'a}", "'r + {m: Int}", "'r + {l: Int}"),
