@@ -19,8 +19,6 @@ and its node rules call nothing in `infer` or `unify`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # subst_derivation is bound here for the benchmark's tracer, which names it
 # as checker's.
 from .derivation import Derivation, subst_derivation
@@ -37,6 +35,7 @@ from .syntax import (
     Contr,
     Ext,
     Extend,
+    Frozen,
     KindAssignment,
     Let,
     Modify,
@@ -58,10 +57,12 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    path: tuple[int, ...]
-    reason: str
+class ValidationIssue(Frozen):
+    __slots__ = _fields = ("path", "reason")
+
+    def __init__(self, path: tuple[int, ...], reason: str):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "reason", reason)
 
     def __str__(self):
         where = "/".join(map(str, self.path)) or "root"

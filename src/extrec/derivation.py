@@ -7,10 +7,9 @@ kinds it quantifies); `subst_derivation` then completes the whole tree."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .subst import apply_assignment, apply_type
 from .syntax import (
+    Frozen,
     KindAssignment,
     MonoType,
     PolyType,
@@ -23,32 +22,36 @@ from .syntax import (
 RULES = ("Var", "Const", "Abs", "App", "Let", "Rec", "Sel", "Modif", "Gen", "Contr", "Ext")
 
 
-@dataclass(frozen=True)
-class Judgment:
-    kenv: KindAssignment
-    tenv: TypeAssignment
-    term: Term
-    sigma: PolyType
+class Judgment(Frozen):
+    __slots__ = _fields = ("kenv", "tenv", "term", "sigma")
+
+    def __init__(self, kenv: KindAssignment, tenv: TypeAssignment, term: Term, sigma: PolyType):
+        object.__setattr__(self, "kenv", kenv)
+        object.__setattr__(self, "tenv", tenv)
+        object.__setattr__(self, "term", term)
+        object.__setattr__(self, "sigma", sigma)
 
 
-@dataclass(frozen=True)
-class KindingClaim:
+class KindingClaim(Frozen):
     """A K |- subject :: kind side condition carried by a node."""
 
-    subject: MonoType
-    kind: RecordKind
+    __slots__ = _fields = ("subject", "kind")
+
+    def __init__(self, subject: MonoType, kind: RecordKind):
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "kind", kind)
 
 
-@dataclass(frozen=True)
-class Derivation:
-    rule: str
-    judgment: Judgment
-    children: tuple["Derivation", ...] = ()
-    claim: KindingClaim | None = None
+class Derivation(Frozen):
+    __slots__ = _fields = ("rule", "judgment", "children", "claim")
 
-    def __post_init__(self):
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule {self.rule!r}")
+    def __init__(self, rule: str, judgment: Judgment, children: tuple = (), claim=None):
+        if rule not in RULES:
+            raise ValueError(f"unknown rule {rule!r}")
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "judgment", judgment)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "claim", claim)
 
 
 def subst_derivation(d: Derivation, s: Substitution, k_target: KindAssignment) -> Derivation:

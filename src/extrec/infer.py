@@ -33,7 +33,6 @@ subterm.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
 
 from .derivation import Derivation, Judgment, KindingClaim, subst_derivation
@@ -48,6 +47,7 @@ from .syntax import (
     Contr,
     Ext,
     Extend,
+    Frozen,
     KindAssignment,
     Let,
     Modify,
@@ -107,24 +107,31 @@ def supply_for(*values) -> FreshSupply:
     return FreshSupply(max((v.uid for v in seen), default=0) + 1)
 
 
-@dataclass(frozen=True)
-class InferFailure:
-    rule: str  # syntax case that failed: var, app, let, record, select, ...
-    reason: str  # unbound_variable / base_in_value / occurs_check / kind_clash / ...
-    message: str
-    term: Term
+class InferFailure(Frozen):
+    """`rule` is the syntax case that failed (var, app, let, record, ...),
+    `reason` why (unbound_variable, base_in_value, occurs_check, ...)."""
+
+    __slots__ = _fields = ("rule", "reason", "message", "term")
+
+    def __init__(self, rule: str, reason: str, message: str, term: Term):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "term", term)
 
     @property
     def span(self):
         return getattr(self.term, "span", None)
 
 
-@dataclass(frozen=True)
-class InferResult:
-    kenv: KindAssignment
-    subst: Substitution
-    type: MonoType
-    trace: Derivation | None = None
+class InferResult(Frozen):
+    __slots__ = _fields = ("kenv", "subst", "type", "trace")
+
+    def __init__(self, kenv: KindAssignment, subst: Substitution, type: MonoType, trace=None):
+        object.__setattr__(self, "kenv", kenv)
+        object.__setattr__(self, "subst", subst)
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "trace", trace)
 
 
 class _Failed(Exception):
@@ -300,7 +307,9 @@ class _Run:
         if self.nodes is not None:
             d = self.nodes.pop()
             quantified = {v: kinds[v] for v in sorted(quantify, key=attrgetter("uid"))}
-            premise = replace(d, judgment=replace(d.judgment, kenv=quantified))
+            j = d.judgment
+            judgment = Judgment(quantified, j.tenv, j.term, j.sigma)
+            premise = Derivation(d.rule, judgment, d.children, d.claim)
             self.nodes.append(Derivation("Gen", Judgment({}, gamma, bound, sigma), (premise,)))
         return sigma
 

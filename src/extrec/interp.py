@@ -8,14 +8,13 @@ test: accepted closed programs never hit these errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .parser import quote_string
 from .syntax import (
     Abs,
     App,
     Const,
     Extend,
+    Frozen,
     Let,
     Modify,
     RecordLit,
@@ -32,34 +31,44 @@ class EvalError(Exception):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class IntV:
-    value: int
+class IntV(Frozen):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class BoolV:
-    value: bool
+class BoolV(Frozen):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: bool):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class StringV:
-    value: str
+class StringV(Frozen):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: str):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class RecordV:
-    fields: tuple[tuple[str, "Value"], ...]
+class RecordV(Frozen):
+    __slots__ = _fields = ("fields",)
+
+    def __init__(self, fields: tuple[tuple[str, "Value"], ...]):
+        object.__setattr__(self, "fields", fields)
 
     def field_map(self):
         return dict(self.fields)
 
 
-@dataclass(frozen=True)
-class ClosureV:
-    param: str
-    body: Term
-    env: tuple[tuple[str, "Value"], ...]
+class ClosureV(Frozen):
+    __slots__ = _fields = ("param", "body", "env")
+
+    def __init__(self, param: str, body: Term, env: tuple[tuple[str, "Value"], ...]):
+        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "env", env)
 
 
 Value = IntV | BoolV | StringV | RecordV | ClosureV

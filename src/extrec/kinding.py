@@ -15,12 +15,11 @@ a base's kind and the label maps of the chain's operations
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .normalize import EXT, chain_ops, equiv
 from .syntax import (
     Contr,
     Ext,
+    Frozen,
     Kind,
     KindAssignment,
     Label,
@@ -58,13 +57,16 @@ def wf_type_assignment(kenv: KindAssignment, gamma: TypeAssignment) -> bool:
     return all(wf_type(kenv, sigma) for sigma in gamma.values())
 
 
-@dataclass(frozen=True)
-class FieldInfo:
-    """Maximal field facts derivable for an extensible type."""
+class FieldInfo(Frozen):
+    """Maximal field facts derivable for an extensible type; `record_base`
+    says that unmentioned labels are absent at any type."""
 
-    present: dict[Label, MonoType]
-    absent: dict[Label, MonoType]
-    record_base: bool  # unmentioned labels are absent at any type
+    __slots__ = _fields = ("present", "absent", "record_base")
+
+    def __init__(self, present: dict[Label, MonoType], absent: dict[Label, MonoType], record_base):
+        object.__setattr__(self, "present", present)
+        object.__setattr__(self, "absent", absent)
+        object.__setattr__(self, "record_base", record_base)
 
 
 def field_info(kenv: KindAssignment, t: MonoType) -> FieldInfo | None:

@@ -11,7 +11,6 @@ normalize at the points where the inference algorithm demands it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .kinding import field_info, has_kind, unkinded_chain
@@ -20,6 +19,7 @@ from .syntax import (
     Arrow,
     Contr,
     Ext,
+    Frozen,
     INT,
     KindAssignment,
     MonoType,
@@ -111,12 +111,14 @@ def compose(s2: Substitution, s1: Substitution) -> Substitution:
     return out
 
 
-@dataclass(frozen=True)
-class KindedSubstitution:
+class KindedSubstitution(Frozen):
     """A substitution whose range is well formed under the paired assignment."""
 
-    kenv: KindAssignment
-    subst: Substitution
+    __slots__ = _fields = ("kenv", "subst")
+
+    def __init__(self, kenv: KindAssignment, subst: Substitution):
+        object.__setattr__(self, "kenv", kenv)
+        object.__setattr__(self, "subst", subst)
 
 
 def respects(ks: KindedSubstitution, kenv2: KindAssignment) -> bool:

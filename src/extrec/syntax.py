@@ -5,6 +5,16 @@ integer uid; the printable name is cosmetic only.  Label maps (record
 fields, record-kind sides) are kept sorted by label so that structural
 equality is insensitive to the order labels were written in.
 
+Every value class of the package is a `Frozen` subclass with `__slots__`
+and its own `__init__`, which makes its checks and fills the slots past
+`Frozen.__setattr__`, which refuses assignment.  Equality, hashing and
+`repr` read the fields a class names in `_fields`, as a frozen dataclass's
+do (a term's `span`, a type's caches and `TyVar.name` stay out), through
+closures over `operator.attrgetter`: importing the package compiles no
+generated methods, as `dataclasses` would for each class.  The hot type
+equalities are written out.  `dataclasses.replace` does not apply to a
+value; rebuild it through its constructor.
+
 Every type, kind and polytype value caches its free type variables in a
 `_fv` slot.  `ftv` fills the slot on the first request and returns the
 same frozenset ever after.  Some builders fill it first, from sets they
@@ -50,7 +60,8 @@ reducer, which stays independent of `normalize`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
 
 Label = str
 
@@ -67,89 +78,174 @@ def internal_fresh(name: str = "") -> "TyVar":
 
 
 # ---------------------------------------------------------------------------
-# Terms
+# Values
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    span: "object" = field(default=None, compare=False, repr=False)
+_set = object.__setattr__  # fills a slot past Frozen.__setattr__
 
 
-@dataclass(frozen=True)
-class Const:
-    """Literal constant tagged with its base type (Int, Bool or String)."""
+class Frozen:
+    """An immutable value with slots, whose equality, hashing and `repr` read
+    the fields its class names in `_fields`, unless the class writes them."""
 
-    value: object
-    base: str
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.base not in BASE_TYPES:
-            raise ValueError(f"unknown base type {self.base!r}")
+    def __init_subclass__(cls):
+        fields = cls.__dict__.get("_fields")
+        if fields is None:
+            return
+        if len(fields) == 1:
+            one = attrgetter(*fields)
+            key = lambda self: (one(self),)
+        else:
+            key = attrgetter(*fields) if fields else lambda self: ()
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        def __repr__(self):
+            shown = ", ".join(f"{n}={v!r}" for n, v in zip(fields, key(self)))
+            return f"{self.__class__.__qualname__}({shown})"
+
+        for method in (__eq__, __hash__, __repr__):
+            if cls.__dict__.get(method.__name__) is None:
+                setattr(cls, method.__name__, method)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        """Copying and pickling carry the fields, not the caches."""
+        return {name: getattr(self, name) for name in self.__slots__ if name[0] != "_"}
+
+    def __setstate__(self, state):
+        for name in self.__slots__:
+            _set(self, name, state.get(name))
 
 
-@dataclass(frozen=True)
-class Abs:
-    param: str
-    body: "Term"
-    span: object = field(default=None, compare=False, repr=False)
+# ---------------------------------------------------------------------------
+# Terms; each keeps its source span out of equality, hashing and repr.
 
 
-@dataclass(frozen=True)
-class App:
-    fn: "Term"
-    arg: "Term"
-    span: object = field(default=None, compare=False, repr=False)
+class Var(Frozen):
+    __slots__ = ("name", "span")
+    _fields = ("name",)
+
+    def __init__(self, name: str, span=None):
+        _set(self, "name", name)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Let:
-    name: str
-    bound: "Term"
-    body: "Term"
-    span: object = field(default=None, compare=False, repr=False)
+_CONST_TYPES = {"Int": int, "Bool": bool, "String": str}
 
 
-@dataclass(frozen=True)
-class RecordLit:
+class Const(Frozen):
+    """Literal constant tagged with its base type (Int, Bool or String), and
+    a Python value of that type: an int that is not a bool, a bool, a str."""
+
+    __slots__ = ("value", "base", "span")
+    _fields = ("value", "base")
+
+    def __init__(self, value: object, base: str, span=None):
+        if base not in BASE_TYPES:
+            raise ValueError(f"unknown base type {base!r}")
+        if isinstance(value, bool) != (base == "Bool") or not isinstance(value, _CONST_TYPES[base]):
+            raise ValueError(f"constant {value!r} is not of base type {base}")
+        _set(self, "value", value)
+        _set(self, "base", base)
+        _set(self, "span", span)
+
+
+class Abs(Frozen):
+    __slots__ = ("param", "body", "span")
+    _fields = ("param", "body")
+
+    def __init__(self, param: str, body: "Term", span=None):
+        _set(self, "param", param)
+        _set(self, "body", body)
+        _set(self, "span", span)
+
+
+class App(Frozen):
+    __slots__ = ("fn", "arg", "span")
+    _fields = ("fn", "arg")
+
+    def __init__(self, fn: "Term", arg: "Term", span=None):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+        _set(self, "span", span)
+
+
+class Let(Frozen):
+    __slots__ = ("name", "bound", "body", "span")
+    _fields = ("name", "bound", "body")
+
+    def __init__(self, name: str, bound: "Term", body: "Term", span=None):
+        _set(self, "name", name)
+        _set(self, "bound", bound)
+        _set(self, "body", body)
+        _set(self, "span", span)
+
+
+class RecordLit(Frozen):
     """Record literal; fields are stored sorted by label, labels distinct."""
 
-    fields: tuple[tuple[Label, "Term"], ...]
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("fields", "span")
+    _fields = ("fields",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "fields", _sorted_fields(self.fields))
-
-
-@dataclass(frozen=True)
-class Select:
-    target: "Term"
-    label: Label
-    span: object = field(default=None, compare=False, repr=False)
+    def __init__(self, fields: "tuple[tuple[Label, Term], ...]", span=None):
+        _set(self, "fields", _sorted_fields(fields))
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Modify:
-    target: "Term"
-    label: Label
-    value: "Term"
-    span: object = field(default=None, compare=False, repr=False)
+class Select(Frozen):
+    __slots__ = ("target", "label", "span")
+    _fields = ("target", "label")
+
+    def __init__(self, target: "Term", label: Label, span=None):
+        _set(self, "target", target)
+        _set(self, "label", label)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Remove:
-    target: "Term"
-    label: Label
-    span: object = field(default=None, compare=False, repr=False)
+class Modify(Frozen):
+    __slots__ = ("target", "label", "value", "span")
+    _fields = ("target", "label", "value")
+
+    def __init__(self, target: "Term", label: Label, value: "Term", span=None):
+        _set(self, "target", target)
+        _set(self, "label", label)
+        _set(self, "value", value)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Extend:
-    target: "Term"
-    label: Label
-    value: "Term"
-    span: object = field(default=None, compare=False, repr=False)
+class Remove(Frozen):
+    __slots__ = ("target", "label", "span")
+    _fields = ("target", "label")
+
+    def __init__(self, target: "Term", label: Label, span=None):
+        _set(self, "target", target)
+        _set(self, "label", label)
+        _set(self, "span", span)
+
+
+class Extend(Frozen):
+    __slots__ = ("target", "label", "value", "span")
+    _fields = ("target", "label", "value")
+
+    def __init__(self, target: "Term", label: Label, value: "Term", span=None):
+        _set(self, "target", target)
+        _set(self, "label", label)
+        _set(self, "value", value)
+        _set(self, "span", span)
 
 
 Term = Var | Const | Abs | App | Let | RecordLit | Select | Modify | Remove | Extend
@@ -168,63 +264,87 @@ def _sorted_fields(fields):
 # Types
 
 
-def _cache_slot():
-    """A cache field of a type value (`_fv`, `_nf`): filled in on first
-    request by its one writer, invisible to equality, hashing and repr."""
-    return field(default=None, init=False, repr=False, compare=False)
-
-
 IS_NORMAL = object()
 
 
-@dataclass(frozen=True, slots=True)
-class BaseType:
-    name: str
-    _fv: "frozenset[TyVar] | None" = _cache_slot()
+class BaseType(Frozen):
+    __slots__ = ("name", "_fv")
+    _fields = ("name",)
 
-    def __post_init__(self):
-        if self.name not in BASE_TYPES:
-            raise ValueError(f"unknown base type {self.name!r}")
+    def __init__(self, name: str):
+        if name not in BASE_TYPES:
+            raise ValueError(f"unknown base type {name!r}")
+        _set(self, "name", name)
+        _set(self, "_fv", None)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
 
 
-@dataclass(frozen=True, slots=True)
-class TyVar:
+class TyVar(Frozen):
     """Type variable; identity is the uid, the name is display-only."""
 
-    uid: int
-    name: str = field(default="", compare=False)
-    _fv: "frozenset[TyVar] | None" = _cache_slot()
+    __slots__ = ("uid", "name", "_fv")
+    _fields = ("uid",)
+
+    def __init__(self, uid: int, name: str = ""):
+        _set(self, "uid", uid)
+        _set(self, "name", name)
+        _set(self, "_fv", None)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.uid == other.uid
 
     def __hash__(self):
         return self.uid
 
+    def __repr__(self):
+        return f"TyVar(uid={self.uid!r}, name={self.name!r})"
 
-@dataclass(frozen=True, slots=True)
-class RecordType:
-    fields: tuple[tuple[Label, "MonoType"], ...]
-    _fv: "frozenset[TyVar] | None" = _cache_slot()
-    _nf: "MonoType | object | None" = _cache_slot()
 
-    def __post_init__(self):
-        object.__setattr__(self, "fields", _sorted_fields(self.fields))
+class RecordType(Frozen):
+    __slots__ = ("fields", "_fv", "_nf")
+    _fields = ("fields",)
+
+    def __init__(self, fields: "tuple[tuple[Label, MonoType], ...]"):
+        _set(self, "fields", _sorted_fields(fields))
+        _set(self, "_fv", None)
+        _set(self, "_nf", None)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.fields == other.fields
 
     def field_map(self) -> dict[Label, "MonoType"]:
         return dict(self.fields)
 
 
-@dataclass(frozen=True, slots=True)
-class Arrow:
-    dom: "MonoType"
-    cod: "MonoType"
-    _fv: "frozenset[TyVar] | None" = _cache_slot()
-    _nf: "MonoType | object | None" = _cache_slot()
+class Arrow(Frozen):
+    __slots__ = ("dom", "cod", "_fv", "_nf")
+    _fields = ("dom", "cod")
+
+    def __init__(self, dom: "MonoType", cod: "MonoType"):
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
+        _set(self, "_fv", None)
+        _set(self, "_nf", None)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dom == other.dom and self.cod == other.cod
 
 
 EXT = 1
 CON = -1
 
 
-class _Chain:
+class _Chain(Frozen):
     """A chain of field operations on a bottom, a type variable or a record:
     `bottom`, and `ops`, its (sign, label, field_type) triples innermost
     first, with sign EXT or CON.  Its class, Ext or Contr, is its top
@@ -263,10 +383,8 @@ class _Chain:
         tails = [f", label={label!r}, field_type={fty!r})" for _, label, fty in self.ops]
         return "".join(names) + repr(self.bottom) + "".join(tails)
 
-    def __setattr__(self, name, *_):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
+    def __reduce__(self):
+        return chain, (self.bottom, self.ops)
 
 
 class Ext(_Chain):
@@ -305,11 +423,11 @@ def chain(base: MonoType, ops, fv: "frozenset[TyVar] | None" = None) -> MonoType
         for _, _, fty in ops:
             fv = _union(fv, ftv(fty))
     t = object.__new__(Ext if ops[-1][0] == EXT else Contr)
-    object.__setattr__(t, "bottom", bottom)
-    object.__setattr__(t, "ops", all_ops)
-    object.__setattr__(t, "_fv", fv)
-    object.__setattr__(t, "_nf", None)
-    object.__setattr__(t, "_np", np)
+    _set(t, "bottom", bottom)
+    _set(t, "ops", all_ops)
+    _set(t, "_fv", fv)
+    _set(t, "_nf", None)
+    _set(t, "_np", np)
     return t
 
 
@@ -337,9 +455,9 @@ def trusted_record(fields, fv=None) -> RecordType:
     repeated labels, built without checking them; `fv`, if given, is its
     free variables and fills the `_fv` cache."""
     t = object.__new__(RecordType)
-    object.__setattr__(t, "fields", fields)
-    object.__setattr__(t, "_fv", fv)
-    object.__setattr__(t, "_nf", None)
+    _set(t, "fields", fields)
+    _set(t, "_fv", fv)
+    _set(t, "_nf", None)
     return t
 
 
@@ -347,27 +465,30 @@ def trusted_record(fields, fv=None) -> RecordType:
 # Kinds
 
 
-@dataclass(frozen=True, slots=True)
-class UKind:
+class UKind(Frozen):
     """The universal kind: no constraint beyond well-formedness."""
 
-    _fv: "frozenset[TyVar] | None" = _cache_slot()
+    __slots__ = ("_fv",)
+    _fields = ()
+
+    def __init__(self):
+        _set(self, "_fv", None)
 
 
-@dataclass(frozen=True, slots=True)
-class RecordKind:
+class RecordKind(Frozen):
     """Fields the type must have (lefts) and must lack (rights)."""
 
-    lefts: tuple[tuple[Label, MonoType], ...]
-    rights: tuple[tuple[Label, MonoType], ...]
-    _fv: "frozenset[TyVar] | None" = _cache_slot()
+    __slots__ = ("lefts", "rights", "_fv")
+    _fields = ("lefts", "rights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lefts", _sorted_fields(self.lefts))
-        object.__setattr__(self, "rights", _sorted_fields(self.rights))
-        shared = {l for l, _ in self.lefts} & {l for l, _ in self.rights}
+    def __init__(self, lefts: tuple, rights: tuple):
+        lefts, rights = _sorted_fields(lefts), _sorted_fields(rights)
+        shared = {l for l, _ in lefts} & {l for l, _ in rights}
         if shared:
             raise ValueError(f"label on both kind sides: {sorted(shared)}")
+        _set(self, "lefts", lefts)
+        _set(self, "rights", rights)
+        _set(self, "_fv", None)
 
     def left_map(self) -> dict[Label, MonoType]:
         return dict(self.lefts)
@@ -390,9 +511,9 @@ def trusted_record_kind(lefts, rights, fv=None) -> RecordKind:
     repeated labels, and disjoint, built without checking them; `fv`, if
     given, is its free variables and fills the `_fv` cache."""
     k = object.__new__(RecordKind)
-    object.__setattr__(k, "lefts", lefts)
-    object.__setattr__(k, "rights", rights)
-    object.__setattr__(k, "_fv", fv)
+    _set(k, "lefts", lefts)
+    _set(k, "rights", rights)
+    _set(k, "_fv", fv)
     return k
 
 
@@ -400,17 +521,20 @@ def trusted_record_kind(lefts, rights, fv=None) -> RecordKind:
 # Polytypes
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class PolyType:
+class PolyType(Frozen):
     """Prenex kinded-quantified type.
 
     Equality is alpha-invariant: renaming the quantified variables (keeping
     order and kinds) is invisible.
     """
 
-    quants: tuple[tuple[TyVar, Kind], ...]
-    body: MonoType
-    _fv: "frozenset[TyVar] | None" = _cache_slot()
+    __slots__ = ("quants", "body", "_fv")
+    _fields = ("quants", "body")
+
+    def __init__(self, quants: "tuple[tuple[TyVar, Kind], ...]", body: MonoType):
+        _set(self, "quants", quants)
+        _set(self, "body", body)
+        _set(self, "_fv", None)
 
     @property
     def is_mono(self) -> bool:
@@ -475,7 +599,7 @@ def ftv(x) -> frozenset[TyVar]:
             fv = _union(fv, ftv(k))
     else:  # BaseType, UKind
         fv = _NO_VARS
-    object.__setattr__(x, "_fv", fv)
+    _set(x, "_fv", fv)
     return fv
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 
 from extrec.kinding import field_info, has_kind
@@ -38,6 +39,14 @@ from extrec.syntax import (
 
 LABELS = ("l", "m", "n")
 GROUND = (INT, BOOL, STRING)
+
+
+def rebuilt(value, /, **changes):
+    """value built anew through its class's constructor, with `changes` in
+    place of some of its arguments.  The library's values are not
+    dataclasses, so `dataclasses.replace` does not apply to them."""
+    args = {name: getattr(value, name) for name in inspect.signature(type(value)).parameters}
+    return type(value)(**{**args, **changes})
 
 
 def canon(x):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 from extrec.checker import check, validate
@@ -32,7 +31,7 @@ from extrec.syntax import (
     poly,
     record_kind,
 )
-from gen import gen_arb_kind, gen_closed_term, gen_respecting_subst
+from gen import gen_arb_kind, gen_closed_term, gen_respecting_subst, rebuilt
 
 a1, a2 = TyVar(1, "a1"), TyVar(2, "a2")
 KENV = {a1: record_kind([], [("l", a2)]), a2: UKind()}
@@ -152,7 +151,7 @@ def _structural_mutants(d):
 
     def with_premise(i, **changes):
         c = d.children[i]
-        judgment = dataclasses.replace(c.judgment, **changes)
+        judgment = rebuilt(c.judgment, **changes)
         changed = Derivation(c.rule, judgment, c.children, c.claim)
         return node(children=d.children[:i] + (changed,) + d.children[i + 1:])
 
@@ -165,7 +164,7 @@ def _structural_mutants(d):
         if not isinstance(j.term, cls):
             yield f"renamed to {rule}", node(rule=rule)
     wrong = BOOL if equiv(j.sigma, poly(INT)) else INT
-    yield "conclusion", node(judgment=dataclasses.replace(j, sigma=poly(wrong)))
+    yield "conclusion", node(judgment=rebuilt(j, sigma=poly(wrong)))
     if d.claim is not None:
         k = d.claim.kind
         swapped = KindingClaim(d.claim.subject, RecordKind(k.rights, k.lefts))
@@ -251,7 +250,7 @@ def _first(d, rule):
 
 
 def _judged(d, **changes):
-    return Derivation(d.rule, dataclasses.replace(d.judgment, **changes), d.children, d.claim)
+    return Derivation(d.rule, rebuilt(d.judgment, **changes), d.children, d.claim)
 
 
 def _with_child(d, i, child):
@@ -281,13 +280,13 @@ _REWIRED_REASONS = [
     ("let y = {l = 1, m = true} in y", "Rec",
      lambda n: _judged(n, sigma=poly(RecordType((("l", INT), ("m", INT))))),
      "at 0/0: field m typed inconsistently"),
-    ("(\\r. r) {l = 1}.l", "Sel", lambda n: dataclasses.replace(n, claim=None),
+    ("(\\r. r) {l = 1}.l", "Sel", lambda n: rebuilt(n, claim=None),
      "at 1: Sel requires a record kind side condition"),
-    ("modify({l = 1}, l, 2)", "Modif", lambda n: dataclasses.replace(n, claim=None),
+    ("modify({l = 1}, l, 2)", "Modif", lambda n: rebuilt(n, claim=None),
      "at root: Modif requires a record kind side condition"),
-    ("remove({l = 1}, l)", "Contr", lambda n: dataclasses.replace(n, claim=None),
+    ("remove({l = 1}, l)", "Contr", lambda n: rebuilt(n, claim=None),
      "at root: Contr requires a record kind side condition"),
-    ("extend({}, l, 1)", "Ext", lambda n: dataclasses.replace(n, claim=None),
+    ("extend({}, l, 1)", "Ext", lambda n: rebuilt(n, claim=None),
      "at root: Ext requires a record kind side condition"),
 ]
 

@@ -1,7 +1,6 @@
 import itertools
 import random
 import sys
-from dataclasses import replace
 
 from extrec.checker import validate
 from extrec.infer import FreshSupply, InferFailure, infer, instantiate, supply_for
@@ -49,7 +48,7 @@ from extrec.syntax import (
     poly,
     record_kind,
 )
-from gen import gen_closed_term, subst_equal
+from gen import gen_closed_term, rebuilt, subst_equal
 
 ENV_42 = """
 'a1 :: << || l: 'a2>>
@@ -514,7 +513,7 @@ def test_known_shapes_type_as_the_unifier_does(monkeypatch):
         if isinstance(term, App):
             kind, general = "app", App(Abs("g", App(Var("g"), term.arg)), term.fn)
         elif isinstance(term, (Select, Modify, Remove, Extend)):
-            kind, general = "field", App(Abs("z", replace(term, target=Var("z"))), term.target)
+            kind, general = "field", App(Abs("z", rebuilt(term, target=Var("z"))), term.target)
         else:
             continue
         direct = infer({}, {}, term, FreshSupply(1))
@@ -551,13 +550,13 @@ def test_known_shapes_type_as_the_unifier_does(monkeypatch):
         if isinstance(op, Extend) and op.value == Var(subject):
             # typed before the operation, the subject fails the extension's
             # base check; typed after it, the unifier's occurs check
-            op = replace(op, value=rng.choice(closed))
-        general = App(Abs("z", replace(op, target=Var("z"))), Var("s"))
+            op = rebuilt(op, value=rng.choice(closed))
+        general = App(Abs("z", rebuilt(op, target=Var("z"))), Var("s"))
         if rng.random() < 0.3:
             forms = [Let("s", stack, op), Let("s", stack, general)]
         else:
-            op = replace(op, target=stack)
-            forms = [op, replace(general, arg=stack)]
+            op = rebuilt(op, target=stack)
+            forms = [op, rebuilt(general, arg=stack)]
         if not with_env:
             forms = [Abs("r", t) for t in forms]
         kenv, tenv, start = (kenv_42, tenv_42, venv_42.next_free_uid()) if with_env else ({}, {}, 1)

@@ -1,17 +1,38 @@
+import copy
+import dataclasses
+import importlib
+import pickle
+import pkgutil
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
+import extrec
+from extrec import interp, syntax
+from extrec.interp import BoolV, ClosureV, IntV, RecordV, StringV
+from extrec.normalize import normalize
 from extrec.syntax import (
+    Abs,
+    App,
     Arrow,
     BOOL,
+    BaseType,
+    Const,
     Contr,
     EMPTY_RECORD,
     Ext,
+    Extend,
+    Frozen,
     INT,
+    Let,
+    Modify,
     PolyType,
     RecordKind,
+    RecordLit,
     RecordType,
+    Remove,
+    Select,
     TyVar,
     Var,
     UKind,
@@ -198,3 +219,141 @@ def test_map_type_rebuilds_one_level():
     assert map_type(flip, fixed) is fixed and map_type(flip, poly(a)) == poly(b)
     with pytest.raises(TypeError):
         map_type(flip, Var("x"))
+
+
+def _cached(t):
+    """t with its `_fv` cache, and `_nf` where it has one, filled in."""
+    ftv(t)
+    if hasattr(t, "_nf"):
+        normalize(t)
+    return t
+
+
+def _value_cases():
+    """(value, an equal value that differs only where equality does not
+    look, a value that differs where it does, what hashes like the value,
+    the value's repr) for every value class of `syntax` and `interp`."""
+    x, one = Var("x"), Const(1, "Int")
+    tv, ti = "TyVar(uid=1, name='a')", "BaseType(name='Int')"
+    terms = [
+        (Var("x", (0, 1)), Var("x", (5, 6)), Var("y"), ("x",), "Var(name='x')"),
+        (Const(1, "Int", (0, 1)), Const(1, "Int"), Const(2, "Int"), (1, "Int"),
+         "Const(value=1, base='Int')"),
+        (Abs("x", x, (0, 5)), Abs("x", x), Abs("y", x), ("x", x),
+         "Abs(param='x', body=Var(name='x'))"),
+        (App(x, one, (0, 3)), App(x, one), App(one, x), (x, one),
+         "App(fn=Var(name='x'), arg=Const(value=1, base='Int'))"),
+        (Let("x", one, x, (0, 9)), Let("x", one, x), Let("x", x, x), ("x", one, x),
+         "Let(name='x', bound=Const(value=1, base='Int'), body=Var(name='x'))"),
+        (RecordLit((("m", x), ("l", one)), (0, 9)), RecordLit((("l", one), ("m", x))),
+         RecordLit((("l", x),)), ((("l", one), ("m", x)),),
+         "RecordLit(fields=(('l', Const(value=1, base='Int')), ('m', Var(name='x'))))"),
+        (Select(x, "l", (0, 3)), Select(x, "l"), Select(x, "m"), (x, "l"),
+         "Select(target=Var(name='x'), label='l')"),
+        (Modify(x, "l", one, (0, 9)), Modify(x, "l", one), Modify(x, "l", x), (x, "l", one),
+         "Modify(target=Var(name='x'), label='l', value=Const(value=1, base='Int'))"),
+        (Remove(x, "l", (0, 9)), Remove(x, "l"), Remove(one, "l"), (x, "l"),
+         "Remove(target=Var(name='x'), label='l')"),
+        (Extend(x, "l", one, (0, 9)), Extend(x, "l", one), Extend(x, "m", one), (x, "l", one),
+         "Extend(target=Var(name='x'), label='l', value=Const(value=1, base='Int'))"),
+    ]
+    types = [
+        (BaseType("Int"), _cached(BaseType("Int")), BOOL, ("Int",), ti),
+        # a variable hashes as its uid
+        (TyVar(1, "a"), _cached(TyVar(1, "other")), TyVar(2, "a"), 1, tv),
+        (RecordType((("l", INT),)), _cached(RecordType((("l", INT),))), RecordType((("l", BOOL),)),
+         ((("l", INT),),), f"RecordType(fields=(('l', {ti}),))"),
+        (Arrow(a, INT), _cached(Arrow(TyVar(1), INT)), Arrow(INT, a), (a, INT),
+         f"Arrow(dom={tv}, cod={ti})"),
+        (Ext(a, "l", INT), _cached(Ext(TyVar(1), "l", INT)), Ext(a, "m", INT),
+         (a, ((1, "l", INT),)), f"Ext(base={tv}, label='l', field_type={ti})"),
+        (Contr(a, "l", INT), _cached(Contr(TyVar(1), "l", INT)), Contr(a, "l", BOOL),
+         (a, ((-1, "l", INT),)), f"Contr(base={tv}, label='l', field_type={ti})"),
+        (UKind(), _cached(UKind()), RecordKind((), ()), (), "UKind()"),
+        (RecordKind((("l", a),), (("m", INT),)), _cached(RecordKind((("l", a),), (("m", INT),))),
+         RecordKind((), (("m", INT),)), ((("l", a),), (("m", INT),)),
+         f"RecordKind(lefts=(('l', {tv}),), rights=(('m', {ti}),))"),
+        # equality and hashing are alpha-invariant
+        (PolyType(((a, UKind()),), Arrow(a, a)), _cached(PolyType(((b, UKind()),), Arrow(b, b))),
+         PolyType(((a, UKind()),), Arrow(a, INT)), None,
+         f"PolyType(quants=(({tv}, UKind()),), body=Arrow(dom={tv}, cod={tv}))"),
+    ]
+    closure = ClosureV("x", x, (("y", IntV(1)),))
+    values = [
+        (IntV(1), IntV(1), IntV(2), (1,), "IntV(value=1)"),
+        (BoolV(True), BoolV(True), BoolV(False), (True,), "BoolV(value=True)"),
+        (StringV("s"), StringV("s"), StringV("t"), ("s",), "StringV(value='s')"),
+        (RecordV((("l", IntV(1)),)), RecordV((("l", IntV(1)),)), RecordV(()),
+         ((("l", IntV(1)),),), "RecordV(fields=(('l', IntV(value=1)),))"),
+        (closure, ClosureV("x", x, (("y", IntV(1)),)), ClosureV("x", x, ()),
+         ("x", x, (("y", IntV(1)),)),
+         "ClosureV(param='x', body=Var(name='x'), env=(('y', IntV(value=1)),))"),
+    ]
+    return terms + types + values
+
+
+def test_every_value_class_keeps_the_frozen_dataclass_contract():
+    cases = _value_cases()
+    classes = {
+        c
+        for module in (syntax, interp)
+        for c in vars(module).values()
+        if isinstance(c, type) and issubclass(c, Frozen) and c.__module__ == module.__name__
+    }
+    assert {type(v) for v, *_ in cases} == classes - {Frozen, syntax._Chain}
+    for v, twin, other, hashed, text in cases:
+        assert v == twin and not v != twin and hash(v) == hash(twin), text
+        assert v != other and not v == other, text
+        assert v != 1 and v != Var("unrelated"), text
+        if hashed is not None:
+            assert hash(v) == hash(hashed), text
+        assert repr(v) == text
+        assert not hasattr(v, "__dict__"), text
+        slots = [n for c in type(v).__mro__ for n in c.__dict__.get("__slots__", ())]
+        for name in slots + ["extra"]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(v, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(v, name)
+        assert v == twin and repr(v) == text
+        for copied in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(copied) is type(v) and copied == v and repr(copied) == text
+
+
+def test_value_constructors_check_their_arguments():
+    # RecordType and RecordKind are checked in test_record_labels_sorted_and_distinct
+    with pytest.raises(ValueError, match="unknown base type"):
+        BaseType("Float")
+    with pytest.raises(ValueError, match="unknown base type"):
+        Const(1.0, "Float")
+    with pytest.raises(ValueError, match="duplicate label"):
+        RecordLit((("l", Var("x")), ("l", Var("y"))))
+
+
+@pytest.mark.parametrize("value, base", [
+    ("s", "Int"), (True, "Int"), (1.5, "Int"),
+    (1, "Bool"), ("true", "Bool"),
+    (1, "String"), (False, "String"),
+])
+def test_a_constant_refuses_a_value_its_base_contradicts(value, base):
+    # inference types a constant by its base, evaluation by its value
+    with pytest.raises(ValueError, match="is not of base type"):
+        Const(value, base)
+
+
+def test_a_constant_takes_a_value_of_its_base():
+    for value, base in [(0, "Int"), (-7, "Int"), (True, "Bool"), ("", "String")]:
+        assert Const(value, base).value is value
+
+
+def test_no_class_of_the_package_is_a_dataclass():
+    # dataclasses generate and compile methods for each class at import
+    names = [m.name for m in pkgutil.iter_modules(extrec.__path__)]
+    assert {"cli", "derivation", "infer", "syntax"} <= set(names)
+    found = [
+        f"{name}.{attr}"
+        for name in names
+        for attr, c in vars(importlib.import_module(f"extrec.{name}")).items()
+        if isinstance(c, type) and dataclasses.is_dataclass(c)
+    ]
+    assert found == []
