@@ -11,10 +11,10 @@ and substitution are read back, resolved, once at the end.
 An application of a function typed as an arrow, and a field operation on
 a record, are typed directly, with no fresh variables: the arrow's domain
 is unified with the argument's type and its codomain is the answer; the
-record's field is found by bisection, and one absent where it is required
-or present where it is forbidden is the kind clash unification reports.
+record's field is met at its label by unification's own step, `meet_at`.
 So is one on a chain over a record-kinded variable at a label the chain's
-operations leave alone: the variable's kind states the field or gains it.
+operations leave alone: the variable's kind states the field or gains it,
+by unification's `write_at`.  infer makes no field check of its own.
 A variable subject, or a chain that operates on the label, goes through
 fresh variables and the unifier, whose substitution the acceptance suite's
 criterion 1 pins.  So the substitution holds only the bindings needed.
@@ -32,8 +32,7 @@ subterm.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .derivation import Derivation, Judgment, KindingClaim, subst_derivation
 from .normalize import normalize
@@ -71,10 +70,20 @@ from .syntax import (
     is_extensible,
     poly,
     trusted_record,
-    trusted_record_kind,
-    union_all,
 )
-from .unify import ABSENT, KIND, OCCURS, OWN_KIND, PRESENT, UnificationError, unify_in_place
+from .unify import (
+    CLASH,
+    KIND,
+    LEFT,
+    OCCURS,
+    OWN_KIND,
+    RIGHT,
+    UnificationError,
+    find,
+    meet_at,
+    unify_in_place,
+    write_at,
+)
 
 
 class FreshSupply:
@@ -356,73 +365,50 @@ def _check_base(record: MonoType, value: MonoType, term: Term):
             )
 
 
-def _find(pairs, label, at=0):
-    """Where label goes in pairs sorted by the label at index `at` (a
-    record's fields or a kind's side at 0, a chain's operations at 1), and
-    the type of its entry there, or None."""
-    i = bisect_left(pairs, label, key=itemgetter(at))
-    return i, pairs[i][-1] if i < len(pairs) and pairs[i][at] == label else None
-
-
 def _open_base(run: _Run, t: MonoType, label) -> TyVar | None:
     """The bottom of t when t is a chain over a record-kinded variable whose
     operations, sorted by label in a normal chain, leave label alone."""
     if isinstance(t, (Ext, Contr)) and isinstance(t.bottom, TyVar):
-        if isinstance(run.kenv.get(t.bottom), RecordKind) and _find(t.ops, label, 1)[1] is None:
+        if isinstance(run.kenv.get(t.bottom), RecordKind) and find(t.ops, label, 1)[1] is None:
             return t.bottom
 
 
-def _known_field(run: _Run, t, base, term: Term, case: str, extend: bool, value):
-    """term's field in the record t, or in the kind of base, t's bottom, found
-    by bisection and checked as `unify._meet` checks it at that one label;
-    None when it is absent and must be, or has just been written into base's
-    kind as `value` (with no value a fresh variable is written and returned).
-    The new kind's free variables are the kind's cached set plus the field's."""
-    label = term.label
-    if base is None:
-        field = _find(t.fields, label)[1]
-        clash = (field is None) != extend
-    else:
-        kind = run.kenv[base] = resolve(run.subst, run.kenv[base])
-        own, other = (kind.rights, kind.lefts) if extend else (kind.lefts, kind.rights)
-        clash = _find(other, label)[1] is not None
-    if clash:
-        raise _Failed(case, KIND, (PRESENT if extend else ABSENT).format([label]), term)
+def _known_field(run: _Run, t, base, term: Term, case: str, side, value):
+    """term's field in the record t, or in the kind of base, t's bottom, met
+    at its label on `side` as unification meets it: the type stated there,
+    or the one written into base's kind (`value`, else a fresh variable), or
+    None when the field is absent and must be."""
+    facts = t if base is None else resolve(run.subst, run.kenv[base])
+    at = meet_at(facts, term.label, side)
+    if at is None:
+        raise _Failed(case, KIND, CLASH[side].format([term.label]), term)
+    i, field = at
     if base is None:
         return field
-    i, field = _find(own, label)
+    kind = facts
     if field is None:
-        new = value
-        if new is None:
-            new = run.fresh()
-            run.kenv[new] = UKind()
-        own = own[:i] + ((label, new),) + own[i:]
-        sides = (kind.lefts, own) if extend else (own, kind.rights)
-        kind = trusted_record_kind(*sides, union_all([ftv(kind), ftv(new)]))
+        field = value
+        if value is None:
+            field = run.fresh()
+            run.kenv[field] = UKind()
+        kind = write_at(facts, term.label, field, side, i)
     if base in ftv(kind):
         raise _Failed(case, OCCURS, OWN_KIND, term)
-    if field is None:
-        run.kenv[base] = kind
-        run.lower(base, new)
-        return new if value is None else None
+    run.kenv[base] = kind
+    if kind is not facts:
+        run.lower(base, field)
     return field
 
 
-def _lefts(label, t) -> RecordKind:
-    return trusted_record_kind(((label, t),), ())
-
-
-def _rights(label, t) -> RecordKind:
-    return trusted_record_kind((), ((label, t),))
-
+_NO_FIELDS = RecordKind((), ())
 
 # Term class -> (rule, failure tag, has a value premise, side of the record
 # kind the field goes on, result type from (a_rec, label, a_field)).
 _FIELD_RULES = {
-    Select: ("Sel", "select", False, _lefts, lambda rec, l, f: f),
-    Modify: ("Modif", "modify", True, _lefts, lambda rec, l, f: rec),
-    Remove: ("Contr", "remove", False, _lefts, Contr),
-    Extend: ("Ext", "extend", True, _rights, Ext),
+    Select: ("Sel", "select", False, LEFT, lambda rec, l, f: f),
+    Modify: ("Modif", "modify", True, LEFT, lambda rec, l, f: rec),
+    Remove: ("Contr", "remove", False, LEFT, Contr),
+    Extend: ("Ext", "extend", True, RIGHT, Ext),
 }
 
 
@@ -489,22 +475,23 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
         record = isinstance(t_rec, RecordType)
         base = None if record else _open_base(run, t_rec, term.label)
         if record or base is not None:
-            field = _known_field(run, t_rec, base, term, case, rule == "Ext", t_value)
-            if has_value and field is not None:
+            field = _known_field(run, t_rec, base, term, case, side, t_value)
+            if has_value and field is not None and field is not t_value:
                 run.unify([(t_value, field)], case, term)
             a_rec, a_field = t_rec, t_value if has_value else field
         else:
             a_field = run.fresh()
             a_rec = run.fresh()
             run.kenv[a_field] = UKind()
-            run.kenv[a_rec] = side(term.label, a_field)
+            run.kenv[a_rec] = write_at(_NO_FIELDS, term.label, a_field, side, 0)
             eqs = [(a_field, t_value), (a_rec, t_rec)] if has_value else [(a_rec, t_rec)]
             run.unify(eqs, case, term)
         if rule == "Ext" and not record:  # a record has no base to re-check
             run.extensions.append((a_rec, t_value, term))
         t = run.current(result(a_rec, term.label, a_field))
         if run.nodes is not None:
-            claim = KindingClaim(run.current(a_rec), side(term.label, run.current(a_field)))
+            one_field = write_at(_NO_FIELDS, term.label, run.current(a_field), side, 0)
+            claim = KindingClaim(run.current(a_rec), one_field)
             run.record(rule, tenv, term, t, 1 + has_value, claim)
         return t
 

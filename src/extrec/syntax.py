@@ -42,8 +42,8 @@ own normal form, and `normalize` merges only the operations after it.
 A record kind built by `trusted_record_kind`, and a record type built by
 `trusted_record`, skip the constructor's sorting and checks, and may come
 with their `_fv` set by their builder.  The builders vouch for the sides
-or fields: `map_type`, which keeps labels; a one-field kind;
-unification's merge of two kinds; inference's type of a record literal,
+or fields: `map_type`, which keeps labels; `unify`'s splice of one field
+into a kind and its sorted chain facts; inference's type of a record literal,
 whose fields the term keeps sorted; and normalization's fold of field
 operations into a record, which inserts and deletes by bisection.
 
@@ -421,7 +421,7 @@ def chain(base: MonoType, ops, fv: "frozenset[TyVar] | None" = None) -> MonoType
     if fv is None:
         fv = ftv(base)
         for _, _, fty in ops:
-            fv = _union(fv, ftv(fty))
+            fv = union(fv, ftv(fty))
     t = object.__new__(Ext if ops[-1][0] == EXT else Contr)
     _set(t, "bottom", bottom)
     _set(t, "ops", all_ops)
@@ -585,7 +585,7 @@ def ftv(x) -> frozenset[TyVar]:
     if isinstance(x, TyVar):
         fv = frozenset((x,))
     elif isinstance(x, Arrow):
-        fv = _union(ftv(x.dom), ftv(x.cod))
+        fv = union(ftv(x.dom), ftv(x.cod))
     elif isinstance(x, RecordType):
         fv = union_all([ftv(t) for _, t in x.fields])
     elif isinstance(x, RecordKind):
@@ -596,14 +596,14 @@ def ftv(x) -> frozenset[TyVar]:
         for v, k in reversed(x.quants):
             if v in fv:
                 fv = fv - {v}
-            fv = _union(fv, ftv(k))
+            fv = union(fv, ftv(k))
     else:  # BaseType, UKind
         fv = _NO_VARS
     _set(x, "_fv", fv)
     return fv
 
 
-def _union(a: frozenset[TyVar], b: frozenset[TyVar]) -> frozenset[TyVar]:
+def union(a: frozenset[TyVar], b: frozenset[TyVar]) -> frozenset[TyVar]:
     """a | b, as one of the operands itself when it already holds the other."""
     if b <= a:
         return a

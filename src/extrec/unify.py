@@ -17,17 +17,17 @@ fresh common base.
 
 The four rules that eliminate a record-kinded variable (iii, iv, vii and
 ix) share one step, `_meet`, as in Ohori's kinded unification: the
-variable is bound once the field facts of its image meet its kind.  Rule
-ix kinds a fresh base with the labels both chains contract on the left
-and those they extend on the right, then meets each chain's base with the
-fresh base under the other chain's operations.
+variable is bound once the field facts of its image meet its kind, label
+by label, through `meet_at` and `write_at`, which inference's direct path
+calls too.  Rule ix kinds a fresh base with the labels both chains
+contract on the left and those they extend on the right, then meets each
+chain's base with the fresh base under the other chain's operations.
 
-A chain's field facts are read one way, from the label maps of its
-operation tuple (`normalize.label_maps`) and its base's kind: the kind
-with the labels the chain moves taken across, at the operations' own
-types.  Rule x reads the same maps.  A chain that repeats a label with
-one sign has no facts.  The facts and the merged kind are still built
-from the base's whole kind, by work linear in its size.
+A chain's field facts are read one way, by work linear in its base's
+kind, from the label maps of its operation tuple (`normalize.label_maps`)
+and that kind: the kind with the labels the chain moves taken across, at
+the operations' own types.  Rule x reads the same maps.  A chain that
+repeats a label with one sign has no facts.
 
 Extensible types are not normalized eagerly; a normalization retry plus a
 chain-against-record decomposition cover the shapes plain substitution can
@@ -39,7 +39,9 @@ cancellable-operation count) lexicographically, so the loop terminates.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
+from operator import itemgetter
 
 from .kinding import wf_kind_assignment
 from .normalize import CON, EXT, chain_ops, equiv, is_normal, label_maps, normalize
@@ -61,15 +63,19 @@ from .syntax import (
     ftv,
     internal_fresh,
     trusted_record_kind,
-    union_all,
+    union,
 )
 
 OCCURS = "occurs_check"
 KIND = "kind_clash"
 CONSTRUCTOR = "constructor_clash"
-# `_meet`'s field failures, which `infer._known_field` raises too
-ABSENT, PRESENT = "required field(s) {} absent", "forbidden field(s) {} present"
+# A field's side in a record kind, an index into (lefts, rights), and by
+# side the message where facts state the other side (`meet_at`'s clash), in
+# `_meet` and in infer's direct path alike
+LEFT, RIGHT = 0, 1
+CLASH = ("required field(s) {} absent", "forbidden field(s) {} present")
 OWN_KIND = "variable occurs in its own kind"
+_LABEL_AT = (itemgetter(0), itemgetter(1))  # `find`'s keys
 
 
 class UnificationError(Exception):
@@ -302,72 +308,97 @@ def _matching_ops(ops1, ops2):
     return None
 
 
+def find(pairs, label, at=0):
+    """Where label goes in pairs sorted by the label at `at`, and its entry's type or None."""
+    i = bisect_left(pairs, label, key=_LABEL_AT[at])
+    return i, pairs[i][-1] if i < len(pairs) and pairs[i][at] == label else None
+
+
+def meet_at(facts, label, side):
+    """The field rule at one label, for a kind's field on `side`: where the
+    label goes on that side of facts, a record kind or a record (which lacks
+    every label it does not state), and the type stated there or None.  None
+    instead, a clash, where the facts state the label on the other side."""
+    if isinstance(facts, RecordType):
+        i, t = find(facts.fields, label)
+        return None if (t is None) == (side == LEFT) else (i, t)
+    own, other = (facts.lefts, facts.rights) if side == LEFT else (facts.rights, facts.lefts)
+    return None if find(other, label)[1] is not None else find(own, label)
+
+
+def write_at(kind, label, t, side, i, own=None) -> RecordKind:
+    """kind with label: t at position i of its `side`, over the entry of
+    type `own` there or, when own is None, inserted; built unchecked, and
+    with kind's free variables and t's when nothing is written over."""
+    fields = kind.lefts if side == LEFT else kind.rights
+    fields = fields[:i] + ((label, t),) + fields[i + (own is not None) :]
+    fv = union(ftv(kind), ftv(t)) if own is None else None
+    if side == LEFT:
+        return trusted_record_kind(fields, kind.rights, fv)
+    return trusted_record_kind(kind.lefts, fields, fv)
+
+
 def _meet(st: _State, v: TyVar, image: MonoType, base: TyVar | None):
     """Eliminate the record-kinded variable v into image, once image's field
-    facts meet v's kind: rules iii, iv and vii, and both halves of ix.  The
-    facts come from base's kind, when image is base or a chain over it, or
-    from image itself, a record, when base is None.
-
-    Each field of v's kind that the facts state is equated with the facts'
-    type.  When image is base, v's fields go into base's kind over base's
-    own entries (the two are equated anyway).  A chain over base only
-    moves labels of base's kind, so base keeps its own entries and gains
-    v's fields on the labels it does not state.  A record states every
-    label, and the types of the fields v forbade are dropped."""
+    facts meet v's kind at each of its labels: rules iii, iv and vii, and
+    both halves of ix.  The facts are base's kind, or a chain's over base,
+    or image itself, a record, when base is None.  A field the facts state
+    is equated with their type.  v's fields go into base's kind: over its
+    own entries when image is base (the two are equated anyway), else where
+    the facts state nothing, since a chain only moves labels of the kind.
+    A record states every label; the fields v forbade are dropped."""
     k: RecordKind = st.kind(v)
     occurs = v in ftv(image)
     if occurs and base is not None:
         # checked before the facts, which would otherwise mention v
         raise UnificationError(OCCURS, "variable occurs in its own solution")
-    eqs = []
-    if base is None:
-        present, absent = image.field_map(), {}
-    else:
-        kb = st.kind(base)
-        present, absent = kb.left_map(), kb.right_map()
+    eqs, facts = [], image
+    if base is not None:
+        facts = kb = st.kind(base)
         if image != base:
-            present, absent = _moved(present, absent, image, eqs)
-    lefts, rights = k.left_map(), k.right_map()
-    missing = [l for l in lefts if l in absent or base is None and l not in present]
-    if missing:
-        raise UnificationError(KIND, ABSENT.format(missing))
-    clash = [l for l in rights if l in present]
-    if clash:
-        raise UnificationError(KIND, PRESENT.format(clash))
+            facts = _moved(kb.left_map(), kb.right_map(), image, eqs)
+    met = [
+        [(l, t, meet_at(facts, l, side)) for l, t in fields]
+        for side, fields in enumerate((k.lefts, k.rights))
+    ]
+    for side, fields in enumerate(met):
+        clash = [l for l, _, at in fields if at is None]
+        if clash:
+            raise UnificationError(KIND, CLASH[side].format(clash))
     if occurs:
         raise UnificationError(OCCURS, "variable occurs in its own solution")
-    eqs += [(t, present[l]) for l, t in lefts.items() if l in present]
-    eqs += [(t, absent[l]) for l, t in rights.items() if l in absent]
+    eqs += [(t, at[1]) for fields in met for _, t, at in fields if at[1] is not None]
     if base is None:
         if st.levels is not None:
-            st.levels.lose(v, *rights.values())
+            st.levels.lose(v, *(t for _, t in k.rights))
         st.bind(v, image)
     else:
-        if image != base:
-            # the chain's facts state every label of base's kind
-            lefts = {l: t for l, t in lefts.items() if l not in present}
-            rights = {l: t for l, t in rights.items() if l not in absent}
-            adds = True
-        else:  # the facts are base's kind
-            adds = present.keys().isdisjoint(lefts) and absent.keys().isdisjoint(rights)
-        kind = apply_type({v: image}, _merged_kind(kb, lefts, rights, adds))
+        kind, written = kb, []
+        for side, fields in enumerate(met):
+            if image != base:  # where the label goes in base's kind, which lacks it
+                fields = [(l, t, meet_at(kb, l, side)) for l, t, at in fields if at[1] is None]
+            # from the last label back, so that each position still holds
+            for l, t, (i, own) in reversed(fields):
+                kind = write_at(kind, l, t, side, i, own)
+            written += [t for _, t, _ in fields]
+        kind = apply_type({v: image}, kind)
         if base in ftv(kind):
             raise UnificationError(OCCURS, OWN_KIND)
         st.bind(v, image)
         st.kenv[base] = kind
         if st.levels is not None:
-            st.levels.lower(base, *lefts.values(), *rights.values())
+            st.levels.lower(base, *written)
     st.push(*eqs)
 
 
-def _moved(kl: dict, kr: dict, t: MonoType, eqs: list) -> tuple[dict, dict]:
+def _moved(kl: dict, kr: dict, t: MonoType, eqs: list) -> RecordKind:
     """The field facts of a chain over a base whose kind has the sides kl
-    and kr: the kind with the labels the chain moves taken across, at the
-    operations' own types.  An extension needs its label forbidden by the
-    kind and a contraction its label required.  A kind entry that is not
-    equivalent to its operation's type goes to eqs, in chain order: a merge
-    may have written another type over it, with the equation between the
-    two still queued."""
+    and kr, as a kind: the base's kind with the labels the chain moves
+    taken across, at the operations' own types.  An extension needs its
+    label forbidden by the kind and a contraction its label required.  A
+    kind entry that is not equivalent to its operation's type goes to eqs,
+    in chain order: a merge may have written another type over it, with
+    the equation between the two still queued."""
     maps = label_maps(t.ops)
     if maps is None:
         raise UnificationError(KIND, "chain's operations contradict its base's kind")
@@ -384,27 +415,7 @@ def _moved(kl: dict, kr: dict, t: MonoType, eqs: list) -> tuple[dict, dict]:
     absent = {l: f for l, f in kr.items() if l not in ext}
     present.update(ext)
     absent.update(con)
-    return present, absent
-
-
-def _merged_kind(kb: RecordKind, lefts: dict, rights: dict, adds: bool) -> RecordKind:
-    """kb with the fields lefts and rights written over its own, which adds
-    labels only if `adds`.  The checks of `_meet` keep the two sides
-    disjoint, and the merge keeps them sorted, so the kind is built without
-    the constructor's checks.  When the merge only adds labels, its free
-    variables are kb's plus the new fields'."""
-    if adds:
-        fv = union_all([ftv(kb), *map(ftv, lefts.values()), *map(ftv, rights.values())])
-        return trusted_record_kind(_add_fields(kb.lefts, lefts), _add_fields(kb.rights, rights), fv)
-    return trusted_record_kind(
-        tuple(sorted({**kb.left_map(), **lefts}.items())),
-        tuple(sorted({**kb.right_map(), **rights}.items())),
-    )
-
-
-def _add_fields(side: tuple, new: dict) -> tuple:
-    """A sorted side with new labels added, sharing its (label, type) pairs."""
-    return tuple(sorted(side + tuple(new.items()))) if new else side
+    return trusted_record_kind(tuple(sorted(present.items())), tuple(sorted(absent.items())))
 
 
 def _rule_ix(st: _State, v1: TyVar, ops1, v2: TyVar, ops2):

@@ -211,11 +211,11 @@ def _read_facts(kenv, base, t):
     refuses t."""
     k, eqs = kenv[base], []
     try:
-        present, absent = unify_mod._moved(k.left_map(), k.right_map(), t, eqs)
+        facts = unify_mod._moved(k.left_map(), k.right_map(), t, eqs)
     except UnificationError as e:
         assert e.reason == "kind_clash", e
         return None
-    return present, absent, eqs
+    return facts.left_map(), facts.right_map(), eqs
 
 
 def _check_facts(kenv, base, t):

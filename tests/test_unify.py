@@ -5,10 +5,12 @@ import sys
 from collections import Counter
 
 import pytest
+from click.testing import CliRunner
 
+from extrec.cli import main
 from extrec.infer import FreshSupply, InferResult, infer
 from extrec.kinding import has_kind
-from extrec.normalize import equiv, is_normal, normalize
+from extrec.normalize import CON, EXT, chain_ops, equiv, is_normal, normalize
 from extrec.parser import parse_env_file, parse_term
 from extrec.subst import KindedSubstitution, apply_type, resolve, respects
 from extrec.syntax import (
@@ -588,3 +590,180 @@ def test_trusted_kinds_and_chain_caches_keep_their_invariants(monkeypatch):
         check([*k.values(), *s.values()])
     assert not faults, faults[:3]
     assert checked > 400 and seen["known prefix"] > 300, seen
+
+
+def test_a_clash_on_several_labels_names_them_all(tmp_path):
+    # `_meet` meets v's kind one label at a time, yet a failure lists every
+    # label that clashes, in label order: rule iv against a record that
+    # lacks both required fields, rule iii against a variable that forbids
+    # both
+    env = tmp_path / "k.env"
+    env.write_text("'a :: <<l: Int, m: Bool || >>\n")
+    r = CliRunner().invoke(main, ["unify", "--env", str(env), "-e", "'a = {}"])
+    assert (r.exit_code, r.output) == (1, "FAIL: kind_clash: required field(s) ['l', 'm'] absent\n")
+    env.write_text("'a :: <<l: Int, m: Bool || >>\n'b :: << || l: Int, m: Bool>>\n")
+    r = CliRunner().invoke(main, ["unify", "--env", str(env), "-e", "'a = 'b"])
+    assert (r.exit_code, r.output) == (1, "FAIL: kind_clash: forbidden field(s) ['l', 'm'] present\n")
+
+
+MEET_LABELS = ("l", "m", "n", "o", "p", "q")
+
+
+class _Levels:
+    """Records the `levels` hooks unification calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def lower(self, v, *types):
+        self.calls.append(("lower", v, types))
+
+    def lose(self, v, *types):
+        self.calls.append(("lose", v, types))
+
+
+def _draw_field(rng, pool):
+    r = rng.random()
+    if r < 0.2:
+        return rng.choice((INT, BOOL))
+    return rng.choice(pool) if r < 0.85 else Arrow(rng.choice(pool), INT)
+
+
+def _draw_kind(rng, pool):
+    picked = rng.sample(MEET_LABELS, rng.randint(0, 4))
+    cut = rng.randint(0, len(picked))
+    return record_kind(
+        [(l, _draw_field(rng, pool)) for l in picked[:cut]],
+        [(l, _draw_field(rng, pool)) for l in picked[cut:]],
+    )
+
+
+def _draw_image(rng, rule, kb, base, pool):
+    """A record for rule iv; base for rule iii; for rule vii a chain over
+    base that mostly moves labels of its kind at the kind's own types."""
+    if rule == "iv":
+        labels = sorted(rng.sample(MEET_LABELS, rng.randint(0, 4)))
+        return RecordType(tuple((l, _draw_field(rng, pool)) for l in labels))
+    if rule == "iii":
+        return base
+    kl, kr = kb.left_map(), kb.right_map()
+    stated = sorted(kl.keys() | kr.keys())
+    labels = rng.sample(stated, rng.randint(1, min(2, len(stated)))) if stated else []
+    if not labels or rng.random() < 0.1:
+        labels.append(rng.choice([l for l in MEET_LABELS if l not in labels]))
+    ops = []
+    for l in sorted(labels):
+        sign = EXT if l in kr else CON if l in kl else rng.choice((EXT, CON))
+        f = (kr if sign == EXT else kl).get(l)
+        ops.append((sign, l, f if f is not None and rng.random() < 0.8 else _draw_field(rng, pool)))
+    return chain(base, ops)
+
+
+def _reference_meet(kenv, v, image, base):
+    """The step computed from dict copies of the two kinds, merged whole, as
+    a reference for `_meet`'s fold over labels: (the failure's reason, its
+    message), or (equations, substitution, base's new kind, levels calls)."""
+    k = kenv[v]
+    lefts, rights = k.left_map(), k.right_map()
+    occurs = v in ftv(image)
+    if occurs and base is not None:
+        return ("occurs_check", "variable occurs in its own solution")
+    eqs = []
+    if base is None:
+        present, absent = image.field_map(), {}
+    else:
+        kb = kenv[base]
+        present, absent = kb.left_map(), kb.right_map()
+        if image != base:  # the chain's facts: its labels taken across
+            ops = chain_ops(image)[1]
+            for sign, l, f in ops:
+                side = absent if sign == EXT else present
+                if l not in side:
+                    return ("kind_clash", "chain's operations contradict its base's kind")
+                if not equiv(side[l], f):
+                    eqs.append((side[l], f))
+            for sign, l, f in ops:
+                del (absent if sign == EXT else present)[l]
+                (present if sign == EXT else absent)[l] = f
+    missing = [l for l in lefts if l in absent or base is None and l not in present]
+    if missing:
+        return ("kind_clash", f"required field(s) {missing} absent")
+    clash = [l for l in rights if l in present]
+    if clash:
+        return ("kind_clash", f"forbidden field(s) {clash} present")
+    if occurs:
+        return ("occurs_check", "variable occurs in its own solution")
+    eqs += [(t, present[l]) for l, t in lefts.items() if l in present]
+    eqs += [(t, absent[l]) for l, t in rights.items() if l in absent]
+    if base is None:
+        return eqs, {v: image}, None, [("lose", v, tuple(rights.values())), ("lower", v, (image,))]
+    if image != base:  # base keeps its entries
+        lefts = {l: t for l, t in lefts.items() if l not in present}
+        rights = {l: t for l, t in rights.items() if l not in absent}
+    merged = RecordKind(
+        tuple({**kb.left_map(), **lefts}.items()), tuple({**kb.right_map(), **rights}.items())
+    )
+    kind = apply_type({v: image}, merged)
+    if base in ftv(kind):
+        return ("occurs_check", "variable occurs in its own kind")
+    written = (*lefts.values(), *rights.values())
+    return eqs, {v: image}, kind, [("lower", v, (image,)), ("lower", base, written)]
+
+
+def _met_over(kb, k, chain_labels):
+    """The labels v's kind k and base's kind kb state on the same side with
+    different types, leaving out those a chain moves."""
+    return [
+        l
+        for theirs, ours in ((kb.left_map(), k.left_map()), (kb.right_map(), k.right_map()))
+        for l, t in ours.items()
+        if l in theirs and l not in chain_labels and theirs[l] != t
+    ]
+
+
+def test_the_field_step_meets_and_writes_as_the_whole_kind_merge_did():
+    # `_meet` folds `meet_at` over v's kind and writes with `write_at`.
+    # Against a reference that copies both kinds into dicts and merges them
+    # whole: the same verdict and message, the same equations in order, the
+    # same kind (sorted, disjoint, written over base's entries only in rule
+    # iii), the same levels calls, and a free-variable cache that a scratch
+    # walk confirms.
+    rng = random.Random(26)
+    ws = [TyVar(i, f"w{i}") for i in range(1, 4)]
+    base, v = TyVar(40, "base"), TyVar(50, "v")
+    pool = ws * 8 + [v, base]
+    seen, faults = Counter(), []
+    for _ in range(10000):
+        rule = rng.choice(("iii", "iv", "vii"))
+        kb, k = _draw_kind(rng, pool), _draw_kind(rng, pool)
+        image = _draw_image(rng, rule, kb, base, pool)
+        kenv = {**{w: UKind() for w in ws}, base: kb, v: k}
+        at = None if rule == "iv" else base
+        want = _reference_meet(kenv, v, image, at)
+        levels = _Levels()
+        st = unify_mod._State(dict(kenv), {}, [], None, None, levels)
+        try:
+            unify_mod._meet(st, v, image, at)
+        except UnificationError as e:
+            got = (e.reason, e.message)
+        else:
+            got = (list(st.eqs), st.subst, st.kenv.get(at), levels.calls)
+        assert got == want, (rule, kb, k, image)
+        ok = len(got) == 4
+        seen[rule, ok] += 1
+        if not ok and "field(s)" in got[1]:
+            seen[got[1].split()[0], "labels" if "', '" in got[1] else "label"] += 1
+        if ok and at is not None:
+            _cache_faults(got[2], faults, Counter())
+            moved = {l for _, l, _ in chain_ops(image)[1]} if rule == "vii" else ()
+            if _met_over(kb, k, moved):
+                seen[rule, "same label, other type"] += 1
+                if rule == "iii" and ftv(kb) - _scratch_ftv(got[2]) - {v}:
+                    seen["an overwrite drops a variable"] += 1
+    assert not faults, faults[:3]
+    assert min(seen[rule, ok] for rule in ("iii", "iv", "vii") for ok in (True, False)) > 1000, seen
+    assert seen["iii", "same label, other type"] > 250, seen
+    assert seen["vii", "same label, other type"] > 100, seen
+    assert seen["an overwrite drops a variable"] > 80, seen
+    for what in ("required", "forbidden"):
+        assert seen[what, "labels"] > 200 and seen[what, "label"] > 500, seen
