@@ -14,7 +14,9 @@ What is left per rule is its own typing condition; Gen has its own check.
 
 The validator and the inference algorithm are independent code paths over
 the same judgments, so each serves as an oracle for the other: `validate`
-and its node rules call nothing in `infer` or `unify`.
+and its node rules call nothing in `infer`.  The Var rule's
+`generic_instance` takes its witness from `unify`, but its verdict rests on
+`equiv`, `respects` and `has_kind` alone, and none of those calls `unify`.
 """
 
 from __future__ import annotations

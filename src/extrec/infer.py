@@ -36,7 +36,7 @@ from operator import attrgetter
 
 from .derivation import Derivation, Judgment, KindingClaim, subst_derivation
 from .normalize import normalize
-from .subst import apply_type, quantifier_prefix, resolve
+from .subst import apply_type, quantifier_prefix
 from .syntax import (
     Abs,
     App,
@@ -81,6 +81,7 @@ from .unify import (
     UnificationError,
     find,
     meet_at,
+    resolve,
     unify_in_place,
     write_at,
 )

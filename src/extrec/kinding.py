@@ -7,9 +7,9 @@ record kind then holds iff it is a sub-specification of that synthesis.
 Chains over a record base additionally satisfy absence of any label the
 chain never mentions, at any well-formed type.
 
-`field_info` is the reference synthesis, for `has_kind`, the matcher in
-`subst` and the tests.  Unification reads the same facts its own way, from
-a base's kind and the label maps of the chain's operations
+`field_info` is the reference synthesis, for `has_kind`, `unkinded_chain`
+and the tests.  Unification reads the same facts its own way, from a
+base's kind and the label maps of the chain's operations
 (`normalize.label_maps`).
 """
 

@@ -52,9 +52,10 @@ monotype, a kind or a polytype.  Substitution, resolution, renaming and
 normalization are each one function over all three through it.  It keeps
 a polytype's binders; `rebind` renames them, for alpha-equality and for
 substitution's capture avoidance.  The walkers that are not maps stay
-their own: `ftv`, a cached fold; the printers in `parser`; the matcher
-in `subst`, which walks two types at once; and `normalize`'s reference
-reducer, which stays independent of `normalize`.
+their own: `ftv`, a cached fold; the printers in `parser`; and
+`normalize`'s reference reducer, which stays independent of `normalize`.
+`freshen` renames every binder of a polytype to a fresh variable, and
+`misses` tells a walk that a substitution leaves a value untouched.
 """
 
 from __future__ import annotations
@@ -729,3 +730,15 @@ def rebind(p: PolyType, binders) -> PolyType:
         quants.append((w, rename_vars(k, mapping)))
         mapping[v.uid] = w
     return PolyType(tuple(quants), rename_vars(p.body, mapping))
+
+
+def freshen(p: PolyType) -> PolyType:
+    """p with every binder renamed to a fresh variable."""
+    return rebind(p, [internal_fresh(v.name) for v, _ in p.quants])
+
+
+def misses(s: Substitution, fv: frozenset) -> bool:
+    """No variable of fv is in the domain of s.  Set difference looks fv's
+    members up in s with the hashes the set has stored, where
+    `s.keys().isdisjoint(fv)` would call `TyVar.__hash__` for each."""
+    return len(fv.difference(s)) == len(fv)

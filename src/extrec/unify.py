@@ -4,16 +4,19 @@ The solver transforms a state (pending equations, kind assignment,
 substitution) until the equations are exhausted.  It binds variables in
 place: the substitution is triangular, an elimination records one
 `v := image` and deletes or replaces one kind entry, and each equation and
-kind is resolved through the substitution when a rule reads it.  `unify`
-reads the result back resolved; inference keeps one state for a whole run
-and calls `unify_in_place`.
+kind is resolved through the substitution (`resolve`) when a rule reads
+it.  `unify` reads the result back resolved; inference keeps one state for
+a whole run and calls `unify_in_place`.
 
-Rules are tried per equation (FIFO) in a fixed order: trivial equality,
-record and arrow decomposition, variable elimination (universal kind),
-merging of two record-kinded variables, variable against record, variable
-against an extension/contraction chain, cancellation of matching
-operations across two chains, and finally the two-chain merge onto a
-fresh common base.
+Equations are taken from the front of a queue, and the equations a rule
+derives go to its front, in their order: each is solved before any
+equation queued earlier, so a field equation that a kind implies is
+solved before a later input equation needs it.  Rules are tried per
+equation in a fixed order: trivial equality, record and arrow
+decomposition, variable elimination (universal kind), merging of two
+record-kinded variables, variable against record, variable against an
+extension/contraction chain, cancellation of matching operations across
+two chains, and finally the two-chain merge onto a fresh common base.
 
 The four rules that eliminate a record-kinded variable (iii, iv, vii and
 ix) share one step, `_meet`, as in Ohori's kinded unification: the
@@ -41,11 +44,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from functools import partial
 from operator import itemgetter
 
 from .kinding import wf_kind_assignment
 from .normalize import CON, EXT, chain_ops, equiv, is_normal, label_maps, normalize
-from .subst import apply_type, resolve
 from .syntax import (
     Arrow,
     BaseType,
@@ -53,6 +56,7 @@ from .syntax import (
     Ext,
     KindAssignment,
     MonoType,
+    PolyType,
     RecordKind,
     RecordType,
     Substitution,
@@ -60,8 +64,11 @@ from .syntax import (
     UKind,
     base_of,
     chain,
+    freshen,
     ftv,
     internal_fresh,
+    map_type,
+    misses,
     trusted_record_kind,
     union,
 )
@@ -85,6 +92,39 @@ class UnificationError(Exception):
         super().__init__(f"{reason}: {message}")
 
 
+def resolve(s: Substitution, t):
+    """Apply the triangular substitution s to a monotype, a kind or a
+    polytype: replace each bound variable by its image, resolved in turn,
+    until none is left.  A polytype's binders are renamed first when s maps
+    one or the resolved image of one of its free variables mentions one.
+
+    A triangular substitution maps each variable to the image it was bound
+    to, which may mention variables bound after it.  Resolution compresses
+    paths: every binding it follows is overwritten with its resolved image.
+    Variable-to-variable links are followed in a loop, not by recursion."""
+    if isinstance(t, TyVar):
+        image = s.get(t)
+        if image is None:
+            return t
+        path = [t]
+        while isinstance(image, TyVar) and image in s:
+            path.append(image)
+            image = s[image]
+        if not isinstance(image, TyVar):
+            image = resolve(s, image)
+        for v in path:
+            s[v] = image
+        return image
+    free = ftv(t)
+    if misses(s, free):
+        return t
+    if t.__class__ is PolyType and t.quants:
+        images = {w for v in free if v in s for w in ftv(resolve(s, v))}
+        if any(v in s or v in images for v, _ in t.quants):
+            t = freshen(t)
+    return map_type(partial(resolve, s), t)
+
+
 def _is_chain(t: MonoType) -> bool:
     return isinstance(t, (Ext, Contr))
 
@@ -103,7 +143,9 @@ class _State:
             self.trace.append(rule)
 
     def push(self, *pairs):
-        self.eqs.extend(pairs)
+        """Queue a rule's derived equations, in their order, before every
+        equation queued earlier."""
+        self.eqs.extendleft(reversed(pairs))
 
     def kind(self, v: TyVar):
         """v's kind, resolved, and stored back resolved."""
@@ -381,7 +423,7 @@ def _meet(st: _State, v: TyVar, image: MonoType, base: TyVar | None):
             for l, t, (i, own) in reversed(fields):
                 kind = write_at(kind, l, t, side, i, own)
             written += [t for _, t, _ in fields]
-        kind = apply_type({v: image}, kind)
+        kind = resolve({v: image}, kind)
         if base in ftv(kind):
             raise UnificationError(OCCURS, OWN_KIND)
         st.bind(v, image)
@@ -455,8 +497,8 @@ def _rule_chain_record(st: _State, t: MonoType, rec: RecordType):
     reduced = {l: f for l, f in fields.items() if l not in ext}
     reduced.update(con)
     # in chain order: a normal chain's labels are sorted
-    st.push(*((ext[l], fields[l]) for l in sorted(ext)))
-    st.push((t.bottom, RecordType(tuple(reduced.items()))))
+    eqs = [(ext[l], fields[l]) for l in sorted(ext)]
+    st.push(*eqs, (t.bottom, RecordType(tuple(reduced.items()))))
 
 
 def _fail(st: _State, t1: MonoType, t2: MonoType):

@@ -464,6 +464,36 @@ def gen_two_chain_equation(rng: random.Random, uid_base=50):
     return kenv, eqs, label_types
 
 
+def gen_field_order_equations(rng: random.Random, uid_base=50):
+    """A set where a kind's field equation is needed by a later equation:
+    'a :: <<l: F['b] || >> and 'q :: << || l: F[G]>>, with 'b :: U and G
+    ground, under 'a = 'q + {l: F[G]} and 'a - {l: F['b]} = 'q.  F wraps
+    its argument in 0-2 one-field records.  The contraction reduces only
+    once 'b = G, the equation the first elimination derives from 'a's
+    kind.  A third equation, in some sets, fixes 'b, 'q or 'a, at times
+    unsatisfiably.  Returns (kenv, eqs, label types)."""
+    ground, other = rng.sample((INT, BOOL), 2)
+    inner = [rng.choice(("m", "n")) for _ in range(rng.randint(0, 2))]
+
+    def wrap(t):
+        for label in inner:
+            t = RecordType(((label, t),))
+        return t
+
+    b, q, a = (TyVar(uid_base + i, name) for i, name in enumerate(("b", "q", "a")))
+    kenv = {
+        b: UKind(),
+        q: RecordKind((), (("l", wrap(ground)),)),
+        a: RecordKind((("l", wrap(b)),), ()),
+    }
+    eqs = [(a, Ext(q, "l", wrap(ground))), (Contr(a, "l", wrap(b)), q)]
+    third = rng.choice((None, (b, ground), (b, other), (q, RecordType(())), (a, RecordType(()))))
+    if third is not None:
+        eqs.append(third)
+    eqs = [(t2, t1) if rng.random() < 0.5 else (t1, t2) for t1, t2 in eqs]
+    return kenv, eqs, {"l": wrap(ground)}
+
+
 def enumerate_ground_unifiers(kenv, eqs, universe):
     """Brute-force: every assignment of universe types to kenv's variables
     that respects kenv and satisfies the equations.  Each kind and each

@@ -137,6 +137,19 @@ def test_check_refuses_a_claim_that_is_not_a_type():
     assert (r.exit_code, r.output) == (1, "FAIL: not an instance of the principal type\n")
 
 
+def test_check_finds_a_witness_that_only_a_kind_determines(tmp_path):
+    # 'a1 := {l: 'c, n: 'c} comes from 'a1's kind, not from the body, which
+    # leaves only n of it
+    env = tmp_path / "x.env"
+    env.write_text("x : forall 'a0 :: << || l: String>>. "
+                   "forall 'a1 :: <<l: 'a0, n: 'a0 || >>. 'a1 - {l: 'a0}\n")
+    ok = run("check", "--env", str(env), "-e", "x", "-t", "forall 'c :: << || l: String>>. {n: 'c}")
+    assert (ok.exit_code, ok.output) == (0, "OK\n")
+    bad = run("check", "--env", str(env), "-e", "x",
+              "-t", "forall 'c :: << || l: String>>. {n: 'c} -> Int")
+    assert (bad.exit_code, bad.output) == (1, "FAIL: not an instance of the principal type\n")
+
+
 def test_check_refuses_a_claim_that_specializes_the_context(tmp_path):
     env = tmp_path / "ctx.env"
     env.write_text("'a :: U\ny : 'a\n")

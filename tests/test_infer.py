@@ -19,7 +19,6 @@ from extrec.subst import (
     apply_assignment,
     closure,
     generic_instance,
-    resolve,
     respects,
 )
 from extrec.syntax import (
@@ -48,6 +47,7 @@ from extrec.syntax import (
     poly,
     record_kind,
 )
+from extrec.unify import resolve
 from gen import gen_closed_term, rebuilt, subst_equal
 
 ENV_42 = """

@@ -1,6 +1,7 @@
 """The package's modules import each other in one direction:
-cli -> checker -> infer -> unify/subst -> normalize -> syntax.  The checker
-is the oracle for inference, so nothing inference runs on may import it."""
+cli -> checker -> infer -> subst -> unify -> kinding -> normalize -> syntax.
+The checker is the oracle for inference, so nothing inference runs on may
+import it."""
 
 import ast
 from pathlib import Path

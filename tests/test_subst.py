@@ -374,8 +374,8 @@ _LACKS = "forall 'a :: U. forall 'b :: << || l: 'a>>. 'b -> 'a"
 _EXTEND = "forall 'a :: << || l: Int>>. 'a + {l: Int}"
 
 # (pattern, a claim that is not an instance, an accepted neighbour) under
-# GI_ENV.  Each rejection is a way the matcher and the subject disagree;
-# the matcher binds nothing there, and the final checks refuse the claim.
+# GI_ENV.  Each rejection is a way the pattern and the subject disagree;
+# unification fails there, or its witness fails the final checks.
 INSTANCE_TABLE = (
     # a variable matched twice, a rigid leaf, an arrow, a record
     ("forall 'a :: U. 'a -> 'a", "Int -> Bool", "Int -> Int"),
@@ -421,6 +421,19 @@ def test_generic_instance_rejects_what_the_final_checks_refuse():
         sigma = parse_type(pattern, venv)
         assert not generic_instance(kenv, sigma, parse_type(rejected, venv)), (pattern, rejected)
         assert generic_instance(kenv, sigma, parse_type(accepted, venv)), (pattern, accepted)
+
+
+def test_generic_instance_takes_a_witness_from_a_kind_and_refuses_an_unkinded_pattern():
+    _, _, venv = parse_env_file("")
+    # 'a1 := {l: 'a0, n: 'a0}: the body fixes n only, 'a1's kind fixes l
+    ops = " - {l: 'a0} - {n: 'a0} + {n: 'a0}"
+    pattern = f"forall 'a0 :: << || l: String>>. forall 'a1 :: <<l: 'a0, n: 'a0 || >>. 'a1{ops}"
+    claim = f"forall 'a0 :: << || l: String>>. {{l: 'a0, n: 'a0}}{ops}"
+    assert generic_instance({}, parse_type(pattern, venv), parse_type(claim, venv))
+    # 'q0 :: U neither requires nor forbids l, so the pattern's chain has no
+    # kind and the pattern is not a type
+    unkinded = parse_type("forall 'q0 :: U. 'q0 - {l: {}}", venv)
+    assert not generic_instance({}, unkinded, parse_type("forall 'q0 :: << || >>. 'q0", venv))
 
 
 def test_generic_instance_answers_ill_formed_candidates():

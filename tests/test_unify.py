@@ -12,7 +12,7 @@ from extrec.infer import FreshSupply, InferResult, infer
 from extrec.kinding import has_kind
 from extrec.normalize import CON, EXT, chain_ops, equiv, is_normal, normalize
 from extrec.parser import parse_env_file, parse_term
-from extrec.subst import KindedSubstitution, apply_type, resolve, respects
+from extrec.subst import KindedSubstitution, apply_type, respects
 from extrec.syntax import (
     Arrow,
     BOOL,
@@ -28,11 +28,12 @@ from extrec.syntax import (
     ftv,
     record_kind,
 )
-from extrec.unify import UnificationError, unify
+from extrec.unify import UnificationError, resolve, unify
 from gen import (
     enumerate_ground_unifiers,
     factors_through,
     gen_closed_term,
+    gen_field_order_equations,
     gen_kinded_equations,
     gen_two_chain_equation,
     mgu_universe,
@@ -186,9 +187,9 @@ def test_two_chain_merge_keeps_the_operations_types():
 
 
 def test_a_chain_queued_before_a_merge_meets_the_merged_kind():
-    # w is merged into a first, so a's kind gives l the type g while the
-    # equation g = Int is still queued; the chain a - {l: Int}, built
-    # against a's old kind, must still meet b
+    # w is merged into a first, so a's kind gives l the type g; the merge's
+    # equation g = Int goes before the queued b = a - {l: Int} and is
+    # solved first, and the chain then meets b under a's kind
     w = TyVar(4, "w")
     kenv = {
         g: UKind(),
@@ -198,9 +199,53 @@ def test_a_chain_queued_before_a_merge_meets_the_merged_kind():
     }
     trace = []
     resid, s = unify(kenv, [(w, a), (b, Contr(a, "l", INT))], trace=trace)
-    assert trace[:2] == ["iii", "vii"]
+    assert trace == ["iii", "ii", "vii", "i"]
     assert s == {w: a, b: Contr(a, "l", INT), g: INT}
     assert resid == {a: record_kind([("l", INT)])}
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_a_field_equation_a_kind_implies_is_solved_before_later_ones(nested):
+    # 'a :: <<l: F['b] || >> and 'q :: << || l: F[Bool]>>, with F the
+    # identity or a one-field record: 'a - {l: F['b]} reduces only once
+    # 'b = Bool, which eliminating 'a derives from its kind
+    wrap = (lambda t: RecordType((("m", t),))) if nested else (lambda t: t)
+    q = TyVar(5, "q")
+    kenv = {b: UKind(), q: record_kind([], [("l", wrap(BOOL))]), a: record_kind([("l", wrap(b))])}
+    eqs = [(a, Ext(q, "l", wrap(BOOL))), (Contr(a, "l", wrap(b)), q)]
+    solved = ({a: Ext(q, "l", wrap(BOOL))}, {q: Contr(a, "l", wrap(BOOL))})
+    for order, bound in zip((eqs, eqs[::-1]), solved):
+        resid, s = unify(kenv, order)
+        assert s == {b: BOOL, **bound}
+        for t1, t2 in eqs:
+            assert equiv(apply_type(s, t1), apply_type(s, t2))
+        assert respects(KindedSubstitution(resid, s), kenv)
+
+
+def test_field_equations_make_the_verdict_independent_of_equation_order():
+    # Brute force over sets where a kind's field equation is needed by a
+    # later equation: every order gives one verdict, a failure has no
+    # ground unifier, and a success is a unifier that respects the kinds.
+    rng = random.Random(20261019)
+    verdicts = Counter()
+    for _ in range(300):
+        kenv, eqs, label_types = gen_field_order_equations(rng)
+        grounds = enumerate_ground_unifiers(kenv, eqs, mgu_universe(label_types))
+        outcomes = set()
+        for order in itertools.permutations(eqs):
+            try:
+                resid, s = unify(kenv, list(order))
+            except UnificationError:
+                assert grounds == [], (kenv, order, grounds[:1])
+                outcomes.add(False)
+                continue
+            outcomes.add(True)
+            for t1, t2 in eqs:
+                assert equiv(apply_type(s, t1), apply_type(s, t2)), (kenv, order, s)
+            assert respects(KindedSubstitution(resid, s), kenv), (kenv, order, resid, s)
+        assert len(outcomes) == 1, (kenv, eqs)
+        verdicts[outcomes.pop()] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 30, verdicts
 
 
 def test_two_chain_merges_are_most_general():
