@@ -24,7 +24,7 @@ from __future__ import annotations
 # subst_derivation is bound here for the benchmark's tracer, which names it
 # as checker's.
 from .derivation import Derivation, subst_derivation
-from .infer import InferFailure, infer, supply_for
+from .infer import InferFailure, infer
 from .kinding import has_kind, wf_kind_assignment, wf_type_assignment
 from .normalize import equiv, normalize
 from .subst import apply_assignment, apply_type, closure, generic_instance
@@ -257,11 +257,11 @@ def check(
 ) -> tuple[bool, str | None]:
     """Does term have type sigma under (kenv, tenv)?
 
-    Decided by inferring the principal type and testing sigma as a generic
-    instance of its closure.  Returns (ok, reason-when-not-ok).
+    Decided by inferring the principal type, from `syntax.FRESH`'s
+    variables, newer than sigma's and the assignments', and testing sigma
+    as a generic instance of its closure.  Returns (ok, reason-when-not-ok).
     """
-    fs = supply_for(kenv, tenv, sigma)
-    res = infer(kenv, tenv, term, fs)
+    res = infer(kenv, tenv, term)
     if isinstance(res, InferFailure):
         return False, f"inference failed: {res.message}"
     for v in ftv_assignment(tenv) | kenv.keys():

@@ -15,7 +15,7 @@ import sys
 import click
 
 from .checker import check
-from .infer import FreshSupply, InferFailure, infer
+from .infer import InferFailure, infer
 from .interp import EvalError, eval_term, show_value
 from .kinding import unkinded_chain, wf_kind_assignment, wf_type_assignment
 from .normalize import equiv, normalize
@@ -151,7 +151,7 @@ def infer_cmd(file, expr, env_path, as_json):
     """Infer the principal type of a term."""
     kenv, tenv, venv = _load_env(env_path)
     term = _parse(parse_term, _read_source(file, expr))
-    res = infer(kenv, tenv, term, FreshSupply(venv.next_free_uid()))
+    res = infer(kenv, tenv, term, venv)
     if isinstance(res, InferFailure):
         where = f" at {res.span}" if res.span else ""
         _die_analysis(f"type error{where}: {res.message} [{res.rule}/{res.reason}]")
@@ -219,7 +219,7 @@ def unify_cmd(file, expr, env_path):
         _refuse_unkinded(kenv, a, "equation")
         _refuse_unkinded(kenv, b, "equation")
     try:
-        resid, subst = unify(kenv, eqs, fresh=FreshSupply(venv.next_free_uid()).fresh)
+        resid, subst = unify(kenv, eqs, fresh=venv.fresh)
     except UnificationError as e:
         click.echo(f"FAIL: {e}")
         sys.exit(ANALYSIS_ERROR)

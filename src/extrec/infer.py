@@ -36,7 +36,7 @@ from operator import attrgetter
 
 from .derivation import Derivation, Judgment, KindingClaim, subst_derivation
 from .normalize import normalize
-from .subst import apply_type, quantifier_prefix
+from .subst import apply_type, closure, quantifier_prefix
 from .syntax import (
     Abs,
     App,
@@ -46,6 +46,8 @@ from .syntax import (
     Contr,
     Ext,
     Extend,
+    FRESH,
+    FreshSupply,
     Frozen,
     KindAssignment,
     Let,
@@ -64,8 +66,6 @@ from .syntax import (
     UKind,
     Var,
     base_of,
-    eftv,
-    eftv_assignment,
     ftv,
     is_extensible,
     poly,
@@ -85,36 +85,6 @@ from .unify import (
     unify_in_place,
     write_at,
 )
-
-
-class FreshSupply:
-    """Monotone source of type-variable uids for one inference run."""
-
-    def __init__(self, start: int = 1):
-        self.next_uid = start
-
-    def fresh(self, name: str = "") -> TyVar:
-        v = TyVar(self.next_uid, name)
-        self.next_uid += 1
-        return v
-
-
-def supply_for(*values) -> FreshSupply:
-    """A supply starting above every uid reachable from the given values
-    (assignments, polytypes, monotypes)."""
-    seen: set[TyVar] = set()
-    for x in values:
-        if isinstance(x, dict):
-            # a kind assignment's keys are variables, a type assignment's names
-            seen.update(v for v in x if isinstance(v, TyVar))
-            members = x.values()
-        else:
-            members = (x,)
-        for y in members:
-            seen |= ftv(y)
-            if isinstance(y, PolyType):
-                seen.update(v for v, _ in y.quants)
-    return FreshSupply(max((v.uid for v in seen), default=0) + 1)
 
 
 class InferFailure(Frozen):
@@ -187,7 +157,7 @@ class _Run:
     was reachable only through them keeps the depth it was lowered to,
     which may be shallower than closure would have it.  `forgot` holds the
     depths of the let-bound terms open at that moment and deeper than the
-    variable that forgot them; `generalize` takes closure's rule there."""
+    variable that forgot them; `generalize` calls `closure` there."""
 
     def __init__(self, kenv: KindAssignment, fs: FreshSupply, want_trace: bool):
         self.kenv = dict(kenv)
@@ -280,7 +250,7 @@ class _Run:
         A shallow variable's kind mentions only shallow ones, so the walk
         from t stops at them.  Only if unification forgot part of a kind
         while this bound term was open (`lose`) is tenv read, and the whole
-        kind assignment: closure's own rule decides.  The top derivation
+        kind assignment: `closure` itself decides.  The top derivation
         node, if any, becomes the premise of a Gen node that carries the
         quantified kinds."""
         exact = self.level in self.forgot
@@ -291,29 +261,31 @@ class _Run:
         kinds = {}  # resolved
         for v in deep:
             kinds[v] = kenv[v] = resolve(subst, kenv[v])
-        quantify: set[TyVar] = set()
-        work = list(ftv(t))
-        while work:
-            v = work.pop()
-            if v in kinds and v not in quantify:
-                quantify.add(v)
-                work.extend(ftv(kinds[v]))
         if exact or self.nodes is not None:
             gamma = {x: resolve(subst, sigma) for x, sigma in tenv.items()}
         if exact:
             kinds = {v: resolve(subst, k) for v, k in kenv.items()}
             deep = list(kinds)
-            quantify = eftv(kinds, t) - eftv_assignment(kinds, gamma)
-        # Ties go by position in the kind assignment: the run adds its
-        # variables in uid order, after the caller's, whose uids are lower.
-        ordered = quantifier_prefix(quantify, deep, kinds, attrgetter("uid"))
+            sigma = closure(kinds, gamma, t)[1]
+            quantify = {v for v, _ in sigma.quants}
+        else:
+            quantify: set[TyVar] = set()
+            work = list(ftv(t))
+            while work:
+                v = work.pop()
+                if v in kinds and v not in quantify:
+                    quantify.add(v)
+                    work.extend(ftv(kinds[v]))
+            # Ties go by uid, as closure's by position in the kind
+            # assignment: the run adds its variables in uid order.
+            ordered = quantifier_prefix(quantify, deep, kinds, attrgetter("uid"))
+            sigma = PolyType(tuple((v, kinds[v]) for v in ordered), t) if ordered else poly(t)
         for v in deep:
             if v in quantify:
                 del kenv[v]
             elif levels.get(v, 0) > level:
                 levels[v] = level
                 self.pools[level].append(v)
-        sigma = PolyType(tuple((v, kinds[v]) for v in ordered), t) if ordered else poly(t)
         if self.nodes is not None:
             d = self.nodes.pop()
             quantified = {v: kinds[v] for v in sorted(quantify, key=attrgetter("uid"))}
@@ -333,10 +305,11 @@ def infer(
 ) -> InferResult | InferFailure:
     """Principal typing of term under (kenv, tenv), or a failure value.
     Every chain in tenv must have a kind (`kinding.unkinded_chain`), as those
-    inference builds do: a field operation on one reads its base's kind."""
-    if fs is None:
-        fs = supply_for(kenv, tenv)
-    run = _Run(kenv, fs, want_trace)
+    inference builds do: a field operation on one reads its base's kind.
+    Fresh variables come from fs, whose uids must lie above every variable
+    of kenv and tenv and apart from those `syntax.FRESH` hands out, since
+    renaming draws on FRESH; by default they come from FRESH itself."""
+    run = _Run(kenv, FRESH if fs is None else fs, want_trace)
     try:
         t = _infer(run, tenv, term)
         # The extension rule's base-variable condition is the one side

@@ -156,7 +156,7 @@ def one_step_reducts(t: MonoType) -> list[MonoType]:
 
 
 def _fold_into_record(base, ops):
-    """Fold operations into a record base innermost-first, up to the first
+    """Fold operations into base, a record, innermost-first, up to the first
     one that sticks: (new base, operations left), or None if none folds,
     as over a chain stuck on a record.  Each label is found by bisection
     in the sorted fields and inserted or deleted there, so nothing is
@@ -164,8 +164,6 @@ def _fold_into_record(base, ops):
     (label, type) pairs: extending a record of n fields allocates one pair
     and a list and a tuple of n + 1 references.  The free variables of a
     record that was only extended are the base's and the new fields'."""
-    if not isinstance(base, RecordType):
-        return None
     fields, fv = list(base.fields), ftv(base)
     folded = 0
     for sign, label, fty in ops:

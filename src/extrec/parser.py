@@ -54,6 +54,7 @@ from .syntax import (
     EXT,
     Ext,
     Extend,
+    FreshSupply,
     Kind,
     KindAssignment,
     Let,
@@ -96,18 +97,13 @@ class ParseError(Exception):
         super().__init__(f"{span}: {message}{detail}")
 
 
-class VarEnv:
-    """Maps source-level type-variable names to TyVars within one session."""
+class VarEnv(FreshSupply):
+    """One session's supply of type variables: a new one for each source
+    name in scope (`names`) and each binder; the CLI goes on drawing on it."""
 
-    def __init__(self, start_uid: int = 1):
-        self._counter = itertools.count(start_uid)
-        self._max_used = start_uid - 1
+    def __init__(self, start: int = 1):
+        super().__init__(start)
         self.names: dict[str, TyVar] = {}
-
-    def fresh(self, name: str) -> TyVar:
-        uid = next(self._counter)
-        self._max_used = max(self._max_used, uid)
-        return TyVar(uid, name)
 
     def lookup(self, name: str) -> TyVar:
         if name not in self.names:
@@ -115,7 +111,7 @@ class VarEnv:
         return self.names[name]
 
     def next_free_uid(self) -> int:
-        return self._max_used + 1
+        return self.next_uid
 
 
 # Layout and comments, then one token.  `\w` is `str.isalnum` or "_".  A

@@ -19,6 +19,7 @@ from functools import partial
 from .kinding import has_kind, unkinded_chain
 from .normalize import chain_ops, equiv
 from .syntax import (
+    FRESH,
     Frozen,
     INT,
     KindAssignment,
@@ -34,7 +35,6 @@ from .syntax import (
     eftv_assignment,
     freshen,
     ftv,
-    internal_fresh,
     map_type,
     misses,
     poly,
@@ -178,7 +178,7 @@ def generic_instance(kenv: KindAssignment, s1: PolyType, s2: PolyType) -> bool:
     kinds = {**fixed, **dict(s1.quants)}
     s: Substitution = {}
     try:
-        unify_in_place(kinds, s, [(s1.body, s2.body)], internal_fresh)
+        unify_in_place(kinds, s, [(s1.body, s2.body)], FRESH.fresh)
         for v in [v for v in fixed if v in s]:
             w, ops = chain_ops(resolve(s, v))
             if isinstance(w, TyVar) and w not in fixed and not any(w in ftv(f) for *_, f in ops):

@@ -56,27 +56,21 @@ their own: `ftv`, a cached fold; the printers in `parser`; and
 `normalize`'s reference reducer, which stays independent of `normalize`.
 `freshen` renames every binder of a polytype to a fresh variable, and
 `misses` tells a walk that a substitution leaves a value untouched.
+
+Every type variable comes from a `FreshSupply`: a parser's `VarEnv` is
+one, a caller of `infer` or `unify` may pass one, and the process-wide
+`FRESH` serves the rest.  Only the order of uids matters, and a newer
+variable has a higher one.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import FrozenInstanceError
 from operator import attrgetter
 
 Label = str
 
 BASE_TYPES = ("Int", "Bool", "String")
-
-# Supply for variables created internally (alpha-renaming away from a
-# substitution's domain).  Kept far above ids handed out by parsers and
-# inference so the ranges never collide.
-_internal_uids = itertools.count(1_000_000)
-
-
-def internal_fresh(name: str = "") -> "TyVar":
-    return TyVar(next(_internal_uids), name)
-
 
 # ---------------------------------------------------------------------------
 # Values
@@ -305,6 +299,24 @@ class TyVar(Frozen):
 
     def __repr__(self):
         return f"TyVar(uid={self.uid!r}, name={self.name!r})"
+
+
+class FreshSupply:
+    """Monotone source of type variables: each has a uid one above the last."""
+
+    def __init__(self, start: int = 1):
+        self.next_uid = start
+
+    def fresh(self, name: str = "") -> TyVar:
+        v = TyVar(self.next_uid, name)
+        self.next_uid += 1
+        return v
+
+
+# The supply of every caller that brings none: `freshen`, `unify`'s merges,
+# instance checking, `infer` and `check`.  It starts far above the uids a
+# parser hands out and only counts up, so what it makes is newest.
+FRESH = FreshSupply(1_000_000)
 
 
 class RecordType(Frozen):
@@ -734,7 +746,7 @@ def rebind(p: PolyType, binders) -> PolyType:
 
 def freshen(p: PolyType) -> PolyType:
     """p with every binder renamed to a fresh variable."""
-    return rebind(p, [internal_fresh(v.name) for v, _ in p.quants])
+    return rebind(p, [FRESH.fresh(v.name) for v, _ in p.quants])
 
 
 def misses(s: Substitution, fv: frozenset) -> bool:

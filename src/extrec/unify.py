@@ -54,6 +54,7 @@ from .syntax import (
     BaseType,
     Contr,
     Ext,
+    FRESH,
     KindAssignment,
     MonoType,
     PolyType,
@@ -66,7 +67,6 @@ from .syntax import (
     chain,
     freshen,
     ftv,
-    internal_fresh,
     map_type,
     misses,
     trusted_record_kind,
@@ -170,8 +170,8 @@ def unify(
 
     Returns (residual kind assignment, substitution); raises
     UnificationError when no unifier exists.  `fresh` supplies variables
-    for the two-chain merge; `trace`, if given, collects applied rule
-    names.
+    for the two-chain merge, `syntax.FRESH.fresh` by default; `trace`, if
+    given, collects applied rule names.
     """
     eqs = list(equations)
     if not wf_kind_assignment(kenv):
@@ -182,7 +182,7 @@ def unify(
                 raise ValueError(f"unify: equation variable '{v.name or v.uid}' unkinded")
     kenv = dict(kenv)
     subst: Substitution = {}
-    unify_in_place(kenv, subst, eqs, fresh if fresh is not None else internal_fresh, trace)
+    unify_in_place(kenv, subst, eqs, fresh if fresh is not None else FRESH.fresh, trace)
     return (
         {v: resolve(subst, k) for v, k in kenv.items()},
         {v: resolve(subst, v) for v in list(subst)},

@@ -28,6 +28,7 @@ from extrec.syntax import (
     TyVar,
     UKind,
     Var,
+    freshen,
     poly,
     record_kind,
 )
@@ -320,6 +321,19 @@ def test_check_examples():
 def test_check_reports_inference_failure():
     ok, reason = check({}, {}, parse_term("{l=1}.m"), poly(INT))
     assert not ok and "inference failed" in reason
+
+
+def test_check_accepts_the_principal_type_under_a_renamed_environment():
+    # `freshen` renames get's binders, and then the claim's, to the newest
+    # variables yet; check's own must be newer still, and apart from those
+    # that renaming inside the instance test draws
+    kenv, tenv, venv = parse_env_file("get : forall 'c :: U. forall 'r :: <<l: 'c || >>. 'r -> 'c\n")
+    term = parse_term("\\z. {l = z, m = true, n = get}.m")
+    claim = parse_type("forall 'a :: U. 'a -> Bool", venv)
+    assert check(kenv, tenv, term, claim) == (True, None)
+    renamed = {"get": freshen(tenv["get"])}
+    assert check(kenv, renamed, term, claim) == (True, None)
+    assert check(kenv, renamed, term, freshen(claim)) == (True, None)
 
 
 def test_check_refuses_claim_needing_stronger_environment_kind():

@@ -251,6 +251,34 @@ def test_eval_command():
     assert err.exit_code == 1
 
 
+def test_each_refusal_prints_its_message(tmp_path):
+    # paths that no other test takes: a function value, a runtime error,
+    # the recursion limit met inside a command, and the refusals of an env
+    # file, a claim and an equation set
+    deep = "(" * 3000 + "1" + ")" * 3000
+    bad_kinds, unkinded, terms = (tmp_path / f"{n}.env" for n in ("k", "t", "x"))
+    bad_kinds.write_text("'a :: <<l: 'b || >>\n")
+    unkinded.write_text("x : 'q\n")
+    terms.write_text("x : Int\n")
+    cases = [
+        (["eval", "-e", "\\x. x"], 0, "<fun x>\n"),
+        (["eval", "-e", "1.l"], 1, "runtime error: record operation on a non-record\n"),
+        (["eval", "-e", deep], 2, "input is nested too deeply\n"),
+        (["infer", "--env", str(bad_kinds), "-e", "1"], 1,
+         "environment kind assignment is not well formed\n"),
+        (["infer", "--env", str(unkinded), "-e", "1"], 1,
+         "environment types mention unkinded variables\n"),
+        (["check", "-e", "\\x. x", "-t", "'q -> 'q"], 1,
+         "claimed type mentions unkinded variable 'q\n"),
+        (["unify", "--env", str(terms), "-e", "Int = Int"], 2,
+         "unify takes a kind assignment; term variables are not used\n"),
+        (["unify", "-e", "'z = Int"], 1, "equation variable 'z has no kind\n"),
+    ]
+    for args, code, output in cases:
+        r = run(*args)
+        assert (r.exit_code, r.output) == (code, output), args
+
+
 def test_parse_command_echoes_canonically():
     r = run("parse", "-e", "((f) (x))")
     assert r.exit_code == 0 and r.output.strip() == "f x"

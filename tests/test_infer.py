@@ -3,7 +3,7 @@ import random
 import sys
 
 from extrec.checker import validate
-from extrec.infer import FreshSupply, InferFailure, infer, instantiate, supply_for
+from extrec.infer import FreshSupply, InferFailure, infer, instantiate
 from extrec.kinding import has_kind, wf_kind_assignment
 from extrec.normalize import equiv, normalize
 from extrec.parser import (
@@ -31,6 +31,7 @@ from extrec.syntax import (
     Contr,
     Ext,
     Extend,
+    FRESH,
     INT,
     Let,
     Modify,
@@ -42,6 +43,7 @@ from extrec.syntax import (
     TyVar,
     UKind,
     Var,
+    freshen,
     ftv,
     map_type,
     poly,
@@ -205,6 +207,53 @@ def test_deterministic_up_to_renaming():
         p1 = closure(r1.kenv, {}, r1.type)[1]
         p2 = closure(r2.kenv, {}, r2.type)[1]
         assert p1 == p2  # polytype equality is alpha-invariant
+
+
+POLY_ENV = ENV_42 + """
+id : forall 'c :: U. 'c -> 'c
+get : forall 'c :: U. forall 'r :: <<l: 'c || >>. 'r -> 'c
+put : forall 'c :: U. forall 'r :: << || l: 'c>>. 'c -> 'r -> 'r + {l: 'c}
+"""
+
+
+def _uids(*values) -> list[int]:
+    """The uids of the values' free variables and binders."""
+    return [v.uid for x in values for v in ftv(x) | {w for w, _ in getattr(x, "quants", ())}]
+
+
+def test_default_supply_makes_only_newer_variables(monkeypatch):
+    # Without a supply, infer and check draw from `syntax.FRESH`, which
+    # starts above every uid a parser hands out and only counts up.  So a
+    # run's variables are newer than its inputs', also than those `freshen`
+    # drew from FRESH, and the outcome is the one a supply clear of both
+    # the inputs and FRESH gives, also for a claim whose binders FRESH
+    # made last.
+    kenv, tenv, _ = parse_env_file(POLY_ENV)
+    checker = sys.modules["extrec.checker"]
+    clear = lambda: FreshSupply(FRESH.next_uid + 1_000_000)
+    rng = random.Random(2028)
+    fixed = [parse_term(src) for src in ("\\z. z", "\\z. put z x", "let f = get in f")]
+    accepted = verdicts = 0
+    for i in range(400):
+        # the fixed terms come first, with the parsed types
+        g = {x: freshen(s) if i >= len(fixed) and rng.random() < 0.5 else s for x, s in tenv.items()}
+        top = max(_uids(*kenv, *g.values()))
+        term = fixed[i] if i < len(fixed) else gen_closed_term(rng, rng.randint(1, 5), scope=tuple(g))
+        res = infer(kenv, g, term)
+        assert _verdict(res, kenv, g) == _verdict(infer(kenv, g, term, clear()), kenv, g), term
+        if isinstance(res, InferFailure):
+            continue
+        accepted += 1
+        made = [*res.kenv, *res.subst, res.type, *res.kenv.values(), *res.subst.values()]
+        assert all(u > top for u in _uids(*made) if TyVar(u) not in kenv), term
+        principal = closure(res.kenv, apply_assignment(res.subst, g), res.type)[1]
+        for sigma in (principal, freshen(principal), poly(Arrow(INT, INT))):
+            got = checker.check(kenv, g, term, sigma)
+            with monkeypatch.context() as m:
+                m.setattr(checker, "infer", lambda k, g, t, *_: infer(k, g, t, clear()))
+                assert checker.check(kenv, g, term, sigma) == got, (term, sigma)
+            verdicts += got[0]
+    assert accepted > 100 and verdicts > accepted
 
 
 def test_trace_context_matches_substituted_gamma():

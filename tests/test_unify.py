@@ -85,6 +85,15 @@ def _reason(kenv, eqs):
     return e.value.reason
 
 
+def test_ill_formed_input_is_a_value_error():
+    # a kind that mentions a variable with no kind, and an equation variable
+    # with no kind, are not unification problems
+    with pytest.raises(ValueError, match="^unify: kind assignment not well formed$"):
+        unify({a: record_kind([("l", b)])}, [])
+    with pytest.raises(ValueError, match="^unify: equation variable 'a' unkinded$"):
+        unify({}, [(a, INT)])
+
+
 def test_failure_reasons():
     with pytest.raises(UnificationError) as e:
         unify({a: record_kind([("l", INT)])}, [(a, RecordType((("m", BOOL),)))])
