@@ -38,14 +38,7 @@ from .syntax import (
 
 def wf_kind_assignment(kenv: KindAssignment) -> bool:
     """Every kind's free variables stay inside the assignment's domain."""
-    return wf_offender(kenv) is None
-
-
-def wf_offender(kenv: KindAssignment) -> TyVar | None:
-    for v, k in kenv.items():
-        if any(w not in kenv for w in ftv(k)):
-            return v
-    return None
+    return all(w in kenv for k in kenv.values() for w in ftv(k))
 
 
 def wf_type(kenv: KindAssignment, t: MonoType | Kind | PolyType) -> bool:

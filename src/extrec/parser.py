@@ -101,8 +101,8 @@ class VarEnv(FreshSupply):
     """One session's supply of type variables: a new one for each source
     name in scope (`names`) and each binder; the CLI goes on drawing on it."""
 
-    def __init__(self, start: int = 1):
-        super().__init__(start)
+    def __init__(self):
+        super().__init__()
         self.names: dict[str, TyVar] = {}
 
     def lookup(self, name: str) -> TyVar:

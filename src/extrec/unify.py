@@ -12,11 +12,17 @@ Equations are taken from the front of a queue, and the equations a rule
 derives go to its front, in their order: each is solved before any
 equation queued earlier, so a field equation that a kind implies is
 solved before a later input equation needs it.  Rules are tried per
-equation in a fixed order: trivial equality, record and arrow
-decomposition, variable elimination (universal kind), merging of two
-record-kinded variables, variable against record, variable against an
-extension/contraction chain, cancellation of matching operations across
-two chains, and finally the two-chain merge onto a fresh common base.
+equation in a fixed order: (i) equality modulo reduction, (v, vi) record
+and arrow decomposition, (ii) elimination of a universally kinded
+variable, (iii) merging of two record-kinded variables, (iv) variable
+against record, (vii) variable against an extension/contraction chain,
+(viii) cancellation of matching operations across two chains, a retry on
+normal forms (types are not normalized eagerly, and substitution builds
+shapes, such as chains over records, that no rule matches), (ix) the
+two-chain merge onto a fresh common base, and (x) a chain over a variable
+against a record.  The rule is decided from one read of the two sides:
+one kind lookup per side picks among ii-vii and the side eliminated, and
+one read of each side's chain operations serves viii and ix.
 
 The four rules that eliminate a record-kinded variable (iii, iv, vii and
 ix) share one step, `_meet`, as in Ohori's kinded unification: the
@@ -31,10 +37,6 @@ kind, from the label maps of its operation tuple (`normalize.label_maps`)
 and that kind: the kind with the labels the chain moves taken across, at
 the operations' own types.  Rule x reads the same maps.  A chain that
 repeats a label with one sign has no facts.
-
-Extensible types are not normalized eagerly; a normalization retry plus a
-chain-against-record decomposition cover the shapes plain substitution can
-produce that the primary rules do not match.
 
 Each applied rule strictly shrinks (unsolved variables, equation size,
 cancellable-operation count) lexicographically, so the loop terminates.
@@ -154,10 +156,17 @@ class _State:
 
     def bind(self, v: TyVar, image: MonoType):
         """Record v := image; v leaves the kind assignment."""
-        if self.levels is not None:
-            self.levels.lower(v, image)
+        self.lower(v, image)
         self.subst[v] = image
         del self.kenv[v]
+
+    def lower(self, v: TyVar, *types):
+        if self.levels is not None:
+            self.levels.lower(v, *types)
+
+    def lose(self, v: TyVar | None, *types):
+        if self.levels is not None:
+            self.levels.lose(v, *types)
 
 
 def unify(
@@ -221,8 +230,8 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
     # i) equal modulo reduction
     if equiv(t1, t2):
         st.note("i")
-        if st.levels is not None and ftv(t1) is not ftv(t2):
-            st.levels.lose(None, *(ftv(t1) ^ ftv(t2)))
+        if ftv(t1) is not ftv(t2):
+            st.lose(None, *(ftv(t1) ^ ftv(t2)))
         return
     # v) record decomposition
     if isinstance(t1, RecordType) and isinstance(t2, RecordType):
@@ -237,101 +246,84 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
         st.note("vi")
         st.push((t1.dom, t2.dom), (t1.cod, t2.cod))
         return
-    # ii) universally kinded variable; when both sides qualify, the newer
-    # variable is eliminated, so results do not depend on equation order
-    candidates = [
-        (a, b)
-        for a, b in ((t1, t2), (t2, t1))
-        if isinstance(a, TyVar) and isinstance(st.kenv.get(a), UKind)
-    ]
-    if candidates:
-        a, b = max(candidates, key=lambda ab: ab[0].uid)
+    # ii-vii) the kinds of the sides (None for a non-variable) pick the side
+    # a rule eliminates, a: universally kinded before record-kinded, the
+    # newer of two alike, so that results do not depend on equation order
+    k1 = st.kenv.get(t1) if isinstance(t1, TyVar) else None
+    k2 = st.kenv.get(t2) if isinstance(t2, TyVar) else None
+    a, ka, b, kb = t1, k1, t2, k2
+    if k2 is not None and (
+        k1 is None or (isinstance(k2, UKind), t2.uid) > (isinstance(k1, UKind), t1.uid)
+    ):
+        a, ka, b, kb = t2, k2, t1, k1
+    # ii) universally kinded variable
+    if isinstance(ka, UKind):
         if a in ftv(b):
             raise UnificationError(OCCURS, "variable occurs in its own solution")
         st.note("ii")
         st.bind(a, b)
         return
-    # iii) two record-kinded variables; the newer one is eliminated
-    if (
-        isinstance(t1, TyVar)
-        and isinstance(t2, TyVar)
-        and isinstance(st.kenv.get(t1), RecordKind)
-        and isinstance(st.kenv.get(t2), RecordKind)
-    ):
-        if t1.uid < t2.uid:
-            t1, t2 = t2, t1
-        st.note("iii")
-        _meet(st, t1, t2, t2)
-        return
-    # iv) record-kinded variable against a record type
-    for a, b in ((t1, t2), (t2, t1)):
-        if (
-            isinstance(a, TyVar)
-            and isinstance(st.kenv.get(a), RecordKind)
-            and isinstance(b, RecordType)
-        ):
+    if isinstance(ka, RecordKind):
+        # iii) two record-kinded variables
+        if isinstance(kb, RecordKind):
+            st.note("iii")
+            _meet(st, a, b, b)
+            return
+        # iv) record-kinded variable against a record type
+        if isinstance(b, RecordType):
             st.note("iv")
             _meet(st, a, b, None)
             return
-    # vii) record-kinded variable against a normal chain with a kinded
-    # variable base.  A reducible chain falls through to the normalization
-    # retry below: its syntactic operations misstate its net field effect.
-    for a, b in ((t1, t2), (t2, t1)):
-        if (
-            isinstance(a, TyVar)
-            and isinstance(st.kenv.get(a), RecordKind)
-            and _is_chain(b)
-            and is_normal(b)
-        ):
-            base = base_of(b)
+        # vii) record-kinded variable against a normal chain with a kinded
+        # variable base.  A reducible chain falls through to the
+        # normalization retry below: its syntactic operations misstate its
+        # net field effect.
+        if _is_chain(b) and is_normal(b):
+            base = b.bottom
             if isinstance(base, TyVar) and isinstance(st.kenv.get(base), RecordKind):
                 st.note("vii")
                 _meet(st, a, b, base)
                 return
-    # viii) matching operation on two chains over variables
-    if _is_chain(t1) and _is_chain(t2):
+    # viii and ix read two chains over variables, once
+    chains = _is_chain(t1) and _is_chain(t2)
+    if chains:
         base1, ops1 = chain_ops(t1)
         base2, ops2 = chain_ops(t2)
-        if isinstance(base1, TyVar) and isinstance(base2, TyVar):
-            pair = _matching_ops(ops1, ops2)
-            if pair is not None:
-                i, j = pair
-                st.note("viii")
-                st.push(
-                    (ops1[i][2], ops2[j][2]),
-                    (
-                        chain(base1, ops1[:i] + ops1[i + 1 :]),
-                        chain(base2, ops2[:j] + ops2[j + 1 :]),
-                    ),
-                )
-                return
-    # Substitution can build chains over record bases and other reducible
-    # shapes the rules above do not match; retry once on normal forms.  Past
-    # this point t1 and t2 are normal: the retry ran, or left them as they
-    # were.  `normalize` returns a normal type itself, so identity tells
-    # which; `==` would recurse down both chains.
+        chains = isinstance(base1, TyVar) and isinstance(base2, TyVar)
+    # viii) matching operation on two chains over variables
+    if chains:
+        pair = _matching_ops(ops1, ops2)
+        if pair is not None:
+            i, j = pair
+            st.note("viii")
+            st.push(
+                (ops1[i][2], ops2[j][2]),
+                (
+                    chain(base1, ops1[:i] + ops1[i + 1 :]),
+                    chain(base2, ops2[:j] + ops2[j + 1 :]),
+                ),
+            )
+            return
+    # Retry once on normal forms.  Past this point t1 and t2 are normal: the
+    # retry ran, or left them as they were.  `normalize` returns a normal
+    # type itself, so identity tells which; `==` would recurse down both.
     if not retried:
         n1, n2 = normalize(t1), normalize(t2)
         if n1 is not t1 or n2 is not t2:
-            if st.levels is not None:
-                st.levels.lose(None, *(ftv(t1) - ftv(n1)), *(ftv(t2) - ftv(n2)))
+            st.lose(None, *(ftv(t1) - ftv(n1)), *(ftv(t2) - ftv(n2)))
             _step(st, n1, n2, retried=True)
             return
     # ix) two chains over distinct record-kinded variables, merged onto a
     # fresh common base
-    if _is_chain(t1) and _is_chain(t2):
-        base1, ops1 = chain_ops(t1)
-        base2, ops2 = chain_ops(t2)
-        if (
-            isinstance(base1, TyVar)
-            and isinstance(base2, TyVar)
-            and base1 != base2
-            and isinstance(st.kenv.get(base1), RecordKind)
-            and isinstance(st.kenv.get(base2), RecordKind)
-        ):
-            st.note("ix")
-            _rule_ix(st, base1, ops1, base2, ops2)
-            return
+    if (
+        chains
+        and base1 != base2
+        and isinstance(st.kenv.get(base1), RecordKind)
+        and isinstance(st.kenv.get(base2), RecordKind)
+    ):
+        st.note("ix")
+        _rule_ix(st, base1, ops1, base2, ops2)
+        return
     # x) derived: chain over a variable base against a plain record
     for a, b in ((t1, t2), (t2, t1)):
         if _is_chain(a) and isinstance(b, RecordType):
@@ -411,8 +403,7 @@ def _meet(st: _State, v: TyVar, image: MonoType, base: TyVar | None):
         raise UnificationError(OCCURS, "variable occurs in its own solution")
     eqs += [(t, at[1]) for fields in met for _, t, at in fields if at[1] is not None]
     if base is None:
-        if st.levels is not None:
-            st.levels.lose(v, *(t for _, t in k.rights))
+        st.lose(v, *(t for _, t in k.rights))
         st.bind(v, image)
     else:
         kind, written = kb, []
@@ -428,8 +419,7 @@ def _meet(st: _State, v: TyVar, image: MonoType, base: TyVar | None):
             raise UnificationError(OCCURS, OWN_KIND)
         st.bind(v, image)
         st.kenv[base] = kind
-        if st.levels is not None:
-            st.levels.lower(base, *written)
+        st.lower(base, *written)
     st.push(*eqs)
 
 

@@ -11,7 +11,14 @@ from extrec.cli import main
 from extrec.infer import FreshSupply, InferResult, infer
 from extrec.kinding import has_kind
 from extrec.normalize import CON, EXT, chain_ops, equiv, is_normal, normalize
-from extrec.parser import parse_env_file, parse_term
+from extrec.parser import (
+    Namer,
+    parse_env_file,
+    parse_mono,
+    parse_term,
+    pretty_kind_assignment,
+    pretty_subst,
+)
 from extrec.subst import KindedSubstitution, apply_type, respects
 from extrec.syntax import (
     Arrow,
@@ -821,3 +828,136 @@ def test_the_field_step_meets_and_writes_as_the_whole_kind_merge_did():
     assert seen["an overwrite drops a variable"] > 80, seen
     for what in ("required", "forbidden"):
         assert seen[what, "labels"] > 200 and seen[what, "label"] > 500, seen
+
+
+DISPATCH_KINDS = """\
+'u :: U
+'v :: U
+'p :: <<l: Int || >>
+'q :: <<m: Bool || >>
+'s :: << || l: Int, m: Bool>>
+"""
+# a universally kinded variable, older and newer; a record-kinded one, older
+# and newer; a record; a normal chain and a reducible one over a
+# record-kinded variable; an arrow; a base type
+DISPATCH_SIDES = (
+    "'u", "'v", "'p", "'q", "{l: Int, m: Bool}", "'s + {l: Int}",
+    "'s + {m: Bool} - {m: Bool}", "'u -> Int", "Int",
+)
+
+
+def _dispatch_row(lhs, rhs):
+    """`lhs = rhs`, the first rule traced (or `-`), and the outcome: the
+    failure, or the kinds that changed and the substitution."""
+    kenv, _, env = parse_env_file(DISPATCH_KINDS)
+    eq = (parse_mono(lhs, env), parse_mono(rhs, env))
+    trace = []
+    try:
+        resid, s = unify(kenv, [eq], trace=trace)
+    except UnificationError as e:
+        outcome = f"FAIL {e}"
+    else:
+        assert resid.keys() == kenv.keys() - s.keys()
+        namer = Namer()
+        for v in kenv:
+            namer.name(v)
+        changed = {v: k for v, k in resid.items() if k != kenv[v]}
+        outcome = "; ".join(
+            text for text in (pretty_kind_assignment(changed, namer), pretty_subst(s, namer)) if text
+        ).replace("\n", "; ")
+    return f"{lhs} = {rhs} | {trace[0] if trace else '-'} | {outcome or '-'}"
+
+
+DISPATCH_TABLE = """\
+'u = 'u | i | -
+'u = 'v | ii | 'v := 'u
+'u = 'p | ii | 'u := 'p
+'u = 'q | ii | 'u := 'q
+'u = {l: Int, m: Bool} | ii | 'u := {l: Int, m: Bool}
+'u = 's + {l: Int} | ii | 'u := 's + {l: Int}
+'u = 's + {m: Bool} - {m: Bool} | ii | 'u := 's + {m: Bool} - {m: Bool}
+'u = 'u -> Int | - | FAIL occurs_check: variable occurs in its own solution
+'u = Int | ii | 'u := Int
+'v = 'u | ii | 'v := 'u
+'v = 'v | i | -
+'v = 'p | ii | 'v := 'p
+'v = 'q | ii | 'v := 'q
+'v = {l: Int, m: Bool} | ii | 'v := {l: Int, m: Bool}
+'v = 's + {l: Int} | ii | 'v := 's + {l: Int}
+'v = 's + {m: Bool} - {m: Bool} | ii | 'v := 's + {m: Bool} - {m: Bool}
+'v = 'u -> Int | ii | 'v := 'u -> Int
+'v = Int | ii | 'v := Int
+'p = 'u | ii | 'u := 'p
+'p = 'v | ii | 'v := 'p
+'p = 'p | i | -
+'p = 'q | iii | 'p :: <<l: Int, m: Bool || >>; 'q := 'p
+'p = {l: Int, m: Bool} | iv | 'p := {l: Int, m: Bool}
+'p = 's + {l: Int} | vii | 'p := 's + {l: Int}
+'p = 's + {m: Bool} - {m: Bool} | iii | FAIL kind_clash: forbidden field(s) ['l'] present
+'p = 'u -> Int | - | FAIL constructor_clash: incompatible type constructors
+'p = Int | - | FAIL constructor_clash: incompatible type constructors
+'q = 'u | ii | 'u := 'q
+'q = 'v | ii | 'v := 'q
+'q = 'p | iii | 'p :: <<l: Int, m: Bool || >>; 'q := 'p
+'q = 'q | i | -
+'q = {l: Int, m: Bool} | iv | 'q := {l: Int, m: Bool}
+'q = 's + {l: Int} | vii | FAIL kind_clash: required field(s) ['m'] absent
+'q = 's + {m: Bool} - {m: Bool} | iii | FAIL kind_clash: forbidden field(s) ['m'] present
+'q = 'u -> Int | - | FAIL constructor_clash: incompatible type constructors
+'q = Int | - | FAIL constructor_clash: incompatible type constructors
+{l: Int, m: Bool} = 'u | ii | 'u := {l: Int, m: Bool}
+{l: Int, m: Bool} = 'v | ii | 'v := {l: Int, m: Bool}
+{l: Int, m: Bool} = 'p | iv | 'p := {l: Int, m: Bool}
+{l: Int, m: Bool} = 'q | iv | 'q := {l: Int, m: Bool}
+{l: Int, m: Bool} = {l: Int, m: Bool} | i | -
+{l: Int, m: Bool} = 's + {l: Int} | x | FAIL kind_clash: forbidden field(s) ['m'] present
+{l: Int, m: Bool} = 's + {m: Bool} - {m: Bool} | iv | FAIL kind_clash: forbidden field(s) ['l', 'm'] present
+{l: Int, m: Bool} = 'u -> Int | - | FAIL constructor_clash: incompatible type constructors
+{l: Int, m: Bool} = Int | - | FAIL constructor_clash: incompatible type constructors
+'s + {l: Int} = 'u | ii | 'u := 's + {l: Int}
+'s + {l: Int} = 'v | ii | 'v := 's + {l: Int}
+'s + {l: Int} = 'p | vii | 'p := 's + {l: Int}
+'s + {l: Int} = 'q | vii | FAIL kind_clash: required field(s) ['m'] absent
+'s + {l: Int} = {l: Int, m: Bool} | x | FAIL kind_clash: forbidden field(s) ['m'] present
+'s + {l: Int} = 's + {l: Int} | i | -
+'s + {l: Int} = 's + {m: Bool} - {m: Bool} | vii | FAIL occurs_check: variable occurs in its own solution
+'s + {l: Int} = 'u -> Int | - | FAIL constructor_clash: incompatible type constructors
+'s + {l: Int} = Int | - | FAIL constructor_clash: incompatible type constructors
+'s + {m: Bool} - {m: Bool} = 'u | ii | 'u := 's + {m: Bool} - {m: Bool}
+'s + {m: Bool} - {m: Bool} = 'v | ii | 'v := 's + {m: Bool} - {m: Bool}
+'s + {m: Bool} - {m: Bool} = 'p | iii | FAIL kind_clash: forbidden field(s) ['l'] present
+'s + {m: Bool} - {m: Bool} = 'q | iii | FAIL kind_clash: forbidden field(s) ['m'] present
+'s + {m: Bool} - {m: Bool} = {l: Int, m: Bool} | iv | FAIL kind_clash: forbidden field(s) ['l', 'm'] present
+'s + {m: Bool} - {m: Bool} = 's + {l: Int} | vii | FAIL occurs_check: variable occurs in its own solution
+'s + {m: Bool} - {m: Bool} = 's + {m: Bool} - {m: Bool} | i | -
+'s + {m: Bool} - {m: Bool} = 'u -> Int | - | FAIL constructor_clash: incompatible type constructors
+'s + {m: Bool} - {m: Bool} = Int | - | FAIL constructor_clash: incompatible type constructors
+'u -> Int = 'u | - | FAIL occurs_check: variable occurs in its own solution
+'u -> Int = 'v | ii | 'v := 'u -> Int
+'u -> Int = 'p | - | FAIL constructor_clash: incompatible type constructors
+'u -> Int = 'q | - | FAIL constructor_clash: incompatible type constructors
+'u -> Int = {l: Int, m: Bool} | - | FAIL constructor_clash: incompatible type constructors
+'u -> Int = 's + {l: Int} | - | FAIL constructor_clash: incompatible type constructors
+'u -> Int = 's + {m: Bool} - {m: Bool} | - | FAIL constructor_clash: incompatible type constructors
+'u -> Int = 'u -> Int | i | -
+'u -> Int = Int | - | FAIL constructor_clash: incompatible type constructors
+Int = 'u | ii | 'u := Int
+Int = 'v | ii | 'v := Int
+Int = 'p | - | FAIL constructor_clash: incompatible type constructors
+Int = 'q | - | FAIL constructor_clash: incompatible type constructors
+Int = {l: Int, m: Bool} | - | FAIL constructor_clash: incompatible type constructors
+Int = 's + {l: Int} | - | FAIL constructor_clash: incompatible type constructors
+Int = 's + {m: Bool} - {m: Bool} | - | FAIL constructor_clash: incompatible type constructors
+Int = 'u -> Int | - | FAIL constructor_clash: incompatible type constructors
+Int = Int | i | -
+"""
+
+
+def test_each_pair_of_sides_picks_its_rule():
+    # The kinds of the two sides pick one of rules ii-vii (or none), for
+    # every ordered pair of sides: ii eliminates a universally kinded
+    # variable, the newer of two; iii the newer of two record-kinded ones;
+    # iv and vii meet a record-kinded variable with a record or a normal
+    # chain; a reducible chain is normalized first.
+    rows = [_dispatch_row(lhs, rhs) for lhs in DISPATCH_SIDES for rhs in DISPATCH_SIDES]
+    assert rows == DISPATCH_TABLE.splitlines()
