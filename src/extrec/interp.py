@@ -73,6 +73,15 @@ class ClosureV(Frozen):
 
 Value = IntV | BoolV | StringV | RecordV | ClosureV
 
+# A record operation's runtime rule: whether its label must be present,
+# and the verb of the error when it is not so
+_RECORD_OPS = {
+    Select: (True, "selecting"),
+    Modify: (True, "modifying"),
+    Remove: (True, "removing"),
+    Extend: (False, "extending with"),
+}
+
 
 def eval_term(term: Term, env: dict | None = None) -> Value:
     env = env if env is not None else {}
@@ -100,40 +109,23 @@ def eval_term(term: Term, env: dict | None = None) -> Value:
         return eval_term(term.body, {**env, term.name: bound})
     if isinstance(term, RecordLit):
         return RecordV(tuple((l, eval_term(sub, env)) for l, sub in term.fields))
-    if isinstance(term, Select):
-        rec = _record(eval_term(term.target, env), term)
+    row = _RECORD_OPS.get(term.__class__)
+    if row is not None:
+        present, verb = row
+        rec = eval_term(term.target, env)
+        if not isinstance(rec, RecordV):
+            raise EvalError("record operation on a non-record", term)
         fields = rec.field_map()
-        if term.label not in fields:
-            raise EvalError(f"selecting absent field {term.label}", term)
-        return fields[term.label]
-    if isinstance(term, Modify):
-        rec = _record(eval_term(term.target, env), term)
-        fields = rec.field_map()
-        if term.label not in fields:
-            raise EvalError(f"modifying absent field {term.label}", term)
-        fields[term.label] = eval_term(term.value, env)
-        return RecordV(tuple(sorted(fields.items())))
-    if isinstance(term, Remove):
-        rec = _record(eval_term(term.target, env), term)
-        fields = rec.field_map()
-        if term.label not in fields:
-            raise EvalError(f"removing absent field {term.label}", term)
-        del fields[term.label]
-        return RecordV(tuple(sorted(fields.items())))
-    if isinstance(term, Extend):
-        rec = _record(eval_term(term.target, env), term)
-        fields = rec.field_map()
-        if term.label in fields:
-            raise EvalError(f"extending with present field {term.label}", term)
-        fields[term.label] = eval_term(term.value, env)
+        if (term.label in fields) != present:
+            raise EvalError(f"{verb} {'absent' if present else 'present'} field {term.label}", term)
+        if term.__class__ is Select:
+            return fields[term.label]
+        if term.__class__ is Remove:
+            del fields[term.label]
+        else:
+            fields[term.label] = eval_term(term.value, env)
         return RecordV(tuple(sorted(fields.items())))
     raise TypeError(f"eval_term: not a term: {term!r}")
-
-
-def _record(v: Value, term: Term) -> RecordV:
-    if not isinstance(v, RecordV):
-        raise EvalError("record operation on a non-record", term)
-    return v
 
 
 def show_value(v: Value) -> str:

@@ -616,12 +616,9 @@ def _pp_term(t: Term, level: int) -> str:
     if isinstance(t, RecordLit):
         inner = ", ".join(f"{l} = {_pp_term(v, _TERM)}" for l, v in t.fields)
         return "{" + inner + "}"
-    if isinstance(t, Modify):
-        return f"modify({_pp_term(t.target, _TERM)}, {t.label}, {_pp_term(t.value, _TERM)})"
-    if isinstance(t, Extend):
-        return f"extend({_pp_term(t.target, _TERM)}, {t.label}, {_pp_term(t.value, _TERM)})"
-    if isinstance(t, Remove):
-        return f"remove({_pp_term(t.target, _TERM)}, {t.label})"
+    if isinstance(t, (Modify, Extend, Remove)):  # the keyword is the class's name
+        value = "" if isinstance(t, Remove) else f", {_pp_term(t.value, _TERM)}"
+        return f"{t.__class__.__name__.lower()}({_pp_term(t.target, _TERM)}, {t.label}{value})"
     raise TypeError(f"pretty_term: not a term: {t!r}")
 
 

@@ -225,22 +225,13 @@ class Modify(Frozen):
 class Remove(Frozen):
     __slots__ = ("target", "label", "span")
     _fields = ("target", "label")
-
-    def __init__(self, target: "Term", label: Label, span=None):
-        _set(self, "target", target)
-        _set(self, "label", label)
-        _set(self, "span", span)
+    __init__ = Select.__init__
 
 
 class Extend(Frozen):
     __slots__ = ("target", "label", "value", "span")
     _fields = ("target", "label", "value")
-
-    def __init__(self, target: "Term", label: Label, value: "Term", span=None):
-        _set(self, "target", target)
-        _set(self, "label", label)
-        _set(self, "value", value)
-        _set(self, "span", span)
+    __init__ = Modify.__init__
 
 
 Term = Var | Const | Abs | App | Let | RecordLit | Select | Modify | Remove | Extend

@@ -15,12 +15,14 @@ solved before a later input equation needs it.  Rules are tried per
 equation in a fixed order: (i) equality modulo reduction, (v, vi) record
 and arrow decomposition, (ii) elimination of a universally kinded
 variable, (iii) merging of two record-kinded variables, (iv) variable
-against record, (vii) variable against an extension/contraction chain,
-(viii) cancellation of matching operations across two chains, a retry on
-normal forms (types are not normalized eagerly, and substitution builds
-shapes, such as chains over records, that no rule matches), (ix) the
-two-chain merge onto a fresh common base, and (x) a chain over a variable
-against a record.  The rule is decided from one read of the two sides:
+against record, (vii) variable against an extension/contraction chain
+that is its own canonical form, (viii) cancellation of matching
+operations across two chains, a retry on normal forms (types are not
+normalized eagerly, and substitution builds shapes, such as chains over
+records, that no rule matches; a chain that is not its own canonical
+form, being reducible or having its operations out of label order, meets
+rule vii here), (ix) the two-chain merge onto a fresh common base, and
+(x) a chain over a variable against a record.  The rule is decided from one read of the two sides:
 one kind lookup per side picks among ii-vii and the side eliminated, and
 one read of each side's chain operations serves viii and ix.
 
@@ -50,7 +52,7 @@ from functools import partial
 from operator import itemgetter
 
 from .kinding import wf_kind_assignment
-from .normalize import CON, EXT, chain_ops, equiv, is_normal, label_maps, normalize
+from .normalize import CON, EXT, chain_ops, equiv, label_maps, normalize
 from .syntax import (
     Arrow,
     BaseType,
@@ -258,9 +260,9 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
         a, ka, b, kb = t2, k2, t1, k1
     # ii) universally kinded variable
     if isinstance(ka, UKind):
+        st.note("ii")
         if a in ftv(b):
             raise UnificationError(OCCURS, "variable occurs in its own solution")
-        st.note("ii")
         st.bind(a, b)
         return
     if isinstance(ka, RecordKind):
@@ -274,11 +276,12 @@ def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
             st.note("iv")
             _meet(st, a, b, None)
             return
-        # vii) record-kinded variable against a normal chain with a kinded
-        # variable base.  A reducible chain falls through to the
-        # normalization retry below: its syntactic operations misstate its
-        # net field effect.
-        if _is_chain(b) and is_normal(b):
+        # vii) record-kinded variable against a chain that is its own
+        # canonical form, with a kinded variable base.  Any other chain
+        # (reducible, or with operations out of label order) falls through
+        # to the normalization retry below; after rule i the test reads a
+        # cached slot.
+        if _is_chain(b) and normalize(b) is b:
             base = b.bottom
             if isinstance(base, TyVar) and isinstance(st.kenv.get(base), RecordKind):
                 st.note("vii")
@@ -435,14 +438,12 @@ def _moved(kl: dict, kr: dict, t: MonoType, eqs: list) -> RecordKind:
     if maps is None:
         raise UnificationError(KIND, "chain's operations contradict its base's kind")
     ext, con = maps
-    if not (ext.items() <= kr.items() and con.items() <= kl.items()):
-        # the maps do not keep the order of operations across the two signs
-        for sign, l, f in t.ops:
-            side = kr if sign == EXT else kl
-            if l not in side:
-                raise UnificationError(KIND, "chain's operations contradict its base's kind")
-            if not equiv(side[l], f):
-                eqs.append((side[l], f))
+    for sign, l, f in t.ops:
+        side = kr if sign == EXT else kl
+        if l not in side:
+            raise UnificationError(KIND, "chain's operations contradict its base's kind")
+        if not equiv(side[l], f):
+            eqs.append((side[l], f))
     present = {l: f for l, f in kl.items() if l not in con}
     absent = {l: f for l, f in kr.items() if l not in ext}
     present.update(ext)

@@ -231,6 +231,25 @@ def test_unify_names_the_environment_first(tmp_path):
     ]
 
 
+def test_unify_binds_a_chain_in_label_order(tmp_path):
+    # the chain's operations are written out of label order; rule vii meets
+    # its canonical form
+    env = tmp_path / "k.env"
+    env.write_text("'s :: <<m: Bool || l: Bool>>\n'a :: << || >>\n")
+    r = run("unify", "--env", str(env), "-e", "'a = 's - {m: Bool} + {l: Bool}")
+    assert (r.exit_code, r.output) == (
+        0, "'s :: <<m: Bool || l: Bool>>\n---\n'a := 's + {l: Bool} - {m: Bool}\n"
+    )
+
+
+def test_check_refuses_an_instance_whose_witness_has_a_kind_cycle(tmp_path):
+    env = tmp_path / "cycle.env"
+    env.write_text("f : forall 'x :: U. forall 'r :: <<a: 'x || >>. "
+                   "forall 's :: <<a: 'r || >>. forall 't :: <<a: 'x || >>. 's -> 't -> Int\n")
+    r = run("check", "--env", str(env), "-e", "f", "-t", "forall 'p :: << || >>. 'p -> 'p -> Int")
+    assert (r.exit_code, r.output) == (1, "FAIL: not an instance of the principal type\n")
+
+
 def test_chains_with_no_kind_are_refused(tmp_path):
     # A chain that no kind supports is not a type.  An equation or an env
     # file that holds one exits 1 with a message, where unify would print a
@@ -282,6 +301,24 @@ def test_each_refusal_prints_its_message(tmp_path):
 def test_parse_command_echoes_canonically():
     r = run("parse", "-e", "((f) (x))")
     assert r.exit_code == 0 and r.output.strip() == "f x"
+
+
+def test_parse_command_echoes_the_record_operations():
+    src = "remove(modify(extend(r, l, 1), l, r.m), l)"
+    r = run("parse", "-e", src)
+    assert (r.exit_code, r.output) == (0, src + "\n")
+
+
+def test_eval_names_each_record_operations_error():
+    cases = [
+        ("{}.l", "selecting absent field l"),
+        ("modify({}, l, 1)", "modifying absent field l"),
+        ("remove({}, l)", "removing absent field l"),
+        ("extend({l = 1}, l, 2)", "extending with present field l"),
+    ]
+    for src, message in cases:
+        r = run("eval", "-e", src)
+        assert (r.exit_code, r.output) == (1, f"runtime error: {message}\n"), src
 
 
 def test_exit_codes(tmp_path):

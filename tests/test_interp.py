@@ -56,6 +56,19 @@ def test_runtime_errors():
         eval_term(parse_term("ghost"))
 
 
+def test_each_record_operation_names_its_runtime_error():
+    cases = [
+        ("{}.l", "selecting absent field l"),
+        ("modify({}, l, 1)", "modifying absent field l"),
+        ("remove({}, l)", "removing absent field l"),
+        ("extend({l = 1}, l, 2)", "extending with present field l"),
+    ]
+    for src, message in cases:
+        with pytest.raises(EvalError) as e:
+            run(src)
+        assert str(e.value) == message, src
+
+
 def test_show_value():
     assert show_value(run("{l = 1, m = true}")) == "{l = 1, m = true}"
     assert show_value(run('"a\\"b"')) == '"a\\"b"'

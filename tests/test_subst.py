@@ -436,6 +436,21 @@ def test_generic_instance_takes_a_witness_from_a_kind_and_refuses_an_unkinded_pa
     assert not generic_instance({}, unkinded, parse_type("forall 'q0 :: << || >>. 'q0", venv))
 
 
+def test_generic_instance_refuses_a_witness_left_with_a_kind_cycle():
+    # 'r and 's both meet 'p, which leaves the remainder 'r :: <<a: 'r || >>:
+    # no default breaks the cycle, and the answer is False.  The cycle comes
+    # from rule ii, which binds 'x := 'r with no occurs check through kinds;
+    # with one, unification fails and the answer stays False.
+    _, _, venv = parse_env_file("")
+    pattern = parse_type(
+        "forall 'x :: U. forall 'r :: <<a: 'x || >>. forall 's :: <<a: 'r || >>. "
+        "forall 't :: <<a: 'x || >>. 's -> 't -> Int",
+        venv,
+    )
+    claim = parse_type("forall 'p :: << || >>. 'p -> 'p -> Int", venv)
+    assert not generic_instance({}, pattern, claim)
+
+
 def test_generic_instance_answers_ill_formed_candidates():
     # A witness may build a chain over a non-extensible type, which is not
     # a type: the answer is False, not a ValueError.

@@ -1,8 +1,10 @@
 import importlib
+import importlib.util
 import itertools
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +16,7 @@ from extrec.normalize import CON, EXT, chain_ops, equiv, is_normal, normalize
 from extrec.parser import (
     Namer,
     parse_env_file,
+    parse_equations,
     parse_mono,
     parse_term,
     pretty_kind_assignment,
@@ -49,6 +52,7 @@ from gen import (
 
 unify_mod = importlib.import_module("extrec.unify")  # the package binds the name to the function
 syntax_mod = importlib.import_module("extrec.syntax")
+normalize_mod = importlib.import_module("extrec.normalize")
 
 a, b, g = TyVar(1, "a"), TyVar(2, "b"), TyVar(3, "g")
 
@@ -876,7 +880,7 @@ DISPATCH_TABLE = """\
 'u = {l: Int, m: Bool} | ii | 'u := {l: Int, m: Bool}
 'u = 's + {l: Int} | ii | 'u := 's + {l: Int}
 'u = 's + {m: Bool} - {m: Bool} | ii | 'u := 's + {m: Bool} - {m: Bool}
-'u = 'u -> Int | - | FAIL occurs_check: variable occurs in its own solution
+'u = 'u -> Int | ii | FAIL occurs_check: variable occurs in its own solution
 'u = Int | ii | 'u := Int
 'v = 'u | ii | 'v := 'u
 'v = 'v | i | -
@@ -932,7 +936,7 @@ DISPATCH_TABLE = """\
 's + {m: Bool} - {m: Bool} = 's + {m: Bool} - {m: Bool} | i | -
 's + {m: Bool} - {m: Bool} = 'u -> Int | - | FAIL constructor_clash: incompatible type constructors
 's + {m: Bool} - {m: Bool} = Int | - | FAIL constructor_clash: incompatible type constructors
-'u -> Int = 'u | - | FAIL occurs_check: variable occurs in its own solution
+'u -> Int = 'u | ii | FAIL occurs_check: variable occurs in its own solution
 'u -> Int = 'v | ii | 'v := 'u -> Int
 'u -> Int = 'p | - | FAIL constructor_clash: incompatible type constructors
 'u -> Int = 'q | - | FAIL constructor_clash: incompatible type constructors
@@ -961,3 +965,70 @@ def test_each_pair_of_sides_picks_its_rule():
     # chain; a reducible chain is normalized first.
     rows = [_dispatch_row(lhs, rhs) for lhs in DISPATCH_SIDES for rhs in DISPATCH_SIDES]
     assert rows == DISPATCH_TABLE.splitlines()
+
+
+def _bench_inputs():
+    """The benchmark's input generators, perfbench/inputs.py, which build
+    their texts without calling into extrec."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_solver_never_asks_the_reference_reducer(monkeypatch):
+    # Rule vii fires only on a chain that is its own canonical form, which
+    # `normalize` answers from a cache; any other chain goes to the
+    # normalization retry.  The one-step reducer stays a reference: no
+    # solve set of the benchmark, no generated set and no inference of the
+    # benchmark's corpus asks it.
+    def refuse(t):
+        raise AssertionError("the solver asked the reference reducer")
+
+    monkeypatch.setattr(normalize_mod, "reduce_once", refuse)
+    bench = _bench_inputs()
+    rng = random.Random(20240)
+    rules = Counter()
+    for n in bench.UNIFY_SIZES:
+        for _ in range(bench.UNIFY_SETS):
+            es = bench.equation_set(rng, n)
+            kenv, _, venv = parse_env_file(es.env)
+            eqs, venv = parse_equations(es.equations, venv)
+            trace = []
+            try:
+                unify(kenv, eqs, fresh=FreshSupply(venv.next_free_uid()).fresh, trace=trace)
+            except UnificationError:
+                pass
+            rules.update(trace)
+    rng = random.Random(7)
+    for _ in range(1000):
+        kenv, eqs = gen_kinded_equations(rng)
+        trace = []
+        try:
+            unify(kenv, eqs, trace=trace)
+        except UnificationError:
+            pass
+        rules.update(trace)
+    assert rules["vii"] > 50
+    kenv42, tenv42, venv42 = parse_env_file(bench.ENV_42)
+    accepted = 0
+    for prog in bench.corpus_programs(20240):
+        if prog.with_env:
+            res = infer(kenv42, tenv42, parse_term(prog.text), FreshSupply(venv42.next_free_uid()))
+        else:
+            res = infer({}, {}, parse_term(prog.text), FreshSupply(1))
+        accepted += isinstance(res, InferResult)
+    assert accepted > 300
+
+
+def test_a_chain_out_of_label_order_is_bound_in_label_order():
+    # 2000 extensions in descending label order: rule vii meets the chain's
+    # canonical form, reached by the normalization retry
+    labels = [f"l{i:05}" for i in range(2000)]
+    s, v = TyVar(1, "s"), TyVar(2, "a")
+    kenv = {s: RecordKind((), tuple((l, INT) for l in labels)), v: RecordKind((), ())}
+    trace = []
+    _, subst = unify(kenv, [(v, chain(s, [(EXT, l, INT) for l in reversed(labels)]))], trace=trace)
+    assert trace == ["vii"]
+    assert subst[v] == chain(s, [(EXT, l, INT) for l in labels])
