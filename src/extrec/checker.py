@@ -62,10 +62,6 @@ from .syntax import (
 class ValidationIssue(Frozen):
     __slots__ = _fields = ("path", "reason")
 
-    def __init__(self, path: tuple[int, ...], reason: str):
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "reason", reason)
-
     def __str__(self):
         where = "/".join(map(str, self.path)) or "root"
         return f"at {where}: {self.reason}"

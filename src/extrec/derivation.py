@@ -8,38 +8,21 @@ kinds it quantifies); `subst_derivation` then completes the whole tree."""
 from __future__ import annotations
 
 from .subst import apply_assignment, apply_type
-from .syntax import (
-    Frozen,
-    KindAssignment,
-    MonoType,
-    PolyType,
-    RecordKind,
-    Substitution,
-    Term,
-    TypeAssignment,
-)
+from .syntax import Frozen, KindAssignment, Substitution
 
 RULES = ("Var", "Const", "Abs", "App", "Let", "Rec", "Sel", "Modif", "Gen", "Contr", "Ext")
 
 
 class Judgment(Frozen):
-    __slots__ = _fields = ("kenv", "tenv", "term", "sigma")
+    """kenv, tenv |- term : sigma."""
 
-    def __init__(self, kenv: KindAssignment, tenv: TypeAssignment, term: Term, sigma: PolyType):
-        object.__setattr__(self, "kenv", kenv)
-        object.__setattr__(self, "tenv", tenv)
-        object.__setattr__(self, "term", term)
-        object.__setattr__(self, "sigma", sigma)
+    __slots__ = _fields = ("kenv", "tenv", "term", "sigma")
 
 
 class KindingClaim(Frozen):
     """A K |- subject :: kind side condition carried by a node."""
 
     __slots__ = _fields = ("subject", "kind")
-
-    def __init__(self, subject: MonoType, kind: RecordKind):
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "kind", kind)
 
 
 class Derivation(Frozen):
@@ -48,10 +31,7 @@ class Derivation(Frozen):
     def __init__(self, rule: str, judgment: Judgment, children: tuple = (), claim=None):
         if rule not in RULES:
             raise ValueError(f"unknown rule {rule!r}")
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "judgment", judgment)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "claim", claim)
+        Frozen.__init__(self, rule, judgment, children, claim)
 
 
 def subst_derivation(d: Derivation, s: Substitution, k_target: KindAssignment) -> Derivation:

@@ -36,7 +36,7 @@ from operator import attrgetter
 
 from .derivation import Derivation, Judgment, KindingClaim, subst_derivation
 from .normalize import normalize
-from .subst import apply_type, closure, quantifier_prefix
+from .subst import closure, quantifier_prefix
 from .syntax import (
     Abs,
     App,
@@ -63,12 +63,13 @@ from .syntax import (
     Term,
     TypeAssignment,
     TyVar,
-    UKind,
+    U,
     Var,
     base_of,
     ftv,
     is_extensible,
     poly,
+    rebind,
     trusted_record,
 )
 from .unify import (
@@ -93,12 +94,6 @@ class InferFailure(Frozen):
 
     __slots__ = _fields = ("rule", "reason", "message", "term")
 
-    def __init__(self, rule: str, reason: str, message: str, term: Term):
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "term", term)
-
     @property
     def span(self):
         return getattr(self.term, "span", None)
@@ -106,12 +101,6 @@ class InferFailure(Frozen):
 
 class InferResult(Frozen):
     __slots__ = _fields = ("kenv", "subst", "type", "trace")
-
-    def __init__(self, kenv: KindAssignment, subst: Substitution, type: MonoType, trace=None):
-        object.__setattr__(self, "kenv", kenv)
-        object.__setattr__(self, "subst", subst)
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "trace", trace)
 
 
 class _Failed(Exception):
@@ -124,14 +113,10 @@ class _Failed(Exception):
 
 def instantiate(kenv: KindAssignment, sigma: PolyType, fs: FreshSupply) -> MonoType:
     """Replace quantified variables with fresh ones, from fs.fresh(name),
-    threading the renaming through the kinds, and add the fresh variables'
-    kinds to kenv in place."""
-    ren: Substitution = {}
-    for v, k in sigma.quants:
-        fresh = fs.fresh(v.name)
-        kenv[fresh] = apply_type(ren, k)
-        ren[v] = fresh
-    return normalize(apply_type(ren, sigma.body))
+    through `rebind`, and add the fresh variables' kinds to kenv in place."""
+    p = rebind(sigma, [fs.fresh(v.name) for v, _ in sigma.quants])
+    kenv.update(p.quants)
+    return normalize(p.body)
 
 
 class _Run:
@@ -364,7 +349,7 @@ def _known_field(run: _Run, t, base, term: Term, case: str, side, value):
         field = value
         if value is None:
             field = run.fresh()
-            run.kenv[field] = UKind()
+            run.kenv[field] = U
         kind = write_at(facts, term.label, field, side, i)
     if base in ftv(kind):
         raise _Failed(case, OCCURS, OWN_KIND, term)
@@ -405,7 +390,7 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
 
     if isinstance(term, Abs):
         alpha = run.fresh()
-        run.kenv[alpha] = UKind()
+        run.kenv[alpha] = U
         t1 = _infer(run, {**tenv, term.param: poly(alpha)}, term.body)
         t = Arrow(run.current(alpha), t1)
         run.record("Abs", tenv, term, t, 1)
@@ -419,7 +404,7 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
             t = run.current(t1.cod)
         else:
             alpha = run.fresh()
-            run.kenv[alpha] = UKind()
+            run.kenv[alpha] = U
             run.unify([(t1, Arrow(t2, alpha))], "app", term)
             t = run.current(alpha)
         run.record("App", tenv, term, t, 2)
@@ -456,7 +441,7 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
         else:
             a_field = run.fresh()
             a_rec = run.fresh()
-            run.kenv[a_field] = UKind()
+            run.kenv[a_field] = U
             run.kenv[a_rec] = write_at(_NO_FIELDS, term.label, a_field, side, 0)
             eqs = [(a_field, t_value), (a_rec, t_rec)] if has_value else [(a_rec, t_rec)]
             run.unify(eqs, case, term)

@@ -34,29 +34,17 @@ class EvalError(Exception):
 class IntV(Frozen):
     __slots__ = _fields = ("value",)
 
-    def __init__(self, value: int):
-        object.__setattr__(self, "value", value)
-
 
 class BoolV(Frozen):
     __slots__ = _fields = ("value",)
-
-    def __init__(self, value: bool):
-        object.__setattr__(self, "value", value)
 
 
 class StringV(Frozen):
     __slots__ = _fields = ("value",)
 
-    def __init__(self, value: str):
-        object.__setattr__(self, "value", value)
-
 
 class RecordV(Frozen):
     __slots__ = _fields = ("fields",)
-
-    def __init__(self, fields: tuple[tuple[str, "Value"], ...]):
-        object.__setattr__(self, "fields", fields)
 
     def field_map(self):
         return dict(self.fields)
@@ -64,11 +52,6 @@ class RecordV(Frozen):
 
 class ClosureV(Frozen):
     __slots__ = _fields = ("param", "body", "env")
-
-    def __init__(self, param: str, body: Term, env: tuple[tuple[str, "Value"], ...]):
-        object.__setattr__(self, "param", param)
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "env", env)
 
 
 Value = IntV | BoolV | StringV | RecordV | ClosureV

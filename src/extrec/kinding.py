@@ -22,7 +22,6 @@ from .syntax import (
     Frozen,
     Kind,
     KindAssignment,
-    Label,
     MonoType,
     PolyType,
     RecordKind,
@@ -55,11 +54,6 @@ class FieldInfo(Frozen):
     says that unmentioned labels are absent at any type."""
 
     __slots__ = _fields = ("present", "absent", "record_base")
-
-    def __init__(self, present: dict[Label, MonoType], absent: dict[Label, MonoType], record_base):
-        object.__setattr__(self, "present", present)
-        object.__setattr__(self, "absent", absent)
-        object.__setattr__(self, "record_base", record_base)
 
 
 def field_info(kenv: KindAssignment, t: MonoType) -> FieldInfo | None:

@@ -2,10 +2,10 @@
 
 Grammar (terms):
 
-    term    := "\\" ident "." term | "let" ident "=" term "in" term | appterm
+    term    := "\\" var "." term | "let" var "=" term "in" term | appterm
     appterm := postfix { postfix }
     postfix := atom { "." label }
-    atom    := ident | int | "true" | "false" | string
+    atom    := var | int | "true" | "false" | string
              | "{" [ label "=" term { "," label "=" term } ] "}"
              | "modify" "(" term "," label "," term ")"
              | "extend" "(" term "," label "," term ")"
@@ -21,9 +21,12 @@ Grammar (types and kinds):
              | "{" [ label ":" mono { "," label ":" mono } ] "}" | "(" mono ")"
     kind    := "U" | "<<" [fieldlist] "||" [fieldlist] ">>"
 
+A var or a label is an ident that is not a term keyword: let, in,
+modify, extend, remove, true or false.
+
 Environment files hold one declaration per line: `'a :: KIND` for kinds,
-`x : POLYTYPE` for term variables; `#` starts a comment.  A name is
-declared at most once.
+`x : POLYTYPE` for term variables, x a var; `#` starts a comment.  A
+name is declared at most once.
 
 Every entry point reads its text one way.  `_tokenize` makes one pass to
 a flat token table, parallel lists of kind, text, start and end (a
@@ -70,6 +73,7 @@ from .syntax import (
     Term,
     TypeAssignment,
     TyVar,
+    U,
     UKind,
     Var,
 )
@@ -267,10 +271,12 @@ class _Parser:
         self.i = i + 1
         return self.texts[i]
 
-    def label(self) -> str:
+    def name(self, role: str) -> str:
+        """An identifier that is not a term keyword; `role` says what it
+        names (a label or a variable) in the error for a keyword."""
         s = self.ident()
         if s in TERM_KEYWORDS:
-            raise ParseError(f"keyword {s!r} cannot be a label", self.span(self.i - 1))
+            raise ParseError(f"keyword {s!r} cannot be {role}", self.span(self.i - 1))
         return s
 
     def expect_eof(self):
@@ -286,29 +292,29 @@ class _Parser:
         if k == "\\" or k == "ident" and texts[i] == "let":
             span = self.span(i)
             self.i = i + 1
-            name = self.ident()
+            name = self.name("a variable")
             if k == "\\":
                 self.punct(".")
-                return Abs(name, self.term(), span=span)
+                return Abs(name, self.term(), span)
             self.punct("=")
             bound = self.term()
             i = self.i
             if kinds[i] != "ident" or texts[i] != "in":
                 raise ParseError("expected 'in'", self.span(i), ("in",))
             self.i = i + 1
-            return Let(name, bound, self.term(), span=span)
+            return Let(name, bound, self.term(), span)
         fn = None
         while True:  # postfix terms, applied left to right
             s = texts[i]
             if k == "ident":
                 if s not in TERM_KEYWORDS:
                     self.i = i + 1
-                    t = Var(s, span=self.span(i))
+                    t = Var(s, self.span(i))
                 elif s in ("modify", "extend", "remove"):
                     t = self._record_op()
                 elif s in ("true", "false"):
                     self.i = i + 1
-                    t = Const(s == "true", "Bool", span=self.span(i))
+                    t = Const(s == "true", "Bool", self.span(i))
                 else:
                     raise ParseError(f"unexpected keyword {s!r}", self.span(i))
             elif k == "(":
@@ -319,7 +325,7 @@ class _Parser:
                 span = self.span(i)
                 self.i = i + 1
                 try:
-                    t = RecordLit(self._fields("=", self.term, "}"), span=span)
+                    t = RecordLit(self._fields("=", self.term, "}"), span)
                 except ValueError as e:
                     raise ParseError(str(e), span) from None
             elif k == "int":
@@ -327,16 +333,16 @@ class _Parser:
                     # str.isdigit, which the tokenizer follows, also takes '²'
                     raise ParseError(f"not a decimal integer {s!r}", self.span(i))
                 self.i = i + 1
-                t = Const(int(s), "Int", span=self.span(i))
+                t = Const(int(s), "Int", self.span(i))
             elif k == "string":
                 self.i = i + 1
-                t = Const(s, "String", span=self.span(i))
+                t = Const(s, "String", self.span(i))
             else:
                 raise self.unexpected(i, ("term",))
             while kinds[self.i] == ".":
                 self.i += 1
-                t = Select(t, self.label(), span=t.span)
-            fn = t if fn is None else App(fn, t, span=fn.span)
+                t = Select(t, self.name("a label"), t.span)
+            fn = t if fn is None else App(fn, t, fn.span)
             i = self.i
             k = kinds[i]
             if not (k == "ident" and texts[i] != "in" or k in ("(", "{", "int", "string")):
@@ -349,14 +355,14 @@ class _Parser:
         self.punct("(")
         target = self.term()
         self.punct(",")
-        label = self.label()
+        label = self.name("a label")
         if op == "remove":
             self.punct(")")
-            return Remove(target, label, span=span)
+            return Remove(target, label, span)
         self.punct(",")
         value = self.term()
         self.punct(")")
-        return (Modify if op == "modify" else Extend)(target, label, value, span=span)
+        return (Modify if op == "modify" else Extend)(target, label, value, span)
 
     # -- types -------------------------------------------------------------
     def polytype(self) -> PolyType:
@@ -398,7 +404,7 @@ class _Parser:
             at = self.i
             self.i += 1
             self.punct("{")
-            label = self.label()
+            label = self.name("a label")
             self.punct(":")
             fty = self.mono()
             self.punct("}")
@@ -439,7 +445,7 @@ class _Parser:
         k = self.kinds[i]
         if k == "ident" and self.texts[i] == "U":
             self.i = i + 1
-            return UKind()
+            return U
         if k == "<<":
             self.i = i + 1
             lefts = self._fields(":", self.mono, "||")
@@ -456,7 +462,7 @@ class _Parser:
         kinds, fields = self.kinds, []
         if kinds[self.i] != close:
             while True:
-                label = self.label()
+                label = self.name("a label")
                 self.punct(sep)
                 fields.append((label, value()))
                 if kinds[self.i] != ",":
@@ -526,7 +532,7 @@ def parse_env_file(
                 raise ParseError(f"second declaration of '{p.texts[0]}", p.span(0))
             kenv[v] = kind
         else:
-            name = p.ident()
+            name = p.name("a variable")
             p.punct(":")
             sigma = p.polytype()
             p.expect_eof()

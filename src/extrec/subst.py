@@ -76,10 +76,6 @@ class KindedSubstitution(Frozen):
 
     __slots__ = _fields = ("kenv", "subst")
 
-    def __init__(self, kenv: KindAssignment, subst: Substitution):
-        object.__setattr__(self, "kenv", kenv)
-        object.__setattr__(self, "subst", subst)
-
 
 def respects(ks: KindedSubstitution, kenv2: KindAssignment) -> bool:
     """Every substituted variable's image carries the substituted kind."""

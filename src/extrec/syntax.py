@@ -5,15 +5,22 @@ integer uid; the printable name is cosmetic only.  Label maps (record
 fields, record-kind sides) are kept sorted by label so that structural
 equality is insensitive to the order labels were written in.
 
-Every value class of the package is a `Frozen` subclass with `__slots__`
-and its own `__init__`, which makes its checks and fills the slots past
-`Frozen.__setattr__`, which refuses assignment.  Equality, hashing and
-`repr` read the fields a class names in `_fields`, as a frozen dataclass's
-do (a term's `span`, a type's caches and `TyVar.name` stay out), through
-closures over `operator.attrgetter`: importing the package compiles no
-generated methods, as `dataclasses` would for each class.  The hot type
-equalities are written out.  `dataclasses.replace` does not apply to a
-value; rebuild it through its constructor.
+Every value class of the package is a `Frozen` subclass with `__slots__`.
+One constructor, `Frozen.__init__`, fills the slots past
+`Frozen.__setattr__`, which refuses assignment: the fields a class names
+in `_fields`, in order and each one required, then a term's `span`, by
+position or as `span=`; every other slot, a cache, starts as None.  Eight
+classes write their own: `Const`, `BaseType` and `RecordKind` check their
+arguments, `RecordLit` and `RecordType` sort their fields, `TyVar` has a
+default name, `Arrow`, built on every substitution, fills its slots
+itself, and `derivation.Derivation` checks its rule and has defaults.  A
+chain's `__new__` builds the node.  Equality, hashing and `repr` read the
+fields a class names in `_fields`, as a frozen dataclass's do (a term's
+`span`, a type's caches and `TyVar.name` stay out), through closures over
+`operator.attrgetter`: importing the package compiles no generated
+methods, as `dataclasses` would for each class.  The hot type equalities
+are written out.  `dataclasses.replace` does not apply to a value;
+rebuild it through its constructor.
 
 Every type, kind and polytype value caches its free type variables in a
 `_fv` slot.  `ftv` fills the slot on the first request and returns the
@@ -89,6 +96,9 @@ class Frozen:
         fields = cls.__dict__.get("_fields")
         if fields is None:
             return
+        slots = cls.__dict__.get("__slots__", ())
+        cls._params = fields + ("span",) if "span" in slots else fields
+        cls._unset = tuple(name for name in slots if name not in cls._params)
         if len(fields) == 1:
             one = attrgetter(*fields)
             key = lambda self: (one(self),)
@@ -110,6 +120,38 @@ class Frozen:
         for method in (__eq__, __hash__, __repr__):
             if cls.__dict__.get(method.__name__) is None:
                 setattr(cls, method.__name__, method)
+
+    def __init__(self, *args, **kwargs):
+        """Fill the slots: the fields in `_fields`, in order and each one
+        required, then a term's `span`, by position or as `span=`, None if
+        not given.  Every other slot, a cache, starts as None."""
+        params = self._params
+        if kwargs or len(args) != len(params):
+            args = self._bind(args, kwargs)
+        for name, value in zip(params, args):
+            _set(self, name, value)
+        for name in self._unset:
+            _set(self, name, None)
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> list:
+        """One argument for each of `_params`, in order, bound from args and
+        kwargs as a call binds them; TypeError for a missing, extra or
+        repeated one."""
+        params, name = cls._params, cls.__qualname__
+        if len(args) > len(params):
+            raise TypeError(f"{name}() takes {len(params)} arguments but {len(args)} were given")
+        bound = dict(zip(params, args))
+        for key, value in kwargs.items():
+            if key not in params or key in bound:
+                raise TypeError(f"{name}() got an unexpected or repeated argument {key!r}")
+            bound[key] = value
+        if "span" in params:
+            bound.setdefault("span", None)
+        missing = [p for p in params if p not in bound]
+        if missing:
+            raise TypeError(f"{name}() is missing argument(s) {', '.join(missing)}")
+        return [bound[p] for p in params]
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -134,10 +176,6 @@ class Var(Frozen):
     __slots__ = ("name", "span")
     _fields = ("name",)
 
-    def __init__(self, name: str, span=None):
-        _set(self, "name", name)
-        _set(self, "span", span)
-
 
 _CONST_TYPES = {"Int": int, "Bool": bool, "String": str}
 
@@ -154,40 +192,22 @@ class Const(Frozen):
             raise ValueError(f"unknown base type {base!r}")
         if isinstance(value, bool) != (base == "Bool") or not isinstance(value, _CONST_TYPES[base]):
             raise ValueError(f"constant {value!r} is not of base type {base}")
-        _set(self, "value", value)
-        _set(self, "base", base)
-        _set(self, "span", span)
+        Frozen.__init__(self, value, base, span)
 
 
 class Abs(Frozen):
     __slots__ = ("param", "body", "span")
     _fields = ("param", "body")
 
-    def __init__(self, param: str, body: "Term", span=None):
-        _set(self, "param", param)
-        _set(self, "body", body)
-        _set(self, "span", span)
-
 
 class App(Frozen):
     __slots__ = ("fn", "arg", "span")
     _fields = ("fn", "arg")
 
-    def __init__(self, fn: "Term", arg: "Term", span=None):
-        _set(self, "fn", fn)
-        _set(self, "arg", arg)
-        _set(self, "span", span)
-
 
 class Let(Frozen):
     __slots__ = ("name", "bound", "body", "span")
     _fields = ("name", "bound", "body")
-
-    def __init__(self, name: str, bound: "Term", body: "Term", span=None):
-        _set(self, "name", name)
-        _set(self, "bound", bound)
-        _set(self, "body", body)
-        _set(self, "span", span)
 
 
 class RecordLit(Frozen):
@@ -197,41 +217,27 @@ class RecordLit(Frozen):
     _fields = ("fields",)
 
     def __init__(self, fields: "tuple[tuple[Label, Term], ...]", span=None):
-        _set(self, "fields", _sorted_fields(fields))
-        _set(self, "span", span)
+        Frozen.__init__(self, _sorted_fields(fields), span)
 
 
 class Select(Frozen):
     __slots__ = ("target", "label", "span")
     _fields = ("target", "label")
 
-    def __init__(self, target: "Term", label: Label, span=None):
-        _set(self, "target", target)
-        _set(self, "label", label)
-        _set(self, "span", span)
-
 
 class Modify(Frozen):
     __slots__ = ("target", "label", "value", "span")
     _fields = ("target", "label", "value")
 
-    def __init__(self, target: "Term", label: Label, value: "Term", span=None):
-        _set(self, "target", target)
-        _set(self, "label", label)
-        _set(self, "value", value)
-        _set(self, "span", span)
-
 
 class Remove(Frozen):
     __slots__ = ("target", "label", "span")
     _fields = ("target", "label")
-    __init__ = Select.__init__
 
 
 class Extend(Frozen):
     __slots__ = ("target", "label", "value", "span")
     _fields = ("target", "label", "value")
-    __init__ = Modify.__init__
 
 
 Term = Var | Const | Abs | App | Let | RecordLit | Select | Modify | Remove | Extend
@@ -260,8 +266,7 @@ class BaseType(Frozen):
     def __init__(self, name: str):
         if name not in BASE_TYPES:
             raise ValueError(f"unknown base type {name!r}")
-        _set(self, "name", name)
-        _set(self, "_fv", None)
+        Frozen.__init__(self, name)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -315,9 +320,7 @@ class RecordType(Frozen):
     _fields = ("fields",)
 
     def __init__(self, fields: "tuple[tuple[Label, MonoType], ...]"):
-        _set(self, "fields", _sorted_fields(fields))
-        _set(self, "_fv", None)
-        _set(self, "_nf", None)
+        Frozen.__init__(self, _sorted_fields(fields))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -359,6 +362,8 @@ class _Chain(Frozen):
 
     def __new__(cls, base: "MonoType", label: Label, field_type: "MonoType"):
         return chain(base, ((EXT if cls is Ext else CON, label, field_type),))
+
+    __init__ = object.__init__  # `__new__` builds the node
 
     @property
     def base(self) -> "MonoType":
@@ -475,9 +480,6 @@ class UKind(Frozen):
     __slots__ = ("_fv",)
     _fields = ()
 
-    def __init__(self):
-        _set(self, "_fv", None)
-
 
 class RecordKind(Frozen):
     """Fields the type must have (lefts) and must lack (rights)."""
@@ -490,9 +492,7 @@ class RecordKind(Frozen):
         shared = {l for l, _ in lefts} & {l for l, _ in rights}
         if shared:
             raise ValueError(f"label on both kind sides: {sorted(shared)}")
-        _set(self, "lefts", lefts)
-        _set(self, "rights", rights)
-        _set(self, "_fv", None)
+        Frozen.__init__(self, lefts, rights)
 
     def left_map(self) -> dict[Label, MonoType]:
         return dict(self.lefts)
@@ -534,11 +534,6 @@ class PolyType(Frozen):
 
     __slots__ = ("quants", "body", "_fv")
     _fields = ("quants", "body")
-
-    def __init__(self, quants: "tuple[tuple[TyVar, Kind], ...]", body: MonoType):
-        _set(self, "quants", quants)
-        _set(self, "body", body)
-        _set(self, "_fv", None)
 
     @property
     def is_mono(self) -> bool:

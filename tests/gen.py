@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 import random
 
 from extrec.kinding import field_info, has_kind
@@ -45,7 +44,7 @@ def rebuilt(value, /, **changes):
     """value built anew through its class's constructor, with `changes` in
     place of some of its arguments.  The library's values are not
     dataclasses, so `dataclasses.replace` does not apply to them."""
-    args = {name: getattr(value, name) for name in inspect.signature(type(value)).parameters}
+    args = {name: getattr(value, name) for name in type(value).__slots__ if name[0] != "_"}
     return type(value)(**{**args, **changes})
 
 

@@ -164,6 +164,8 @@ def test_parse_equations():
         # a line ends at "\n" only: a lone CR is layout, a form feed is refused
         (parse_env_file, "x : Int\r y : ;", "unexpected character ';'", (13, 14, 1, 14)),
         (parse_env_file, "x : Int\x0c", "unexpected character '\\x0c'", (7, 8, 1, 8)),
+        # a keyword names no variable
+        (parse_env_file, "x : Int\n  true : Bool\n", "keyword 'true' cannot be a variable", (10, 14, 2, 3)),
     ],
 )
 def test_line_file_errors_point_into_the_file(parse, text, message, span):
@@ -203,6 +205,9 @@ def test_line_file_errors_point_into_the_file(parse, text, message, span):
         (parse_kind, "<<l: Int || l: Int>>", "label on both kind sides: ['l']", (0, 2, 1, 1), ()),
         (parse_mono, '""', "unexpected '\"\"'", (0, 2, 1, 1), ("type",)),
         (parse_mono, '"Int"', "unexpected '\"Int\"'", (0, 5, 1, 1), ("type",)),
+        (parse_term, "\\true. true", "keyword 'true' cannot be a variable", (1, 5, 1, 2), ()),
+        (parse_term, "let in = 1 in 2", "keyword 'in' cannot be a variable", (4, 6, 1, 5), ()),
+        (parse_term, "f (\\x.\n \\remove. x)", "keyword 'remove' cannot be a variable", (9, 15, 2, 3), ()),
     ],
 )
 def test_syntax_errors_are_pinned(parse, text, message, span, expected):

@@ -9,9 +9,14 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 import extrec
-from extrec import interp, syntax
+from extrec import syntax
+from extrec.checker import ValidationIssue
+from extrec.derivation import Derivation, Judgment, KindingClaim
+from extrec.infer import InferFailure, InferResult
 from extrec.interp import BoolV, ClosureV, IntV, RecordV, StringV
+from extrec.kinding import FieldInfo
 from extrec.normalize import normalize
+from extrec.subst import KindedSubstitution
 from extrec.syntax import (
     Abs,
     App,
@@ -229,10 +234,26 @@ def _cached(t):
     return t
 
 
+# what a value that holds a dict hashes like: nothing, as a frozen
+# dataclass with a dict field
+_UNHASHABLE = object()
+
+
+def _package_value_classes():
+    """Every `Frozen` subclass that a module of the package defines."""
+    modules = [importlib.import_module(f"extrec.{m.name}") for m in pkgutil.iter_modules(extrec.__path__)]
+    return {
+        c
+        for module in modules
+        for c in vars(module).values()
+        if isinstance(c, type) and issubclass(c, Frozen) and c.__module__ == module.__name__
+    } - {Frozen}
+
+
 def _value_cases():
     """(value, an equal value that differs only where equality does not
     look, a value that differs where it does, what hashes like the value,
-    the value's repr) for every value class of `syntax` and `interp`."""
+    the value's repr) for every value class of the package."""
     x, one = Var("x"), Const(1, "Int")
     tv, ti = "TyVar(uid=1, name='a')", "BaseType(name='Int')"
     terms = [
@@ -289,24 +310,53 @@ def _value_cases():
          ("x", x, (("y", IntV(1)),)),
          "ClosureV(param='x', body=Var(name='x'), env=(('y', IntV(value=1)),))"),
     ]
-    return terms + types + values
+    u, kenv, tenv = UKind(), {a: UKind()}, {"x": poly(a)}
+    judged = Judgment(kenv, tenv, x, poly(a))
+    claim = KindingClaim(a, RecordKind((("l", INT),), ()))
+    failure = ("var", "unbound_variable", "unbound variable x")
+    results = [
+        (InferFailure(*failure, Var("x", (0, 1))), InferFailure(*failure, x),
+         InferFailure("var", "unbound_variable", "unbound variable y", x), (*failure, x),
+         "InferFailure(rule='var', reason='unbound_variable', message='unbound variable x', "
+         "term=Var(name='x'))"),
+        (InferResult(kenv, {}, a, None), InferResult({TyVar(1): u}, {}, TyVar(1), None),
+         InferResult({}, {}, INT, None), _UNHASHABLE,
+         f"InferResult(kenv={{{tv}: UKind()}}, subst={{}}, type={tv}, trace=None)"),
+        (ValidationIssue((0, 1), "bad"), ValidationIssue((0, 1), "bad"), ValidationIssue((), "bad"),
+         ((0, 1), "bad"), "ValidationIssue(path=(0, 1), reason='bad')"),
+        (KindedSubstitution(kenv, {b: a}), KindedSubstitution({TyVar(1): u}, {TyVar(2): TyVar(1)}),
+         KindedSubstitution(kenv, {}), _UNHASHABLE,
+         f"KindedSubstitution(kenv={{{tv}: UKind()}}, subst={{TyVar(uid=2, name='b'): {tv}}})"),
+        (FieldInfo({"l": INT}, {}, False), FieldInfo({"l": INT}, {}, False),
+         FieldInfo({"l": INT}, {}, True), _UNHASHABLE,
+         f"FieldInfo(present={{'l': {ti}}}, absent={{}}, record_base=False)"),
+        (judged, Judgment({TyVar(1): u}, {"x": poly(TyVar(1))}, Var("x", (0, 1)), poly(a)),
+         Judgment(kenv, {}, x, poly(a)), _UNHASHABLE,
+         f"Judgment(kenv={{{tv}: UKind()}}, tenv={{'x': PolyType(quants=(), body={tv})}}, "
+         f"term=Var(name='x'), sigma=PolyType(quants=(), body={tv}))"),
+        (claim, KindingClaim(TyVar(1), RecordKind((("l", INT),), ())),
+         KindingClaim(a, RecordKind((), (("l", INT),))), (a, claim.kind),
+         f"KindingClaim(subject={tv}, kind=RecordKind(lefts=(('l', {ti}),), rights=()))"),
+        (Derivation("Var", judged), Derivation("Var", judged, (), None), Derivation("Const", judged),
+         _UNHASHABLE, f"Derivation(rule='Var', judgment={judged!r}, children=(), claim=None)"),
+    ]
+    return terms + types + values + results
 
 
 def test_every_value_class_keeps_the_frozen_dataclass_contract():
     cases = _value_cases()
-    classes = {
-        c
-        for module in (syntax, interp)
-        for c in vars(module).values()
-        if isinstance(c, type) and issubclass(c, Frozen) and c.__module__ == module.__name__
-    }
-    assert {type(v) for v, *_ in cases} == classes - {Frozen, syntax._Chain}
+    assert {type(v) for v, *_ in cases} == _package_value_classes() - {syntax._Chain}
     for v, twin, other, hashed, text in cases:
-        assert v == twin and not v != twin and hash(v) == hash(twin), text
+        assert v == twin and not v != twin, text
         assert v != other and not v == other, text
         assert v != 1 and v != Var("unrelated"), text
-        if hashed is not None:
-            assert hash(v) == hash(hashed), text
+        if hashed is _UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(v)
+        else:
+            assert hash(v) == hash(twin), text
+            if hashed is not None:
+                assert hash(v) == hash(hashed), text
         assert repr(v) == text
         assert not hasattr(v, "__dict__"), text
         slots = [n for c in type(v).__mro__ for n in c.__dict__.get("__slots__", ())]
@@ -318,6 +368,45 @@ def test_every_value_class_keeps_the_frozen_dataclass_contract():
         assert v == twin and repr(v) == text
         for copied in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
             assert type(copied) is type(v) and copied == v and repr(copied) == text
+
+
+# each writes its own constructor: Const, BaseType and RecordKind check
+# their arguments, RecordLit and RecordType sort their fields, TyVar has a
+# default name, Arrow is built on every substitution, and Derivation checks
+# its rule and has defaults; a chain's `__new__` builds the node
+_OWN_CONSTRUCTORS = {Const, BaseType, RecordKind, RecordLit, RecordType, TyVar, Arrow, Derivation,
+                     syntax._Chain, Ext, Contr}
+
+
+def test_plain_value_classes_share_one_constructor():
+    shared = [v for v, *_ in _value_cases() if type(v).__init__ is Frozen.__init__]
+    assert {type(v) for v in shared} == _package_value_classes() - _OWN_CONSTRUCTORS
+    assert len(shared) == 22
+    span = (0, 9)
+    for v in shared:
+        c = type(v)
+        args = [getattr(v, name) for name in c._fields]
+        spanned = "span" in c.__slots__
+        assert c(*args) == v and c(**dict(zip(c._fields, args))) == v, c
+        if args:
+            with pytest.raises(TypeError):
+                c(*args[:-1])
+        with pytest.raises(TypeError):
+            c(*args, *[None] * (spanned + 1))
+        with pytest.raises(TypeError):
+            c(*args, extra=None)
+        if spanned:
+            assert c(*args).span is None, c
+            for built in (c(*args, span), c(*args, span=span)):
+                assert built.span == span and built == c(*args), c
+            with pytest.raises(TypeError):
+                c(*args, span, span=span)
+        else:
+            with pytest.raises(TypeError):
+                c(*args, span=span)
+        for name in c.__slots__:
+            if name not in c._fields and name != "span":
+                assert getattr(c(*args), name) is None, (c, name)
 
 
 def test_value_constructors_check_their_arguments():
