@@ -32,7 +32,7 @@ from .syntax import (
     Abs,
     App,
     Arrow,
-    BaseType,
+    BASE_BY_NAME,
     Const,
     Contr,
     Ext,
@@ -135,7 +135,7 @@ def _check_node(d: Derivation) -> str | None:
         if not generic_instance(kenv, tenv[term.name], poly(t)):
             return "conclusion is not a generic instance of the assumption"
     elif rule == "Const":
-        if not equiv(t, BaseType(term.base)):
+        if not equiv(t, BASE_BY_NAME[term.base]):
             return "constant typed at the wrong base type"
     elif rule == "Abs":
         binder = d.children[0].judgment.tenv[term.param]

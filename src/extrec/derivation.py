@@ -2,8 +2,9 @@
 produces on request and that the checker validates.
 
 Inference records each node as its subterm is typed, with the judgment
-unsubstituted and an empty kind assignment (a Gen node's premise holds the
-kinds it quantifies); `subst_derivation` then completes the whole tree."""
+unsubstituted and an empty kind assignment; a Gen node's kinds are those
+its polytype quantifies.  `subst_derivation` then completes the whole tree,
+applying the substitution through `syntax.apply_type`."""
 
 from __future__ import annotations
 
@@ -37,23 +38,18 @@ class Derivation(Frozen):
 def subst_derivation(d: Derivation, s: Substitution, k_target: KindAssignment) -> Derivation:
     """Map a kind-respecting substitution over every judgment of a tree,
     giving each node the kind assignment k_target, extended under a Gen node
-    by the kinds its premise quantifies.
+    by the quantifiers of its substituted polytype.
 
-    The substitution's domain must avoid variables generalized anywhere in
-    the tree (inference's fresh-variable discipline guarantees this)."""
+    No variable a Gen node quantifies may be in the substitution's domain,
+    or free in the image of a variable free in the node's polytype (as
+    inference guarantees), so `apply_type` keeps the binders its premise
+    mentions."""
     j = d.judgment
-    new_j = Judgment(k_target, apply_assignment(s, j.tenv), j.term, apply_type(s, j.sigma))
+    sigma = apply_type(s, j.sigma)
+    new_j = Judgment(k_target, apply_assignment(s, j.tenv), j.term, sigma)
     if d.rule == "Gen":
-        (child,) = d.children
-        quantified = {
-            v: k for v, k in child.judgment.kenv.items() if v not in j.kenv
-        }
-        child_target = dict(k_target)
-        for v, k in quantified.items():
-            child_target[v] = apply_type(s, k)
-        children = (subst_derivation(child, s, child_target),)
-    else:
-        children = tuple(subst_derivation(c, s, k_target) for c in d.children)
+        k_target = {**k_target, **dict(sigma.quants)}
+    children = tuple(subst_derivation(c, s, k_target) for c in d.children)
     claim = None
     if d.claim is not None:
         claim = KindingClaim(apply_type(s, d.claim.subject), apply_type(s, d.claim.kind))

@@ -41,12 +41,13 @@ from .syntax import (
     Abs,
     App,
     Arrow,
-    BaseType,
+    BASE_BY_NAME,
     Const,
     Contr,
     Ext,
     Extend,
     FRESH,
+    FRESH_START,
     FreshSupply,
     Frozen,
     KindAssignment,
@@ -236,8 +237,8 @@ class _Run:
         from t stops at them.  Only if unification forgot part of a kind
         while this bound term was open (`lose`) is tenv read, and the whole
         kind assignment: `closure` itself decides.  The top derivation
-        node, if any, becomes the premise of a Gen node that carries the
-        quantified kinds."""
+        node, if any, becomes, as it was recorded, the premise of a Gen
+        node, whose polytype carries the quantified kinds."""
         exact = self.level in self.forgot
         self.forgot.discard(self.level)
         self.level -= 1
@@ -246,9 +247,8 @@ class _Run:
         kinds = {}  # resolved
         for v in deep:
             kinds[v] = kenv[v] = resolve(subst, kenv[v])
-        if exact or self.nodes is not None:
-            gamma = {x: resolve(subst, sigma) for x, sigma in tenv.items()}
         if exact:
+            gamma = {x: resolve(subst, sigma) for x, sigma in tenv.items()}
             kinds = {v: resolve(subst, k) for v, k in kenv.items()}
             deep = list(kinds)
             sigma = closure(kinds, gamma, t)[1]
@@ -272,12 +272,8 @@ class _Run:
                 levels[v] = level
                 self.pools[level].append(v)
         if self.nodes is not None:
-            d = self.nodes.pop()
-            quantified = {v: kinds[v] for v in sorted(quantify, key=attrgetter("uid"))}
-            j = d.judgment
-            judgment = Judgment(quantified, j.tenv, j.term, j.sigma)
-            premise = Derivation(d.rule, judgment, d.children, d.claim)
-            self.nodes.append(Derivation("Gen", Judgment({}, gamma, bound, sigma), (premise,)))
+            judgment = Judgment({}, tenv, bound, sigma)
+            self.nodes.append(Derivation("Gen", judgment, (self.nodes.pop(),)))
         return sigma
 
 
@@ -293,7 +289,10 @@ def infer(
     inference builds do: a field operation on one reads its base's kind.
     Fresh variables come from fs, whose uids must lie above every variable
     of kenv and tenv and apart from those `syntax.FRESH` hands out, since
-    renaming draws on FRESH; by default they come from FRESH itself."""
+    renaming draws on FRESH; by default they come from FRESH itself.  Any
+    other whose next uid is in FRESH's range raises ValueError."""
+    if fs not in (None, FRESH) and fs.next_uid >= FRESH_START:
+        raise ValueError(f"infer: supply's next uid {fs.next_uid} is in syntax.FRESH's range")
     run = _Run(kenv, FRESH if fs is None else fs, want_trace)
     try:
         t = _infer(run, tenv, term)
@@ -384,7 +383,7 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
         return t
 
     if isinstance(term, Const):
-        t = BaseType(term.base)
+        t = BASE_BY_NAME[term.base]
         run.record("Const", tenv, term, t)
         return t
 

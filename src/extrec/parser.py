@@ -50,7 +50,7 @@ from .syntax import (
     Abs,
     App,
     Arrow,
-    BASE_TYPES,
+    BASE_BY_NAME,
     BaseType,
     Const,
     Contr,
@@ -422,11 +422,11 @@ class _Parser:
             self.i = i + 1
             return self.env.lookup(self.texts[i])
         if k == "ident":
-            s = self.texts[i]
-            if s not in BASE_TYPES:
-                raise ParseError(f"unknown type name {s!r}", self.span(i))
+            t = BASE_BY_NAME.get(self.texts[i])
+            if t is None:
+                raise ParseError(f"unknown type name {self.texts[i]!r}", self.span(i))
             self.i = i + 1
-            return BaseType(s)
+            return t
         if k == "{":
             self.i = i + 1
             try:

@@ -1,20 +1,18 @@
-"""Kinded substitutions: application, composition, the respects relation,
-type closure (generalization), and the generic-instance check.
+"""Kinded substitutions: composition, the respects relation, type closure
+(generalization), and the generic-instance check.
 
-Application takes a monotype, a kind or a polytype, and walks it through
-`syntax.map_type`; it renames a polytype's binders (`syntax.rebind`) where
-the substitution would catch them.  Application is purely structural and
-never normalizes; callers normalize at the points where the inference
-algorithm demands it.  Resolution through a triangular substitution is the
-solver's own, in `unify`.
+Application is `syntax.apply_type`, the one substitution walk, bound here
+too, where the benchmark and the tests import it.  It takes a monotype, a
+kind or a polytype, renames a polytype's binders where the substitution
+would catch them, and never normalizes; callers normalize at the points
+where the inference algorithm demands it.  Resolution through a triangular
+substitution (`unify.resolve`) hands its resolved images to the same walk.
 
 The generic-instance check asks `unify` for a witness and decides by its
 own final checks, `equiv` and `respects`, alone.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 from .kinding import has_kind, unkinded_chain
 from .normalize import chain_ops, equiv
@@ -30,32 +28,15 @@ from .syntax import (
     TypeAssignment,
     TyVar,
     UKind,
+    apply_type,
     chain,
     eftv,
     eftv_assignment,
     freshen,
     ftv,
-    map_type,
-    misses,
     poly,
 )
 from .unify import UnificationError, resolve, unify_in_place
-
-
-def apply_type(s: Substitution, t):
-    """Apply s to a monotype, a kind or a polytype.  A polytype's binders
-    are renamed first when s maps one or an image of s mentions one."""
-    if isinstance(t, TyVar):  # a lookup is cheaper than the test below
-        return s.get(t, t)
-    if misses(s, ftv(t)):
-        return t
-    if t.__class__ is PolyType and t.quants:
-        clash = set(s)
-        for image in s.values():
-            clash |= ftv(image)
-        if any(v in clash for v, _ in t.quants):
-            t = freshen(t)
-    return map_type(partial(apply_type, s), t)
 
 
 def apply_assignment(s: Substitution, gamma: TypeAssignment) -> TypeAssignment:

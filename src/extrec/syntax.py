@@ -55,14 +55,15 @@ whose fields the term keeps sorted; and normalization's fold of field
 operations into a record, which inserts and deletes by bisection.
 
 `map_type` is the one structural map over every type-level value: a
-monotype, a kind or a polytype.  Substitution, resolution, renaming and
-normalization are each one function over all three through it.  It keeps
-a polytype's binders; `rebind` renames them, for alpha-equality and for
-substitution's capture avoidance.  The walkers that are not maps stay
-their own: `ftv`, a cached fold; the printers in `parser`; and
-`normalize`'s reference reducer, which stays independent of `normalize`.
-`freshen` renames every binder of a polytype to a fresh variable, and
-`misses` tells a walk that a substitution leaves a value untouched.
+monotype, a kind or a polytype; it keeps a polytype's binders.
+Substitution is one walk over it, `_walk` behind `apply_type`, with one
+capture rule (caught binders are renamed by `freshen`); resolution
+(`unify.resolve`), renaming (`rebind`, for alpha-equality, `freshen` and
+instantiation) and `rename_vars` all go through that walk.
+Normalization is one function over all three through `map_type` too.  The
+walkers that are not maps stay their own: `ftv`, a cached fold; the
+printers in `parser`; and `normalize`'s reference reducer, which stays
+independent of `normalize`.
 
 Every type variable comes from a `FreshSupply`: a parser's `VarEnv` is
 one, a caller of `infer` or `unify` may pass one, and the process-wide
@@ -73,6 +74,7 @@ variable has a higher one.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
+from functools import partial
 from operator import attrgetter
 
 Label = str
@@ -312,7 +314,8 @@ class FreshSupply:
 # The supply of every caller that brings none: `freshen`, `unify`'s merges,
 # instance checking, `infer` and `check`.  It starts far above the uids a
 # parser hands out and only counts up, so what it makes is newest.
-FRESH = FreshSupply(1_000_000)
+FRESH_START = 1_000_000
+FRESH = FreshSupply(FRESH_START)
 
 
 class RecordType(Frozen):
@@ -440,9 +443,10 @@ def chain(base: MonoType, ops, fv: "frozenset[TyVar] | None" = None) -> MonoType
     return t
 
 
-INT = BaseType("Int")
-BOOL = BaseType("Bool")
-STRING = BaseType("String")
+BASE_BY_NAME = {name: BaseType(name) for name in BASE_TYPES}  # one value per name
+INT = BASE_BY_NAME["Int"]
+BOOL = BASE_BY_NAME["Bool"]
+STRING = BASE_BY_NAME["String"]
 EMPTY_RECORD = RecordType(())
 
 
@@ -706,14 +710,42 @@ def _map_ops(f, ops):
     return tuple(out)
 
 
+def apply_type(s: Substitution, t):
+    """Apply s to a monotype, a kind or a polytype.  A value whose free
+    variables miss s comes back as itself.  The one capture rule: a
+    polytype's binders are renamed first (`freshen`) when s maps one of them,
+    or when the image of one of its free variables mentions one."""
+    if isinstance(t, TyVar):  # a lookup is cheaper than the walk
+        return s.get(t, t)
+    return _walk(s, t)
+
+
+def _walk(s: Substitution, x):
+    """`apply_type` of x, for its own recursion, `rebind`, `rename_vars` and
+    `unify.resolve`: the benchmark's tracer wraps `apply_type` only."""
+    if isinstance(x, TyVar):
+        return s.get(x, x)
+    # Set difference looks free's members up in s with the hashes the set
+    # has stored, where a test per member would call TyVar.__hash__.
+    free = ftv(x)
+    if len(free.difference(s)) == len(free):
+        return x
+    if x.__class__ is PolyType and x.quants:
+        images = [ftv(s[v]) for v in free if v in s]
+        if any(v in s or any(v in fv for fv in images) for v, _ in x.quants):
+            x = freshen(x)
+    return map_type(partial(_walk, s), x)
+
+
 def rename_vars(x, mapping: dict[int, TyVar]):
     """Replace type variables per uid->TyVar map in a type, kind or polytype,
-    binders included."""
-    if isinstance(x, TyVar):
-        return mapping.get(x.uid, x)
+    binders included, with no capture test: the benchmark's and the tests'
+    canonical forms."""
+    s = {TyVar(uid): w for uid, w in mapping.items()}
     if isinstance(x, PolyType):
-        x = PolyType(tuple((mapping.get(v.uid, v), k) for v, k in x.quants), x.body)
-    return map_type(lambda c: rename_vars(c, mapping), x)
+        quants = tuple((s.get(v, v), _walk(s, k)) for v, k in x.quants)
+        return PolyType(quants, _walk(s, x.body))
+    return _walk(s, x)
 
 
 def rebind(p: PolyType, binders) -> PolyType:
@@ -722,21 +754,14 @@ def rebind(p: PolyType, binders) -> PolyType:
     body, not in its own kind, so the renaming grows one binder at a time."""
     if not p.quants:
         return p
-    mapping: dict[int, TyVar] = {}
+    s: Substitution = {}
     quants = []
     for (v, k), w in zip(p.quants, binders):
-        quants.append((w, rename_vars(k, mapping)))
-        mapping[v.uid] = w
-    return PolyType(tuple(quants), rename_vars(p.body, mapping))
+        quants.append((w, _walk(s, k)))
+        s[v] = w
+    return PolyType(tuple(quants), _walk(s, p.body))
 
 
 def freshen(p: PolyType) -> PolyType:
     """p with every binder renamed to a fresh variable."""
     return rebind(p, [FRESH.fresh(v.name) for v, _ in p.quants])
-
-
-def misses(s: Substitution, fv: frozenset) -> bool:
-    """No variable of fv is in the domain of s.  Set difference looks fv's
-    members up in s with the hashes the set has stored, where
-    `s.keys().isdisjoint(fv)` would call `TyVar.__hash__` for each."""
-    return len(fv.difference(s)) == len(fv)

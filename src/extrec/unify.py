@@ -5,8 +5,10 @@ substitution) until the equations are exhausted.  It binds variables in
 place: the substitution is triangular, an elimination records one
 `v := image` and deletes or replaces one kind entry, and each equation and
 kind is resolved through the substitution (`resolve`) when a rule reads
-it.  `unify` reads the result back resolved; inference keeps one state for
-a whole run and calls `unify_in_place`.
+it; `resolve` follows variable links itself and hands compound values to
+`syntax._walk`, the one substitution walk.  `unify` reads the result back
+resolved; inference keeps one state for a whole run and calls
+`unify_in_place`.
 
 Equations are taken from the front of a queue, and the equations a rule
 derives go to its front, in their order: each is solved before any
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from functools import partial
 from operator import itemgetter
 
 from .kinding import wf_kind_assignment
@@ -61,18 +62,15 @@ from .syntax import (
     FRESH,
     KindAssignment,
     MonoType,
-    PolyType,
     RecordKind,
     RecordType,
     Substitution,
     TyVar,
     UKind,
+    _walk,
     base_of,
     chain,
-    freshen,
     ftv,
-    map_type,
-    misses,
     trusted_record_kind,
     union,
 )
@@ -99,8 +97,9 @@ class UnificationError(Exception):
 def resolve(s: Substitution, t):
     """Apply the triangular substitution s to a monotype, a kind or a
     polytype: replace each bound variable by its image, resolved in turn,
-    until none is left.  A polytype's binders are renamed first when s maps
-    one or the resolved image of one of its free variables mentions one.
+    until none is left.  A compound value goes to `syntax._walk`, the one
+    substitution walk behind `apply_type`, with the resolved images of its
+    free variables that s binds.
 
     A triangular substitution maps each variable to the image it was bound
     to, which may mention variables bound after it.  Resolution compresses
@@ -120,13 +119,10 @@ def resolve(s: Substitution, t):
             s[v] = image
         return image
     free = ftv(t)
-    if misses(s, free):
+    unbound = free.difference(s)
+    if len(unbound) == len(free):
         return t
-    if t.__class__ is PolyType and t.quants:
-        images = {w for v in free if v in s for w in ftv(resolve(s, v))}
-        if any(v in s or v in images for v, _ in t.quants):
-            t = freshen(t)
-    return map_type(partial(resolve, s), t)
+    return _walk({v: resolve(s, v) for v in free - unbound}, t)
 
 
 def _is_chain(t: MonoType) -> bool:

@@ -71,6 +71,40 @@ def canon(x):
     return rename_vars(x, mapping)
 
 
+def naive_apply(s, x):
+    """s applied to a monotype, a kind or a polytype by a plain walk with no
+    short cut.  A polytype's binders are first all renamed apart, to
+    variables from uid 5000 up that nothing else holds, and then s is
+    substituted, so nothing is ever captured."""
+    if not isinstance(x, PolyType):
+        return _substituted(s, x)
+    apart = {}
+    quants = []
+    for i, (v, k) in enumerate(x.quants):
+        quants.append((TyVar(5000 + i, v.name), _substituted(apart, k)))
+        apart[v] = quants[-1][0]
+    body = _substituted(apart, x.body)
+    return PolyType(tuple((w, _substituted(s, k)) for w, k in quants), _substituted(s, body))
+
+
+def _substituted(s, x):
+    if isinstance(x, TyVar):
+        return s.get(x, x)
+    if isinstance(x, (BaseType, UKind)):
+        return x
+    if isinstance(x, Arrow):
+        return Arrow(_substituted(s, x.dom), _substituted(s, x.cod))
+    if isinstance(x, RecordType):
+        return RecordType(tuple((l, _substituted(s, t)) for l, t in x.fields))
+    if isinstance(x, (Ext, Contr)):
+        return type(x)(_substituted(s, x.base), x.label, _substituted(s, x.field_type))
+    assert isinstance(x, RecordKind), x
+    return RecordKind(
+        tuple((l, _substituted(s, t)) for l, t in x.lefts),
+        tuple((l, _substituted(s, t)) for l, t in x.rights),
+    )
+
+
 def subst_equal(s1, s2) -> bool:
     """Substitution equality: images agree up to equiv on every variable."""
     return all(equiv(s1.get(v, v), s2.get(v, v)) for v in s1.keys() | s2.keys())

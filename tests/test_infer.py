@@ -2,7 +2,9 @@ import itertools
 import random
 import sys
 
-from extrec.checker import validate
+import pytest
+
+from extrec.checker import check, validate
 from extrec.infer import FreshSupply, InferFailure, infer, instantiate
 from extrec.kinding import has_kind, wf_kind_assignment
 from extrec.normalize import equiv, normalize
@@ -230,6 +232,10 @@ def test_default_supply_makes_only_newer_variables(monkeypatch):
     # made last.
     kenv, tenv, _ = parse_env_file(POLY_ENV)
     checker = sys.modules["extrec.checker"]
+    # The reference supply starts far above FRESH's next uid, so no run
+    # here reaches it; infer's refusal of a supply in FRESH's range, pinned
+    # by the next test, is lifted for it.
+    monkeypatch.setattr(sys.modules["extrec.infer"], "FRESH_START", float("inf"))
     clear = lambda: FreshSupply(FRESH.next_uid + 1_000_000)
     rng = random.Random(2028)
     fixed = [parse_term(src) for src in ("\\z. z", "\\z. put z x", "let f = get in f")]
@@ -254,6 +260,21 @@ def test_default_supply_makes_only_newer_variables(monkeypatch):
                 assert checker.check(kenv, g, term, sigma) == got, (term, sigma)
             verdicts += got[0]
     assert accepted > 100 and verdicts > accepted
+
+
+def test_a_supply_in_freshs_range_is_refused():
+    # A supply started just above inputs that came from `freshen` would
+    # share FRESH's uids, which renaming in the run draws on; with it,
+    # check once refused the principal type of `(\x1. id) put`.  infer
+    # refuses such a supply, and the default supply accepts the claim.
+    kenv, tenv, _ = parse_env_file(POLY_ENV)
+    g = {x: freshen(s) for x, s in tenv.items()}
+    term = parse_term("(\\x1. id) put")
+    with pytest.raises(ValueError, match="FRESH's range"):
+        infer(kenv, g, term, FreshSupply(max(_uids(*kenv, *g.values())) + 1))
+    claim = parse_type("forall 'c :: U. 'c -> 'c")
+    assert check(kenv, g, term, claim) == (True, None)
+    assert not isinstance(infer(kenv, g, term, FRESH), InferFailure)
 
 
 def test_trace_context_matches_substituted_gamma():
@@ -689,6 +710,55 @@ def test_levels_generalize_as_closure_does(monkeypatch):
         k, g, start = (kenv, tenv, venv.next_free_uid()) if env else ({}, {}, 1)
         infer(k, g, term, FreshSupply(start), want_trace=i % 4 < 2)
     assert lets >= 1000
+
+
+def _gen_nodes(d):
+    if d.rule == "Gen":
+        yield d
+    for c in d.children:
+        yield from _gen_nodes(c)
+
+
+def test_no_generalized_variable_meets_the_final_substitution(monkeypatch):
+    # `subst_derivation` gives a Gen node's premise the quantifiers of the
+    # node's substituted polytype, and they are the premise's own variables
+    # only when `apply_type` renames none: no variable a Gen node quantifies
+    # is in the final substitution's domain, or free in the image of a
+    # variable free in the node's polytype.  Checked on the tree as
+    # inference records it, before the substitution.  (An image may mention
+    # a quantified variable when its variable was bound before the let
+    # generalized, as in the last of LEVEL_PROGRAMS: the polytype, resolved
+    # then, does not hold it.)
+    infer_mod = sys.modules["extrec.infer"]
+    inner = infer_mod.subst_derivation
+    quantified = 0
+
+    def checked(d, s, k_target):
+        nonlocal quantified
+        for gen in _gen_nodes(d):
+            sigma = gen.judgment.sigma
+            images = set().union(*(ftv(s[v]) for v in ftv(sigma) if v in s))
+            for v, _ in sigma.quants:
+                assert v not in s and v not in images, (gen.judgment.term, v)
+                quantified += 1
+        out = inner(d, s, k_target)
+        assert validate(out) is None, d.judgment.term
+        return out
+
+    monkeypatch.setattr(infer_mod, "subst_derivation", checked)
+    for src in LEVEL_PROGRAMS:
+        infer({}, {}, parse_term(src), FreshSupply(1), want_trace=True)
+    kenv, tenv, venv, _, _ = _setup_42()
+    rng = random.Random(137)
+    for i in range(1000):
+        # let f = \p. M in N, with p free in M and f in N, so that f's
+        # type is often polymorphic
+        scope = ("x", "y") if i % 2 == 0 else ()
+        bound = Abs("p", gen_closed_term(rng, rng.randint(1, 4), scope=("p",) + scope))
+        term = Let("f", bound, gen_closed_term(rng, rng.randint(1, 4), scope=("f",) + scope))
+        k, g, start = (kenv, tenv, venv.next_free_uid()) if scope else ({}, {}, 1)
+        infer(k, g, term, FreshSupply(start), want_trace=True)
+    assert quantified > 250
 
 
 def test_soundness_sample():

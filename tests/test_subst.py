@@ -15,7 +15,6 @@ from extrec.subst import (
 from extrec.syntax import (
     Arrow,
     BOOL,
-    BaseType,
     CON,
     Contr,
     EXT,
@@ -39,7 +38,9 @@ from gen import (
     gen_kind_assignment,
     gen_kindable_chain,
     gen_respecting_subst,
+    naive_apply,
 )
+from extrec.unify import resolve
 
 a, b, g = TyVar(1, "a"), TyVar(2, "b"), TyVar(3, "g")
 a1, a2 = TyVar(4, "a1"), TyVar(5, "a2")
@@ -280,45 +281,18 @@ def _instantiate_some(rng, kenv, sigma):
 _POOL = tuple(TyVar(u, f"p{u}") for u in (100, 101, 200, 201, 202, 300, 301))
 
 
-def _ref_apply(s, x):
-    """Structural application with no short cut; every binder is renamed to
-    a fresh variable first, so nothing is ever captured."""
-    if isinstance(x, TyVar):
-        return s.get(x, x)
-    if isinstance(x, (BaseType, UKind)):
-        return x
-    if isinstance(x, Arrow):
-        return Arrow(_ref_apply(s, x.dom), _ref_apply(s, x.cod))
-    if isinstance(x, RecordType):
-        return RecordType(tuple((l, _ref_apply(s, t)) for l, t in x.fields))
-    if isinstance(x, (Ext, Contr)):
-        return type(x)(_ref_apply(s, x.base), x.label, _ref_apply(s, x.field_type))
-    if isinstance(x, RecordKind):
-        return RecordKind(
-            tuple((l, _ref_apply(s, t)) for l, t in x.lefts),
-            tuple((l, _ref_apply(s, t)) for l, t in x.rights),
-        )
-    assert isinstance(x, PolyType)
-    inner = dict(s)
-    quants = []
-    for i, (v, k) in enumerate(x.quants):
-        quants.append((TyVar(5000 + i), _ref_apply(inner, k)))
-        inner[v] = quants[-1][0]
-    return PolyType(tuple(quants), _ref_apply(inner, x.body))
-
-
-def _random_subst(rng, domain):
-    """Extensible images (chain heads may be substituted), some of them
-    mentioning the binders of gen_arb_poly's values."""
+def _random_subst(rng, domain, tyvars=_POOL):
+    """Extensible images (chain heads may be substituted) over tyvars, some
+    of them mentioning the binders of gen_arb_poly's values."""
     s = {}
     for v in domain:
         pick = rng.random()
         if pick < 0.3:
-            s[v] = rng.choice(_POOL)
+            s[v] = rng.choice(tyvars)
         elif pick < 0.6:
-            s[v] = Ext(rng.choice(_POOL), "q", gen_arb_mono(rng, 1, _POOL))
+            s[v] = Ext(rng.choice(tyvars), "q", gen_arb_mono(rng, 1, tyvars))
         else:
-            s[v] = RecordType((("q", gen_arb_mono(rng, 1, _POOL)),))
+            s[v] = RecordType((("q", gen_arb_mono(rng, 1, tyvars)),))
     return s
 
 
@@ -333,7 +307,45 @@ def test_apply_agrees_with_structural_reference():
     for _ in range(300):
         s = _random_subst(rng, rng.sample(_POOL, rng.randint(0, 4)))
         for apply, x in _random_values(rng):
-            assert apply(s, x) == _ref_apply(s, x), (s, x)
+            assert apply(s, x) == naive_apply(s, x), (s, x)
+
+
+def _triangular(rng):
+    """A triangular substitution over _POOL, as unification leaves one: each
+    variable's image mentions only variables bound after it or not at all,
+    and the same substitution fully resolved."""
+    order = rng.sample(_POOL, rng.randint(1, 5))
+    free = [v for v in _POOL if v not in order]
+    tri = {}
+    for i, v in enumerate(order):
+        tri.update(_random_subst(rng, [v], tuple(order[i + 1 :] + free)))
+    full = {}
+    for v in reversed(order):
+        full[v] = naive_apply(full, tri[v])
+    return tri, full
+
+
+def test_one_walk_substitutes_resolves_and_avoids_capture():
+    # apply_type agrees, up to renaming, with naive_apply, which renames
+    # every binder apart first, on polytypes whose binders the substitution
+    # maps or the images of their free variables mention; and resolve
+    # through a triangular substitution is apply_type with the substitution
+    # fully resolved.  Each half of the capture rule is exercised.
+    rng = random.Random(71)
+    maps_binder = image_mentions_binder = 0
+    for _ in range(600):
+        p = gen_arb_poly(rng)
+        binders = {v for v, _ in p.quants}
+        free = ftv(p)
+        tri, full = _triangular(rng)
+        for s in (_random_subst(rng, rng.sample(_POOL, rng.randint(1, 5))), full):
+            assert apply_type(s, p) == naive_apply(s, p), (s, p)
+            if s.keys() & free:
+                maps_binder += bool(s.keys() & binders)
+                image_mentions_binder += any(ftv(s[v]) & binders for v in free & s.keys())
+        for x in (p, gen_arb_mono(rng, 3, _POOL), gen_arb_kind(rng, _POOL)):
+            assert resolve(tri, x) == apply_type(full, x) == naive_apply(full, x), (tri, x)
+    assert maps_binder > 100 and image_mentions_binder > 50, (maps_binder, image_mentions_binder)
 
 
 def test_apply_returns_untouched_values_themselves():
