@@ -1,12 +1,12 @@
 """Type inference for the extensible-record calculus.
 
 infer computes a principal kinded typing (residual kind assignment,
-substitution, canonical monotype).  One run keeps one kind assignment and
-one triangular substitution, which unification updates in place; the type
-assignment is resolved through the substitution only where a variable is
-looked up.  A let generalizes by levels, from what its bound term created,
-without reading the type assignment (see `_Run`).  The result's assignment
-and substitution are read back, resolved, once at the end.
+substitution, canonical monotype).  One run is one unification state
+(`unify.Solver`), whose kind assignment and triangular substitution every
+unification updates in place; the type assignment is resolved through the
+substitution only where a variable is looked up.  A let generalizes by
+levels, from what its bound term created, without reading the type
+assignment (see `_Run`).  The result is read back, resolved, once at the end.
 
 An application of a function typed as an arrow, and a field operation on
 a record, are typed directly, with no fresh variables: the arrow's domain
@@ -60,7 +60,6 @@ from .syntax import (
     RecordType,
     Remove,
     Select,
-    Substitution,
     Term,
     TypeAssignment,
     TyVar,
@@ -80,11 +79,11 @@ from .unify import (
     OCCURS,
     OWN_KIND,
     RIGHT,
+    Solver,
     UnificationError,
     find,
     meet_at,
     resolve,
-    unify_in_place,
     write_at,
 )
 
@@ -120,21 +119,22 @@ def instantiate(kenv: KindAssignment, sigma: PolyType, fs: FreshSupply) -> MonoT
     return normalize(p.body)
 
 
-class _Run:
-    """The state one inference run updates in place: the kind assignment,
-    the triangular substitution, the fresh-variable supply, the (record
-    type, value type, term) of every Extend typed, and, only when a
-    derivation is wanted, the post-order stack of finished nodes.
+class _Run(Solver):
+    """The state one inference run updates in place: unification's state
+    (the kind assignment, the triangular substitution and the fresh-variable
+    supply), the (record type, value type, term) of every Extend typed, and,
+    only when a derivation is wanted, the post-order stack of finished
+    nodes.
 
     It also ranks variables by let depth (Remy's ranks, the levels of
     OCaml's checker), so that a let generalizes without reading the type
     assignment.  `level` is the number of let-bound terms the walk is in;
-    `levels` maps each variable the run created to the depth it was created
-    at, lowered by unification (`lower`) to the depth of any variable it
-    comes to hang off, through a binding or a kind.  The caller's variables
-    are at depth 0.  So on leaving a let's bound term, a variable deeper
-    than the let is one the bound term created and the let's type
-    assignment cannot reach.  `pools[d]` lists the variables put at depth
+    `levels` maps each variable the run created (`fresh`) to the depth it
+    was created at, lowered (`lower`, the solver's hook) to the depth of any
+    variable it comes to hang off, through a binding or a kind.  The
+    caller's variables are at depth 0.  So on leaving a let's bound term, a
+    variable deeper than the let is one the bound term created and the
+    let's type assignment cannot reach.  `pools[d]` lists the variables put at depth
     d, some since bound or moved.
 
     The converse holds except where unification forgets part of a kind:
@@ -143,12 +143,11 @@ class _Run:
     was reachable only through them keeps the depth it was lowered to,
     which may be shallower than closure would have it.  `forgot` holds the
     depths of the let-bound terms open at that moment and deeper than the
-    variable that forgot them; `generalize` calls `closure` there."""
+    variable that forgot them (`lose`, the solver's other hook);
+    `generalize` calls `closure` there."""
 
     def __init__(self, kenv: KindAssignment, fs: FreshSupply, want_trace: bool):
-        self.kenv = dict(kenv)
-        self.subst: Substitution = {}
-        self.fs = fs
+        super().__init__(dict(kenv), fs.fresh)
         self.extensions: list = []
         self.nodes: list[Derivation] | None = [] if want_trace else None
         self.level = 0
@@ -157,9 +156,8 @@ class _Run:
         self.forgot: set[int] = set()
 
     def fresh(self, name: str = "") -> TyVar:
-        """A fresh variable at the current depth; its kind is the caller's
-        to add."""
-        v = self.fs.fresh(name)
+        """A fresh variable at the current depth."""
+        v = super().fresh(name)
         if self.level:
             self.levels[v] = self.level
             self.pools[-1].append(v)
@@ -192,16 +190,14 @@ class _Run:
         lets open deeper than v must take closure's rule.  What hangs off
         a variable at the current depth was never reachable from an
         enclosing let's type assignment."""
-        if any(ftv(t) for t in types):
-            start = 1 if v is None else self.levels.get(v, 0) + 1
+        start = 1 if v is None else self.levels.get(v, 0) + 1
+        if start <= self.level and any(ftv(t) for t in types):
             self.forgot.update(range(start, self.level + 1))
 
     def unify(self, equations, case: str, term: Term):
-        """Unify in place; a clash fails the syntax case `case` at term.
-        Outside every let no level can change: all are 0."""
-        levels = self if self.level else None
+        """Unify in place; a clash fails the syntax case `case` at term."""
         try:
-            unify_in_place(self.kenv, self.subst, equations, self.fresh, levels=levels)
+            self.solve(equations)
         except UnificationError as e:
             raise _Failed(case, e.reason, e.message, term) from None
 
@@ -244,12 +240,10 @@ class _Run:
         self.level -= 1
         level, levels, subst, kenv = self.level, self.levels, self.subst, self.kenv
         deep = [v for v in self.pools.pop() if levels[v] > level and v in kenv]
-        kinds = {}  # resolved
-        for v in deep:
-            kinds[v] = kenv[v] = resolve(subst, kenv[v])
+        kinds = {v: self.kind(v) for v in deep}  # resolved
         if exact:
             gamma = {x: resolve(subst, sigma) for x, sigma in tenv.items()}
-            kinds = {v: resolve(subst, k) for v, k in kenv.items()}
+            kinds = {v: self.kind(v) for v in kenv}
             deep = list(kinds)
             sigma = closure(kinds, gamma, t)[1]
             quantify = {v for v, _ in sigma.quants}
@@ -290,7 +284,8 @@ def infer(
     Fresh variables come from fs, whose uids must lie above every variable
     of kenv and tenv and apart from those `syntax.FRESH` hands out, since
     renaming draws on FRESH; by default they come from FRESH itself.  Any
-    other whose next uid is in FRESH's range raises ValueError."""
+    other whose next uid is in FRESH's range raises ValueError, and so does
+    a variable drawn that the run already kinds or binds."""
     if fs not in (None, FRESH) and fs.next_uid >= FRESH_START:
         raise ValueError(f"infer: supply's next uid {fs.next_uid} is in syntax.FRESH's range")
     run = _Run(kenv, FRESH if fs is None else fs, want_trace)
@@ -303,8 +298,7 @@ def infer(
             _check_base(run.current(subject), run.current(value), ext)
     except _Failed as e:
         return e.failure
-    s = {v: resolve(run.subst, v) for v in list(run.subst)}
-    k = {v: resolve(run.subst, kind) for v, kind in run.kenv.items()}
+    k, s = run.resolved()
     # Every node's types avoid the domain of the substitution made before
     # it, so applying the final substitution once yields the derivation.
     trace = None if run.nodes is None else subst_derivation(run.nodes.pop(), s, k)
@@ -336,7 +330,7 @@ def _known_field(run: _Run, t, base, term: Term, case: str, side, value):
     at its label on `side` as unification meets it: the type stated there,
     or the one written into base's kind (`value`, else a fresh variable), or
     None when the field is absent and must be."""
-    facts = t if base is None else resolve(run.subst, run.kenv[base])
+    facts = t if base is None else run.kind(base)
     at = meet_at(facts, term.label, side)
     if at is None:
         raise _Failed(case, KIND, CLASH[side].format([term.label]), term)
@@ -347,8 +341,7 @@ def _known_field(run: _Run, t, base, term: Term, case: str, side, value):
     if field is None:
         field = value
         if value is None:
-            field = run.fresh()
-            run.kenv[field] = U
+            field = run.new_var(U)
         kind = write_at(facts, term.label, field, side, i)
     if base in ftv(kind):
         raise _Failed(case, OCCURS, OWN_KIND, term)
@@ -388,8 +381,7 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
         return t
 
     if isinstance(term, Abs):
-        alpha = run.fresh()
-        run.kenv[alpha] = U
+        alpha = run.new_var(U)
         t1 = _infer(run, {**tenv, term.param: poly(alpha)}, term.body)
         t = Arrow(run.current(alpha), t1)
         run.record("Abs", tenv, term, t, 1)
@@ -402,8 +394,7 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
             run.unify([(t1.dom, t2)], "app", term)
             t = run.current(t1.cod)
         else:
-            alpha = run.fresh()
-            run.kenv[alpha] = U
+            alpha = run.new_var(U)
             run.unify([(t1, Arrow(t2, alpha))], "app", term)
             t = run.current(alpha)
         run.record("App", tenv, term, t, 2)
@@ -438,10 +429,8 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
                 run.unify([(t_value, field)], case, term)
             a_rec, a_field = t_rec, t_value if has_value else field
         else:
-            a_field = run.fresh()
-            a_rec = run.fresh()
-            run.kenv[a_field] = U
-            run.kenv[a_rec] = write_at(_NO_FIELDS, term.label, a_field, side, 0)
+            a_field = run.new_var(U)
+            a_rec = run.new_var(write_at(_NO_FIELDS, term.label, a_field, side, 0))
             eqs = [(a_field, t_value), (a_rec, t_rec)] if has_value else [(a_rec, t_rec)]
             run.unify(eqs, case, term)
         if rule == "Ext" and not record:  # a record has no base to re-check

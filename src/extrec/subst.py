@@ -36,7 +36,7 @@ from .syntax import (
     ftv,
     poly,
 )
-from .unify import UnificationError, resolve, unify_in_place
+from .unify import Solver, UnificationError, resolve
 
 
 def apply_assignment(s: Substitution, gamma: TypeAssignment) -> TypeAssignment:
@@ -153,9 +153,10 @@ def generic_instance(kenv: KindAssignment, s1: PolyType, s2: PolyType) -> bool:
     s1 = freshen(s1)
     fixed = {**kenv, **dict(s2.quants)}
     kinds = {**fixed, **dict(s1.quants)}
-    s: Substitution = {}
+    st = Solver(kinds, FRESH.fresh)
+    s = st.subst
     try:
-        unify_in_place(kinds, s, [(s1.body, s2.body)], FRESH.fresh)
+        st.solve([(s1.body, s2.body)])
         for v in [v for v in fixed if v in s]:
             w, ops = chain_ops(resolve(s, v))
             if isinstance(w, TyVar) and w not in fixed and not any(w in ftv(f) for *_, f in ops):

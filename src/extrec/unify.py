@@ -1,14 +1,15 @@
 """Kinded unification by transformation.
 
 The solver transforms a state (pending equations, kind assignment,
-substitution) until the equations are exhausted.  It binds variables in
-place: the substitution is triangular, an elimination records one
-`v := image` and deletes or replaces one kind entry, and each equation and
-kind is resolved through the substitution (`resolve`) when a rule reads
+substitution), a `Solver`, until the equations are exhausted.  It binds
+variables in place: the substitution is triangular, an elimination records
+one `v := image` and deletes or replaces one kind entry, and each equation
+and kind is resolved through the substitution (`resolve`) when a rule reads
 it; `resolve` follows variable links itself and hands compound values to
-`syntax._walk`, the one substitution walk.  `unify` reads the result back
-resolved; inference keeps one state for a whole run and calls
-`unify_in_place`.
+`syntax._walk`, the one substitution walk.  `unify` solves one equation set
+in a new state and reads the result back resolved (`Solver.resolved`); an
+inference run is one state for the whole run, a subclass whose level
+hooks follow Rémy's ranks.
 
 Equations are taken from the front of a queue, and the equations a rule
 derives go to its front, in their order: each is solved before any
@@ -129,28 +130,55 @@ def _is_chain(t: MonoType) -> bool:
     return isinstance(t, (Ext, Contr))
 
 
-class _State:
-    def __init__(self, kenv, subst, eqs, fresh, trace, levels):
-        self.eqs = deque(eqs)
+class Solver:
+    """The state that unification transforms, kept across calls: the kind
+    assignment and the triangular substitution, both updated in place, the
+    fresh-variable supply, the rule trace and the queue of pending
+    equations.  An inference run is one for the whole run (`infer._Run`),
+    whose `fresh`, `lower` and `lose` follow let depths."""
+
+    def __init__(self, kenv: KindAssignment, fresh, trace: list | None = None):
         self.kenv: KindAssignment = kenv
-        self.subst: Substitution = subst
-        self.fresh = fresh
+        self.subst: Substitution = {}
+        self.supply = fresh
         self.trace = trace
-        self.levels = levels
+        self.eqs: deque = deque()
 
-    def note(self, rule: str):
-        if self.trace is not None:
-            self.trace.append(rule)
+    def solve(self, equations):
+        """Solve the equations into the state.  Every variable of the
+        equations, once resolved, must have a kind; there is no entry check,
+        and on UnificationError the state is left part-way."""
+        self.eqs = eqs = deque(equations)
+        subst = self.subst
+        while eqs:
+            t1, t2 = eqs.popleft()
+            _step(self, resolve(subst, t1), resolve(subst, t2))
 
-    def push(self, *pairs):
-        """Queue a rule's derived equations, in their order, before every
-        equation queued earlier."""
-        self.eqs.extendleft(reversed(pairs))
+    def resolved(self) -> tuple[KindAssignment, Substitution]:
+        """The kind assignment and the substitution, each resolved."""
+        subst = self.subst
+        s = {v: resolve(subst, v) for v in list(subst)}  # compresses every path first
+        return {v: resolve(subst, k) for v, k in self.kenv.items()}, s
 
     def kind(self, v: TyVar):
         """v's kind, resolved, and stored back resolved."""
         self.kenv[v] = k = resolve(self.subst, self.kenv[v])
         return k
+
+    def fresh(self, name: str = "") -> TyVar:
+        """A variable from the supply, called with name if one is given.  A
+        variable the state already kinds or binds raises ValueError: the
+        supply has reached the caller's variables."""
+        v = self.supply(name) if name else self.supply()
+        if v in self.kenv or v in self.subst:
+            raise ValueError(f"fresh variable of uid {v.uid} is already kinded or bound")
+        return v
+
+    def new_var(self, kind) -> TyVar:
+        """A fresh variable of the given kind."""
+        v = self.fresh()
+        self.kenv[v] = kind
+        return v
 
     def bind(self, v: TyVar, image: MonoType):
         """Record v := image; v leaves the kind assignment."""
@@ -158,13 +186,23 @@ class _State:
         self.subst[v] = image
         del self.kenv[v]
 
+    def push(self, *pairs):
+        """Queue a rule's derived equations, in their order, before every
+        equation queued earlier."""
+        self.eqs.extendleft(reversed(pairs))
+
+    def note(self, rule: str):
+        if self.trace is not None:
+            self.trace.append(rule)
+
     def lower(self, v: TyVar, *types):
-        if self.levels is not None:
-            self.levels.lower(v, *types)
+        """Hook: types are about to be bound to v, or have entered v's kind
+        from an eliminated variable's."""
 
     def lose(self, v: TyVar | None, *types):
-        if self.levels is not None:
-            self.levels.lose(v, *types)
+        """Hook: v's kind, or some kind (v None), dropped types: the fields a
+        variable bound to a record forbade, and what reduction removes from
+        an equation's sides."""
 
 
 def unify(
@@ -176,9 +214,10 @@ def unify(
     """Most general unifier of a kinded equation set.
 
     Returns (residual kind assignment, substitution); raises
-    UnificationError when no unifier exists.  `fresh` supplies variables
-    for the two-chain merge, `syntax.FRESH.fresh` by default; `trace`, if
-    given, collects applied rule names.
+    UnificationError when no unifier exists.  `fresh`, called with no
+    arguments, supplies variables for the two-chain merge,
+    `syntax.FRESH.fresh` by default; one already kinded or bound raises
+    ValueError.  `trace`, if given, collects applied rule names.
     """
     eqs = list(equations)
     if not wf_kind_assignment(kenv):
@@ -187,44 +226,12 @@ def unify(
         for v in ftv(a) | ftv(b):
             if v not in kenv:
                 raise ValueError(f"unify: equation variable '{v.name or v.uid}' unkinded")
-    kenv = dict(kenv)
-    subst: Substitution = {}
-    unify_in_place(kenv, subst, eqs, fresh if fresh is not None else FRESH.fresh, trace)
-    return (
-        {v: resolve(subst, k) for v, k in kenv.items()},
-        {v: resolve(subst, v) for v in list(subst)},
-    )
+    st = Solver(dict(kenv), fresh if fresh is not None else FRESH.fresh, trace)
+    st.solve(eqs)
+    return st.resolved()
 
 
-def unify_in_place(
-    kenv: KindAssignment,
-    subst: Substitution,
-    equations,
-    fresh,
-    trace: list | None = None,
-    levels=None,
-):
-    """Solve the equations into a kind assignment and a triangular
-    substitution, both updated in place.
-
-    Every variable of the equations, once resolved through subst, must
-    have a kind in kenv; the kinds themselves may still mention bound
-    variables.  There is no entry check and no copy; on UnificationError
-    the state is left part-way.
-
-    `levels`, if given, follows which types hang off which variables:
-    `levels.lower(v, *types)` is called before v is bound to the types and
-    after they enter v's kind from an eliminated variable's, and
-    `levels.lose(v, *types)` when v's kind, or some kind (v None), drops
-    them: the fields a variable bound to a record forbade, and what
-    reduction removes from an equation's sides."""
-    st = _State(kenv, subst, equations, fresh, trace, levels)
-    while st.eqs:
-        t1, t2 = st.eqs.popleft()
-        _step(st, resolve(subst, t1), resolve(subst, t2))
-
-
-def _step(st: _State, t1: MonoType, t2: MonoType, retried: bool = False):
+def _step(st: Solver, t1: MonoType, t2: MonoType, retried: bool = False):
     # i) equal modulo reduction
     if equiv(t1, t2):
         st.note("i")
@@ -371,7 +378,7 @@ def write_at(kind, label, t, side, i, own=None) -> RecordKind:
     return trusted_record_kind(kind.lefts, fields, fv)
 
 
-def _meet(st: _State, v: TyVar, image: MonoType, base: TyVar | None):
+def _meet(st: Solver, v: TyVar, image: MonoType, base: TyVar | None):
     """Eliminate the record-kinded variable v into image, once image's field
     facts meet v's kind at each of its labels: rules iii, iv and vii, and
     both halves of ix.  The facts are base's kind, or a chain's over base,
@@ -447,7 +454,7 @@ def _moved(kl: dict, kr: dict, t: MonoType, eqs: list) -> RecordKind:
     return trusted_record_kind(tuple(sorted(present.items())), tuple(sorted(absent.items())))
 
 
-def _rule_ix(st: _State, v1: TyVar, ops1, v2: TyVar, ops2):
+def _rule_ix(st: Solver, v1: TyVar, ops1, v2: TyVar, ops2):
     """Both chains' bases become chains over one fresh base, whose kind has
     the contracted labels on the left and the extended ones on the right:
     v1 := fresh·ops2 and v2 := fresh·ops1."""
@@ -462,13 +469,12 @@ def _rule_ix(st: _State, v1: TyVar, ops1, v2: TyVar, ops2):
         # each meet would check one base against the other chain's
         # operations only, and only after the other base's kind checks
         raise UnificationError(OCCURS, "chain base occurs in an operation type")
-    fresh = st.fresh()
-    st.kenv[fresh] = RecordKind(tuple(lefts.items()), tuple(rights.items()))
+    fresh = st.new_var(RecordKind(tuple(lefts.items()), tuple(rights.items())))
     _meet(st, v1, chain(fresh, ops2), fresh)
     _meet(st, v2, chain(fresh, ops1), fresh)
 
 
-def _rule_chain_record(st: _State, t: MonoType, rec: RecordType):
+def _rule_chain_record(st: Solver, t: MonoType, rec: RecordType):
     """t, a chain normal over a variable base, against a record: the base is
     the record without the extended fields and with the contracted ones."""
     maps = label_maps(t.ops)
@@ -488,7 +494,7 @@ def _rule_chain_record(st: _State, t: MonoType, rec: RecordType):
     st.push(*eqs, (t.bottom, RecordType(tuple(reduced.items()))))
 
 
-def _fail(st: _State, t1: MonoType, t2: MonoType):
+def _fail(st: Solver, t1: MonoType, t2: MonoType):
     for a, b in ((t1, t2), (t2, t1)):
         if isinstance(a, TyVar) and a in ftv(b):
             raise UnificationError(OCCURS, "variable occurs in the other side")

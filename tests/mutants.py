@@ -1,0 +1,200 @@
+"""A registry of mutants that the tests must kill, and its runner.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py fifo-push  # the named ones
+
+Each entry names a module of `src/extrec`, an exact source snippet that
+occurs once in it, its replacement, and the tests that kill it.  The runner
+copies `src` to a temporary directory, applies one mutant to the copy, and
+runs the entry's tests against the copy with `pytest -x`; it never edits
+`src` itself.  A mutant is killed when pytest reports a failed test.
+The run fails if a mutant survives, if pytest stops for any other reason (a
+replacement that does not import kills nothing), or if a snippet no longer
+occurs exactly once: the registry follows the code.
+`tests/test_mutant_registry.py` checks the snippets in tier-1.
+
+To add a mutant, append a `Mutant` whose snippet is copied from the module,
+long enough to occur once, with the fewest tests that kill it, and run
+`python tests/mutants.py NAME`.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file name under src/extrec
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+def _t(*ids):
+    return tuple(f"tests/{i}" for i in ids)
+
+
+MUTANTS = (
+    Mutant(
+        "bind-no-lower",
+        "unify.py",
+        "        self.lower(v, image)\n",
+        "",
+        _t("test_infer.py::test_levels_generalize_as_closure_does"),
+    ),
+    Mutant(
+        "merge-no-lower-iii",
+        "unify.py",
+        "        st.lower(base, *written)\n",
+        "        if image != base:\n            st.lower(base, *written)\n",
+        _t("test_infer.py::test_levels_generalize_as_closure_does"),
+    ),
+    Mutant(
+        "iv-no-lose",
+        "unify.py",
+        "        st.lose(v, *(t for _, t in k.rights))\n",
+        "",
+        _t("test_infer.py::test_levels_generalize_as_closure_does"),
+    ),
+    Mutant(
+        "i-no-lose",
+        "unify.py",
+        "            st.lose(None, *(ftv(t1) ^ ftv(t2)))\n",
+        "            pass\n",
+        _t("test_infer.py::test_levels_generalize_as_closure_does"),
+    ),
+    Mutant(
+        "retry-no-lose",
+        "unify.py",
+        "            st.lose(None, *(ftv(t1) - ftv(n1)), *(ftv(t2) - ftv(n2)))\n",
+        "",
+        _t("test_infer.py::test_levels_generalize_as_closure_does"),
+    ),
+    Mutant(
+        "fifo-push",
+        "unify.py",
+        "self.eqs.extendleft(reversed(pairs))",
+        "self.eqs.extend(pairs)",
+        _t(
+            "test_unify.py::test_a_chain_queued_before_a_merge_meets_the_merged_kind",
+            "test_unify.py::test_field_equations_make_the_verdict_independent_of_equation_order",
+        ),
+    ),
+    Mutant(
+        "fresh-unchecked",
+        "unify.py",
+        "if v in self.kenv or v in self.subst:",
+        "if False:",
+        _t(
+            "test_unify.py::test_a_merge_refuses_a_fresh_variable_already_in_the_state",
+            "test_infer.py::test_a_supply_that_reaches_the_env_is_refused",
+        ),
+    ),
+    Mutant(
+        "ii-no-occurs",
+        "unify.py",
+        "        if a in ftv(b):\n",
+        "        if False:\n",
+        _t("test_unify.py::test_failure_reasons", "test_infer.py::test_negative_suite"),
+    ),
+    Mutant(
+        "no-closure-fallback",
+        "infer.py",
+        "exact = self.level in self.forgot",
+        "exact = False",
+        _t(
+            "test_infer.py::test_levels_generalize_as_closure_does",
+            "test_cli.py::test_let_generalizes_what_binding_a_record_made_unreachable",
+        ),
+    ),
+    Mutant(
+        "known-field-no-lower",
+        "infer.py",
+        "        run.lower(base, field)\n",
+        "        pass\n",
+        _t("test_infer.py::test_levels_generalize_as_closure_does"),
+    ),
+    Mutant(
+        "no-final-base-check",
+        "infer.py",
+        "            _check_base(run.current(subject), run.current(value), ext)\n",
+        "            pass\n",
+        _t("test_infer.py::test_extend_base_occurs_caught_after_later_aliasing"),
+    ),
+    Mutant(
+        "capture-misses-a-mapped-binder",
+        "syntax.py",
+        "if any(v in s or any(v in fv for fv in images) for v, _ in x.quants):",
+        "if any(any(v in fv for fv in images) for v, _ in x.quants):",
+        _t(
+            "test_subst.py::test_one_walk_substitutes_resolves_and_avoids_capture",
+            "test_subst.py::test_apply_agrees_with_structural_reference",
+        ),
+    ),
+    Mutant(
+        "capture-misses-an-image",
+        "syntax.py",
+        "if any(v in s or any(v in fv for fv in images) for v, _ in x.quants):",
+        "if any(v in s for v, _ in x.quants):",
+        _t(
+            "test_subst.py::test_one_walk_substitutes_resolves_and_avoids_capture",
+            "test_subst.py::test_apply_poly_avoids_capture",
+        ),
+    ),
+)
+
+
+def occurrences(m: Mutant) -> int:
+    return (SRC / "extrec" / m.module).read_text(encoding="utf-8").count(m.snippet)
+
+
+def run(m: Mutant) -> str | None:
+    """None when m is killed, else what went wrong."""
+    n = occurrences(m)
+    if n != 1:
+        return f"snippet occurs {n} times in {m.module}"
+    with tempfile.TemporaryDirectory(prefix="extrec-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "extrec" / m.module
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace(m.snippet, m.replacement), encoding="utf-8")
+        # pyproject.toml's pythonpath would put the real src first
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        argv += ["-o", f"pythonpath={src}", *m.tests]
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        r = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    if r.returncode == 1:
+        return None
+    if r.returncode == 0:
+        return "survived"
+    return f"pytest exited {r.returncode}:\n{r.stdout[-2000:]}{r.stderr[-2000:]}"
+
+
+def main(names) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"no such mutant: {', '.join(sorted(unknown))}")
+        return 2
+    failed = 0
+    for m in chosen:
+        problem = run(m)
+        print(f"{m.name}: {'killed' if problem is None else problem}", flush=True)
+        failed += problem is not None
+    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

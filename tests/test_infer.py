@@ -277,6 +277,21 @@ def test_a_supply_in_freshs_range_is_refused():
     assert not isinstance(infer(kenv, g, term, FRESH), InferFailure)
 
 
+def test_a_supply_that_reaches_the_env_is_refused():
+    # From 1, the supply's first variable is 'r itself: as y's type it would
+    # write U over 'r's kind, and x.l would lose its field.  A variable the
+    # run already kinds or binds is refused, instantiation's too.
+    kenv, tenv, venv = parse_env_file("'r :: <<l: Int || >>\nx : 'r\n")
+    term = parse_term(r"\y. x.l")
+    res = infer(kenv, tenv, term, FreshSupply(venv.next_free_uid()))
+    assert _printed_principal(res, tenv, kenv) == "forall 'a :: U. 'a -> Int | 'r :: <<l: Int || >>"
+    with pytest.raises(ValueError, match="uid 1 is already kinded or bound"):
+        infer(kenv, tenv, term, FreshSupply(1))
+    kenv, tenv, _ = parse_env_file("'r :: U\nf : forall 'a :: U. 'a -> 'r\n")
+    with pytest.raises(ValueError, match="uid 1 is already kinded or bound"):
+        infer(kenv, tenv, parse_term("f"), FreshSupply(1))
+
+
 def test_trace_context_matches_substituted_gamma():
     kenv, tenv, venv, a1, a2 = _setup_42()
     res = infer(kenv, tenv, parse_term("extend(x, l, y).l"),
@@ -427,25 +442,26 @@ def test_first_failure_in_walk_order_is_reported():
 
 
 def test_inference_hands_unification_well_formed_state(monkeypatch):
-    # Inference calls the in-place entry, which skips the public entry's
+    # Inference calls the solver directly, which skips the public entry's
     # checks: every kind assignment it hands over is well formed once
     # resolved, and kinds every variable of the resolved equations.
-    infer_mod = sys.modules["extrec.infer"]
-    inner = infer_mod.unify_in_place
+    solver = sys.modules["extrec.unify"].Solver
+    inner = solver.solve
     calls = 0
 
-    def checked(kenv, subst, equations, fresh, trace=None, levels=None):
+    def checked(self, equations):
         nonlocal calls
         calls += 1
+        kenv, subst = self.kenv, self.subst
         view = dict(subst)
         resolved = {v: resolve(view, k) for v, k in kenv.items()}
         assert not (resolved.keys() & view.keys())
         assert wf_kind_assignment(resolved)
         for t1, t2 in equations:
             assert ftv(resolve(view, t1)) | ftv(resolve(view, t2)) <= resolved.keys()
-        return inner(kenv, subst, equations, fresh, trace, levels)
+        return inner(self, equations)
 
-    monkeypatch.setattr(infer_mod, "unify_in_place", checked)
+    monkeypatch.setattr(solver, "solve", checked)
     kenv, tenv, venv, _, _ = _setup_42()
     rng = random.Random(107)
     for i in range(700):
@@ -464,8 +480,8 @@ def test_known_arrows_and_records_are_typed_directly(monkeypatch):
     # record-kinded variable, at a label the chain leaves alone, reads and
     # writes the variable's kind: only the first extension below, of a
     # variable, makes variables (two) and a unify call.
-    infer_mod = sys.modules["extrec.infer"]
-    inner = infer_mod.unify_in_place
+    solver = sys.modules["extrec.unify"].Solver
+    inner = solver.solve
     calls = 0
 
     def counted(*args, **kwargs):
@@ -473,7 +489,7 @@ def test_known_arrows_and_records_are_typed_directly(monkeypatch):
         calls += 1
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(infer_mod, "unify_in_place", counted)
+    monkeypatch.setattr(solver, "solve", counted)
     v3 = TyVar(3)  # the base of r's chain: r's variable is bound to it
     let_chain = (
         "let r0 = {} in let r1 = extend(r0, f1, 1) in let r2 = extend(r1, f2, true) in remove(r2, f1)"
@@ -645,7 +661,7 @@ def _verdict(res, kenv, tenv) -> tuple[str, str]:
 
 
 # Lets whose generalization depends on one part each of the level
-# bookkeeping in `infer._Run` and the `unify_in_place` hooks.
+# bookkeeping in `infer._Run` and the solver's `lower` and `lose` hooks.
 LEVEL_PROGRAMS = (
     # f's parameter type stays free, pinned by the kind of the unreachable
     # z's type; it comes up to depth 0, so h's let sees f reach it

@@ -206,6 +206,19 @@ def test_two_chain_merge_keeps_the_operations_types():
         assert resid == {f: f_kind}
 
 
+def test_a_merge_refuses_a_fresh_variable_already_in_the_state():
+    # Rule ix's fresh base must be new: a variable the state kinds (a), or
+    # one bound earlier in the same call (g, by rule ii), is refused rather
+    # than having its kind overwritten or its binding shadowed.
+    kenv = {g: UKind(), a: record_kind([("l", g)]), b: record_kind([("m", INT)])}
+    eqs = [(g, INT), (Contr(a, "l", INT), Contr(b, "m", INT))]
+    for taken in (a, g):
+        with pytest.raises(ValueError, match=f"uid {taken.uid} is already kinded or bound"):
+            unify(kenv, eqs, fresh=lambda: taken)
+    resid, s = unify(kenv, eqs, fresh=FreshSupply(9).fresh)
+    assert s[a] == Contr(TyVar(9), "m", INT)
+
+
 def test_a_chain_queued_before_a_merge_meets_the_merged_kind():
     # w is merged into a first, so a's kind gives l the type g; the merge's
     # equation g = Int goes before the queued b = a - {l: Int} and is
@@ -675,7 +688,7 @@ MEET_LABELS = ("l", "m", "n", "o", "p", "q")
 
 
 class _Levels:
-    """Records the `levels` hooks unification calls."""
+    """Records the `lower` and `lose` hooks unification calls."""
 
     def __init__(self):
         self.calls = []
@@ -806,7 +819,8 @@ def test_the_field_step_meets_and_writes_as_the_whole_kind_merge_did():
         at = None if rule == "iv" else base
         want = _reference_meet(kenv, v, image, at)
         levels = _Levels()
-        st = unify_mod._State(dict(kenv), {}, [], None, None, levels)
+        st = unify_mod.Solver(dict(kenv), None)
+        st.lower, st.lose = levels.lower, levels.lose
         try:
             unify_mod._meet(st, v, image, at)
         except UnificationError as e:
