@@ -35,13 +35,15 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .derivation import Derivation, Judgment, KindingClaim, subst_derivation
-from .normalize import normalize
+from .normalize import fold_op, normalize
 from .subst import closure, quantifier_prefix
 from .syntax import (
     Abs,
     App,
     Arrow,
     BASE_BY_NAME,
+    CON,
+    EXT,
     Const,
     Contr,
     Ext,
@@ -65,9 +67,7 @@ from .syntax import (
     TyVar,
     U,
     Var,
-    base_of,
     ftv,
-    is_extensible,
     poly,
     rebind,
     trusted_record,
@@ -113,10 +113,15 @@ class _Failed(Exception):
 
 def instantiate(kenv: KindAssignment, sigma: PolyType, fs: FreshSupply) -> MonoType:
     """Replace quantified variables with fresh ones, from fs.fresh(name),
-    through `rebind`, and add the fresh variables' kinds to kenv in place."""
+    through `rebind`, and add the fresh variables' kinds to kenv in place.
+    The result is normal: renaming the binders of a body that is its own
+    normal form keeps it normal, so only another body is normalized again."""
+    body = sigma.body
+    if not sigma.quants:
+        return normalize(body)
     p = rebind(sigma, [fs.fresh(v.name) for v, _ in sigma.quants])
     kenv.update(p.quants)
-    return normalize(p.body)
+    return p.body if normalize(body) is body else normalize(p.body)
 
 
 class _Run(Solver):
@@ -207,14 +212,14 @@ class _Run(Solver):
 
     def record(self, rule, tenv, term, t, premises=0, claim=None):
         """Push term's derivation node, whose premises are the top `premises`
-        nodes, if a derivation is wanted.  Its judgment's kind assignment is
-        left empty: `subst_derivation` gives every node the final one."""
-        if self.nodes is None:
-            return
+        nodes; a derivation is wanted.  Its judgment keeps a copy of the
+        scope, which the walk goes on to change, and an empty kind
+        assignment: `subst_derivation` gives every node the final one."""
         cut = len(self.nodes) - premises
         children = tuple(self.nodes[cut:])
         del self.nodes[cut:]
-        self.nodes.append(Derivation(rule, Judgment({}, tenv, term, poly(t)), children, claim))
+        judgment = Judgment({}, dict(tenv), term, poly(t))
+        self.nodes.append(Derivation(rule, judgment, children, claim))
 
     def enter_let(self):
         """Go one let deeper, to type a let-bound term."""
@@ -234,20 +239,25 @@ class _Run(Solver):
         while this bound term was open (`lose`) is tenv read, and the whole
         kind assignment: `closure` itself decides.  The top derivation
         node, if any, becomes, as it was recorded, the premise of a Gen
-        node, whose polytype carries the quantified kinds."""
+        node, whose polytype carries the quantified kinds.  When nothing was
+        forgotten and the bound term left no variable deeper than the let,
+        as in a chain of lets that each extend a record, t is returned
+        under no quantifier at once."""
         exact = self.level in self.forgot
         self.forgot.discard(self.level)
         self.level -= 1
         level, levels, subst, kenv = self.level, self.levels, self.subst, self.kenv
         deep = [v for v in self.pools.pop() if levels[v] > level and v in kenv]
-        kinds = {v: self.kind(v) for v in deep}  # resolved
         if exact:
             gamma = {x: resolve(subst, sigma) for x, sigma in tenv.items()}
-            kinds = {v: self.kind(v) for v in kenv}
+            kinds = {v: self.kind(v) for v in kenv}  # resolved
             deep = list(kinds)
             sigma = closure(kinds, gamma, t)[1]
             quantify = {v for v, _ in sigma.quants}
+        elif not deep:  # the bound term left no variable to quantify
+            sigma = poly(t)
         else:
+            kinds = {v: self.kind(v) for v in deep}  # resolved
             quantify: set[TyVar] = set()
             work = list(ftv(t))
             while work:
@@ -258,7 +268,7 @@ class _Run(Solver):
             # Ties go by uid, as closure's by position in the kind
             # assignment: the run adds its variables in uid order.
             ordered = quantifier_prefix(quantify, deep, kinds, attrgetter("uid"))
-            sigma = PolyType(tuple((v, kinds[v]) for v in ordered), t) if ordered else poly(t)
+            sigma = poly(t, tuple((v, kinds[v]) for v in ordered))
         for v in deep:
             if v in quantify:
                 del kenv[v]
@@ -266,7 +276,7 @@ class _Run(Solver):
                 levels[v] = level
                 self.pools[level].append(v)
         if self.nodes is not None:
-            judgment = Judgment({}, tenv, bound, sigma)
+            judgment = Judgment({}, dict(tenv), bound, sigma)
             self.nodes.append(Derivation("Gen", judgment, (self.nodes.pop(),)))
         return sigma
 
@@ -290,7 +300,7 @@ def infer(
         raise ValueError(f"infer: supply's next uid {fs.next_uid} is in syntax.FRESH's range")
     run = _Run(kenv, FRESH if fs is None else fs, want_trace)
     try:
-        t = _infer(run, tenv, term)
+        t = _infer(run, dict(tenv), term)
         # The extension rule's base-variable condition is the one side
         # condition later substitutions can break: re-check it under the
         # final substitution, in the order the extensions were typed.
@@ -306,15 +316,15 @@ def infer(
 
 
 def _check_base(record: MonoType, value: MonoType, term: Term):
-    if is_extensible(record):
-        base = base_of(record)
-        if isinstance(base, TyVar) and base in ftv(value):
-            raise _Failed(
-                "extend",
-                "base_in_value",
-                "extended record's type occurs in the added field's type",
-                term,
-            )
+    """Fail when the variable at the bottom of record occurs in value."""
+    base = record.bottom if isinstance(record, (Ext, Contr)) else record
+    if isinstance(base, TyVar) and base in ftv(value):
+        raise _Failed(
+            "extend",
+            "base_in_value",
+            "extended record's type occurs in the added field's type",
+            term,
+        )
 
 
 def _open_base(run: _Run, t: MonoType, label) -> TyVar | None:
@@ -354,10 +364,12 @@ def _known_field(run: _Run, t, base, term: Term, case: str, side, value):
 _NO_FIELDS = RecordKind((), ())
 
 # Term class -> (rule, failure tag, has a value premise, side of the record
-# kind the field goes on, result type from (a_rec, label, a_field)).
+# kind the field goes on, the chain class of the operation the result puts
+# on the record's type, or None when the result is the field's type (a
+# select) or the record's (a modify)).
 _FIELD_RULES = {
-    Select: ("Sel", "select", False, LEFT, lambda rec, l, f: f),
-    Modify: ("Modif", "modify", True, LEFT, lambda rec, l, f: rec),
+    Select: ("Sel", "select", False, LEFT, None),
+    Modify: ("Modif", "modify", True, LEFT, None),
     Remove: ("Contr", "remove", False, LEFT, Contr),
     Extend: ("Ext", "extend", True, RIGHT, Ext),
 }
@@ -365,63 +377,85 @@ _FIELD_RULES = {
 
 def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
     """The type of term, resolved through the substitution as it stands on
-    return, and normalized; raises _Failed.  tenv is not resolved, and each
-    recorded judgment keeps it as it was passed."""
-
-    if isinstance(term, Var):
-        if term.name not in tenv:
+    return, and normalized; raises _Failed.  tenv is the scope, one dict
+    for the whole walk: a binder binds its name in it for its body, and
+    puts back the entry it shadowed, or deletes the name, after the body.
+    Its types are not resolved, and a recorded judgment keeps a copy."""
+    cls = term.__class__
+    if cls is Var:
+        sigma = tenv.get(term.name)
+        if sigma is None:
             raise _Failed("var", "unbound_variable", f"unbound variable {term.name}", term)
-        t = instantiate(run.kenv, resolve(run.subst, tenv[term.name]), run)
-        run.record("Var", tenv, term, t)
+        t = instantiate(run.kenv, resolve(run.subst, sigma), run)
+        if run.nodes is not None:
+            run.record("Var", tenv, term, t)
         return t
 
-    if isinstance(term, Const):
+    if cls is Const:
         t = BASE_BY_NAME[term.base]
-        run.record("Const", tenv, term, t)
+        if run.nodes is not None:
+            run.record("Const", tenv, term, t)
         return t
 
-    if isinstance(term, Abs):
+    if cls is Abs:
         alpha = run.new_var(U)
-        t1 = _infer(run, {**tenv, term.param: poly(alpha)}, term.body)
+        name = term.param
+        shadowed = tenv.get(name)
+        tenv[name] = poly(alpha)
+        t1 = _infer(run, tenv, term.body)
+        if shadowed is None:
+            del tenv[name]
+        else:
+            tenv[name] = shadowed
         t = Arrow(run.current(alpha), t1)
-        run.record("Abs", tenv, term, t, 1)
+        if run.nodes is not None:
+            run.record("Abs", tenv, term, t, 1)
         return t
 
-    if isinstance(term, App):
+    if cls is App:
         t1 = _infer(run, tenv, term.fn)
         t2 = _infer(run, tenv, term.arg)
-        if isinstance(t1, Arrow):
+        if t1.__class__ is Arrow:
             run.unify([(t1.dom, t2)], "app", term)
             t = run.current(t1.cod)
         else:
             alpha = run.new_var(U)
             run.unify([(t1, Arrow(t2, alpha))], "app", term)
             t = run.current(alpha)
-        run.record("App", tenv, term, t, 2)
+        if run.nodes is not None:
+            run.record("App", tenv, term, t, 2)
         return t
 
-    if isinstance(term, Let):
+    if cls is Let:
         run.enter_let()
         t1 = _infer(run, tenv, term.bound)
-        sigma = run.generalize(tenv, t1, term.bound)
-        t2 = _infer(run, {**tenv, term.name: sigma}, term.body)
-        run.record("Let", tenv, term, t2, 2)
+        name = term.name
+        shadowed = tenv.get(name)
+        tenv[name] = run.generalize(tenv, t1, term.bound)
+        t2 = _infer(run, tenv, term.body)
+        if shadowed is None:
+            del tenv[name]
+        else:
+            tenv[name] = shadowed
+        if run.nodes is not None:
+            run.record("Let", tenv, term, t2, 2)
         return t2
 
-    if isinstance(term, RecordLit):
+    if cls is RecordLit:
         types = [(label, _infer(run, tenv, sub)) for label, sub in term.fields]
         t = trusted_record(tuple((l, run.current(t_i)) for l, t_i in types))
-        run.record("Rec", tenv, term, t, len(types))
+        if run.nodes is not None:
+            run.record("Rec", tenv, term, t, len(types))
         return t
 
-    field_rule = _FIELD_RULES.get(type(term))
+    field_rule = _FIELD_RULES.get(cls)
     if field_rule is not None:
-        rule, case, has_value, side, result = field_rule
+        rule, case, has_value, side, op = field_rule
         t_rec = _infer(run, tenv, term.target)
         t_value = _infer(run, tenv, term.value) if has_value else None
-        if rule == "Ext":
+        record = t_rec.__class__ is RecordType
+        if rule == "Ext" and not record:  # a record has no base variable
             _check_base(t_rec, t_value, term)
-        record = isinstance(t_rec, RecordType)
         base = None if record else _open_base(run, t_rec, term.label)
         if record or base is not None:
             field = _known_field(run, t_rec, base, term, case, side, t_value)
@@ -435,7 +469,15 @@ def _infer(run: _Run, tenv: TypeAssignment, term: Term) -> MonoType:
             run.unify(eqs, case, term)
         if rule == "Ext" and not record:  # a record has no base to re-check
             run.extensions.append((a_rec, t_value, term))
-        t = run.current(result(a_rec, term.label, a_field))
+        if op is None:
+            t = run.current(a_rec if has_value else a_field)
+        elif record:  # the field goes in, or out, at its label
+            # a_field, the value's type or the record's field, is current:
+            # nothing was unified since the last subterm was typed
+            sign = EXT if op is Ext else CON
+            t = fold_op(run.current(a_rec), (sign, term.label, a_field))
+        else:
+            t = run.current(op(a_rec, term.label, a_field))
         if run.nodes is not None:
             one_field = write_at(_NO_FIELDS, term.label, run.current(a_field), side, 0)
             claim = KindingClaim(run.current(a_rec), one_field)

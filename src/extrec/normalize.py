@@ -186,12 +186,26 @@ def _fold_into_record(base, ops):
     return trusted_record(tuple(fields), fv), ops[folded:]
 
 
+def fold_op(record: RecordType, op) -> MonoType:
+    """normalize(chain(record, (op,))) for a normal record and an operation
+    whose field type is normal, without building the chain when the
+    operation folds, as inference's field operations on a record do: the
+    record with the field put in or taken out is normal."""
+    folded = _fold_into_record(record, (op,))
+    if folded is None:
+        return normalize(chain(record, (op,)))
+    object.__setattr__(folded[0], "_nf", IS_NORMAL)
+    return folded[0]
+
+
 def _cancel_pairs(ops) -> set[int]:
     """Positions of the cancelling +/- pairs of a chain over a variable, in
     one left-to-right sweep: each operation cancels the earliest open one
     with its label and field type and the opposite sign.  These are the
     pairs repeated `_first_cancelling_pair` removes, also when a label
     repeats.  Field types must be normal, so that equivalence is equality."""
+    if len(ops) < 2:
+        return ()
     open_ops: dict[tuple, deque[int]] = {}
     dropped = set()
     for j, (sign, label, fty) in enumerate(ops):

@@ -28,12 +28,16 @@ Environment files hold one declaration per line: `'a :: KIND` for kinds,
 `x : POLYTYPE` for term variables, x a var; `#` starts a comment.  A
 name is declared at most once.
 
-Every entry point reads its text one way.  `_tokenize` makes one pass to
-a flat token table, parallel lists of kind, text, start and end (a
-punctuation token's kind is its text), and the descent reads it through
-local variables.  Line and column are worked out only for a span that a
-term keeps or a `ParseError` reports, from line starts found on the
-first span past the text's first line.
+Every entry point reads its text one way.  `_tokenize` makes a flat token
+table, parallel lists of kind, text, start and end (a punctuation token's
+kind is its text): a text of plain tokens is split in one regex call, and
+any other goes through a loop of matches.  The descent reads the table
+through local variables.  Line and column are worked out only for a span
+that a term keeps or a `ParseError` reports; on the text's first line
+they cost one addition, and past it they come from line starts found on
+the first such span.  The descent is a trusted builder of term nodes:
+it writes each node's slots past `Frozen.__init__`, all but a `Const`'s
+and a `RecordLit`'s, whose constructors check their fields.
 
 Pretty-printing round-trips: parse(pretty(v)) is structurally equal to v
 (alpha-invariant for polytypes).
@@ -80,6 +84,8 @@ from .syntax import (
 
 TERM_KEYWORDS = {"let", "in", "modify", "extend", "remove", "true", "false"}
 _new_span = tuple.__new__  # a SourceSpan without the Python frame of its __new__
+_new, _set = object.__new__, object.__setattr__  # a trusted term node, slot by slot
+_RECORD_OPS = {"modify": Modify, "extend": Extend, "remove": Remove}
 
 
 class SourceSpan(NamedTuple):
@@ -120,7 +126,7 @@ class VarEnv(FreshSupply):
 
 # Layout and comments, then one token.  `\w` is `str.isalnum` or "_".  A
 # word led by an ASCII letter or "_", or of ASCII digits only, has a group
-# of its own; `_tokenize` splits any other word as `str.isdigit` and
+# of its own; `_tokenize_any` splits any other word as `str.isdigit` and
 # `str.isalpha` tell.  A string literal is matched whole, or as a lone
 # quote when it is not well formed.  Every part is optional, so a match
 # that captures no token ends at the end of the text or at an unexpected
@@ -137,12 +143,48 @@ _TOKEN_RE = re.compile(
 _PUNCT, _IDENT, _INT, _TYVAR, _STRING = 1, 2, 3, 4, 5
 _KINDS = {_IDENT: "ident", _INT: "int"}
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+# Punctuation, identifiers and integers as _TOKEN_RE reads them, a type
+# variable, and a string without escapes: one group to split a text at.
+_SIMPLE_RE = re.compile(
+    r"(->|::|<<|>>|\|\||[\\.,={}()+\-:]|[A-Za-z_]\w*|[0-9]+(?!\w)|'\w+|\"[^\"\\]*\")"
+)
+_PUNCTS = frozenset(("->", "::", "<<", ">>", "||", *"\\.,={}()+-:"))
 
 
 def _tokenize(text: str, span_at) -> tuple[list[str], list[str], list[int], list[int]]:
     """The token table of text: kinds (ident / int / string / tyvar / eof,
     or the punctuation itself), texts, starts and ends, as positions in
-    text.  `span_at(start, end)` makes the span a lexical error reports."""
+    text.  `span_at(start, end)` makes the span a lexical error reports.
+
+    A text that holds only layout and the tokens of _SIMPLE_RE is split at
+    them in one call, and the table is read off the pieces; a token's kind
+    follows from its first character.  Any other text (a comment, an
+    escape, another word, an unexpected character) goes to
+    `_tokenize_any`.  The two agree where both apply."""
+    pieces = _SIMPLE_RE.split(text)  # layout, token, layout, ..., token, layout
+    if "".join(pieces[::2]).strip(" \t\r\n"):
+        return _tokenize_any(text, span_at)
+    texts = pieces[1::2]
+    kinds = [
+        s if s in _PUNCTS else "ident" if (c := s[0]) > "9" else "int" if c >= "0"
+        else "tyvar" if c == "'" else "string"
+        for s in texts
+    ]
+    if "'" in text or '"' in text:  # a type variable drops its quote, a string both
+        texts = [
+            s[1:] if k == "tyvar" else s[1:-1] if k == "string" else s
+            for k, s in zip(kinds, texts)
+        ]
+    bounds = list(itertools.accumulate(map(len, pieces)))  # each piece's end
+    ends = bounds[1::2]
+    kinds.append("eof")
+    texts.append("")
+    ends.append(len(text))
+    return kinds, texts, bounds[::2], ends
+
+
+def _tokenize_any(text: str, span_at) -> tuple[list[str], list[str], list[int], list[int]]:
+    """`_tokenize` of any text, one match of _TOKEN_RE at a time."""
     kinds, texts, starts, ends = [], [], [], []
     kind, word, start, end = kinds.append, texts.append, starts.append, ends.append
     n = len(text)
@@ -248,7 +290,12 @@ class _Parser:
         return _new_span(SourceSpan, (start + self.offset, end + self.offset, line, col))
 
     def span(self, i: int) -> SourceSpan:
-        return self.span_at(self.starts[i], self.ends[i])
+        """Token i's span; one on the text's first line needs no line search."""
+        start = self.starts[i]
+        if start > self.eol:
+            return self.span_at(start, self.ends[i])
+        off = self.offset
+        return _new_span(SourceSpan, (start + off, self.ends[i] + off, self.line, start + self.col))
 
     def unexpected(self, i: int, expected: tuple[str, ...]) -> ParseError:
         """A string token is named by its source text, quotes included."""
@@ -264,19 +311,16 @@ class _Parser:
             raise self.unexpected(i, (p,))
         self.i = i + 1
 
-    def ident(self) -> str:
-        i = self.i
-        if self.kinds[i] != "ident":
-            raise self.unexpected(i, ("identifier",))
-        self.i = i + 1
-        return self.texts[i]
-
     def name(self, role: str) -> str:
         """An identifier that is not a term keyword; `role` says what it
         names (a label or a variable) in the error for a keyword."""
-        s = self.ident()
+        i = self.i
+        s = self.texts[i]
+        if self.kinds[i] != "ident":
+            raise self.unexpected(i, ("identifier",))
         if s in TERM_KEYWORDS:
-            raise ParseError(f"keyword {s!r} cannot be {role}", self.span(self.i - 1))
+            raise ParseError(f"keyword {s!r} cannot be {role}", self.span(i))
+        self.i = i + 1
         return s
 
     def expect_eof(self):
@@ -284,65 +328,83 @@ class _Parser:
         if self.kinds[i] != "eof":
             raise ParseError(f"trailing input {self.texts[i]!r}", self.span(i), ("end of input",))
 
-    # -- terms -------------------------------------------------------------
+    # -- terms (nodes built slot by slot: see the module docstring) ---------
     def term(self) -> Term:
-        kinds, texts = self.kinds, self.texts
+        kinds, texts, span = self.kinds, self.texts, self.span
         i = self.i
         k = kinds[i]
         if k == "\\" or k == "ident" and texts[i] == "let":
-            span = self.span(i)
+            t = _new(Abs if k == "\\" else Let)
+            _set(t, "span", span(i))
             self.i = i + 1
             name = self.name("a variable")
             if k == "\\":
                 self.punct(".")
-                return Abs(name, self.term(), span)
+                _set(t, "param", name)
+                _set(t, "body", self.term())
+                return t
             self.punct("=")
-            bound = self.term()
+            _set(t, "name", name)
+            _set(t, "bound", self.term())
             i = self.i
             if kinds[i] != "ident" or texts[i] != "in":
-                raise ParseError("expected 'in'", self.span(i), ("in",))
+                raise ParseError("expected 'in'", span(i), ("in",))
             self.i = i + 1
-            return Let(name, bound, self.term(), span)
+            _set(t, "body", self.term())
+            return t
         fn = None
         while True:  # postfix terms, applied left to right
             s = texts[i]
             if k == "ident":
                 if s not in TERM_KEYWORDS:
                     self.i = i + 1
-                    t = Var(s, self.span(i))
-                elif s in ("modify", "extend", "remove"):
+                    t = _new(Var)
+                    _set(t, "name", s)
+                    _set(t, "span", span(i))
+                elif s in _RECORD_OPS:
                     t = self._record_op()
                 elif s in ("true", "false"):
                     self.i = i + 1
-                    t = Const(s == "true", "Bool", self.span(i))
+                    t = Const(s == "true", "Bool", span(i))
                 else:
-                    raise ParseError(f"unexpected keyword {s!r}", self.span(i))
+                    raise ParseError(f"unexpected keyword {s!r}", span(i))
             elif k == "(":
                 self.i = i + 1
                 t = self.term()
                 self.punct(")")
             elif k == "{":
-                span = self.span(i)
+                at = span(i)
                 self.i = i + 1
                 try:
-                    t = RecordLit(self._fields("=", self.term, "}"), span)
+                    t = RecordLit(self._fields("=", self.term, "}"), at)
                 except ValueError as e:
-                    raise ParseError(str(e), span) from None
+                    raise ParseError(str(e), at) from None
             elif k == "int":
                 if not s.isdecimal():
                     # str.isdigit, which the tokenizer follows, also takes '²'
-                    raise ParseError(f"not a decimal integer {s!r}", self.span(i))
+                    raise ParseError(f"not a decimal integer {s!r}", span(i))
                 self.i = i + 1
-                t = Const(int(s), "Int", self.span(i))
+                t = Const(int(s), "Int", span(i))
             elif k == "string":
                 self.i = i + 1
-                t = Const(s, "String", self.span(i))
+                t = Const(s, "String", span(i))
             else:
                 raise self.unexpected(i, ("term",))
             while kinds[self.i] == ".":
                 self.i += 1
-                t = Select(t, self.name("a label"), t.span)
-            fn = t if fn is None else App(fn, t, fn.span)
+                sel = _new(Select)
+                _set(sel, "target", t)
+                _set(sel, "label", self.name("a label"))
+                _set(sel, "span", t.span)
+                t = sel
+            if fn is None:
+                fn = t
+            else:
+                app = _new(App)
+                _set(app, "fn", fn)
+                _set(app, "arg", t)
+                _set(app, "span", fn.span)
+                fn = app
             i = self.i
             k = kinds[i]
             if not (k == "ident" and texts[i] != "in" or k in ("(", "{", "int", "string")):
@@ -350,19 +412,19 @@ class _Parser:
 
     def _record_op(self) -> Term:
         i = self.i
-        op, span = self.texts[i], self.span(i)
+        op = self.texts[i]
+        t = _new(_RECORD_OPS[op])
+        _set(t, "span", self.span(i))
         self.i = i + 1
         self.punct("(")
-        target = self.term()
+        _set(t, "target", self.term())
         self.punct(",")
-        label = self.name("a label")
-        if op == "remove":
-            self.punct(")")
-            return Remove(target, label, span)
-        self.punct(",")
-        value = self.term()
+        _set(t, "label", self.name("a label"))
+        if op != "remove":
+            self.punct(",")
+            _set(t, "value", self.term())
         self.punct(")")
-        return (Modify if op == "modify" else Extend)(target, label, value, span)
+        return t
 
     # -- types -------------------------------------------------------------
     def polytype(self) -> PolyType:

@@ -11,10 +11,15 @@ One constructor, `Frozen.__init__`, fills the slots past
 in `_fields`, in order and each one required, then a term's `span`, by
 position or as `span=`; every other slot, a cache, starts as None.  Eight
 classes write their own: `Const`, `BaseType` and `RecordKind` check their
-arguments, `RecordLit` and `RecordType` sort their fields, `TyVar` has a
-default name, `Arrow`, built on every substitution, fills its slots
-itself, and `derivation.Derivation` checks its rule and has defaults.  A
-chain's `__new__` builds the node.  Equality, hashing and `repr` read the
+arguments (`Const` then fills its slots itself), `RecordLit` and
+`RecordType` sort their fields, `TyVar` has a default name, `Arrow`,
+built on every substitution, fills its slots itself, and
+`derivation.Derivation` checks its rule and has defaults.  A chain's
+`__new__` builds the node.  The trusted builders write a value's slots
+past its constructor, for callers that vouch for the fields: `chain`,
+`trusted_record`, `trusted_record_kind` and `poly` here, and the parser,
+which builds every term node but a `Const` and a `RecordLit` slot by
+slot.  Equality, hashing and `repr` read the
 fields a class names in `_fields`, as a frozen dataclass's do (a term's
 `span`, a type's caches and `TyVar.name` stay out), through closures over
 `operator.attrgetter`: importing the package compiles no generated
@@ -194,7 +199,9 @@ class Const(Frozen):
             raise ValueError(f"unknown base type {base!r}")
         if isinstance(value, bool) != (base == "Bool") or not isinstance(value, _CONST_TYPES[base]):
             raise ValueError(f"constant {value!r} is not of base type {base}")
-        Frozen.__init__(self, value, base, span)
+        _set(self, "value", value)
+        _set(self, "base", base)
+        _set(self, "span", span)
 
 
 class Abs(Frozen):
@@ -556,8 +563,14 @@ class PolyType(Frozen):
         return hash(self._canonical())
 
 
-def poly(t: MonoType) -> PolyType:
-    return PolyType((), t)
+def poly(t: MonoType, quants: tuple = ()) -> PolyType:
+    """`PolyType(quants, t)`, by default with no quantifier, built slot by
+    slot: a trusted builder."""
+    p = object.__new__(PolyType)
+    _set(p, "quants", quants)
+    _set(p, "body", t)
+    _set(p, "_fv", None)
+    return p
 
 
 # Assignments are plain dicts used functionally (copied, never mutated once
@@ -688,7 +701,7 @@ def map_type(f, x):
         return trusted_record_kind(lefts, rights)
     if isinstance(x, PolyType):
         quants, body = x.quants and _map_fields(f, x.quants), f(x.body)
-        return x if quants is x.quants and body is x.body else PolyType(quants, body)
+        return x if quants is x.quants and body is x.body else poly(body, quants)
     if isinstance(x, (TyVar, BaseType, UKind)):
         return x
     raise TypeError(f"map_type: not a monotype, kind or polytype: {x!r}")
@@ -759,7 +772,7 @@ def rebind(p: PolyType, binders) -> PolyType:
     for (v, k), w in zip(p.quants, binders):
         quants.append((w, _walk(s, k)))
         s[v] = w
-    return PolyType(tuple(quants), _walk(s, p.body))
+    return poly(_walk(s, p.body), tuple(quants))
 
 
 def freshen(p: PolyType) -> PolyType:

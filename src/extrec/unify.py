@@ -120,6 +120,8 @@ def resolve(s: Substitution, t):
             s[v] = image
         return image
     free = ftv(t)
+    if not free:  # a closed type, as most of inference's records are
+        return t
     unbound = free.difference(s)
     if len(unbound) == len(free):
         return t

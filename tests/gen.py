@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 from extrec.kinding import field_info, has_kind
 from extrec.normalize import equiv, normalize
@@ -38,6 +41,16 @@ from extrec.syntax import (
 
 LABELS = ("l", "m", "n")
 GROUND = (INT, BOOL, STRING)
+
+
+def bench_inputs():
+    """The benchmark's input generators, perfbench/inputs.py, which build
+    their texts without calling into extrec."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module
 
 
 def rebuilt(value, /, **changes):

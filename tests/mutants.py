@@ -151,6 +151,66 @@ MUTANTS = (
             "test_subst.py::test_apply_poly_avoids_capture",
         ),
     ),
+    Mutant(
+        "tokenizer-splits-any-text",
+        "parser.py",
+        '    if "".join(pieces[::2]).strip(" \\t\\r\\n"):\n',
+        "    if False:\n",
+        _t(
+            "test_parser.py::test_lexical_errors_are_pinned",
+            "test_parser.py::test_trusted_term_nodes_match_their_constructors",
+        ),
+    ),
+    Mutant(
+        "trusted-node-slot-unset",
+        "parser.py",
+        '            _set(t, "bound", self.term())\n',
+        "            self.term()\n",
+        _t("test_parser.py::test_trusted_term_nodes_match_their_constructors"),
+    ),
+    Mutant(
+        "span-fast-path-past-first-line",
+        "parser.py",
+        "        if start > self.eol:\n            return self.span_at(start, self.ends[i])\n",
+        "",
+        _t(
+            "test_parser.py::test_tokens_and_spans_are_pinned",
+            "test_parser.py::test_spans_of_parsed_terms_lie_inside_the_text",
+        ),
+    ),
+    Mutant(
+        "generalize-early-on-forgot",
+        "infer.py",
+        "        if exact:\n            gamma = ",
+        "        if exact and deep:\n            gamma = ",
+        _t(
+            "test_infer.py::test_levels_generalize_as_closure_does",
+            "test_cli.py::test_let_generalizes_what_binding_a_record_made_unreachable",
+        ),
+    ),
+    Mutant(
+        "instance-of-any-body-unnormalized",
+        "infer.py",
+        "    return p.body if normalize(body) is body else normalize(p.body)\n",
+        "    return p.body\n",
+        _t("test_cli.py::test_an_instance_of_a_body_that_is_not_normal_is_normalized"),
+    ),
+    Mutant(
+        "let-keeps-its-binding",
+        "infer.py",
+        "            tenv[name] = shadowed\n        if run.nodes is not None:\n"
+        '            run.record("Let"',
+        "            pass\n        if run.nodes is not None:\n"
+        '            run.record("Let"',
+        _t("test_cli.py::test_a_binder_puts_back_the_entry_it_shadows"),
+    ),
+    Mutant(
+        "lambda-keeps-its-binding",
+        "infer.py",
+        "            tenv[name] = shadowed\n        t = Arrow(",
+        "            pass\n        t = Arrow(",
+        _t("test_cli.py::test_a_binder_puts_back_the_entry_it_shadows"),
+    ),
 )
 
 

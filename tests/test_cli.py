@@ -469,6 +469,28 @@ def test_let_generalizes_what_binding_a_record_made_unreachable(tmp_path):
     assert r.output.strip() == want
 
 
+def test_a_binder_puts_back_the_entry_it_shadows():
+    # Inference binds a lambda's or a let's name in one scope for the body
+    # and then puts the shadowed entry back, or deletes the name: x is the
+    # outer parameter again in b, and the outer x's entry survives the let.
+    for src, want in (
+        ("\\x. {a = let x = 1 in x, b = x}", "forall 'a :: U. 'a -> {a: Int, b: 'a}"),
+        ("\\x. {a = (\\x. x) 1, b = x}", "forall 'a :: U. 'a -> {a: Int, b: 'a}"),
+        ("\\x. (\\y. let x = y in x) 1", "forall 'a :: U. 'a -> Int"),
+    ):
+        r = run("infer", "-e", src)
+        assert (r.exit_code, r.output.strip()) == (0, want), src
+
+
+def test_an_instance_of_a_body_that_is_not_normal_is_normalized(tmp_path):
+    # Instantiation skips normalizing a renamed body only when the body is
+    # its own normal form; this one cancels to 'a -> 'a.
+    env = tmp_path / "f.env"
+    env.write_text("f : forall 'a :: << || l: Int>>. 'a + {l: Int} - {l: Int} -> 'a\n")
+    r = run("infer", "--env", str(env), "-e", "f")
+    assert (r.exit_code, r.output.strip()) == (0, "forall 'a :: << || l: Int>>. 'a -> 'a")
+
+
 def test_infer_json_names_the_environment_first(tmp_path):
     # As on the plain path: the environment's variables keep their names,
     # and the fresh field variable takes the next free one.

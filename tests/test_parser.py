@@ -8,6 +8,8 @@ from extrec.parser import (
     SourceSpan,
     VarEnv,
     _Parser,
+    _tokenize,
+    _tokenize_any,
     parse_env_file,
     parse_equations,
     parse_kind,
@@ -37,7 +39,7 @@ from extrec.syntax import (
     Var,
     record_kind,
 )
-from gen import canon, gen_arb_kind, gen_arb_mono, gen_arb_poly, gen_arb_term
+from gen import bench_inputs, canon, gen_arb_kind, gen_arb_mono, gen_arb_poly, gen_arb_term
 
 
 def test_parse_term_examples():
@@ -473,3 +475,44 @@ def test_lexical_errors_are_pinned(text, message, span):
         _Parser(text, None)
     s = err.value.span
     assert (err.value.message, (s.start, s.end, s.line, s.col)) == (message, span)
+
+
+def _lexed(tokenize, text):
+    """The token table of text, or the message and position of its error."""
+    try:
+        return tokenize(text, lambda start, end: (start, end))
+    except ParseError as err:
+        return err.message, err.span
+
+
+def test_trusted_term_nodes_match_their_constructors():
+    # `_tokenize` splits a text of simple tokens in one call, and the parser
+    # writes the slots of most term nodes past `Frozen.__init__`.  On the
+    # benchmark's corpus and scaling programs, and on printed terms with
+    # characters spliced in, the token table is the one `_tokenize_any`
+    # reads, and every node equals the node its public constructor builds
+    # from its fields, with the same span, and each of its slots reads back.
+    bench = bench_inputs()
+    texts = [p.text for p in bench.corpus_programs(20240)]
+    texts += [bench.scaling_program(f, n)[0] for f in bench.SCALING_FAMILIES for n in (8, 48)]
+    rng = random.Random(211)
+    alphabet = "a_1² \t\n#'\"\\.,={}()+-:<>|;é½"
+    for _ in range(2000):
+        shown = pretty_term(gen_arb_term(rng, rng.randint(0, 4)))
+        cut = rng.randint(0, len(shown))
+        texts.append(shown[:cut] + rng.choice(alphabet) + shown[cut:])
+    parsed = nodes = 0
+    for text in texts:
+        assert _lexed(_tokenize, text) == _lexed(_tokenize_any, text), text
+        try:
+            t = parse_term(text)
+        except ParseError:
+            continue
+        parsed += 1
+        for node in _term_nodes(t):
+            cls = type(node)
+            slots = {name: getattr(node, name) for name in cls.__slots__}
+            rebuilt = cls(*(slots[name] for name in cls._fields), span=node.span)
+            assert rebuilt == node and rebuilt.span == node.span, (text, node)
+            nodes += 1
+    assert parsed >= 1500 and nodes >= 30_000, (parsed, nodes)

@@ -1,10 +1,8 @@
 import importlib
-import importlib.util
 import itertools
 import random
 import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -40,6 +38,7 @@ from extrec.syntax import (
 )
 from extrec.unify import UnificationError, resolve, unify
 from gen import (
+    bench_inputs,
     enumerate_ground_unifiers,
     factors_through,
     gen_closed_term,
@@ -981,16 +980,6 @@ def test_each_pair_of_sides_picks_its_rule():
     assert rows == DISPATCH_TABLE.splitlines()
 
 
-def _bench_inputs():
-    """The benchmark's input generators, perfbench/inputs.py, which build
-    their texts without calling into extrec."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_the_solver_never_asks_the_reference_reducer(monkeypatch):
     # Rule vii fires only on a chain that is its own canonical form, which
     # `normalize` answers from a cache; any other chain goes to the
@@ -1001,7 +990,7 @@ def test_the_solver_never_asks_the_reference_reducer(monkeypatch):
         raise AssertionError("the solver asked the reference reducer")
 
     monkeypatch.setattr(normalize_mod, "reduce_once", refuse)
-    bench = _bench_inputs()
+    bench = bench_inputs()
     rng = random.Random(20240)
     rules = Counter()
     for n in bench.UNIFY_SIZES:
