@@ -28,16 +28,16 @@ Environment files hold one declaration per line: `'a :: KIND` for kinds,
 `x : POLYTYPE` for term variables, x a var; `#` starts a comment.  A
 name is declared at most once.
 
-Every entry point reads its text one way.  `_tokenize` makes a flat token
-table, parallel lists of kind, text, start and end (a punctuation token's
-kind is its text): a text of plain tokens is split in one regex call, and
-any other goes through a loop of matches.  The descent reads the table
-through local variables.  Line and column are worked out only for a span
-that a term keeps or a `ParseError` reports; on the text's first line
-they cost one addition, and past it they come from line starts found on
-the first such span.  The descent is a trusted builder of term nodes:
-it writes each node's slots past `Frozen.__init__`, all but a `Const`'s
-and a `RecordLit`'s, whose constructors check their fields.
+Every entry point reads its text one way.  `_tokenize` splits it at one
+regex and makes a flat token table, parallel lists of kind, text, start
+and end (a punctuation token's kind is its text), read off the pieces.
+The descent reads the table through local variables.  Line and column
+are worked out only for a span that a term keeps or a `ParseError`
+reports; on the text's first line they cost one addition, and past it
+they come from line starts found on the first such span.  The descent is
+a trusted builder of term nodes: it writes each node's slots past
+`Frozen.__init__`, all but a `Const`'s and a `RecordLit`'s, whose
+constructors check their fields.
 
 Pretty-printing round-trips: parse(pretty(v)) is structurally equal to v
 (alpha-invariant for polytypes).
@@ -120,35 +120,20 @@ class VarEnv(FreshSupply):
             self.names[name] = self.fresh(name)
         return self.names[name]
 
-    def next_free_uid(self) -> int:
+    def next_free_uid(self) -> int:  # `next_uid`, by the name perfbench/workloads.py calls
         return self.next_uid
 
 
-# Layout and comments, then one token.  `\w` is `str.isalnum` or "_".  A
-# word led by an ASCII letter or "_", or of ASCII digits only, has a group
-# of its own; `_tokenize_any` splits any other word as `str.isdigit` and
-# `str.isalpha` tell.  A string literal is matched whole, or as a lone
-# quote when it is not well formed.  Every part is optional, so a match
-# that captures no token ends at the end of the text or at an unexpected
-# character.
+# One group for every token and comment.  `\w` is `str.isalnum` or "_".
+# Identifiers are led by an ASCII letter or "_", and integers are ASCII
+# digits that end a word.  A string or a comment is matched whole, so the
+# split stays aligned past it.  The lookahead lets the split skip layout.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
-    r"(?:(->|::|<<|>>|\|\||[\\.,={}()+\-:])"  # 1: punctuation
-    r"|([A-Za-z_]\w*)"  # 2: identifier
-    r"|([0-9]+)(?!\w)"  # 3: integer
-    r"|('\w*)"  # 4: type variable
-    r'|("[^"\\]*(?:\\.[^"\\]*)*"|")'  # 5: string
-    r"|(\w+))?"  # 6: any other word
-)
-_PUNCT, _IDENT, _INT, _TYVAR, _STRING = 1, 2, 3, 4, 5
-_KINDS = {_IDENT: "ident", _INT: "int"}
-_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-# Punctuation, identifiers and integers as _TOKEN_RE reads them, a type
-# variable, and a string without escapes: one group to split a text at.
-_SIMPLE_RE = re.compile(
-    r"(->|::|<<|>>|\|\||[\\.,={}()+\-:]|[A-Za-z_]\w*|[0-9]+(?!\w)|'\w+|\"[^\"\\]*\")"
+    r"(?=[^ \t\r\n])(->|::|<<|>>|\|\||[\\.,={}()+\-:]|[A-Za-z_]\w*|[0-9]+(?!\w)|'\w+"
+    r'|"[^"\\]*(?:\\.[^"\\]*)*"|#[^\n]*)'
 )
 _PUNCTS = frozenset(("->", "::", "<<", ">>", "||", *"\\.,={}()+-:"))
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
 def _tokenize(text: str, span_at) -> tuple[list[str], list[str], list[int], list[int]]:
@@ -156,88 +141,74 @@ def _tokenize(text: str, span_at) -> tuple[list[str], list[str], list[int], list
     or the punctuation itself), texts, starts and ends, as positions in
     text.  `span_at(start, end)` makes the span a lexical error reports.
 
-    A text that holds only layout and the tokens of _SIMPLE_RE is split at
-    them in one call, and the table is read off the pieces; a token's kind
-    follows from its first character.  Any other text (a comment, an
-    escape, another word, an unexpected character) goes to
-    `_tokenize_any`.  The two agree where both apply."""
-    pieces = _SIMPLE_RE.split(text)  # layout, token, layout, ..., token, layout
-    if "".join(pieces[::2]).strip(" \t\r\n"):
-        return _tokenize_any(text, span_at)
-    texts = pieces[1::2]
-    kinds = [
-        s if s in _PUNCTS else "ident" if (c := s[0]) > "9" else "int" if c >= "0"
-        else "tyvar" if c == "'" else "string"
-        for s in texts
-    ]
-    if "'" in text or '"' in text:  # a type variable drops its quote, a string both
-        texts = [
-            s[1:] if k == "tyvar" else s[1:-1] if k == "string" else s
-            for k, s in zip(kinds, texts)
-        ]
+    The text is split at _TOKEN_RE in one call.  A gap between two tokens
+    is layout, or else another word, a lone quote or a bad character.  If
+    there is no comment and no gap but layout, each token's kind follows
+    from its first character.  Otherwise one pass reads the same pieces in
+    text order: it drops comments, and reads a gap's words or raises its
+    first error.  A word, which runs on into a token (`12ab` splits into
+    `12` and `ab`), is an integer up to its last `str.isdigit` character,
+    then an identifier led by a letter or "_"."""
+    pieces = _TOKEN_RE.split(text)  # gap, token, gap, ..., token, gap
     bounds = list(itertools.accumulate(map(len, pieces)))  # each piece's end
-    ends = bounds[1::2]
-    kinds.append("eof")
-    texts.append("")
-    ends.append(len(text))
-    return kinds, texts, bounds[::2], ends
-
-
-def _tokenize_any(text: str, span_at) -> tuple[list[str], list[str], list[int], list[int]]:
-    """`_tokenize` of any text, one match of _TOKEN_RE at a time."""
-    kinds, texts, starts, ends = [], [], [], []
-    kind, word, start, end = kinds.append, texts.append, starts.append, ends.append
-    n = len(text)
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastindex
-        if group is None:
-            i = m.end()
-            if i < n:
-                raise ParseError(f"unexpected character {text[i]!r}", span_at(i, i + 1))
-            break
-        i, j = m.span(group)
-        s = text[i:j]
-        if group == _PUNCT:
-            kind(s)
-        elif group == _IDENT or group == _INT:
-            kind(_KINDS[group])
-        elif group == _TYVAR:
-            if j == i + 1:
-                raise ParseError("lone apostrophe", span_at(i, j))
-            kind("tyvar")
-            s = s[1:]
-        elif group == _STRING:
-            if j == i + 1 or "\\" in s:
-                j, s = _string_literal(text, i, span_at)
-            else:
-                s = s[1:-1]
-            kind("string")
-        else:
-            # Any other word: an integer up to its last digit (such as '²3'),
-            # then an identifier up to the word's end; a character that
-            # starts neither, such as '½', is unexpected.
-            k = i
-            while k < j and text[k].isdigit():
-                k += 1
-            if k > i:
-                kind("int")
-                word(text[i:k])
-                start(i)
-                end(k)
-                if k == j:
-                    continue
-                i, s = k, text[k:j]
-            if not (s[0].isalpha() or s[0] == "_"):
-                raise ParseError(f"unexpected character {s[0]!r}", span_at(i, i + 1))
-            kind("ident")
-        word(s)
-        start(i)
-        end(j)
-    kind("eof")
-    word("")
-    start(n)
-    end(n)
-    return kinds, texts, starts, ends
+    if "#" not in text and not "".join(pieces[::2]).strip(" \t\r\n"):
+        texts = pieces[1::2]
+        kinds = [
+            s if s in _PUNCTS else "ident" if (c := s[0]) > "9" else "int" if c >= "0"
+            else "tyvar" if c == "'" else "string"
+            for s in texts
+        ]
+        starts, ends = bounds[::2], bounds[1::2]  # the last start is eof's
+        if "'" in text or '"' in text:  # a type variable drops its quote, a string both
+            texts = [
+                s[1:] if k == "tyvar" else s if k != "string"
+                else _string_literal(text, i, span_at)[1] if "\\" in s else s[1:-1]
+                for k, s, i in zip(kinds, texts, starts)
+            ]
+        kinds.append("eof")
+        texts.append("")
+        ends.append(len(text))
+        return kinds, texts, starts, ends
+    rows = []  # (kind, text, start, end)
+    read, n = 0, len(text)  # read: where the last word in a gap ended
+    for p, s in enumerate(pieces):
+        j = bounds[p]
+        if j <= read:  # empty, or a token that a word ran on into
+            continue
+        i = j - len(s)
+        if p % 2 == 0:  # a gap
+            while i < j:
+                c = text[i]
+                e = i
+                while e < n and (text[e].isalnum() or text[e] == "_"):
+                    e += 1
+                if e == i:
+                    if c in " \t\r\n":
+                        i += 1
+                        continue
+                    if c == '"':  # no whole string starts here, so this raises
+                        _string_literal(text, i, span_at)
+                    what = "lone apostrophe" if c == "'" else f"unexpected character {c!r}"
+                    raise ParseError(what, span_at(i, i + 1))
+                d = i
+                while d < e and text[d].isdigit():
+                    d += 1
+                if d > i:
+                    rows.append(("int", text[i:d], i, d))
+                if d < e:
+                    if not (text[d].isalpha() or text[d] == "_"):
+                        raise ParseError(f"unexpected character {text[d]!r}", span_at(d, d + 1))
+                    rows.append(("ident", text[d:e], d, e))
+                i = read = e
+        elif (c := s[0]) == '"':
+            value = _string_literal(text, i, span_at)[1] if "\\" in s else s[1:-1]
+            rows.append(("string", value, i, j))
+        elif c == "'":
+            rows.append(("tyvar", s[1:], i, j))
+        elif c != "#":  # a comment is dropped
+            rows.append((s if s in _PUNCTS else "ident" if c > "9" else "int", s, i, j))
+    rows.append(("eof", "", n, n))
+    return tuple(map(list, zip(*rows)))
 
 
 def _string_literal(text: str, i: int, span_at) -> tuple[int, str]:
@@ -298,11 +269,9 @@ class _Parser:
         return _new_span(SourceSpan, (start + off, self.ends[i] + off, self.line, start + self.col))
 
     def unexpected(self, i: int, expected: tuple[str, ...]) -> ParseError:
-        """A string token is named by its source text, quotes included."""
-        what = self.texts[i]
-        if self.kinds[i] == "string":
-            what = self.text[self.starts[i] : self.ends[i]]
-        return ParseError(f"unexpected {what or 'end of input'!r}", self.span(i), expected)
+        """A token is named by its source text."""
+        what = self.text[self.starts[i] : self.ends[i]] or "end of input"
+        return ParseError(f"unexpected {what!r}", self.span(i), expected)
 
     # -- token plumbing ----------------------------------------------------
     def punct(self, p: str):
@@ -326,7 +295,8 @@ class _Parser:
     def expect_eof(self):
         i = self.i
         if self.kinds[i] != "eof":
-            raise ParseError(f"trailing input {self.texts[i]!r}", self.span(i), ("end of input",))
+            what = self.text[self.starts[i] : self.ends[i]]
+            raise ParseError(f"trailing input {what!r}", self.span(i), ("end of input",))
 
     # -- terms (nodes built slot by slot: see the module docstring) ---------
     def term(self) -> Term:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import re
 import sys
 from pathlib import Path
 
 from extrec.kinding import field_info, has_kind
 from extrec.normalize import equiv, normalize
+from extrec.parser import ParseError, _string_literal
 from extrec.subst import apply_type
 from extrec.syntax import (
     Abs,
@@ -629,3 +631,82 @@ def shape_matches(value, t: MonoType) -> bool:
             return False
         return all(shape_matches(fields[l], ft) for l, ft in t.fields)
     return True  # residual variables and open chains promise nothing
+
+
+# The parser's tokenizer as a loop of matches, kept as an independent
+# reference for its token table (kinds, texts, starts, ends) and errors.
+# Layout and comments, then one token.  `\w` is `str.isalnum` or "_".  A
+# word led by an ASCII letter or "_", or of ASCII digits only, has a group
+# of its own; `reference_tokenize` splits any other word as `str.isdigit`
+# and `str.isalpha` tell.  A string literal is matched whole, or as a lone
+# quote when it is not well formed.  Every part is optional, so a match
+# that captures no token ends at the end of the text or at an unexpected
+# character.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+    r"(?:(->|::|<<|>>|\|\||[\\.,={}()+\-:])"  # 1: punctuation
+    r"|([A-Za-z_]\w*)"  # 2: identifier
+    r"|([0-9]+)(?!\w)"  # 3: integer
+    r"|('\w*)"  # 4: type variable
+    r'|("[^"\\]*(?:\\.[^"\\]*)*"|")'  # 5: string
+    r"|(\w+))?"  # 6: any other word
+)
+_PUNCT, _IDENT, _INT, _TYVAR, _STRING = 1, 2, 3, 4, 5
+_KINDS = {_IDENT: "ident", _INT: "int"}
+
+
+def reference_tokenize(text: str, span_at) -> tuple[list[str], list[str], list[int], list[int]]:
+    """The parser's `_tokenize` of any text, one match of _TOKEN_RE at a time."""
+    kinds, texts, starts, ends = [], [], [], []
+    kind, word, start, end = kinds.append, texts.append, starts.append, ends.append
+    n = len(text)
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group is None:
+            i = m.end()
+            if i < n:
+                raise ParseError(f"unexpected character {text[i]!r}", span_at(i, i + 1))
+            break
+        i, j = m.span(group)
+        s = text[i:j]
+        if group == _PUNCT:
+            kind(s)
+        elif group == _IDENT or group == _INT:
+            kind(_KINDS[group])
+        elif group == _TYVAR:
+            if j == i + 1:
+                raise ParseError("lone apostrophe", span_at(i, j))
+            kind("tyvar")
+            s = s[1:]
+        elif group == _STRING:
+            if j == i + 1 or "\\" in s:
+                j, s = _string_literal(text, i, span_at)
+            else:
+                s = s[1:-1]
+            kind("string")
+        else:
+            # Any other word: an integer up to its last digit (such as '²3'),
+            # then an identifier up to the word's end; a character that
+            # starts neither, such as '½', is unexpected.
+            k = i
+            while k < j and text[k].isdigit():
+                k += 1
+            if k > i:
+                kind("int")
+                word(text[i:k])
+                start(i)
+                end(k)
+                if k == j:
+                    continue
+                i, s = k, text[k:j]
+            if not (s[0].isalpha() or s[0] == "_"):
+                raise ParseError(f"unexpected character {s[0]!r}", span_at(i, i + 1))
+            kind("ident")
+        word(s)
+        start(i)
+        end(j)
+    kind("eof")
+    word("")
+    start(n)
+    end(n)
+    return kinds, texts, starts, ends

@@ -154,10 +154,58 @@ MUTANTS = (
     Mutant(
         "tokenizer-splits-any-text",
         "parser.py",
-        '    if "".join(pieces[::2]).strip(" \\t\\r\\n"):\n',
-        "    if False:\n",
+        '    if "#" not in text and not "".join(pieces[::2]).strip(" \\t\\r\\n"):\n',
+        '    if "#" not in text:\n',
         _t(
             "test_parser.py::test_lexical_errors_are_pinned",
+            "test_parser.py::test_trusted_term_nodes_match_their_constructors",
+        ),
+    ),
+    Mutant(
+        "tokenizer-keeps-comments",
+        "parser.py",
+        '        elif c != "#":  # a comment is dropped\n',
+        "        else:\n",
+        _t(
+            "test_parser.py::test_tokens_and_spans_are_pinned",
+            "test_parser.py::test_trusted_term_nodes_match_their_constructors",
+        ),
+    ),
+    Mutant(
+        "tokenizer-leaves-escapes",
+        "parser.py",
+        '                else _string_literal(text, i, span_at)[1] if "\\\\" in s else s[1:-1]\n',
+        "                else s[1:-1]\n",
+        _t(
+            "test_parser.py::test_lexical_errors_are_pinned",
+            "test_parser.py::test_trusted_term_nodes_match_their_constructors",
+        ),
+    ),
+    Mutant(
+        "tokenizer-leaves-escapes-beside-a-comment",
+        "parser.py",
+        '            value = _string_literal(text, i, span_at)[1] if "\\\\" in s else s[1:-1]\n',
+        "            value = s[1:-1]\n",
+        _t(
+            "test_parser.py::test_tokens_and_spans_are_pinned",
+            "test_parser.py::test_trusted_term_nodes_match_their_constructors",
+        ),
+    ),
+    Mutant(
+        "tokenizer-reads-a-word-as-one-identifier",
+        "parser.py",
+        "                d = i\n"
+        "                while d < e and text[d].isdigit():\n"
+        "                    d += 1\n"
+        "                if d > i:\n"
+        '                    rows.append(("int", text[i:d], i, d))\n'
+        "                if d < e:\n"
+        '                    if not (text[d].isalpha() or text[d] == "_"):\n'
+        '                        raise ParseError(f"unexpected character {text[d]!r}", span_at(d, d + 1))\n'
+        '                    rows.append(("ident", text[d:e], d, e))\n',
+        '                rows.append(("ident", text[i:e], i, e))\n',
+        _t(
+            "test_parser.py::test_tokens_and_spans_are_pinned",
             "test_parser.py::test_trusted_term_nodes_match_their_constructors",
         ),
     ),
@@ -210,6 +258,83 @@ MUTANTS = (
         "            tenv[name] = shadowed\n        t = Arrow(",
         "            pass\n        t = Arrow(",
         _t("test_cli.py::test_a_binder_puts_back_the_entry_it_shadows"),
+    ),
+    Mutant(
+        "ftv-no-cache-write",
+        "syntax.py",
+        '    _set(x, "_fv", fv)\n    return fv\n',
+        "    return fv\n",
+        _t("test_syntax.py::test_ftv_agrees_with_reference_walk_and_is_cached"),
+    ),
+    Mutant(
+        "cancel-across-field-types",
+        "normalize.py",
+        "        partners = open_ops.get((label, -sign, fty))\n",
+        "        partners = next((q for (l, s, _), q in open_ops.items()"
+        " if (l, s) == (label, -sign) and q), None)\n",
+        _t(
+            "test_normalize.py::test_one_operation_on_a_normal_chain_equals_reference",
+            "test_normalize.py::test_normalize_equals_reference_loop_on_debris",
+        ),
+    ),
+    Mutant(
+        "contraction-folds-any-field-type",
+        "normalize.py",
+        "            if not here or fields[i][1] != fty:\n",
+        "            if not here:\n",
+        _t(
+            "test_normalize.py::test_one_operation_on_a_normal_chain_equals_reference",
+            "test_normalize.py::test_normalize_equals_reference_loop_on_debris",
+        ),
+    ),
+    Mutant(
+        "compose-drops-the-outer-bindings",
+        "subst.py",
+        "        if v not in s1:\n            out[v] = t\n",
+        "        pass\n",
+        _t("test_subst.py::test_compose_examples"),
+    ),
+    Mutant(
+        "closure-quantifies-the-context",
+        "subst.py",
+        "    quantify = eftv(kenv, t) - eftv_assignment(kenv, gamma)\n",
+        "    quantify = eftv(kenv, t)\n",
+        _t("test_subst.py::test_closure_keeps_gamma_essential_variables"),
+    ),
+    Mutant(
+        "closure-pins-nothing",
+        "subst.py",
+        "                pinned |= ftv(kinds[w]) & quantify\n",
+        "                pass\n",
+        _t("test_subst.py::test_closure_pins_residually_referenced_and_cyclic_variables"),
+    ),
+    Mutant(
+        "instance-ignores-kinds",
+        "subst.py",
+        "        has_kind(ks.kenv, ks.subst.get(v, v), apply_type(ks.subst, k))\n",
+        "        True\n",
+        _t("test_subst.py::test_respects_examples"),
+    ),
+    Mutant(
+        "validate-skips-the-kinding-side-condition",
+        "checker.py",
+        "    if not has_kind(j.kenv, claim.subject, claim.kind):\n",
+        "    if False:\n",
+        _t("test_checker.py::test_validator_checks_each_condition_on_its_own"),
+    ),
+    Mutant(
+        "validate-skips-the-ext-base-check",
+        "checker.py",
+        "        if isinstance(base, TyVar) and base in ftv(normalize(ts[1])):\n",
+        "        if False:\n",
+        _t("test_checker.py::test_validator_checks_each_condition_on_its_own"),
+    ),
+    Mutant(
+        "check-specializes-the-context",
+        "checker.py",
+        "        if v in res.subst:\n",
+        "        if False:\n",
+        _t("test_cli.py::test_check_refuses_a_claim_that_specializes_the_context"),
     ),
 )
 

@@ -82,7 +82,7 @@ def test_criterion_1_worked_inference():
         kenv, tenv, venv = parse_env_file(ENV_42)
         a1, a2 = venv.names["a1"], venv.names["a2"]
         v3, v4, v5, v6 = (TyVar(u) for u in range(3, 7))
-        fresh = lambda: FreshSupply(venv.next_free_uid())
+        fresh = lambda: FreshSupply(venv.next_uid)
 
         res = infer(kenv, tenv, parse_term("extend(x, l, y).l"), fresh())
         assert res.type == a2
@@ -247,7 +247,7 @@ def test_criterion_6_soundness_1000():
         # half the runs use an ambient environment so the respects check on
         # the input kind assignment is not vacuous
         kenv, tenv, venv = parse_env_file(ENV_42)
-        start = venv.next_free_uid()
+        start = venv.next_uid
         rng = random.Random(20240)
         accepted = 0
         for i in range(1000):

@@ -229,6 +229,8 @@ def _single_condition_failures():
     yield "side condition subject", _node("Sel", {}, rv, Select(Var("r"), "l"), INT, (r_lm,),
                                           KindingClaim(RecordType((("l", INT),)),
                                                        record_kind([("l", INT)])))
+    yield "side condition holds", _node("Sel", {}, rv, Select(Var("r"), "l"), BOOL, (r_lm,),
+                                        KindingClaim(lm, record_kind([("l", BOOL)])))
     yield "value type", _node("Modif", {}, rv, Modify(Var("r"), "l", Var("v")), lm,
                               (r_lm, _node("Var", {}, rv, Var("v"), STRING)),
                               KindingClaim(lm, record_kind([("l", INT)])))

@@ -71,7 +71,7 @@ def _setup_42():
 
 def test_worked_inference_example():
     kenv, tenv, venv, a1, a2 = _setup_42()
-    fresh = lambda: FreshSupply(venv.next_free_uid())
+    fresh = lambda: FreshSupply(venv.next_uid)
     v3, v4, v5, v6 = (TyVar(u) for u in range(3, 7))
 
     res = infer(kenv, tenv, parse_term("extend(x, l, y).l"), fresh())
@@ -283,7 +283,7 @@ def test_a_supply_that_reaches_the_env_is_refused():
     # run already kinds or binds is refused, instantiation's too.
     kenv, tenv, venv = parse_env_file("'r :: <<l: Int || >>\nx : 'r\n")
     term = parse_term(r"\y. x.l")
-    res = infer(kenv, tenv, term, FreshSupply(venv.next_free_uid()))
+    res = infer(kenv, tenv, term, FreshSupply(venv.next_uid))
     assert _printed_principal(res, tenv, kenv) == "forall 'a :: U. 'a -> Int | 'r :: <<l: Int || >>"
     with pytest.raises(ValueError, match="uid 1 is already kinded or bound"):
         infer(kenv, tenv, term, FreshSupply(1))
@@ -295,7 +295,7 @@ def test_a_supply_that_reaches_the_env_is_refused():
 def test_trace_context_matches_substituted_gamma():
     kenv, tenv, venv, a1, a2 = _setup_42()
     res = infer(kenv, tenv, parse_term("extend(x, l, y).l"),
-                FreshSupply(venv.next_free_uid()), want_trace=True)
+                FreshSupply(venv.next_uid), want_trace=True)
     want = apply_assignment(res.subst, tenv)
     got = res.trace.judgment.tenv
     assert got.keys() == want.keys()
@@ -310,7 +310,7 @@ def test_trace_free_inference_agrees_with_traced():
     for i in range(300):
         env = i % 2 == 0
         term = gen_closed_term(rng, rng.randint(1, 6), scope=("x", "y") if env else ())
-        k, g, start = (kenv, tenv, venv.next_free_uid()) if env else ({}, {}, 1)
+        k, g, start = (kenv, tenv, venv.next_uid) if env else ({}, {}, 1)
         plain = infer(k, g, term, FreshSupply(start))
         traced = infer(k, g, term, FreshSupply(start), want_trace=True)
         if isinstance(traced, InferFailure):
@@ -338,7 +338,7 @@ def test_trace_free_inference_builds_no_derivation(monkeypatch):
     for i in range(300):
         env = i % 2 == 0
         term = gen_closed_term(rng, rng.randint(1, 6), scope=("x", "y") if env else ())
-        k, g, start = (kenv, tenv, venv.next_free_uid()) if env else ({}, {}, 1)
+        k, g, start = (kenv, tenv, venv.next_uid) if env else ({}, {}, 1)
         accepted += not isinstance(infer(k, g, term, FreshSupply(start)), InferFailure)
     assert accepted > 40
 
@@ -385,7 +385,7 @@ def test_untraced_let_reads_no_more_than_its_bound_term_made(monkeypatch):
             continue
         terms += 1
         lets += _nodes(term, Let)
-        k, g, start = (kenv, tenv, venv.next_free_uid()) if env else ({}, {}, 1)
+        k, g, start = (kenv, tenv, venv.next_uid) if env else ({}, {}, 1)
         resolved = 0
         infer(k, g, term, FreshSupply(start))
         assert resolved <= _nodes(term, Var), term
@@ -467,7 +467,7 @@ def test_inference_hands_unification_well_formed_state(monkeypatch):
     for i in range(700):
         env = i % 2 == 0
         term = gen_closed_term(rng, rng.randint(1, 6), scope=("x", "y") if env else ())
-        k, g, start = (kenv, tenv, venv.next_free_uid()) if env else ({}, {}, 1)
+        k, g, start = (kenv, tenv, venv.next_uid) if env else ({}, {}, 1)
         infer(k, g, term, FreshSupply(start))
     assert calls > 600
 
@@ -645,7 +645,7 @@ def test_known_shapes_type_as_the_unifier_does(monkeypatch):
             forms = [op, rebuilt(general, arg=stack)]
         if not with_env:
             forms = [Abs("r", t) for t in forms]
-        kenv, tenv, start = (kenv_42, tenv_42, venv_42.next_free_uid()) if with_env else ({}, {}, 1)
+        kenv, tenv, start = (kenv_42, tenv_42, venv_42.next_uid) if with_env else ({}, {}, 1)
         typed.clear()
         got = [_verdict(infer(kenv, tenv, t, FreshSupply(start)), kenv, tenv) for t in forms]
         if any(t is op for t in typed):
@@ -723,7 +723,7 @@ def test_levels_generalize_as_closure_does(monkeypatch):
     for i in range(2000):
         env = i % 2 == 0
         term = gen_closed_term(rng, rng.randint(3, 6), scope=("x", "y") if env else ())
-        k, g, start = (kenv, tenv, venv.next_free_uid()) if env else ({}, {}, 1)
+        k, g, start = (kenv, tenv, venv.next_uid) if env else ({}, {}, 1)
         infer(k, g, term, FreshSupply(start), want_trace=i % 4 < 2)
     assert lets >= 1000
 
@@ -772,7 +772,7 @@ def test_no_generalized_variable_meets_the_final_substitution(monkeypatch):
         scope = ("x", "y") if i % 2 == 0 else ()
         bound = Abs("p", gen_closed_term(rng, rng.randint(1, 4), scope=("p",) + scope))
         term = Let("f", bound, gen_closed_term(rng, rng.randint(1, 4), scope=("f",) + scope))
-        k, g, start = (kenv, tenv, venv.next_free_uid()) if scope else ({}, {}, 1)
+        k, g, start = (kenv, tenv, venv.next_uid) if scope else ({}, {}, 1)
         infer(k, g, term, FreshSupply(start), want_trace=True)
     assert quantified > 250
 

@@ -9,7 +9,6 @@ from extrec.parser import (
     VarEnv,
     _Parser,
     _tokenize,
-    _tokenize_any,
     parse_env_file,
     parse_equations,
     parse_kind,
@@ -39,7 +38,15 @@ from extrec.syntax import (
     Var,
     record_kind,
 )
-from gen import bench_inputs, canon, gen_arb_kind, gen_arb_mono, gen_arb_poly, gen_arb_term
+from gen import (
+    bench_inputs,
+    canon,
+    gen_arb_kind,
+    gen_arb_mono,
+    gen_arb_poly,
+    gen_arb_term,
+    reference_tokenize,
+)
 
 
 def test_parse_term_examples():
@@ -190,7 +197,7 @@ def test_line_file_errors_point_into_the_file(parse, text, message, span):
         (parse_mono, "Int ->", "unexpected 'end of input'", (6, 6, 1, 7), ("type",)),
         (parse_kind, "V", "unexpected 'V'", (0, 1, 1, 1), ("U", "<<")),
         (parse_term, "\\1. x", "unexpected '1'", (1, 2, 1, 2), ("identifier",)),
-        (parse_type, "forall 'a :: U 'a", "unexpected 'a'", (15, 17, 1, 16), (".",)),
+        (parse_type, "forall 'a :: U 'a", "unexpected \"'a\"", (15, 17, 1, 16), (".",)),
         (parse_type, "forall a :: U. a", "expected type variable", (7, 8, 1, 8), ("'a",)),
         (parse_mono, "{l: Float}", "unknown type name 'Float'", (4, 9, 1, 5), ()),
         (
@@ -210,6 +217,9 @@ def test_line_file_errors_point_into_the_file(parse, text, message, span):
         (parse_term, "\\true. true", "keyword 'true' cannot be a variable", (1, 5, 1, 2), ()),
         (parse_term, "let in = 1 in 2", "keyword 'in' cannot be a variable", (4, 6, 1, 5), ()),
         (parse_term, "f (\\x.\n \\remove. x)", "keyword 'remove' cannot be a variable", (9, 15, 2, 3), ()),
+        # a token is named by its source text: quotes and escapes as written
+        (parse_type, "Int 'a", "trailing input \"'a\"", (4, 6, 1, 5), ("end of input",)),
+        (parse_type, 'Int "s\\n"', "trailing input '\"s\\\\n\"'", (4, 9, 1, 5), ("end of input",)),
     ],
 )
 def test_syntax_errors_are_pinned(parse, text, message, span, expected):
@@ -486,24 +496,31 @@ def _lexed(tokenize, text):
 
 
 def test_trusted_term_nodes_match_their_constructors():
-    # `_tokenize` splits a text of simple tokens in one call, and the parser
-    # writes the slots of most term nodes past `Frozen.__init__`.  On the
-    # benchmark's corpus and scaling programs, and on printed terms with
-    # characters spliced in, the token table is the one `_tokenize_any`
-    # reads, and every node equals the node its public constructor builds
+    # `_tokenize` splits a text at one regex, and the parser writes the
+    # slots of most term nodes past `Frozen.__init__`.  On the benchmark's
+    # corpus and scaling programs, and on printed terms with comments,
+    # escaped strings and one to three characters spliced in, the token
+    # table and the errors are those of `gen.reference_tokenize`, a loop of
+    # matches, and every node equals the node its public constructor builds
     # from its fields, with the same span, and each of its slots reads back.
     bench = bench_inputs()
     texts = [p.text for p in bench.corpus_programs(20240)]
     texts += [bench.scaling_program(f, n)[0] for f in bench.SCALING_FAMILIES for n in (8, 48)]
     rng = random.Random(211)
-    alphabet = "a_1² \t\n#'\"\\.,={}()+-:<>|;é½"
-    for _ in range(2000):
+    alphabet = "a_1² \t\n\r\x0c#'\"\\.,={}()+-:<>|;é½"
+    for _ in range(6000):
         shown = pretty_term(gen_arb_term(rng, rng.randint(0, 4)))
-        cut = rng.randint(0, len(shown))
-        texts.append(shown[:cut] + rng.choice(alphabet) + shown[cut:])
+        if rng.random() < 0.25:  # a comment where a space was
+            shown = shown.replace(" ", rng.choice((" # note\n", ' #"\\\n')), 1)
+        if rng.random() < 0.25:  # an escaped string as a last argument
+            shown = f"{shown} " + rng.choice(('"a\\nb"', '"\\"\\\\"', '"\\q"', '"\\t#"'))
+        for _ in range(rng.randint(1, 3)):
+            cut = rng.randint(0, len(shown))
+            shown = shown[:cut] + rng.choice(alphabet) + shown[cut:]
+        texts.append(shown)
     parsed = nodes = 0
     for text in texts:
-        assert _lexed(_tokenize, text) == _lexed(_tokenize_any, text), text
+        assert _lexed(_tokenize, text) == _lexed(reference_tokenize, text), text
         try:
             t = parse_term(text)
         except ParseError:

@@ -157,6 +157,8 @@ def test_closure_pins_residually_referenced_and_cyclic_variables():
     resid, sigma = closure(kenv, {"x": poly(b)}, a)
     assert sigma == poly(a)
     assert resid == kenv
+    # so does the kind of a variable that neither t nor gamma mentions
+    assert closure(kenv, {}, a) == (kenv, poly(a))
     # mutually cyclic kinds cannot be ordered as a quantifier prefix
     cyc = {a: record_kind([("l", b)]), b: record_kind([("m", a)]), g: UKind()}
     resid2, sigma2 = closure(cyc, {}, Arrow(a, Arrow(b, g)))

@@ -642,7 +642,7 @@ def test_trusted_kinds_and_chain_caches_keep_their_invariants(monkeypatch):
     for i in range(2000):
         env = i % 2 == 1
         term = gen_closed_term(rng, rng.randint(1, 6), scope=("x", "y") if env else ())
-        k, g, start = (kenv42, tenv42, venv42.next_free_uid()) if env else ({}, {}, 1)
+        k, g, start = (kenv42, tenv42, venv42.next_uid) if env else ({}, {}, 1)
         res = infer(k, g, term, FreshSupply(start))
         ok = isinstance(res, InferResult)
         check([*res.kenv.values(), *res.subst.values(), res.type] if ok else [])
@@ -1000,7 +1000,7 @@ def test_the_solver_never_asks_the_reference_reducer(monkeypatch):
             eqs, venv = parse_equations(es.equations, venv)
             trace = []
             try:
-                unify(kenv, eqs, fresh=FreshSupply(venv.next_free_uid()).fresh, trace=trace)
+                unify(kenv, eqs, fresh=FreshSupply(venv.next_uid).fresh, trace=trace)
             except UnificationError:
                 pass
             rules.update(trace)
@@ -1018,7 +1018,7 @@ def test_the_solver_never_asks_the_reference_reducer(monkeypatch):
     accepted = 0
     for prog in bench.corpus_programs(20240):
         if prog.with_env:
-            res = infer(kenv42, tenv42, parse_term(prog.text), FreshSupply(venv42.next_free_uid()))
+            res = infer(kenv42, tenv42, parse_term(prog.text), FreshSupply(venv42.next_uid))
         else:
             res = infer({}, {}, parse_term(prog.text), FreshSupply(1))
         accepted += isinstance(res, InferResult)
