@@ -23,6 +23,7 @@ from .parser import (
     Namer,
     ParseError,
     VarEnv,
+    line_col,
     parse_env_file,
     parse_equations,
     parse_mono,
@@ -150,10 +151,10 @@ def normalize_cmd(type_text):
 def infer_cmd(file, expr, env_path, as_json):
     """Infer the principal type of a term."""
     kenv, tenv, venv = _load_env(env_path)
-    term = _parse(parse_term, _read_source(file, expr))
-    res = infer(kenv, tenv, term, venv)
+    text = _read_source(file, expr)
+    res = infer(kenv, tenv, _parse(parse_term, text), venv)
     if isinstance(res, InferFailure):
-        where = f" at {res.span}" if res.span else ""
+        where = " at {}:{}".format(*line_col(text, res.span[0])) if res.span else ""
         _die_analysis(f"type error{where}: {res.message} [{res.rule}/{res.reason}]")
     resid, principal = closure(res.kenv, apply_assignment(res.subst, tenv), res.type)
     namer = _env_namer(kenv)

@@ -96,6 +96,8 @@ class InferFailure(Frozen):
 
     @property
     def span(self):
+        """The (start, end) offsets of the failing subterm's head token in
+        the parsed text, or None for a term built without one."""
         return getattr(self.term, "span", None)
 
 

@@ -188,12 +188,11 @@ def _fold_into_record(base, ops):
 
 def fold_op(record: RecordType, op) -> MonoType:
     """normalize(chain(record, (op,))) for a normal record and an operation
-    whose field type is normal, without building the chain when the
-    operation folds, as inference's field operations on a record do: the
-    record with the field put in or taken out is normal."""
+    whose field type is normal and that folds, without building the chain:
+    the record with the field put in or taken out is normal.  The caller,
+    inference's record branch, has met the label in `_known_field`, so a
+    removal's field is present with that type and an extension's is absent."""
     folded = _fold_into_record(record, (op,))
-    if folded is None:
-        return normalize(chain(record, (op,)))
     object.__setattr__(folded[0], "_nf", IS_NORMAL)
     return folded[0]
 

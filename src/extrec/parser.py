@@ -31,10 +31,10 @@ name is declared at most once.
 Every entry point reads its text one way.  `_tokenize` splits it at one
 regex and makes a flat token table, parallel lists of kind, text, start
 and end (a punctuation token's kind is its text), read off the pieces.
-The descent reads the table through local variables.  Line and column
-are worked out only for a span that a term keeps or a `ParseError`
-reports; on the text's first line they cost one addition, and past it
-they come from line starts found on the first such span.  The descent is
+The descent reads the table through local variables.  A span is a
+(start, end) pair of offsets, and a term node keeps its head token's,
+read from the table.  `line_col` alone works out a line and a column:
+`ParseError` for its message, the CLI for a type error.  The descent is
 a trusted builder of term nodes: it writes each node's slots past
 `Frozen.__init__`, all but a `Const`'s and a `RecordLit`'s, whose
 constructors check their fields.
@@ -47,8 +47,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from bisect import bisect_right
-from typing import NamedTuple
 
 from .syntax import (
     Abs,
@@ -83,28 +81,27 @@ from .syntax import (
 )
 
 TERM_KEYWORDS = {"let", "in", "modify", "extend", "remove", "true", "false"}
-_new_span = tuple.__new__  # a SourceSpan without the Python frame of its __new__
 _new, _set = object.__new__, object.__setattr__  # a trusted term node, slot by slot
 _RECORD_OPS = {"modify": Modify, "extend": Extend, "remove": Remove}
 
 
-class SourceSpan(NamedTuple):
-    start: int  # <= end
-    end: int
-    line: int
-    col: int
-
-    def __str__(self):
-        return f"{self.line}:{self.col}"
+def line_col(text: str, offset: int) -> tuple[int, int]:
+    """The line and column of offset in text, both from 1: a line ends at
+    "\\n", and a column counts characters."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, span: SourceSpan, expected: tuple[str, ...] = ()):
+    """An error at `span`, the (start, end) offsets in text of what it
+    names; `line` and `col`, which the message prints, are start's."""
+
+    def __init__(self, message: str, text: str, span: tuple[int, int], expected: tuple[str, ...] = ()):
         self.message = message
         self.span = span
         self.expected = expected
+        self.line, self.col = line_col(text, span[0])
         detail = f" (expected {', '.join(expected)})" if expected else ""
-        super().__init__(f"{span}: {message}{detail}")
+        super().__init__(f"{self.line}:{self.col}: {message}{detail}")
 
 
 class VarEnv(FreshSupply):
@@ -136,10 +133,10 @@ _PUNCTS = frozenset(("->", "::", "<<", ">>", "||", *"\\.,={}()+-:"))
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-def _tokenize(text: str, span_at) -> tuple[list[str], list[str], list[int], list[int]]:
+def _tokenize(text: str, fail) -> tuple[list[str], list[str], list[int], list[int]]:
     """The token table of text: kinds (ident / int / string / tyvar / eof,
     or the punctuation itself), texts, starts and ends, as positions in
-    text.  `span_at(start, end)` makes the span a lexical error reports.
+    text.  `fail(message, start, end)` makes each lexical error.
 
     The text is split at _TOKEN_RE in one call.  A gap between two tokens
     is layout, or else another word, a lone quote or a bad character.  If
@@ -162,7 +159,7 @@ def _tokenize(text: str, span_at) -> tuple[list[str], list[str], list[int], list
         if "'" in text or '"' in text:  # a type variable drops its quote, a string both
             texts = [
                 s[1:] if k == "tyvar" else s if k != "string"
-                else _string_literal(text, i, span_at)[1] if "\\" in s else s[1:-1]
+                else _string_literal(text, i, fail)[1] if "\\" in s else s[1:-1]
                 for k, s, i in zip(kinds, texts, starts)
             ]
         kinds.append("eof")
@@ -187,9 +184,9 @@ def _tokenize(text: str, span_at) -> tuple[list[str], list[str], list[int], list
                         i += 1
                         continue
                     if c == '"':  # no whole string starts here, so this raises
-                        _string_literal(text, i, span_at)
+                        _string_literal(text, i, fail)
                     what = "lone apostrophe" if c == "'" else f"unexpected character {c!r}"
-                    raise ParseError(what, span_at(i, i + 1))
+                    raise fail(what, i, i + 1)
                 d = i
                 while d < e and text[d].isdigit():
                     d += 1
@@ -197,11 +194,11 @@ def _tokenize(text: str, span_at) -> tuple[list[str], list[str], list[int], list
                     rows.append(("int", text[i:d], i, d))
                 if d < e:
                     if not (text[d].isalpha() or text[d] == "_"):
-                        raise ParseError(f"unexpected character {text[d]!r}", span_at(d, d + 1))
+                        raise fail(f"unexpected character {text[d]!r}", d, d + 1)
                     rows.append(("ident", text[d:e], d, e))
                 i = read = e
         elif (c := s[0]) == '"':
-            value = _string_literal(text, i, span_at)[1] if "\\" in s else s[1:-1]
+            value = _string_literal(text, i, fail)[1] if "\\" in s else s[1:-1]
             rows.append(("string", value, i, j))
         elif c == "'":
             rows.append(("tyvar", s[1:], i, j))
@@ -211,67 +208,54 @@ def _tokenize(text: str, span_at) -> tuple[list[str], list[str], list[int], list
     return tuple(map(list, zip(*rows)))
 
 
-def _string_literal(text: str, i: int, span_at) -> tuple[int, str]:
-    """The end and the value of the string literal whose quote is at i."""
+def _string_literal(text: str, i: int, fail) -> tuple[int, str]:
+    """The end and the value of the string literal whose quote is at i.  A
+    bad escape names a character that does not print by its repr."""
     n = len(text)
     j = i + 1
     buf = []
     while j < n and text[j] != '"':
         if text[j] == "\\":
             if j + 1 >= n:
-                raise ParseError("unterminated escape", span_at(i, j))
-            esc = _ESCAPES.get(text[j + 1])
+                raise fail("unterminated escape", i, j)
+            esc = _ESCAPES.get(c := text[j + 1])
             if esc is None:
-                raise ParseError(f"bad escape \\{text[j + 1]}", span_at(j, j + 2))
+                what = c if c.isprintable() else f" before {c!r}"
+                raise fail(f"bad escape \\{what}", j, j + 2)
             buf.append(esc)
             j += 2
         else:
             buf.append(text[j])
             j += 1
     if j >= n:
-        raise ParseError("unterminated string", span_at(i, n))
+        raise fail("unterminated string", i, n)
     return j + 1, "".join(buf)
 
 
 class _Parser:
-    """Recursive descent over the token table of one text, which starts
-    at `offset`, `line` and `col` of its source; spans are positions in
-    that source.  `i` is the next token."""
+    """Recursive descent over the token table of one text, which lies at
+    `offset` in `source` (by default the text itself, at 0); the table's
+    starts and ends, and so every span, are offsets in source.  `i` is the
+    next token."""
 
-    def __init__(self, text: str, env: VarEnv | None, at: tuple[int, int, int] = (0, 1, 1)):
-        self.text = text
-        self.offset, self.line, self.col = at
-        nl = text.find("\n")
-        self.eol = len(text) if nl < 0 else nl  # where the first line ends
-        self.line_starts: list[int] | None = None
-        self.kinds, self.texts, self.starts, self.ends = _tokenize(text, self.span_at)
+    def __init__(self, text: str, env: VarEnv | None, source: str | None = None, offset: int = 0):
+        self.source = source = text if source is None else source
+        self.kinds, self.texts, starts, ends = _tokenize(
+            text, lambda message, i, j: ParseError(message, source, (i + offset, j + offset))
+        )
+        self.starts = [i + offset for i in starts] if offset else starts
+        self.ends = [j + offset for j in ends] if offset else ends
         self.i = 0
         self.env = env
 
-    # -- positions ---------------------------------------------------------
-    def span_at(self, start: int, end: int) -> SourceSpan:
-        if start <= self.eol:
-            line, col = self.line, start + self.col
-        else:
-            if self.line_starts is None:
-                # the first line starts col - 1 characters before text does
-                self.line_starts = [1 - self.col] + [m.end() for m in re.finditer("\n", self.text)]
-            ln = bisect_right(self.line_starts, start) - 1
-            line, col = ln + self.line, start - self.line_starts[ln] + 1
-        return _new_span(SourceSpan, (start + self.offset, end + self.offset, line, col))
-
-    def span(self, i: int) -> SourceSpan:
-        """Token i's span; one on the text's first line needs no line search."""
-        start = self.starts[i]
-        if start > self.eol:
-            return self.span_at(start, self.ends[i])
-        off = self.offset
-        return _new_span(SourceSpan, (start + off, self.ends[i] + off, self.line, start + self.col))
+    def fail(self, message: str, i: int, expected: tuple[str, ...] = ()) -> ParseError:
+        """An error at token i."""
+        return ParseError(message, self.source, (self.starts[i], self.ends[i]), expected)
 
     def unexpected(self, i: int, expected: tuple[str, ...]) -> ParseError:
         """A token is named by its source text."""
-        what = self.text[self.starts[i] : self.ends[i]] or "end of input"
-        return ParseError(f"unexpected {what!r}", self.span(i), expected)
+        what = self.source[self.starts[i] : self.ends[i]] or "end of input"
+        return self.fail(f"unexpected {what!r}", i, expected)
 
     # -- token plumbing ----------------------------------------------------
     def punct(self, p: str):
@@ -288,24 +272,24 @@ class _Parser:
         if self.kinds[i] != "ident":
             raise self.unexpected(i, ("identifier",))
         if s in TERM_KEYWORDS:
-            raise ParseError(f"keyword {s!r} cannot be {role}", self.span(i))
+            raise self.fail(f"keyword {s!r} cannot be {role}", i)
         self.i = i + 1
         return s
 
     def expect_eof(self):
         i = self.i
         if self.kinds[i] != "eof":
-            what = self.text[self.starts[i] : self.ends[i]]
-            raise ParseError(f"trailing input {what!r}", self.span(i), ("end of input",))
+            what = self.source[self.starts[i] : self.ends[i]]
+            raise self.fail(f"trailing input {what!r}", i, ("end of input",))
 
     # -- terms (nodes built slot by slot: see the module docstring) ---------
     def term(self) -> Term:
-        kinds, texts, span = self.kinds, self.texts, self.span
+        kinds, texts, starts, ends = self.kinds, self.texts, self.starts, self.ends
         i = self.i
         k = kinds[i]
         if k == "\\" or k == "ident" and texts[i] == "let":
             t = _new(Abs if k == "\\" else Let)
-            _set(t, "span", span(i))
+            _set(t, "span", (starts[i], ends[i]))
             self.i = i + 1
             name = self.name("a variable")
             if k == "\\":
@@ -318,7 +302,7 @@ class _Parser:
             _set(t, "bound", self.term())
             i = self.i
             if kinds[i] != "ident" or texts[i] != "in":
-                raise ParseError("expected 'in'", span(i), ("in",))
+                raise self.fail("expected 'in'", i, ("in",))
             self.i = i + 1
             _set(t, "body", self.term())
             return t
@@ -330,34 +314,33 @@ class _Parser:
                     self.i = i + 1
                     t = _new(Var)
                     _set(t, "name", s)
-                    _set(t, "span", span(i))
+                    _set(t, "span", (starts[i], ends[i]))
                 elif s in _RECORD_OPS:
                     t = self._record_op()
                 elif s in ("true", "false"):
                     self.i = i + 1
-                    t = Const(s == "true", "Bool", span(i))
+                    t = Const(s == "true", "Bool", (starts[i], ends[i]))
                 else:
-                    raise ParseError(f"unexpected keyword {s!r}", span(i))
+                    raise self.fail(f"unexpected keyword {s!r}", i)
             elif k == "(":
                 self.i = i + 1
                 t = self.term()
                 self.punct(")")
             elif k == "{":
-                at = span(i)
                 self.i = i + 1
                 try:
-                    t = RecordLit(self._fields("=", self.term, "}"), at)
+                    t = RecordLit(self._fields("=", self.term, "}"), (starts[i], ends[i]))
                 except ValueError as e:
-                    raise ParseError(str(e), at) from None
+                    raise self.fail(str(e), i) from None
             elif k == "int":
                 if not s.isdecimal():
                     # str.isdigit, which the tokenizer follows, also takes '²'
-                    raise ParseError(f"not a decimal integer {s!r}", span(i))
+                    raise self.fail(f"not a decimal integer {s!r}", i)
                 self.i = i + 1
-                t = Const(int(s), "Int", span(i))
+                t = Const(int(s), "Int", (starts[i], ends[i]))
             elif k == "string":
                 self.i = i + 1
-                t = Const(s, "String", span(i))
+                t = Const(s, "String", (starts[i], ends[i]))
             else:
                 raise self.unexpected(i, ("term",))
             while kinds[self.i] == ".":
@@ -384,7 +367,7 @@ class _Parser:
         i = self.i
         op = self.texts[i]
         t = _new(_RECORD_OPS[op])
-        _set(t, "span", self.span(i))
+        _set(t, "span", (self.starts[i], self.ends[i]))
         self.i = i + 1
         self.punct("(")
         _set(t, "target", self.term())
@@ -404,7 +387,7 @@ class _Parser:
         while kinds[self.i] == "ident" and texts[self.i] == "forall":
             i = self.i + 1
             if kinds[i] != "tyvar":
-                raise ParseError("expected type variable", self.span(i), ("'a",))
+                raise self.fail("expected type variable", i, ("'a",))
             self.i = i + 1
             self.punct("::")
             kind = self.kind()  # binder not in scope in its own kind
@@ -444,7 +427,7 @@ class _Parser:
                 t = (Ext if op == "+" else Contr)(t, label, fty)
             except ValueError:
                 what = f"{op!r} needs an extensible head (a variable, record, or chain)"
-                raise ParseError(what, self.span(at)) from None
+                raise self.fail(what, at) from None
         return t
 
     def atomty(self) -> MonoType:
@@ -456,7 +439,7 @@ class _Parser:
         if k == "ident":
             t = BASE_BY_NAME.get(self.texts[i])
             if t is None:
-                raise ParseError(f"unknown type name {self.texts[i]!r}", self.span(i))
+                raise self.fail(f"unknown type name {self.texts[i]!r}", i)
             self.i = i + 1
             return t
         if k == "{":
@@ -464,7 +447,7 @@ class _Parser:
             try:
                 return RecordType(self._fields(":", self.mono, "}"))
             except ValueError as e:
-                raise ParseError(str(e), self.span(i)) from None
+                raise self.fail(str(e), i) from None
         if k == "(":
             self.i = i + 1
             t = self.mono()
@@ -485,7 +468,7 @@ class _Parser:
             try:
                 return RecordKind(lefts, rights)
             except ValueError as e:
-                raise ParseError(str(e), self.span(i)) from None
+                raise self.fail(str(e), i) from None
         raise self.unexpected(i, ("U", "<<"))
 
     def _fields(self, sep: str, value, close: str) -> tuple:
@@ -533,15 +516,14 @@ def parse_kind(text: str, env: VarEnv | None = None) -> Kind:
 
 def _line_parsers(text: str, env: VarEnv):
     """A parser for each line of text that holds more than layout and a
-    comment; its spans are positions in text.  A line ends at "\\n" only,
+    comment; its spans are offsets in text.  A line ends at "\\n" only,
     as in a term, and only the tokenizer's layout is stripped from it."""
     offset = 0
-    for number, line in enumerate(text.split("\n"), 1):
+    for line in text.split("\n"):
         code = line.split("#", 1)[0]
         stripped = code.strip(" \t\r")
         if stripped:
-            lead = len(code) - len(code.lstrip(" \t\r"))
-            yield _Parser(stripped, env, (offset + lead, number, lead + 1))
+            yield _Parser(stripped, env, text, offset + len(code) - len(code.lstrip(" \t\r")))
         offset += len(line) + 1
 
 
@@ -561,7 +543,7 @@ def parse_env_file(
             p.expect_eof()
             v = env.lookup(p.texts[0])
             if v in kenv:
-                raise ParseError(f"second declaration of '{p.texts[0]}", p.span(0))
+                raise p.fail(f"second declaration of '{p.texts[0]}", 0)
             kenv[v] = kind
         else:
             name = p.name("a variable")
@@ -569,7 +551,7 @@ def parse_env_file(
             sigma = p.polytype()
             p.expect_eof()
             if name in tenv:
-                raise ParseError(f"second declaration of {name}", p.span(0))
+                raise p.fail(f"second declaration of {name}", 0)
             tenv[name] = sigma
     return kenv, tenv, env
 

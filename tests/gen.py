@@ -10,7 +10,7 @@ from pathlib import Path
 
 from extrec.kinding import field_info, has_kind
 from extrec.normalize import equiv, normalize
-from extrec.parser import ParseError, _string_literal
+from extrec.parser import _string_literal
 from extrec.subst import apply_type
 from extrec.syntax import (
     Abs,
@@ -633,6 +633,13 @@ def shape_matches(value, t: MonoType) -> bool:
     return True  # residual variables and open chains promise nothing
 
 
+def reference_line_col(text: str, start: int) -> tuple[int, int]:
+    """Line and column of position start, with lines as env files split
+    them: each ends at "\\n" only."""
+    before = text[:start]
+    return before.count("\n") + 1, start - before.rfind("\n")
+
+
 # The parser's tokenizer as a loop of matches, kept as an independent
 # reference for its token table (kinds, texts, starts, ends) and errors.
 # Layout and comments, then one token.  `\w` is `str.isalnum` or "_".  A
@@ -655,7 +662,7 @@ _PUNCT, _IDENT, _INT, _TYVAR, _STRING = 1, 2, 3, 4, 5
 _KINDS = {_IDENT: "ident", _INT: "int"}
 
 
-def reference_tokenize(text: str, span_at) -> tuple[list[str], list[str], list[int], list[int]]:
+def reference_tokenize(text: str, fail) -> tuple[list[str], list[str], list[int], list[int]]:
     """The parser's `_tokenize` of any text, one match of _TOKEN_RE at a time."""
     kinds, texts, starts, ends = [], [], [], []
     kind, word, start, end = kinds.append, texts.append, starts.append, ends.append
@@ -665,7 +672,7 @@ def reference_tokenize(text: str, span_at) -> tuple[list[str], list[str], list[i
         if group is None:
             i = m.end()
             if i < n:
-                raise ParseError(f"unexpected character {text[i]!r}", span_at(i, i + 1))
+                raise fail(f"unexpected character {text[i]!r}", i, i + 1)
             break
         i, j = m.span(group)
         s = text[i:j]
@@ -675,12 +682,12 @@ def reference_tokenize(text: str, span_at) -> tuple[list[str], list[str], list[i
             kind(_KINDS[group])
         elif group == _TYVAR:
             if j == i + 1:
-                raise ParseError("lone apostrophe", span_at(i, j))
+                raise fail("lone apostrophe", i, j)
             kind("tyvar")
             s = s[1:]
         elif group == _STRING:
             if j == i + 1 or "\\" in s:
-                j, s = _string_literal(text, i, span_at)
+                j, s = _string_literal(text, i, fail)
             else:
                 s = s[1:-1]
             kind("string")
@@ -700,7 +707,7 @@ def reference_tokenize(text: str, span_at) -> tuple[list[str], list[str], list[i
                     continue
                 i, s = k, text[k:j]
             if not (s[0].isalpha() or s[0] == "_"):
-                raise ParseError(f"unexpected character {s[0]!r}", span_at(i, i + 1))
+                raise fail(f"unexpected character {s[0]!r}", i, i + 1)
             kind("ident")
         word(s)
         start(i)

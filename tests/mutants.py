@@ -174,7 +174,7 @@ MUTANTS = (
     Mutant(
         "tokenizer-leaves-escapes",
         "parser.py",
-        '                else _string_literal(text, i, span_at)[1] if "\\\\" in s else s[1:-1]\n',
+        '                else _string_literal(text, i, fail)[1] if "\\\\" in s else s[1:-1]\n',
         "                else s[1:-1]\n",
         _t(
             "test_parser.py::test_lexical_errors_are_pinned",
@@ -184,7 +184,7 @@ MUTANTS = (
     Mutant(
         "tokenizer-leaves-escapes-beside-a-comment",
         "parser.py",
-        '            value = _string_literal(text, i, span_at)[1] if "\\\\" in s else s[1:-1]\n',
+        '            value = _string_literal(text, i, fail)[1] if "\\\\" in s else s[1:-1]\n',
         "            value = s[1:-1]\n",
         _t(
             "test_parser.py::test_tokens_and_spans_are_pinned",
@@ -201,7 +201,7 @@ MUTANTS = (
         '                    rows.append(("int", text[i:d], i, d))\n'
         "                if d < e:\n"
         '                    if not (text[d].isalpha() or text[d] == "_"):\n'
-        '                        raise ParseError(f"unexpected character {text[d]!r}", span_at(d, d + 1))\n'
+        '                        raise fail(f"unexpected character {text[d]!r}", d, d + 1)\n'
         '                    rows.append(("ident", text[d:e], d, e))\n',
         '                rows.append(("ident", text[i:e], i, e))\n',
         _t(
@@ -217,14 +217,25 @@ MUTANTS = (
         _t("test_parser.py::test_trusted_term_nodes_match_their_constructors"),
     ),
     Mutant(
-        "span-fast-path-past-first-line",
+        "line-col-counts-columns-from-0",
         "parser.py",
-        "        if start > self.eol:\n            return self.span_at(start, self.ends[i])\n",
-        "",
-        _t(
-            "test_parser.py::test_tokens_and_spans_are_pinned",
-            "test_parser.py::test_spans_of_parsed_terms_lie_inside_the_text",
-        ),
+        'offset - text.rfind("\\n", 0, offset)\n',
+        'offset - text.rfind("\\n", 0, offset) - 1\n',
+        _t("test_parser.py::test_line_col_agrees_with_the_reference_at_every_position"),
+    ),
+    Mutant(
+        "line-col-ends-a-line-at-cr",
+        "parser.py",
+        "    return text.count(",
+        '    text = text.replace("\\r", "\\n")\n    return text.count(',
+        _t("test_parser.py::test_line_col_agrees_with_the_reference_at_every_position"),
+    ),
+    Mutant(
+        "term-span-ends-where-it-starts",
+        "parser.py",
+        '                    _set(t, "span", (starts[i], ends[i]))\n',
+        '                    _set(t, "span", (starts[i], starts[i]))\n',
+        _t("test_parser.py::test_spans_of_parsed_terms_lie_inside_the_text"),
     ),
     Mutant(
         "generalize-early-on-forgot",

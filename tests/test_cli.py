@@ -390,6 +390,26 @@ def test_term_file_input(tmp_path):
     assert r.output == f"{env}: 3:11: unexpected 'end of input' (expected type)\n"
 
 
+def test_errors_past_line_1_name_their_line_and_column(tmp_path):
+    # a type error and an env-file error on the second line of their text,
+    # and a bad escape before a character that does not print, on one line
+    src = "let f = \\x. x.l in\n  f {m = 1}"
+    prog = tmp_path / "two.rec"
+    prog.write_text(src)
+    want = (1, "type error at 2:3: required field(s) ['l'] absent [app/kind_clash]\n")
+    for args in (["infer", str(prog)], ["infer", "-e", src]):
+        r = run(*args)
+        assert (r.exit_code, r.output) == want, args
+    env = tmp_path / "two.env"
+    env.write_text("x : Int\n   y : ;")
+    r = run("infer", "--env", str(env), "-e", "x")
+    assert (r.exit_code, r.output) == (2, f"{env}: 2:8: unexpected character ';'\n")
+    escape = tmp_path / "escape.rec"
+    escape.write_text('"a\\\nb"')
+    r = run("parse", str(escape))
+    assert (r.exit_code, r.output) == (2, "1:3: bad escape \\ before '\\n'\n")
+
+
 def test_unify_follows_long_variable_links(tmp_path):
     # each equation links a variable to the one below it, newest first, so
     # the last binding's image is reached through 3000 variable links

@@ -52,7 +52,7 @@ from extrec.syntax import (
     record_kind,
 )
 from extrec.unify import resolve
-from gen import gen_closed_term, rebuilt, subst_equal
+from gen import gen_closed_term, rebuilt, reference_line_col, subst_equal
 
 ENV_42 = """
 'a1 :: << || l: 'a2>>
@@ -431,14 +431,15 @@ def test_first_failure_in_walk_order_is_reported():
     # Each program has two faults.  Record fields are typed in label order,
     # so `zz` fails before `true 3`; a let's bound term before its body.
     cases = {
-        "{b = true 3, a = zz}": ("1:18", "var", "unbound_variable"),
-        "let g = \\r. extend(r, l, r) in (1 2)": ("1:13", "extend", "base_in_value"),
+        "{b = true 3, a = zz}": ((17, 19), (1, 18), "var", "unbound_variable"),
+        "let g = \\r. extend(r, l, r) in (1 2)": ((12, 18), (1, 13), "extend", "base_in_value"),
     }
     for src, want in cases.items():
         for want_trace in (False, True):
             res = infer({}, {}, parse_term(src), FreshSupply(1), want_trace=want_trace)
             assert isinstance(res, InferFailure), src
-            assert (str(res.span), res.rule, res.reason) == want, src
+            where = reference_line_col(src, res.span[0])
+            assert (res.span, where, res.rule, res.reason) == want, src
 
 
 def test_inference_hands_unification_well_formed_state(monkeypatch):
@@ -514,12 +515,14 @@ def test_known_arrows_and_records_are_typed_directly(monkeypatch):
         assert not isinstance(res, InferFailure), res
         assert (res.type, fs.next_uid - 1, calls) == (want, made, unified), src
     # the value puts the chain's base into its own kind
-    res = infer({}, {}, parse_term("\\r. let s = extend(r, a, 1) in modify(s, b, s)"))
-    assert (res.rule, res.reason, res.message, str(res.span)) == (
+    src = "\\r. let s = extend(r, a, 1) in modify(s, b, s)"
+    res = infer({}, {}, parse_term(src))
+    assert (res.rule, res.reason, res.message, res.span, reference_line_col(src, res.span[0])) == (
         "modify",
         "occurs_check",
         "variable occurs in its own kind",
-        "1:32",
+        (31, 37),
+        (1, 32),
     )
 
 

@@ -5,10 +5,10 @@ import pytest
 from extrec.parser import (
     Namer,
     ParseError,
-    SourceSpan,
     VarEnv,
     _Parser,
     _tokenize,
+    line_col,
     parse_env_file,
     parse_equations,
     parse_kind,
@@ -45,6 +45,7 @@ from gen import (
     gen_arb_mono,
     gen_arb_poly,
     gen_arb_term,
+    reference_line_col,
     reference_tokenize,
 )
 
@@ -128,7 +129,7 @@ def test_pretty_minimal_parens():
 def test_syntax_errors_carry_spans():
     with pytest.raises(ParseError) as e:
         parse_term("let x = in x")
-    assert e.value.span.line == 1
+    assert e.value.line == 1
     with pytest.raises(ParseError) as e2:
         parse_term("{l = 1, l = 2}")
     assert "duplicate" in str(e2.value)
@@ -180,8 +181,8 @@ def test_parse_equations():
 def test_line_file_errors_point_into_the_file(parse, text, message, span):
     with pytest.raises(ParseError) as err:
         parse(text)
-    s = err.value.span
-    assert (err.value.message, (s.start, s.end, s.line, s.col)) == (message, span)
+    e = err.value
+    assert (e.message, (*e.span, e.line, e.col)) == (message, span)
 
 
 @pytest.mark.parametrize(
@@ -226,8 +227,8 @@ def test_syntax_errors_are_pinned(parse, text, message, span, expected):
     # one input for each place the parser refuses a well-tokenized text
     with pytest.raises(ParseError) as err:
         parse(text)
-    s = err.value.span
-    assert (err.value.message, (s.start, s.end, s.line, s.col), err.value.expected) == (
+    e = err.value
+    assert (e.message, (*e.span, e.line, e.col), e.expected) == (
         message,
         span,
         expected,
@@ -283,14 +284,15 @@ def test_round_trip_kinds_and_polytypes_random():
         assert canon(parse_type(pretty_poly(p))) == canon(p)
 
 
-def _tokens(text, where=(0, 1, 1)):
+def _tokens(text, prefix=""):
     """(kind, text, start, end, line, col) of each token of text, which
-    starts at offset, line and col `where` of its source."""
-    p = _Parser(text, None, where)
+    follows prefix in its source; line and col are `line_col`'s."""
+    source = prefix + text
+    p = _Parser(text, None, source, len(prefix))
     named = ("ident", "int", "string", "tyvar", "eof")
     return [
-        (k if k in named else "punct", s, *p.span(i))
-        for i, (k, s) in enumerate(zip(p.kinds, p.texts))
+        (k if k in named else "punct", s, i, j, *line_col(source, i))
+        for k, s, i, j in zip(p.kinds, p.texts, p.starts, p.ends)
     ]
 
 
@@ -343,21 +345,32 @@ def test_tokens_and_spans_are_pinned():
     ]
 
 
-def _check_span(text, span, offset=0, line=1, col=1):
-    """span lies inside text, which starts at offset, line and col of its
-    source, and its line and column are those of its start."""
-    start = span.start - offset
-    assert 0 <= start <= span.end - offset <= len(text), (text, span)
-    lines_before = text.count("\n", 0, start)
-    line_start = text.rfind("\n", 0, start) + 1 if lines_before else 1 - col
-    assert (span.line, span.col) == (line + lines_before, start - line_start + 1), (text, span)
+def _check_span(source, span, where, lo=0):
+    """span, a (start, end) pair, lies inside source past lo, and where is
+    the line and column of its start."""
+    start, end = span
+    assert lo <= start <= end <= len(source), (source, span)
+    assert where == reference_line_col(source, start), (source, span, where)
 
 
-def _line_col(text, start):
-    """Line and column of position start, with lines as env files split
-    them: each ends at "\\n" only."""
-    before = text[:start]
-    return before.count("\n") + 1, start - before.rfind("\n")
+def test_line_col_agrees_with_the_reference_at_every_position():
+    # Lines of words and tabs, ended by "\n" or "\r\n", some texts with no
+    # final line end: line_col names each position's line and column as
+    # the reference does, and a carriage return ends no line.
+    rng = random.Random(101)
+    positions = crlfs = unended = 0
+    for _ in range(500):
+        text = "".join(
+            rng.choice(("", "\t", "x", "ab", " y\t", "é")) * rng.randint(0, 3)
+            + rng.choice(("\n", "\r\n", "\r", ""))
+            for _ in range(rng.randint(0, 8))
+        )
+        for offset in range(len(text) + 1):
+            assert line_col(text, offset) == reference_line_col(text, offset), (text, offset)
+        positions += len(text) + 1
+        crlfs += text.count("\r\n")
+        unended += not text.endswith("\n")
+    assert positions >= 6000 and crlfs >= 400 and unended >= 200, (positions, crlfs, unended)
 
 
 def _term_nodes(t):
@@ -392,16 +405,16 @@ def test_spans_of_fuzzed_input_lie_inside_the_text():
             )
             cut = rng.randint(0, len(shown))
             text = shown[:cut] + rng.choice(alphabet) + shown[cut:]
-        where = rng.choice(((0, 1, 1), (12, 3, 5)))
+        prefix = rng.choice(("", "x : Int\r\n\t y "))
         try:
-            toks = _tokens(text, where)
+            toks = _tokens(text, prefix)
         except ParseError as err:
-            _check_span(text, err.span, *where)
+            _check_span(prefix + text, err.span, (err.line, err.col), len(prefix))
             errors += 1
             continue
         for t in toks:
-            _check_span(text, SourceSpan(*t[2:]), *where)
-        assert toks[-1][2] - where[0] == len(text)
+            _check_span(prefix + text, t[2:4], t[4:], len(prefix))
+        assert toks[-1][2] == len(prefix + text)
         tokens += len(toks)
     assert errors >= 300 and tokens >= 4500, (errors, tokens)
 
@@ -424,8 +437,9 @@ def test_spans_of_parsed_terms_lie_inside_the_text():
         parsed = parse_term(text)
         assert parsed == t
         for node in _term_nodes(parsed):
-            _check_span(text, node.span)
-            head = text[node.span.start : node.span.end]
+            start, end = node.span
+            _check_span(text, node.span, line_col(text, start))
+            head = text[start:end]
             if isinstance(node, (Var, Const)):
                 assert head == pretty_term(node), (text, node)
             elif isinstance(node, (App, Select)):  # the span of the first subterm
@@ -461,9 +475,7 @@ def test_env_file_errors_lie_inside_the_text():
         try:
             parse_env_file(text)
         except ParseError as err:
-            s = err.span
-            assert 0 <= s.start <= s.end <= len(text), (text, s)
-            assert (s.line, s.col) == _line_col(text, s.start), (text, s)
+            _check_span(text, err.span, (err.line, err.col))
             errors += 1
     assert errors >= 150, errors
 
@@ -478,19 +490,22 @@ def test_env_file_errors_lie_inside_the_text():
         ('"ab\\', "unterminated escape", (0, 3, 1, 1)),
         ('"a\\q"', "bad escape \\q", (2, 4, 1, 3)),
         ('x = "abc', "unterminated string", (4, 8, 1, 5)),
+        # a character that does not print is named by its repr
+        ('"a\\\nb"', "bad escape \\ before '\\n'", (2, 4, 1, 3)),
+        ('x\n "\\\t"', "bad escape \\ before '\\t'", (4, 6, 2, 3)),
     ],
 )
 def test_lexical_errors_are_pinned(text, message, span):
     with pytest.raises(ParseError) as err:
         _Parser(text, None)
-    s = err.value.span
-    assert (err.value.message, (s.start, s.end, s.line, s.col)) == (message, span)
+    e = err.value
+    assert (e.message, (*e.span, e.line, e.col)) == (message, span)
 
 
 def _lexed(tokenize, text):
     """The token table of text, or the message and position of its error."""
     try:
-        return tokenize(text, lambda start, end: (start, end))
+        return tokenize(text, lambda message, i, j: ParseError(message, text, (i, j)))
     except ParseError as err:
         return err.message, err.span
 
