@@ -34,10 +34,8 @@ and end (a punctuation token's kind is its text), read off the pieces.
 The descent reads the table through local variables.  A span is a
 (start, end) pair of offsets, and a term node keeps its head token's,
 read from the table.  `line_col` alone works out a line and a column:
-`ParseError` for its message, the CLI for a type error.  The descent is
-a trusted builder of term nodes: it writes each node's slots past
-`Frozen.__init__`, all but a `Const`'s and a `RecordLit`'s, whose
-constructors check their fields.
+`ParseError` for its message, the CLI for a type error.  The descent
+builds every term node through its class's constructor.
 
 Pretty-printing round-trips: parse(pretty(v)) is structurally equal to v
 (alpha-invariant for polytypes).
@@ -81,7 +79,6 @@ from .syntax import (
 )
 
 TERM_KEYWORDS = {"let", "in", "modify", "extend", "remove", "true", "false"}
-_new, _set = object.__new__, object.__setattr__  # a trusted term node, slot by slot
 _RECORD_OPS = {"modify": Modify, "extend": Extend, "remove": Remove}
 
 
@@ -282,39 +279,32 @@ class _Parser:
             what = self.source[self.starts[i] : self.ends[i]]
             raise self.fail(f"trailing input {what!r}", i, ("end of input",))
 
-    # -- terms (nodes built slot by slot: see the module docstring) ---------
+    # -- terms -------------------------------------------------------------
     def term(self) -> Term:
         kinds, texts, starts, ends = self.kinds, self.texts, self.starts, self.ends
         i = self.i
         k = kinds[i]
         if k == "\\" or k == "ident" and texts[i] == "let":
-            t = _new(Abs if k == "\\" else Let)
-            _set(t, "span", (starts[i], ends[i]))
+            span = (starts[i], ends[i])
             self.i = i + 1
             name = self.name("a variable")
             if k == "\\":
                 self.punct(".")
-                _set(t, "param", name)
-                _set(t, "body", self.term())
-                return t
+                return Abs(name, self.term(), span)
             self.punct("=")
-            _set(t, "name", name)
-            _set(t, "bound", self.term())
+            bound = self.term()
             i = self.i
             if kinds[i] != "ident" or texts[i] != "in":
                 raise self.fail("expected 'in'", i, ("in",))
             self.i = i + 1
-            _set(t, "body", self.term())
-            return t
+            return Let(name, bound, self.term(), span)
         fn = None
         while True:  # postfix terms, applied left to right
             s = texts[i]
             if k == "ident":
                 if s not in TERM_KEYWORDS:
                     self.i = i + 1
-                    t = _new(Var)
-                    _set(t, "name", s)
-                    _set(t, "span", (starts[i], ends[i]))
+                    t = Var(s, (starts[i], ends[i]))
                 elif s in _RECORD_OPS:
                     t = self._record_op()
                 elif s in ("true", "false"):
@@ -345,19 +335,8 @@ class _Parser:
                 raise self.unexpected(i, ("term",))
             while kinds[self.i] == ".":
                 self.i += 1
-                sel = _new(Select)
-                _set(sel, "target", t)
-                _set(sel, "label", self.name("a label"))
-                _set(sel, "span", t.span)
-                t = sel
-            if fn is None:
-                fn = t
-            else:
-                app = _new(App)
-                _set(app, "fn", fn)
-                _set(app, "arg", t)
-                _set(app, "span", fn.span)
-                fn = app
+                t = Select(t, self.name("a label"), t.span)
+            fn = t if fn is None else App(fn, t, fn.span)
             i = self.i
             k = kinds[i]
             if not (k == "ident" and texts[i] != "in" or k in ("(", "{", "int", "string")):
@@ -366,16 +345,17 @@ class _Parser:
     def _record_op(self) -> Term:
         i = self.i
         op = self.texts[i]
-        t = _new(_RECORD_OPS[op])
-        _set(t, "span", (self.starts[i], self.ends[i]))
+        span = (self.starts[i], self.ends[i])
         self.i = i + 1
         self.punct("(")
-        _set(t, "target", self.term())
+        target = self.term()
         self.punct(",")
-        _set(t, "label", self.name("a label"))
-        if op != "remove":
+        label = self.name("a label")
+        if op == "remove":
+            t = Remove(target, label, span)
+        else:
             self.punct(",")
-            _set(t, "value", self.term())
+            t = _RECORD_OPS[op](target, label, self.term(), span)
         self.punct(")")
         return t
 

@@ -17,15 +17,15 @@ built on every substitution, fills its slots itself, and
 `derivation.Derivation` checks its rule and has defaults.  A chain's
 `__new__` builds the node.  The trusted builders write a value's slots
 past its constructor, for callers that vouch for the fields: `chain`,
-`trusted_record`, `trusted_record_kind` and `poly` here, and the parser,
-which builds every term node but a `Const` and a `RecordLit` slot by
-slot.  Equality, hashing and `repr` read the
-fields a class names in `_fields`, as a frozen dataclass's do (a term's
-`span`, a type's caches and `TyVar.name` stay out), through closures over
-`operator.attrgetter`: importing the package compiles no generated
-methods, as `dataclasses` would for each class.  The hot type equalities
-are written out.  `dataclasses.replace` does not apply to a value;
-rebuild it through its constructor.
+`trusted_record`, `trusted_record_kind` and `poly`, all here.  No other
+module writes a slot but `normalize`, which fills `_nf` caches; the
+parser builds each term through its class.  Equality, hashing and `repr`
+read the fields a class names in `_fields`, as a frozen dataclass's do
+(a term's `span`, a type's caches and `TyVar.name` stay out), through
+closures over `operator.attrgetter`: importing the package compiles no
+generated methods, as `dataclasses` would for each class.  The hot type
+equalities are written out.  `dataclasses.replace` does not apply to a
+value; rebuild it through its constructor.
 
 Every type, kind and polytype value caches its free type variables in a
 `_fv` slot.  `ftv` fills the slot on the first request and returns the
@@ -80,7 +80,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 Label = str
 
@@ -104,8 +104,9 @@ class Frozen:
         if fields is None:
             return
         slots = cls.__dict__.get("__slots__", ())
-        cls._params = fields + ("span",) if "span" in slots else fields
-        cls._unset = tuple(name for name in slots if name not in cls._params)
+        cls._params = params = fields + ("span",) if "span" in slots else fields
+        cls._puts = tuple(getattr(cls, name).__set__ for name in params)
+        cls._clears = tuple(getattr(cls, name).__set__ for name in slots if name not in params)
         if len(fields) == 1:
             one = attrgetter(*fields)
             key = lambda self: (one(self),)
@@ -129,16 +130,18 @@ class Frozen:
                 setattr(cls, method.__name__, method)
 
     def __init__(self, *args, **kwargs):
-        """Fill the slots: the fields in `_fields`, in order and each one
-        required, then a term's `span`, by position or as `span=`, None if
-        not given.  Every other slot, a cache, starts as None."""
-        params = self._params
-        if kwargs or len(args) != len(params):
+        """Fill the slots through their descriptors: the fields in `_fields`,
+        in order and each one required, then a term's `span`, by position or
+        as `span=`, None if not given.  Every other slot, a cache, is None."""
+        puts = self._puts
+        if kwargs or len(args) != len(puts):
             args = self._bind(args, kwargs)
-        for name, value in zip(params, args):
-            _set(self, name, value)
-        for name in self._unset:
-            _set(self, name, None)
+        i = 0
+        for put in puts:
+            put(self, args[i])
+            i += 1
+        for clear in self._clears:
+            clear(self, None)
 
     @classmethod
     def _bind(cls, args, kwargs) -> list:
@@ -253,11 +256,13 @@ Term = Var | Const | Abs | App | Let | RecordLit | Select | Modify | Remove | Ex
 
 
 def _sorted_fields(fields):
-    pairs = tuple(sorted(fields, key=lambda kv: kv[0]))
-    labels = [l for l, _ in pairs]
-    if len(set(labels)) != len(labels):
-        dup = next(l for i, l in enumerate(labels) if l in labels[:i])
-        raise ValueError(f"duplicate label {dup!r}")
+    """fields sorted by label; ValueError names the first label that repeats."""
+    pairs = tuple(sorted(fields, key=itemgetter(0)))
+    prev = None
+    for label, _ in pairs:
+        if label == prev:
+            raise ValueError(f"duplicate label {label!r}")
+        prev = label
     return pairs
 
 

@@ -158,7 +158,7 @@ MUTANTS = (
         '    if "#" not in text:\n',
         _t(
             "test_parser.py::test_lexical_errors_are_pinned",
-            "test_parser.py::test_trusted_term_nodes_match_their_constructors",
+            "test_parser.py::test_the_token_table_matches_the_reference_tokenizer",
         ),
     ),
     Mutant(
@@ -168,7 +168,7 @@ MUTANTS = (
         "        else:\n",
         _t(
             "test_parser.py::test_tokens_and_spans_are_pinned",
-            "test_parser.py::test_trusted_term_nodes_match_their_constructors",
+            "test_parser.py::test_the_token_table_matches_the_reference_tokenizer",
         ),
     ),
     Mutant(
@@ -178,7 +178,7 @@ MUTANTS = (
         "                else s[1:-1]\n",
         _t(
             "test_parser.py::test_lexical_errors_are_pinned",
-            "test_parser.py::test_trusted_term_nodes_match_their_constructors",
+            "test_parser.py::test_the_token_table_matches_the_reference_tokenizer",
         ),
     ),
     Mutant(
@@ -188,7 +188,7 @@ MUTANTS = (
         "            value = s[1:-1]\n",
         _t(
             "test_parser.py::test_tokens_and_spans_are_pinned",
-            "test_parser.py::test_trusted_term_nodes_match_their_constructors",
+            "test_parser.py::test_the_token_table_matches_the_reference_tokenizer",
         ),
     ),
     Mutant(
@@ -206,15 +206,15 @@ MUTANTS = (
         '                rows.append(("ident", text[i:e], i, e))\n',
         _t(
             "test_parser.py::test_tokens_and_spans_are_pinned",
-            "test_parser.py::test_trusted_term_nodes_match_their_constructors",
+            "test_parser.py::test_the_token_table_matches_the_reference_tokenizer",
         ),
     ),
     Mutant(
-        "trusted-node-slot-unset",
+        "let-swaps-bound-and-body",
         "parser.py",
-        '            _set(t, "bound", self.term())\n',
-        "            self.term()\n",
-        _t("test_parser.py::test_trusted_term_nodes_match_their_constructors"),
+        "            return Let(name, bound, self.term(), span)\n",
+        "            return Let(name, self.term(), bound, span)\n",
+        _t("test_parser.py::test_parse_term_examples", "test_parser.py::test_round_trip_terms_random"),
     ),
     Mutant(
         "line-col-counts-columns-from-0",
@@ -233,8 +233,8 @@ MUTANTS = (
     Mutant(
         "term-span-ends-where-it-starts",
         "parser.py",
-        '                    _set(t, "span", (starts[i], ends[i]))\n',
-        '                    _set(t, "span", (starts[i], starts[i]))\n',
+        "                    t = Var(s, (starts[i], ends[i]))\n",
+        "                    t = Var(s, (starts[i], starts[i]))\n",
         _t("test_parser.py::test_spans_of_parsed_terms_lie_inside_the_text"),
     ),
     Mutant(

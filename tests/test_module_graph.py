@@ -1,7 +1,8 @@
 """The package's modules import each other in one direction:
 cli -> checker -> infer -> subst -> unify -> kinding -> normalize -> syntax.
 The checker is the oracle for inference, so nothing inference runs on may
-import it."""
+import it.  Only `syntax` writes a value's slots past its constructor, but
+for `normalize`'s writes of the `_nf` cache."""
 
 import ast
 from pathlib import Path
@@ -69,3 +70,37 @@ def test_only_the_front_ends_import_the_checker():
 
 def test_no_relative_import_inside_a_function():
     assert not [(importer, imported) for importer, imported, local in _relative_imports() if local]
+
+
+def _slot_writes(module):
+    """(line, is a call that writes the `_nf` slot) for each reference to
+    `object.__new__` or `object.__setattr__` in the module."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    nf_writes = {
+        id(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and len(node.args) == 3
+        and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value == "_nf"
+    }
+    return [
+        (node.lineno, id(node) in nf_writes)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("__new__", "__setattr__")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    ]
+
+
+def test_only_syntax_writes_slots_past_the_constructors():
+    # Every other module builds a value through its class; normalize may
+    # only fill the `_nf` cache.
+    found = {
+        path.stem: [line for line, nf in _slot_writes(path.stem) if not (nf and path.stem == "normalize")]
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "syntax"
+    }
+    assert not {m: lines for m, lines in found.items() if lines}
+    assert _slot_writes("syntax")  # the walk sees the writes it looks for

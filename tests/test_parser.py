@@ -510,14 +510,11 @@ def _lexed(tokenize, text):
         return err.message, err.span
 
 
-def test_trusted_term_nodes_match_their_constructors():
-    # `_tokenize` splits a text at one regex, and the parser writes the
-    # slots of most term nodes past `Frozen.__init__`.  On the benchmark's
-    # corpus and scaling programs, and on printed terms with comments,
-    # escaped strings and one to three characters spliced in, the token
-    # table and the errors are those of `gen.reference_tokenize`, a loop of
-    # matches, and every node equals the node its public constructor builds
-    # from its fields, with the same span, and each of its slots reads back.
+def test_the_token_table_matches_the_reference_tokenizer():
+    # `_tokenize` splits a text at one regex.  On the benchmark's corpus
+    # and scaling programs, and on printed terms with comments, escaped
+    # strings and one to three characters spliced in, the token table and
+    # the errors are those of `gen.reference_tokenize`, a loop of matches.
     bench = bench_inputs()
     texts = [p.text for p in bench.corpus_programs(20240)]
     texts += [bench.scaling_program(f, n)[0] for f in bench.SCALING_FAMILIES for n in (8, 48)]
@@ -533,18 +530,12 @@ def test_trusted_term_nodes_match_their_constructors():
             cut = rng.randint(0, len(shown))
             shown = shown[:cut] + rng.choice(alphabet) + shown[cut:]
         texts.append(shown)
-    parsed = nodes = 0
+    parsed = 0
     for text in texts:
         assert _lexed(_tokenize, text) == _lexed(reference_tokenize, text), text
         try:
-            t = parse_term(text)
+            parse_term(text)
         except ParseError:
             continue
         parsed += 1
-        for node in _term_nodes(t):
-            cls = type(node)
-            slots = {name: getattr(node, name) for name in cls.__slots__}
-            rebuilt = cls(*(slots[name] for name in cls._fields), span=node.span)
-            assert rebuilt == node and rebuilt.span == node.span, (text, node)
-            nodes += 1
-    assert parsed >= 1500 and nodes >= 30_000, (parsed, nodes)
+    assert parsed >= 1500, parsed
