@@ -29,8 +29,10 @@ Environment files hold one declaration per line: `'a :: KIND` for kinds,
 name is declared at most once.
 
 Every entry point reads its text one way.  `_tokenize` splits it at one
-regex and makes a flat token table, parallel lists of kind, text, start
-and end (a punctuation token's kind is its text), read off the pieces.
+regex, which puts every character but layout in exactly one piece, and
+makes a flat token table, parallel lists of kind, text, start and end (a
+punctuation token's kind is its text), each kind read from the piece's
+own text.
 The descent reads the table through local variables.  A span is a
 (start, end) pair of offsets, and a term node keeps its head token's,
 read from the table.  `line_col` alone works out a line and a column:
@@ -118,13 +120,14 @@ class VarEnv(FreshSupply):
         return self.next_uid
 
 
-# One group for every token and comment.  `\w` is `str.isalnum` or "_".
-# Identifiers are led by an ASCII letter or "_", and integers are ASCII
-# digits that end a word.  A string or a comment is matched whole, so the
-# split stays aligned past it.  The lookahead lets the split skip layout.
+# One group: every piece of a text that is not layout.  `\w` is
+# `str.isalnum` or "_".  A piece is punctuation, a type variable, a string
+# or a comment, matched whole so that the split stays aligned past it, a
+# word, or else one character that starts none of these.  The lookahead
+# leaves layout, and only layout, to the gaps.
 _TOKEN_RE = re.compile(
-    r"(?=[^ \t\r\n])(->|::|<<|>>|\|\||[\\.,={}()+\-:]|[A-Za-z_]\w*|[0-9]+(?!\w)|'\w+"
-    r'|"[^"\\]*(?:\\.[^"\\]*)*"|#[^\n]*)'
+    r"(?=[^ \t\r\n])(->|::|<<|>>|\|\||[\\.,={}()+\-:]|'\w+"
+    r'|"[^"\\]*(?:\\.[^"\\]*)*"|#[^\n]*|\w+|.)'
 )
 _PUNCTS = frozenset(("->", "::", "<<", ">>", "||", *"\\.,={}()+-:"))
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
@@ -135,72 +138,51 @@ def _tokenize(text: str, fail) -> tuple[list[str], list[str], list[int], list[in
     or the punctuation itself), texts, starts and ends, as positions in
     text.  `fail(message, start, end)` makes each lexical error.
 
-    The text is split at _TOKEN_RE in one call.  A gap between two tokens
-    is layout, or else another word, a lone quote or a bad character.  If
-    there is no comment and no gap but layout, each token's kind follows
-    from its first character.  Otherwise one pass reads the same pieces in
-    text order: it drops comments, and reads a gap's words or raises its
-    first error.  A word, which runs on into a token (`12ab` splits into
-    `12` and `ab`), is an integer up to its last `str.isdigit` character,
-    then an identifier led by a letter or "_"."""
-    pieces = _TOKEN_RE.split(text)  # gap, token, gap, ..., token, gap
-    bounds = list(itertools.accumulate(map(len, pieces)))  # each piece's end
-    if "#" not in text and not "".join(pieces[::2]).strip(" \t\r\n"):
-        texts = pieces[1::2]
-        kinds = [
-            s if s in _PUNCTS else "ident" if (c := s[0]) > "9" else "int" if c >= "0"
-            else "tyvar" if c == "'" else "string"
-            for s in texts
-        ]
-        starts, ends = bounds[::2], bounds[1::2]  # the last start is eof's
-        if "'" in text or '"' in text:  # a type variable drops its quote, a string both
-            texts = [
-                s[1:] if k == "tyvar" else s if k != "string"
-                else _string_literal(text, i, fail)[1] if "\\" in s else s[1:-1]
-                for k, s, i in zip(kinds, texts, starts)
-            ]
+    The text is split at _TOKEN_RE in one call, and each piece's kind is
+    read from its own text: an identifier starts with a `str.isalpha`
+    character or "_", an integer is all `str.isdigit`.  A comment, an
+    escaped string, any other word, a lone quote or a bad character has no
+    kind, and only a text that holds one takes a pass over the pieces, in
+    text order.  It drops comments, decodes escapes, splits a word into an
+    integer up to its last digit and an identifier (`12ab` is `12` and
+    `ab`), and raises the first error."""
+    pieces = _TOKEN_RE.split(text)  # layout, piece, layout, ..., piece, layout
+    bounds = list(itertools.accumulate(map(len, pieces)))  # each one's end
+    texts, starts, ends = pieces[1::2], bounds[::2], bounds[1::2]  # the last start is eof's
+    kinds = [
+        s if s in _PUNCTS
+        else "ident" if (c := s[0]).isalpha() or c == "_"
+        else "int" if s.isdigit()
+        else "tyvar" if c == "'" and s != c
+        else "string" if c == '"' and s != c and "\\" not in s
+        else None
+        for s in texts
+    ]
+    if "'" in text or '"' in text:  # a type variable drops its quote, a string both
+        texts = [s[1:] if k == "tyvar" else s[1:-1] if k == "string" else s for k, s in zip(kinds, texts)]
+    n = len(text)
+    if None not in kinds:
         kinds.append("eof")
         texts.append("")
-        ends.append(len(text))
+        ends.append(n)
         return kinds, texts, starts, ends
     rows = []  # (kind, text, start, end)
-    read, n = 0, len(text)  # read: where the last word in a gap ended
-    for p, s in enumerate(pieces):
-        j = bounds[p]
-        if j <= read:  # empty, or a token that a word ran on into
-            continue
-        i = j - len(s)
-        if p % 2 == 0:  # a gap
-            while i < j:
-                c = text[i]
-                e = i
-                while e < n and (text[e].isalnum() or text[e] == "_"):
-                    e += 1
-                if e == i:
-                    if c in " \t\r\n":
-                        i += 1
-                        continue
-                    if c == '"':  # no whole string starts here, so this raises
-                        _string_literal(text, i, fail)
-                    what = "lone apostrophe" if c == "'" else f"unexpected character {c!r}"
-                    raise fail(what, i, i + 1)
-                d = i
-                while d < e and text[d].isdigit():
-                    d += 1
-                if d > i:
-                    rows.append(("int", text[i:d], i, d))
-                if d < e:
-                    if not (text[d].isalpha() or text[d] == "_"):
-                        raise fail(f"unexpected character {text[d]!r}", d, d + 1)
-                    rows.append(("ident", text[d:e], d, e))
-                i = read = e
-        elif (c := s[0]) == '"':
-            value = _string_literal(text, i, fail)[1] if "\\" in s else s[1:-1]
-            rows.append(("string", value, i, j))
+    for k, s, i, j in zip(kinds, texts, starts, ends):
+        if k is not None:
+            rows.append((k, s, i, j))
+        elif (c := s[0]) == '"':  # an escaped string; a lone quote raises
+            rows.append(("string", _string_literal(text, i, fail)[1], i, j))
         elif c == "'":
-            rows.append(("tyvar", s[1:], i, j))
-        elif c != "#":  # a comment is dropped
-            rows.append((s if s in _PUNCTS else "ident" if c > "9" else "int", s, i, j))
+            raise fail("lone apostrophe", i, j)
+        elif c != "#":  # a comment is dropped; a word splits after its digits
+            d = i
+            while d < j and text[d].isdigit():
+                d += 1
+            if d > i:
+                rows.append(("int", text[i:d], i, d))
+            if not ((c := text[d]).isalpha() or c == "_"):
+                raise fail(f"unexpected character {c!r}", d, d + 1)
+            rows.append(("ident", text[d:j], d, j))
     rows.append(("eof", "", n, n))
     return tuple(map(list, zip(*rows)))
 
@@ -326,8 +308,12 @@ class _Parser:
                 if not s.isdecimal():
                     # str.isdigit, which the tokenizer follows, also takes '²'
                     raise self.fail(f"not a decimal integer {s!r}", i)
+                try:
+                    value = int(s)
+                except ValueError:  # longer than sys.get_int_max_str_digits()
+                    raise self.fail(f"integer literal of {len(s)} digits is too long", i) from None
                 self.i = i + 1
-                t = Const(int(s), "Int", (starts[i], ends[i]))
+                t = Const(value, "Int", (starts[i], ends[i]))
             elif k == "string":
                 self.i = i + 1
                 t = Const(s, "String", (starts[i], ends[i]))

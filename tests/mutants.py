@@ -154,8 +154,8 @@ MUTANTS = (
     Mutant(
         "tokenizer-splits-any-text",
         "parser.py",
-        '    if "#" not in text and not "".join(pieces[::2]).strip(" \\t\\r\\n"):\n',
-        '    if "#" not in text:\n',
+        "    if None not in kinds:\n",
+        "    if True:\n",
         _t(
             "test_parser.py::test_lexical_errors_are_pinned",
             "test_parser.py::test_the_token_table_matches_the_reference_tokenizer",
@@ -164,8 +164,8 @@ MUTANTS = (
     Mutant(
         "tokenizer-keeps-comments",
         "parser.py",
-        '        elif c != "#":  # a comment is dropped\n',
-        "        else:\n",
+        '        elif c != "#":  # a comment is dropped; a word splits after its digits\n',
+        '        elif c == "#":\n            rows.append(("#", s, i, j))\n        else:\n',
         _t(
             "test_parser.py::test_tokens_and_spans_are_pinned",
             "test_parser.py::test_the_token_table_matches_the_reference_tokenizer",
@@ -174,18 +174,18 @@ MUTANTS = (
     Mutant(
         "tokenizer-leaves-escapes",
         "parser.py",
-        '                else _string_literal(text, i, fail)[1] if "\\\\" in s else s[1:-1]\n',
-        "                else s[1:-1]\n",
+        '            rows.append(("string", _string_literal(text, i, fail)[1], i, j))\n',
+        '            rows.append(("string", s[1:-1], i, j))\n',
         _t(
             "test_parser.py::test_lexical_errors_are_pinned",
             "test_parser.py::test_the_token_table_matches_the_reference_tokenizer",
         ),
     ),
     Mutant(
-        "tokenizer-leaves-escapes-beside-a-comment",
+        "tokenizer-calls-an-escaped-string-plain",
         "parser.py",
-        '            value = _string_literal(text, i, fail)[1] if "\\\\" in s else s[1:-1]\n',
-        "            value = s[1:-1]\n",
+        """        else "string" if c == '"' and s != c and "\\\\" not in s\n""",
+        """        else "string" if c == '"' and s != c\n""",
         _t(
             "test_parser.py::test_tokens_and_spans_are_pinned",
             "test_parser.py::test_the_token_table_matches_the_reference_tokenizer",
@@ -194,18 +194,27 @@ MUTANTS = (
     Mutant(
         "tokenizer-reads-a-word-as-one-identifier",
         "parser.py",
-        "                d = i\n"
-        "                while d < e and text[d].isdigit():\n"
-        "                    d += 1\n"
-        "                if d > i:\n"
-        '                    rows.append(("int", text[i:d], i, d))\n'
-        "                if d < e:\n"
-        '                    if not (text[d].isalpha() or text[d] == "_"):\n'
-        '                        raise fail(f"unexpected character {text[d]!r}", d, d + 1)\n'
-        '                    rows.append(("ident", text[d:e], d, e))\n',
-        '                rows.append(("ident", text[i:e], i, e))\n',
+        "            d = i\n"
+        "            while d < j and text[d].isdigit():\n"
+        "                d += 1\n"
+        "            if d > i:\n"
+        '                rows.append(("int", text[i:d], i, d))\n'
+        '            if not ((c := text[d]).isalpha() or c == "_"):\n'
+        '                raise fail(f"unexpected character {c!r}", d, d + 1)\n'
+        '            rows.append(("ident", text[d:j], d, j))\n',
+        '            rows.append(("ident", s, i, j))\n',
         _t(
             "test_parser.py::test_tokens_and_spans_are_pinned",
+            "test_parser.py::test_the_token_table_matches_the_reference_tokenizer",
+        ),
+    ),
+    Mutant(
+        "tokenizer-calls-a-piece-above-9-an-identifier",
+        "parser.py",
+        '        else "ident" if (c := s[0]).isalpha() or c == "_"\n',
+        '        else "ident" if (c := s[0]) > "9"\n',
+        _t(
+            "test_parser.py::test_lexical_errors_are_pinned",
             "test_parser.py::test_the_token_table_matches_the_reference_tokenizer",
         ),
     ),

@@ -18,7 +18,8 @@ from extrec.parser import (
     pretty_term,
     pretty_type,
 )
-from gen import gen_closed_term, gen_two_chain_equation
+from extrec.syntax import TyVar
+from gen import bench_inputs, gen_arb_mono, gen_closed_term, gen_two_chain_equation
 
 ENV_42 = "'a :: << || l: 'b>>\n'b :: U\nx : 'a\ny : 'b\n"
 
@@ -360,6 +361,58 @@ def test_deep_nesting_is_a_usage_error():
     r = run("normalize", "-t", "'r" + "".join(f" + {{{l}: Int}}" for l in labels))
     assert r.exit_code == 0
     assert r.output == "'r" + "".join(f" + {{{l}: Int}}" for l in sorted(labels)) + "\n"
+
+
+def test_mutated_inputs_end_in_an_exit_status_not_a_traceback(tmp_path):
+    # Corpus programs, printed terms and printed types with one to three
+    # characters or tokens spliced in, through each subcommand that reads a
+    # text: every request ends in exit status 0, 1 or 2, never in another
+    # exception or a traceback.  Each status occurs at least 50 times, so
+    # the inputs reach every stage.
+    (tmp_path / "ex.env").write_text(ENV_42)
+    (tmp_path / "k.env").write_text("'a :: << || l: 'b>>\n'b :: U\n")
+    env, kinds = str(tmp_path / "ex.env"), str(tmp_path / "k.env")
+    rng = random.Random(4400)
+    programs = [p.text for p in bench_inputs().corpus_programs(20240)]
+    tyvars = (TyVar(1, "a"), TyVar(2, "b"))
+    splices = (
+        "1" * 4400, "\x00", "\ufeff", "\u2028", "(" * 50, " let ", " in ", " extend ", " forall ",
+        "\\", ".", "'", '"', "#", "{", "}", ",", "=", "::", "->", "<<", "||", "½", "²", "é",
+        # layout and atoms, which leave many texts well formed
+        " ", "\n", "\t", " # note\n", " 1 ", " x ", " true ", " {} ",
+    )
+
+    def spliced(text):
+        for _ in range(rng.randint(1, 3)):
+            cut = rng.randint(0, len(text))
+            text = text[:cut] + rng.choice(splices) + text[cut:]
+        return text
+
+    def term():
+        if rng.random() < 0.5:
+            return spliced(rng.choice(programs))
+        return spliced(pretty_term(gen_closed_term(rng, rng.randint(1, 4))))
+
+    def mono():
+        return pretty_type(gen_arb_mono(rng, rng.randint(0, 3), tyvars))
+
+    requests = (
+        lambda: ["parse", "-e", term()],
+        lambda: ["infer", "-e", term()],
+        lambda: ["infer", "--env", env, "-e", term()],
+        lambda: ["check", "-e", term(), "-t", mono()],
+        lambda: ["eval", "-e", term()],
+        lambda: ["normalize", "-t", spliced(mono())],
+        lambda: ["unify", "--env", kinds, "-e", spliced(f"{mono()} = {mono()}")],
+    )
+    statuses = []
+    for n in range(1500):
+        args = requests[n % len(requests)]()
+        r = run(*args)
+        assert r.exception is None or isinstance(r.exception, SystemExit), (args, r.exception)
+        assert r.exit_code in (0, 1, 2) and "Traceback" not in r.output, args
+        statuses.append(r.exit_code)
+    assert min(statuses.count(code) for code in (0, 1, 2)) >= 50, [statuses.count(c) for c in (0, 1, 2)]
 
 
 def test_deterministic_output():

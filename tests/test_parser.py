@@ -3,6 +3,7 @@ import random
 import pytest
 
 from extrec.parser import (
+    _TOKEN_RE,
     Namer,
     ParseError,
     VarEnv,
@@ -221,6 +222,11 @@ def test_line_file_errors_point_into_the_file(parse, text, message, span):
         # a token is named by its source text: quotes and escapes as written
         (parse_type, "Int 'a", "trailing input \"'a\"", (4, 6, 1, 5), ("end of input",)),
         (parse_type, 'Int "s\\n"', "trailing input '\"s\\\\n\"'", (4, 9, 1, 5), ("end of input",)),
+        # an integer literal that int() would refuse past sys.get_int_max_str_digits()
+        pytest.param(
+            parse_term, "f " + "1" * 5000, "integer literal of 5000 digits is too long", (2, 5002, 1, 3), (),
+            id="long-integer",
+        ),
     ],
 )
 def test_syntax_errors_are_pinned(parse, text, message, span, expected):
@@ -511,15 +517,16 @@ def _lexed(tokenize, text):
 
 
 def test_the_token_table_matches_the_reference_tokenizer():
-    # `_tokenize` splits a text at one regex.  On the benchmark's corpus
-    # and scaling programs, and on printed terms with comments, escaped
-    # strings and one to three characters spliced in, the token table and
+    # `_tokenize` splits a text at one regex, which leaves only layout
+    # between its pieces.  On the benchmark's corpus and scaling programs,
+    # on printed terms with comments, escaped strings and one to three
+    # characters spliced in, and on short random texts, the token table and
     # the errors are those of `gen.reference_tokenize`, a loop of matches.
     bench = bench_inputs()
     texts = [p.text for p in bench.corpus_programs(20240)]
     texts += [bench.scaling_program(f, n)[0] for f in bench.SCALING_FAMILIES for n in (8, 48)]
     rng = random.Random(211)
-    alphabet = "a_1² \t\n\r\x0c#'\"\\.,={}()+-:<>|;é½"
+    alphabet = "a_1²٣ \t\n\r\x0c\u2028#'\"\\.,={}()+-:<>|;é½"
     for _ in range(6000):
         shown = pretty_term(gen_arb_term(rng, rng.randint(0, 4)))
         if rng.random() < 0.25:  # a comment where a space was
@@ -530,8 +537,10 @@ def test_the_token_table_matches_the_reference_tokenizer():
             cut = rng.randint(0, len(shown))
             shown = shown[:cut] + rng.choice(alphabet) + shown[cut:]
         texts.append(shown)
+    texts += ["".join(rng.choices(alphabet, k=rng.randint(0, 12))) for _ in range(20_000)]
     parsed = 0
     for text in texts:
+        assert not "".join(_TOKEN_RE.split(text)[::2]).strip(" \t\r\n"), text
         assert _lexed(_tokenize, text) == _lexed(reference_tokenize, text), text
         try:
             parse_term(text)
