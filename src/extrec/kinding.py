@@ -36,8 +36,10 @@ from .syntax import (
 
 
 def wf_kind_assignment(kenv: KindAssignment) -> bool:
-    """Every kind's free variables stay inside the assignment's domain."""
-    return all(w in kenv for k in kenv.values() for w in ftv(k))
+    """Every kind's free variables stay inside the assignment's domain: one
+    subset test per kind, which uses the hashes the sets store."""
+    kinded = frozenset(kenv)
+    return all(ftv(k) <= kinded for k in kenv.values())
 
 
 def wf_type(kenv: KindAssignment, t: MonoType | Kind | PolyType) -> bool:

@@ -226,7 +226,8 @@ def normalize(t):
     A compound monotype's answer is cached on it and marked on the normal
     form, so that asking again about either costs one slot read.  Kinds and
     polytypes have no cache slot and are mapped afresh."""
-    if isinstance(t, (BaseType, TyVar)):
+    c = t.__class__
+    if c is TyVar or c is BaseType:
         return t
     try:
         nf = t._nf
@@ -234,7 +235,7 @@ def normalize(t):
         return map_type(normalize, t)
     if nf is not None:
         return t if nf is IS_NORMAL else nf
-    if isinstance(t, (Ext, Contr)):
+    if c is Ext or c is Contr:
         nf = _normalize_chain(t)
     else:
         nf = map_type(normalize, t)
@@ -242,7 +243,7 @@ def normalize(t):
         object.__setattr__(t, "_nf", IS_NORMAL)
     else:
         object.__setattr__(t, "_nf", nf)
-        if not isinstance(nf, (BaseType, TyVar)):
+        if nf.__class__ is not TyVar and nf.__class__ is not BaseType:
             object.__setattr__(nf, "_nf", IS_NORMAL)
     return nf
 
@@ -301,5 +302,7 @@ def is_normal(t: MonoType) -> bool:
 
 def equiv(t1, t2) -> bool:
     """Equality modulo reduction and label permutation, of two monotypes,
-    two kinds or two polytypes (whose equality is alpha-invariant)."""
-    return t1 is t2 or t1 == t2 or normalize(t1) == normalize(t2)
+    two kinds or two polytypes (whose equality is alpha-invariant): their
+    normal forms, compared once.  Two equal values have equal normal forms,
+    and a compound monotype caches its own."""
+    return t1 is t2 or normalize(t1) == normalize(t2)

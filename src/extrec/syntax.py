@@ -60,11 +60,17 @@ whose fields the term keeps sorted; and normalization's fold of field
 operations into a record, which inserts and deletes by bisection.
 
 `map_type` is the one structural map over every type-level value: a
-monotype, a kind or a polytype; it keeps a polytype's binders.
-Substitution is one walk over it, `_walk` behind `apply_type`, with one
-capture rule (caught binders are renamed by `freshen`); resolution
-(`unify.resolve`), renaming (`rebind`, for alpha-equality, `freshen` and
-instantiation) and `rename_vars` all go through that walk.
+monotype, a kind or a polytype; it keeps a polytype's binders, and picks
+its branch by the value's class itself.  Substitution is one walk over
+it, `_walk` behind `apply_type`, with one capture rule (caught binders
+are renamed by `freshen`); resolution (`unify.resolve`), renaming
+(`rebind`, for alpha-equality, `freshen` and instantiation) and
+`rename_vars` all go through that walk.  The walk tests a value's free
+variables against the substitution once, at the top, where `resolve`,
+having made that test itself, starts below it; then one closure maps
+every node's children, looking a variable up in the substitution and
+handing back a child whose cached free variables miss it, before any
+further call.
 Normalization is one function over all three through `map_type` too.  The
 walkers that are not maps stay their own: `ftv`, a cached fold; the
 printers in `parser`; and `normalize`'s reference reducer, which stays
@@ -79,7 +85,6 @@ variable has a higher one.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from functools import partial
 from operator import attrgetter, itemgetter
 
 Label = str
@@ -689,43 +694,54 @@ def map_type(f, x):
     its quantifiers' kinds, in order, and its body; its binders are kept,
     so avoiding capture is the caller's job.
     Returns x itself when every child comes back as the same object, so a
-    walk that changes nothing allocates nothing."""
-    if isinstance(x, Arrow):
+    walk that changes nothing allocates nothing.  The branch is picked by
+    x's class itself: no value class has a subclass but `_Chain`'s two."""
+    c = x.__class__
+    if c is Arrow:
         dom, cod = f(x.dom), f(x.cod)
         return x if dom is x.dom and cod is x.cod else Arrow(dom, cod)
-    if isinstance(x, _Chain):
-        bottom, ops = f(x.bottom), _map_ops(f, x.ops)
-        return x if bottom is x.bottom and ops is x.ops else chain(bottom, ops)
-    if isinstance(x, RecordType):
+    if c is RecordType:
         fields = _map_fields(f, x.fields)
         return x if fields is x.fields else trusted_record(fields)
-    if isinstance(x, RecordKind):
+    if c is Ext or c is Contr:
+        bottom, ops = f(x.bottom), _map_ops(f, x.ops)
+        return x if bottom is x.bottom and ops is x.ops else chain(bottom, ops)
+    if c is RecordKind:
         lefts, rights = _map_fields(f, x.lefts), _map_fields(f, x.rights)
         if lefts is x.lefts and rights is x.rights:
             return x
         return trusted_record_kind(lefts, rights)
-    if isinstance(x, PolyType):
+    if c is PolyType:
         quants, body = x.quants and _map_fields(f, x.quants), f(x.body)
         return x if quants is x.quants and body is x.body else poly(body, quants)
-    if isinstance(x, (TyVar, BaseType, UKind)):
+    if c is TyVar or c is BaseType or c is UKind:
         return x
     raise TypeError(f"map_type: not a monotype, kind or polytype: {x!r}")
 
 
 def _map_fields(f, fields):
     """(key, child) pairs with f applied to each child: record fields, kind
-    sides, and a polytype's (binder, kind) quantifiers."""
-    out = tuple([(key, f(t)) for key, t in fields])
-    if all(new is old for (_, new), (_, old) in zip(out, fields)):
-        return fields
-    return out
+    sides, and a polytype's (binder, kind) quantifiers.  One loop builds
+    the new pairs and notes a changed child; an unchanged pair is kept."""
+    out, same = [], True
+    for pair in fields:
+        t = f(pair[1])
+        if t is not pair[1]:
+            pair, same = (pair[0], t), False
+        out.append(pair)
+    return fields if same else tuple(out)
 
 
 def _map_ops(f, ops):
-    out = [op if (t := f(op[2])) is op[2] else (op[0], op[1], t) for op in ops]
-    if all(new is old for new, old in zip(out, ops)):
-        return ops
-    return tuple(out)
+    """A chain's (sign, label, field_type) operations with f applied to each
+    field type, as `_map_fields` maps pairs."""
+    out, same = [], True
+    for op in ops:
+        t = f(op[2])
+        if t is not op[2]:
+            op, same = (op[0], op[1], t), False
+        out.append(op)
+    return ops if same else tuple(out)
 
 
 def apply_type(s: Substitution, t):
@@ -733,26 +749,44 @@ def apply_type(s: Substitution, t):
     variables miss s comes back as itself.  The one capture rule: a
     polytype's binders are renamed first (`freshen`) when s maps one of them,
     or when the image of one of its free variables mentions one."""
-    if isinstance(t, TyVar):  # a lookup is cheaper than the walk
+    if t.__class__ is TyVar:  # a lookup is cheaper than the walk
         return s.get(t, t)
     return _walk(s, t)
 
 
-def _walk(s: Substitution, x):
-    """`apply_type` of x, for its own recursion, `rebind`, `rename_vars` and
-    `unify.resolve`: the benchmark's tracer wraps `apply_type` only."""
-    if isinstance(x, TyVar):
-        return s.get(x, x)
-    # Set difference looks free's members up in s with the hashes the set
-    # has stored, where a test per member would call TyVar.__hash__.
-    free = ftv(x)
-    if len(free.difference(s)) == len(free):
-        return x
+def _walk(s: Substitution, x, met: bool = False):
+    """`apply_type` of x, for `apply_type` itself, `rebind`, `rename_vars`
+    and `unify.resolve` (the benchmark's tracer wraps `apply_type` only).
+    `met` says that the caller has found a free variable of x that s maps,
+    as `resolve` has, so the walk starts below that test.  Below x, one
+    closure maps every node; only x can be a polytype, since no child is
+    one, so the capture rule is applied to x alone."""
+    if not met:
+        if x.__class__ is TyVar:
+            return s.get(x, x)
+        # Set difference looks free's members up in s with the hashes the
+        # set has stored, where a test per member would call TyVar.__hash__.
+        free = ftv(x)
+        if len(free.difference(s)) == len(free):
+            return x
     if x.__class__ is PolyType and x.quants:
-        images = [ftv(s[v]) for v in free if v in s]
+        images = [ftv(s[v]) for v in ftv(x) if v in s]
         if any(v in s or any(v in fv for fv in images) for v, _ in x.quants):
             x = freshen(x)
-    return map_type(partial(_walk, s), x)
+
+    def walk(y):
+        if y.__class__ is TyVar:
+            return s.get(y, y)
+        free = y._fv
+        if free is None:
+            free = ftv(y)
+        if not free or len(free.difference(s)) == len(free):
+            return y
+        return map_type(walk, y)
+
+    y = map_type(walk, x)
+    del walk  # it holds itself through its cell: freed now, not by the collector
+    return y
 
 
 def rename_vars(x, mapping: dict[int, TyVar]):
@@ -775,7 +809,7 @@ def rebind(p: PolyType, binders) -> PolyType:
     s: Substitution = {}
     quants = []
     for (v, k), w in zip(p.quants, binders):
-        quants.append((w, _walk(s, k)))
+        quants.append((w, _walk(s, k) if s else k))
         s[v] = w
     return poly(_walk(s, p.body), tuple(quants))
 

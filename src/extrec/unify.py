@@ -54,7 +54,7 @@ from collections import deque
 from operator import itemgetter
 
 from .kinding import wf_kind_assignment
-from .normalize import CON, EXT, chain_ops, equiv, label_maps, normalize
+from .normalize import CON, EXT, equiv, label_maps, normalize
 from .syntax import (
     Arrow,
     BaseType,
@@ -69,7 +69,6 @@ from .syntax import (
     TyVar,
     UKind,
     _walk,
-    base_of,
     chain,
     ftv,
     trusted_record_kind,
@@ -106,7 +105,7 @@ def resolve(s: Substitution, t):
     to, which may mention variables bound after it.  Resolution compresses
     paths: every binding it follows is overwritten with its resolved image.
     Variable-to-variable links are followed in a loop, not by recursion."""
-    if isinstance(t, TyVar):
+    if t.__class__ is TyVar:
         image = s.get(t)
         if image is None:
             return t
@@ -119,17 +118,15 @@ def resolve(s: Substitution, t):
         for v in path:
             s[v] = image
         return image
-    free = ftv(t)
+    free = t._fv
+    if free is None:
+        free = ftv(t)
     if not free:  # a closed type, as most of inference's records are
         return t
     unbound = free.difference(s)
     if len(unbound) == len(free):
         return t
-    return _walk({v: resolve(s, v) for v in free - unbound}, t)
-
-
-def _is_chain(t: MonoType) -> bool:
-    return isinstance(t, (Ext, Contr))
+    return _walk({v: resolve(s, v) for v in free - unbound}, t, met=True)
 
 
 class Solver:
@@ -224,10 +221,11 @@ def unify(
     eqs = list(equations)
     if not wf_kind_assignment(kenv):
         raise ValueError("unify: kind assignment not well formed")
+    kinded = frozenset(kenv)  # subset tests use the hashes the sets store
     for a, b in eqs:
-        for v in ftv(a) | ftv(b):
-            if v not in kenv:
-                raise ValueError(f"unify: equation variable '{v.name or v.uid}' unkinded")
+        if not (ftv(a) <= kinded and ftv(b) <= kinded):
+            v = next(v for v in ftv(a) | ftv(b) if v not in kinded)
+            raise ValueError(f"unify: equation variable '{v.name or v.uid}' unkinded")
     st = Solver(dict(kenv), fresh if fresh is not None else FRESH.fresh, trace)
     st.solve(eqs)
     return st.resolved()
@@ -240,8 +238,9 @@ def _step(st: Solver, t1: MonoType, t2: MonoType, retried: bool = False):
         if ftv(t1) is not ftv(t2):
             st.lose(None, *(ftv(t1) ^ ftv(t2)))
         return
+    c1, c2 = t1.__class__, t2.__class__  # read once; no type class has a subclass
     # v) record decomposition
-    if isinstance(t1, RecordType) and isinstance(t2, RecordType):
+    if c1 is RecordType and c2 is RecordType:
         m1, m2 = t1.field_map(), t2.field_map()
         if m1.keys() != m2.keys():
             raise UnificationError(KIND, "records with different label sets")
@@ -249,35 +248,35 @@ def _step(st: Solver, t1: MonoType, t2: MonoType, retried: bool = False):
         st.push(*((m1[l], m2[l]) for l in m1))
         return
     # vi) arrow decomposition
-    if isinstance(t1, Arrow) and isinstance(t2, Arrow):
+    if c1 is Arrow and c2 is Arrow:
         st.note("vi")
         st.push((t1.dom, t2.dom), (t1.cod, t2.cod))
         return
     # ii-vii) the kinds of the sides (None for a non-variable) pick the side
     # a rule eliminates, a: universally kinded before record-kinded, the
     # newer of two alike, so that results do not depend on equation order
-    k1 = st.kenv.get(t1) if isinstance(t1, TyVar) else None
-    k2 = st.kenv.get(t2) if isinstance(t2, TyVar) else None
-    a, ka, b, kb = t1, k1, t2, k2
+    k1 = st.kenv.get(t1) if c1 is TyVar else None
+    k2 = st.kenv.get(t2) if c2 is TyVar else None
+    a, ka, b, kb, cb = t1, k1, t2, k2, c2
     if k2 is not None and (
-        k1 is None or (isinstance(k2, UKind), t2.uid) > (isinstance(k1, UKind), t1.uid)
+        k1 is None or (k2.__class__ is UKind, t2.uid) > (k1.__class__ is UKind, t1.uid)
     ):
-        a, ka, b, kb = t2, k2, t1, k1
+        a, ka, b, kb, cb = t2, k2, t1, k1, c1
     # ii) universally kinded variable
-    if isinstance(ka, UKind):
+    if ka.__class__ is UKind:
         st.note("ii")
         if a in ftv(b):
             raise UnificationError(OCCURS, "variable occurs in its own solution")
         st.bind(a, b)
         return
-    if isinstance(ka, RecordKind):
+    if ka.__class__ is RecordKind:
         # iii) two record-kinded variables
-        if isinstance(kb, RecordKind):
+        if kb.__class__ is RecordKind:
             st.note("iii")
             _meet(st, a, b, b)
             return
         # iv) record-kinded variable against a record type
-        if isinstance(b, RecordType):
+        if cb is RecordType:
             st.note("iv")
             _meet(st, a, b, None)
             return
@@ -286,18 +285,18 @@ def _step(st: Solver, t1: MonoType, t2: MonoType, retried: bool = False):
         # (reducible, or with operations out of label order) falls through
         # to the normalization retry below; after rule i the test reads a
         # cached slot.
-        if _is_chain(b) and normalize(b) is b:
+        if (cb is Ext or cb is Contr) and normalize(b) is b:
             base = b.bottom
             if isinstance(base, TyVar) and isinstance(st.kenv.get(base), RecordKind):
                 st.note("vii")
                 _meet(st, a, b, base)
                 return
     # viii and ix read two chains over variables, once
-    chains = _is_chain(t1) and _is_chain(t2)
+    chains = (c1 is Ext or c1 is Contr) and (c2 is Ext or c2 is Contr)
     if chains:
-        base1, ops1 = chain_ops(t1)
-        base2, ops2 = chain_ops(t2)
-        chains = isinstance(base1, TyVar) and isinstance(base2, TyVar)
+        base1, ops1 = t1.bottom, t1.ops
+        base2, ops2 = t2.bottom, t2.ops
+        chains = base1.__class__ is TyVar and base2.__class__ is TyVar
     # viii) matching operation on two chains over variables
     if chains:
         pair = _matching_ops(ops1, ops2)
@@ -333,11 +332,10 @@ def _step(st: Solver, t1: MonoType, t2: MonoType, retried: bool = False):
         _rule_ix(st, base1, ops1, base2, ops2)
         return
     # x) derived: chain over a variable base against a plain record
-    for a, b in ((t1, t2), (t2, t1)):
-        if _is_chain(a) and isinstance(b, RecordType):
-            if isinstance(base_of(a), TyVar):
-                _rule_chain_record(st, a, b)
-                return
+    for a, b, ca, cb in ((t1, t2, c1, c2), (t2, t1, c2, c1)):
+        if (ca is Ext or ca is Contr) and cb is RecordType and a.bottom.__class__ is TyVar:
+            _rule_chain_record(st, a, b)
+            return
     _fail(st, t1, t2)
 
 
@@ -500,8 +498,8 @@ def _fail(st: Solver, t1: MonoType, t2: MonoType):
     for a, b in ((t1, t2), (t2, t1)):
         if isinstance(a, TyVar) and a in ftv(b):
             raise UnificationError(OCCURS, "variable occurs in the other side")
-        if _is_chain(a):
-            base = base_of(a)
+        if isinstance(a, (Ext, Contr)):
+            base = a.bottom
             if isinstance(base, TyVar) and base in ftv(b):
                 raise UnificationError(OCCURS, "chain base occurs in the other side")
     rigid = (BaseType, Arrow)

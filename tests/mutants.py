@@ -152,6 +152,74 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "capture-skipped-below-a-resolve",
+        "syntax.py",
+        "    if x.__class__ is PolyType and x.quants:\n",
+        "    if not met and x.__class__ is PolyType and x.quants:\n",
+        _t("test_subst.py::test_one_walk_substitutes_resolves_and_avoids_capture"),
+    ),
+    Mutant(
+        "walk-skips-the-variable-lookup",
+        "syntax.py",
+        "        if y.__class__ is TyVar:\n            return s.get(y, y)\n",
+        "",
+        _t(
+            "test_subst.py::test_apply_agrees_with_structural_reference",
+            "test_subst.py::test_one_walk_substitutes_resolves_and_avoids_capture",
+        ),
+    ),
+    Mutant(
+        "walk-calls-an-uncached-child-closed",
+        "syntax.py",
+        "        free = y._fv\n        if free is None:\n            free = ftv(y)\n",
+        "        free = y._fv or _NO_VARS\n",
+        _t("test_subst.py::test_the_walk_reads_a_child_whose_free_variables_no_builder_cached"),
+    ),
+    Mutant(
+        "map-fields-hands-back-the-old-tuple",
+        "syntax.py",
+        "            pair, same = (pair[0], t), False\n",
+        "            pair = (pair[0], t)\n",
+        _t(
+            "test_syntax.py::test_map_type_rebuilds_one_level",
+            "test_subst.py::test_apply_agrees_with_structural_reference",
+        ),
+    ),
+    Mutant(
+        "map-ops-hands-back-the-old-tuple",
+        "syntax.py",
+        "            op, same = (op[0], op[1], t), False\n",
+        "            op = (op[0], op[1], t)\n",
+        _t(
+            "test_syntax.py::test_map_type_rebuilds_one_level",
+            "test_subst.py::test_apply_agrees_with_structural_reference",
+        ),
+    ),
+    Mutant(
+        "rebind-leaves-later-kinds",
+        "syntax.py",
+        "        quants.append((w, _walk(s, k) if s else k))\n",
+        "        quants.append((w, k))\n",
+        _t(
+            "test_syntax.py::test_polytype_alpha_equality",
+            "test_subst.py::test_one_walk_substitutes_resolves_and_avoids_capture",
+        ),
+    ),
+    Mutant(
+        "equiv-by-identity",
+        "normalize.py",
+        "    return t1 is t2 or normalize(t1) == normalize(t2)\n",
+        "    return t1 is t2\n",
+        _t("test_normalize.py::test_equiv_agrees_with_the_reference_reducer"),
+    ),
+    Mutant(
+        "unify-entry-checks-one-side",
+        "unify.py",
+        "        if not (ftv(a) <= kinded and ftv(b) <= kinded):\n",
+        "        if not ftv(a) <= kinded:\n",
+        _t("test_unify.py::test_the_entry_checks_agree_with_their_per_variable_definitions"),
+    ),
+    Mutant(
         "tokenizer-splits-any-text",
         "parser.py",
         "    if None not in kinds:\n",

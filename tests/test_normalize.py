@@ -23,6 +23,7 @@ from extrec.syntax import (
     Contr,
     Ext,
     INT,
+    PolyType,
     RecordKind,
     RecordType,
     TyVar,
@@ -30,8 +31,16 @@ from extrec.syntax import (
     chain,
     ftv,
     is_extensible,
+    rebind,
 )
-from gen import gen_debris, gen_kind_assignment, gen_kindable_chain, gen_respecting_subst, subst_equal
+from gen import (
+    DEBRIS_VARS,
+    gen_debris,
+    gen_kind_assignment,
+    gen_kindable_chain,
+    gen_respecting_subst,
+    subst_equal,
+)
 
 a = TyVar(1, "a")
 a1, a2 = TyVar(2, "a1"), TyVar(3, "a2")
@@ -428,3 +437,103 @@ def test_operation_sorting_last_reuses_the_whole_chain():
     assert len(mid.ops) == 1001 and mid.ops[501] == (EXT, "k0500a", INT)
     assert all(mid.ops[i] is long.ops[i] for i in range(501))
     assert all(mid.ops[i + 1] is long.ops[i] for i in range(501, 1000))
+
+
+# ---------------------------------------------------------------------------
+# equiv against the reference reducer, on monotypes, kinds and polytypes
+
+
+def _reference_form(x):
+    """x with every monotype in it replaced by its reference normal form:
+    a kind's field types, a polytype's kinds and body."""
+    if isinstance(x, UKind):
+        return x
+    if isinstance(x, RecordKind):
+        lefts, rights = (tuple((l, _reference_normal_form(t)) for l, t in side) for side in (x.lefts, x.rights))
+        return RecordKind(lefts, rights)
+    if isinstance(x, PolyType):
+        quants = tuple((v, _reference_form(k)) for v, k in x.quants)
+        return PolyType(quants, _reference_normal_form(x.body))
+    return _reference_normal_form(x)
+
+
+def _gen_value(rng, what):
+    """Debris as a monotype, as a kind's field types, or as a polytype's
+    kinds and body, with binders among the variables the debris uses."""
+    depth = rng.randint(1, 3)
+    if what == "mono":
+        return gen_debris(rng, depth)
+    if what == "kind":
+        if rng.random() < 0.15:
+            return UKind()
+        labels = rng.sample(("l", "m", "n", "p"), rng.randint(0, 3))
+        sides = [(l, gen_debris(rng, depth - 1)) for l in labels]
+        cut = rng.randint(0, len(sides))
+        return RecordKind(tuple(sides[:cut]), tuple(sides[cut:]))
+    binders = rng.sample(DEBRIS_VARS, rng.randint(0, 2))
+    return PolyType(tuple((v, _gen_value(rng, "kind")) for v in binders), gen_debris(rng, depth))
+
+
+def _mono_variant(rng, t):
+    """t after one reduction step, with its top chain reversed, or under a
+    cancelling pair (an arrow's codomain so changed): equal to t modulo
+    reduction or label order, except where reversing moves operations on
+    one label past each other."""
+    reducts = one_step_reducts(t)
+    roll = rng.random()
+    if reducts and roll < 0.5:
+        return rng.choice(reducts)
+    if isinstance(t, (Ext, Contr)) and roll < 0.8:
+        return _reversed_chain(t)
+    if is_extensible(t):
+        return Contr(Ext(t, "z", INT), "z", INT)
+    return Arrow(t.dom, _mono_variant(rng, t.cod)) if isinstance(t, Arrow) else t
+
+
+def _variant(rng, x):
+    """A node-disjoint copy of x (a polytype's binders renamed), with one of
+    its monotypes replaced by a `_mono_variant` in every other case."""
+    change = rng.random() < 0.5
+    if isinstance(x, UKind):
+        return UKind()
+    if isinstance(x, RecordKind):
+        sides = [[(l, _uncached(t)) for l, t in side] for side in (x.lefts, x.rights)]
+        filled = [side for side in sides if side]
+        if change and filled:
+            side = rng.choice(filled)
+            i = rng.randrange(len(side))
+            side[i] = (side[i][0], _mono_variant(rng, side[i][1]))
+        return RecordKind(tuple(sides[0]), tuple(sides[1]))
+    if isinstance(x, PolyType):
+        p = rebind(x, [TyVar(900 + i, v.name) for i, (v, _) in enumerate(x.quants)])
+        quants = tuple((v, _variant(rng, k)) for v, k in p.quants)
+        return PolyType(quants, _mono_variant(rng, p.body) if change else _uncached(p.body))
+    return _mono_variant(rng, x) if change else _uncached(x)
+
+
+def test_equiv_agrees_with_the_reference_reducer():
+    # Pairs that are equal, equal only modulo reduction or label order,
+    # unequal and normal, or of different classes; equiv normalizes each
+    # side and compares once, and must answer as the reference forms do.
+    rng = random.Random(4141)
+    seen = Counter()
+    for i in range(2400):
+        what = ("mono", "kind", "poly")[i % 3]
+        x = _gen_value(rng, what)
+        roll = rng.random()
+        if roll < 0.45:
+            y = _variant(rng, x)
+        elif roll < 0.75:
+            x, y = normalize(x), normalize(_gen_value(rng, what))
+        else:
+            y = _gen_value(rng, rng.choice([c for c in ("mono", "kind", "poly") if c != what]))
+        want = _reference_form(x) == _reference_form(y)
+        assert equiv(x, y) == want and equiv(y, x) == want, (x, y)
+        if roll >= 0.75:
+            seen["classes", want] += 1
+        elif want:
+            seen["equal" if x == y else "modulo"] += 1
+        elif normalize(x) is x and normalize(y) is y:
+            seen["unequal normal"] += 1
+    assert seen["classes", True] == 0
+    assert min(seen["equal"], seen["modulo"], seen["unequal normal"], seen["classes", False]) >= 250, seen

@@ -29,6 +29,8 @@ from extrec.syntax import (
     ftv,
     poly,
     record_kind,
+    trusted_record,
+    trusted_record_kind,
 )
 from gen import (
     gen_arb_kind,
@@ -348,6 +350,22 @@ def test_one_walk_substitutes_resolves_and_avoids_capture():
         for x in (p, gen_arb_mono(rng, 3, _POOL), gen_arb_kind(rng, _POOL)):
             assert resolve(tri, x) == apply_type(full, x) == naive_apply(full, x), (tri, x)
     assert maps_binder > 100 and image_mentions_binder > 50, (maps_binder, image_mentions_binder)
+
+
+def test_the_walk_reads_a_child_whose_free_variables_no_builder_cached():
+    # A trusted builder may fill a value's free-variable set and leave its
+    # children's unfilled; the walk computes a child's set where it finds
+    # none, through apply_type and through resolve alike.
+    p, q = _POOL[0], _POOL[1]
+    for make in (
+        lambda: trusted_record_kind((("l", Arrow(p, INT)),), (), frozenset((p,))),
+        lambda: trusted_record((("l", Arrow(INT, p)), ("m", INT)), frozenset((p,))),
+    ):
+        x = make()
+        assert (x.lefts if isinstance(x, RecordKind) else x.fields)[0][1]._fv is None
+        want = naive_apply({p: BOOL}, x)
+        assert apply_type({p: BOOL}, x) == want != x
+        assert resolve({p: q, q: BOOL}, make()) == want
 
 
 def test_apply_returns_untouched_values_themselves():

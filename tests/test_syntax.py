@@ -129,6 +129,10 @@ def test_polytype_alpha_equality():
     assert p1 != p3
     # free variables are not up for renaming
     assert poly(a) != poly(b)
+    # a later quantifier's kind mentions an earlier binder, renamed with it
+    p4 = PolyType(((a, UKind()), (b, RecordKind((("l", a),), ()))), Arrow(b, a))
+    p5 = PolyType(((g, UKind()), (a, RecordKind((("l", g),), ()))), Arrow(a, g))
+    assert p4 == p5 and hash(p4) == hash(p5)
 
 
 def test_ftv_stable_under_renaming():

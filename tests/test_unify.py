@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from extrec.cli import main
 from extrec.infer import FreshSupply, InferResult, infer
-from extrec.kinding import has_kind
+from extrec.kinding import has_kind, wf_kind_assignment
 from extrec.normalize import CON, EXT, chain_ops, equiv, is_normal, normalize
 from extrec.parser import (
     Namer,
@@ -41,8 +41,10 @@ from gen import (
     bench_inputs,
     enumerate_ground_unifiers,
     factors_through,
+    gen_arb_mono,
     gen_closed_term,
     gen_field_order_equations,
+    gen_kind_assignment,
     gen_kinded_equations,
     gen_two_chain_equation,
     mgu_universe,
@@ -102,6 +104,53 @@ def test_ill_formed_input_is_a_value_error():
         unify({a: record_kind([("l", b)])}, [])
     with pytest.raises(ValueError, match="^unify: equation variable 'a' unkinded$"):
         unify({}, [(a, INT)])
+
+
+def _entry_refusal(kenv, eqs):
+    """The entry check's ValueError message by its per-variable definition,
+    a loop in the order of each equation's free variables, or None."""
+    if not all(w in kenv for k in kenv.values() for w in ftv(k)):
+        return "unify: kind assignment not well formed"
+    for lhs, rhs in eqs:
+        for v in ftv(lhs) | ftv(rhs):
+            if v not in kenv:
+                return f"unify: equation variable '{v.name or v.uid}' unkinded"
+    return None
+
+
+def test_the_entry_checks_agree_with_their_per_variable_definitions(monkeypatch):
+    # Kind assignments with dangling variables in their kinds, and equations
+    # over kinded and unkinded variables, some unnamed: the subset tests
+    # accept and refuse as the loops over variables do, and a refusal names
+    # the variable the loop meets first.  Only the entry is under test, so
+    # the solver does nothing: the random equations need not have a kind.
+    monkeypatch.setattr(unify_mod.Solver, "solve", lambda self, equations: None)
+    rng = random.Random(3131)
+    dangling = tuple(TyVar(500 + i, ("d", "e", "")[i % 3]) for i in range(6))
+    seen = Counter()
+    for _ in range(1500):
+        kenv = gen_kind_assignment(rng, rng.randint(0, 4))
+        for v, k in list(kenv.items()):
+            if isinstance(k, RecordKind) and k.lefts and rng.random() < 0.3:
+                l, _ = k.lefts[0]
+                kenv[v] = RecordKind(((l, gen_arb_mono(rng, 1, dangling)),) + k.lefts[1:], k.rights)
+        wf = all(w in kenv for k in kenv.values() for w in ftv(k))
+        assert wf_kind_assignment(kenv) == wf
+        pool = tuple(kenv) + tuple(rng.sample(dangling, rng.randint(0, 3)))
+        eqs = [(gen_arb_mono(rng, 2, pool), gen_arb_mono(rng, 2, pool)) for _ in range(rng.randint(0, 3))]
+        want = _entry_refusal(kenv, eqs)
+        try:
+            unify(kenv, eqs)
+            got = None
+        except ValueError as e:
+            got = str(e)
+        assert got == want, (kenv, eqs)
+        seen[wf, want is None] += 1
+        if want and "' unkinded" in want:
+            unkinded = {v for lhs, rhs in eqs for v in ftv(lhs) | ftv(rhs) if v not in kenv}
+            seen["named among several"] += len(unkinded) > 1
+    assert min(seen[True, True], seen[True, False], seen[False, False]) >= 150, seen
+    assert seen["named among several"] >= 100, seen
 
 
 def test_failure_reasons():
