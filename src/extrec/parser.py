@@ -32,12 +32,16 @@ Every entry point reads its text one way.  `_tokenize` splits it at one
 regex, which puts every character but layout in exactly one piece, and
 makes a flat token table, parallel lists of kind, text, start and end (a
 punctuation token's kind is its text), each kind read from the piece's
-own text.
-The descent reads the table through local variables.  A span is a
-(start, end) pair of offsets, and a term node keeps its head token's,
-read from the table.  `line_col` alone works out a line and a column:
-`ParseError` for its message, the CLI for a type error.  The descent
-builds every term node through its class's constructor.
+own text; only the type variables and strings are visited again, to cut
+their quotes.
+The descent reads the table through local variables.  The term rules
+and `_fields`, which record literals, record types and kinds share, test
+the punctuation and names they expect in line, and call out only to
+raise an error.  A span is a (start, end) pair of offsets, and a term
+node keeps its head token's, read from the table.  `line_col` alone
+works out a line and a column: `ParseError` for its message, the CLI for
+a type error.  The descent builds every term node through its class's
+constructor.
 
 Pretty-printing round-trips: parse(pretty(v)) is structurally equal to v
 (alpha-invariant for polytypes).
@@ -82,6 +86,9 @@ from .syntax import (
 
 TERM_KEYWORDS = {"let", "in", "modify", "extend", "remove", "true", "false"}
 _RECORD_OPS = {"modify": Modify, "extend": Extend, "remove": Remove}
+# The kinds of token, besides an identifier other than `in`, that start an
+# argument of an application
+_ARGUMENT_HEADS = frozenset(("(", "{", "int", "string"))
 
 
 def line_col(text: str, offset: int) -> tuple[int, int]:
@@ -145,7 +152,8 @@ def _tokenize(text: str, fail) -> tuple[list[str], list[str], list[int], list[in
     kind, and only a text that holds one takes a pass over the pieces, in
     text order.  It drops comments, decodes escapes, splits a word into an
     integer up to its last digit and an identifier (`12ab` is `12` and
-    `ab`), and raises the first error."""
+    `ab`), and raises the first error.  A type variable's apostrophe and a
+    plain string's quotes are cut from the tokens of those kinds alone."""
     pieces = _TOKEN_RE.split(text)  # layout, piece, layout, ..., piece, layout
     bounds = list(itertools.accumulate(map(len, pieces)))  # each one's end
     texts, starts, ends = pieces[1::2], bounds[::2], bounds[1::2]  # the last start is eof's
@@ -158,8 +166,12 @@ def _tokenize(text: str, fail) -> tuple[list[str], list[str], list[int], list[in
         else None
         for s in texts
     ]
-    if "'" in text or '"' in text:  # a type variable drops its quote, a string both
-        texts = [s[1:] if k == "tyvar" else s[1:-1] if k == "string" else s for k, s in zip(kinds, texts)]
+    if "'" in text:  # a type variable drops its apostrophe
+        for i in _positions(kinds, "tyvar"):
+            texts[i] = texts[i][1:]
+    if '"' in text:  # a string drops its quotes
+        for i in _positions(kinds, "string"):
+            texts[i] = texts[i][1:-1]
     n = len(text)
     if None not in kinds:
         kinds.append("eof")
@@ -185,6 +197,15 @@ def _tokenize(text: str, fail) -> tuple[list[str], list[str], list[int], list[in
             rows.append(("ident", text[d:j], d, j))
     rows.append(("eof", "", n, n))
     return tuple(map(list, zip(*rows)))
+
+
+def _positions(kinds: list, kind: str):
+    """The positions of kind in kinds, found by `list.index`: the pass over
+    them visits no other token."""
+    i = -1
+    for _ in range(kinds.count(kind)):
+        i = kinds.index(kind, i + 1)
+        yield i
 
 
 def _string_literal(text: str, i: int, fail) -> tuple[int, str]:
@@ -237,6 +258,8 @@ class _Parser:
         return self.fail(f"unexpected {what!r}", i, expected)
 
     # -- token plumbing ----------------------------------------------------
+    # The term descent inlines these tests on its hot paths, and raises
+    # their errors through `unexpected` and `not_a_name`.
     def punct(self, p: str):
         i = self.i
         if self.kinds[i] != p:
@@ -248,12 +271,16 @@ class _Parser:
         names (a label or a variable) in the error for a keyword."""
         i = self.i
         s = self.texts[i]
-        if self.kinds[i] != "ident":
-            raise self.unexpected(i, ("identifier",))
-        if s in TERM_KEYWORDS:
-            raise self.fail(f"keyword {s!r} cannot be {role}", i)
+        if self.kinds[i] != "ident" or s in TERM_KEYWORDS:
+            raise self.not_a_name(i, role)
         self.i = i + 1
         return s
+
+    def not_a_name(self, i: int, role: str) -> ParseError:
+        """The error for token i where `name` expects one."""
+        if self.kinds[i] != "ident":
+            return self.unexpected(i, ("identifier",))
+        return self.fail(f"keyword {self.texts[i]!r} cannot be {role}", i)
 
     def expect_eof(self):
         i = self.i
@@ -268,12 +295,16 @@ class _Parser:
         k = kinds[i]
         if k == "\\" or k == "ident" and texts[i] == "let":
             span = (starts[i], ends[i])
+            i += 1
+            if kinds[i] != "ident" or (name := texts[i]) in TERM_KEYWORDS:
+                raise self.not_a_name(i, "a variable")
+            i += 1
+            sep = "." if k == "\\" else "="
+            if kinds[i] != sep:
+                raise self.unexpected(i, (sep,))
             self.i = i + 1
-            name = self.name("a variable")
             if k == "\\":
-                self.punct(".")
                 return Abs(name, self.term(), span)
-            self.punct("=")
             bound = self.term()
             i = self.i
             if kinds[i] != "ident" or texts[i] != "in":
@@ -285,25 +316,30 @@ class _Parser:
             s = texts[i]
             if k == "ident":
                 if s not in TERM_KEYWORDS:
-                    self.i = i + 1
                     t = Var(s, (starts[i], ends[i]))
+                    i += 1
                 elif s in _RECORD_OPS:
-                    t = self._record_op()
-                elif s in ("true", "false"):
-                    self.i = i + 1
+                    t = self._record_op(i)
+                    i = self.i
+                elif s == "true" or s == "false":
                     t = Const(s == "true", "Bool", (starts[i], ends[i]))
+                    i += 1
                 else:
                     raise self.fail(f"unexpected keyword {s!r}", i)
             elif k == "(":
                 self.i = i + 1
                 t = self.term()
-                self.punct(")")
+                i = self.i
+                if kinds[i] != ")":
+                    raise self.unexpected(i, (")",))
+                i += 1
             elif k == "{":
                 self.i = i + 1
                 try:
                     t = RecordLit(self._fields("=", self.term, "}"), (starts[i], ends[i]))
                 except ValueError as e:
                     raise self.fail(str(e), i) from None
+                i = self.i
             elif k == "int":
                 if not s.isdecimal():
                     # str.isdigit, which the tokenizer follows, also takes '²'
@@ -312,37 +348,53 @@ class _Parser:
                     value = int(s)
                 except ValueError:  # longer than sys.get_int_max_str_digits()
                     raise self.fail(f"integer literal of {len(s)} digits is too long", i) from None
-                self.i = i + 1
                 t = Const(value, "Int", (starts[i], ends[i]))
+                i += 1
             elif k == "string":
-                self.i = i + 1
                 t = Const(s, "String", (starts[i], ends[i]))
+                i += 1
             else:
                 raise self.unexpected(i, ("term",))
-            while kinds[self.i] == ".":
-                self.i += 1
-                t = Select(t, self.name("a label"), t.span)
-            fn = t if fn is None else App(fn, t, fn.span)
-            i = self.i
             k = kinds[i]
-            if not (k == "ident" and texts[i] != "in" or k in ("(", "{", "int", "string")):
+            while k == ".":
+                i += 1
+                if kinds[i] != "ident" or (s := texts[i]) in TERM_KEYWORDS:
+                    raise self.not_a_name(i, "a label")
+                t = Select(t, s, t.span)
+                i += 1
+                k = kinds[i]
+            fn = t if fn is None else App(fn, t, fn.span)
+            if not (k == "ident" and texts[i] != "in" or k in _ARGUMENT_HEADS):
+                self.i = i
                 return fn
 
-    def _record_op(self) -> Term:
-        i = self.i
-        op = self.texts[i]
+    def _record_op(self, i: int) -> Term:
+        """A record operation, from its keyword at token i."""
+        kinds, texts = self.kinds, self.texts
+        op = texts[i]
         span = (self.starts[i], self.ends[i])
-        self.i = i + 1
-        self.punct("(")
+        if kinds[i + 1] != "(":
+            raise self.unexpected(i + 1, ("(",))
+        self.i = i + 2
         target = self.term()
-        self.punct(",")
-        label = self.name("a label")
+        i = self.i
+        if kinds[i] != ",":
+            raise self.unexpected(i, (",",))
+        i += 1
+        if kinds[i] != "ident" or (label := texts[i]) in TERM_KEYWORDS:
+            raise self.not_a_name(i, "a label")
+        i += 1
         if op == "remove":
             t = Remove(target, label, span)
         else:
-            self.punct(",")
+            if kinds[i] != ",":
+                raise self.unexpected(i, (",",))
+            self.i = i + 1
             t = _RECORD_OPS[op](target, label, self.term(), span)
-        self.punct(")")
+            i = self.i
+        if kinds[i] != ")":
+            raise self.unexpected(i, (")",))
+        self.i = i + 1
         return t
 
     # -- types -------------------------------------------------------------
@@ -440,16 +492,23 @@ class _Parser:
     def _fields(self, sep: str, value, close: str) -> tuple:
         """[label sep value {"," label sep value}] close, for record
         literals, record types and each side of a kind."""
-        kinds, fields = self.kinds, []
-        if kinds[self.i] != close:
+        kinds, texts, fields = self.kinds, self.texts, []
+        i = self.i
+        if kinds[i] != close:
             while True:
-                label = self.name("a label")
-                self.punct(sep)
+                if kinds[i] != "ident" or (label := texts[i]) in TERM_KEYWORDS:
+                    raise self.not_a_name(i, "a label")
+                if kinds[i + 1] != sep:
+                    raise self.unexpected(i + 1, (sep,))
+                self.i = i + 2
                 fields.append((label, value()))
-                if kinds[self.i] != ",":
+                i = self.i
+                if kinds[i] != ",":
                     break
-                self.i += 1
-        self.punct(close)
+                i += 1
+        if kinds[i] != close:
+            raise self.unexpected(i, (close,))
+        self.i = i + 1
         return tuple(fields)
 
 

@@ -12,9 +12,11 @@ in `_fields`, in order and each one required, then a term's `span`, by
 position or as `span=`; every other slot, a cache, starts as None.  Eight
 classes write their own: `Const`, `BaseType` and `RecordKind` check their
 arguments (`Const` then fills its slots itself), `RecordLit` and
-`RecordType` sort their fields, `TyVar` has a default name, `Arrow`,
-built on every substitution, fills its slots itself, and
-`derivation.Derivation` checks its rule and has defaults.  A chain's
+`RecordType` sort their fields (`RecordLit` then fills its slots
+itself), `TyVar` has a default name, `Arrow`, built on every
+substitution, fills its slots itself, and `derivation.Derivation`
+checks its rule and has defaults.  `Frozen.__init__` fills two to four
+slots without a loop.  A chain's
 `__new__` builds the node.  The trusted builders write a value's slots
 past its constructor, for callers that vouch for the fields: `chain`,
 `trusted_record`, `trusted_record_kind` and `poly`, all here.  No other
@@ -139,14 +141,36 @@ class Frozen:
         in order and each one required, then a term's `span`, by position or
         as `span=`, None if not given.  Every other slot, a cache, is None."""
         puts = self._puts
-        if kwargs or len(args) != len(puts):
+        n = len(puts)
+        if kwargs or len(args) != n:
             args = self._bind(args, kwargs)
-        i = 0
-        for put in puts:
-            put(self, args[i])
-            i += 1
-        for clear in self._clears:
-            clear(self, None)
+        # unrolled for the two to four slots most classes have: a loop over
+        # them costs a term node about as much as its other work
+        if n == 3:
+            put, put1, put2 = puts
+            arg, arg1, arg2 = args
+            put(self, arg)
+            put1(self, arg1)
+            put2(self, arg2)
+        elif n == 2:
+            put, put1 = puts
+            arg, arg1 = args
+            put(self, arg)
+            put1(self, arg1)
+        elif n == 4:
+            put, put1, put2, put3 = puts
+            arg, arg1, arg2, arg3 = args
+            put(self, arg)
+            put1(self, arg1)
+            put2(self, arg2)
+            put3(self, arg3)
+        else:
+            for put, arg in zip(puts, args):
+                put(self, arg)
+        clears = self._clears
+        if clears:
+            for clear in clears:
+                clear(self, None)
 
     @classmethod
     def _bind(cls, args, kwargs) -> list:
@@ -207,9 +231,10 @@ class Const(Frozen):
             raise ValueError(f"unknown base type {base!r}")
         if isinstance(value, bool) != (base == "Bool") or not isinstance(value, _CONST_TYPES[base]):
             raise ValueError(f"constant {value!r} is not of base type {base}")
-        _set(self, "value", value)
-        _set(self, "base", base)
-        _set(self, "span", span)
+        put_value, put_base, put_span = self._puts
+        put_value(self, value)
+        put_base(self, base)
+        put_span(self, span)
 
 
 class Abs(Frozen):
@@ -234,7 +259,9 @@ class RecordLit(Frozen):
     _fields = ("fields",)
 
     def __init__(self, fields: "tuple[tuple[Label, Term], ...]", span=None):
-        Frozen.__init__(self, _sorted_fields(fields), span)
+        put_fields, put_span = self._puts
+        put_fields(self, _sorted_fields(fields))
+        put_span(self, span)
 
 
 class Select(Frozen):
@@ -260,9 +287,12 @@ class Extend(Frozen):
 Term = Var | Const | Abs | App | Let | RecordLit | Select | Modify | Remove | Extend
 
 
+_LABEL = itemgetter(0)
+
+
 def _sorted_fields(fields):
     """fields sorted by label; ValueError names the first label that repeats."""
-    pairs = tuple(sorted(fields, key=itemgetter(0)))
+    pairs = tuple(sorted(fields, key=_LABEL))
     prev = None
     for label, _ in pairs:
         if label == prev:

@@ -126,7 +126,11 @@ def resolve(s: Substitution, t):
     unbound = free.difference(s)
     if len(unbound) == len(free):
         return t
-    return _walk({v: resolve(s, v) for v in free - unbound}, t, met=True)
+    images = {v: resolve(s, v) for v in free - unbound}
+    try:
+        return _walk(images, t, met=True)
+    except ValueError as e:  # `chain`: a chain's bottom is bound to a type no operation extends
+        raise UnificationError(CONSTRUCTOR, str(e)) from None
 
 
 class Solver:

@@ -81,6 +81,13 @@ MUTANTS = (
         _t("test_infer.py::test_levels_generalize_as_closure_does"),
     ),
     Mutant(
+        "resolve-lets-a-chain-error-escape",
+        "unify.py",
+        "    except ValueError as e:  # `chain`",
+        "    except TypeError as e:  # `chain`",
+        _t("test_unify.py::test_a_chain_over_a_variable_bound_to_a_non_record_is_a_clash"),
+    ),
+    Mutant(
         "fifo-push",
         "unify.py",
         "self.eqs.extendleft(reversed(pairs))",
@@ -287,6 +294,33 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "tokenizer-keeps-a-strings-quotes",
+        "parser.py",
+        "            texts[i] = texts[i][1:-1]\n",
+        "            texts[i] = texts[i]\n",
+        _t(
+            "test_parser.py::test_the_token_table_matches_the_reference_tokenizer",
+            "test_parser.py::test_every_node_carries_its_head_tokens_span_from_the_reference_table",
+        ),
+    ),
+    Mutant(
+        "tokenizer-keeps-a-type-variables-apostrophe",
+        "parser.py",
+        "            texts[i] = texts[i][1:]\n",
+        "            texts[i] = texts[i]\n",
+        _t(
+            "test_parser.py::test_tokens_and_spans_are_pinned",
+            "test_parser.py::test_the_token_table_matches_the_reference_tokenizer",
+        ),
+    ),
+    Mutant(
+        "term-closes-a-parenthesis-at-a-comma",
+        "parser.py",
+        '                if kinds[i] != ")":\n                    raise self.unexpected(i, (")",))\n                i += 1\n',
+        '                if kinds[i] not in (")", ","):\n                    raise self.unexpected(i, (")",))\n                i += 1\n',
+        _t("test_parser.py::test_syntax_errors_are_pinned"),
+    ),
+    Mutant(
         "let-swaps-bound-and-body",
         "parser.py",
         "            return Let(name, bound, self.term(), span)\n",
@@ -312,7 +346,10 @@ MUTANTS = (
         "parser.py",
         "                    t = Var(s, (starts[i], ends[i]))\n",
         "                    t = Var(s, (starts[i], starts[i]))\n",
-        _t("test_parser.py::test_spans_of_parsed_terms_lie_inside_the_text"),
+        _t(
+            "test_parser.py::test_spans_of_parsed_terms_lie_inside_the_text",
+            "test_parser.py::test_every_node_carries_its_head_tokens_span_from_the_reference_table",
+        ),
     ),
     Mutant(
         "generalize-early-on-forgot",
@@ -353,6 +390,13 @@ MUTANTS = (
         '    _set(x, "_fv", fv)\n    return fv\n',
         "    return fv\n",
         _t("test_syntax.py::test_ftv_agrees_with_reference_walk_and_is_cached"),
+    ),
+    Mutant(
+        "constructor-swaps-two-slots",
+        "syntax.py",
+        "            arg, arg1 = args\n",
+        "            arg1, arg = args\n",
+        _t("test_syntax.py::test_plain_value_classes_share_one_constructor"),
     ),
     Mutant(
         "cancel-across-field-types",

@@ -33,6 +33,7 @@ from extrec.syntax import (
     PolyType,
     RecordKind,
     RecordLit,
+    Remove,
     Select,
     TyVar,
     UKind,
@@ -548,3 +549,105 @@ def test_the_token_table_matches_the_reference_tokenizer():
             continue
         parsed += 1
     assert parsed >= 1500, parsed
+
+
+# (kind, text) of the head token of a node of each class that has its own
+_HEAD_TOKENS = {
+    Abs: ("\\", "\\"),
+    Let: ("ident", "let"),
+    RecordLit: ("{", "{"),
+    Modify: ("ident", "modify"),
+    Extend: ("ident", "extend"),
+    Remove: ("ident", "remove"),
+}
+
+
+def _check_heads(t, table, at):
+    """Check that each node of t carries its head token's (start, end) from
+    table, the reference tokenizer's, whose token at index k starts at
+    at[k]; return the index of t's first token.  App and Select have no
+    token of their own and carry their first subterm's span."""
+    kinds, texts, starts, ends = table
+    if isinstance(t, (App, Select)):
+        first = t.fn if isinstance(t, App) else t.target
+        k = _check_heads(first, table, at)
+        assert t.span == first.span, t
+        if isinstance(t, App):
+            assert _check_heads(t.arg, table, at) > k, t
+        return k
+    k = at[t.span[0]]  # a KeyError: the span starts at no token
+    assert t.span == (starts[k], ends[k]), t
+    if isinstance(t, Var):
+        assert (kinds[k], texts[k]) == ("ident", t.name), t
+    elif isinstance(t, Const):
+        if t.base == "Int":
+            assert kinds[k] == "int" and int(texts[k]) == t.value, t
+        else:
+            shown = t.value if t.base == "String" else "true" if t.value else "false"
+            assert (kinds[k], texts[k]) == ("string" if t.base == "String" else "ident", shown), t
+    else:
+        assert (kinds[k], texts[k]) == _HEAD_TOKENS[type(t)], t
+        if isinstance(t, (Abs, Let)):
+            assert (kinds[k + 1], texts[k + 1]) == ("ident", t.param if isinstance(t, Abs) else t.name), t
+            after = k + 2
+            if isinstance(t, Let):
+                after = _check_heads(t.bound, table, at) + 1
+            assert _check_heads(t.body, table, at) >= after, t
+        elif isinstance(t, RecordLit):
+            heads = [_check_heads(v, table, at) for _, v in t.fields]
+            assert len(set(heads)) == len(heads) and all(h > k for h in heads), t
+        else:
+            target = _check_heads(t.target, table, at)
+            assert target > k, t
+            if not isinstance(t, Remove):
+                assert _check_heads(t.value, table, at) > target, t
+    return k
+
+
+def test_every_node_carries_its_head_tokens_span_from_the_reference_table():
+    # On the benchmark's corpus and scaling programs, and on printed terms
+    # with layout, comments, strings (plain and escaped) and type variables
+    # spliced in at token boundaries: each node of a parsed term carries the
+    # (start, end) of its head token in `gen.reference_tokenize`'s table, a
+    # token of the node's kind and text, after its parent's head; App and
+    # Select carry their first subterm's.  A text the parser refuses, as a
+    # term or as a type, is refused at one of the reference's tokens, or
+    # with the reference's lexical error.
+    bench = bench_inputs()
+    texts = [p.text for p in bench.corpus_programs(20240)]
+    texts += [bench.scaling_program(f, n)[0] for f in bench.SCALING_FAMILIES for n in (8, 48)]
+    rng = random.Random(223)
+    splices = (" ", "\n  ", " # note 'a \"s\n", '"s"', '"a\\"b\\n"', "'a", "'b1", "x", "(", ")", "{", ".")
+    for _ in range(2000):
+        shown = rng.choice((pretty_term(gen_arb_term(rng, rng.randint(1, 4))), pretty_poly(gen_arb_poly(rng))))
+        cuts = [s for s in reference_tokenize(shown, None)[2] if rng.random() < 0.2]
+        for cut in sorted(cuts, reverse=True):
+            shown = shown[:cut] + rng.choice(splices) + " " + shown[cut:]
+        texts.append(shown)
+    nodes = strings = refused = at_tyvars = 0
+    for text in texts:
+        try:
+            table = reference_tokenize(text, lambda message, i, j: ParseError(message, text, (i, j)))
+        except ParseError as lexical:
+            for parse in (parse_term, parse_type):
+                with pytest.raises(ParseError) as err:
+                    parse(text)
+                assert (err.value.message, err.value.span) == (lexical.message, lexical.span), text
+            continue
+        at = {start: k for k, start in enumerate(table[2])}
+        for parse in (parse_term, parse_type):
+            try:
+                parsed = parse(text)
+            except ParseError as err:
+                k = at[err.span[0]]
+                assert err.span == (table[2][k], table[3][k]), (text, err)
+                refused += 1
+                at_tyvars += table[0][k] == "tyvar"
+                continue
+            if parse is parse_term:
+                assert set(table[0][: _check_heads(parsed, table, at)]) <= {"("}, text
+                found = list(_term_nodes(parsed))
+                nodes += len(found)
+                strings += sum(isinstance(n, Const) and n.base == "String" for n in found)
+    assert nodes >= 30_000 and strings >= 2500, (nodes, strings)
+    assert refused >= 3000 and at_tyvars >= 300, (refused, at_tyvars)

@@ -153,6 +153,27 @@ def test_the_entry_checks_agree_with_their_per_variable_definitions(monkeypatch)
     assert seen["named among several"] >= 100, seen
 
 
+def test_a_chain_over_a_variable_bound_to_a_non_record_is_a_clash():
+    # Universally kinded variables may be bound to anything, so a chain over
+    # one can meet an arrow or a base type as its bottom.  Building that
+    # chain raises ValueError in `syntax.chain`; the solver reports it as a
+    # constructor clash, whether the chain is resolved for a later equation,
+    # for the result, or under a contraction.
+    kenv = {a: UKind(), b: UKind()}
+    cases = [
+        ([(a, Arrow(INT, INT)), (Ext(a, "l", INT), b)], "extension"),
+        ([(Ext(a, "l", INT), b), (a, Arrow(INT, INT))], "extension"),
+        ([(b, Contr(a, "l", INT)), (a, INT)], "contraction"),
+    ]
+    for eqs, what in cases:
+        with pytest.raises(UnificationError) as e:
+            unify(kenv, eqs)
+        assert (e.value.reason, e.value.message) == (
+            "constructor_clash",
+            f"{what} base must be an extensible type",
+        ), eqs
+
+
 def test_failure_reasons():
     with pytest.raises(UnificationError) as e:
         unify({a: record_kind([("l", INT)])}, [(a, RecordType((("m", BOOL),)))])
