@@ -175,9 +175,9 @@ def infer_cmd(file, expr, env_path, as_json):
         # Typing may strengthen or add kinds beyond the environment's; those
         # entries are printed first, in env-file syntax, so that the type's
         # free variables are all accounted for.
-        for v, k in resid.items():
-            if v not in kenv or not equiv(k, kenv[v]):
-                click.echo(f"'{namer.name(v)} :: {pretty_kind(k, namer)}")
+        added = {v: k for v, k in resid.items() if v not in kenv or not equiv(k, kenv[v])}
+        if added:
+            click.echo(pretty_kind_assignment(added, namer))
         click.echo(pretty_poly(principal, namer))
 
 

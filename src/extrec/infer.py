@@ -56,6 +56,7 @@ from .syntax import (
     Let,
     Modify,
     MonoType,
+    OP_LABEL,
     PolyType,
     RecordKind,
     RecordLit,
@@ -67,6 +68,7 @@ from .syntax import (
     TyVar,
     U,
     Var,
+    find,
     ftv,
     poly,
     rebind,
@@ -81,7 +83,6 @@ from .unify import (
     RIGHT,
     Solver,
     UnificationError,
-    find,
     meet_at,
     resolve,
     write_at,
@@ -333,7 +334,7 @@ def _open_base(run: _Run, t: MonoType, label) -> TyVar | None:
     """The bottom of t when t is a chain over a record-kinded variable whose
     operations, sorted by label in a normal chain, leave label alone."""
     if isinstance(t, (Ext, Contr)) and isinstance(t.bottom, TyVar):
-        if isinstance(run.kenv.get(t.bottom), RecordKind) and find(t.ops, label, 1)[1] is None:
+        if isinstance(run.kenv.get(t.bottom), RecordKind) and find(t.ops, label, OP_LABEL)[1] is None:
             return t.bottom
 
 

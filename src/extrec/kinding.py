@@ -30,7 +30,6 @@ from .syntax import (
     TyVar,
     UKind,
     ftv,
-    is_extensible,
     map_type,
 )
 
@@ -109,8 +108,6 @@ def has_kind(kenv: KindAssignment, t: MonoType, k: Kind) -> bool:
         return False
     if isinstance(k, UKind):
         return True
-    if not is_extensible(t):
-        return False
     info = field_info(kenv, t)
     if info is None:
         return False

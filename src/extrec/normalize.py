@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from operator import itemgetter
 
 from .syntax import (
     CON,
     EXT,
     IS_NORMAL,
+    OP_LABEL,
     Arrow,
     BaseType,
     Contr,
@@ -45,13 +45,11 @@ from .syntax import (
     RecordType,
     TyVar,
     chain,
+    find,
     ftv,
     map_type,
     trusted_record,
 )
-
-_LABEL = itemgetter(1)
-_FIELD_LABEL = itemgetter(0)
 
 
 def chain_ops(t: MonoType) -> tuple[MonoType, tuple[tuple[int, str, MonoType], ...]]:
@@ -158,8 +156,8 @@ def one_step_reducts(t: MonoType) -> list[MonoType]:
 def _fold_into_record(base, ops):
     """Fold operations into base, a record, innermost-first, up to the first
     one that sticks: (new base, operations left), or None if none folds,
-    as over a chain stuck on a record.  Each label is found by bisection
-    in the sorted fields and inserted or deleted there, so nothing is
+    as over a chain stuck on a record.  Each label is found in the sorted
+    fields (`syntax.find`) and inserted or deleted there, so nothing is
     sorted or checked again, and the new base shares the old one's
     (label, type) pairs: extending a record of n fields allocates one pair
     and a list and a tuple of n + 1 references.  The free variables of a
@@ -167,14 +165,13 @@ def _fold_into_record(base, ops):
     fields, fv = list(base.fields), ftv(base)
     folded = 0
     for sign, label, fty in ops:
-        i = bisect_left(fields, label, key=_FIELD_LABEL)
-        here = i < len(fields) and fields[i][0] == label
+        i, here = find(fields, label)
         if sign == CON:
-            if not here or fields[i][1] != fty:
+            if here is None or here != fty:
                 break
             del fields[i]
             fv = None
-        elif here:
+        elif here is not None:
             break
         else:
             fields.insert(i, (label, fty))
@@ -268,10 +265,10 @@ def _normalize_chain(t: MonoType) -> MonoType:
             return chain(*folded)
         # stuck: the rules fold innermost-first, so the order left matters
         return t if same else chain(bottom, prefix + tuple(new))
-    news = sorted(new, key=_LABEL) if len(new) > 1 else new
-    lo = bisect_left(prefix, news[0][1], key=_LABEL)
-    hi = bisect_right(prefix, news[-1][1], lo, key=_LABEL)
-    kept = sorted(prefix[lo:hi] + tuple(news), key=_LABEL)  # prefix's first at equal labels
+    news = sorted(new, key=OP_LABEL) if len(new) > 1 else new
+    lo = bisect_left(prefix, news[0][1], key=OP_LABEL)
+    hi = bisect_right(prefix, news[-1][1], lo, key=OP_LABEL)
+    kept = sorted(prefix[lo:hi] + tuple(news), key=OP_LABEL)  # prefix's first at equal labels
     dropped = _cancel_pairs(kept)
     if dropped:
         kept = [op for j, op in enumerate(kept) if j not in dropped]

@@ -86,9 +86,7 @@ def closure(
     position = {v: i for i, v in enumerate(kenv)}
     ordered = quantifier_prefix(quantify, kenv, kenv, lambda v: (position[v], v.uid))
     residual = {v: k for v, k in kenv.items() if v not in quantify}
-    if not ordered:
-        return residual, poly(t)
-    return residual, PolyType(tuple((v, kenv[v]) for v in ordered), t)
+    return residual, poly(t, tuple((v, kenv[v]) for v in ordered))
 
 
 def quantifier_prefix(quantify: set, others, kinds, rank) -> list:

@@ -3,7 +3,9 @@
 Everything here is an immutable value.  Type variables compare by their
 integer uid; the printable name is cosmetic only.  Label maps (record
 fields, record-kind sides) are kept sorted by label so that structural
-equality is insensitive to the order labels were written in.
+equality is insensitive to the order labels were written in, and `find`
+looks a label up in one, or in a chain's operations sorted by label, by
+bisection under its key, `FIELD_LABEL` or `OP_LABEL`.
 
 Every value class of the package is a `Frozen` subclass with `__slots__`.
 One constructor, `Frozen.__init__`, fills the slots past
@@ -86,6 +88,7 @@ variable has a higher one.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import FrozenInstanceError
 from operator import attrgetter, itemgetter
 
@@ -287,12 +290,19 @@ class Extend(Frozen):
 Term = Var | Const | Abs | App | Let | RecordLit | Select | Modify | Remove | Extend
 
 
-_LABEL = itemgetter(0)
+FIELD_LABEL = itemgetter(0)  # the label of a (label, type) field
+OP_LABEL = itemgetter(1)  # the label of a (sign, label, type) chain operation
+
+
+def find(items, label, key=FIELD_LABEL):
+    """Where label goes in items sorted by key, and its entry's type or None."""
+    i = bisect_left(items, label, key=key)
+    return i, items[i][-1] if i < len(items) and key(items[i]) == label else None
 
 
 def _sorted_fields(fields):
     """fields sorted by label; ValueError names the first label that repeats."""
-    pairs = tuple(sorted(fields, key=_LABEL))
+    pairs = tuple(sorted(fields, key=FIELD_LABEL))
     prev = None
     for label, _ in pairs:
         if label == prev:
@@ -495,10 +505,6 @@ INT = BASE_BY_NAME["Int"]
 BOOL = BASE_BY_NAME["Bool"]
 STRING = BASE_BY_NAME["String"]
 EMPTY_RECORD = RecordType(())
-
-
-def is_extensible(t: MonoType) -> bool:
-    return isinstance(t, (TyVar, RecordType, Ext, Contr))
 
 
 def base_of(t: MonoType) -> MonoType:

@@ -49,9 +49,7 @@ cancellable-operation count) lexicographically, so the loop terminates.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
-from operator import itemgetter
 
 from .kinding import wf_kind_assignment
 from .normalize import CON, EXT, equiv, label_maps, normalize
@@ -70,6 +68,7 @@ from .syntax import (
     UKind,
     _walk,
     chain,
+    find,
     ftv,
     trusted_record_kind,
     union,
@@ -84,7 +83,6 @@ CONSTRUCTOR = "constructor_clash"
 LEFT, RIGHT = 0, 1
 CLASH = ("required field(s) {} absent", "forbidden field(s) {} present")
 OWN_KIND = "variable occurs in its own kind"
-_LABEL_AT = (itemgetter(0), itemgetter(1))  # `find`'s keys
 
 
 class UnificationError(Exception):
@@ -235,7 +233,7 @@ def unify(
     return st.resolved()
 
 
-def _step(st: Solver, t1: MonoType, t2: MonoType, retried: bool = False):
+def _step(st: Solver, t1: MonoType, t2: MonoType):
     # i) equal modulo reduction
     if equiv(t1, t2):
         st.note("i")
@@ -315,15 +313,15 @@ def _step(st: Solver, t1: MonoType, t2: MonoType, retried: bool = False):
                 ),
             )
             return
-    # Retry once on normal forms.  Past this point t1 and t2 are normal: the
+    # Retry on normal forms.  Past this point t1 and t2 are normal: the
     # retry ran, or left them as they were.  `normalize` returns a normal
-    # type itself, so identity tells which; `==` would recurse down both.
-    if not retried:
-        n1, n2 = normalize(t1), normalize(t2)
-        if n1 is not t1 or n2 is not t2:
-            st.lose(None, *(ftv(t1) - ftv(n1)), *(ftv(t2) - ftv(n2)))
-            _step(st, n1, n2, retried=True)
-            return
+    # type itself, so identity tells which, and a retry's own retry does not
+    # fire; `==` would recurse down both.
+    n1, n2 = normalize(t1), normalize(t2)
+    if n1 is not t1 or n2 is not t2:
+        st.lose(None, *(ftv(t1) - ftv(n1)), *(ftv(t2) - ftv(n2)))
+        _step(st, n1, n2)
+        return
     # ix) two chains over distinct record-kinded variables, merged onto a
     # fresh common base
     if (
@@ -350,12 +348,6 @@ def _matching_ops(ops1, ops2):
             if s1 == s2 and l1 == l2:
                 return i, j
     return None
-
-
-def find(pairs, label, at=0):
-    """Where label goes in pairs sorted by the label at `at`, and its entry's type or None."""
-    i = bisect_left(pairs, label, key=_LABEL_AT[at])
-    return i, pairs[i][-1] if i < len(pairs) and pairs[i][at] == label else None
 
 
 def meet_at(facts, label, side):

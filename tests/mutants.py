@@ -76,7 +76,7 @@ MUTANTS = (
     Mutant(
         "retry-no-lose",
         "unify.py",
-        "            st.lose(None, *(ftv(t1) - ftv(n1)), *(ftv(t2) - ftv(n2)))\n",
+        "        st.lose(None, *(ftv(t1) - ftv(n1)), *(ftv(t2) - ftv(n2)))\n",
         "",
         _t("test_infer.py::test_levels_generalize_as_closure_does"),
     ),
@@ -137,6 +137,13 @@ MUTANTS = (
         "            _check_base(run.current(subject), run.current(value), ext)\n",
         "            pass\n",
         _t("test_infer.py::test_extend_base_occurs_caught_after_later_aliasing"),
+    ),
+    Mutant(
+        "find-reads-a-fields-label-in-an-operation",
+        "syntax.py",
+        "key(items[i]) == label",
+        "items[i][0] == label",
+        _t("test_syntax.py::test_find_agrees_with_a_linear_scan"),
     ),
     Mutant(
         "capture-misses-a-mapped-binder",
@@ -412,8 +419,8 @@ MUTANTS = (
     Mutant(
         "contraction-folds-any-field-type",
         "normalize.py",
-        "            if not here or fields[i][1] != fty:\n",
-        "            if not here:\n",
+        "            if here is None or here != fty:\n",
+        "            if here is None:\n",
         _t(
             "test_normalize.py::test_one_operation_on_a_normal_chain_equals_reference",
             "test_normalize.py::test_normalize_equals_reference_loop_on_debris",

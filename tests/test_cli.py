@@ -629,16 +629,19 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         run = dict(cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True)
         cli = [sys.executable, "-m", "extrec.cli"]
         procs[seed] = [
-            subprocess.Popen(cli + requests[5], **run),
-            subprocess.Popen(cli + requests[6], **run),
-            subprocess.Popen([sys.executable, "-c", _DRIVER], stdin=subprocess.PIPE, **run),
+            (subprocess.Popen(cli + requests[5], **run), None),
+            (subprocess.Popen(cli + requests[6], **run), None),
+            (
+                subprocess.Popen([sys.executable, "-c", _DRIVER], stdin=subprocess.PIPE, **run),
+                json.dumps(requests),
+            ),
         ]
-        procs[seed][2].stdin.write(json.dumps(requests))
-        procs[seed][2].stdin.close()
-    outputs = {seed: [p.stdout.read() for p in ps] for seed, ps in procs.items()}
-    for ps in procs.values():
-        for p in ps:
-            p.wait()
+    # each process runs while the ones before it are read; communicate
+    # closes every pipe and reaps the process
+    outputs = {
+        seed: [p.communicate(input=text, timeout=600)[0] for p, text in ps]
+        for seed, ps in procs.items()
+    }
     assert outputs["0"] == outputs["1"]
     results = json.loads(outputs["0"][2])
     assert [status for status, _ in results[:7]] == [0] * 7

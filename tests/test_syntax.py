@@ -4,6 +4,7 @@ import importlib
 import pickle
 import pkgutil
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -23,15 +24,19 @@ from extrec.syntax import (
     Arrow,
     BOOL,
     BaseType,
+    CON,
     Const,
     Contr,
     EMPTY_RECORD,
+    EXT,
     Ext,
     Extend,
+    FIELD_LABEL,
     Frozen,
     INT,
     Let,
     Modify,
+    OP_LABEL,
     PolyType,
     RecordKind,
     RecordLit,
@@ -43,6 +48,7 @@ from extrec.syntax import (
     UKind,
     base_of,
     eftv,
+    find,
     ftv,
     map_type,
     poly,
@@ -117,6 +123,37 @@ def test_record_labels_sorted_and_distinct():
     with pytest.raises(ValueError):
         RecordKind((("l", INT),), (("l", BOOL),))
     assert EMPTY_RECORD.fields == ()
+
+
+def test_find_agrees_with_a_linear_scan():
+    # `find` looks labels up in record fields and kind sides, sorted under
+    # FIELD_LABEL (the default key), and in a chain's operations sorted
+    # under OP_LABEL, where a label may repeat: the position is the count
+    # of entries below the label, the type that of its first entry
+    rng = random.Random(5150)
+    labels = ("b", "c", "l", "m", "n")
+    types = (INT, BOOL, TyVar(7, "t"))
+    seen = Counter()
+    for _ in range(2000):
+        n = rng.randint(0, 5)
+        fields = [(l, rng.choice(types)) for l in rng.sample(labels, n)]
+        ops = [(rng.choice((EXT, CON)), rng.choice(labels), rng.choice(types)) for _ in range(n)]
+        for items, at, key in ((fields, 0, FIELD_LABEL), (ops, 1, OP_LABEL)):
+            items = tuple(sorted(items, key=key))
+            for label in (*labels, "a", "k", "z"):
+                i, t = find(items, label) if at == 0 else find(items, label, OP_LABEL)
+                assert i == sum(item[at] < label for item in items), (items, label)
+                assert t is next((item[-1] for item in items if item[at] == label), None)
+                if not items:
+                    seen[at, "empty"] += 1
+                elif t is None:
+                    seen[at, "absent at the end" if i == len(items) else "absent inside"] += 1
+                else:
+                    seen[at, "present"] += 1
+                    seen[at, "first"] += i == 0
+                    seen[at, "last"] += items[-1][at] == label
+    cases = ("empty", "absent inside", "absent at the end", "present", "first", "last")
+    assert min(seen[at, case] for at in (0, 1) for case in cases) >= 100, seen
 
 
 def test_polytype_alpha_equality():

@@ -611,16 +611,21 @@ def test_symmetry():
 
 
 def test_termination_bulk(monkeypatch):
-    # the solver's loop makes one top-level _step call per iteration; one
-    # unify call may make at most 200 * (len(eqs) + 5) of them
-    budget = [0]
+    # the solver's loop makes one top-level _step call per iteration (a
+    # retry on normal forms is a nested one); one unify call may make at
+    # most 200 * (len(eqs) + 5) of them
+    budget, depth = [0], [0]
     step = unify_mod._step
 
-    def counting_step(st, t1, t2, retried=False):
-        if not retried:
+    def counting_step(st, t1, t2):
+        if not depth[0]:
             budget[0] -= 1
             assert budget[0] >= 0, "unify: transformation did not terminate"
-        return step(st, t1, t2, retried)
+        depth[0] += 1
+        try:
+            return step(st, t1, t2)
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(unify_mod, "_step", counting_step)
     rng = random.Random(83)
