@@ -25,15 +25,15 @@ A var or a label is an ident that is not a term keyword: let, in,
 modify, extend, remove, true or false.
 
 Environment files hold one declaration per line: `'a :: KIND` for kinds,
-`x : POLYTYPE` for term variables, x a var; `#` starts a comment.  A
-name is declared at most once.
+`x : POLYTYPE` for term variables, x a var, each name declared at most
+once; their comments, `#` to the line's end, are the tokenizer's.
 
-Every entry point reads its text one way.  `_tokenize` splits it at one
-regex, which puts every character but layout in exactly one piece, and
-makes a flat token table, parallel lists of kind, text, start and end (a
-punctuation token's kind is its text), each kind read from the piece's
-own text; only the type variables and strings are visited again, to cut
-their quotes.
+Every entry point reads its text as one token table; a declaration file's
+lines are cut from it.  `_tokenize` splits a text at one regex, which puts
+every character but layout in exactly one piece, and makes a flat token
+table, parallel lists of kind, text, start and end (a punctuation token's
+kind is its text), each kind read from the piece's own text; only the
+type variables and strings are visited again, to cut their quotes.
 The descent reads the table through local variables.  The term rules
 and `_fields`, which record literals, record types and kinds share, test
 the punctuation and names they expect in line, and call out only to
@@ -233,18 +233,15 @@ def _string_literal(text: str, i: int, fail) -> tuple[int, str]:
 
 
 class _Parser:
-    """Recursive descent over the token table of one text, which lies at
-    `offset` in `source` (by default the text itself, at 0); the table's
-    starts and ends, and so every span, are offsets in source.  `i` is the
-    next token."""
+    """Recursive descent over a token table of text (`source`): by default
+    `_tokenize`'s, or a ready `table` of rows cut from it.  Every span is a
+    pair of offsets in source.  `i` is the next token."""
 
-    def __init__(self, text: str, env: VarEnv | None, source: str | None = None, offset: int = 0):
-        self.source = source = text if source is None else source
-        self.kinds, self.texts, starts, ends = _tokenize(
-            text, lambda message, i, j: ParseError(message, source, (i + offset, j + offset))
-        )
-        self.starts = [i + offset for i in starts] if offset else starts
-        self.ends = [j + offset for j in ends] if offset else ends
+    def __init__(self, text: str, env: VarEnv | None, table: tuple | None = None):
+        self.source = text
+        if table is None:
+            table = _tokenize(text, lambda message, i, j: ParseError(message, text, (i, j)))
+        self.kinds, self.texts, self.starts, self.ends = table
         self.i = 0
         self.env = env
 
@@ -540,16 +537,18 @@ def parse_kind(text: str, env: VarEnv | None = None) -> Kind:
 
 
 def _line_parsers(text: str, env: VarEnv):
-    """A parser for each line of text that holds more than layout and a
-    comment; its spans are offsets in text.  A line ends at "\\n" only,
-    as in a term, and only the tokenizer's layout is stripped from it."""
-    offset = 0
-    for line in text.split("\n"):
-        code = line.split("#", 1)[0]
-        stripped = code.strip(" \t\r")
-        if stripped:
-            yield _Parser(stripped, env, text, offset + len(code) - len(code.lstrip(" \t\r")))
-        offset += len(line) + 1
+    """A parser for each line of text that holds a token: the line's rows of
+    the text's one token table, and an end of input where its last token
+    ends.  A line ends at a gap between tokens that holds "\\n", as in a term."""
+    whole = _Parser(text, env)
+    kinds, texts, starts, ends = whole.kinds, whole.texts, whole.starts, whole.ends
+    first, last = 0, len(kinds) - 1  # eof's row
+    for i in range(1, last + 1):
+        if i == last or text.find("\n", ends[i - 1], starts[i]) >= 0:
+            end, rows = ends[i - 1], slice(first, i)
+            table = kinds[rows] + ["eof"], texts[rows] + [""], starts[rows] + [end], ends[rows] + [end]
+            yield _Parser(text, env, table)
+            first = i
 
 
 def parse_env_file(

@@ -10,7 +10,15 @@ from pathlib import Path
 
 from extrec.kinding import field_info, has_kind
 from extrec.normalize import equiv, normalize
-from extrec.parser import _string_literal
+from extrec.parser import (
+    ParseError,
+    _Parser,
+    _string_literal,
+    _tokenize,
+    pretty_kind,
+    pretty_poly,
+    pretty_type,
+)
 from extrec.subst import apply_type
 from extrec.syntax import (
     Abs,
@@ -717,3 +725,52 @@ def reference_tokenize(text: str, fail) -> tuple[list[str], list[str], list[int]
     start(n)
     end(n)
     return kinds, texts, starts, ends
+
+
+# A declaration file's lines as the parser once cut them, kept as a
+# reference for `_line_parsers`, which cuts the text's one token table.
+def reference_line_parsers(text: str, env):
+    """A parser for each line of text, split at "\\n", cut at its first "#"
+    and stripped of layout, that holds anything: what is left is tokenized
+    alone, and its spans are re-based to offsets in text."""
+    offset = 0
+    for line in text.split("\n"):
+        code = line.split("#", 1)[0]
+        stripped = code.strip(" \t\r")
+        if stripped:
+            at = offset + len(code) - len(code.lstrip(" \t\r"))
+            kinds, texts, starts, ends = _tokenize(
+                stripped, lambda message, i, j: ParseError(message, text, (i + at, j + at))
+            )
+            yield _Parser(text, env, (kinds, texts, [i + at for i in starts], [j + at for j in ends]))
+        offset += len(line) + 1
+
+
+DECL_COMMENTS = ("", "", "", "  # note", ' # it\'s "x"', ' #"', " # 'a \\")
+DECL_SPLICES = ('"', "#", "'", "\n", "\r\n", "\r", " ", "\t", ";", ":", "=", "->", "{", "}", "<<", "||", "½")
+
+
+def gen_decl_file(rng: random.Random) -> tuple[bool, str]:
+    """(is_env, text): an env file when is_env, else an equation set, of
+    printed declarations or equations on lines ended by "\\n" or "\\r\\n",
+    some indented, some blank, some with a comment that may hold quotes,
+    and 0 to 2 of DECL_SPLICES spliced in."""
+    tyvars = (TyVar(100, "v0"), TyVar(101, "v1"))
+    is_env = rng.random() < 0.5
+    lines = []
+    for n in range(rng.randint(1, 5)):
+        if not is_env:
+            lhs, rhs = (pretty_type(gen_arb_mono(rng, 2, tyvars)) for _ in "lr")
+            decl = f"{lhs} = {rhs}"
+        elif rng.random() < 0.4:
+            decl = f"'k{n} :: {pretty_kind(gen_arb_kind(rng, tyvars))}"
+        else:
+            decl = f"x{n} : {pretty_poly(gen_arb_poly(rng))}"
+        lines.append(rng.choice(("", "", "  ", "\t ")) + decl + rng.choice(DECL_COMMENTS))
+        if rng.random() < 0.2:
+            lines.append(rng.choice(("", "  ", "# only a comment", ' # "')))
+    text = rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n", "\r\n"))
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        cut = rng.randint(0, len(text))
+        text = text[:cut] + rng.choice(DECL_SPLICES) + text[cut:]
+    return is_env, text

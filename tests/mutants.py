@@ -321,6 +321,33 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "line-ends-at-the-next-lines-first-token",
+        "parser.py",
+        "            end, rows = ends[i - 1], slice(first, i)\n",
+        "            end, rows = starts[i], slice(first, i)\n",
+        _t(
+            "test_parser.py::test_spans_of_fuzzed_input_lie_inside_the_text",
+            "test_parser.py::test_declaration_files_read_as_the_per_line_reference_does",
+        ),
+    ),
+    Mutant(
+        "line-ends-at-the-end-of-the-text",
+        "parser.py",
+        "            end, rows = ends[i - 1], slice(first, i)\n",
+        "            end, rows = len(text), slice(first, i)\n",
+        _t(
+            "test_parser.py::test_line_file_errors_point_into_the_file",
+            "test_parser.py::test_spans_of_fuzzed_input_lie_inside_the_text",
+        ),
+    ),
+    Mutant(
+        "line-ends-at-a-lone-carriage-return",
+        "parser.py",
+        '        if i == last or text.find("\\n", ends[i - 1], starts[i]) >= 0:\n',
+        '        if i == last or any(c in text[ends[i - 1] : starts[i]] for c in "\\n\\r"):\n',
+        _t("test_parser.py::test_a_lone_carriage_return_ends_no_line"),
+    ),
+    Mutant(
         "term-closes-a-parenthesis-at-a-comma",
         "parser.py",
         '                if kinds[i] != ")":\n                    raise self.unexpected(i, (")",))\n                i += 1\n',

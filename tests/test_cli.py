@@ -364,14 +364,17 @@ def test_deep_nesting_is_a_usage_error():
 
 
 def test_mutated_inputs_end_in_an_exit_status_not_a_traceback(tmp_path):
-    # Corpus programs, printed terms and printed types with one to three
-    # characters or tokens spliced in, through each subcommand that reads a
-    # text: every request ends in exit status 0, 1 or 2, never in another
-    # exception or a traceback.  Each status occurs at least 50 times, so
-    # the inputs reach every stage.
+    # Corpus programs, printed terms and printed types, env files and
+    # equation sets of several lines, with one to three characters or tokens
+    # spliced in, through each subcommand that reads a text: every request
+    # ends in exit status 0, 1 or 2, never in another exception or a
+    # traceback.  Each status occurs at least 50 times, so the inputs reach
+    # every stage.
     (tmp_path / "ex.env").write_text(ENV_42)
-    (tmp_path / "k.env").write_text("'a :: << || l: 'b>>\n'b :: U\n")
+    kind_lines = "'a :: << || l: 'b>>\n'b :: U\n"
+    (tmp_path / "k.env").write_text(kind_lines)
     env, kinds = str(tmp_path / "ex.env"), str(tmp_path / "k.env")
+    spliced_env = tmp_path / "spliced.env"
     rng = random.Random(4400)
     programs = [p.text for p in bench_inputs().corpus_programs(20240)]
     tyvars = (TyVar(1, "a"), TyVar(2, "b"))
@@ -379,7 +382,7 @@ def test_mutated_inputs_end_in_an_exit_status_not_a_traceback(tmp_path):
         "1" * 4400, "\x00", "\ufeff", "\u2028", "(" * 50, " let ", " in ", " extend ", " forall ",
         "\\", ".", "'", '"', "#", "{", "}", ",", "=", "::", "->", "<<", "||", "½", "²", "é",
         # layout and atoms, which leave many texts well formed
-        " ", "\n", "\t", " # note\n", " 1 ", " x ", " true ", " {} ",
+        " ", "\n", "\r\n", "\t", " # note\n", " 1 ", " x ", " true ", " {} ",
     )
 
     def spliced(text):
@@ -396,6 +399,13 @@ def test_mutated_inputs_end_in_an_exit_status_not_a_traceback(tmp_path):
     def mono():
         return pretty_type(gen_arb_mono(rng, rng.randint(0, 3), tyvars))
 
+    def env_file():
+        spliced_env.write_bytes(spliced(rng.choice((ENV_42, kind_lines))).encode("utf-8"))
+        return str(spliced_env)
+
+    def equations():
+        return "\n".join(f"{mono()} = {mono()}" for _ in range(rng.randint(1, 3)))
+
     requests = (
         lambda: ["parse", "-e", term()],
         lambda: ["infer", "-e", term()],
@@ -404,9 +414,11 @@ def test_mutated_inputs_end_in_an_exit_status_not_a_traceback(tmp_path):
         lambda: ["eval", "-e", term()],
         lambda: ["normalize", "-t", spliced(mono())],
         lambda: ["unify", "--env", kinds, "-e", spliced(f"{mono()} = {mono()}")],
+        lambda: ["infer", "--env", env_file(), "-e", rng.choice(("x", "y", "1", "x.l", "extend(x, l, y)"))],
+        lambda: ["unify", "--env", kinds, "-e", spliced(equations())],
     )
     statuses = []
-    for n in range(1500):
+    for n in range(1800):
         args = requests[n % len(requests)]()
         r = run(*args)
         assert r.exception is None or isinstance(r.exception, SystemExit), (args, r.exception)

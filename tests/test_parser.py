@@ -8,6 +8,7 @@ from extrec.parser import (
     ParseError,
     VarEnv,
     _Parser,
+    _line_parsers,
     _tokenize,
     line_col,
     parse_env_file,
@@ -47,7 +48,9 @@ from gen import (
     gen_arb_mono,
     gen_arb_poly,
     gen_arb_term,
+    gen_decl_file,
     reference_line_col,
+    reference_line_parsers,
     reference_tokenize,
 )
 
@@ -164,10 +167,17 @@ def test_parse_equations():
     assert eqs[0][0] == env.names["a"]
 
 
+def test_a_lone_carriage_return_ends_no_line():
+    # a line ends at "\n" only: a lone CR is layout, inside a declaration
+    _, tenv, _ = parse_env_file("x : Int\r-> Int\n")
+    assert tenv == {"x": parse_type("Int -> Int")}
+
+
 @pytest.mark.parametrize(
     "parse, text, message, span",
     [
         (parse_env_file, "'a :: U\n\nx : 'a\ny : Int ->", "unexpected 'end of input'", (26, 26, 4, 11)),
+        (parse_env_file, "x : Int ->  # more\r\ny : Int\n", "unexpected 'end of input'", (10, 10, 1, 11)),
         (parse_equations, "'a = Int\n# note\n  'b = -> Int\n", "unexpected '->'", (23, 25, 3, 8)),
         (parse_env_file, "x : Int\n\t y : ; \n", "unexpected character ';'", (14, 15, 2, 7)),
         # a name is declared once; a second declaration is refused, not taken
@@ -178,6 +188,11 @@ def test_parse_equations():
         (parse_env_file, "x : Int\x0c", "unexpected character '\\x0c'", (7, 8, 1, 8)),
         # a keyword names no variable
         (parse_env_file, "x : Int\n  true : Bool\n", "keyword 'true' cannot be a variable", (10, 14, 2, 3)),
+        # a string is one token, "#" and all, as in a term
+        (parse_env_file, 'x : "a#b"\n', "unexpected '\"a#b\"'", (4, 9, 1, 5)),
+        (parse_equations, '"a#b" = Int', "unexpected '\"a#b\"'", (0, 5, 1, 1)),
+        # the file is tokenized whole before its first line is parsed
+        (parse_env_file, "x : Int ->\ny : ;\n", "unexpected character ';'", (15, 16, 2, 5)),
     ],
 )
 def test_line_file_errors_point_into_the_file(parse, text, message, span):
@@ -185,6 +200,64 @@ def test_line_file_errors_point_into_the_file(parse, text, message, span):
         parse(text)
     e = err.value
     assert (e.message, (*e.span, e.line, e.col)) == (message, span)
+
+
+def test_a_declaration_file_is_tokenized_once(monkeypatch):
+    calls = []
+
+    def counted(text, fail):
+        calls.append(text)
+        return _tokenize(text, fail)
+
+    monkeypatch.setattr("extrec.parser._tokenize", counted)
+    for parse, text in (
+        (parse_env_file, "'a :: U  # kinds\r\n\nx : 'a -> Int\n  y : forall 'b :: U. 'b\n"),
+        (parse_equations, "'a = Int\n# note\n  {l: 'a} = 'b\r\n'b = {l: Int}"),
+    ):
+        calls.clear()
+        parse(text)
+        assert calls == [text]
+
+
+def _read(parse, text):
+    """What parse makes of text: its values and the variables it named, or
+    the message, span and expected tokens of its error."""
+    try:
+        *values, env = parse(text)
+    except ParseError as e:
+        return "refused", e.message, e.span, e.expected
+    return "accepted", values, env.names, env.next_uid
+
+
+def test_declaration_files_read_as_the_per_line_reference_does(monkeypatch):
+    # Fuzzed env files and equation sets, read from the text's one token
+    # table and by `gen.reference_line_parsers`, which splits the text at
+    # "\n", cuts each line at its first "#", strips it and tokenizes it
+    # alone.  Every accepted file gives the same values, no verdict moves,
+    # and a refusal differs in one of two ways only: a '"' stands outside a
+    # comment, so that a string reads on past where the line's cut stopped
+    # it, or the whole text's lexical error, on a later line, is now met
+    # before the reference's error on an earlier one, as in a term.
+    rng = random.Random(5)
+    accepted = strings = lexical_first = 0
+    for _ in range(2500):
+        is_env, text = gen_decl_file(rng)
+        parse = parse_env_file if is_env else parse_equations
+        new = _read(parse, text)
+        with monkeypatch.context() as m:
+            m.setattr("extrec.parser._line_parsers", reference_line_parsers)
+            old = _read(parse, text)
+        accepted += new[0] == "accepted"
+        if new == old:
+            continue
+        assert new[0] == old[0] == "refused", (text, old, new)
+        if any('"' in line.split("#", 1)[0] for line in text.split("\n")):
+            strings += 1
+            continue
+        assert new[1:3] == _lexed(_tokenize, text), (text, old, new)
+        assert line_col(text, old[2][0])[0] < line_col(text, new[2][0])[0], (text, old, new)
+        lexical_first += 1
+    assert accepted >= 800 and strings >= 50 and lexical_first >= 20, (accepted, strings, lexical_first)
 
 
 @pytest.mark.parametrize(
@@ -291,16 +364,34 @@ def test_round_trip_kinds_and_polytypes_random():
         assert canon(parse_type(pretty_poly(p))) == canon(p)
 
 
-def _tokens(text, prefix=""):
-    """(kind, text, start, end, line, col) of each token of text, which
-    follows prefix in its source; line and col are `line_col`'s."""
-    source = prefix + text
-    p = _Parser(text, None, source, len(prefix))
+def _tokens(text):
+    """(kind, text, start, end, line, col) of each token of text; line and
+    col are `line_col`'s."""
+    p = _Parser(text, None)
     named = ("ident", "int", "string", "tyvar", "eof")
     return [
-        (k if k in named else "punct", s, i, j, *line_col(source, i))
+        (k if k in named else "punct", s, i, j, *line_col(text, i))
         for k, s, i, j in zip(p.kinds, p.texts, p.starts, p.ends)
     ]
+
+
+def _line_rows(text):
+    """(kind, start, end, line, col) of each row of each line's table that
+    `_line_parsers` cuts from text's one token table, end of input
+    included; line and col are `line_col`'s.  Each line's rows are checked
+    against the whole table: together, less their ends of input, they are
+    its rows less its own, a line's end of input lies where its last token
+    ends, and a "\\n" lies between two lines and never inside one."""
+    whole = _Parser(text, None)
+    lines = [list(zip(p.kinds, p.starts, p.ends)) for p in _line_parsers(text, VarEnv())]
+    rows = list(zip(whole.kinds, whole.starts, whole.ends))
+    assert [row for line in lines for row in line[:-1]] == rows[:-1], text
+    for n, (*tokens, eof) in enumerate(lines):
+        assert tokens and eof == ("eof", tokens[-1][2], tokens[-1][2]), (text, lines)
+        assert not any("\n" in text[a[2] : b[1]] for a, b in zip(tokens, tokens[1:])), text
+        if n:
+            assert "\n" in text[lines[n - 1][-1][2] : tokens[0][1]], text
+    return [(k, i, j, *line_col(text, i)) for line in lines for k, i, j in line]
 
 
 def test_tokens_and_spans_are_pinned():
@@ -393,8 +484,10 @@ def _term_nodes(t):
 
 def test_spans_of_fuzzed_input_lie_inside_the_text():
     # Printed terms, types and kinds with characters spliced in, and runs
-    # of random characters: the spans of every token, and of every lexical
-    # error, lie inside the text and name their start's line and column.
+    # of random characters, alone or after a declaration file's first lines:
+    # the spans of every token, and of every lexical error, lie inside the
+    # text and name their start's line and column.  So do a file's rows,
+    # each line's end of input included.
     rng = random.Random(83)
     tyvars = (TyVar(100, "v0"), TyVar(101, "v1"))
     alphabet = "ab_1² \t\n#'\"\\.,={}()+-:<>|;é½"
@@ -413,16 +506,17 @@ def test_spans_of_fuzzed_input_lie_inside_the_text():
             cut = rng.randint(0, len(shown))
             text = shown[:cut] + rng.choice(alphabet) + shown[cut:]
         prefix = rng.choice(("", "x : Int\r\n\t y "))
+        source = prefix + text
         try:
-            toks = _tokens(text, prefix)
+            rows = _line_rows(source) if prefix else _tokens(text)
         except ParseError as err:
-            _check_span(prefix + text, err.span, (err.line, err.col), len(prefix))
+            _check_span(source, err.span, (err.line, err.col), len(prefix))
             errors += 1
             continue
-        for t in toks:
-            _check_span(prefix + text, t[2:4], t[4:], len(prefix))
-        assert toks[-1][2] == len(prefix + text)
-        tokens += len(toks)
+        for row in rows:  # ..., start, end, line, col
+            _check_span(source, row[-4:-2], row[-2:])
+        assert prefix or rows[-1][-4] == len(text)
+        tokens += len(rows)
     assert errors >= 300 and tokens >= 4500, (errors, tokens)
 
 
